@@ -23,7 +23,7 @@ trace = run_mpc(
     lambda state, step: build_unicycle_tracking(spec, step, state),
     np.asarray(spec.X0),
     MpcConfig(horizon=spec.N_p, total_steps=spec.N,
-              solver=SolverConfig(r_reg=spec.r_reg)),
+              solver=SolverConfig()),
 )
 
 pos_err = np.empty(spec.N)

@@ -16,7 +16,7 @@ x0 = np.asarray(spec.X0)
 prob = build_unicycle_tracking(spec, 0, x0)
 z0 = np.zeros(prob.dims.z_len)
 
-second = minimize(prob, x0, z0, SolverConfig(r_reg=spec.r_reg, grad_tol=1e-6))
+second = minimize(prob, x0, z0, SolverConfig(grad_tol=1e-6))
 descent = minimize_gd(prob, x0, z0, lr=0.05, grad_tol=1e-6, max_iters=20000)
 
 print(f"{'method':>18} {'iterations':>10} {'final cost':>12} "

@@ -9,7 +9,7 @@ validating all of it.
 
 from .adjoint import AdjointSolution, backward_costates, forward_adjoint, gradient, hamiltonian
 from .curvature import (AsymmetricHessianError, CurvatureOracleError, RowIndex,
-                        SecondOrderPass, hessian, hessian_row)
+                        SecondOrderPass, hessian, hessian_row, raw_hessian)
 from .mpc import MpcConfig, MpcTrace, WarmStart, run_mpc
 from .oracles import (RiccatiSolution, fd_consistency, fd_gradient, fd_hessian,
                       max_rel_error, riccati_lqr)
@@ -20,7 +20,7 @@ from .scenarios import (CircleReference, LqrSpec, UnicycleSpec, WaypointTable,
                         build_lqr, build_unicycle_plant,
                         build_unicycle_tracking, circle_reference,
                         euler_rolled_reference, random_smooth_problem,
-                        unicycle_step, wrap_angle)
+                        reference_at, unicycle_step, wrap_angle)
 from .solver import (LinearSolveError, SolveReport, SolverConfig, Termination,
                      minimize, minimize_gd, step_direction)
 
@@ -36,9 +36,9 @@ __all__ = [
     "euler_rolled_reference", "fd_consistency", "fd_gradient", "fd_hessian",
     "flat_index", "forward_adjoint", "gradient", "hamiltonian", "hessian",
     "hessian_row", "make_fd_problem", "max_rel_error", "minimize",
-    "minimize_gd", "random_smooth_problem", "riccati_lqr", "roll_forward",
-    "run_mpc", "stage_controls", "step_direction", "unicycle_step",
-    "wrap_angle",
+    "minimize_gd", "random_smooth_problem", "raw_hessian", "reference_at",
+    "riccati_lqr", "roll_forward", "run_mpc", "stage_controls",
+    "step_direction", "unicycle_step", "wrap_angle",
 ]
 
 __version__ = "0.1.0"

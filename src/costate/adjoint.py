@@ -46,38 +46,10 @@ def hamiltonian(p: ProblemDef, x, u, lam_next, k: int) -> float:
     return float(p.stage_cost(x, u, k)) + float(lam_next @ fx)
 
 
-def backward_costates(p: ProblemDef, roll: Rollout, z: np.ndarray) -> np.ndarray:
-    """Propagate costates backward along a rollout produced from (p, z).
-
-    Returns an (N+1, n) array whose row k is the costate attached to stage
-    k+1; row N (the terminal costate) is exactly zero.  At the last stage
-    only the cost gradient enters, so dynamics Jacobians are never requested
-    at stage N.
-    """
-    dims = p.dims
-    u = stage_controls(z, dims)
-    lam = np.zeros((dims.N + 1, dims.n))
-    nxt = lam[dims.N]
-    for k in range(dims.N, 0, -1):
-        cx, _ = p.d_stage_cost(roll.states[k], u[k], k)
-        lk = np.asarray(cx, dtype=float)
-        if k < dims.N:
-            fx, _ = p.d_dynamics(roll.states[k], u[k], k)
-            lk = lk + np.asarray(fx, dtype=float).T @ nxt
-        lam[k - 1] = lk
-        nxt = lk
-    return lam
-
-
-def forward_adjoint(p: ProblemDef, x0, z: np.ndarray) -> Tuple[Rollout, AdjointSolution]:
-    """Rollout plus adjoint solution in one fused pass.
-
-    This is the workhorse used by the solvers and the second-order sweeps,
-    which consume both the rollout and the costates; returning both avoids
-    recomputation.  The operation order matches backward_costates exactly,
-    so the costates agree bit for bit.
-    """
-    roll = roll_forward(p, x0, z)
+def _backward(p: ProblemDef, roll: Rollout, z: np.ndarray) -> AdjointSolution:
+    # Backward costate pass shared by forward_adjoint and backward_costates.
+    # At the last stage only the cost gradient enters, so dynamics Jacobians
+    # are never requested at stage N.
     dims = p.dims
     u = stage_controls(z, dims)
     lam = np.zeros((dims.N + 1, dims.n))
@@ -95,7 +67,28 @@ def forward_adjoint(p: ProblemDef, x0, z: np.ndarray) -> Tuple[Rollout, AdjointS
         if k > 0:
             lam[k - 1] = lk
             nxt = lk
-    return roll, AdjointSolution(costates=lam, gradient=grad)
+    return AdjointSolution(costates=lam, gradient=grad)
+
+
+def backward_costates(p: ProblemDef, roll: Rollout, z: np.ndarray) -> np.ndarray:
+    """Propagate costates backward along a rollout produced from (p, z).
+
+    Returns an (N+1, n) array whose row k is the costate attached to stage
+    k+1; row N (the terminal costate) is exactly zero.
+    """
+    return _backward(p, roll, z).costates
+
+
+def forward_adjoint(p: ProblemDef, x0, z: np.ndarray) -> Tuple[Rollout, AdjointSolution]:
+    """Rollout plus adjoint solution in one fused pass.
+
+    This is the workhorse used by the solvers and the second-order sweeps,
+    which consume both the rollout and the costates; returning both avoids
+    recomputation.  It runs the same backward pass as backward_costates,
+    so the costates agree bit for bit.
+    """
+    roll = roll_forward(p, x0, z)
+    return roll, _backward(p, roll, z)
 
 
 def gradient(p: ProblemDef, x0, z: np.ndarray) -> AdjointSolution:

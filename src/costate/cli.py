@@ -14,10 +14,10 @@ Three commands:
                                        scenarios
 
 Exit codes: 0 pass, 1 quantitative failure, 2 usage or config error.
-Configs are JSON with sections {scenario, solver, mpc, baseline, output};
-missing fields fall back to the scenario defaults.  CSV and JSON outputs
-are deterministic for a fixed config and seed, except for the documented
-wall-time fields.
+Configs are JSON with sections {scenario, solver, mpc, baseline, output},
+each read into a dataclass whose defaults fill missing fields and whose
+checks reject bad values.  CSV and JSON outputs are deterministic for a
+fixed config and seed, except for the documented wall-time fields.
 """
 
 from __future__ import annotations
@@ -25,25 +25,29 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
+import re
 import statistics
 import sys
+import typing
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
+from enum import Enum
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .adjoint import forward_adjoint, gradient
-from .curvature import RowIndex, _assemble, _stage_data, hessian, hessian_row
-from .mpc import MpcConfig, WarmStart, run_mpc
+from .curvature import RowIndex, hessian, hessian_row, raw_hessian
+from .mpc import MpcConfig, run_mpc
 from .oracles import (fd_consistency, fd_gradient, fd_hessian, max_rel_error,
                       riccati_lqr)
-from .problem import roll_forward
+from .problem import central_difference, roll_forward
 from .scenarios import (CircleReference, LqrSpec, UnicycleSpec, WaypointTable,
                         build_lqr, build_unicycle_plant,
-                        build_unicycle_tracking, circle_reference,
-                        random_smooth_problem, tracking_sampler, wrap_angle)
+                        build_unicycle_tracking, random_smooth_problem,
+                        reference_at, tracking_sampler, wrap_angle)
 from .solver import SolverConfig, Termination, minimize, minimize_gd
 
 SCHEMA_VERSION = 1
@@ -63,29 +67,50 @@ class ConfigError(Exception):
 # Config handling
 # ---------------------------------------------------------------------------
 
-LQR_DEFAULTS = {
-    "scenario": {"a": 1.8, "b": 0.9, "q": 1.0, "r": 3.0, "p_term": 3.0,
-                 "N": 15, "x0": 1.0},
-    "solver": {"r_reg": 0.1, "grad_tol": 1e-6, "max_outer": 50,
-               "inner_depth_cap": 20, "fallback_scale": 10.0},
-    "output": {"tolerance": 1e-4},
-}
+@dataclass(frozen=True)
+class LqrOutput:
+    """run-lqr passes when no solver control deviates from the closed-form
+    control by more than tolerance."""
 
-MPC_DEFAULTS = {
-    "scenario": {"delta": 0.05, "N": 410, "N_p": 10, "X0": [1.0, 0.5, 1.0],
-                 "Q_weights": [150.0, 150.0, 3.0], "R_weights": [0.5, 0.5],
-                 "reference": {"type": "circle", "center": [0.0, 0.0],
-                               "radius": 1.0, "angular_rate": 0.3}},
-    "solver": {"r_reg": 0.1, "grad_tol": 1e-6, "max_outer": 50,
-               "inner_depth_cap": 20, "fallback_scale": 10.0},
-    "mpc": {"warm_start": "zero"},
-    "baseline": {"lr": 0.05, "max_iters": 5000},
-    "output": {"max_pos_error_m": 0.02, "max_heading_error_rad": 0.05,
-               "transient_time_s": 3.0},
-}
+    tolerance: float = 1e-4
+
+    def __post_init__(self):
+        if not self.tolerance > 0:
+            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
 
 
-def _load_json(path: str) -> dict:
+@dataclass(frozen=True)
+class MpcOutput:
+    """run-mpc pass thresholds on the errors after the transient."""
+
+    max_pos_error_m: float = 0.02
+    max_heading_error_rad: float = 0.05
+    transient_time_s: float = 3.0
+
+    def __post_init__(self):
+        for name in ("max_pos_error_m", "max_heading_error_rad"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.transient_time_s < 0:
+            raise ValueError(
+                f"transient_time_s must be >= 0, got {self.transient_time_s}")
+
+
+@dataclass(frozen=True)
+class GdBaseline:
+    """Step size and per-step iteration cap of the --baseline gd run."""
+
+    lr: float = 0.05
+    max_iters: int = 5000
+
+    def __post_init__(self):
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+
+
+def _load_json(path: str, sections: Sequence[str]) -> dict:
     p = Path(path)
     if not p.is_file():
         raise ConfigError("config", f"file not found: {path}")
@@ -98,66 +123,88 @@ def _load_json(path: str) -> dict:
             f"{exc.msg}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config", "top level must be a JSON object")
+    for key in data:
+        if key not in sections:
+            raise ConfigError(key, "unknown field")
     return data
 
 
-def _merge(defaults: dict, user: dict, prefix: str = "") -> dict:
-    out = {}
-    for key, dval in defaults.items():
-        if key in user:
-            uval = user[key]
-            if isinstance(dval, dict):
-                if not isinstance(uval, dict):
-                    raise ConfigError(prefix + key, "expected an object")
-                out[key] = _merge(dval, uval, prefix + key + ".")
-            else:
-                out[key] = uval
-        else:
-            out[key] = dval
+def _typed(value, default, optional: bool, where: str):
+    # A JSON value checked against the type of the field's default; fields
+    # without one (a waypoint table's arrays) are left to the dataclass.
+    if value is None and optional:
+        return None
+    if default is MISSING:
+        return value
+    if isinstance(default, CircleReference):
+        return _reference(value, where)
+    if isinstance(default, Enum):
+        allowed = [e.value for e in type(default)]
+        if value not in allowed:
+            raise ConfigError(where, f"expected one of {allowed}, got {value!r}")
+        return type(default)(value)
+    if isinstance(default, tuple):
+        if not isinstance(value, list) or len(value) != len(default):
+            raise ConfigError(where, f"expected a list of {len(default)} "
+                              f"numbers, got {value!r}")
+        return tuple(_typed(v, d, False, where) for v, d in zip(value, default))
+    if isinstance(default, int):
+        if type(value) is not int:
+            raise ConfigError(where, f"expected an integer, got {value!r}")
+        return value
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ConfigError(where, f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _build(cls, user, where: str, **fixed):
+    """Instance of the dataclass cls from the JSON object at where.
+
+    Defaults and range checks are those of cls.  Each value must have the
+    JSON type of the field's default, null is accepted where the field is
+    Optional, and the fields in fixed cannot be set from the config.  A
+    range error of cls names the field it mentions first.
+    """
+    if not isinstance(user, dict):
+        raise ConfigError(where, "expected an object")
+    hints = typing.get_type_hints(cls)
+    kwargs = dict(fixed)
+    for f in fields(cls):
+        if f.name in user and f.name not in fixed:
+            default = (f.default if f.default_factory is MISSING
+                       else f.default_factory())
+            kwargs[f.name] = _typed(user[f.name], default,
+                                    type(None) in typing.get_args(hints[f.name]),
+                                    f"{where}.{f.name}")
     for key in user:
-        if key not in defaults:
-            raise ConfigError(prefix + key, "unknown field")
-    return out
-
-
-def _require_number(cfg: dict, section: str, key: str, *, positive=False,
-                    non_negative=False) -> float:
-    val = cfg[section][key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(key, f"expected a number, got {val!r}")
-    if positive and not val > 0:
-        raise ConfigError(key, f"must be > 0, got {val}")
-    if non_negative and val < 0:
-        raise ConfigError(key, f"must be >= 0, got {val}")
-    return float(val)
-
-
-def _require_int(cfg: dict, section: str, key: str, minimum: int) -> int:
-    val = cfg[section][key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(key, f"expected an integer, got {val!r}")
-    if val < minimum:
-        raise ConfigError(key, f"must be >= {minimum}, got {val}")
-    return val
+        if key not in kwargs or key in fixed:
+            raise ConfigError(f"{where}.{key}", "unknown field")
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        names = [f.name for f in fields(cls)]
+        named = [w for w in re.findall(r"\w+", str(exc)) if w in names]
+        raise ConfigError(f"{where}.{named[0]}" if named else where,
+                          str(exc)) from exc
 
 
 def _solver_config(cfg: dict) -> SolverConfig:
-    sec = cfg["solver"]
-    cap = sec["inner_depth_cap"]
-    if cap == "unbounded":
-        cap = None
-    if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int)
-                            or cap < 0):
-        raise ConfigError("inner_depth_cap", "must be a non-negative integer, "
-                          "null, or \"unbounded\"")
-    return SolverConfig(
-        r_reg=_require_number(cfg, "solver", "r_reg", positive=True),
-        grad_tol=_require_number(cfg, "solver", "grad_tol", positive=True),
-        max_outer=_require_int(cfg, "solver", "max_outer", 1),
-        inner_depth_cap=cap,
-        fallback_scale=_require_number(cfg, "solver", "fallback_scale",
-                                       positive=True),
-    )
+    sec = cfg.get("solver", {})
+    if isinstance(sec, dict) and sec.get("inner_depth_cap") == "unbounded":
+        sec = {**sec, "inner_depth_cap": None}
+    return _build(SolverConfig, sec, "solver")
+
+
+def _reference(user, where: str):
+    if not isinstance(user, dict):
+        raise ConfigError(where, "expected an object")
+    rest = dict(user)
+    kind = rest.pop("type", "circle")
+    if kind == "circle":
+        return _build(CircleReference, rest, where)
+    if kind == "table":
+        return _build(WaypointTable, rest, where)
+    raise ConfigError(f"{where}.type", f"unknown type {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -189,22 +236,17 @@ def _write_json(path: Path, obj: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_run_lqr(config_path: str, out_dir: str) -> int:
-    cfg = _merge(LQR_DEFAULTS, _load_json(config_path))
-    a = _require_number(cfg, "scenario", "a")
-    b = _require_number(cfg, "scenario", "b")
-    q = _require_number(cfg, "scenario", "q", non_negative=True)
-    r = _require_number(cfg, "scenario", "r", positive=True)
-    p_term = _require_number(cfg, "scenario", "p_term", non_negative=True)
-    n_last = _require_int(cfg, "scenario", "N", 1)
-    x0 = _require_number(cfg, "scenario", "x0")
-    tol = _require_number(cfg, "output", "tolerance", positive=True)
+    cfg = _load_json(config_path, ("scenario", "solver", "output"))
+    spec = _build(LqrSpec, cfg.get("scenario", {}), "scenario")
     solver_cfg = _solver_config(cfg)
+    tol = _build(LqrOutput, cfg.get("output", {}), "output").tolerance
 
-    spec = LqrSpec(a=a, b=b, q=q, r=r, p_term=p_term, N=n_last, x0=x0)
     prob = build_lqr(spec)
-    report = minimize(prob, np.array([x0]), np.zeros(prob.dims.z_len), solver_cfg)
-    roll = roll_forward(prob, np.array([x0]), report.z_final)
-    ric = riccati_lqr(a, b, q, r, p_term, n_last, x0)
+    x0 = np.array([spec.x0])
+    report = minimize(prob, x0, np.zeros(prob.dims.z_len), solver_cfg)
+    roll = roll_forward(prob, x0, report.z_final)
+    ric = riccati_lqr(spec.a, spec.b, spec.q, spec.r, spec.p_term, spec.N,
+                      spec.x0)
 
     u_ric = np.append(ric.controls, 0.0)
     max_u_dev = float(np.abs(report.z_final - u_ric).max())
@@ -216,14 +258,14 @@ def cmd_run_lqr(config_path: str, out_dir: str) -> int:
     rows = [
         (k, float(roll.states[k, 0]), float(report.z_final[k]),
          float(ric.states[k]), float(u_ric[k]))
-        for k in range(n_last + 1)
+        for k in range(spec.N + 1)
     ]
     _write_csv(out / "lqr_trace.csv",
                ["k", "x_solver", "u_solver", "x_riccati", "u_riccati"], rows)
     _write_json(out / "report.json", {
         "schema_version": SCHEMA_VERSION,
         "command": "run-lqr",
-        "scenario": cfg["scenario"],
+        "scenario": asdict(spec),
         "termination": report.termination.value,
         "outer_iters": report.outer_iters,
         "inner_iters_total": report.inner_iters_total,
@@ -244,77 +286,22 @@ def cmd_run_lqr(config_path: str, out_dir: str) -> int:
 # run-mpc
 # ---------------------------------------------------------------------------
 
-def _unicycle_spec(cfg: dict) -> UnicycleSpec:
-    sc = cfg["scenario"]
-    delta = _require_number(cfg, "scenario", "delta", positive=True)
-    total = _require_int(cfg, "scenario", "N", 1)
-    horizon = _require_int(cfg, "scenario", "N_p", 1)
-    if horizon > total:
-        raise ConfigError("N_p", f"prediction horizon {horizon} exceeds total "
-                          f"steps N={total}")
-    x0 = sc["X0"]
-    if not (isinstance(x0, list) and len(x0) == 3
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in x0)):
-        raise ConfigError("X0", f"expected a list of three numbers, got {x0!r}")
-    qw = sc["Q_weights"]
-    rw = sc["R_weights"]
-    if not (isinstance(qw, list) and len(qw) == 3
-            and all(isinstance(v, (int, float)) and v >= 0 for v in qw)):
-        raise ConfigError("Q_weights", "expected three non-negative numbers")
-    if not (isinstance(rw, list) and len(rw) == 2
-            and all(isinstance(v, (int, float)) and v > 0 for v in rw)):
-        raise ConfigError("R_weights", "expected two positive numbers")
-    ref = sc["reference"]
-    if not isinstance(ref, dict) or "type" not in ref:
-        raise ConfigError("reference", "expected an object with a 'type'")
-    if ref["type"] == "circle":
-        defaults = MPC_DEFAULTS["scenario"]["reference"]
-        merged = dict(defaults)
-        merged.update(ref)
-        for key in ref:
-            if key not in defaults:
-                raise ConfigError(f"reference.{key}", "unknown field")
-        if not (isinstance(merged["radius"], (int, float))
-                and merged["radius"] > 0):
-            raise ConfigError("reference.radius", "must be > 0")
-        reference = CircleReference(center=tuple(merged["center"]),
-                                    radius=float(merged["radius"]),
-                                    angular_rate=float(merged["angular_rate"]))
-    elif ref["type"] == "table":
-        try:
-            reference = WaypointTable(states=np.asarray(ref["states"], float),
-                                      controls=np.asarray(ref["controls"], float))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError("reference", str(exc)) from exc
-    else:
-        raise ConfigError("reference.type", f"unknown type {ref['type']!r}")
-    return UnicycleSpec(delta=delta, N=total, N_p=horizon, X0=tuple(x0),
-                        Q_weights=tuple(float(v) for v in qw),
-                        R_weights=tuple(float(v) for v in rw),
-                        reference=reference)
-
-
-def _reference_rows(spec: UnicycleSpec, step: int):
-    if isinstance(spec.reference, WaypointTable):
-        return spec.reference.states[step], spec.reference.controls[step]
-    return circle_reference(spec.reference, spec.delta, step)
-
-
 def cmd_run_mpc(config_path: str, out_dir: str, baseline: Optional[str]) -> int:
-    cfg = _merge(MPC_DEFAULTS, _load_json(config_path))
-    spec = _unicycle_spec(cfg)
-    solver_cfg = _solver_config(cfg)
-    warm = cfg["mpc"]["warm_start"]
-    if warm not in ("zero", "shift"):
-        raise ConfigError("warm_start", f"expected 'zero' or 'shift', got {warm!r}")
-    mpc_cfg = MpcConfig(horizon=spec.N_p, total_steps=spec.N,
-                        warm_start=WarmStart(warm), solver=solver_cfg)
-    max_pos = _require_number(cfg, "output", "max_pos_error_m", positive=True)
-    max_heading = _require_number(cfg, "output", "max_heading_error_rad",
-                                  positive=True)
-    transient = _require_number(cfg, "output", "transient_time_s",
-                                non_negative=True)
+    cfg = _load_json(config_path,
+                     ("scenario", "solver", "mpc", "baseline", "output"))
+    spec = _build(UnicycleSpec, cfg.get("scenario", {}), "scenario")
+    if spec.N_p > spec.N:
+        raise ConfigError("scenario.N_p", f"prediction horizon {spec.N_p} "
+                          f"exceeds total steps N={spec.N}")
+    if (isinstance(spec.reference, WaypointTable)
+            and len(spec.reference) < spec.N + spec.N_p):
+        raise ConfigError("scenario.reference", f"waypoint table has "
+                          f"{len(spec.reference)} rows, N + N_p = "
+                          f"{spec.N + spec.N_p} are needed")
+    mpc_cfg = _build(MpcConfig, cfg.get("mpc", {}), "mpc", horizon=spec.N_p,
+                     total_steps=spec.N, solver=_solver_config(cfg))
+    gd = _build(GdBaseline, cfg.get("baseline", {}), "baseline")
+    limits = _build(MpcOutput, cfg.get("output", {}), "output")
 
     plant = build_unicycle_plant(spec)
     x_init = np.asarray(spec.X0, dtype=float)
@@ -332,7 +319,7 @@ def cmd_run_mpc(config_path: str, out_dir: str, baseline: Optional[str]) -> int:
     for k in range(steps_done):
         state = trace.applied_states[k]
         ctrl = trace.applied_controls[k]
-        xr, _ = _reference_rows(spec, k)
+        xr, _ = reference_at(spec, k)
         pos_errors[k] = float(np.hypot(state[0] - xr[0], state[1] - xr[1]))
         heading_errors[k] = abs(wrap_angle(state[2] - xr[2]))
         rows.append((
@@ -344,7 +331,7 @@ def cmd_run_mpc(config_path: str, out_dir: str, baseline: Optional[str]) -> int:
         ))
 
     iters = [rep.outer_iters for rep in trace.per_step_reports[:steps_done]]
-    steady = times > transient
+    steady = times > limits.transient_time_s
     steady_any = bool(steady.any())
     max_pos_err = float(pos_errors[steady].max()) if steady_any else float("nan")
     mean_pos_err = float(pos_errors[steady].mean()) if steady_any else float("nan")
@@ -357,13 +344,13 @@ def cmd_run_mpc(config_path: str, out_dir: str, baseline: Optional[str]) -> int:
         "steps_completed": steps_done,
         "failed_step": trace.failed_step,
         "steady_state": {
-            "transient_time_s": transient,
+            "transient_time_s": limits.transient_time_s,
             "max_pos_error_m": max_pos_err,
             "mean_pos_error_m": mean_pos_err,
             "max_heading_error_rad": max_heading_err,
         },
-        "thresholds": {"max_pos_error_m": max_pos, "max_heading_error_rad":
-                       max_heading},
+        "thresholds": {"max_pos_error_m": limits.max_pos_error_m,
+                       "max_heading_error_rad": limits.max_heading_error_rad},
         "iteration_histogram": {str(k): v for k, v in
                                 sorted(Counter(iters).items())},
         "median_iters": float(statistics.median(iters)) if iters else None,
@@ -372,22 +359,19 @@ def cmd_run_mpc(config_path: str, out_dir: str, baseline: Optional[str]) -> int:
     }
 
     if baseline == "gd":
-        lr = _require_number(cfg, "baseline", "lr", positive=True)
-        gd_max = _require_int(cfg, "baseline", "max_iters", 1)
-
         def gd_solve(prob, x, z0, scfg):
-            return minimize_gd(prob, x, z0, lr=lr, grad_tol=scfg.grad_tol,
-                               max_iters=gd_max)
+            return minimize_gd(prob, x, z0, lr=gd.lr, grad_tol=scfg.grad_tol,
+                               max_iters=gd.max_iters)
 
         gd_trace = run_mpc(plant, factory, x_init, mpc_cfg, _solve=gd_solve)
         gd_iters = [rep.outer_iters for rep in gd_trace.per_step_reports]
         report["baseline"] = {
             "method": "gd",
-            "lr": lr,
-            "max_iters": gd_max,
+            "lr": gd.lr,
+            "max_iters": gd.max_iters,
             "per_step_iters": gd_iters,
             "median_iters": float(statistics.median(gd_iters)) if gd_iters else None,
-            "steps_at_cap": sum(1 for v in gd_iters if v >= gd_max),
+            "steps_at_cap": sum(1 for v in gd_iters if v >= gd.max_iters),
             "total_wall_time_s": float(gd_trace.per_step_wall_time.sum()),
         }
         report["per_step_iters"] = iters
@@ -405,8 +389,8 @@ def cmd_run_mpc(config_path: str, out_dir: str, baseline: Optional[str]) -> int:
               file=sys.stderr)
         return 1
 
-    passed = (steady_any and max_pos_err <= max_pos
-              and max_heading_err <= max_heading)
+    passed = (steady_any and max_pos_err <= limits.max_pos_error_m
+              and max_heading_err <= limits.max_heading_error_rad)
     report["passed"] = passed
     _write_json(out / "report.json", report)
     print(f"run-mpc: {'PASS' if passed else 'FAIL'} "
@@ -437,8 +421,9 @@ def _named_problems(seed: int, sizes: Sequence[Tuple[int, int, int]],
     for (n, m, n_last) in sizes:
         prob, x0, z = random_smooth_problem(rng, n, m, n_last)
         problems.append((f"random-n{n}m{m}N{n_last}", prob, x0, z, None))
-    lqr = build_lqr(LqrSpec())
-    problems.append(("lqr", lqr, np.array([1.0]),
+    lqr_spec = LqrSpec()
+    lqr = build_lqr(lqr_spec)
+    problems.append(("lqr", lqr, np.array([lqr_spec.x0]),
                      rng.normal(scale=0.4, size=lqr.dims.z_len), None))
     uni_spec = UnicycleSpec()
     x_uni = np.asarray(uni_spec.X0) + rng.normal(scale=0.2, size=3)
@@ -465,84 +450,70 @@ def run_check_suites(seed: int = 0,
     rng, problems = _named_problems(seed, sizes, extra_problems)
     results: List[SuiteResult] = []
 
-    def record(name, tol, worst, where):
+    def record(name, tol, errors):
+        # errors yields (error, where); the first largest one is reported.
+        worst, where = max([(0.0, "")] + list(errors), key=lambda e: e[0])
         results.append(SuiteResult(
             name=name, passed=worst <= tol, max_error=worst, tolerance=tol,
             detail=f"seed {seed}, problem {where}"))
 
     # Analytic oracles against finite differences of the raw callables.
-    worst, where = 0.0, ""
-    for name, prob, _, _, sampler in problems:
-        errs = fd_consistency(prob, rng, n_points=30, sampler=sampler)
-        err = max(errs.values())
-        if err > worst:
-            worst, where = err, name
-    record("fd-consistency", 1e-5, worst, where)
+    record("fd-consistency", 1e-5, (
+        (max(fd_consistency(prob, rng, n_points=30, sampler=sampler).values()),
+         name) for name, prob, _, _, sampler in problems))
 
     # Adjoint gradient against central differences of the cost.
-    worst, where = 0.0, ""
-    for name, prob, x0, z, _ in problems:
-        err = max_rel_error(gradient(prob, x0, z).gradient,
-                            fd_gradient(prob, x0, z, 1e-6))
-        if err > worst:
-            worst, where = err, name
-    record("gradient-vs-fd", 1e-5, worst, where)
+    record("gradient-vs-fd", 1e-5, (
+        (max_rel_error(gradient(prob, x0, z).gradient,
+                       fd_gradient(prob, x0, z, 1e-6)), name)
+        for name, prob, x0, z, _ in problems))
 
     # Assembled second-order matrix against differenced adjoint gradients.
-    worst, where = 0.0, ""
-    for name, prob, x0, z, _ in problems:
-        err = max_rel_error(hessian(prob, x0, z), fd_hessian(prob, x0, z, 1e-6))
-        if err > worst:
-            worst, where = err, name
-    record("hessian-vs-fd", 1e-4, worst, where)
+    record("hessian-vs-fd", 1e-4, (
+        (max_rel_error(hessian(prob, x0, z), fd_hessian(prob, x0, z, 1e-6)),
+         name) for name, prob, x0, z, _ in problems))
 
     # Raw (pre-symmetrization) asymmetry, scaled.
-    worst, where = 0.0, ""
-    for name, prob, x0, z, _ in problems:
-        roll, adj = forward_adjoint(prob, x0, z)
-        raw = _assemble(prob.dims, _stage_data(prob, roll, adj.costates, z))
-        defect = float(np.abs(raw - raw.T).max())
-        err = defect / (1.0 + float(np.abs(raw).max(initial=0.0)))
-        if err > worst:
-            worst, where = err, name
-    record("hessian-symmetry", 1e-8, worst, where)
+    def asymmetry(prob, x0, z):
+        raw = raw_hessian(prob, *forward_adjoint(prob, x0, z), z)
+        return (float(np.abs(raw - raw.T).max())
+                / (1.0 + float(np.abs(raw).max(initial=0.0))))
+
+    record("hessian-symmetry", 1e-8, ((asymmetry(prob, x0, z), name)
+                                      for name, prob, x0, z, _ in problems))
 
     # Forward sensitivity sequences against differenced rollouts.
-    worst, where = 0.0, ""
-    for name, prob, x0, z, _ in problems:
-        roll, adj = forward_adjoint(prob, x0, z)
-        width = prob.dims.z_len
-        if width <= 12:
-            flats = range(width)
-        else:
-            flats = sorted(rng.choice(width, size=8, replace=False).tolist())
-        for flat in flats:
-            row = RowIndex.from_flat(prob.dims, int(flat))
-            sp = hessian_row(prob, roll, adj, z, row)
-            h = 1e-6
-            zp, zm = z.copy(), z.copy()
-            zp[flat] += h
-            zm[flat] -= h
-            sens = (roll_forward(prob, x0, zp).states
-                    - roll_forward(prob, x0, zm).states) / (2.0 * h)
-            err = max_rel_error(sp.betas, sens)
-            if err > worst:
-                worst, where = err, f"{name} row {flat}"
-    record("rollout-sensitivity", 1e-5, worst, where)
+    def sensitivity_errors():
+        for name, prob, x0, z, _ in problems:
+            roll, adj = forward_adjoint(prob, x0, z)
+            width = prob.dims.z_len
+            if width <= 12:
+                flats = range(width)
+            else:
+                flats = sorted(rng.choice(width, size=8, replace=False).tolist())
+            sens = central_difference(
+                lambda v: roll_forward(prob, x0, v).states, z, 1e-6)
+            for flat in flats:
+                sp = hessian_row(prob, roll, adj, z,
+                                 RowIndex.from_flat(prob.dims, int(flat)))
+                yield (max_rel_error(sp.betas, sens[..., flat]),
+                       f"{name} row {flat}")
+
+    record("rollout-sensitivity", 1e-5, sensitivity_errors())
 
     # Solver against the closed-form scalar LQR solution.
-    worst, where = 0.0, ""
     lqr_spec = LqrSpec()
     lqr = build_lqr(lqr_spec)
-    for x0_val in (1.0, 2.0, 3.0):
+
+    def lqr_deviation(x0_val):
         rep = minimize(lqr, np.array([x0_val]), np.zeros(lqr.dims.z_len),
-                       SolverConfig(r_reg=0.1))
+                       SolverConfig())
         ric = riccati_lqr(lqr_spec.a, lqr_spec.b, lqr_spec.q, lqr_spec.r,
                           lqr_spec.p_term, lqr_spec.N, x0_val)
-        dev = float(np.abs(rep.z_final[:lqr_spec.N] - ric.controls).max())
-        if dev > worst:
-            worst, where = dev, f"lqr x0={x0_val}"
-    record("lqr-riccati", 1e-4, worst, where)
+        return float(np.abs(rep.z_final[:lqr_spec.N] - ric.controls).max())
+
+    record("lqr-riccati", 1e-4, ((lqr_deviation(v), f"lqr x0={v}")
+                                 for v in (1.0, 2.0, 3.0)))
 
     return results
 
@@ -653,3 +624,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

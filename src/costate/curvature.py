@@ -1,5 +1,4 @@
-"""Exact Hessian of the rollout cost, assembled one control coordinate at a
-time.
+"""Exact Hessian of the rollout cost, one row per control coordinate.
 
 Each row of the Hessian belongs to one control coordinate (stage i,
 component p).  A forward recursion propagates the state sensitivity to that
@@ -9,20 +8,22 @@ stage.  All rows share a single rollout, a single costate sweep, and a
 single set of per-stage derivative evaluations, so the full matrix costs
 one pass of callable evaluations plus small-matrix recursions per row.
 
-hessian() runs all rows over the shared snapshot in vectorized form;
-hessian_row() exposes the single-row pass, including the intermediate
-sensitivity sequences, for inspection and testing.
+One vectorized pass runs the recursions of all rows at once.  hessian() and
+raw_hessian() return its matrix, symmetrized or as assembled; hessian_row()
+slices one row out of it, including the intermediate sensitivity
+sequences, for inspection and testing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from .adjoint import AdjointSolution, forward_adjoint
-from .problem import Dims, NumericalBlowupError, ProblemDef, Rollout, stage_controls
+from .problem import (Dims, NumericalBlowupError, ProblemDef, Rollout,
+                      flat_index, stage_controls)
 
 
 class CurvatureOracleError(ValueError):
@@ -131,69 +132,10 @@ def _stage_data(p: ProblemDef, roll: Rollout, costates: np.ndarray,
     return _StageData(fx=fx, fu=fu, cxx=cxx, cxu=cxu, cuu=cuu)
 
 
-def hessian_row(p: ProblemDef, roll: Rollout, adj: AdjointSolution,
-                z: np.ndarray, row: RowIndex,
-                _data: Optional[_StageData] = None) -> SecondOrderPass:
-    """One row of the Hessian of the rollout cost.
-
-    Args:
-        p: problem with second-derivative oracles.
-        roll: rollout produced from (p, z).
-        adj: adjoint solution produced from the same rollout.
-        z: the decision vector the snapshot was taken at.
-        row: which control coordinate the row belongs to.
-
-    Returns:
-        The forward sensitivity sequence, the backward second-order
-        sequence, and the assembled row.
-
-    The forward recursion is betas[k+1] = f_x betas[k], plus the f_u column
-    of the row's component injected at stage i; the backward recursion mixes
-    the combined second-order stage matrices with the sensitivities; the row
-    entry at stage k adds the stage's own control-control block only at
-    k = i.
-    """
-    dims = p.dims
-    i, comp = row.stage, row.component
-    if not 0 <= i <= dims.N:
-        raise ValueError(f"row stage {i} outside 0..{dims.N}")
-    if not 0 <= comp < dims.m:
-        raise ValueError(f"row component {comp} outside 0..{dims.m - 1}")
-    data = _data if _data is not None else _stage_data(p, roll, adj.costates, z)
-
-    betas = np.zeros((dims.N + 1, dims.n))
-    for k in range(dims.N):
-        b = data.fx[k] @ betas[k]
-        if k == i:
-            b = b + data.fu[k][:, comp]
-        betas[k + 1] = b
-
-    alphas = np.zeros((dims.N + 1, dims.n))
-    nxt = alphas[dims.N]
-    for k in range(dims.N, 0, -1):
-        a = data.cxx[k] @ betas[k]
-        if k < dims.N:
-            a = a + data.fx[k].T @ nxt
-        if k == i:
-            a = a + data.cxu[k][:, comp]
-        alphas[k - 1] = a
-        nxt = a
-
-    out = np.empty(dims.z_len)
-    for k in range(dims.N + 1):
-        r = data.cxu[k].T @ betas[k]
-        if k < dims.N:
-            r = r + data.fu[k].T @ alphas[k]
-        if k == i:
-            r = r + data.cuu[k][comp]
-        out[k * dims.m:(k + 1) * dims.m] = r
-    return SecondOrderPass(betas=betas, alphas=alphas, row=out)
-
-
-def _assemble(dims: Dims, data: _StageData) -> np.ndarray:
-    # Vectorized form of hessian_row over all rows at once: column r of B_k
-    # is the betas[k] of row r, column r of A_k the alphas of row r.  The
-    # addition order matches the per-row pass.
+def _assemble(dims: Dims, data: _StageData):
+    # All rows at once: column r of bs[k] is the state sensitivity betas[k]
+    # of row r, column r of a_by_stage[k] its backward vector alphas[k].
+    # Returns the raw Hessian together with both per-stage lists.
     n, m, width = dims.n, dims.m, dims.z_len
     bs = [np.zeros((n, width))]
     for k in range(dims.N):
@@ -217,7 +159,43 @@ def _assemble(dims: Dims, data: _StageData) -> np.ndarray:
             block = block + a_by_stage[k].T @ data.fu[k]
         block[k * m:(k + 1) * m, :] += data.cuu[k]
         hess[:, k * m:(k + 1) * m] = block
-    return hess
+    return hess, bs, a_by_stage
+
+
+def hessian_row(p: ProblemDef, roll: Rollout, adj: AdjointSolution,
+                z: np.ndarray, row: RowIndex) -> SecondOrderPass:
+    """One row of the Hessian of the rollout cost.
+
+    Args:
+        p: problem with second-derivative oracles.
+        roll: rollout produced from (p, z).
+        adj: adjoint solution produced from the same rollout.
+        z: the decision vector the snapshot was taken at.
+        row: which control coordinate the row belongs to.
+
+    Returns:
+        The forward sensitivity sequence, the backward second-order
+        sequence, and the row, sliced out of the all-rows pass.
+
+    The forward recursion is betas[k+1] = f_x betas[k], plus the f_u column
+    of the row's component injected at stage i; the backward recursion mixes
+    the combined second-order stage matrices with the sensitivities; the row
+    entry at stage k adds the stage's own control-control block only at
+    k = i.
+    """
+    dims = p.dims
+    flat = flat_index(dims, row.stage, row.component)
+    hess, bs, a_by_stage = _assemble(dims, _stage_data(p, roll, adj.costates, z))
+    return SecondOrderPass(betas=np.array([b[:, flat] for b in bs]),
+                           alphas=np.array([a[:, flat] for a in a_by_stage]),
+                           row=hess[flat].copy())
+
+
+def raw_hessian(p: ProblemDef, roll: Rollout, adj: AdjointSolution,
+                z: np.ndarray) -> np.ndarray:
+    """Hessian from an existing rollout/adjoint snapshot, as assembled:
+    neither checked against the symmetry tolerance nor symmetrized."""
+    return _assemble(p.dims, _stage_data(p, roll, adj.costates, z))[0]
 
 
 def _check_and_symmetrize(hess: np.ndarray) -> np.ndarray:
@@ -238,8 +216,7 @@ def hessian_with(p: ProblemDef, roll: Rollout, adj: AdjointSolution,
     (defect <= 1e-8 * (1 + max|H|)), then returns the symmetrized matrix
     (H + H^T)/2 to suppress roundoff drift in downstream linear solves.
     """
-    data = _stage_data(p, roll, adj.costates, z)
-    return _check_and_symmetrize(_assemble(p.dims, data))
+    return _check_and_symmetrize(raw_hessian(p, roll, adj, z))
 
 
 def hessian(p: ProblemDef, x0, z: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from .adjoint import gradient
-from .problem import ProblemDef, eval_cost, make_fd_problem
+from .problem import ProblemDef, central_difference, eval_cost, make_fd_problem
 
 
 def fd_gradient(p: ProblemDef, x0, z: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -22,14 +22,7 @@ def fd_gradient(p: ProblemDef, x0, z: np.ndarray, h: float = 1e-6) -> np.ndarray
     coordinate: (J(z + h e_i) - J(z - h e_i)) / (2 h)."""
     if not h > 0:
         raise ValueError(f"h must be > 0, got {h}")
-    z = np.asarray(z, dtype=float)
-    out = np.empty(z.size)
-    for i in range(z.size):
-        hi, lo = z.copy(), z.copy()
-        hi[i] += h
-        lo[i] -= h
-        out[i] = (eval_cost(p, x0, hi) - eval_cost(p, x0, lo)) / (2.0 * h)
-    return out
+    return central_difference(lambda v: eval_cost(p, x0, v), z, h)
 
 
 def fd_hessian(p: ProblemDef, x0, z: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -41,15 +34,7 @@ def fd_hessian(p: ProblemDef, x0, z: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """
     if not h > 0:
         raise ValueError(f"h must be > 0, got {h}")
-    z = np.asarray(z, dtype=float)
-    cols = np.empty((z.size, z.size))
-    for j in range(z.size):
-        hi, lo = z.copy(), z.copy()
-        hi[j] += h
-        lo[j] -= h
-        gp = gradient(p, x0, hi).gradient
-        gm = gradient(p, x0, lo).gradient
-        cols[:, j] = (gp - gm) / (2.0 * h)
+    cols = central_difference(lambda v: gradient(p, x0, v).gradient, z, h)
     return 0.5 * (cols + cols.T)
 
 
@@ -137,35 +122,16 @@ def fd_consistency(p: ProblemDef, rng: np.random.Generator,
         x, u = draw(rng, dims)
         k = int(rng.integers(0, dims.N + 1))
         k_dyn = min(k, max(dims.N - 1, 0))
-
-        cx, cu = p.d_stage_cost(x, u, k)
-        rx, ru = ref.d_stage_cost(x, u, k)
-        worst["d_stage_cost"] = max(
-            worst["d_stage_cost"], max_rel_error(cx, rx), max_rel_error(cu, ru)
-        )
+        calls = [("d_stage_cost", (x, u, k))]
         if dims.N > 0:
-            fx, fu = p.d_dynamics(x, u, k_dyn)
-            gx, gu = ref.d_dynamics(x, u, k_dyn)
-            worst["d_dynamics"] = max(
-                worst["d_dynamics"], max_rel_error(fx, gx), max_rel_error(fu, gu)
-            )
+            calls.append(("d_dynamics", (x, u, k_dyn)))
         if second:
-            axx, axu, auu = p.dd_stage_cost(x, u, k)
-            bxx, bxu, buu = ref.dd_stage_cost(x, u, k)
-            worst["dd_stage_cost"] = max(
-                worst["dd_stage_cost"],
-                max_rel_error(axx, bxx),
-                max_rel_error(axu, bxu),
-                max_rel_error(auu, buu),
-            )
+            calls.append(("dd_stage_cost", (x, u, k)))
             if dims.N > 0:
                 w = rng.normal(size=dims.n)
-                axx, axu, auu = p.dd_dynamics_contracted(w, x, u, k_dyn)
-                bxx, bxu, buu = ref.dd_dynamics_contracted(w, x, u, k_dyn)
-                worst["dd_dynamics_contracted"] = max(
-                    worst["dd_dynamics_contracted"],
-                    max_rel_error(axx, bxx),
-                    max_rel_error(axu, bxu),
-                    max_rel_error(auu, buu),
-                )
+                calls.append(("dd_dynamics_contracted", (w, x, u, k_dyn)))
+        for name, args in calls:
+            pairs = zip(getattr(p, name)(*args), getattr(ref, name)(*args))
+            worst[name] = max(worst[name],
+                              *(max_rel_error(a, b) for a, b in pairs))
     return worst

@@ -17,6 +17,7 @@ time-varying references and terminal-only costs need no wrapper types.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -197,8 +198,24 @@ FD_STEP = 1e-6
 FD_STEP_SECOND = 1e-4
 
 
-def _coord_step(value: float, scale: float) -> float:
-    return scale * max(1.0, abs(float(value)))
+def central_difference(fun: Callable, v: np.ndarray, step: float,
+                       relative: bool = False) -> np.ndarray:
+    """Central-difference derivative of fun at the vector v.
+
+    Entry [..., j] is (fun(v + h_j e_j) - fun(v - h_j e_j)) / (2 h_j), with
+    h_j = step, or step * max(1, |v_j|) when relative.  fun may return a
+    scalar or an array; its shape leads the result's.
+    """
+    v = np.asarray(v, dtype=float)
+    cols = []
+    for j in range(v.size):
+        h = step * max(1.0, abs(float(v[j]))) if relative else step
+        hi, lo = v.copy(), v.copy()
+        hi[j] += h
+        lo[j] -= h
+        cols.append((np.asarray(fun(hi), dtype=float)
+                     - np.asarray(fun(lo), dtype=float)) / (2.0 * h))
+    return np.stack(cols, axis=-1)
 
 
 def make_fd_problem(dynamics, stage_cost, dims: Dims, step: float = FD_STEP) -> ProblemDef:
@@ -223,118 +240,40 @@ def make_fd_problem(dynamics, stage_cost, dims: Dims, step: float = FD_STEP) -> 
     def f(x, u, k):
         return np.atleast_1d(np.asarray(dynamics(x, u, k), dtype=float))
 
-    def _jac(fun, x, u, k, wrt_x, out_rows, h_scale):
-        base = x if wrt_x else u
-        cols = []
-        for j in range(base.size):
-            h = _coord_step(base[j], h_scale)
-            hi = base.copy()
-            lo = base.copy()
-            hi[j] += h
-            lo[j] -= h
-            if wrt_x:
-                fp, fm = fun(hi, u, k), fun(lo, u, k)
-            else:
-                fp, fm = fun(x, hi, k), fun(x, lo, k)
-            cols.append((np.asarray(fp, dtype=float) - np.asarray(fm, dtype=float)) / (2.0 * h))
-        return np.column_stack(cols).reshape(out_rows, base.size)
+    def d_x(fun, x, u, k, h):
+        return central_difference(lambda xx: fun(xx, u, k), x, h, relative=True)
 
-    def d_dynamics(x, u, k):
+    def d_u(fun, x, u, k, h):
+        return central_difference(lambda uu: fun(x, uu, k), u, h, relative=True)
+
+    def first(fun, x, u, k):
         x = check_state(x, n)
         u = check_state(u, m, "control")
-        fx = _jac(f, x, u, k, True, n, step)
-        fu = _jac(f, x, u, k, False, n, step)
-        return fx, fu
+        return d_x(fun, x, u, k, step), d_u(fun, x, u, k, step)
 
-    def _cost_grads(x, u, k, h_scale):
-        cx = np.empty(n)
-        for j in range(n):
-            h = _coord_step(x[j], h_scale)
-            hi, lo = x.copy(), x.copy()
-            hi[j] += h
-            lo[j] -= h
-            cx[j] = (stage_cost(hi, u, k) - stage_cost(lo, u, k)) / (2.0 * h)
-        cu = np.empty(m)
-        for j in range(m):
-            h = _coord_step(u[j], h_scale)
-            hi, lo = u.copy(), u.copy()
-            hi[j] += h
-            lo[j] -= h
-            cu[j] = (stage_cost(x, hi, k) - stage_cost(x, lo, k)) / (2.0 * h)
-        return cx, cu
-
-    def d_stage_cost(x, u, k):
-        x = check_state(x, n)
-        u = check_state(u, m, "control")
-        return _cost_grads(x, u, k, step)
-
-    def _nested(grad_fun, x, u, k, wrt_x):
-        # Outer central difference of a first-derivative estimate built with
+    def second(fun, x, u, k):
+        # Outer central differences of first-derivative estimates built with
         # the same coarse step; the finer first-order step would amplify its
         # own cancellation noise here.
-        base = x if wrt_x else u
-        cols = []
-        for j in range(base.size):
-            h = _coord_step(base[j], FD_STEP_SECOND)
-            hi, lo = base.copy(), base.copy()
-            hi[j] += h
-            lo[j] -= h
-            if wrt_x:
-                gp, gm = grad_fun(hi, u, k), grad_fun(lo, u, k)
-            else:
-                gp, gm = grad_fun(x, hi, k), grad_fun(x, lo, k)
-            cols.append((gp - gm) / (2.0 * h))
-        return np.column_stack(cols)
-
-    def dd_stage_cost(x, u, k):
         x = check_state(x, n)
         u = check_state(u, m, "control")
-        gx = lambda xx, uu, kk: _cost_grads(xx, uu, kk, FD_STEP_SECOND)[0]
-        gu = lambda xx, uu, kk: _cost_grads(xx, uu, kk, FD_STEP_SECOND)[1]
-        cxx = _nested(gx, x, u, k, True)
-        cxu = _nested(gx, x, u, k, False)
-        cuu = _nested(gu, x, u, k, False)
-        return 0.5 * (cxx + cxx.T), cxu, 0.5 * (cuu + cuu.T)
+        gx = partial(d_x, fun, h=FD_STEP_SECOND)
+        gu = partial(d_u, fun, h=FD_STEP_SECOND)
+        hxx = d_x(gx, x, u, k, FD_STEP_SECOND)
+        hxu = d_u(gx, x, u, k, FD_STEP_SECOND)
+        huu = d_u(gu, x, u, k, FD_STEP_SECOND)
+        return 0.5 * (hxx + hxx.T), hxu, 0.5 * (huu + huu.T)
 
     def dd_dynamics_contracted(w, x, u, k):
         w = check_state(w, n, "contraction vector")
-        x = check_state(x, n)
-        u = check_state(u, m, "control")
-
-        def g(xx, uu, kk):
-            return float(w @ f(xx, uu, kk))
-
-        def gx(xx, uu, kk):
-            out = np.empty(n)
-            for j in range(n):
-                h = _coord_step(xx[j], FD_STEP_SECOND)
-                hi, lo = xx.copy(), xx.copy()
-                hi[j] += h
-                lo[j] -= h
-                out[j] = (g(hi, uu, kk) - g(lo, uu, kk)) / (2.0 * h)
-            return out
-
-        def gu(xx, uu, kk):
-            out = np.empty(m)
-            for j in range(m):
-                h = _coord_step(uu[j], FD_STEP_SECOND)
-                hi, lo = uu.copy(), uu.copy()
-                hi[j] += h
-                lo[j] -= h
-                out[j] = (g(xx, hi, kk) - g(xx, lo, kk)) / (2.0 * h)
-            return out
-
-        wxx = _nested(gx, x, u, k, True)
-        wxu = _nested(gx, x, u, k, False)
-        wuu = _nested(gu, x, u, k, False)
-        return 0.5 * (wxx + wxx.T), wxu, 0.5 * (wuu + wuu.T)
+        return second(lambda xx, uu, kk: float(w @ f(xx, uu, kk)), x, u, k)
 
     return ProblemDef(
         dims=dims,
         dynamics=dynamics,
         stage_cost=stage_cost,
-        d_dynamics=d_dynamics,
-        d_stage_cost=d_stage_cost,
-        dd_stage_cost=dd_stage_cost,
+        d_dynamics=partial(first, f),
+        d_stage_cost=partial(first, stage_cost),
+        dd_stage_cost=partial(second, stage_cost),
         dd_dynamics_contracted=dd_dynamics_contracted,
     )

@@ -13,7 +13,7 @@ and can be overridden freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Tuple, Union
 
 import numpy as np
@@ -126,6 +126,9 @@ class WaypointTable:
             raise ValueError(
                 f"waypoint controls must be ({s.shape[0]}, 2), got {c.shape}"
             )
+        for name, arr in (("states", s), ("controls", c)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"waypoint {name} must be finite")
         object.__setattr__(self, "states", s)
         object.__setattr__(self, "controls", c)
 
@@ -140,8 +143,8 @@ class UnicycleSpec:
     State is [x (m), y (m), heading (rad)], controls are [speed (m/s),
     turn rate (rad/s)].  delta is the Euler step, N the total number of
     plant steps, N_p the prediction horizon.  Q_weights/R_weights are the
-    diagonal tracking weights; r_reg is the solver regularizer customarily
-    paired with this scenario.
+    diagonal tracking weights.  The solver settings are not part of the
+    scenario; the default SolverConfig() is what the benchmark runs use.
     """
 
     delta: float = 0.05
@@ -150,7 +153,6 @@ class UnicycleSpec:
     X0: Tuple[float, float, float] = (1.0, 0.5, 1.0)
     Q_weights: Tuple[float, float, float] = (150.0, 150.0, 3.0)
     R_weights: Tuple[float, float] = (0.5, 0.5)
-    r_reg: float = 0.1
     reference: Union[CircleReference, WaypointTable] = field(
         default_factory=CircleReference
     )
@@ -166,8 +168,6 @@ class UnicycleSpec:
             raise ValueError("Q_weights must be non-negative")
         if any(w <= 0 for w in self.R_weights):
             raise ValueError("R_weights must be strictly positive")
-        if not self.r_reg > 0:
-            raise ValueError(f"r_reg must be > 0, got {self.r_reg}")
 
 
 def circle_reference(circle: CircleReference, delta: float,
@@ -221,7 +221,9 @@ def unicycle_step(x: np.ndarray, u: np.ndarray, delta: float) -> np.ndarray:
     ])
 
 
-def _reference_at(spec: UnicycleSpec, step: int) -> Tuple[np.ndarray, np.ndarray]:
+def reference_at(spec: UnicycleSpec, step: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Reference state and control of the scenario at an absolute step,
+    from its waypoint table or its circle."""
     ref = spec.reference
     if isinstance(ref, WaypointTable):
         if step >= len(ref):
@@ -261,7 +263,7 @@ def build_unicycle_tracking(spec: UnicycleSpec, anchor_step: int,
     qw = np.asarray(spec.Q_weights, dtype=float)
     rw = np.asarray(spec.R_weights, dtype=float)
     horizon = spec.N_p
-    refs = [_reference_at(spec, anchor_step + k) for k in range(horizon + 1)]
+    refs = [reference_at(spec, anchor_step + k) for k in range(horizon + 1)]
 
     def _state_error(x, k):
         xr = refs[k][0]
@@ -334,7 +336,7 @@ def tracking_sampler(spec: UnicycleSpec, anchor_step: int = 0,
     cancellation noise small) and the wrapped heading residual stays far
     from the seam.
     """
-    xr, ur = _reference_at(spec, anchor_step)
+    xr, ur = reference_at(spec, anchor_step)
 
     def sample(rng: np.random.Generator, dims: Dims):
         return (xr + rng.normal(scale=scale, size=3),
@@ -349,12 +351,7 @@ def build_unicycle_plant(spec: UnicycleSpec) -> ProblemDef:
     The receding-horizon driver only uses its dynamics, but having the full
     cost around makes open-loop comparisons cheap.
     """
-    full = UnicycleSpec(
-        delta=spec.delta, N=spec.N, N_p=spec.N,
-        X0=spec.X0, Q_weights=spec.Q_weights, R_weights=spec.R_weights,
-        r_reg=spec.r_reg, reference=spec.reference,
-    )
-    return build_unicycle_tracking(full, 0, np.asarray(spec.X0, dtype=float))
+    return build_unicycle_tracking(replace(spec, N_p=spec.N), 0, spec.X0)
 
 
 def random_smooth_problem(seed_or_rng, n: int, m: int, N: int) -> Tuple[ProblemDef, np.ndarray, np.ndarray]:

@@ -25,10 +25,10 @@ from costate import (LqrSpec, MpcConfig, SolverConfig, Termination,
                      build_unicycle_tracking, circle_reference, fd_gradient,
                      fd_hessian, forward_adjoint, gradient, hessian_row,
                      max_rel_error, minimize, minimize_gd,
-                     random_smooth_problem, riccati_lqr, roll_forward,
-                     run_mpc, wrap_angle)
+                     random_smooth_problem, raw_hessian, riccati_lqr,
+                     roll_forward, run_mpc, wrap_angle)
 from costate.cli import main
-from costate.curvature import RowIndex, _assemble, _stage_data
+from costate.curvature import RowIndex
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -77,7 +77,7 @@ def agv_runs():
         return build_unicycle_tracking(spec, step, state)
 
     cfg = MpcConfig(horizon=spec.N_p, total_steps=spec.N,
-                    solver=SolverConfig(r_reg=spec.r_reg))
+                    solver=SolverConfig())
     t0 = time.perf_counter()
     trace = run_mpc(plant, factory, x0, cfg)
     wall = time.perf_counter() - t0
@@ -106,7 +106,7 @@ def test_criterion_2_hessian_exactness(problem_set):
     worst_err, worst_sym, where = 0.0, 0.0, ""
     for name, prob, x0, z in problem_set:
         roll, adj = forward_adjoint(prob, x0, z)
-        raw = _assemble(prob.dims, _stage_data(prob, roll, adj.costates, z))
+        raw = raw_hessian(prob, roll, adj, z)
         sym = float(np.abs(raw - raw.T).max()
                     / (1.0 + np.abs(raw).max(initial=0.0)))
         err = max_rel_error(0.5 * (raw + raw.T), fd_hessian(prob, x0, z, 1e-6))
@@ -124,10 +124,9 @@ def test_criterion_3_sensitivity_identity(problem_set):
     h = 1e-6
     for name, prob, x0, z in problem_set:
         roll, adj = forward_adjoint(prob, x0, z)
-        data = _stage_data(prob, roll, adj.costates, z)
         for flat in range(prob.dims.z_len):
             sp = hessian_row(prob, roll, adj, z,
-                             RowIndex.from_flat(prob.dims, flat), _data=data)
+                             RowIndex.from_flat(prob.dims, flat))
             zp, zm = z.copy(), z.copy()
             zp[flat] += h
             zm[flat] -= h

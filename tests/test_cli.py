@@ -2,12 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from costate import LqrSpec, ProblemDef, build_lqr
+from costate import (CircleReference, LqrSpec, ProblemDef, build_lqr,
+                     euler_rolled_reference)
 from costate.cli import main, run_check_suites
 
 REPO = Path(__file__).resolve().parent.parent
@@ -43,7 +47,7 @@ class TestRunLqr:
         cfg = _write_config(tmp_path, {"scenario": {"r": -3.0}})
         rc = main(["run-lqr", "--config", cfg, "--out", str(tmp_path)])
         assert rc == 2
-        assert "'r'" in capsys.readouterr().err
+        assert "'scenario.r'" in capsys.readouterr().err
 
     def test_zero_initial_state_all_zero_controls(self, tmp_path):
         cfg = _write_config(tmp_path, {"scenario": {"x0": 0.0}})
@@ -98,6 +102,21 @@ class TestRunMpc:
         rc = main(["run-mpc", "--config", cfg, "--out", str(tmp_path)])
         assert rc == 2
         assert "N_p" in capsys.readouterr().err
+
+    def test_waypoint_table_reference(self, tmp_path):
+        n_steps, horizon = 80, 10
+        table = euler_rolled_reference(CircleReference(), 0.05,
+                                       n_steps + horizon)
+        cfg = _write_config(tmp_path, {"scenario": {
+            "N": n_steps, "N_p": horizon,
+            "reference": {"type": "table", "states": table.states.tolist(),
+                          "controls": table.controls.tolist()}}})
+        rc = main(["run-mpc", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 0
+        rows = _read_csv(tmp_path / "mpc_trace.csv")[1:]
+        assert len(rows) == n_steps
+        ref = np.array([[float(v) for v in row[7:10]] for row in rows])
+        assert np.array_equal(ref, table.states[:n_steps])
 
     def test_baseline_comparison(self, tmp_path):
         # Short run; thresholds widened since 1.5 s is inside the transient.
@@ -154,6 +173,17 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "fd-consistency" in err and "seed 5" in err
 
+    def test_module_entry_point_runs_check(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "costate.cli", "check", "--sizes", "1,1,0"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "suite" in proc.stdout and "fd-consistency" in proc.stdout
+        assert "lqr-riccati" in proc.stdout
+
     def test_unbounded_inner_depth_accepted(self, tmp_path):
         cfg = _write_config(tmp_path, {
             "scenario": {"x0": 0.5},
@@ -179,6 +209,30 @@ class TestCheck:
         by_name = {r.name: r for r in results}
         assert not by_name["fd-consistency"].passed
         assert "sign-flipped" in by_name["fd-consistency"].detail
+
+
+@pytest.mark.parametrize("command, payload, field", [
+    ("run-lqr", {"solver": {"fallback_scale": 0.5}}, "solver.fallback_scale"),
+    ("run-lqr", {"scenario": {"a": float("nan")}}, "scenario.a"),
+    ("run-lqr", {"scenario": {"x0": float("inf")}}, "scenario.x0"),
+    ("run-mpc", {"scenario": {"X0": [1, 2, float("nan")]}}, "scenario.X0"),
+    ("run-mpc", {"scenario": {"reference": {"center": [0]}}},
+     "scenario.reference.center"),
+    ("run-mpc", {"scenario": {"reference": {"angular_rate": "fast"}}},
+     "scenario.reference.angular_rate"),
+    ("run-mpc", {"scenario": {"reference": {"type": "table"}}},
+     "scenario.reference.states"),
+    ("run-mpc", {"scenario": {"N": 2, "N_p": 1, "reference": {
+        "type": "table", "states": [[0, 0, 0]] * 2,
+        "controls": [[1, 1]] * 2}}}, "scenario.reference"),
+])
+def test_bad_config_exits_2_and_names_the_field(tmp_path, capsys, command,
+                                                payload, field):
+    # json.dumps writes NaN and Infinity literals, which json.load accepts.
+    cfg = _write_config(tmp_path, payload)
+    rc = main([command, "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"'{field}'" in capsys.readouterr().err
 
 
 def test_usage_error_exits_2():

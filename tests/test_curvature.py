@@ -8,13 +8,53 @@ from costate import (AsymmetricHessianError, CurvatureOracleError,
                      LqrSpec, ProblemDef, RowIndex, UnicycleSpec, build_lqr,
                      build_unicycle_tracking, eval_cost, fd_hessian,
                      forward_adjoint, gradient, hessian, hessian_row,
-                     max_rel_error, random_smooth_problem, roll_forward)
-from costate.curvature import _assemble, _stage_data
+                     max_rel_error, random_smooth_problem, raw_hessian,
+                     roll_forward)
 
 
 def _snapshot(prob, x0, z):
     roll, adj = forward_adjoint(prob, x0, z)
     return roll, adj
+
+
+def _row_by_row(prob, roll, adj, z, flat):
+    """Reference for one Hessian row: the single-row forward and backward
+    recursions as plain loops over the oracles, independent of the
+    vectorized pass.  Returns (betas, alphas, row)."""
+    dims = prob.dims
+    i, comp = divmod(flat, dims.m)
+    u = z.reshape(dims.N + 1, dims.m)
+    xs = roll.states
+    fx, fu, cxx, cxu, cuu = [], [], [], [], []
+    for k in range(dims.N + 1):
+        xx, xu, uu = (np.asarray(v, dtype=float)
+                      for v in prob.dd_stage_cost(xs[k], u[k], k))
+        if k < dims.N:
+            jx, ju = prob.d_dynamics(xs[k], u[k], k)
+            fx.append(np.asarray(jx, dtype=float))
+            fu.append(np.asarray(ju, dtype=float))
+            wxx, wxu, wuu = prob.dd_dynamics_contracted(adj.costates[k], xs[k],
+                                                        u[k], k)
+            xx, xu, uu = xx + wxx, xu + wxu, uu + wuu
+        cxx.append(xx)
+        cxu.append(xu)
+        cuu.append(uu)
+    betas = np.zeros((dims.N + 1, dims.n))
+    for k in range(dims.N):
+        betas[k + 1] = fx[k] @ betas[k] + (fu[k][:, comp] if k == i else 0.0)
+    alphas = np.zeros((dims.N + 1, dims.n))
+    for k in range(dims.N, 0, -1):
+        a = cxx[k] @ betas[k] + (cxu[k][:, comp] if k == i else 0.0)
+        if k < dims.N:
+            a = a + fx[k].T @ alphas[k]
+        alphas[k - 1] = a
+    row = np.empty(dims.z_len)
+    for k in range(dims.N + 1):
+        r = cxu[k].T @ betas[k] + (cuu[k][comp] if k == i else 0.0)
+        if k < dims.N:
+            r = r + fu[k].T @ alphas[k]
+        row[k * dims.m:(k + 1) * dims.m] = r
+    return betas, alphas, row
 
 
 class TestHessianRow:
@@ -100,19 +140,24 @@ class TestHessian:
         prob, x0, z = random_smooth_problem(21, 4, 3, 7)
         roll, adj = _snapshot(prob, x0, z)
         h = hessian(prob, x0, z)
-        stacked = np.vstack([
-            hessian_row(prob, roll, adj, z,
-                        RowIndex.from_flat(prob.dims, flat)).row
-            for flat in range(prob.dims.z_len)
-        ])
+        refs = [_row_by_row(prob, roll, adj, z, flat)
+                for flat in range(prob.dims.z_len)]
+        stacked = np.vstack([row for _, _, row in refs])
         stacked = 0.5 * (stacked + stacked.T)
         np.testing.assert_allclose(h, stacked, rtol=1e-13, atol=1e-13)
+        for flat, (betas, alphas, row) in enumerate(refs):
+            sp = hessian_row(prob, roll, adj, z,
+                             RowIndex.from_flat(prob.dims, flat))
+            np.testing.assert_allclose(sp.betas, betas, rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(sp.alphas, alphas, rtol=1e-13,
+                                       atol=1e-13)
+            np.testing.assert_allclose(sp.row, row, rtol=1e-13, atol=1e-13)
 
     def test_symmetry_defect_within_tolerance(self):
         for seed in (1, 2, 3):
             prob, x0, z = random_smooth_problem(seed, 3, 2, 10)
             roll, adj = _snapshot(prob, x0, z)
-            raw = _assemble(prob.dims, _stage_data(prob, roll, adj.costates, z))
+            raw = raw_hessian(prob, roll, adj, z)
             defect = np.abs(raw - raw.T).max()
             assert defect <= 1e-8 * (1.0 + np.abs(raw).max())
 

@@ -120,7 +120,7 @@ class TestMinimize:
         x0 = np.asarray(spec.X0)
         prob = build_unicycle_tracking(spec, 0, x0)
         rep = minimize(prob, x0, np.zeros(prob.dims.z_len),
-                       SolverConfig(r_reg=spec.r_reg))
+                       SolverConfig())
         assert rep.termination is Termination.CONVERGED
         assert rep.grad_norm_history[-1] < 1e-6
 
