@@ -8,8 +8,8 @@ validating all of it.
 """
 
 from .adjoint import AdjointSolution, backward_costates, forward_adjoint, gradient, hamiltonian
-from .curvature import (AsymmetricHessianError, CurvatureOracleError, RowIndex,
-                        SecondOrderPass, hessian, hessian_row, raw_hessian)
+from .curvature import (AsymmetricHessianError, CurvatureOracleError,
+                        SecondOrderPass, hessian, second_order_pass)
 from .mpc import MpcConfig, MpcTrace, WarmStart, run_mpc
 from .oracles import (RiccatiSolution, fd_consistency, fd_gradient, fd_hessian,
                       max_rel_error, riccati_lqr)
@@ -29,16 +29,16 @@ __all__ = [
     "CurvatureOracleError", "DimensionMismatchError", "Dims",
     "LinearSolveError", "LqrSpec", "MpcConfig", "MpcTrace",
     "NumericalBlowupError", "ProblemDef", "RiccatiSolution", "Rollout",
-    "RowIndex", "SecondOrderPass", "SolveReport", "SolverConfig",
-    "Termination", "UnicycleSpec", "WarmStart", "WaypointTable",
+    "SecondOrderPass", "SolveReport", "SolverConfig", "Termination",
+    "UnicycleSpec", "WarmStart", "WaypointTable",
     "backward_costates", "build_lqr", "build_unicycle_plant",
     "build_unicycle_tracking", "circle_reference", "eval_cost",
     "euler_rolled_reference", "fd_consistency", "fd_gradient", "fd_hessian",
     "flat_index", "forward_adjoint", "gradient", "hamiltonian", "hessian",
-    "hessian_row", "make_fd_problem", "max_rel_error", "minimize",
-    "minimize_gd", "random_smooth_problem", "raw_hessian", "reference_at",
-    "riccati_lqr", "roll_forward", "run_mpc", "stage_controls",
-    "step_direction", "unicycle_step", "wrap_angle",
+    "make_fd_problem", "max_rel_error", "minimize", "minimize_gd",
+    "random_smooth_problem", "reference_at", "riccati_lqr", "roll_forward",
+    "run_mpc", "second_order_pass", "stage_controls", "step_direction",
+    "unicycle_step", "wrap_angle",
 ]
 
 __version__ = "0.1.0"

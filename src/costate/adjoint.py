@@ -9,7 +9,7 @@ variables there are.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -25,10 +25,15 @@ class AdjointSolution:
             k+1, so row N is the terminal costate and is exactly zero.
         gradient: flat (m*(N+1),) gradient of the total cost with respect to
             the decision vector.
+        fx, fu: the dynamics Jacobians f_x (n, n) and f_u (n, m) the sweep
+            evaluated along the rollout, one per stage 0..N-1; the
+            second-order pass reads them instead of evaluating them again.
     """
 
     costates: np.ndarray
     gradient: np.ndarray
+    fx: List[np.ndarray]
+    fu: List[np.ndarray]
 
 
 def hamiltonian(p: ProblemDef, x, u, lam_next, k: int) -> float:
@@ -54,20 +59,24 @@ def _backward(p: ProblemDef, roll: Rollout, z: np.ndarray) -> AdjointSolution:
     u = stage_controls(z, dims)
     lam = np.zeros((dims.N + 1, dims.n))
     grad = np.empty(dims.z_len)
+    fx: List[np.ndarray] = [None] * dims.N
+    fu: List[np.ndarray] = [None] * dims.N
     nxt = lam[dims.N]
     for k in range(dims.N, -1, -1):
         cx, cu = p.d_stage_cost(roll.states[k], u[k], k)
         gk = np.asarray(cu, dtype=float)
         lk = np.asarray(cx, dtype=float)
         if k < dims.N:
-            fx, fu = p.d_dynamics(roll.states[k], u[k], k)
-            gk = gk + np.asarray(fu, dtype=float).T @ nxt
-            lk = lk + np.asarray(fx, dtype=float).T @ nxt
+            jx, ju = p.d_dynamics(roll.states[k], u[k], k)
+            fx[k] = np.asarray(jx, dtype=float).reshape(dims.n, dims.n)
+            fu[k] = np.asarray(ju, dtype=float).reshape(dims.n, dims.m)
+            gk = gk + fu[k].T @ nxt
+            lk = lk + fx[k].T @ nxt
         grad[k * dims.m:(k + 1) * dims.m] = gk
         if k > 0:
             lam[k - 1] = lk
             nxt = lk
-    return AdjointSolution(costates=lam, gradient=grad)
+    return AdjointSolution(costates=lam, gradient=grad, fx=fx, fu=fu)
 
 
 def backward_costates(p: ProblemDef, roll: Rollout, z: np.ndarray) -> np.ndarray:

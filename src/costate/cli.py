@@ -39,7 +39,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .adjoint import forward_adjoint, gradient
-from .curvature import RowIndex, hessian, hessian_row, raw_hessian
+from .curvature import hessian, second_order_pass
 from .mpc import MpcConfig, run_mpc
 from .oracles import (fd_consistency, fd_gradient, fd_hessian, max_rel_error,
                       riccati_lqr)
@@ -302,6 +302,11 @@ def cmd_run_mpc(config_path: str, out_dir: str, baseline: Optional[str]) -> int:
                      total_steps=spec.N, solver=_solver_config(cfg))
     gd = _build(GdBaseline, cfg.get("baseline", {}), "baseline")
     limits = _build(MpcOutput, cfg.get("output", {}), "output")
+    if (spec.N - 1) * spec.delta <= limits.transient_time_s:
+        raise ConfigError("output.transient_time_s", f"the last step is at "
+                          f"{(spec.N - 1) * spec.delta:g} s, not after the "
+                          f"{limits.transient_time_s:g} s transient, so no "
+                          f"step would be scored")
 
     plant = build_unicycle_plant(spec)
     x_init = np.asarray(spec.X0, dtype=float)
@@ -475,7 +480,8 @@ def run_check_suites(seed: int = 0,
 
     # Raw (pre-symmetrization) asymmetry, scaled.
     def asymmetry(prob, x0, z):
-        raw = raw_hessian(prob, *forward_adjoint(prob, x0, z), z)
+        raw = second_order_pass(prob, *forward_adjoint(prob, x0, z),
+                                z).raw_hessian
         return (float(np.abs(raw - raw.T).max())
                 / (1.0 + float(np.abs(raw).max(initial=0.0))))
 
@@ -485,7 +491,8 @@ def run_check_suites(seed: int = 0,
     # Forward sensitivity sequences against differenced rollouts.
     def sensitivity_errors():
         for name, prob, x0, z, _ in problems:
-            roll, adj = forward_adjoint(prob, x0, z)
+            betas = second_order_pass(prob, *forward_adjoint(prob, x0, z),
+                                      z).betas
             width = prob.dims.z_len
             if width <= 12:
                 flats = range(width)
@@ -494,9 +501,7 @@ def run_check_suites(seed: int = 0,
             sens = central_difference(
                 lambda v: roll_forward(prob, x0, v).states, z, 1e-6)
             for flat in flats:
-                sp = hessian_row(prob, roll, adj, z,
-                                 RowIndex.from_flat(prob.dims, int(flat)))
-                yield (max_rel_error(sp.betas, sens[..., flat]),
+                yield (max_rel_error(betas[..., flat], sens[..., flat]),
                        f"{name} row {flat}")
 
     record("rollout-sensitivity", 1e-5, sensitivity_errors())

@@ -1,29 +1,28 @@
-"""Exact Hessian of the rollout cost, one row per control coordinate.
+"""Exact Hessian of the rollout cost from one all-rows second-order pass.
 
 Each row of the Hessian belongs to one control coordinate (stage i,
 component p).  A forward recursion propagates the state sensitivity to that
 coordinate from zero; a backward recursion collects the second-order terms
 from a zero terminal value; the row entries are then read off stage by
-stage.  All rows share a single rollout, a single costate sweep, and a
-single set of per-stage derivative evaluations, so the full matrix costs
-one pass of callable evaluations plus small-matrix recursions per row.
+stage.  second_order_pass runs the recursions of all rows at once, as
+matrix recursions whose column r belongs to coordinate r, over one
+snapshot: the rollout, and the costates and dynamics Jacobians of the
+adjoint sweep that produced the gradient.  The only new oracle calls are
+the second derivatives, one of each per stage.
 
-One vectorized pass runs the recursions of all rows at once.  hessian() and
-raw_hessian() return its matrix, symmetrized or as assembled; hessian_row()
-slices one row out of it, including the intermediate sensitivity
-sequences, for inspection and testing.
+hessian() and hessian_with() return the pass's matrix checked against its
+own transpose and symmetrized; the pass itself also exposes the
+sensitivity sequences of every row, for inspection and testing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
 from .adjoint import AdjointSolution, forward_adjoint
-from .problem import (Dims, NumericalBlowupError, ProblemDef, Rollout,
-                      flat_index, stage_controls)
+from .problem import NumericalBlowupError, ProblemDef, Rollout, stage_controls
 
 
 class CurvatureOracleError(ValueError):
@@ -49,153 +48,100 @@ SYMMETRY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class RowIndex:
-    """One control coordinate: stage in 0..N, component in 0..m-1."""
-
-    stage: int
-    component: int
-
-    def flat(self, dims: Dims) -> int:
-        return self.stage * dims.m + self.component
-
-    @classmethod
-    def from_flat(cls, dims: Dims, idx: int) -> "RowIndex":
-        return cls(stage=idx // dims.m, component=idx % dims.m)
-
-
-@dataclass(frozen=True)
 class SecondOrderPass:
-    """Result of one Hessian-row sweep.
+    """The second-order recursions of every Hessian row at one snapshot.
+
+    Column r of each array belongs to the control coordinate with flat
+    index r = k*m + p (problem.flat_index), so one row's sequences are a
+    column slice, e.g. betas[..., r].
 
     Attributes:
-        betas: (N+1, n); betas[k] is the sensitivity of state x_k to the
-            row's control coordinate, with betas[0] = 0 exactly.
-        alphas: (N+1, n); alphas[k] is the backward second-order vector
-            attached to stage k+1, with alphas[N] = 0 exactly.
-        row: flat (m*(N+1),) row of the Hessian.
+        betas: (N+1, n, m*(N+1)); betas[k][:, r] is the sensitivity of state
+            x_k to coordinate r, with betas[0] = 0 exactly.
+        alphas: (N+1, n, m*(N+1)); alphas[k][:, r] is row r's backward
+            second-order vector attached to stage k+1, with alphas[N] = 0
+            exactly.
+        raw_hessian: (m*(N+1), m*(N+1)) Hessian as assembled, row r
+            belonging to coordinate r: neither checked against the symmetry
+            tolerance nor symmetrized.
     """
 
     betas: np.ndarray
     alphas: np.ndarray
-    row: np.ndarray
+    raw_hessian: np.ndarray
 
 
-@dataclass(frozen=True)
-class _StageData:
-    """Per-stage derivative snapshot shared by every row sweep.
+def second_order_pass(p: ProblemDef, roll: Rollout, adj: AdjointSolution,
+                      z: np.ndarray) -> SecondOrderPass:
+    """All rows of the Hessian of the rollout cost, with their sensitivities.
 
-    Cxx/Cxu/Cuu combine the stage-cost second derivatives with the
-    costate-contracted dynamics second derivatives; at stage N the dynamics
-    part is zero by the terminal costate, so no dynamics oracle is called
-    there.
+    Args:
+        p: problem with second-derivative oracles.
+        roll: rollout produced from (p, z).
+        adj: adjoint solution produced from the same rollout; its costates
+            contract the dynamics second derivatives and its Jacobians drive
+            both recursions.
+        z: the decision vector the snapshot was taken at.
+
+    The forward recursion is betas[k+1] = f_x betas[k], plus f_u injected
+    into the columns of stage k; the backward recursion mixes the combined
+    second-order stage matrices with the sensitivities; the entries at
+    stage k add the stage's own control-control block only in the rows of
+    stage k.  The dynamics oracles are never called at stage N, where the
+    zero terminal costate removes them.
+
+    Raises:
+        CurvatureOracleError: p lacks second-derivative oracles.
+        NumericalBlowupError: a combined second-order stage matrix is not
+            finite; carries the stage.
     """
-
-    fx: List[np.ndarray]
-    fu: List[np.ndarray]
-    cxx: List[np.ndarray]
-    cxu: List[np.ndarray]
-    cuu: List[np.ndarray]
-
-
-def _stage_data(p: ProblemDef, roll: Rollout, costates: np.ndarray,
-                z: np.ndarray) -> _StageData:
     if p.dd_stage_cost is None or p.dd_dynamics_contracted is None:
         raise CurvatureOracleError("curvature requires dd_* oracles or FD problem")
     dims = p.dims
+    n, m, width = dims.n, dims.m, dims.z_len
     u = stage_controls(z, dims)
-    fx: List[np.ndarray] = []
-    fu: List[np.ndarray] = []
-    cxx: List[np.ndarray] = []
-    cxu: List[np.ndarray] = []
-    cuu: List[np.ndarray] = []
+    fx, fu = adj.fx, adj.fu
+    # Stage curvature: the stage-cost second derivatives plus the
+    # costate-contracted dynamics second derivatives (zero at stage N).
+    cxx, cxu, cuu = [], [], []
     for k in range(dims.N + 1):
         xx, xu, uu = p.dd_stage_cost(roll.states[k], u[k], k)
-        xx = np.asarray(xx, dtype=float).reshape(dims.n, dims.n)
-        xu = np.asarray(xu, dtype=float).reshape(dims.n, dims.m)
-        uu = np.asarray(uu, dtype=float).reshape(dims.m, dims.m)
+        xx = np.asarray(xx, dtype=float).reshape(n, n)
+        xu = np.asarray(xu, dtype=float).reshape(n, m)
+        uu = np.asarray(uu, dtype=float).reshape(m, m)
         if k < dims.N:
-            jx, ju = p.d_dynamics(roll.states[k], u[k], k)
-            fx.append(np.asarray(jx, dtype=float).reshape(dims.n, dims.n))
-            fu.append(np.asarray(ju, dtype=float).reshape(dims.n, dims.m))
             wxx, wxu, wuu = p.dd_dynamics_contracted(
-                costates[k], roll.states[k], u[k], k
+                adj.costates[k], roll.states[k], u[k], k
             )
-            xx = xx + np.asarray(wxx, dtype=float).reshape(dims.n, dims.n)
-            xu = xu + np.asarray(wxu, dtype=float).reshape(dims.n, dims.m)
-            uu = uu + np.asarray(wuu, dtype=float).reshape(dims.m, dims.m)
+            xx = xx + np.asarray(wxx, dtype=float).reshape(n, n)
+            xu = xu + np.asarray(wxu, dtype=float).reshape(n, m)
+            uu = uu + np.asarray(wuu, dtype=float).reshape(m, m)
         if not (np.all(np.isfinite(xx)) and np.all(np.isfinite(xu))
                 and np.all(np.isfinite(uu))):
             raise NumericalBlowupError(k, "second-order stage data")
         cxx.append(xx)
         cxu.append(xu)
         cuu.append(uu)
-    return _StageData(fx=fx, fu=fu, cxx=cxx, cxu=cxu, cuu=cuu)
 
-
-def _assemble(dims: Dims, data: _StageData):
-    # All rows at once: column r of bs[k] is the state sensitivity betas[k]
-    # of row r, column r of a_by_stage[k] its backward vector alphas[k].
-    # Returns the raw Hessian together with both per-stage lists.
-    n, m, width = dims.n, dims.m, dims.z_len
-    bs = [np.zeros((n, width))]
+    betas = np.zeros((dims.N + 1, n, width))
     for k in range(dims.N):
-        b = data.fx[k] @ bs[k]
-        b[:, k * m:(k + 1) * m] += data.fu[k]
-        bs.append(b)
-    a_next = np.zeros((n, width))
-    a_by_stage = [None] * (dims.N + 1)
-    a_by_stage[dims.N] = a_next
+        np.matmul(fx[k], betas[k], out=betas[k + 1])
+        betas[k + 1, :, k * m:(k + 1) * m] += fu[k]
+    alphas = np.zeros((dims.N + 1, n, width))
     for k in range(dims.N, 0, -1):
-        a = data.cxx[k] @ bs[k]
+        a = alphas[k - 1]
+        np.matmul(cxx[k], betas[k], out=a)
         if k < dims.N:
-            a = a + data.fx[k].T @ a_next
-        a[:, k * m:(k + 1) * m] += data.cxu[k]
-        a_by_stage[k - 1] = a
-        a_next = a
+            a += fx[k].T @ alphas[k]
+        a[:, k * m:(k + 1) * m] += cxu[k]
     hess = np.empty((width, width))
     for k in range(dims.N + 1):
-        block = bs[k].T @ data.cxu[k]
+        block = betas[k].T @ cxu[k]
         if k < dims.N:
-            block = block + a_by_stage[k].T @ data.fu[k]
-        block[k * m:(k + 1) * m, :] += data.cuu[k]
+            block = block + alphas[k].T @ fu[k]
+        block[k * m:(k + 1) * m, :] += cuu[k]
         hess[:, k * m:(k + 1) * m] = block
-    return hess, bs, a_by_stage
-
-
-def hessian_row(p: ProblemDef, roll: Rollout, adj: AdjointSolution,
-                z: np.ndarray, row: RowIndex) -> SecondOrderPass:
-    """One row of the Hessian of the rollout cost.
-
-    Args:
-        p: problem with second-derivative oracles.
-        roll: rollout produced from (p, z).
-        adj: adjoint solution produced from the same rollout.
-        z: the decision vector the snapshot was taken at.
-        row: which control coordinate the row belongs to.
-
-    Returns:
-        The forward sensitivity sequence, the backward second-order
-        sequence, and the row, sliced out of the all-rows pass.
-
-    The forward recursion is betas[k+1] = f_x betas[k], plus the f_u column
-    of the row's component injected at stage i; the backward recursion mixes
-    the combined second-order stage matrices with the sensitivities; the row
-    entry at stage k adds the stage's own control-control block only at
-    k = i.
-    """
-    dims = p.dims
-    flat = flat_index(dims, row.stage, row.component)
-    hess, bs, a_by_stage = _assemble(dims, _stage_data(p, roll, adj.costates, z))
-    return SecondOrderPass(betas=np.array([b[:, flat] for b in bs]),
-                           alphas=np.array([a[:, flat] for a in a_by_stage]),
-                           row=hess[flat].copy())
-
-
-def raw_hessian(p: ProblemDef, roll: Rollout, adj: AdjointSolution,
-                z: np.ndarray) -> np.ndarray:
-    """Hessian from an existing rollout/adjoint snapshot, as assembled:
-    neither checked against the symmetry tolerance nor symmetrized."""
-    return _assemble(p.dims, _stage_data(p, roll, adj.costates, z))[0]
+    return SecondOrderPass(betas=betas, alphas=alphas, raw_hessian=hess)
 
 
 def _check_and_symmetrize(hess: np.ndarray) -> np.ndarray:
@@ -215,8 +161,9 @@ def hessian_with(p: ProblemDef, roll: Rollout, adj: AdjointSolution,
     Checks the assembled matrix against the symmetry tolerance
     (defect <= 1e-8 * (1 + max|H|)), then returns the symmetrized matrix
     (H + H^T)/2 to suppress roundoff drift in downstream linear solves.
+    The sensitivity stacks of the pass are released before that check.
     """
-    return _check_and_symmetrize(raw_hessian(p, roll, adj, z))
+    return _check_and_symmetrize(second_order_pass(p, roll, adj, z).raw_hessian)
 
 
 def hessian(p: ProblemDef, x0, z: np.ndarray) -> np.ndarray:

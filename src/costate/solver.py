@@ -20,7 +20,7 @@ import logging
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 import scipy.linalg
@@ -56,8 +56,8 @@ class SolverConfig:
     """Tuning for the second-order iteration.
 
     Attributes:
-        r_reg: regularizer; a positive scalar (scales the identity) or a
-            positive-definite matrix.
+        r_reg: regularizer, a positive scalar; R is r_reg times the
+            identity.
         grad_tol: stop when the max-abs gradient entry drops below this.
         max_outer: outer iteration budget.
         inner_depth_cap: bound on the inner recursion depth; None means the
@@ -67,20 +67,18 @@ class SolverConfig:
             factorization, > 1.
     """
 
-    r_reg: Union[float, np.ndarray] = 0.1
+    r_reg: float = 0.1
     grad_tol: float = 1e-6
     max_outer: int = 50
     inner_depth_cap: Optional[int] = 20
     fallback_scale: float = 10.0
 
     def __post_init__(self):
-        if np.isscalar(self.r_reg):
-            if not self.r_reg > 0:
-                raise ValueError(f"r_reg must be > 0, got {self.r_reg}")
-        else:
-            r = np.asarray(self.r_reg, dtype=float)
-            if r.ndim != 2 or r.shape[0] != r.shape[1]:
-                raise ValueError(f"matrix r_reg must be square, got {r.shape}")
+        if not np.isscalar(self.r_reg):
+            raise ValueError(
+                f"r_reg must be a scalar, got shape {np.shape(self.r_reg)}")
+        if not self.r_reg > 0:
+            raise ValueError(f"r_reg must be > 0, got {self.r_reg}")
         if not self.grad_tol > 0:
             raise ValueError(f"grad_tol must be > 0, got {self.grad_tol}")
         if self.max_outer < 1:
@@ -110,20 +108,6 @@ class SolveReport:
     wall_time: float
 
 
-def _reg_apply(r_reg, d: np.ndarray) -> np.ndarray:
-    if np.isscalar(r_reg):
-        return float(r_reg) * d
-    return np.asarray(r_reg, dtype=float) @ d
-
-
-def _reg_add(r_reg, h: np.ndarray) -> np.ndarray:
-    if np.isscalar(r_reg):
-        out = h.copy()
-        out[np.diag_indices_from(out)] += float(r_reg)
-        return out
-    return h + np.asarray(r_reg, dtype=float)
-
-
 def step_direction(h: np.ndarray, g: np.ndarray, cfg: SolverConfig,
                    depth: int) -> np.ndarray:
     """Inner update direction from one factorization of (R + H).
@@ -138,15 +122,16 @@ def step_direction(h: np.ndarray, g: np.ndarray, cfg: SolverConfig,
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    a = _reg_add(cfg.r_reg, np.asarray(h, dtype=float))
+    r = float(cfg.r_reg)
+    a = np.array(h, dtype=float)
+    a[np.diag_indices_from(a)] += r
     try:
         factors = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise LinearSolveError(f"(R + H) is not positive definite: {exc}") from exc
     d = scipy.linalg.cho_solve(factors, g, check_finite=False)
     for _ in range(depth):
-        d = scipy.linalg.cho_solve(factors, g + _reg_apply(cfg.r_reg, d),
-                                   check_finite=False)
+        d = scipy.linalg.cho_solve(factors, g + r * d, check_finite=False)
     return d
 
 
@@ -168,11 +153,7 @@ _COST_SLACK = 1e-12
 
 
 def _escalated(cfg: SolverConfig) -> SolverConfig:
-    return replace(
-        cfg,
-        r_reg=(cfg.r_reg * cfg.fallback_scale if np.isscalar(cfg.r_reg)
-               else np.asarray(cfg.r_reg) * cfg.fallback_scale),
-    )
+    return replace(cfg, r_reg=cfg.r_reg * cfg.fallback_scale)
 
 
 def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig) -> SolveReport:

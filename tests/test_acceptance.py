@@ -23,12 +23,11 @@ import pytest
 from costate import (LqrSpec, MpcConfig, SolverConfig, Termination,
                      UnicycleSpec, build_lqr, build_unicycle_plant,
                      build_unicycle_tracking, circle_reference, fd_gradient,
-                     fd_hessian, forward_adjoint, gradient, hessian_row,
-                     max_rel_error, minimize, minimize_gd,
-                     random_smooth_problem, raw_hessian, riccati_lqr,
-                     roll_forward, run_mpc, wrap_angle)
+                     fd_hessian, forward_adjoint, gradient, max_rel_error,
+                     minimize, minimize_gd, random_smooth_problem,
+                     riccati_lqr, roll_forward, run_mpc, second_order_pass,
+                     wrap_angle)
 from costate.cli import main
-from costate.curvature import RowIndex
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -106,7 +105,7 @@ def test_criterion_2_hessian_exactness(problem_set):
     worst_err, worst_sym, where = 0.0, 0.0, ""
     for name, prob, x0, z in problem_set:
         roll, adj = forward_adjoint(prob, x0, z)
-        raw = raw_hessian(prob, roll, adj, z)
+        raw = second_order_pass(prob, roll, adj, z).raw_hessian
         sym = float(np.abs(raw - raw.T).max()
                     / (1.0 + np.abs(raw).max(initial=0.0)))
         err = max_rel_error(0.5 * (raw + raw.T), fd_hessian(prob, x0, z, 1e-6))
@@ -123,16 +122,14 @@ def test_criterion_3_sensitivity_identity(problem_set):
     worst, where = 0.0, ""
     h = 1e-6
     for name, prob, x0, z in problem_set:
-        roll, adj = forward_adjoint(prob, x0, z)
+        betas = second_order_pass(prob, *forward_adjoint(prob, x0, z), z).betas
         for flat in range(prob.dims.z_len):
-            sp = hessian_row(prob, roll, adj, z,
-                             RowIndex.from_flat(prob.dims, flat))
             zp, zm = z.copy(), z.copy()
             zp[flat] += h
             zm[flat] -= h
             sens = (roll_forward(prob, x0, zp).states
                     - roll_forward(prob, x0, zm).states) / (2 * h)
-            err = max_rel_error(sp.betas, sens)
+            err = max_rel_error(betas[..., flat], sens)
             if err > worst:
                 worst, where = err, f"{name} row {flat}"
     _report(3, "state-sensitivity-identity", worst <= 1e-5,

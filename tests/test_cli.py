@@ -225,6 +225,7 @@ class TestCheck:
     ("run-mpc", {"scenario": {"N": 2, "N_p": 1, "reference": {
         "type": "table", "states": [[0, 0, 0]] * 2,
         "controls": [[1, 1]] * 2}}}, "scenario.reference"),
+    ("run-mpc", {"scenario": {"N": 5, "N_p": 3}}, "output.transient_time_s"),
 ])
 def test_bad_config_exits_2_and_names_the_field(tmp_path, capsys, command,
                                                 payload, field):

@@ -1,15 +1,20 @@
-"""Second-order sweeps: row passes, full assembly, and symmetry handling."""
+"""Second-order sweeps: the all-rows pass, full assembly, and symmetry
+handling."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import zero_cost_problem
 from costate import (AsymmetricHessianError, CurvatureOracleError,
-                     LqrSpec, ProblemDef, RowIndex, UnicycleSpec, build_lqr,
+                     LqrSpec, ProblemDef, UnicycleSpec, build_lqr,
                      build_unicycle_tracking, eval_cost, fd_hessian,
-                     forward_adjoint, gradient, hessian, hessian_row,
-                     max_rel_error, random_smooth_problem, raw_hessian,
-                     roll_forward)
+                     forward_adjoint, gradient, hessian, max_rel_error,
+                     random_smooth_problem, roll_forward, second_order_pass)
+from costate.curvature import hessian_with
 
 
 def _snapshot(prob, x0, z):
@@ -57,23 +62,52 @@ def _row_by_row(prob, roll, adj, z, flat):
     return betas, alphas, row
 
 
+def _differenced_betas(prob, x0, z, flat, h=1e-6):
+    zp, zm = z.copy(), z.copy()
+    zp[flat] += h
+    zm[flat] -= h
+    return (roll_forward(prob, x0, zp).states
+            - roll_forward(prob, x0, zm).states) / (2 * h)
+
+
+def _assert_matches_row_by_row(prob, x0, z):
+    roll, adj = _snapshot(prob, x0, z)
+    sp = second_order_pass(prob, roll, adj, z)
+    width = prob.dims.z_len
+    shape = (prob.dims.N + 1, prob.dims.n, width)
+    assert sp.betas.shape == sp.alphas.shape == shape
+    assert sp.raw_hessian.shape == (width, width)
+    for flat in range(width):
+        betas, alphas, row = _row_by_row(prob, roll, adj, z, flat)
+        np.testing.assert_allclose(sp.betas[..., flat], betas,
+                                   rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(sp.alphas[..., flat], alphas,
+                                   rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(sp.raw_hessian[flat], row,
+                                   rtol=1e-13, atol=1e-13)
+    return sp
+
+
 class TestHessianRow:
+    """Rows of the Hessian, as column slices of one second_order_pass."""
+
     def test_lqr_hand_values(self, lqr1):
         roll, adj = _snapshot(lqr1, 1.0, np.zeros(2))
-        sp = hessian_row(lqr1, roll, adj, np.zeros(2), RowIndex(0, 0))
-        np.testing.assert_allclose(sp.betas.ravel(), [0.0, 0.9], rtol=1e-14)
-        np.testing.assert_allclose(sp.alphas.ravel(), [5.4, 0.0], rtol=1e-14)
+        sp = second_order_pass(lqr1, roll, adj, np.zeros(2))
+        np.testing.assert_allclose(sp.betas[..., 0].ravel(), [0.0, 0.9],
+                                   rtol=1e-14)
+        np.testing.assert_allclose(sp.alphas[..., 0].ravel(), [5.4, 0.0],
+                                   rtol=1e-14)
         # d2J/du0^2 = 2r + 2 p b^2 = 10.86
-        np.testing.assert_allclose(sp.row, [10.86, 0.0], rtol=1e-12)
+        np.testing.assert_allclose(sp.raw_hessian[0], [10.86, 0.0],
+                                   rtol=1e-12)
 
     def test_zero_cost_rows_vanish(self):
         prob = zero_cost_problem()
         z = np.ones(prob.dims.z_len)
         roll, adj = _snapshot(prob, np.ones(2), z)
-        for flat in range(prob.dims.z_len):
-            sp = hessian_row(prob, roll, adj, z,
-                             RowIndex.from_flat(prob.dims, flat))
-            assert np.array_equal(sp.row, np.zeros(prob.dims.z_len))
+        raw = second_order_pass(prob, roll, adj, z).raw_hessian
+        assert np.array_equal(raw, np.zeros((prob.dims.z_len,) * 2))
 
     def test_quadratic_row_independent_of_z(self, lqr15):
         rng = np.random.default_rng(3)
@@ -81,29 +115,54 @@ class TestHessianRow:
         for _ in range(2):
             z = rng.normal(size=lqr15.dims.z_len)
             roll, adj = _snapshot(lqr15, 1.0, z)
-            rows.append(hessian_row(lqr15, roll, adj, z, RowIndex(4, 0)).row)
+            rows.append(second_order_pass(lqr15, roll, adj, z).raw_hessian[4])
         np.testing.assert_allclose(rows[0], rows[1], atol=1e-12)
-
-    def test_row_index_validation(self, lqr1):
-        roll, adj = _snapshot(lqr1, 1.0, np.zeros(2))
-        with pytest.raises(ValueError):
-            hessian_row(lqr1, roll, adj, np.zeros(2), RowIndex(2, 0))
-        with pytest.raises(ValueError):
-            hessian_row(lqr1, roll, adj, np.zeros(2), RowIndex(0, 1))
 
     def test_beta_matches_fd_state_sensitivity(self):
         prob, x0, z = random_smooth_problem(5, 3, 2, 8)
         roll, adj = _snapshot(prob, x0, z)
-        h = 1e-6
+        betas = second_order_pass(prob, roll, adj, z).betas
         for flat in range(prob.dims.z_len):
-            sp = hessian_row(prob, roll, adj, z,
-                             RowIndex.from_flat(prob.dims, flat))
-            zp, zm = z.copy(), z.copy()
-            zp[flat] += h
-            zm[flat] -= h
-            sens = (roll_forward(prob, x0, zp).states
-                    - roll_forward(prob, x0, zm).states) / (2 * h)
-            assert max_rel_error(sp.betas, sens) <= 1e-5
+            assert max_rel_error(betas[..., flat],
+                                 _differenced_betas(prob, x0, z, flat)) <= 1e-5
+
+
+class TestSecondOrderPass:
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 3), n_last=st.integers(0, 10),
+           seed=st.integers(0, 2**32 - 1))
+    def test_columns_match_row_by_row_and_differenced_rollouts(
+            self, n, m, n_last, seed):
+        prob, x0, z = random_smooth_problem(seed, n, m, n_last)
+        sp = _assert_matches_row_by_row(prob, x0, z)
+        for flat in range(prob.dims.z_len):
+            assert max_rel_error(sp.betas[..., flat],
+                                 _differenced_betas(prob, x0, z, flat)) <= 1e-5
+
+    def test_reuses_the_sweep_jacobians(self):
+        base, x0, z = random_smooth_problem(17, 3, 2, 6)
+        calls = Counter()
+
+        def counted(name):
+            fun = getattr(base, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fun(*args)
+            return wrapper
+
+        names = ("d_dynamics", "dd_stage_cost", "dd_dynamics_contracted")
+        counting = ProblemDef(
+            dims=base.dims, dynamics=base.dynamics,
+            stage_cost=base.stage_cost, d_stage_cost=base.d_stage_cost,
+            **{name: counted(name) for name in names})
+        roll, adj = forward_adjoint(counting, x0, z)
+        calls.clear()
+        h = hessian_with(counting, roll, adj, z)
+        n_last = base.dims.N
+        assert calls == Counter({"dd_stage_cost": n_last + 1,
+                                 "dd_dynamics_contracted": n_last})
+        assert np.array_equal(h, hessian(base, x0, z))
 
 
 class TestHessian:
@@ -140,24 +199,17 @@ class TestHessian:
         prob, x0, z = random_smooth_problem(21, 4, 3, 7)
         roll, adj = _snapshot(prob, x0, z)
         h = hessian(prob, x0, z)
-        refs = [_row_by_row(prob, roll, adj, z, flat)
-                for flat in range(prob.dims.z_len)]
-        stacked = np.vstack([row for _, _, row in refs])
+        stacked = np.vstack([_row_by_row(prob, roll, adj, z, flat)[2]
+                             for flat in range(prob.dims.z_len)])
         stacked = 0.5 * (stacked + stacked.T)
         np.testing.assert_allclose(h, stacked, rtol=1e-13, atol=1e-13)
-        for flat, (betas, alphas, row) in enumerate(refs):
-            sp = hessian_row(prob, roll, adj, z,
-                             RowIndex.from_flat(prob.dims, flat))
-            np.testing.assert_allclose(sp.betas, betas, rtol=1e-13, atol=1e-13)
-            np.testing.assert_allclose(sp.alphas, alphas, rtol=1e-13,
-                                       atol=1e-13)
-            np.testing.assert_allclose(sp.row, row, rtol=1e-13, atol=1e-13)
+        _assert_matches_row_by_row(prob, x0, z)
 
     def test_symmetry_defect_within_tolerance(self):
         for seed in (1, 2, 3):
             prob, x0, z = random_smooth_problem(seed, 3, 2, 10)
             roll, adj = _snapshot(prob, x0, z)
-            raw = raw_hessian(prob, roll, adj, z)
+            raw = second_order_pass(prob, roll, adj, z).raw_hessian
             defect = np.abs(raw - raw.T).max()
             assert defect <= 1e-8 * (1.0 + np.abs(raw).max())
 

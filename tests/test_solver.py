@@ -54,13 +54,6 @@ class TestStepDirection:
                 for j in range(12)]
         assert all(gaps[j + 1] <= gaps[j] + 1e-15 for j in range(11))
 
-    def test_matrix_regularizer(self):
-        h = np.diag([1.0, 2.0])
-        r = np.diag([0.5, 0.25])
-        g = np.array([3.0, 3.0])
-        d = step_direction(h, g, SolverConfig(r_reg=r), 0)
-        np.testing.assert_allclose(d, [3.0 / 1.5, 3.0 / 2.25], rtol=1e-14)
-
     def test_not_positive_definite(self):
         with pytest.raises(LinearSolveError):
             step_direction(-np.eye(3), np.ones(3), SolverConfig(r_reg=0.1), 0)
@@ -153,6 +146,8 @@ class TestMinimize:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(r_reg=0.0)
+        with pytest.raises(ValueError, match="r_reg must be a scalar"):
+            SolverConfig(r_reg=np.diag([0.5, 0.25]))
         with pytest.raises(ValueError):
             SolverConfig(grad_tol=-1.0)
         with pytest.raises(ValueError):
