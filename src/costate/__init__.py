@@ -9,7 +9,8 @@ validating all of it.
 
 from .adjoint import AdjointSolution, backward_costates, forward_adjoint, gradient, hamiltonian
 from .curvature import (AsymmetricHessianError, CurvatureOracleError,
-                        SecondOrderPass, hessian, second_order_pass)
+                        SecondOrderPass, hessian, second_order_pass,
+                        stage_curvature)
 from .mpc import MpcConfig, MpcTrace, WarmStart, run_mpc
 from .oracles import (RiccatiSolution, fd_consistency, fd_gradient, fd_hessian,
                       max_rel_error, riccati_lqr)
@@ -37,7 +38,8 @@ __all__ = [
     "flat_index", "forward_adjoint", "gradient", "hamiltonian", "hessian",
     "make_fd_problem", "max_rel_error", "minimize", "minimize_gd",
     "random_smooth_problem", "reference_at", "riccati_lqr", "roll_forward",
-    "run_mpc", "second_order_pass", "stage_controls", "step_direction",
+    "run_mpc", "second_order_pass", "stage_controls", "stage_curvature",
+    "step_direction",
     "unicycle_step", "wrap_angle",
 ]
 

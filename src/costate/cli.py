@@ -39,7 +39,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .adjoint import forward_adjoint, gradient
-from .curvature import hessian, second_order_pass
+from .curvature import second_order_pass, symmetric_part
 from .mpc import MpcConfig, run_mpc
 from .oracles import (fd_consistency, fd_gradient, fd_hessian, max_rel_error,
                       riccati_lqr)
@@ -473,26 +473,29 @@ def run_check_suites(seed: int = 0,
                        fd_gradient(prob, x0, z, 1e-6)), name)
         for name, prob, x0, z, _ in problems))
 
+    # One snapshot and one second-order pass per problem serve the three
+    # second-order suites.
+    passes = [second_order_pass(prob, *forward_adjoint(prob, x0, z), z)
+              for _, prob, x0, z, _ in problems]
+
     # Assembled second-order matrix against differenced adjoint gradients.
     record("hessian-vs-fd", 1e-4, (
-        (max_rel_error(hessian(prob, x0, z), fd_hessian(prob, x0, z, 1e-6)),
-         name) for name, prob, x0, z, _ in problems))
+        (max_rel_error(symmetric_part(sp.raw_hessian),
+                       fd_hessian(prob, x0, z, 1e-6)), name)
+        for (name, prob, x0, z, _), sp in zip(problems, passes)))
 
     # Raw (pre-symmetrization) asymmetry, scaled.
-    def asymmetry(prob, x0, z):
-        raw = second_order_pass(prob, *forward_adjoint(prob, x0, z),
-                                z).raw_hessian
+    def asymmetry(raw):
         return (float(np.abs(raw - raw.T).max())
                 / (1.0 + float(np.abs(raw).max(initial=0.0))))
 
-    record("hessian-symmetry", 1e-8, ((asymmetry(prob, x0, z), name)
-                                      for name, prob, x0, z, _ in problems))
+    record("hessian-symmetry", 1e-8, (
+        (asymmetry(sp.raw_hessian), name)
+        for (name, *_), sp in zip(problems, passes)))
 
     # Forward sensitivity sequences against differenced rollouts.
     def sensitivity_errors():
-        for name, prob, x0, z, _ in problems:
-            betas = second_order_pass(prob, *forward_adjoint(prob, x0, z),
-                                      z).betas
+        for (name, prob, x0, z, _), sp in zip(problems, passes):
             width = prob.dims.z_len
             if width <= 12:
                 flats = range(width)
@@ -501,7 +504,7 @@ def run_check_suites(seed: int = 0,
             sens = central_difference(
                 lambda v: roll_forward(prob, x0, v).states, z, 1e-6)
             for flat in flats:
-                yield (max_rel_error(betas[..., flat], sens[..., flat]),
+                yield (max_rel_error(sp.betas[..., flat], sens[..., flat]),
                        f"{name} row {flat}")
 
     record("rollout-sensitivity", 1e-5, sensitivity_errors())

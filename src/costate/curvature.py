@@ -1,14 +1,19 @@
 """Exact Hessian of the rollout cost from one all-rows second-order pass.
 
+stage_curvature evaluates the second derivatives of every stage
+Hamiltonian along one snapshot -- the rollout, and the costates and
+dynamics Jacobians of the adjoint sweep that produced the gradient -- as
+one (N+1, n+m, n+m) stack.  These are the only new oracle calls, one of
+each second-derivative oracle per stage.  The stagewise Newton solve of
+the solver reads that stack directly.
+
 Each row of the Hessian belongs to one control coordinate (stage i,
 component p).  A forward recursion propagates the state sensitivity to that
 coordinate from zero; a backward recursion collects the second-order terms
 from a zero terminal value; the row entries are then read off stage by
 stage.  second_order_pass runs the recursions of all rows at once, as
-matrix recursions whose column r belongs to coordinate r, over one
-snapshot: the rollout, and the costates and dynamics Jacobians of the
-adjoint sweep that produced the gradient.  The only new oracle calls are
-the second derivatives, one of each per stage.
+matrix recursions whose column r belongs to coordinate r, over the stage
+curvature stack and the sweep's Jacobians.
 
 hessian() and hessian_with() return the pass's matrix checked against its
 own transpose and symmetrized; the pass itself also exposes the
@@ -31,8 +36,8 @@ class CurvatureOracleError(ValueError):
 
 
 class AsymmetricHessianError(RuntimeError):
-    """Assembled Hessian violated the symmetry tolerance; carries the worst
-    entry."""
+    """A Hessian, or a stack of stage Hessians, violated the symmetry
+    tolerance; carries the worst entry."""
 
     def __init__(self, defect: float, tol: float, index):
         self.defect = defect
@@ -71,6 +76,49 @@ class SecondOrderPass:
     raw_hessian: np.ndarray
 
 
+def stage_curvature(p: ProblemDef, roll: Rollout, adj: AdjointSolution,
+                    z: np.ndarray) -> np.ndarray:
+    """Hessians of the stage Hamiltonians along one snapshot.
+
+    Returns C, an (N+1, n+m, n+m) stack with C[k] = [[xx, xu], [ux, uu]]:
+    the second derivatives of stage k's cost plus those of its dynamics
+    contracted with the costate adj.costates[k].  The dynamics term is
+    absent at stage N, where the terminal costate is zero.  ux is the
+    transpose of xu; xx and uu are the oracles' blocks as returned, so an
+    asymmetric oracle shows in C.
+
+    Raises:
+        CurvatureOracleError: p lacks second-derivative oracles.
+        NumericalBlowupError: a stage Hessian is not finite; carries the
+            first such stage.
+    """
+    if p.dd_stage_cost is None or p.dd_dynamics_contracted is None:
+        raise CurvatureOracleError("curvature requires dd_* oracles or FD problem")
+    dims = p.dims
+    n, m = dims.n, dims.m
+    u = stage_controls(z, dims)
+    c = np.empty((dims.N + 1, n + m, n + m))
+    xx, xu, uu = c[:, :n, :n], c[:, :n, n:], c[:, n:, n:]
+    for k in range(dims.N + 1):
+        sxx, sxu, suu = p.dd_stage_cost(roll.states[k], u[k], k)
+        xx[k] = np.asarray(sxx, dtype=float).reshape(n, n)
+        xu[k] = np.asarray(sxu, dtype=float).reshape(n, m)
+        uu[k] = np.asarray(suu, dtype=float).reshape(m, m)
+        if k < dims.N:
+            wxx, wxu, wuu = p.dd_dynamics_contracted(
+                adj.costates[k], roll.states[k], u[k], k
+            )
+            xx[k] += np.asarray(wxx, dtype=float).reshape(n, n)
+            xu[k] += np.asarray(wxu, dtype=float).reshape(n, m)
+            uu[k] += np.asarray(wuu, dtype=float).reshape(m, m)
+    c[:, n:, :n] = xu.transpose(0, 2, 1)
+    if not np.isfinite(c).all():
+        bad = ~np.isfinite(c).all(axis=(1, 2))
+        raise NumericalBlowupError(int(bad.argmax()),
+                                   "second-order stage data")
+    return c
+
+
 def second_order_pass(p: ProblemDef, roll: Rollout, adj: AdjointSolution,
                       z: np.ndarray) -> SecondOrderPass:
     """All rows of the Hessian of the rollout cost, with their sensitivities.
@@ -92,36 +140,19 @@ def second_order_pass(p: ProblemDef, roll: Rollout, adj: AdjointSolution,
 
     Raises:
         CurvatureOracleError: p lacks second-derivative oracles.
-        NumericalBlowupError: a combined second-order stage matrix is not
-            finite; carries the stage.
+        NumericalBlowupError: a stage Hamiltonian Hessian is not finite;
+            carries the stage.
     """
-    if p.dd_stage_cost is None or p.dd_dynamics_contracted is None:
-        raise CurvatureOracleError("curvature requires dd_* oracles or FD problem")
     dims = p.dims
     n, m, width = dims.n, dims.m, dims.z_len
-    u = stage_controls(z, dims)
     fx, fu = adj.fx, adj.fu
-    # Stage curvature: the stage-cost second derivatives plus the
-    # costate-contracted dynamics second derivatives (zero at stage N).
-    cxx, cxu, cuu = [], [], []
-    for k in range(dims.N + 1):
-        xx, xu, uu = p.dd_stage_cost(roll.states[k], u[k], k)
-        xx = np.asarray(xx, dtype=float).reshape(n, n)
-        xu = np.asarray(xu, dtype=float).reshape(n, m)
-        uu = np.asarray(uu, dtype=float).reshape(m, m)
-        if k < dims.N:
-            wxx, wxu, wuu = p.dd_dynamics_contracted(
-                adj.costates[k], roll.states[k], u[k], k
-            )
-            xx = xx + np.asarray(wxx, dtype=float).reshape(n, n)
-            xu = xu + np.asarray(wxu, dtype=float).reshape(n, m)
-            uu = uu + np.asarray(wuu, dtype=float).reshape(m, m)
-        if not (np.all(np.isfinite(xx)) and np.all(np.isfinite(xu))
-                and np.all(np.isfinite(uu))):
-            raise NumericalBlowupError(k, "second-order stage data")
-        cxx.append(xx)
-        cxu.append(xu)
-        cuu.append(uu)
+    c = stage_curvature(p, roll, adj, z)
+    # Contiguous blocks: BLAS then sums the products in the same order as
+    # over the oracles' own arrays, so the matrix does not depend on the
+    # stack's layout.
+    cxx, cxu, cuu = (np.ascontiguousarray(c[:, :n, :n]),
+                     np.ascontiguousarray(c[:, :n, n:]),
+                     np.ascontiguousarray(c[:, n:, n:]))
 
     betas = np.zeros((dims.N + 1, n, width))
     for k in range(dims.N):
@@ -144,14 +175,24 @@ def second_order_pass(p: ProblemDef, roll: Rollout, adj: AdjointSolution,
     return SecondOrderPass(betas=betas, alphas=alphas, raw_hessian=hess)
 
 
-def _check_and_symmetrize(hess: np.ndarray) -> np.ndarray:
-    defect_mat = np.abs(hess - hess.T)
+def symmetric_part(a: np.ndarray) -> np.ndarray:
+    """(a + a^T)/2 over the last two axes, once a passes the symmetry check.
+
+    a is a Hessian or a stack of stage Hessians.  Its defect max|a - a^T|
+    must not exceed SYMMETRY_TOL * (1 + max|a|).
+
+    Raises:
+        AsymmetricHessianError: the defect exceeds the tolerance; carries
+            the index of the worst entry.
+    """
+    at = np.swapaxes(a, -1, -2)
+    defect_mat = np.abs(a - at)
     defect = float(defect_mat.max())
-    tol = SYMMETRY_TOL * (1.0 + float(np.abs(hess).max(initial=0.0)))
+    tol = SYMMETRY_TOL * (1.0 + float(np.abs(a).max(initial=0.0)))
     if defect > tol:
         idx = np.unravel_index(int(defect_mat.argmax()), defect_mat.shape)
         raise AsymmetricHessianError(defect, tol, tuple(int(v) for v in idx))
-    return 0.5 * (hess + hess.T)
+    return 0.5 * (a + at)
 
 
 def hessian_with(p: ProblemDef, roll: Rollout, adj: AdjointSolution,
@@ -163,7 +204,7 @@ def hessian_with(p: ProblemDef, roll: Rollout, adj: AdjointSolution,
     (H + H^T)/2 to suppress roundoff drift in downstream linear solves.
     The sensitivity stacks of the pass are released before that check.
     """
-    return _check_and_symmetrize(second_order_pass(p, roll, adj, z).raw_hessian)
+    return symmetric_part(second_order_pass(p, roll, adj, z).raw_hessian)
 
 
 def hessian(p: ProblemDef, x0, z: np.ndarray) -> np.ndarray:

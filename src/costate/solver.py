@@ -1,14 +1,20 @@
 """Minimization of the rollout cost over the flat control vector.
 
 The main method updates z by a direction obtained from a regularized
-second-order system: one Cholesky factorization of (R + H) per outer
-iteration, reused across an inner recursion whose depth grows with the
-outer iteration count.  Each inner level feeds the previous direction back
-through the factorization, so the direction approaches the exact Newton
-step geometrically; with the depth schedule the overall iteration converges
-superlinearly.  There is no line search: if (R + H) fails to factor, the
-regularizer is escalated and the iteration retried a bounded number of
-times.
+second-order system (R + H) d = g, R = r_reg * I: one factorization per
+outer iteration, reused across an inner recursion whose depth grows with
+the outer iteration count.  Each inner level feeds the previous direction
+back through the factorization, so the direction approaches the exact
+Newton step geometrically; with the depth schedule the overall iteration
+converges superlinearly.  There is no line search: if (R + H) fails to
+factor, the regularizer is escalated and the iteration retried a bounded
+number of times.
+
+(R + H) d = g is the optimality condition of a linear-quadratic subproblem
+along the rollout, so the factorization is a backward Riccati recursion
+over the stage Hamiltonian Hessians of curvature.stage_curvature and the
+dynamics Jacobians of the costate sweep: O(N (n+m)^3) time and O(N (n+m)^2)
+memory.  The dense Hessian is never formed.
 
 A plain gradient-descent baseline with identical instrumentation is
 provided for iteration-count comparisons.
@@ -23,10 +29,12 @@ from enum import Enum
 from typing import List, Optional
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dposv
 
-from .adjoint import forward_adjoint
-from .curvature import hessian_with
+from .adjoint import AdjointSolution, forward_adjoint
+# Not called here; perfbench/tracing.py wraps costate.solver.hessian_with.
+from .curvature import hessian_with  # noqa: F401
+from .curvature import stage_curvature, symmetric_part
 from .problem import NumericalBlowupError, ProblemDef, eval_cost
 
 log = logging.getLogger(__name__)
@@ -43,11 +51,19 @@ class Termination(Enum):
 
 
 class LinearSolveError(RuntimeError):
-    """(R + H) could not be factored; carries a partial report when raised
-    from the outer loop after all escalations failed."""
+    """(R + H) could not be factored, or trial steps blew up.
 
-    def __init__(self, message: str, report: Optional["SolveReport"] = None):
+    Attributes:
+        report: the partial report when raised from the outer loop after
+            all escalations failed, else None.
+        stage: the stage whose Riccati pivot failed to factor; None when
+            the trial steps blew up.
+    """
+
+    def __init__(self, message: str, report: Optional["SolveReport"] = None,
+                 stage: Optional[int] = None):
         self.report = report
+        self.stage = stage
         super().__init__(message)
 
 
@@ -108,30 +124,128 @@ class SolveReport:
     wall_time: float
 
 
-def step_direction(h: np.ndarray, g: np.ndarray, cfg: SolverConfig,
-                   depth: int) -> np.ndarray:
-    """Inner update direction from one factorization of (R + H).
+class _StagewiseFactor:
+    """Backward Riccati factorization of (R + H), solved by stage passes.
 
-    Depth 0 solves (R + H) d = g; each further level solves
-    (R + H) d = g + R d_prev against the same Cholesky factors.  For
-    positive-definite H the sequence converges geometrically to the Newton
-    direction.
+    (R + H) d = b is the optimality condition of the LQ subproblem
+
+        minimize  sum_k 1/2 [dx_k; du_k]' Q_k [dx_k; du_k] - b_k' du_k
+        subject   dx_{k+1} = f_x dx_k + f_u du_k,   dx_0 = 0,
+
+    with Q_k the stage Hessian plus r_reg on its uu diagonal.  Going
+    backward, each stage adds the propagated cost-to-go curvature P to Q_k
+    and Cholesky-factors its control pivot Q_uu, which yields the feedback
+    gain K_k = -Q_uu^{-1} Q_ux and P_k = Q_xx + Q_xu K_k.  The pivots are
+    positive definite exactly when R + H is.
+
+    A solve is one backward pass, for the feedforward kff_k and the linear
+    cost-to-go term s_k, and one forward pass, for du_k and dx_{k+1}.  Each
+    stage of a pass is one np.dot of a fixed stage matrix with a slice of a
+    row buffer; only b enters per solve, copied into the buffer at once.
+    """
+
+    def __init__(self, adj: AdjointSolution, c: np.ndarray, r: float):
+        n = adj.costates.shape[1]
+        horizon = c.shape[0] - 1
+        m = c.shape[1] - n
+        q = symmetric_part(c)
+        q[:, n:, n:] += r * np.eye(m)
+        # Stage N has no dynamics; zero Jacobians there keep it uniform.
+        fx = np.zeros((horizon + 1, n, n))
+        fu = np.zeros((horizon + 1, n, m))
+        if horizon:
+            fx[:horizon] = adj.fx
+            fu[:horizon] = adj.fu
+        fxu = np.concatenate((fx, fu), axis=2)
+        # sol[k] = Q_uu^{-1} [Q_ux | Q_uu] = [-K_k | I], one Cholesky solve
+        # per stage.
+        sol = np.empty((horizon + 1, m, n + m))
+        p = None
+        for k in range(horizon, -1, -1):
+            qk = q[k]
+            if k < horizon:
+                qk += np.dot(fxu[k].T, np.dot(p, fxu[k]))
+            _, x, info = dposv(qk[n:, n:], qk[n:], lower=1)
+            if info:
+                raise LinearSolveError(
+                    f"(R + H) is not positive definite: the pivot of stage "
+                    f"{k} failed to factor", stage=k)
+            sol[k] = x
+            p = qk[:n, :n] - np.dot(qk[:n, n:], x[:, :n])
+        neg_gain = sol[:, :, :n]
+        quu_inv = np.linalg.inv(q[:, n:, n:])
+        closed = fx - fu @ neg_gain  # A_k = f_x + f_u K_k
+        # back[k] maps [s_{k+1}; b_k] to [kff_k; s_k]:
+        #   kff_k = Q_uu^{-1} (b_k - f_u' s_{k+1})
+        #   s_k = A_k' s_{k+1} - K_k' b_k
+        back = np.empty((horizon + 1, m + n, n + m))
+        back[:, :m, :n] = -quu_inv @ fu.transpose(0, 2, 1)
+        back[:, :m, n:] = quu_inv
+        back[:, m:, :n] = closed.transpose(0, 2, 1)
+        back[:, m:, n:] = neg_gain.transpose(0, 2, 1)
+        # fwd[k] maps [dx_k; kff_k] to [du_k; dx_{k+1}]:
+        #   du_k = K_k dx_k + kff_k
+        #   dx_{k+1} = A_k dx_k + f_u kff_k
+        fwd = np.empty((horizon + 1, m + n, n + m))
+        fwd[:, :m, :n] = -neg_gain
+        fwd[:, :m, n:] = np.eye(m)
+        fwd[:, m:, :n] = closed
+        fwd[:, m:, n:] = fu
+        # Backward rows are [kff_k, s_k, b_{k-1}]: stage k reads
+        # [s_{k+1}; b_k] from row k+1 and writes [kff_k; s_k] to row k.
+        # Forward rows are [du_{k-1}, dx_k, kff_k]: stage k reads
+        # [dx_k; kff_k] from row k and writes [du_k; dx_{k+1}] to row k+1.
+        # s_{N+1} = 0 and dx_0 = 0 are never written.
+        self.s_rows = np.zeros((horizon + 2, 2 * m + n))
+        self.x_rows = np.zeros((horizon + 2, 2 * m + n))
+        self.back_steps = [(back[k], self.s_rows[k + 1, m:],
+                            self.s_rows[k, :m + n])
+                           for k in range(horizon, -1, -1)]
+        self.fwd_steps = [(fwd[k], self.x_rows[k, m:],
+                           self.x_rows[k + 1, :m + n])
+                          for k in range(horizon + 1)]
+        self.m = m
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        m, s_rows, x_rows = self.m, self.s_rows, self.x_rows
+        s_rows[1:, -m:] = b.reshape(-1, m)
+        for mat, src, dst in self.back_steps:
+            np.dot(mat, src, out=dst)
+        x_rows[:-1, -m:] = s_rows[:-1, :m]
+        for mat, src, dst in self.fwd_steps:
+            np.dot(mat, src, out=dst)
+        return x_rows[1:, :m].reshape(-1)
+
+
+def step_direction(adj: AdjointSolution, c: np.ndarray, g: np.ndarray,
+                   cfg: SolverConfig, depth: int) -> np.ndarray:
+    """Inner update direction from one stagewise factorization of (R + H).
+
+    H is the Hessian of the rollout cost at the snapshot that produced adj
+    (its dynamics Jacobians) and c (its stage Hamiltonian Hessians, from
+    curvature.stage_curvature); R = cfg.r_reg * I.  Depth 0 solves
+    (R + H) d = g; each further level solves (R + H) d = g + R d_prev
+    against the same factors.  For positive-definite H the sequence
+    converges geometrically to the Newton direction.
+
+    c is checked against the symmetry tolerance and its symmetric part is
+    factored by a backward Riccati recursion, one Cholesky-factored control
+    pivot per stage; each solve is one backward and one forward pass over
+    the stages.  No m(N+1)-square matrix is formed.
 
     Raises:
-        LinearSolveError: (R + H) is not positive definite.
+        ValueError: depth < 0.
+        AsymmetricHessianError: c violates the symmetry tolerance.
+        LinearSolveError: (R + H) is not positive definite; its stage is
+            the stage whose pivot failed.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     r = float(cfg.r_reg)
-    a = np.array(h, dtype=float)
-    a[np.diag_indices_from(a)] += r
-    try:
-        factors = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise LinearSolveError(f"(R + H) is not positive definite: {exc}") from exc
-    d = scipy.linalg.cho_solve(factors, g, check_finite=False)
+    factor = _StagewiseFactor(adj, c, r)
+    d = factor.solve(g)
     for _ in range(depth):
-        d = scipy.linalg.cho_solve(factors, g + r * d, check_finite=False)
+        d = factor.solve(g + r * d)
     return d
 
 
@@ -159,12 +273,12 @@ def _escalated(cfg: SolverConfig) -> SolverConfig:
 def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig) -> SolveReport:
     """Minimize the rollout cost from z0 with the second-order iteration.
 
-    Gradient and Hessian are recomputed each outer iteration; the update is
-    z <- z - d with d from step_direction at depth min(iteration index,
-    inner_depth_cap).  Terminates as Converged when the max-abs gradient
-    entry drops below cfg.grad_tol (checked before any step, so a
-    stationary start returns unchanged with zero outer iterations) or as
-    MaxIters when the budget is exhausted.
+    The gradient and the stage curvature are recomputed each outer
+    iteration; the update is z <- z - d with d from step_direction at
+    depth min(iteration index, inner_depth_cap).  Terminates as Converged
+    when the max-abs gradient entry drops below cfg.grad_tol (checked
+    before any step, so a stationary start returns unchanged with zero
+    outer iterations) or as MaxIters when the budget is exhausted.
 
     An iteration is retried with the regularizer multiplied by
     cfg.fallback_scale, up to MAX_ESCALATIONS times, whenever the step is
@@ -173,9 +287,9 @@ def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig) -> SolveRepor
     beyond what R absorbs, since on a positive-semidefinite model every
     direction the recursion produces is a strict descent step.  If the
     system still fails to factor after the escalations, LinearSolveError is
-    raised carrying the partial report; a merely non-decreasing trial is
-    accepted at the highest regularization, which bounds the step and keeps
-    the iteration alive.
+    raised carrying the partial report and the stage whose pivot failed; a
+    merely non-decreasing trial is accepted at the highest regularization,
+    which bounds the step and keeps the iteration alive.
     """
     t0 = time.perf_counter()
     z = np.array(z0, dtype=float, copy=True)
@@ -194,26 +308,28 @@ def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig) -> SolveRepor
         if i == cfg.max_outer:
             return _report(z, i, inner_total, gnorms, costs,
                            Termination.MAX_ITERS, t0)
-        h = hessian_with(p, roll, adj, z)
+        c = stage_curvature(p, roll, adj, z)
         depth = i if cfg.inner_depth_cap is None else min(i, cfg.inner_depth_cap)
         trial_cfg = cfg
         z_next = None
         for attempt in range(MAX_ESCALATIONS + 1):
             last = attempt == MAX_ESCALATIONS
             try:
-                d = step_direction(h, adj.gradient, trial_cfg, depth)
+                d = step_direction(adj, c, adj.gradient, trial_cfg, depth)
             except LinearSolveError as exc:
                 if last:
                     partial = _report(z, i, inner_total, gnorms, costs,
                                       Termination.LINEAR_SOLVE_FAILURE, t0)
                     raise LinearSolveError(
                         f"regularized system failed to factor after "
-                        f"{MAX_ESCALATIONS} escalations at outer iteration {i}",
-                        report=partial,
+                        f"{MAX_ESCALATIONS} escalations at outer iteration "
+                        f"{i} (stage {exc.stage})",
+                        report=partial, stage=exc.stage,
                     ) from exc
                 trial_cfg = _escalated(trial_cfg)
-                log.info("factorization failed, escalating regularizer "
-                         "(attempt %d) at outer iteration %d", attempt + 1, i)
+                log.info("factorization failed at stage %d, escalating "
+                         "regularizer (attempt %d) at outer iteration %d",
+                         exc.stage, attempt + 1, i)
                 continue
             inner_total += depth + 1
             candidate = z - d

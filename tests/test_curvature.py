@@ -1,5 +1,5 @@
-"""Second-order sweeps: the all-rows pass, full assembly, and symmetry
-handling."""
+"""Second-order sweeps: the stage curvature stack, the all-rows pass, full
+assembly, and symmetry handling."""
 
 from collections import Counter
 
@@ -13,7 +13,8 @@ from costate import (AsymmetricHessianError, CurvatureOracleError,
                      LqrSpec, ProblemDef, UnicycleSpec, build_lqr,
                      build_unicycle_tracking, eval_cost, fd_hessian,
                      forward_adjoint, gradient, hessian, max_rel_error,
-                     random_smooth_problem, roll_forward, second_order_pass)
+                     random_smooth_problem, roll_forward, second_order_pass,
+                     stage_curvature)
 from costate.curvature import hessian_with
 
 
@@ -163,6 +164,28 @@ class TestSecondOrderPass:
         assert calls == Counter({"dd_stage_cost": n_last + 1,
                                  "dd_dynamics_contracted": n_last})
         assert np.array_equal(h, hessian(base, x0, z))
+
+
+class TestStageCurvature:
+    def test_blocks_are_the_stage_hamiltonian_hessians(self):
+        prob, x0, z = random_smooth_problem(23, 3, 2, 5)
+        roll, adj = _snapshot(prob, x0, z)
+        c = stage_curvature(prob, roll, adj, z)
+        dims = prob.dims
+        n, u = dims.n, z.reshape(dims.N + 1, dims.m)
+        assert c.shape == (dims.N + 1, n + dims.m, n + dims.m)
+        for k in range(dims.N + 1):
+            blocks = [np.asarray(v, dtype=float) for v in
+                      prob.dd_stage_cost(roll.states[k], u[k], k)]
+            if k < dims.N:
+                blocks = [b + np.asarray(w, dtype=float) for b, w in zip(
+                    blocks, prob.dd_dynamics_contracted(
+                        adj.costates[k], roll.states[k], u[k], k))]
+            xx, xu, uu = blocks
+            np.testing.assert_array_equal(c[k, :n, :n], xx)
+            np.testing.assert_array_equal(c[k, :n, n:], xu)
+            np.testing.assert_array_equal(c[k, n:, :n], xu.T)
+            np.testing.assert_array_equal(c[k, n:, n:], uu)
 
 
 class TestHessian:

@@ -2,65 +2,212 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from costate import (Dims, LinearSolveError, LqrSpec, ProblemDef,
-                     SolverConfig, Termination, UnicycleSpec, build_lqr,
-                     build_unicycle_tracking, minimize, minimize_gd,
-                     random_smooth_problem, riccati_lqr, step_direction)
+import costate.curvature
+import costate.solver
+from costate import (AsymmetricHessianError, Dims, LinearSolveError, LqrSpec,
+                     NumericalBlowupError, ProblemDef, SolverConfig,
+                     Termination, UnicycleSpec, build_lqr,
+                     build_unicycle_tracking, forward_adjoint, hessian,
+                     minimize, minimize_gd, random_smooth_problem, riccati_lqr,
+                     stage_curvature, step_direction)
+
+
+def _lq_problem(a, b, q, r_u, n_last):
+    """Linear dynamics x' = a x + b u and stage cost x'q x/2 + u'r_u[k] u/2.
+
+    r_u holds one control weight matrix per stage, so a single stage can be
+    made non-convex.
+    """
+    a, b, q = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (a, b, q))
+    r_u = [np.atleast_2d(np.asarray(v, dtype=float)) for v in r_u]
+    n, m = b.shape
+    zeros = np.zeros((n, n)), np.zeros((n, m)), np.zeros((m, m))
+    return ProblemDef(
+        dims=Dims(n=n, m=m, N=n_last),
+        dynamics=lambda x, u, k: a @ x + b @ u,
+        stage_cost=lambda x, u, k: float(0.5 * x @ q @ x
+                                         + 0.5 * u @ r_u[k] @ u),
+        d_dynamics=lambda x, u, k: (a, b),
+        d_stage_cost=lambda x, u, k: (q @ x, r_u[k] @ u),
+        dd_stage_cost=lambda x, u, k: (q, np.zeros((n, m)), r_u[k]),
+        dd_dynamics_contracted=lambda w, x, u, k: zeros,
+    )
+
+
+def _snapshot(prob, x0, z):
+    """(adj, stage curvature, dense Hessian) at one point."""
+    roll, adj = forward_adjoint(prob, x0, z)
+    return adj, stage_curvature(prob, roll, adj, z), hessian(prob, x0, z)
+
+
+def _dense_direction(h, g, r, depth):
+    """The inner recursion by dense solves against R + H."""
+    a = h + r * np.eye(h.shape[0])
+    d = np.linalg.solve(a, g)
+    for _ in range(depth):
+        d = np.linalg.solve(a, g + r * d)
+    return d
+
+
+def _convex_problem():
+    """Three states, two controls, N=5, every stage weighted: H is PD."""
+    rng = np.random.default_rng(14)
+    return _lq_problem(0.5 * rng.normal(size=(3, 3)), rng.normal(size=(3, 2)),
+                       np.diag([1.0, 0.5, 2.0]), [np.diag([0.3, 0.7])] * 6, 5)
 
 
 class TestStepDirection:
     def test_zero_gradient_fixed_point(self):
-        h = np.diag([2.0, 5.0])
+        prob = _convex_problem()
+        adj, c, _ = _snapshot(prob, np.ones(3), np.zeros(prob.dims.z_len))
         for depth in (0, 1, 7):
-            d = step_direction(h, np.zeros(2), SolverConfig(r_reg=0.5), depth)
-            assert np.array_equal(d, np.zeros(2))
+            d = step_direction(adj, c, np.zeros(prob.dims.z_len),
+                               SolverConfig(r_reg=0.5), depth)
+            assert np.array_equal(d, np.zeros(prob.dims.z_len))
 
     def test_identity_pair_halves_gradient(self):
+        # x' = 0 and cost u^2/2 at both stages: H is the 2x2 identity.
+        prob = _lq_problem(0.0, 0.0, 1.0, [1.0, 1.0], 1)
+        adj, c, h = _snapshot(prob, np.ones(1), np.zeros(2))
+        assert np.array_equal(h, np.eye(2))
         g = np.array([2.0, -4.0])
-        d = step_direction(np.eye(2), g, SolverConfig(r_reg=1.0), 0)
+        d = step_direction(adj, c, g, SolverConfig(r_reg=1.0), 0)
         np.testing.assert_allclose(d, g / 2.0, rtol=1e-14)
 
-    def test_lqr_depth_zero_numbers(self):
-        h = np.array([[10.86, 0.0], [0.0, 0.0]])
+    def test_lqr_depth_zero_numbers(self, lqr1):
+        adj, c, h = _snapshot(lqr1, 1.0, np.zeros(2))
+        np.testing.assert_allclose(h, [[10.86, 0.0], [0.0, 0.0]], atol=1e-12)
         g = np.array([9.72, 0.0])
-        d = step_direction(h, g, SolverConfig(r_reg=0.1), 0)
+        d = step_direction(adj, c, g, SolverConfig(r_reg=0.1), 0)
         np.testing.assert_allclose(d, [9.72 / 10.96, 0.0], rtol=1e-12)
 
-    def test_deep_recursion_reaches_newton_step(self):
-        h = np.array([[10.86, 0.0], [0.0, 0.0]])
+    def test_deep_recursion_reaches_newton_step(self, lqr1):
+        adj, c, _ = _snapshot(lqr1, 1.0, np.zeros(2))
         g = np.array([9.72, 0.0])
-        d = step_direction(h, g, SolverConfig(r_reg=0.1), 50)
+        d = step_direction(adj, c, g, SolverConfig(r_reg=0.1), 50)
         np.testing.assert_allclose(d, [9.72 / 10.86, 0.0], atol=1e-8)
 
     def test_depth_zero_matches_dense_solve(self):
-        rng = np.random.default_rng(14)
-        a = rng.normal(size=(6, 6))
-        h = a @ a.T + 0.5 * np.eye(6)
-        g = rng.normal(size=6)
-        cfg = SolverConfig(r_reg=0.3)
-        d = step_direction(h, g, cfg, 0)
-        expected = np.linalg.solve(h + 0.3 * np.eye(6), g)
-        np.testing.assert_allclose(d, expected, rtol=1e-12)
+        prob, x0, z = random_smooth_problem(14, 3, 2, 6)
+        adj, c, h = _snapshot(prob, x0, z)
+        g = np.random.default_rng(14).normal(size=prob.dims.z_len)
+        assert np.linalg.eigvalsh(h + 0.3 * np.eye(h.shape[0])).min() > 0
+        d = step_direction(adj, c, g, SolverConfig(r_reg=0.3), 0)
+        np.testing.assert_allclose(d, _dense_direction(h, g, 0.3, 0),
+                                   rtol=1e-12)
 
     def test_monotone_approach_to_newton(self):
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=(5, 5))
-        h = a @ a.T + 0.2 * np.eye(5)
-        g = rng.normal(size=5)
+        prob = _convex_problem()
+        adj, c, h = _snapshot(prob, np.ones(3), np.zeros(prob.dims.z_len))
+        assert np.linalg.eigvalsh(h).min() > 0
+        g = np.random.default_rng(2).normal(size=prob.dims.z_len)
         cfg = SolverConfig(r_reg=0.4)
         newton = np.linalg.solve(h, g)
-        gaps = [np.linalg.norm(step_direction(h, g, cfg, j) - newton)
+        gaps = [np.linalg.norm(step_direction(adj, c, g, cfg, j) - newton)
                 for j in range(12)]
         assert all(gaps[j + 1] <= gaps[j] + 1e-15 for j in range(11))
 
     def test_not_positive_definite(self):
+        prob = _lq_problem(np.eye(3), np.ones((3, 1)), np.eye(3),
+                           [-np.eye(1)] * 3, 2)
+        adj, c, _ = _snapshot(prob, np.ones(3), np.zeros(3))
         with pytest.raises(LinearSolveError):
-            step_direction(-np.eye(3), np.ones(3), SolverConfig(r_reg=0.1), 0)
+            step_direction(adj, c, np.ones(3), SolverConfig(r_reg=0.1), 0)
 
-    def test_negative_depth_rejected(self):
+    def test_negative_depth_rejected(self, lqr1):
+        adj, c, _ = _snapshot(lqr1, 1.0, np.zeros(2))
         with pytest.raises(ValueError):
-            step_direction(np.eye(2), np.ones(2), SolverConfig(), -1)
+            step_direction(adj, c, np.ones(2), SolverConfig(), -1)
+
+
+class TestStagewiseSolve:
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 3), n_last=st.integers(0, 12),
+           seed=st.integers(0, 2**32 - 1), r=st.sampled_from([1e-3, 0.1, 1.0]),
+           depth=st.integers(0, 3), scale=st.sampled_from([1.0, 20.0]))
+    def test_matches_dense_solve(self, n, m, n_last, seed, r, depth, scale):
+        # Scaling the point by 20 makes about a third of the systems
+        # indefinite, so both outcomes of the factorization are exercised.
+        prob, x0, z = random_smooth_problem(seed, n, m, n_last)
+        adj, c, h = _snapshot(prob, scale * x0, scale * z)
+        g = np.random.default_rng(seed).normal(size=prob.dims.z_len)
+        lam = np.linalg.eigvalsh(h + r * np.eye(h.shape[0])).min()
+        margin = 1e-6 * (1.0 + np.linalg.norm(h, 2))
+        try:
+            d = step_direction(adj, c, g, SolverConfig(r_reg=r), depth)
+        except LinearSolveError:
+            assert lam < margin, f"PD system ({lam}) rejected"
+            return
+        assert lam > -margin, f"indefinite system ({lam}) factored"
+        dense = _dense_direction(h, g, r, depth)
+        assert np.abs(d - dense).max() <= 1e-10 * np.abs(dense).max()
+
+    def test_minimize_never_forms_the_dense_hessian(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the solver formed the dense Hessian")
+
+        monkeypatch.setattr(costate.solver, "hessian_with", forbidden)
+        monkeypatch.setattr(costate.curvature, "second_order_pass", forbidden)
+        prob, x0, z0 = random_smooth_problem(3, 3, 2, 20)
+        rep = minimize(prob, x0, z0, SolverConfig())
+        assert rep.termination is Termination.CONVERGED
+        assert rep.outer_iters > 0
+
+    def test_nonfinite_stage_curvature_names_the_stage(self):
+        base, x0, z0 = random_smooth_problem(5, 2, 2, 6)
+
+        def bad_dd(x, u, k):
+            xx, xu, uu = base.dd_stage_cost(x, u, k)
+            return (xx, xu, uu * np.nan) if k in (3, 5) else (xx, xu, uu)
+
+        broken = ProblemDef(
+            dims=base.dims, dynamics=base.dynamics,
+            stage_cost=base.stage_cost, d_dynamics=base.d_dynamics,
+            d_stage_cost=base.d_stage_cost, dd_stage_cost=bad_dd,
+            dd_dynamics_contracted=base.dd_dynamics_contracted)
+        roll, adj = forward_adjoint(broken, x0, z0)
+        with pytest.raises(NumericalBlowupError) as err:
+            stage_curvature(broken, roll, adj, z0)
+        assert err.value.stage == 3
+        with pytest.raises(NumericalBlowupError) as err:
+            minimize(broken, x0, z0, SolverConfig())
+        assert err.value.stage == 3
+
+    def test_skewed_stage_oracle_raises_asymmetry(self):
+        base, x0, z0 = random_smooth_problem(6, 2, 2, 4)
+        skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+        def skewed_dd(x, u, k):
+            xx, xu, uu = base.dd_stage_cost(x, u, k)
+            return xx, xu, uu + skew if k == 2 else uu
+
+        broken = ProblemDef(
+            dims=base.dims, dynamics=base.dynamics,
+            stage_cost=base.stage_cost, d_dynamics=base.d_dynamics,
+            d_stage_cost=base.d_stage_cost, dd_stage_cost=skewed_dd,
+            dd_dynamics_contracted=base.dd_dynamics_contracted)
+        with pytest.raises(AsymmetricHessianError) as err:
+            minimize(broken, x0, z0, SolverConfig())
+        assert err.value.defect == pytest.approx(1.0)
+        assert err.value.index[0] == 2  # the stage of the skewed block
+
+    def test_failed_pivot_names_its_stage(self):
+        # Convex everywhere but the control weight of stage 2.
+        weights = [np.eye(1)] * 5
+        weights[2] = -5000.0 * np.eye(1)
+        prob = _lq_problem(0.9 * np.eye(2), np.ones((2, 1)), np.eye(2),
+                           weights, 4)
+        adj, c, _ = _snapshot(prob, np.ones(2), np.zeros(5))
+        with pytest.raises(LinearSolveError) as err:
+            step_direction(adj, c, np.ones(5), SolverConfig(r_reg=0.1), 0)
+        assert err.value.stage == 2
+        with pytest.raises(LinearSolveError) as err:
+            minimize(prob, np.ones(2), np.zeros(5), SolverConfig(r_reg=0.1))
+        assert err.value.stage == 2
+        assert err.value.report.termination is Termination.LINEAR_SOLVE_FAILURE
 
 
 class TestMinimize:
