@@ -16,7 +16,8 @@ from .oracles import (RiccatiSolution, fd_consistency, fd_gradient, fd_hessian,
                       max_rel_error, riccati_lqr)
 from .problem import (DimensionMismatchError, Dims, NumericalBlowupError,
                       ProblemDef, Rollout, eval_cost, flat_index,
-                      make_fd_problem, roll_forward, stage_controls)
+                      make_fd_problem, one_row, roll_forward,
+                      stage_controls)
 from .scenarios import (CircleReference, LqrSpec, UnicycleSpec, WaypointTable,
                         build_lqr, build_unicycle_plant,
                         build_unicycle_tracking, circle_reference,
@@ -36,7 +37,7 @@ __all__ = [
     "build_unicycle_tracking", "circle_reference", "eval_cost",
     "euler_rolled_reference", "fd_consistency", "fd_gradient", "fd_hessian",
     "flat_index", "forward_adjoint", "gradient", "hamiltonian", "hessian",
-    "make_fd_problem", "max_rel_error", "minimize", "minimize_gd",
+    "make_fd_problem", "max_rel_error", "minimize", "minimize_gd", "one_row",
     "random_smooth_problem", "reference_at", "riccati_lqr", "roll_forward",
     "run_mpc", "second_order_pass", "stage_controls", "stage_curvature",
     "step_direction",

@@ -9,11 +9,12 @@ variables there are.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .problem import ProblemDef, Rollout, check_state, roll_forward, stage_controls
+from .problem import (ProblemDef, Rollout, check_state, one_row, roll_forward,
+                      stage_controls)
 
 
 @dataclass(frozen=True)
@@ -25,15 +26,16 @@ class AdjointSolution:
             k+1, so row N is the terminal costate and is exactly zero.
         gradient: flat (m*(N+1),) gradient of the total cost with respect to
             the decision vector.
-        fx, fu: the dynamics Jacobians f_x (n, n) and f_u (n, m) the sweep
-            evaluated along the rollout, one per stage 0..N-1; the
-            second-order pass reads them instead of evaluating them again.
+        fx, fu: the (N, n, n) and (N, n, m) stacks of dynamics Jacobians
+            f_x and f_u the sweep evaluated along the rollout, stages
+            0..N-1; the second-order passes read them instead of evaluating
+            them again.
     """
 
     costates: np.ndarray
     gradient: np.ndarray
-    fx: List[np.ndarray]
-    fu: List[np.ndarray]
+    fx: np.ndarray
+    fu: np.ndarray
 
 
 def hamiltonian(p: ProblemDef, x, u, lam_next, k: int) -> float:
@@ -48,35 +50,35 @@ def hamiltonian(p: ProblemDef, x, u, lam_next, k: int) -> float:
     u = check_state(u, dims.m, "u")
     lam_next = check_state(lam_next, dims.n, "costate")
     fx = np.atleast_1d(np.asarray(p.dynamics(x, u, k), dtype=float))
-    return float(p.stage_cost(x, u, k)) + float(lam_next @ fx)
+    return one_row(p.stage_cost)(x, u, k) + float(lam_next @ fx)
 
 
 def _backward(p: ProblemDef, roll: Rollout, z: np.ndarray) -> AdjointSolution:
     # Backward costate pass shared by forward_adjoint and backward_costates.
-    # At the last stage only the cost gradient enters, so dynamics Jacobians
-    # are never requested at stage N.
+    # One stacked call of each first-derivative oracle covers the pass; the
+    # dynamics Jacobians are never requested at stage N.  Only the costate
+    # recursion runs stage by stage, lam[k-1] = c_x[k] + f_x[k]' lam[k] from
+    # lam[N] = 0; the gradient is then one stacked contraction,
+    # g[k] = c_u[k] + f_u[k]' lam[k].
     dims = p.dims
+    n, m, horizon = dims.n, dims.m, dims.N
     u = stage_controls(z, dims)
-    lam = np.zeros((dims.N + 1, dims.n))
-    grad = np.empty(dims.z_len)
-    fx: List[np.ndarray] = [None] * dims.N
-    fu: List[np.ndarray] = [None] * dims.N
-    nxt = lam[dims.N]
-    for k in range(dims.N, -1, -1):
-        cx, cu = p.d_stage_cost(roll.states[k], u[k], k)
-        gk = np.asarray(cu, dtype=float)
-        lk = np.asarray(cx, dtype=float)
-        if k < dims.N:
-            jx, ju = p.d_dynamics(roll.states[k], u[k], k)
-            fx[k] = np.asarray(jx, dtype=float).reshape(dims.n, dims.n)
-            fu[k] = np.asarray(ju, dtype=float).reshape(dims.n, dims.m)
-            gk = gk + fu[k].T @ nxt
-            lk = lk + fx[k].T @ nxt
-        grad[k * dims.m:(k + 1) * dims.m] = gk
-        if k > 0:
-            lam[k - 1] = lk
-            nxt = lk
-    return AdjointSolution(costates=lam, gradient=grad, fx=fx, fu=fu)
+    xs = roll.states
+    cx, cu = p.d_stage_cost(xs, u, np.arange(horizon + 1))
+    cx = np.asarray(cx, dtype=float).reshape(horizon + 1, n)
+    g = np.array(cu, dtype=float).reshape(horizon + 1, m)
+    lam = np.zeros((horizon + 1, n))
+    if horizon:
+        fx, fu = p.d_dynamics(xs[:horizon], u[:horizon], np.arange(horizon))
+        fx = np.asarray(fx, dtype=float).reshape(horizon, n, n)
+        fu = np.asarray(fu, dtype=float).reshape(horizon, n, m)
+        lam[horizon - 1] = cx[horizon]
+        for k in range(horizon - 1, 0, -1):
+            lam[k - 1] = cx[k] + fx[k].T @ lam[k]
+        g[:horizon] += (fu.transpose(0, 2, 1) @ lam[:horizon, :, None])[..., 0]
+    else:
+        fx, fu = np.empty((0, n, n)), np.empty((0, n, m))
+    return AdjointSolution(costates=lam, gradient=g.reshape(-1), fx=fx, fu=fu)
 
 
 def backward_costates(p: ProblemDef, roll: Rollout, z: np.ndarray) -> np.ndarray:

@@ -336,6 +336,10 @@ def cmd_run_mpc(config_path: str, out_dir: str, baseline: Optional[str]) -> int:
         ))
 
     iters = [rep.outer_iters for rep in trace.per_step_reports[:steps_done]]
+    terminations = Counter(rep.termination.value
+                           for rep in trace.per_step_reports)
+    unconverged = sum(v for k, v in terminations.items()
+                      if k != Termination.CONVERGED.value)
     steady = times > limits.transient_time_s
     steady_any = bool(steady.any())
     max_pos_err = float(pos_errors[steady].max()) if steady_any else float("nan")
@@ -360,6 +364,8 @@ def cmd_run_mpc(config_path: str, out_dir: str, baseline: Optional[str]) -> int:
                                 sorted(Counter(iters).items())},
         "median_iters": float(statistics.median(iters)) if iters else None,
         "max_iters": max(iters) if iters else None,
+        "terminations": dict(sorted(terminations.items())),
+        "steps_unconverged": unconverged,
         "total_wall_time_s": float(trace.per_step_wall_time.sum()),
     }
 
@@ -394,7 +400,8 @@ def cmd_run_mpc(config_path: str, out_dir: str, baseline: Optional[str]) -> int:
               file=sys.stderr)
         return 1
 
-    passed = (steady_any and max_pos_err <= limits.max_pos_error_m
+    passed = (steady_any and unconverged == 0
+              and max_pos_err <= limits.max_pos_error_m
               and max_heading_err <= limits.max_heading_error_rad)
     report["passed"] = passed
     _write_json(out / "report.json", report)
@@ -402,6 +409,9 @@ def cmd_run_mpc(config_path: str, out_dir: str, baseline: Optional[str]) -> int:
           f"(steady-state max position error {max_pos_err:.4f} m, "
           f"max heading error {max_heading_err:.4f} rad, "
           f"median iterations {report['median_iters']})")
+    if unconverged:
+        print(f"run-mpc: {unconverged} of {steps_done} steps did not "
+              f"converge {report['terminations']}", file=sys.stderr)
     return 0 if passed else 1
 
 

@@ -3,9 +3,9 @@
 stage_curvature evaluates the second derivatives of every stage
 Hamiltonian along one snapshot -- the rollout, and the costates and
 dynamics Jacobians of the adjoint sweep that produced the gradient -- as
-one (N+1, n+m, n+m) stack.  These are the only new oracle calls, one of
-each second-derivative oracle per stage.  The stagewise Newton solve of
-the solver reads that stack directly.
+one (N+1, n+m, n+m) stack.  These are the only new oracle calls: one
+stacked call of each second-derivative oracle per pass.  The stagewise
+Newton solve of the solver reads that stack directly.
 
 Each row of the Hessian belongs to one control coordinate (stage i,
 component p).  A forward recursion propagates the state sensitivity to that
@@ -95,22 +95,22 @@ def stage_curvature(p: ProblemDef, roll: Rollout, adj: AdjointSolution,
     if p.dd_stage_cost is None or p.dd_dynamics_contracted is None:
         raise CurvatureOracleError("curvature requires dd_* oracles or FD problem")
     dims = p.dims
-    n, m = dims.n, dims.m
+    n, m, horizon = dims.n, dims.m, dims.N
     u = stage_controls(z, dims)
-    c = np.empty((dims.N + 1, n + m, n + m))
+    ks = np.arange(horizon + 1)
+    c = np.empty((horizon + 1, n + m, n + m))
     xx, xu, uu = c[:, :n, :n], c[:, :n, n:], c[:, n:, n:]
-    for k in range(dims.N + 1):
-        sxx, sxu, suu = p.dd_stage_cost(roll.states[k], u[k], k)
-        xx[k] = np.asarray(sxx, dtype=float).reshape(n, n)
-        xu[k] = np.asarray(sxu, dtype=float).reshape(n, m)
-        uu[k] = np.asarray(suu, dtype=float).reshape(m, m)
-        if k < dims.N:
-            wxx, wxu, wuu = p.dd_dynamics_contracted(
-                adj.costates[k], roll.states[k], u[k], k
-            )
-            xx[k] += np.asarray(wxx, dtype=float).reshape(n, n)
-            xu[k] += np.asarray(wxu, dtype=float).reshape(n, m)
-            uu[k] += np.asarray(wuu, dtype=float).reshape(m, m)
+    shapes = ((n, n), (n, m), (m, m))
+    blocks = p.dd_stage_cost(roll.states, u, ks)
+    for dst, src, shape in zip((xx, xu, uu), blocks, shapes):
+        dst[...] = np.asarray(src, dtype=float).reshape((horizon + 1,) + shape)
+    if horizon:
+        blocks = p.dd_dynamics_contracted(adj.costates[:horizon],
+                                          roll.states[:horizon],
+                                          u[:horizon], ks[:horizon])
+        for dst, src, shape in zip((xx, xu, uu), blocks, shapes):
+            dst[:horizon] += np.asarray(src, dtype=float).reshape(
+                (horizon,) + shape)
     c[:, n:, :n] = xu.transpose(0, 2, 1)
     if not np.isfinite(c).all():
         bad = ~np.isfinite(c).all(axis=(1, 2))

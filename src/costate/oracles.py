@@ -14,7 +14,8 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from .adjoint import gradient
-from .problem import ProblemDef, central_difference, eval_cost, make_fd_problem
+from .problem import (ProblemDef, central_difference, eval_cost,
+                      make_fd_problem, one_row)
 
 
 def fd_gradient(p: ProblemDef, x0, z: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -104,34 +105,63 @@ def fd_consistency(p: ProblemDef, rng: np.random.Generator,
                    n_points: int = 100,
                    sampler: Optional[Callable] = None) -> Dict[str, float]:
     """Compare analytic derivative oracles against finite differences of the
-    problem's own dynamics and stage cost.
+    problem's own dynamics and stage cost, and check that the stacked
+    oracles treat their rows independently.
 
-    Draws (x, u, k) points and returns the worst relative error per oracle.
+    Draws n_points (x, u, k) points and evaluates each oracle once on their
+    stack.  Returns the worst relative error per derivative oracle against
+    the differenced reference, and under "row_independence" the worst
+    relative gap between any stacked oracle's rows, the stage cost
+    included, and the same oracle evaluated one row at a time.
     Second-order comparisons are skipped when the problem does not define
     the corresponding oracles.
     """
     dims = p.dims
-    ref = make_fd_problem(p.dynamics, p.stage_cost, dims)
+    ref = make_fd_problem(p.dynamics, one_row(p.stage_cost), dims)
     draw = sampler if sampler is not None else _default_sampler
     worst = {"d_dynamics": 0.0, "d_stage_cost": 0.0}
     second = p.dd_stage_cost is not None and p.dd_dynamics_contracted is not None
     if second:
         worst["dd_stage_cost"] = 0.0
         worst["dd_dynamics_contracted"] = 0.0
+    worst["row_independence"] = 0.0
+    if n_points < 1:
+        return worst
+    xs, us, ks, ws = [], [], [], []
     for _ in range(n_points):
         x, u = draw(rng, dims)
-        k = int(rng.integers(0, dims.N + 1))
-        k_dyn = min(k, max(dims.N - 1, 0))
-        calls = [("d_stage_cost", (x, u, k))]
+        xs.append(x)
+        us.append(u)
+        ks.append(int(rng.integers(0, dims.N + 1)))
+        if second and dims.N > 0:
+            ws.append(rng.normal(size=dims.n))
+    x = np.asarray(xs, dtype=float).reshape(n_points, dims.n)
+    u = np.asarray(us, dtype=float).reshape(n_points, dims.m)
+    k = np.asarray(ks)
+    k_dyn = np.minimum(k, max(dims.N - 1, 0))
+    calls = [("stage_cost", (x, u, k)), ("d_stage_cost", (x, u, k))]
+    if dims.N > 0:
+        calls.append(("d_dynamics", (x, u, k_dyn)))
+    if second:
+        calls.append(("dd_stage_cost", (x, u, k)))
         if dims.N > 0:
-            calls.append(("d_dynamics", (x, u, k_dyn)))
-        if second:
-            calls.append(("dd_stage_cost", (x, u, k)))
-            if dims.N > 0:
-                w = rng.normal(size=dims.n)
-                calls.append(("dd_dynamics_contracted", (w, x, u, k_dyn)))
-        for name, args in calls:
-            pairs = zip(getattr(p, name)(*args), getattr(ref, name)(*args))
-            worst[name] = max(worst[name],
-                              *(max_rel_error(a, b) for a, b in pairs))
+            calls.append(("dd_dynamics_contracted",
+                          (np.asarray(ws), x, u, k_dyn)))
+
+    def parts(out):
+        return out if isinstance(out, tuple) else (out,)
+
+    for name, args in calls:
+        oracle = getattr(p, name)
+        got = parts(oracle(*args))
+        expected = parts(getattr(ref, name)(*args)) if name in worst else ()
+        single = one_row(oracle)
+        for i in range(n_points):
+            alone = parts(single(*(a[i] for a in args)))
+            worst["row_independence"] = max(
+                worst["row_independence"],
+                *(max_rel_error(g[i], r) for g, r in zip(got, alone)))
+            if expected:
+                worst[name] = max(worst[name], *(
+                    max_rel_error(g[i], e[i]) for g, e in zip(got, expected)))
     return worst

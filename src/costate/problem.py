@@ -10,12 +10,16 @@ m*(N+1).  The terminal control u_N stays in the layout even when the last
 stage ignores it; such stages simply report zero cost and zero derivatives
 for u, which pins the corresponding gradient entries to exactly zero.
 
-All stage callables take the stage index k last, so tracking costs with
-time-varying references and terminal-only costs need no wrapper types.
+The dynamics are called one stage at a time, because the rollout is
+sequential.  The stage cost and the derivative oracles are stacked: one
+call evaluates every stage of a pass, row i of its inputs at stage ks[i].
+ProblemDef.from_stagewise builds a problem from per-stage callables, and
+one_row turns a stacked oracle back into a per-stage one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -29,10 +33,17 @@ class DimensionMismatchError(ValueError):
 
 
 class NumericalBlowupError(FloatingPointError):
-    """The dynamics or cost produced a non-finite value during a rollout."""
+    """The dynamics or cost produced a non-finite value during a rollout.
+
+    Attributes:
+        stage: the first stage at fault.
+        what: the quantity that was not finite, e.g. "stage cost" or
+            "dynamics".
+    """
 
     def __init__(self, stage: int, what: str):
         self.stage = stage
+        self.what = what
         super().__init__(f"numerical blow-up at stage {stage} ({what})")
 
 
@@ -90,26 +101,37 @@ def stage_controls(z: np.ndarray, dims: Dims) -> np.ndarray:
 class ProblemDef:
     """A discrete-time optimal control problem with derivative oracles.
 
-    Required signatures (all pure functions):
+    The dynamics take one stage; the other five oracles are stacked.  A
+    stacked oracle evaluates K stages in one call: X is (K, n), U is (K, m),
+    ks is the (K,) integer array of stage indices, and row i of every output
+    belongs to (X[i], U[i], ks[i]) alone.
 
-        dynamics(x, u, k) -> next state, shape (n,)            stages 0..N-1
-        stage_cost(x, u, k) -> float                           stages 0..N
-        d_dynamics(x, u, k) -> (f_x (n,n), f_u (n,m))          stages 0..N-1
-        d_stage_cost(x, u, k) -> (c_x (n,), c_u (m,))          stages 0..N
-        dd_stage_cost(x, u, k) -> (c_xx (n,n), c_xu (n,m), c_uu (m,m))
-        dd_dynamics_contracted(w, x, u, k)
-            -> (w.f_xx (n,n), w.f_xu (n,m), w.f_uu (m,m))
+        dynamics(x, u, k) -> next state (n,)                   stages 0..N-1
+        stage_cost(X, U, ks) -> (K,)                           stages 0..N
+        d_dynamics(X, U, ks) -> (f_x (K,n,n), f_u (K,n,m))     stages 0..N-1
+        d_stage_cost(X, U, ks) -> (c_x (K,n), c_u (K,m))       stages 0..N
+        dd_stage_cost(X, U, ks)
+            -> (c_xx (K,n,n), c_xu (K,n,m), c_uu (K,m,m))      stages 0..N
+        dd_dynamics_contracted(W, X, U, ks)                    stages 0..N-1
+            -> (w.f_xx (K,n,n), w.f_xu (K,n,m), w.f_uu (K,m,m)), W (K, n)
+
+    The library calls each stacked oracle once per pass, on every stage of
+    the pass in stage order.  The dynamics stay per stage because the
+    rollout is sequential: x_{k+1} exists only once x_k does, and a
+    one-row stacked step costs several times a per-stage one.
 
     Second derivatives of the dynamics appear only contracted against a
     costate-like vector w, which is the shape the second-order sweeps need
     and avoids rank-3 tensor storage.  Dynamics callables (and their
     derivatives) are never invoked at stage N: the terminal costate is zero,
-    so every term that would require them vanishes.
+    so every term that would require them vanishes.  No callable ever
+    receives a non-finite state produced by the dynamics.
 
     ``dd_stage_cost`` and ``dd_dynamics_contracted`` may be None for
     problems that are only differentiated once; second-order computations
     then refuse to run.  Instances are immutable and safe to share across
-    concurrent evaluations.
+    concurrent evaluations.  ``from_stagewise`` builds a problem from the
+    per-stage signatures.
     """
 
     dims: Dims
@@ -119,6 +141,73 @@ class ProblemDef:
     d_stage_cost: Callable
     dd_stage_cost: Optional[Callable] = None
     dd_dynamics_contracted: Optional[Callable] = None
+
+    @classmethod
+    def from_stagewise(cls, dims: Dims, dynamics: Callable,
+                       stage_cost: Callable, d_dynamics: Callable,
+                       d_stage_cost: Callable,
+                       dd_stage_cost: Optional[Callable] = None,
+                       dd_dynamics_contracted: Optional[Callable] = None,
+                       ) -> "ProblemDef":
+        """Problem from per-stage callables.
+
+        The callables take one stage, k last, as plain ints:
+
+            stage_cost(x, u, k) -> float
+            d_dynamics(x, u, k) -> (f_x (n,n), f_u (n,m))
+            d_stage_cost(x, u, k) -> (c_x (n,), c_u (m,))
+            dd_stage_cost(x, u, k) -> (c_xx (n,n), c_xu (n,m), c_uu (m,m))
+            dd_dynamics_contracted(w, x, u, k)
+                -> (w.f_xx (n,n), w.f_xu (n,m), w.f_uu (m,m))
+
+        Each stacked oracle calls its callable once per row, in row order,
+        and stacks the results in the documented shapes; dynamics is used
+        as it is.
+        """
+        n, m = dims.n, dims.m
+
+        def stacked(fun, shapes):
+            if fun is None:
+                return None
+
+            def oracle(*args):
+                *vecs, ks = args
+                outs = [fun(*row, k) for *row, k in
+                        zip(*vecs, np.asarray(ks).tolist())]
+                if shapes is None:
+                    return np.array([float(c) for c in outs])
+                return tuple(
+                    np.asarray(part, dtype=float).reshape((len(outs),) + shape)
+                    for part, shape in zip(zip(*outs), shapes))
+            return oracle
+
+        hess = ((n, n), (n, m), (m, m))
+        return cls(
+            dims=dims,
+            dynamics=dynamics,
+            stage_cost=stacked(stage_cost, None),
+            d_dynamics=stacked(d_dynamics, ((n, n), (n, m))),
+            d_stage_cost=stacked(d_stage_cost, ((n,), (m,))),
+            dd_stage_cost=stacked(dd_stage_cost, hess),
+            dd_dynamics_contracted=stacked(dd_dynamics_contracted, hess),
+        )
+
+
+def one_row(oracle: Callable) -> Callable:
+    """Per-stage form of a stacked oracle.
+
+    The returned callable takes the per-stage arguments, (x, u, k) or
+    (w, x, u, k), evaluates oracle on a one-row stack of them and returns
+    that row: a float for a stage cost, else a tuple of arrays.
+    """
+    def at_stage(*args):
+        *vecs, k = args
+        out = oracle(*(np.asarray(v, dtype=float).reshape(1, -1)
+                       for v in vecs), np.array([k]))
+        if isinstance(out, tuple):
+            return tuple(part[0] for part in out)
+        return float(out[0])
+    return at_stage
 
 
 @dataclass(frozen=True)
@@ -147,6 +236,9 @@ def check_state(x, n: int, what: str = "state") -> np.ndarray:
 def roll_forward(p: ProblemDef, x0, z: np.ndarray) -> Rollout:
     """Simulate the dynamics under the controls in z and accumulate cost.
 
+    The states come from one dynamics call per stage; the stage costs from
+    one stage_cost call over all of them.
+
     Args:
         p: problem definition.
         x0: initial state, shape (n,) (scalars accepted for n = 1).
@@ -156,33 +248,48 @@ def roll_forward(p: ProblemDef, x0, z: np.ndarray) -> Rollout:
         A Rollout with states x_0..x_N, per-stage costs, and their sum.
 
     Raises:
-        DimensionMismatchError: x0 or z has the wrong shape, naming it.
+        DimensionMismatchError: x0 or z has the wrong shape, naming it, or
+            an oracle returned the wrong shape.
         NumericalBlowupError: dynamics or cost returned a non-finite value;
-            the error carries the stage index.
+            the error carries the first stage k, in the order stage cost k,
+            then dynamics k.  The stage costs are evaluated only up to the
+            first non-finite state, so no callable receives one that the
+            dynamics produced.
     """
     dims = p.dims
+    n, horizon = dims.n, dims.N
     u = stage_controls(z, dims)
-    x = check_state(x0, dims.n, "x0")
-    states = np.empty((dims.N + 1, dims.n))
-    costs = np.empty(dims.N + 1)
-    states[0] = x
+    states = np.empty((horizon + 1, n))
+    states[0] = check_state(x0, n, "x0")
+    blown = None
+    for k in range(horizon):
+        nxt = np.atleast_1d(np.asarray(p.dynamics(states[k], u[k], k),
+                                       dtype=float))
+        if nxt.shape != (n,):
+            raise DimensionMismatchError(
+                f"dynamics returned shape {nxt.shape} at stage {k}, "
+                f"expected ({n},)"
+            )
+        if not all(map(math.isfinite, nxt.tolist())):
+            blown = k
+            break
+        states[k + 1] = nxt
+    last = horizon if blown is None else blown
+    costs = np.asarray(p.stage_cost(states[:last + 1], u[:last + 1],
+                                    np.arange(last + 1)), dtype=float)
+    if costs.shape != (last + 1,):
+        raise DimensionMismatchError(
+            f"stage_cost returned shape {costs.shape}, expected ({last + 1},)")
+    if not np.isfinite(costs).all():
+        raise NumericalBlowupError(int(np.isfinite(costs).argmin()),
+                                   "stage cost")
+    if blown is not None:
+        raise NumericalBlowupError(blown, "dynamics")
+    # A running sum in stage order, as the costs accrue; np.sum's pairwise
+    # order would change the last bits of the objective.
     total = 0.0
-    for k in range(dims.N + 1):
-        c = float(p.stage_cost(states[k], u[k], k))
-        if not np.isfinite(c):
-            raise NumericalBlowupError(k, "stage cost")
-        costs[k] = c
+    for c in costs.tolist():
         total += c
-        if k < dims.N:
-            nxt = np.atleast_1d(np.asarray(p.dynamics(states[k], u[k], k), dtype=float))
-            if nxt.shape != (dims.n,):
-                raise DimensionMismatchError(
-                    f"dynamics returned shape {nxt.shape} at stage {k}, "
-                    f"expected ({dims.n},)"
-                )
-            if not np.all(np.isfinite(nxt)):
-                raise NumericalBlowupError(k, "dynamics")
-            states[k + 1] = nxt
     return Rollout(states=states, stage_costs=costs, total_cost=total)
 
 
@@ -227,9 +334,12 @@ def make_fd_problem(dynamics, stage_cost, dims: Dims, step: float = FD_STEP) -> 
     Useful both as a derivative-free constructor and as the independent
     reference when validating analytic oracles.
 
+    The derivative callables are per stage and stacked by
+    ProblemDef.from_stagewise.
+
     Args:
         dynamics: callable (x, u, k) -> next state.
-        stage_cost: callable (x, u, k) -> float.
+        stage_cost: per-stage callable (x, u, k) -> float.
         dims: problem dimensions.
         step: relative step for first derivatives, > 0.
     """
@@ -268,7 +378,7 @@ def make_fd_problem(dynamics, stage_cost, dims: Dims, step: float = FD_STEP) -> 
         w = check_state(w, n, "contraction vector")
         return second(lambda xx, uu, kk: float(w @ f(xx, uu, kk)), x, u, k)
 
-    return ProblemDef(
+    return ProblemDef.from_stagewise(
         dims=dims,
         dynamics=dynamics,
         stage_cost=stage_cost,

@@ -4,7 +4,9 @@ Two families: a scalar linear-quadratic regulator with exact analytic
 derivatives, and planar unicycle trajectory tracking (forward-Euler
 kinematics, quadratic tracking cost against a circle or a waypoint table).
 A seeded random smooth problem generator for validation harnesses lives
-here too.
+here too.  Every builder returns its stage cost and derivative oracles
+in the stacked form of ProblemDef, vectorized over the rows; the dynamics
+take one stage.
 
 The circle parameters are this library's documented defaults: center at the
 origin, radius 1 m, angular rate 0.3 rad/s.  They are plain config values
@@ -13,6 +15,7 @@ and can be overridden freely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Tuple, Union
 
@@ -21,9 +24,27 @@ import numpy as np
 from .problem import Dims, ProblemDef, check_state
 
 
-def wrap_angle(a: float) -> float:
-    """Map an angle to (-pi, pi]."""
-    return float(np.pi - np.mod(np.pi - a, 2.0 * np.pi))
+def wrap_angle(a):
+    """Map angles to (-pi, pi], elementwise; a scalar gives a float."""
+    return np.pi - np.mod(np.pi - a, 2.0 * np.pi)
+
+
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # a @ x for every row x of a (K, c) stack.  A batched product does each
+    # row's arithmetic exactly as the one-row product does, so the stacked
+    # oracles below give the same bits whatever the stack around a row.
+    return (a @ x[:, :, None])[..., 0]
+
+
+def _dot(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # v @ x for every row x of a (K, c) stack; batched as in _matvec.
+    return (x[:, None, :] @ v[:, None])[:, 0, 0]
+
+
+def _half_quad(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # 0.5 * x @ a @ x for every row x of a (K, c) stack; batched as in
+    # _matvec.
+    return (((0.5 * x)[:, None, :] @ a) @ x[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -58,33 +79,30 @@ def build_lqr(spec: LqrSpec) -> ProblemDef:
     exactly zero.
     """
     a, b, q, r, pt, n_last = spec.a, spec.b, spec.q, spec.r, spec.p_term, spec.N
-    fx = np.array([[a]])
-    fu = np.array([[b]])
-    zero11 = np.zeros((1, 1))
 
     def dynamics(x, u, k):
         return np.array([a * x[0] + b * u[0]])
 
-    def stage_cost(x, u, k):
-        if k < n_last:
-            return q * x[0] ** 2 + r * u[0] ** 2
-        return pt * x[0] ** 2
+    def stage_cost(x, u, ks):
+        return np.where(ks < n_last, q * x[:, 0] ** 2 + r * u[:, 0] ** 2,
+                        pt * x[:, 0] ** 2)
 
-    def d_dynamics(x, u, k):
-        return fx, fu
+    def d_dynamics(x, u, ks):
+        return np.full((len(ks), 1, 1), a), np.full((len(ks), 1, 1), b)
 
-    def d_stage_cost(x, u, k):
-        if k < n_last:
-            return np.array([2.0 * q * x[0]]), np.array([2.0 * r * u[0]])
-        return np.array([2.0 * pt * x[0]]), np.zeros(1)
+    def d_stage_cost(x, u, ks):
+        run = (ks < n_last)[:, None]
+        return (np.where(run, 2.0 * q, 2.0 * pt) * x,
+                np.where(run, 2.0 * r * u, 0.0))
 
-    def dd_stage_cost(x, u, k):
-        if k < n_last:
-            return np.array([[2.0 * q]]), zero11, np.array([[2.0 * r]])
-        return np.array([[2.0 * pt]]), zero11, zero11
+    def dd_stage_cost(x, u, ks):
+        run = (ks < n_last)[:, None, None]
+        return (np.where(run, 2.0 * q, 2.0 * pt), np.zeros((len(ks), 1, 1)),
+                np.where(run, 2.0 * r, 0.0))
 
-    def dd_dynamics_contracted(w, x, u, k):
-        return zero11, zero11, zero11
+    def dd_dynamics_contracted(w, x, u, ks):
+        zero = np.zeros((len(ks), 1, 1))
+        return zero, zero, zero
 
     return ProblemDef(
         dims=Dims(n=1, m=1, N=n_last),
@@ -213,11 +231,18 @@ def euler_rolled_reference(circle: CircleReference, delta: float,
 
 
 def unicycle_step(x: np.ndarray, u: np.ndarray, delta: float) -> np.ndarray:
-    """One forward-Euler step of the unicycle kinematics."""
+    """One forward-Euler step of the unicycle kinematics.
+
+    Computed in Python floats: the rollout takes one step per stage, and
+    numpy scalar arithmetic would cost twice as much.
+    """
+    px, py, heading = np.asarray(x, dtype=float).tolist()
+    speed, turn = np.asarray(u, dtype=float).tolist()
+    step = delta * speed
     return np.array([
-        x[0] + delta * u[0] * np.cos(x[2]),
-        x[1] + delta * u[0] * np.sin(x[2]),
-        x[2] + delta * u[1],
+        px + step * math.cos(heading),
+        py + step * math.sin(heading),
+        heading + delta * turn,
     ])
 
 
@@ -264,57 +289,56 @@ def build_unicycle_tracking(spec: UnicycleSpec, anchor_step: int,
     rw = np.asarray(spec.R_weights, dtype=float)
     horizon = spec.N_p
     refs = [reference_at(spec, anchor_step + k) for k in range(horizon + 1)]
+    ref_x = np.array([xr for xr, _ in refs])
+    ref_u = np.array([ur for _, ur in refs])
+    hess_x = np.diag(2.0 * qw)
+    hess_u = np.diag(2.0 * rw)
 
-    def _state_error(x, k):
-        xr = refs[k][0]
-        return np.array([x[0] - xr[0], x[1] - xr[1], wrap_angle(x[2] - xr[2])])
+    def _state_error(x, ks):
+        e = x - ref_x[ks]
+        e[:, 2] = wrap_angle(e[:, 2])
+        return e
 
     def dynamics(x, u, k):
         return unicycle_step(x, u, delta)
 
-    def stage_cost(x, u, k):
-        ex = _state_error(x, k)
-        cost = float(qw @ (ex * ex))
-        if k < horizon:
-            eu = u - refs[k][1]
-            cost += float(rw @ (eu * eu))
-        return cost
+    def stage_cost(x, u, ks):
+        ex = _state_error(x, ks)
+        eu = u - ref_u[ks]
+        return _dot(qw, ex * ex) + np.where(ks < horizon, _dot(rw, eu * eu),
+                                            0.0)
 
-    def d_dynamics(x, u, k):
-        s, c = np.sin(x[2]), np.cos(x[2])
-        fx = np.array([
-            [1.0, 0.0, -delta * u[0] * s],
-            [0.0, 1.0, delta * u[0] * c],
-            [0.0, 0.0, 1.0],
-        ])
-        fu = np.array([
-            [delta * c, 0.0],
-            [delta * s, 0.0],
-            [0.0, delta],
-        ])
+    def d_dynamics(x, u, ks):
+        s, c = np.sin(x[:, 2]), np.cos(x[:, 2])
+        fx = np.zeros((len(ks), 3, 3))
+        fx[:, 0, 0] = fx[:, 1, 1] = fx[:, 2, 2] = 1.0
+        fx[:, 0, 2] = -delta * u[:, 0] * s
+        fx[:, 1, 2] = delta * u[:, 0] * c
+        fu = np.zeros((len(ks), 3, 2))
+        fu[:, 0, 0] = delta * c
+        fu[:, 1, 0] = delta * s
+        fu[:, 2, 1] = delta
         return fx, fu
 
-    def d_stage_cost(x, u, k):
-        cx = 2.0 * qw * _state_error(x, k)
-        if k < horizon:
-            cu = 2.0 * rw * (u - refs[k][1])
-        else:
-            cu = np.zeros(2)
+    def d_stage_cost(x, u, ks):
+        cx = 2.0 * qw * _state_error(x, ks)
+        cu = np.where((ks < horizon)[:, None], 2.0 * rw * (u - ref_u[ks]), 0.0)
         return cx, cu
 
-    def dd_stage_cost(x, u, k):
-        cuu = np.diag(2.0 * rw) if k < horizon else np.zeros((2, 2))
-        return np.diag(2.0 * qw), np.zeros((3, 2)), cuu
+    def dd_stage_cost(x, u, ks):
+        cuu = np.where((ks < horizon)[:, None, None], hess_u, 0.0)
+        return (np.repeat(hess_x[None], len(ks), axis=0),
+                np.zeros((len(ks), 3, 2)), cuu)
 
-    def dd_dynamics_contracted(w, x, u, k):
+    def dd_dynamics_contracted(w, x, u, ks):
         # Nonzero second partials of the kinematics: d2x/dheading2,
         # d2x/dspeed dheading, and the same pair for y.
-        s, c = np.sin(x[2]), np.cos(x[2])
-        wxx = np.zeros((3, 3))
-        wxx[2, 2] = -delta * u[0] * (w[0] * c + w[1] * s)
-        wxu = np.zeros((3, 2))
-        wxu[2, 0] = delta * (w[1] * c - w[0] * s)
-        return wxx, wxu, np.zeros((2, 2))
+        s, c = np.sin(x[:, 2]), np.cos(x[:, 2])
+        wxx = np.zeros((len(ks), 3, 3))
+        wxx[:, 2, 2] = -delta * u[:, 0] * (w[:, 0] * c + w[:, 1] * s)
+        wxu = np.zeros((len(ks), 3, 2))
+        wxu[:, 2, 0] = delta * (w[:, 1] * c - w[:, 0] * s)
+        return wxx, wxu, np.zeros((len(ks), 2, 2))
 
     return ProblemDef(
         dims=Dims(n=3, m=2, N=horizon),
@@ -383,38 +407,39 @@ def random_smooth_problem(seed_or_rng, n: int, m: int, N: int) -> Tuple[ProblemD
     wx = rng.normal(size=n) * 0.5
     wu = rng.normal(size=m) * 0.5
 
-    def _args(x, u):
-        return dvec @ x + evec @ u + phase
-
     def dynamics(x, u, k):
-        return amat @ x + bmat @ u + samp * np.sin(_args(x, u))
+        return amat @ x + bmat @ u + samp * np.sin(dvec @ x + evec @ u + phase)
 
-    def d_dynamics(x, u, k):
-        sc = samp * np.cos(_args(x, u))
-        return amat + sc[:, None] * dvec, bmat + sc[:, None] * evec
+    def _args(x, u):
+        return _matvec(dvec, x) + _matvec(evec, u) + phase
 
-    def dd_dynamics_contracted(w, x, u, k):
-        coef = w * (-samp * np.sin(_args(x, u)))
-        wxx = (dvec * coef[:, None]).T @ dvec
-        wxu = (dvec * coef[:, None]).T @ evec
-        wuu = (evec * coef[:, None]).T @ evec
-        return 0.5 * (wxx + wxx.T), wxu, 0.5 * (wuu + wuu.T)
+    def d_dynamics(x, u, ks):
+        sc = (samp * np.cos(_args(x, u)))[:, :, None]
+        return amat + sc * dvec, bmat + sc * evec
+
+    def _sym(a):
+        return 0.5 * (a + a.transpose(0, 2, 1))
+
+    def dd_dynamics_contracted(w, x, u, ks):
+        coef = (w * (-samp * np.sin(_args(x, u))))[:, :, None]
+        dw = (dvec * coef).transpose(0, 2, 1)
+        ew = (evec * coef).transpose(0, 2, 1)
+        return _sym(dw @ dvec), dw @ evec, _sym(ew @ evec)
 
     def _ripple(x, u):
-        return wx @ x + wu @ u
+        return _dot(wx, x) + _dot(wu, u)
 
-    def stage_cost(x, u, k):
-        return float(
-            0.5 * x @ qmat @ x + 0.5 * u @ rmat @ u + qlin @ x + rlin @ u
-            + kappa * np.cos(_ripple(x, u))
-        )
+    def stage_cost(x, u, ks):
+        return (_half_quad(qmat, x) + _half_quad(rmat, u) + _dot(qlin, x)
+                + _dot(rlin, u) + kappa * np.cos(_ripple(x, u)))
 
-    def d_stage_cost(x, u, k):
-        s = kappa * np.sin(_ripple(x, u))
-        return qmat @ x + qlin - s * wx, rmat @ u + rlin - s * wu
+    def d_stage_cost(x, u, ks):
+        s = (kappa * np.sin(_ripple(x, u)))[:, None]
+        return (_matvec(qmat, x) + qlin - s * wx,
+                _matvec(rmat, u) + rlin - s * wu)
 
-    def dd_stage_cost(x, u, k):
-        c = kappa * np.cos(_ripple(x, u))
+    def dd_stage_cost(x, u, ks):
+        c = (kappa * np.cos(_ripple(x, u)))[:, None, None]
         return (qmat - c * np.outer(wx, wx), -c * np.outer(wx, wu),
                 rmat - c * np.outer(wu, wu))
 

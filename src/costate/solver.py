@@ -153,9 +153,8 @@ class _StagewiseFactor:
         # Stage N has no dynamics; zero Jacobians there keep it uniform.
         fx = np.zeros((horizon + 1, n, n))
         fu = np.zeros((horizon + 1, n, m))
-        if horizon:
-            fx[:horizon] = adj.fx
-            fu[:horizon] = adj.fu
+        fx[:horizon] = adj.fx
+        fu[:horizon] = adj.fu
         fxu = np.concatenate((fx, fu), axis=2)
         # sol[k] = Q_uu^{-1} [Q_ux | Q_uu] = [-K_k | I], one Cholesky solve
         # per stage.

@@ -21,7 +21,7 @@ def zero_cost_problem(n=2, m=1, N=4) -> ProblemDef:
     a = np.eye(n) * 0.9
     b = np.ones((n, m)) * 0.3
 
-    return ProblemDef(
+    return ProblemDef.from_stagewise(
         dims=Dims(n=n, m=m, N=N),
         dynamics=lambda x, u, k: a @ x + b @ u,
         stage_cost=lambda x, u, k: 0.0,

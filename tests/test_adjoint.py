@@ -7,7 +7,8 @@ from conftest import zero_cost_problem
 from costate import (Dims, LqrSpec, ProblemDef, UnicycleSpec,
                      backward_costates, build_lqr, build_unicycle_tracking,
                      fd_gradient, forward_adjoint, gradient, hamiltonian,
-                     max_rel_error, random_smooth_problem, roll_forward)
+                     max_rel_error, one_row, random_smooth_problem,
+                     roll_forward)
 
 
 class TestHamiltonian:
@@ -21,7 +22,7 @@ class TestHamiltonian:
         assert h == pytest.approx(20.44, rel=1e-14)
 
     def test_pure_dynamics_term(self):
-        prob = ProblemDef(
+        prob = ProblemDef.from_stagewise(
             dims=Dims(n=2, m=1, N=2),
             dynamics=lambda x, u, k: x,
             stage_cost=lambda x, u, k: 0.0,
@@ -118,7 +119,8 @@ class TestGradient:
         adj = gradient(prob, x0, z)
         roll = roll_forward(prob, x0, z)
         m, N = prob.dims.m, prob.dims.N
-        _, cu = prob.d_stage_cost(roll.states[N], z[N * m:(N + 1) * m], N)
+        _, cu = one_row(prob.d_stage_cost)(roll.states[N],
+                                           z[N * m:(N + 1) * m], N)
         assert np.array_equal(adj.gradient[N * m:], np.asarray(cu))
 
     def test_dynamics_never_requested_at_last_stage(self):
@@ -126,17 +128,17 @@ class TestGradient:
 
         def guarded_d_dynamics(x, u, k):
             assert k < base.dims.N, "dynamics Jacobian requested at stage N"
-            return base.d_dynamics(x, u, k)
+            return one_row(base.d_dynamics)(x, u, k)
 
         def guarded_dynamics(x, u, k):
             assert k < base.dims.N, "dynamics requested at stage N"
             return base.dynamics(x, u, k)
 
-        guarded = ProblemDef(
+        guarded = ProblemDef.from_stagewise(
             dims=base.dims,
             dynamics=guarded_dynamics,
-            stage_cost=base.stage_cost,
+            stage_cost=one_row(base.stage_cost),
             d_dynamics=guarded_d_dynamics,
-            d_stage_cost=base.d_stage_cost,
+            d_stage_cost=one_row(base.d_stage_cost),
         )
         gradient(guarded, x0, z)  # must not trip the guards

@@ -96,6 +96,34 @@ class TestRunMpc:
         assert report["steady_state"]["max_pos_error_m"] <= 0.02
         assert report["max_iters"] <= 30
         assert sum(report["iteration_histogram"].values()) == 80
+        assert report["terminations"] == {"Converged": 80}
+        assert report["steps_unconverged"] == 0
+
+    def test_benchmark_config_passes(self, tmp_path):
+        rc = main(["run-mpc", "--config",
+                   str(REPO / "configs" / "agv_circle.json"),
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["passed"] is True
+        assert report["steps_completed"] == 410
+        assert report["terminations"] == {"Converged": 410}
+        assert report["steps_unconverged"] == 0
+
+    def test_unconverged_steps_fail_the_run(self, tmp_path, capsys):
+        # One outer iteration per step cannot meet grad_tol: every step ends
+        # MaxIters, although the tracking errors may look fine.
+        cfg = _write_config(tmp_path, {"scenario": {"N": 100},
+                                       "solver": {"max_outer": 1}})
+        rc = main(["run-mpc", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["passed"] is False
+        assert report["terminations"] == {"MaxIters": 100}
+        assert report["steps_unconverged"] == 100
+        captured = capsys.readouterr()
+        assert "run-mpc: FAIL" in captured.out
+        assert "100 of 100 steps did not converge" in captured.err
 
     def test_horizon_longer_than_run_rejected(self, tmp_path, capsys):
         cfg = self._short_config(tmp_path, N=5, N_p=10)

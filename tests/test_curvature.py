@@ -13,8 +13,8 @@ from costate import (AsymmetricHessianError, CurvatureOracleError,
                      LqrSpec, ProblemDef, UnicycleSpec, build_lqr,
                      build_unicycle_tracking, eval_cost, fd_hessian,
                      forward_adjoint, gradient, hessian, max_rel_error,
-                     random_smooth_problem, roll_forward, second_order_pass,
-                     stage_curvature)
+                     one_row, random_smooth_problem, roll_forward,
+                     second_order_pass, stage_curvature)
 from costate.curvature import hessian_with
 
 
@@ -34,13 +34,13 @@ def _row_by_row(prob, roll, adj, z, flat):
     fx, fu, cxx, cxu, cuu = [], [], [], [], []
     for k in range(dims.N + 1):
         xx, xu, uu = (np.asarray(v, dtype=float)
-                      for v in prob.dd_stage_cost(xs[k], u[k], k))
+                      for v in one_row(prob.dd_stage_cost)(xs[k], u[k], k))
         if k < dims.N:
-            jx, ju = prob.d_dynamics(xs[k], u[k], k)
+            jx, ju = one_row(prob.d_dynamics)(xs[k], u[k], k)
             fx.append(np.asarray(jx, dtype=float))
             fu.append(np.asarray(ju, dtype=float))
-            wxx, wxu, wuu = prob.dd_dynamics_contracted(adj.costates[k], xs[k],
-                                                        u[k], k)
+            wxx, wxu, wuu = one_row(prob.dd_dynamics_contracted)(
+                adj.costates[k], xs[k], u[k], k)
             xx, xu, uu = xx + wxx, xu + wxu, uu + wuu
         cxx.append(xx)
         cxu.append(xu)
@@ -145,7 +145,7 @@ class TestSecondOrderPass:
         calls = Counter()
 
         def counted(name):
-            fun = getattr(base, name)
+            fun = one_row(getattr(base, name))
 
             def wrapper(*args):
                 calls[name] += 1
@@ -153,9 +153,10 @@ class TestSecondOrderPass:
             return wrapper
 
         names = ("d_dynamics", "dd_stage_cost", "dd_dynamics_contracted")
-        counting = ProblemDef(
+        counting = ProblemDef.from_stagewise(
             dims=base.dims, dynamics=base.dynamics,
-            stage_cost=base.stage_cost, d_stage_cost=base.d_stage_cost,
+            stage_cost=one_row(base.stage_cost),
+            d_stage_cost=one_row(base.d_stage_cost),
             **{name: counted(name) for name in names})
         roll, adj = forward_adjoint(counting, x0, z)
         calls.clear()
@@ -176,10 +177,10 @@ class TestStageCurvature:
         assert c.shape == (dims.N + 1, n + dims.m, n + dims.m)
         for k in range(dims.N + 1):
             blocks = [np.asarray(v, dtype=float) for v in
-                      prob.dd_stage_cost(roll.states[k], u[k], k)]
+                      one_row(prob.dd_stage_cost)(roll.states[k], u[k], k)]
             if k < dims.N:
                 blocks = [b + np.asarray(w, dtype=float) for b, w in zip(
-                    blocks, prob.dd_dynamics_contracted(
+                    blocks, one_row(prob.dd_dynamics_contracted)(
                         adj.costates[k], roll.states[k], u[k], k))]
             xx, xu, uu = blocks
             np.testing.assert_array_equal(c[k, :n, :n], xx)
@@ -270,13 +271,14 @@ class TestHessian:
         def bad_dd(x, u, k):
             if k == 2:
                 return np.array([[np.nan]]), np.zeros((1, 1)), np.zeros((1, 1))
-            return base.dd_stage_cost(x, u, k)
+            return one_row(base.dd_stage_cost)(x, u, k)
 
-        broken = ProblemDef(
+        broken = ProblemDef.from_stagewise(
             dims=base.dims, dynamics=base.dynamics,
-            stage_cost=base.stage_cost, d_dynamics=base.d_dynamics,
-            d_stage_cost=base.d_stage_cost, dd_stage_cost=bad_dd,
-            dd_dynamics_contracted=base.dd_dynamics_contracted,
+            stage_cost=one_row(base.stage_cost),
+            d_dynamics=one_row(base.d_dynamics),
+            d_stage_cost=one_row(base.d_stage_cost), dd_stage_cost=bad_dd,
+            dd_dynamics_contracted=one_row(base.dd_dynamics_contracted),
         )
         with pytest.raises(Exception, match="stage 2"):
             hessian(broken, 1.0, np.zeros(4))
@@ -304,17 +306,17 @@ class TestHessian:
 
         def guarded_d_dynamics(x, u, k):
             assert k < base.dims.N
-            return base.d_dynamics(x, u, k)
+            return one_row(base.d_dynamics)(x, u, k)
 
         def guarded_dd_contracted(w, x, u, k):
             assert k < base.dims.N
-            return base.dd_dynamics_contracted(w, x, u, k)
+            return one_row(base.dd_dynamics_contracted)(w, x, u, k)
 
-        guarded = ProblemDef(
+        guarded = ProblemDef.from_stagewise(
             dims=base.dims, dynamics=base.dynamics,
-            stage_cost=base.stage_cost, d_dynamics=guarded_d_dynamics,
-            d_stage_cost=base.d_stage_cost,
-            dd_stage_cost=base.dd_stage_cost,
+            stage_cost=one_row(base.stage_cost), d_dynamics=guarded_d_dynamics,
+            d_stage_cost=one_row(base.d_stage_cost),
+            dd_stage_cost=one_row(base.dd_stage_cost),
             dd_dynamics_contracted=guarded_dd_contracted,
         )
         hessian(guarded, x0, z)  # must not trip the guards

@@ -36,3 +36,25 @@ def test_traced_entry_points_are_module_attributes():
                  "eval_cost"):
         assert callable(getattr(costate.solver, name, None)), name
     assert callable(getattr(costate.mpc, "minimize", None))
+
+
+def test_problem_fields_are_the_traced_callbacks():
+    # perfbench/tracing.py counts the ProblemDef callables by these field
+    # names (CALLBACKS), through dataclasses.replace.
+    import dataclasses
+
+    from costate import LqrSpec, ProblemDef, build_lqr
+
+    tree = ast.parse((REPO / "perfbench" / "tracing.py").read_text(
+        encoding="utf-8"))
+    names = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "CALLBACKS"
+                         for t in node.targets))
+    assert len(names) == 6
+    fields = {f.name for f in dataclasses.fields(ProblemDef)}
+    assert set(names) <= fields
+    prob = build_lqr(LqrSpec())
+    assert all(callable(getattr(prob, name)) for name in names)
+    assert dataclasses.replace(prob, **{
+        name: getattr(prob, name) for name in names}) == prob

@@ -87,7 +87,7 @@ def test_solver_failure_truncates_trace_with_report():
         if step < 2:
             return build_unicycle_tracking(
                 UnicycleSpec(N=10, N_p=n_last), step, state)
-        return ProblemDef(
+        return ProblemDef.from_stagewise(
             dims=Dims(n=3, m=2, N=n_last),
             dynamics=lambda x, u, k: x,
             stage_cost=lambda x, u, k: concave * float(u @ u) + float(u.sum()),

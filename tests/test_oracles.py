@@ -1,14 +1,17 @@
 """Finite-difference referees and the closed-form scalar LQR solution."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import zero_cost_problem
-from costate import (Dims, LqrSpec, ProblemDef, build_lqr, eval_cost,
-                     fd_consistency, fd_gradient, fd_hessian, max_rel_error,
-                     riccati_lqr)
+from costate import (Dims, LqrSpec, ProblemDef, UnicycleSpec, build_lqr,
+                     build_unicycle_tracking, eval_cost, fd_consistency,
+                     fd_gradient, fd_hessian, max_rel_error,
+                     random_smooth_problem, riccati_lqr)
+from costate.cli import run_check_suites
 
 
 class TestFdGradient:
@@ -32,7 +35,7 @@ class TestFdHessian:
         np.testing.assert_allclose(h, [[10.86, 0.0], [0.0, 0.0]], atol=1e-5)
 
     def test_linear_cost_zero_curvature(self):
-        prob = ProblemDef(
+        prob = ProblemDef.from_stagewise(
             dims=Dims(n=1, m=1, N=2),
             dynamics=lambda x, u, k: x + u,
             stage_cost=lambda x, u, k: float(3.0 * x[0] + 2.0 * u[0]),
@@ -107,6 +110,34 @@ class TestFdConsistency:
         base = build_lqr(LqrSpec(N=4))
         errs = fd_consistency(base, np.random.default_rng(0), n_points=25)
         assert max(errs.values()) <= 1e-5
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_lqr(LqrSpec(N=4)),
+        lambda: random_smooth_problem(3, 3, 2, 5)[0],
+        lambda: build_unicycle_tracking(UnicycleSpec(), 2, np.zeros(3)),
+    ])
+    def test_bundled_oracles_treat_rows_independently(self, build):
+        errs = fd_consistency(build(), np.random.default_rng(1), n_points=20)
+        assert errs["row_independence"] == 0.0
+
+    @pytest.mark.parametrize("name", ["stage_cost", "d_stage_cost",
+                                      "dd_dynamics_contracted"])
+    def test_row_mixing_oracle_fails(self, name):
+        base, _, _ = random_smooth_problem(3, 3, 2, 5)
+        fun = getattr(base, name)
+
+        def mixing(*args):
+            # Shifts every row by the mean state of the whole stack.
+            *vecs, x, u, ks = args
+            return fun(*vecs, x + x.mean(axis=0), u, ks)
+
+        mixed = replace(base, **{name: mixing})
+        errs = fd_consistency(mixed, np.random.default_rng(0), n_points=10)
+        assert errs["row_independence"] > 1e-3
+        results = run_check_suites(seed=0, sizes=[(1, 1, 0)], extra_problems=[
+            ("row-mixing", mixed, np.zeros(3), np.zeros(12))])
+        suite = {r.name: r for r in results}["fd-consistency"]
+        assert not suite.passed and "row-mixing" in suite.detail
 
 
 def test_oracles_do_not_touch_curvature_code():

@@ -6,7 +6,7 @@ import pytest
 from costate import (CircleReference, LqrSpec, UnicycleSpec,
                      build_unicycle_tracking, circle_reference,
                      eval_cost, euler_rolled_reference, fd_consistency,
-                     gradient, hessian, random_smooth_problem,
+                     gradient, hessian, one_row, random_smooth_problem,
                      roll_forward, unicycle_step, wrap_angle)
 from costate.scenarios import tracking_sampler
 
@@ -124,8 +124,8 @@ class TestUnicycleScenario:
         just_below[2] = wrap_angle(xr[2] - 0.01)
         just_above = xr.copy()
         just_above[2] = wrap_angle(xr[2] + 0.01)
-        c_below = prob.stage_cost(just_below, ur, 0)
-        c_above = prob.stage_cost(just_above, ur, 0)
+        c_below = one_row(prob.stage_cost)(just_below, ur, 0)
+        c_above = one_row(prob.stage_cost)(just_above, ur, 0)
         assert c_below == pytest.approx(3.0 * 0.01 ** 2, rel=1e-6)
         assert c_above == pytest.approx(3.0 * 0.01 ** 2, rel=1e-6)
 

@@ -11,8 +11,8 @@ from costate import (AsymmetricHessianError, Dims, LinearSolveError, LqrSpec,
                      NumericalBlowupError, ProblemDef, SolverConfig,
                      Termination, UnicycleSpec, build_lqr,
                      build_unicycle_tracking, forward_adjoint, hessian,
-                     minimize, minimize_gd, random_smooth_problem, riccati_lqr,
-                     stage_curvature, step_direction)
+                     minimize, minimize_gd, one_row, random_smooth_problem,
+                     riccati_lqr, stage_curvature, step_direction)
 
 
 def _lq_problem(a, b, q, r_u, n_last):
@@ -25,7 +25,7 @@ def _lq_problem(a, b, q, r_u, n_last):
     r_u = [np.atleast_2d(np.asarray(v, dtype=float)) for v in r_u]
     n, m = b.shape
     zeros = np.zeros((n, n)), np.zeros((n, m)), np.zeros((m, m))
-    return ProblemDef(
+    return ProblemDef.from_stagewise(
         dims=Dims(n=n, m=m, N=n_last),
         dynamics=lambda x, u, k: a @ x + b @ u,
         stage_cost=lambda x, u, k: float(0.5 * x @ q @ x
@@ -160,14 +160,15 @@ class TestStagewiseSolve:
         base, x0, z0 = random_smooth_problem(5, 2, 2, 6)
 
         def bad_dd(x, u, k):
-            xx, xu, uu = base.dd_stage_cost(x, u, k)
+            xx, xu, uu = one_row(base.dd_stage_cost)(x, u, k)
             return (xx, xu, uu * np.nan) if k in (3, 5) else (xx, xu, uu)
 
-        broken = ProblemDef(
+        broken = ProblemDef.from_stagewise(
             dims=base.dims, dynamics=base.dynamics,
-            stage_cost=base.stage_cost, d_dynamics=base.d_dynamics,
-            d_stage_cost=base.d_stage_cost, dd_stage_cost=bad_dd,
-            dd_dynamics_contracted=base.dd_dynamics_contracted)
+            stage_cost=one_row(base.stage_cost),
+            d_dynamics=one_row(base.d_dynamics),
+            d_stage_cost=one_row(base.d_stage_cost), dd_stage_cost=bad_dd,
+            dd_dynamics_contracted=one_row(base.dd_dynamics_contracted))
         roll, adj = forward_adjoint(broken, x0, z0)
         with pytest.raises(NumericalBlowupError) as err:
             stage_curvature(broken, roll, adj, z0)
@@ -181,14 +182,15 @@ class TestStagewiseSolve:
         skew = np.array([[0.0, 1.0], [0.0, 0.0]])
 
         def skewed_dd(x, u, k):
-            xx, xu, uu = base.dd_stage_cost(x, u, k)
+            xx, xu, uu = one_row(base.dd_stage_cost)(x, u, k)
             return xx, xu, uu + skew if k == 2 else uu
 
-        broken = ProblemDef(
+        broken = ProblemDef.from_stagewise(
             dims=base.dims, dynamics=base.dynamics,
-            stage_cost=base.stage_cost, d_dynamics=base.d_dynamics,
-            d_stage_cost=base.d_stage_cost, dd_stage_cost=skewed_dd,
-            dd_dynamics_contracted=base.dd_dynamics_contracted)
+            stage_cost=one_row(base.stage_cost),
+            d_dynamics=one_row(base.d_dynamics),
+            d_stage_cost=one_row(base.d_stage_cost), dd_stage_cost=skewed_dd,
+            dd_dynamics_contracted=one_row(base.dd_dynamics_contracted))
         with pytest.raises(AsymmetricHessianError) as err:
             minimize(broken, x0, z0, SolverConfig())
         assert err.value.defect == pytest.approx(1.0)
@@ -266,7 +268,7 @@ class TestMinimize:
 
     def test_unrecoverable_linear_solve_failure(self):
         n_last = 2
-        prob = ProblemDef(
+        prob = ProblemDef.from_stagewise(
             dims=Dims(n=1, m=1, N=n_last),
             dynamics=lambda x, u, k: x,
             stage_cost=lambda x, u, k: -2000.0 * float(u[0] ** 2) + float(u[0]),
