@@ -1,27 +1,31 @@
 """Exact second derivatives of the rollout cost.
 
-One second-order pass over a shared snapshot runs, for every control
-coordinate at once, a forward sensitivity recursion and a backward
-second-order recursion; column r of its arrays belongs to coordinate r.
+hessian_product multiplies the Hessian with any block of directions V by
+one forward sensitivity pass and one backward second-order costate pass
+over a shared snapshot; column j of its outputs belongs to direction j.
 The forward sequence has a concrete meaning: it is the derivative of each
-state with respect to that coordinate, which a differenced rollout can
-verify directly.  The assembled matrix is checked against differences of
-the exact gradient and against its own transpose.
+state along that direction, which a differenced rollout can verify
+directly.  The product with the identity is the full matrix, which is
+checked against differences of the exact gradient and against its own
+transpose.
 """
 
 import numpy as np
 
 from costate import (fd_hessian, flat_index, forward_adjoint, hessian,
-                     max_rel_error, random_smooth_problem, roll_forward,
-                     second_order_pass)
+                     hessian_product, max_rel_error, random_smooth_problem,
+                     roll_forward, stage_curvature)
 
 prob, x0, z = random_smooth_problem(seed_or_rng=42, n=3, m=2, N=8)
 roll, adj = forward_adjoint(prob, x0, z)
-sweep = second_order_pass(prob, roll, adj, z)
+c = stage_curvature(prob, roll, adj, z)
 
-# One column: the sensitivity sequence for control component 1 at stage 2.
+# One direction: the unit vector of control component 1 at stage 2.
 flat = flat_index(prob.dims, 2, 1)
-betas = sweep.betas[..., flat]
+e = np.zeros((prob.dims.z_len, 1))
+e[flat] = 1.0
+hv, dx = hessian_product(adj, c, e)
+betas = dx[..., 0]
 
 h = 1e-6
 zp, zm = z.copy(), z.copy()
@@ -42,3 +46,5 @@ ref = fd_hessian(prob, x0, z)
 print("\nfull matrix", full.shape, "vs differenced exact gradient:",
       f"{max_rel_error(full, ref):.2e}")
 print("exactly symmetric after assembly:", bool(np.array_equal(full, full.T)))
+print("one product is one column of it:",
+      f"{max_rel_error(hv[:, 0], full[:, flat]):.2e}")

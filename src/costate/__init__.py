@@ -1,16 +1,16 @@
 """Discrete-time nonlinear optimal control.
 
 Exact gradients of the rollout cost from a forward/backward costate sweep,
-exact Hessians from second-order sweeps over the same snapshot, a
-regularized second-order iteration with a deepening inner recursion, and a
-receding-horizon driver, plus bundled scenarios and independent oracles for
-validating all of it.
+exact Hessian-vector products from second-order sweeps over the same
+snapshot, a regularized second-order iteration with a deepening inner
+recursion, and a receding-horizon driver, plus bundled scenarios and
+independent oracles for validating all of it.
 """
 
-from .adjoint import AdjointSolution, backward_costates, forward_adjoint, gradient, hamiltonian
-from .curvature import (AsymmetricHessianError, CurvatureOracleError,
-                        SecondOrderPass, hessian, second_order_pass,
-                        stage_curvature)
+from .adjoint import (AdjointSolution, adjoint_along, forward_adjoint, gradient,
+                      hamiltonian)
+from .curvature import (AsymmetricHessianError, CurvatureOracleError, hessian,
+                        hessian_product, stage_curvature)
 from .mpc import MpcConfig, MpcTrace, WarmStart, run_mpc
 from .oracles import (RiccatiSolution, fd_consistency, fd_gradient, fd_hessian,
                       max_rel_error, riccati_lqr)
@@ -31,15 +31,16 @@ __all__ = [
     "CurvatureOracleError", "DimensionMismatchError", "Dims",
     "LinearSolveError", "LqrSpec", "MpcConfig", "MpcTrace",
     "NumericalBlowupError", "ProblemDef", "RiccatiSolution", "Rollout",
-    "SecondOrderPass", "SolveReport", "SolverConfig", "Termination",
+    "SolveReport", "SolverConfig", "Termination",
     "UnicycleSpec", "WarmStart", "WaypointTable",
-    "backward_costates", "build_lqr", "build_unicycle_plant",
+    "adjoint_along", "build_lqr", "build_unicycle_plant",
     "build_unicycle_tracking", "circle_reference", "eval_cost",
     "euler_rolled_reference", "fd_consistency", "fd_gradient", "fd_hessian",
     "flat_index", "forward_adjoint", "gradient", "hamiltonian", "hessian",
+    "hessian_product",
     "make_fd_problem", "max_rel_error", "minimize", "minimize_gd", "one_row",
     "random_smooth_problem", "reference_at", "riccati_lqr", "roll_forward",
-    "run_mpc", "second_order_pass", "stage_controls", "stage_curvature",
+    "run_mpc", "stage_controls", "stage_curvature",
     "step_direction",
     "unicycle_step", "wrap_angle",
 ]

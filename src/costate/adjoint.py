@@ -28,8 +28,8 @@ class AdjointSolution:
             the decision vector.
         fx, fu: the (N, n, n) and (N, n, m) stacks of dynamics Jacobians
             f_x and f_u the sweep evaluated along the rollout, stages
-            0..N-1; the second-order passes read them instead of evaluating
-            them again.
+            0..N-1; hessian_product and the stagewise Newton solve read
+            them instead of evaluating them again.
     """
 
     costates: np.ndarray
@@ -53,13 +53,16 @@ def hamiltonian(p: ProblemDef, x, u, lam_next, k: int) -> float:
     return one_row(p.stage_cost)(x, u, k) + float(lam_next @ fx)
 
 
-def _backward(p: ProblemDef, roll: Rollout, z: np.ndarray) -> AdjointSolution:
-    # Backward costate pass shared by forward_adjoint and backward_costates.
-    # One stacked call of each first-derivative oracle covers the pass; the
-    # dynamics Jacobians are never requested at stage N.  Only the costate
-    # recursion runs stage by stage, lam[k-1] = c_x[k] + f_x[k]' lam[k] from
-    # lam[N] = 0; the gradient is then one stacked contraction,
-    # g[k] = c_u[k] + f_u[k]' lam[k].
+def adjoint_along(p: ProblemDef, roll: Rollout, z: np.ndarray) -> AdjointSolution:
+    """Backward costate sweep along a rollout produced from (p, z).
+
+    Propagates lam[k-1] = c_x[k] + f_x[k]' lam[k] from lam[N] = 0, then
+    assembles the gradient as one stacked contraction,
+    g[k] = c_u[k] + f_u[k]' lam[k].  One stacked call of each
+    first-derivative oracle covers the sweep; the dynamics Jacobians are
+    never requested at stage N.  Only the costate recursion runs stage by
+    stage.
+    """
     dims = p.dims
     n, m, horizon = dims.n, dims.m, dims.N
     u = stage_controls(z, dims)
@@ -81,25 +84,15 @@ def _backward(p: ProblemDef, roll: Rollout, z: np.ndarray) -> AdjointSolution:
     return AdjointSolution(costates=lam, gradient=g.reshape(-1), fx=fx, fu=fu)
 
 
-def backward_costates(p: ProblemDef, roll: Rollout, z: np.ndarray) -> np.ndarray:
-    """Propagate costates backward along a rollout produced from (p, z).
-
-    Returns an (N+1, n) array whose row k is the costate attached to stage
-    k+1; row N (the terminal costate) is exactly zero.
-    """
-    return _backward(p, roll, z).costates
-
-
 def forward_adjoint(p: ProblemDef, x0, z: np.ndarray) -> Tuple[Rollout, AdjointSolution]:
     """Rollout plus adjoint solution in one fused pass.
 
     This is the workhorse used by the solvers and the second-order sweeps,
     which consume both the rollout and the costates; returning both avoids
-    recomputation.  It runs the same backward pass as backward_costates,
-    so the costates agree bit for bit.
+    recomputation.  It is roll_forward followed by adjoint_along.
     """
     roll = roll_forward(p, x0, z)
-    return roll, _backward(p, roll, z)
+    return roll, adjoint_along(p, roll, z)
 
 
 def gradient(p: ProblemDef, x0, z: np.ndarray) -> AdjointSolution:

@@ -13,7 +13,8 @@ Three commands:
                                        random problems plus the bundled
                                        scenarios
 
-Exit codes: 0 pass, 1 quantitative failure, 2 usage or config error.
+Exit codes: 0 pass, 1 quantitative failure (a numerical blow-up of a run
+included), 2 usage or config error.
 Configs are JSON with sections {scenario, solver, mpc, baseline, output},
 each read into a dataclass whose defaults fill missing fields and whose
 checks reject bad values.  CSV and JSON outputs are deterministic for a
@@ -39,11 +40,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .adjoint import forward_adjoint, gradient
-from .curvature import second_order_pass, symmetric_part
+from .curvature import hessian_product, stage_curvature, symmetric_part
 from .mpc import MpcConfig, run_mpc
 from .oracles import (fd_consistency, fd_gradient, fd_hessian, max_rel_error,
                       riccati_lqr)
-from .problem import central_difference, roll_forward
+from .problem import NumericalBlowupError, central_difference, roll_forward
 from .scenarios import (CircleReference, LqrSpec, UnicycleSpec, WaypointTable,
                         build_lqr, build_unicycle_plant,
                         build_unicycle_tracking, random_smooth_problem,
@@ -483,16 +484,20 @@ def run_check_suites(seed: int = 0,
                        fd_gradient(prob, x0, z, 1e-6)), name)
         for name, prob, x0, z, _ in problems))
 
-    # One snapshot and one second-order pass per problem serve the three
-    # second-order suites.
-    passes = [second_order_pass(prob, *forward_adjoint(prob, x0, z), z)
-              for _, prob, x0, z, _ in problems]
+    # One snapshot and one Hessian product with the identity per problem
+    # serve the three second-order suites: (H, state sensitivities).
+    def product(prob, x0, z):
+        roll, adj = forward_adjoint(prob, x0, z)
+        return hessian_product(adj, stage_curvature(prob, roll, adj, z),
+                               np.eye(prob.dims.z_len))
+
+    products = [product(prob, x0, z) for _, prob, x0, z, _ in problems]
 
     # Assembled second-order matrix against differenced adjoint gradients.
     record("hessian-vs-fd", 1e-4, (
-        (max_rel_error(symmetric_part(sp.raw_hessian),
-                       fd_hessian(prob, x0, z, 1e-6)), name)
-        for (name, prob, x0, z, _), sp in zip(problems, passes)))
+        (max_rel_error(symmetric_part(hv), fd_hessian(prob, x0, z, 1e-6)),
+         name)
+        for (name, prob, x0, z, _), (hv, _) in zip(problems, products)))
 
     # Raw (pre-symmetrization) asymmetry, scaled.
     def asymmetry(raw):
@@ -500,12 +505,12 @@ def run_check_suites(seed: int = 0,
                 / (1.0 + float(np.abs(raw).max(initial=0.0))))
 
     record("hessian-symmetry", 1e-8, (
-        (asymmetry(sp.raw_hessian), name)
-        for (name, *_), sp in zip(problems, passes)))
+        (asymmetry(hv), name)
+        for (name, *_), (hv, _) in zip(problems, products)))
 
     # Forward sensitivity sequences against differenced rollouts.
     def sensitivity_errors():
-        for (name, prob, x0, z, _), sp in zip(problems, passes):
+        for (name, prob, x0, z, _), (_, dx) in zip(problems, products):
             width = prob.dims.z_len
             if width <= 12:
                 flats = range(width)
@@ -514,7 +519,7 @@ def run_check_suites(seed: int = 0,
             sens = central_difference(
                 lambda v: roll_forward(prob, x0, v).states, z, 1e-6)
             for flat in flats:
-                yield (max_rel_error(sp.betas[..., flat], sens[..., flat]),
+                yield (max_rel_error(dx[..., flat], sens[..., flat]),
                        f"{name} row {flat}")
 
     record("rollout-sensitivity", 1e-5, sensitivity_errors())
@@ -564,6 +569,8 @@ def _parse_sizes(text: str) -> List[Tuple[int, int, int]]:
 
 def cmd_check(seed: int, sizes_text: Optional[str],
               out_dir: Optional[str]) -> int:
+    if seed < 0:
+        raise ConfigError("seed", f"must be >= 0, got {seed}")
     sizes = _parse_sizes(sizes_text) if sizes_text else None
     results = run_check_suites(seed=seed, sizes=sizes)
     print(f"validation suites, seed {seed}")
@@ -628,15 +635,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "run-lqr":
-            return cmd_run_lqr(args.config, args.out)
-        if args.command == "run-mpc":
-            return cmd_run_mpc(args.config, args.out, args.baseline)
-        if args.command == "check":
-            return cmd_check(args.seed, args.sizes, args.out)
+        # Rollouts check every state and cost for finiteness and raise
+        # NumericalBlowupError, so numpy's overflow warnings add nothing.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.command == "run-lqr":
+                return cmd_run_lqr(args.config, args.out)
+            if args.command == "run-mpc":
+                return cmd_run_mpc(args.config, args.out, args.baseline)
+            if args.command == "check":
+                return cmd_check(args.seed, args.sizes, args.out)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except NumericalBlowupError as exc:
+        # A finite config whose rollout overflows is a failed run.
+        print(f"{args.command}: FAIL ({exc})", file=sys.stderr)
+        return 1
     raise AssertionError(f"unhandled command {args.command}")
 
 

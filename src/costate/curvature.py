@@ -1,28 +1,9 @@
-"""Exact Hessian of the rollout cost from one all-rows second-order pass.
-
-stage_curvature evaluates the second derivatives of every stage
-Hamiltonian along one snapshot -- the rollout, and the costates and
-dynamics Jacobians of the adjoint sweep that produced the gradient -- as
-one (N+1, n+m, n+m) stack.  These are the only new oracle calls: one
-stacked call of each second-derivative oracle per pass.  The stagewise
-Newton solve of the solver reads that stack directly.
-
-Each row of the Hessian belongs to one control coordinate (stage i,
-component p).  A forward recursion propagates the state sensitivity to that
-coordinate from zero; a backward recursion collects the second-order terms
-from a zero terminal value; the row entries are then read off stage by
-stage.  second_order_pass runs the recursions of all rows at once, as
-matrix recursions whose column r belongs to coordinate r, over the stage
-curvature stack and the sweep's Jacobians.
-
-hessian() and hessian_with() return the pass's matrix checked against its
-own transpose and symmetrized; the pass itself also exposes the
-sensitivity sequences of every row, for inspection and testing.
-"""
+"""Exact second derivatives of the rollout cost: the stage curvature stack
+and its Hessian-vector product."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -52,33 +33,15 @@ class AsymmetricHessianError(RuntimeError):
 SYMMETRY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class SecondOrderPass:
-    """The second-order recursions of every Hessian row at one snapshot.
-
-    Column r of each array belongs to the control coordinate with flat
-    index r = k*m + p (problem.flat_index), so one row's sequences are a
-    column slice, e.g. betas[..., r].
-
-    Attributes:
-        betas: (N+1, n, m*(N+1)); betas[k][:, r] is the sensitivity of state
-            x_k to coordinate r, with betas[0] = 0 exactly.
-        alphas: (N+1, n, m*(N+1)); alphas[k][:, r] is row r's backward
-            second-order vector attached to stage k+1, with alphas[N] = 0
-            exactly.
-        raw_hessian: (m*(N+1), m*(N+1)) Hessian as assembled, row r
-            belonging to coordinate r: neither checked against the symmetry
-            tolerance nor symmetrized.
-    """
-
-    betas: np.ndarray
-    alphas: np.ndarray
-    raw_hessian: np.ndarray
-
-
 def stage_curvature(p: ProblemDef, roll: Rollout, adj: AdjointSolution,
                     z: np.ndarray) -> np.ndarray:
     """Hessians of the stage Hamiltonians along one snapshot.
+
+    The snapshot is the rollout, plus the costates and dynamics Jacobians
+    of the adjoint sweep that produced the gradient.  These are the only
+    new oracle calls of second-order work: one stacked call of each
+    second-derivative oracle.  The solver's stagewise Newton solve and
+    hessian_product both read the stack directly.
 
     Returns C, an (N+1, n+m, n+m) stack with C[k] = [[xx, xu], [ux, uu]]:
     the second derivatives of stage k's cost plus those of its dynamics
@@ -119,60 +82,68 @@ def stage_curvature(p: ProblemDef, roll: Rollout, adj: AdjointSolution,
     return c
 
 
-def second_order_pass(p: ProblemDef, roll: Rollout, adj: AdjointSolution,
-                      z: np.ndarray) -> SecondOrderPass:
-    """All rows of the Hessian of the rollout cost, with their sensitivities.
+def hessian_product(adj: AdjointSolution, c: np.ndarray,
+                    v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact product H V of the rollout-cost Hessian with K directions.
 
     Args:
-        p: problem with second-derivative oracles.
-        roll: rollout produced from (p, z).
-        adj: adjoint solution produced from the same rollout; its costates
-            contract the dynamics second derivatives and its Jacobians drive
-            both recursions.
-        z: the decision vector the snapshot was taken at.
+        adj: adjoint solution of the snapshot; its dynamics Jacobians f_x,
+            f_u drive both recursions.
+        c: stage curvature stack of the same snapshot (stage_curvature).
+        v: (m*(N+1), K) block of directions; its row r belongs to the
+            control coordinate with flat index r = k*m + p
+            (problem.flat_index), so v_k is rows k*m..(k+1)*m.
 
-    The forward recursion is betas[k+1] = f_x betas[k], plus f_u injected
-    into the columns of stage k; the backward recursion mixes the combined
-    second-order stage matrices with the sensitivities; the entries at
-    stage k add the stage's own control-control block only in the rows of
-    stage k.  The dynamics oracles are never called at stage N, where the
-    zero terminal costate removes them.
+    Returns (hv, dx).  hv is (m*(N+1), K), column j being H v[:, j], so
+    with v the identity column r of hv is H e_r.  dx is (N+1, n, K): the
+    state perturbation of each direction, dx[k][:, j] = d x_k / d z . v[:, j]
+    with dx[0] = 0 exactly.
 
-    Raises:
-        CurvatureOracleError: p lacks second-derivative oracles.
-        NumericalBlowupError: a stage Hamiltonian Hessian is not finite;
-            carries the stage.
+    This is the paper's explicit Hessian formula applied to V, as one
+    forward and one backward pass (Pearlmutter's exact Hessian-vector
+    product).  Forward, the sensitivity recursion from zero,
+
+        dx[k+1] = f_x[k] dx[k] + f_u[k] v_k;
+
+    backward, a second-order costate mu from mu_N = 0, read off into the
+    product stage by stage,
+
+        hv_k     = C_ux[k] dx[k] + f_u[k]' mu_k + C_uu[k] v_k,
+        mu_{k-1} = C_xx[k] dx[k] + f_x[k]' mu_k + C_xu[k] v_k.
+
+    No oracle is called.  Time is O(N (n+m)^2 K) and only dx is stored
+    stage by stage; mu is a single (n, K) block.  C is used as given, so an
+    asymmetric oracle shows as an asymmetric H (see symmetric_part).
     """
-    dims = p.dims
-    n, m, width = dims.n, dims.m, dims.z_len
     fx, fu = adj.fx, adj.fu
-    c = stage_curvature(p, roll, adj, z)
+    horizon = c.shape[0] - 1
+    n = adj.costates.shape[1]
+    m = c.shape[1] - n
+    v = np.asarray(v, dtype=float)
+    width = v.shape[1]
+    vs = v.reshape(horizon + 1, m, width)
     # Contiguous blocks: BLAS then sums the products in the same order as
-    # over the oracles' own arrays, so the matrix does not depend on the
+    # over the oracles' own arrays, so the product does not depend on the
     # stack's layout.
     cxx, cxu, cuu = (np.ascontiguousarray(c[:, :n, :n]),
                      np.ascontiguousarray(c[:, :n, n:]),
                      np.ascontiguousarray(c[:, n:, n:]))
-
-    betas = np.zeros((dims.N + 1, n, width))
-    for k in range(dims.N):
-        np.matmul(fx[k], betas[k], out=betas[k + 1])
-        betas[k + 1, :, k * m:(k + 1) * m] += fu[k]
-    alphas = np.zeros((dims.N + 1, n, width))
-    for k in range(dims.N, 0, -1):
-        a = alphas[k - 1]
-        np.matmul(cxx[k], betas[k], out=a)
-        if k < dims.N:
-            a += fx[k].T @ alphas[k]
-        a[:, k * m:(k + 1) * m] += cxu[k]
-    hess = np.empty((width, width))
-    for k in range(dims.N + 1):
-        block = betas[k].T @ cxu[k]
-        if k < dims.N:
-            block = block + alphas[k].T @ fu[k]
-        block[k * m:(k + 1) * m, :] += cuu[k]
-        hess[:, k * m:(k + 1) * m] = block
-    return SecondOrderPass(betas=betas, alphas=alphas, raw_hessian=hess)
+    dx = np.zeros((horizon + 1, n, width))
+    for k in range(horizon):
+        dx[k + 1] = fx[k] @ dx[k] + fu[k] @ vs[k]
+    hv = np.empty((horizon + 1, m, width))
+    for k in range(horizon, -1, -1):
+        # The sensitivity and costate terms are summed before the v term.
+        h = cxu[k].T @ dx[k]
+        if k < horizon:
+            h += fu[k].T @ mu
+        hv[k] = h + cuu[k] @ vs[k]
+        if k:
+            a = cxx[k] @ dx[k]
+            if k < horizon:
+                a += fx[k].T @ mu
+            mu = a + cxu[k] @ vs[k]
+    return hv.reshape(-1, width), dx
 
 
 def symmetric_part(a: np.ndarray) -> np.ndarray:
@@ -199,22 +170,28 @@ def hessian_with(p: ProblemDef, roll: Rollout, adj: AdjointSolution,
                  z: np.ndarray) -> np.ndarray:
     """Full Hessian from an existing rollout/adjoint snapshot.
 
-    Checks the assembled matrix against the symmetry tolerance
-    (defect <= 1e-8 * (1 + max|H|)), then returns the symmetrized matrix
-    (H + H^T)/2 to suppress roundoff drift in downstream linear solves.
-    The sensitivity stacks of the pass are released before that check.
+    The product of hessian_product with the identity, checked against the
+    symmetry tolerance (defect <= 1e-8 * (1 + max|H|)) and returned as the
+    symmetrized matrix (H + H^T)/2, which suppresses roundoff drift in
+    downstream linear solves.
     """
-    return symmetric_part(second_order_pass(p, roll, adj, z).raw_hessian)
+    c = stage_curvature(p, roll, adj, z)
+    return symmetric_part(hessian_product(adj, c, np.eye(p.dims.z_len))[0])
 
 
 def hessian(p: ProblemDef, x0, z: np.ndarray) -> np.ndarray:
     """Exact Hessian of the rollout cost with respect to z.
 
-    Runs one rollout and one costate sweep, then assembles all m*(N+1) rows
-    from the shared snapshot.
+    Runs one rollout and one costate sweep, evaluates the stage curvature
+    on that shared snapshot, and takes hessian_product with the identity:
+    column r of the matrix is H e_r, for the control coordinate with flat
+    index r.  The result is checked for symmetry and symmetrized, as in
+    hessian_with.
 
     Raises:
         CurvatureOracleError: p lacks second-derivative oracles.
+        NumericalBlowupError: a stage Hamiltonian Hessian is not finite;
+            carries the stage.
         AsymmetricHessianError: assembly asymmetry beyond tolerance, with
             the worst entry in the message.
     """

@@ -23,10 +23,10 @@ import pytest
 from costate import (LqrSpec, MpcConfig, SolverConfig, Termination,
                      UnicycleSpec, build_lqr, build_unicycle_plant,
                      build_unicycle_tracking, circle_reference, fd_gradient,
-                     fd_hessian, forward_adjoint, gradient, max_rel_error,
-                     minimize, minimize_gd, random_smooth_problem,
-                     riccati_lqr, roll_forward, run_mpc, second_order_pass,
-                     wrap_angle)
+                     fd_hessian, forward_adjoint, gradient, hessian_product,
+                     max_rel_error, minimize, minimize_gd,
+                     random_smooth_problem, riccati_lqr, roll_forward,
+                     run_mpc, stage_curvature, wrap_angle)
 from costate.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -105,7 +105,8 @@ def test_criterion_2_hessian_exactness(problem_set):
     worst_err, worst_sym, where = 0.0, 0.0, ""
     for name, prob, x0, z in problem_set:
         roll, adj = forward_adjoint(prob, x0, z)
-        raw = second_order_pass(prob, roll, adj, z).raw_hessian
+        raw = hessian_product(adj, stage_curvature(prob, roll, adj, z),
+                              np.eye(prob.dims.z_len))[0]
         sym = float(np.abs(raw - raw.T).max()
                     / (1.0 + np.abs(raw).max(initial=0.0)))
         err = max_rel_error(0.5 * (raw + raw.T), fd_hessian(prob, x0, z, 1e-6))
@@ -122,7 +123,9 @@ def test_criterion_3_sensitivity_identity(problem_set):
     worst, where = 0.0, ""
     h = 1e-6
     for name, prob, x0, z in problem_set:
-        betas = second_order_pass(prob, *forward_adjoint(prob, x0, z), z).betas
+        roll, adj = forward_adjoint(prob, x0, z)
+        betas = hessian_product(adj, stage_curvature(prob, roll, adj, z),
+                                np.eye(prob.dims.z_len))[1]
         for flat in range(prob.dims.z_len):
             zp, zm = z.copy(), z.copy()
             zp[flat] += h

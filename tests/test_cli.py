@@ -186,6 +186,11 @@ class TestCheck:
         assert rc == 2
         assert "sizes" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2(self, capsys):
+        rc = main(["check", "--seed", "-1"])
+        assert rc == 2
+        assert "'seed'" in capsys.readouterr().err
+
     def test_failing_suite_exits_1_and_names_the_property(self, monkeypatch,
                                                           capsys):
         from costate import cli as cli_mod
@@ -262,6 +267,21 @@ def test_bad_config_exits_2_and_names_the_field(tmp_path, capsys, command,
     rc = main([command, "--config", cfg, "--out", str(tmp_path)])
     assert rc == 2
     assert f"'{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("run-lqr", {"scenario": {"N": 2, "x0": 1e308}}),
+    ("run-mpc", {"scenario": {"X0": [1e200, 0, 0]}}),
+])
+def test_rollout_blowup_fails_with_one_line(tmp_path, capsys, command,
+                                            payload):
+    # Finite configs whose first rollout overflows: a failed run, exit 1.
+    cfg = _write_config(tmp_path, payload)
+    rc = main([command, "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == (f"{command}: FAIL (numerical blow-up at stage 0 "
+                   f"(stage cost))\n")
 
 
 def test_usage_error_exits_2():

@@ -1,6 +1,7 @@
-"""Second-order sweeps: the stage curvature stack, the all-rows pass, full
-assembly, and symmetry handling."""
+"""Second-order sweeps: the stage curvature stack, the Hessian-vector
+product, full assembly, and symmetry handling."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,12 +11,14 @@ from hypothesis import strategies as st
 
 from conftest import zero_cost_problem
 from costate import (AsymmetricHessianError, CurvatureOracleError,
-                     LqrSpec, ProblemDef, UnicycleSpec, build_lqr,
-                     build_unicycle_tracking, eval_cost, fd_hessian,
-                     forward_adjoint, gradient, hessian, max_rel_error,
-                     one_row, random_smooth_problem, roll_forward,
-                     second_order_pass, stage_curvature)
-from costate.curvature import hessian_with
+                     LqrSpec, ProblemDef, SolverConfig, UnicycleSpec,
+                     build_lqr, build_unicycle_tracking, eval_cost,
+                     fd_hessian, forward_adjoint, gradient, hessian,
+                     hessian_product, max_rel_error, one_row,
+                     random_smooth_problem, roll_forward, stage_curvature,
+                     step_direction)
+from costate.curvature import hessian_with, symmetric_part
+from costate.problem import central_difference
 
 
 def _snapshot(prob, x0, z):
@@ -23,10 +26,18 @@ def _snapshot(prob, x0, z):
     return roll, adj
 
 
+def _product(prob, x0, z, v=None):
+    """hessian_product at (x0, z); v defaults to the identity."""
+    roll, adj = _snapshot(prob, x0, z)
+    if v is None:
+        v = np.eye(prob.dims.z_len)
+    return hessian_product(adj, stage_curvature(prob, roll, adj, z), v)
+
+
 def _row_by_row(prob, roll, adj, z, flat):
     """Reference for one Hessian row: the single-row forward and backward
     recursions as plain loops over the oracles, independent of the
-    vectorized pass.  Returns (betas, alphas, row)."""
+    vectorized product.  Returns (betas, row)."""
     dims = prob.dims
     i, comp = divmod(flat, dims.m)
     u = z.reshape(dims.N + 1, dims.m)
@@ -60,7 +71,7 @@ def _row_by_row(prob, roll, adj, z, flat):
         if k < dims.N:
             r = r + fu[k].T @ alphas[k]
         row[k * dims.m:(k + 1) * dims.m] = r
-    return betas, alphas, row
+    return betas, row
 
 
 def _differenced_betas(prob, x0, z, flat, h=1e-6):
@@ -73,72 +84,113 @@ def _differenced_betas(prob, x0, z, flat, h=1e-6):
 
 def _assert_matches_row_by_row(prob, x0, z):
     roll, adj = _snapshot(prob, x0, z)
-    sp = second_order_pass(prob, roll, adj, z)
+    hv, dx = _product(prob, x0, z)
     width = prob.dims.z_len
-    shape = (prob.dims.N + 1, prob.dims.n, width)
-    assert sp.betas.shape == sp.alphas.shape == shape
-    assert sp.raw_hessian.shape == (width, width)
+    assert dx.shape == (prob.dims.N + 1, prob.dims.n, width)
+    assert hv.shape == (width, width)
     for flat in range(width):
-        betas, alphas, row = _row_by_row(prob, roll, adj, z, flat)
-        np.testing.assert_allclose(sp.betas[..., flat], betas,
+        betas, row = _row_by_row(prob, roll, adj, z, flat)
+        np.testing.assert_allclose(dx[..., flat], betas,
                                    rtol=1e-13, atol=1e-13)
-        np.testing.assert_allclose(sp.alphas[..., flat], alphas,
+        np.testing.assert_allclose(hv[:, flat], row,
                                    rtol=1e-13, atol=1e-13)
-        np.testing.assert_allclose(sp.raw_hessian[flat], row,
-                                   rtol=1e-13, atol=1e-13)
-    return sp
+    return hv, dx
 
 
 class TestHessianRow:
-    """Rows of the Hessian, as column slices of one second_order_pass."""
+    """Columns H e_r of the Hessian, from one product with the identity."""
 
     def test_lqr_hand_values(self, lqr1):
-        roll, adj = _snapshot(lqr1, 1.0, np.zeros(2))
-        sp = second_order_pass(lqr1, roll, adj, np.zeros(2))
-        np.testing.assert_allclose(sp.betas[..., 0].ravel(), [0.0, 0.9],
-                                   rtol=1e-14)
-        np.testing.assert_allclose(sp.alphas[..., 0].ravel(), [5.4, 0.0],
+        hv, dx = _product(lqr1, 1.0, np.zeros(2))
+        np.testing.assert_allclose(dx[..., 0].ravel(), [0.0, 0.9],
                                    rtol=1e-14)
         # d2J/du0^2 = 2r + 2 p b^2 = 10.86
-        np.testing.assert_allclose(sp.raw_hessian[0], [10.86, 0.0],
-                                   rtol=1e-12)
+        np.testing.assert_allclose(hv[:, 0], [10.86, 0.0], rtol=1e-12)
 
     def test_zero_cost_rows_vanish(self):
         prob = zero_cost_problem()
         z = np.ones(prob.dims.z_len)
-        roll, adj = _snapshot(prob, np.ones(2), z)
-        raw = second_order_pass(prob, roll, adj, z).raw_hessian
-        assert np.array_equal(raw, np.zeros((prob.dims.z_len,) * 2))
+        hv, _ = _product(prob, np.ones(2), z)
+        assert np.array_equal(hv, np.zeros((prob.dims.z_len,) * 2))
 
     def test_quadratic_row_independent_of_z(self, lqr15):
         rng = np.random.default_rng(3)
         rows = []
         for _ in range(2):
             z = rng.normal(size=lqr15.dims.z_len)
-            roll, adj = _snapshot(lqr15, 1.0, z)
-            rows.append(second_order_pass(lqr15, roll, adj, z).raw_hessian[4])
+            rows.append(_product(lqr15, 1.0, z)[0][:, 4])
         np.testing.assert_allclose(rows[0], rows[1], atol=1e-12)
 
     def test_beta_matches_fd_state_sensitivity(self):
         prob, x0, z = random_smooth_problem(5, 3, 2, 8)
-        roll, adj = _snapshot(prob, x0, z)
-        betas = second_order_pass(prob, roll, adj, z).betas
+        _, dx = _product(prob, x0, z)
         for flat in range(prob.dims.z_len):
-            assert max_rel_error(betas[..., flat],
+            assert max_rel_error(dx[..., flat],
                                  _differenced_betas(prob, x0, z, flat)) <= 1e-5
 
 
 class TestSecondOrderPass:
+    """hessian_product: one forward sensitivity pass and one backward
+    second-order costate pass over a block of directions."""
+
     @settings(max_examples=25, deadline=None, database=None)
     @given(n=st.integers(1, 4), m=st.integers(1, 3), n_last=st.integers(0, 10),
            seed=st.integers(0, 2**32 - 1))
     def test_columns_match_row_by_row_and_differenced_rollouts(
             self, n, m, n_last, seed):
         prob, x0, z = random_smooth_problem(seed, n, m, n_last)
-        sp = _assert_matches_row_by_row(prob, x0, z)
+        _, dx = _assert_matches_row_by_row(prob, x0, z)
         for flat in range(prob.dims.z_len):
-            assert max_rel_error(sp.betas[..., flat],
+            assert max_rel_error(dx[..., flat],
                                  _differenced_betas(prob, x0, z, flat)) <= 1e-5
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 3), n_last=st.integers(0, 12),
+           k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_block_product_matches_rows_and_directional_rollouts(
+            self, n, m, n_last, k, seed):
+        prob, x0, z = random_smooth_problem(seed, n, m, n_last)
+        v = np.random.default_rng(seed).normal(size=(prob.dims.z_len, k))
+        roll, adj = _snapshot(prob, x0, z)
+        hv, dx = _product(prob, x0, z, v)
+        assert hv.shape == v.shape
+        assert dx.shape == (n_last + 1, n, k)
+        rows = np.vstack([_row_by_row(prob, roll, adj, z, flat)[1]
+                          for flat in range(prob.dims.z_len)])
+        # Column r of H is row r as the reference assembles it.
+        assert max_rel_error(hv, rows.T @ v) <= 1e-13
+        gram = v.T @ hv  # gram[i, j] = v_i' H v_j
+        assert max_rel_error(gram, gram.T) <= 1e-12
+        sens = central_difference(
+            lambda a: roll_forward(prob, x0, z + v @ a).states,
+            np.zeros(k), 1e-6)
+        assert max_rel_error(dx, sens) <= 1e-5
+
+    def test_long_horizon_product_memory(self):
+        prob, x0, z = random_smooth_problem(2, 4, 2, 800)
+        roll, adj = _snapshot(prob, x0, z)
+        c = stage_curvature(prob, roll, adj, z)
+        v = np.random.default_rng(0).normal(size=(prob.dims.z_len, 3))
+        tracemalloc.start()
+        try:
+            hessian_product(adj, c, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20, f"peak {peak / 2**20:.2f} MB"
+
+    def test_long_horizon_newton_residual(self):
+        """The stagewise Riccati solve against the product: at depth 0,
+        (R + H) d = g to roundoff at N = 800."""
+        prob, x0, z = random_smooth_problem(2, 4, 2, 800)
+        roll, adj = _snapshot(prob, x0, z)
+        c = stage_curvature(prob, roll, adj, z)
+        cfg = SolverConfig()
+        g = adj.gradient
+        d = step_direction(adj, c, g, cfg, 0)
+        hd = hessian_product(adj, symmetric_part(c), d[:, None])[0][:, 0]
+        residual = np.abs(cfg.r_reg * d + hd - g).max()
+        assert residual <= 1e-12 * np.abs(g).max()
 
     def test_reuses_the_sweep_jacobians(self):
         base, x0, z = random_smooth_problem(17, 3, 2, 6)
@@ -223,7 +275,7 @@ class TestHessian:
         prob, x0, z = random_smooth_problem(21, 4, 3, 7)
         roll, adj = _snapshot(prob, x0, z)
         h = hessian(prob, x0, z)
-        stacked = np.vstack([_row_by_row(prob, roll, adj, z, flat)[2]
+        stacked = np.vstack([_row_by_row(prob, roll, adj, z, flat)[1]
                              for flat in range(prob.dims.z_len)])
         stacked = 0.5 * (stacked + stacked.T)
         np.testing.assert_allclose(h, stacked, rtol=1e-13, atol=1e-13)
@@ -232,8 +284,7 @@ class TestHessian:
     def test_symmetry_defect_within_tolerance(self):
         for seed in (1, 2, 3):
             prob, x0, z = random_smooth_problem(seed, 3, 2, 10)
-            roll, adj = _snapshot(prob, x0, z)
-            raw = second_order_pass(prob, roll, adj, z).raw_hessian
+            raw, _ = _product(prob, x0, z)
             defect = np.abs(raw - raw.T).max()
             assert defect <= 1e-8 * (1.0 + np.abs(raw).max())
 

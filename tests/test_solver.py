@@ -150,7 +150,7 @@ class TestStagewiseSolve:
             raise AssertionError("the solver formed the dense Hessian")
 
         monkeypatch.setattr(costate.solver, "hessian_with", forbidden)
-        monkeypatch.setattr(costate.curvature, "second_order_pass", forbidden)
+        monkeypatch.setattr(costate.curvature, "hessian_product", forbidden)
         prob, x0, z0 = random_smooth_problem(3, 3, 2, 20)
         rep = minimize(prob, x0, z0, SolverConfig())
         assert rep.termination is Termination.CONVERGED
