@@ -26,10 +26,11 @@ class AdjointSolution:
             k+1, so row N is the terminal costate and is exactly zero.
         gradient: flat (m*(N+1),) gradient of the total cost with respect to
             the decision vector.
-        fx, fu: the (N, n, n) and (N, n, m) stacks of dynamics Jacobians
-            f_x and f_u the sweep evaluated along the rollout, stages
-            0..N-1; hessian_product and the stagewise Newton solve read
-            them instead of evaluating them again.
+        fx, fu: the (N+1, n, n) and (N+1, n, m) stacks of dynamics
+            Jacobians f_x and f_u along the rollout.  Stages 0..N-1 are the
+            ones the sweep evaluated; stage N has no dynamics and is exactly
+            zero, so every stage has the same form.  hessian_product and the
+            stagewise Newton solve read them as they are.
     """
 
     costates: np.ndarray
@@ -57,11 +58,12 @@ def adjoint_along(p: ProblemDef, roll: Rollout, z: np.ndarray) -> AdjointSolutio
     """Backward costate sweep along a rollout produced from (p, z).
 
     Propagates lam[k-1] = c_x[k] + f_x[k]' lam[k] from lam[N] = 0, then
-    assembles the gradient as one stacked contraction,
+    assembles the gradient as one stacked contraction over all N+1 stages,
     g[k] = c_u[k] + f_u[k]' lam[k].  One stacked call of each
-    first-derivative oracle covers the sweep; the dynamics Jacobians are
-    never requested at stage N.  Only the costate recursion runs stage by
-    stage.
+    first-derivative oracle covers the sweep.  This is the one place that
+    knows stage N has no dynamics: the Jacobians are never requested there
+    and are returned as zero, so consumers of fx and fu see a uniform
+    N+1-stage model.  Only the costate recursion runs stage by stage.
     """
     dims = p.dims
     n, m, horizon = dims.n, dims.m, dims.N
@@ -70,17 +72,17 @@ def adjoint_along(p: ProblemDef, roll: Rollout, z: np.ndarray) -> AdjointSolutio
     cx, cu = p.d_stage_cost(xs, u, np.arange(horizon + 1))
     cx = np.asarray(cx, dtype=float).reshape(horizon + 1, n)
     g = np.array(cu, dtype=float).reshape(horizon + 1, m)
-    lam = np.zeros((horizon + 1, n))
+    fx = np.zeros((horizon + 1, n, n))
+    fu = np.zeros((horizon + 1, n, m))
     if horizon:
-        fx, fu = p.d_dynamics(xs[:horizon], u[:horizon], np.arange(horizon))
-        fx = np.asarray(fx, dtype=float).reshape(horizon, n, n)
-        fu = np.asarray(fu, dtype=float).reshape(horizon, n, m)
-        lam[horizon - 1] = cx[horizon]
-        for k in range(horizon - 1, 0, -1):
-            lam[k - 1] = cx[k] + fx[k].T @ lam[k]
-        g[:horizon] += (fu.transpose(0, 2, 1) @ lam[:horizon, :, None])[..., 0]
-    else:
-        fx, fu = np.empty((0, n, n)), np.empty((0, n, m))
+        jx, ju = p.d_dynamics(xs[:horizon], u[:horizon], np.arange(horizon))
+        fx[:horizon] = np.asarray(jx, dtype=float).reshape(horizon, n, n)
+        fu[:horizon] = np.asarray(ju, dtype=float).reshape(horizon, n, m)
+    lam = np.zeros((horizon + 1, n))
+    for k in range(horizon, 0, -1):
+        # np.dot: same BLAS call as @, with less overhead per tiny product.
+        lam[k - 1] = cx[k] + np.dot(fx[k].T, lam[k])
+    g += (fu.transpose(0, 2, 1) @ lam[:, :, None])[..., 0]
     return AdjointSolution(costates=lam, gradient=g.reshape(-1), fx=fx, fu=fu)
 
 

@@ -650,6 +650,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NumericalBlowupError as exc:
         # A finite config whose rollout overflows is a failed run.
         print(f"{args.command}: FAIL ({exc})", file=sys.stderr)
+        if args.out is not None:
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            _write_json(out / "report.json", {
+                "schema_version": SCHEMA_VERSION,
+                "command": args.command,
+                "passed": False,
+                "failure": str(exc),
+            })
         return 1
     raise AssertionError(f"unhandled command {args.command}")
 

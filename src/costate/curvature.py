@@ -111,38 +111,26 @@ def hessian_product(adj: AdjointSolution, c: np.ndarray,
         hv_k     = C_ux[k] dx[k] + f_u[k]' mu_k + C_uu[k] v_k,
         mu_{k-1} = C_xx[k] dx[k] + f_x[k]' mu_k + C_xu[k] v_k.
 
-    No oracle is called.  Time is O(N (n+m)^2 K) and only dx is stored
-    stage by stage; mu is a single (n, K) block.  C is used as given, so an
-    asymmetric oracle shows as an asymmetric H (see symmetric_part).
+    Both passes treat every stage alike: adj has Jacobians for all N+1
+    stages, and mu_N = 0 removes the dynamics terms at stage N.  No oracle is
+    called.  Time is O(N (n+m)^2 K) and only dx is stored stage by stage;
+    mu is a single (n, K) block.  C is used as given, so an asymmetric
+    oracle shows as an asymmetric H (see symmetric_part).
     """
     fx, fu = adj.fx, adj.fu
-    horizon = c.shape[0] - 1
-    n = adj.costates.shape[1]
-    m = c.shape[1] - n
+    horizon, n, m = fu.shape[0] - 1, fu.shape[1], fu.shape[2]
     v = np.asarray(v, dtype=float)
     width = v.shape[1]
     vs = v.reshape(horizon + 1, m, width)
-    # Contiguous blocks: BLAS then sums the products in the same order as
-    # over the oracles' own arrays, so the product does not depend on the
-    # stack's layout.
-    cxx, cxu, cuu = (np.ascontiguousarray(c[:, :n, :n]),
-                     np.ascontiguousarray(c[:, :n, n:]),
-                     np.ascontiguousarray(c[:, n:, n:]))
     dx = np.zeros((horizon + 1, n, width))
     for k in range(horizon):
         dx[k + 1] = fx[k] @ dx[k] + fu[k] @ vs[k]
     hv = np.empty((horizon + 1, m, width))
+    mu = np.zeros((n, width))
     for k in range(horizon, -1, -1):
-        # The sensitivity and costate terms are summed before the v term.
-        h = cxu[k].T @ dx[k]
-        if k < horizon:
-            h += fu[k].T @ mu
-        hv[k] = h + cuu[k] @ vs[k]
-        if k:
-            a = cxx[k] @ dx[k]
-            if k < horizon:
-                a += fx[k].T @ mu
-            mu = a + cxu[k] @ vs[k]
+        ck = c[k]
+        hv[k] = ck[n:, :n] @ dx[k] + fu[k].T @ mu + ck[n:, n:] @ vs[k]
+        mu = ck[:n, :n] @ dx[k] + fx[k].T @ mu + ck[:n, n:] @ vs[k]
     return hv.reshape(-1, width), dx
 
 

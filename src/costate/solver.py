@@ -23,6 +23,7 @@ provided for iteration-count comparisons.
 from __future__ import annotations
 
 import logging
+import numbers
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -39,8 +40,10 @@ from .problem import NumericalBlowupError, ProblemDef, eval_cost
 
 log = logging.getLogger(__name__)
 
-# Bounded retries when (R + H) fails to factor within one outer iteration.
+# Bounded retries of an untrustworthy step within one outer iteration,
+# each multiplying the regularizer by FALLBACK_SCALE.
 MAX_ESCALATIONS = 3
+FALLBACK_SCALE = 10.0
 
 
 class Termination(Enum):
@@ -67,6 +70,11 @@ class LinearSolveError(RuntimeError):
         super().__init__(message)
 
 
+def _check_count(name: str, value, low: int) -> None:
+    if not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Tuning for the second-order iteration.
@@ -75,19 +83,17 @@ class SolverConfig:
         r_reg: regularizer, a positive scalar; R is r_reg times the
             identity.
         grad_tol: stop when the max-abs gradient entry drops below this.
-        max_outer: outer iteration budget.
-        inner_depth_cap: bound on the inner recursion depth; None means the
-            depth simply equals the outer iteration index.  Deep inner loops
-            add nothing past roundoff, so the default cap is cheap and safe.
-        fallback_scale: factor applied to the regularizer on a failed
-            factorization, > 1.
+        max_outer: outer iteration budget, an integer >= 1.
+        inner_depth_cap: bound on the inner recursion depth, an integer
+            >= 0; None means the depth simply equals the outer iteration
+            index.  Deep inner loops add nothing past roundoff, so the
+            default cap is cheap and safe.
     """
 
     r_reg: float = 0.1
     grad_tol: float = 1e-6
     max_outer: int = 50
     inner_depth_cap: Optional[int] = 20
-    fallback_scale: float = 10.0
 
     def __post_init__(self):
         if not np.isscalar(self.r_reg):
@@ -97,12 +103,9 @@ class SolverConfig:
             raise ValueError(f"r_reg must be > 0, got {self.r_reg}")
         if not self.grad_tol > 0:
             raise ValueError(f"grad_tol must be > 0, got {self.grad_tol}")
-        if self.max_outer < 1:
-            raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
-        if self.inner_depth_cap is not None and self.inner_depth_cap < 0:
-            raise ValueError("inner_depth_cap must be >= 0 or None")
-        if not self.fallback_scale > 1:
-            raise ValueError(f"fallback_scale must be > 1, got {self.fallback_scale}")
+        _check_count("max_outer", self.max_outer, 1)
+        if self.inner_depth_cap is not None:
+            _check_count("inner_depth_cap", self.inner_depth_cap, 0)
 
 
 @dataclass
@@ -132,11 +135,13 @@ class _StagewiseFactor:
         minimize  sum_k 1/2 [dx_k; du_k]' Q_k [dx_k; du_k] - b_k' du_k
         subject   dx_{k+1} = f_x dx_k + f_u du_k,   dx_0 = 0,
 
-    with Q_k the stage Hessian plus r_reg on its uu diagonal.  Going
-    backward, each stage adds the propagated cost-to-go curvature P to Q_k
-    and Cholesky-factors its control pivot Q_uu, which yields the feedback
-    gain K_k = -Q_uu^{-1} Q_ux and P_k = Q_xx + Q_xu K_k.  The pivots are
-    positive definite exactly when R + H is.
+    with Q_k the stage Hessian plus r_reg on its uu diagonal, and f_x, f_u
+    the sweep's Jacobians, zero at stage N.  Going backward from P = 0,
+    each stage adds the propagated cost-to-go curvature P to Q_k and
+    Cholesky-factors its control pivot Q_uu; one solve against
+    [Q_ux | I] yields the feedback gain K_k = -Q_uu^{-1} Q_ux and Q_uu^{-1}
+    at once, and P_k = Q_xx + Q_xu K_k.  The pivots are positive definite
+    exactly when R + H is.
 
     A solve is one backward pass, for the feedforward kff_k and the linear
     cost-to-go term s_k, and one forward pass, for du_k and dx_{k+1}.  Each
@@ -145,34 +150,28 @@ class _StagewiseFactor:
     """
 
     def __init__(self, adj: AdjointSolution, c: np.ndarray, r: float):
-        n = adj.costates.shape[1]
-        horizon = c.shape[0] - 1
-        m = c.shape[1] - n
+        fx, fu = adj.fx, adj.fu
+        horizon, n, m = fu.shape[0] - 1, fu.shape[1], fu.shape[2]
         q = symmetric_part(c)
         q[:, n:, n:] += r * np.eye(m)
-        # Stage N has no dynamics; zero Jacobians there keep it uniform.
-        fx = np.zeros((horizon + 1, n, n))
-        fu = np.zeros((horizon + 1, n, m))
-        fx[:horizon] = adj.fx
-        fu[:horizon] = adj.fu
         fxu = np.concatenate((fx, fu), axis=2)
-        # sol[k] = Q_uu^{-1} [Q_ux | Q_uu] = [-K_k | I], one Cholesky solve
-        # per stage.
+        # sol[k] = Q_uu^{-1} [Q_ux | I] = [-K_k | Q_uu^{-1}].
         sol = np.empty((horizon + 1, m, n + m))
-        p = None
+        rhs = np.empty((m, n + m))
+        rhs[:, n:] = np.eye(m)
+        p = np.zeros((n, n))
         for k in range(horizon, -1, -1):
             qk = q[k]
-            if k < horizon:
-                qk += np.dot(fxu[k].T, np.dot(p, fxu[k]))
-            _, x, info = dposv(qk[n:, n:], qk[n:], lower=1)
+            qk += np.dot(fxu[k].T, np.dot(p, fxu[k]))
+            rhs[:, :n] = qk[n:, :n]
+            _, x, info = dposv(qk[n:, n:], rhs, lower=1)
             if info:
                 raise LinearSolveError(
                     f"(R + H) is not positive definite: the pivot of stage "
                     f"{k} failed to factor", stage=k)
             sol[k] = x
             p = qk[:n, :n] - np.dot(qk[:n, n:], x[:, :n])
-        neg_gain = sol[:, :, :n]
-        quu_inv = np.linalg.inv(q[:, n:, n:])
+        neg_gain, quu_inv = sol[:, :, :n], sol[:, :, n:]
         closed = fx - fu @ neg_gain  # A_k = f_x + f_u K_k
         # back[k] maps [s_{k+1}; b_k] to [kff_k; s_k]:
         #   kff_k = Q_uu^{-1} (b_k - f_u' s_{k+1})
@@ -266,7 +265,7 @@ _COST_SLACK = 1e-12
 
 
 def _escalated(cfg: SolverConfig) -> SolverConfig:
-    return replace(cfg, r_reg=cfg.r_reg * cfg.fallback_scale)
+    return replace(cfg, r_reg=cfg.r_reg * FALLBACK_SCALE)
 
 
 def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig) -> SolveReport:
@@ -280,7 +279,7 @@ def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig) -> SolveRepor
     outer iterations) or as MaxIters when the budget is exhausted.
 
     An iteration is retried with the regularizer multiplied by
-    cfg.fallback_scale, up to MAX_ESCALATIONS times, whenever the step is
+    FALLBACK_SCALE, up to MAX_ESCALATIONS times, whenever the step is
     untrustworthy: (R + H) fails to factor, or the trial cost blows up or
     increases.  The latter two only occur when the curvature is indefinite
     beyond what R absorbs, since on a positive-semidefinite model every
@@ -364,12 +363,13 @@ def minimize_gd(p: ProblemDef, x0, z0: np.ndarray, lr: float,
                 grad_tol: float = 1e-6, max_iters: int = 10000) -> SolveReport:
     """Plain gradient descent baseline, z <- z - lr * gradient.
 
-    Same instrumentation as minimize.  If the cost climbs past ten times its
-    initial magnitude the run stops with the Diverged termination instead of
-    crashing.
+    Same instrumentation as minimize; max_iters is an integer >= 0.  If the
+    cost climbs past ten times its initial magnitude the run stops with the
+    Diverged termination instead of crashing.
     """
     if not lr > 0:
         raise ValueError(f"lr must be > 0, got {lr}")
+    _check_count("max_iters", max_iters, 0)
     t0 = time.perf_counter()
     z = np.array(z0, dtype=float, copy=True)
     gnorms: List[float] = []

@@ -142,4 +142,8 @@ class TestGradient:
             d_dynamics=guarded_d_dynamics,
             d_stage_cost=one_row(base.d_stage_cost),
         )
-        gradient(guarded, x0, z)  # must not trip the guards
+        adj = gradient(guarded, x0, z)  # must not trip the guards
+        n, m, N = base.dims.n, base.dims.m, base.dims.N
+        assert adj.fx.shape == (N + 1, n, n)
+        assert adj.fu.shape == (N + 1, n, m)
+        assert not adj.fx[N].any() and not adj.fu[N].any()

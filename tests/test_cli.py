@@ -12,7 +12,7 @@ import pytest
 
 from costate import (CircleReference, LqrSpec, ProblemDef, build_lqr,
                      euler_rolled_reference)
-from costate.cli import main, run_check_suites
+from costate.cli import SCHEMA_VERSION, main, run_check_suites
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -282,6 +282,10 @@ def test_rollout_blowup_fails_with_one_line(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err == (f"{command}: FAIL (numerical blow-up at stage 0 "
                    f"(stage cost))\n")
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report == {"schema_version": SCHEMA_VERSION, "command": command,
+                      "passed": False,
+                      "failure": "numerical blow-up at stage 0 (stage cost)"}
 
 
 def test_usage_error_exits_2():

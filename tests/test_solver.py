@@ -91,13 +91,15 @@ class TestStepDirection:
         np.testing.assert_allclose(d, [9.72 / 10.86, 0.0], atol=1e-8)
 
     def test_depth_zero_matches_dense_solve(self):
-        prob, x0, z = random_smooth_problem(14, 3, 2, 6)
-        adj, c, h = _snapshot(prob, x0, z)
-        g = np.random.default_rng(14).normal(size=prob.dims.z_len)
-        assert np.linalg.eigvalsh(h + 0.3 * np.eye(h.shape[0])).min() > 0
-        d = step_direction(adj, c, g, SolverConfig(r_reg=0.3), 0)
-        np.testing.assert_allclose(d, _dense_direction(h, g, 0.3, 0),
-                                   rtol=1e-12)
+        # N = 0 leaves the factor only the last stage, which has no dynamics.
+        for n_last in (6, 0):
+            prob, x0, z = random_smooth_problem(14, 3, 2, n_last)
+            adj, c, h = _snapshot(prob, x0, z)
+            g = np.random.default_rng(14).normal(size=prob.dims.z_len)
+            assert np.linalg.eigvalsh(h + 0.3 * np.eye(h.shape[0])).min() > 0
+            d = step_direction(adj, c, g, SolverConfig(r_reg=0.3), 0)
+            np.testing.assert_allclose(d, _dense_direction(h, g, 0.3, 0),
+                                       rtol=1e-12)
 
     def test_monotone_approach_to_newton(self):
         prob = _convex_problem()
@@ -299,8 +301,14 @@ class TestMinimize:
             SolverConfig(r_reg=np.diag([0.5, 0.25]))
         with pytest.raises(ValueError):
             SolverConfig(grad_tol=-1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(fallback_scale=1.0)
+
+    @pytest.mark.parametrize("field", ["max_outer", "inner_depth_cap"])
+    def test_fractional_counts_rejected(self, field):
+        # A fractional max_outer was never matched by the iteration index,
+        # and a fractional inner_depth_cap crashed range() mid-solve.
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SolverConfig(**{field: 1.5})
+        assert getattr(SolverConfig(**{field: np.int64(3)}), field) == 3
 
 
 class TestMinimizeGd:
@@ -340,3 +348,9 @@ class TestMinimizeGd:
     def test_rate_must_be_positive(self, lqr15):
         with pytest.raises(ValueError):
             minimize_gd(lqr15, 1.0, np.zeros(lqr15.dims.z_len), lr=0.0)
+
+    @pytest.mark.parametrize("max_iters", [2.5, -1])
+    def test_budget_must_be_a_count(self, lqr15, max_iters):
+        with pytest.raises(ValueError, match="max_iters must be"):
+            minimize_gd(lqr15, 1.0, np.zeros(lqr15.dims.z_len), lr=1.0,
+                        max_iters=max_iters)
