@@ -396,9 +396,12 @@ def cmd_run_mpc(config_path: str, out_dir: str, baseline: Optional[str]) -> int:
 
     if trace.failed_step is not None:
         report["passed"] = False
+        report["failure"] = str(trace.failure)
         _write_json(out / "report.json", report)
-        print(f"run-mpc: FAIL (solver failure at step {trace.failed_step})",
-              file=sys.stderr)
+        reason = (str(trace.failure)
+                  if isinstance(trace.failure, NumericalBlowupError)
+                  else f"solver failure at step {trace.failed_step}")
+        print(f"run-mpc: FAIL ({reason})", file=sys.stderr)
         return 1
 
     passed = (steady_any and unconverged == 0

@@ -16,7 +16,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .problem import (DimensionMismatchError, NumericalBlowupError,
-                      ProblemDef, check_state, stage_controls)
+                      ProblemDef, check_count, check_state, stage_controls)
 from .solver import LinearSolveError, SolveReport, SolverConfig, minimize
 
 
@@ -28,7 +28,8 @@ class WarmStart(Enum):
 @dataclass(frozen=True)
 class MpcConfig:
     """Receding-horizon settings: prediction horizon N_p, number of plant
-    steps, warm-start policy, and the per-step solver configuration."""
+    steps (both integers >= 1), warm-start policy, and the per-step solver
+    configuration."""
 
     horizon: int
     total_steps: int
@@ -36,10 +37,8 @@ class MpcConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.total_steps < 1:
-            raise ValueError(f"total_steps must be >= 1, got {self.total_steps}")
+        check_count(self.horizon, 1, "horizon")
+        check_count(self.total_steps, 1, "total_steps")
 
 
 @dataclass
@@ -47,9 +46,11 @@ class MpcTrace:
     """Closed-loop record.
 
     applied_states has one more row than applied_controls and replays
-    exactly through the plant dynamics.  If a step's solve failed,
-    failed_step holds its index, the failing report is the last entry of
-    per_step_reports, and the trace stops there.
+    exactly through the plant dynamics.  If a step's solve failed, the
+    trace stops there: failed_step holds its index and failure the error
+    that ended it.  A LinearSolveError leaves its partial report as the
+    last entry of per_step_reports; a NumericalBlowupError has no partial
+    report, so per_step_reports ends with the last solved step.
     """
 
     applied_states: np.ndarray
@@ -57,6 +58,7 @@ class MpcTrace:
     per_step_reports: List[SolveReport]
     per_step_wall_time: np.ndarray
     failed_step: Optional[int] = None
+    failure: Optional[Exception] = None
 
 
 def _shift_warm_start(z_prev: np.ndarray, dims) -> np.ndarray:
@@ -88,8 +90,9 @@ def run_mpc(plant: ProblemDef, ocp_factory: Callable, x0, cfg: MpcConfig,
             the same loop with baseline optimizers).
 
     Returns:
-        MpcTrace.  A step whose solve raises LinearSolveError truncates the
-        trace, with the failing partial report attached.
+        MpcTrace.  A step whose solve raises LinearSolveError or
+        NumericalBlowupError truncates the trace and names the error; a
+        LinearSolveError's partial report is attached.
     """
     solve = _solve if _solve is not None else minimize
     x = check_state(x0, plant.dims.n, "x0")
@@ -98,6 +101,7 @@ def run_mpc(plant: ProblemDef, ocp_factory: Callable, x0, cfg: MpcConfig,
     reports: List[SolveReport] = []
     walls: List[float] = []
     failed: Optional[int] = None
+    failure: Optional[Exception] = None
     z_prev: Optional[np.ndarray] = None
 
     for k in range(cfg.total_steps):
@@ -118,11 +122,11 @@ def run_mpc(plant: ProblemDef, ocp_factory: Callable, x0, cfg: MpcConfig,
         t0 = time.perf_counter()
         try:
             report = solve(prob, x, z0, cfg.solver)
-        except LinearSolveError as exc:
+        except (LinearSolveError, NumericalBlowupError) as exc:
             walls.append(time.perf_counter() - t0)
-            if exc.report is not None:
+            if isinstance(exc, LinearSolveError) and exc.report is not None:
                 reports.append(exc.report)
-            failed = k
+            failed, failure = k, exc
             break
         walls.append(time.perf_counter() - t0)
         reports.append(report)
@@ -142,4 +146,5 @@ def run_mpc(plant: ProblemDef, ocp_factory: Callable, x0, cfg: MpcConfig,
         per_step_reports=reports,
         per_step_wall_time=np.asarray(walls),
         failed_step=failed,
+        failure=failure,
     )

@@ -20,6 +20,7 @@ one_row turns a stacked oracle back into a per-stage one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -231,6 +232,15 @@ def check_state(x, n: int, what: str = "state") -> np.ndarray:
     if x.shape != (n,):
         raise DimensionMismatchError(f"{what} has shape {x.shape}, expected ({n},)")
     return x
+
+
+def check_count(value, low: int, what: str) -> None:
+    """Reject a count that is not an integer >= low with a ValueError.
+
+    Python and numpy integers pass; no float does, 10.0 included.
+    """
+    if not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{what} must be an integer >= {low}, got {value!r}")
 
 
 def roll_forward(p: ProblemDef, x0, z: np.ndarray) -> Rollout:

@@ -16,6 +16,12 @@ over the stage Hamiltonian Hessians of curvature.stage_curvature and the
 dynamics Jacobians of the costate sweep: O(N (n+m)^3) time and O(N (n+m)^2)
 memory.  The dense Hessian is never formed.
 
+Each iterate is rolled out once.  The rollout that prices a trial point is
+kept when the point is accepted and becomes the next iteration's snapshot,
+on which only the backward costate sweep runs.  The factorization's
+buffers are a workspace bound once per solve and refilled in place by
+every outer iteration and escalation retry.
+
 A plain gradient-descent baseline with identical instrumentation is
 provided for iteration-count comparisons.
 """
@@ -23,7 +29,6 @@ provided for iteration-count comparisons.
 from __future__ import annotations
 
 import logging
-import numbers
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -32,11 +37,14 @@ from typing import List, Optional
 import numpy as np
 from scipy.linalg.lapack import dposv
 
-from .adjoint import AdjointSolution, forward_adjoint
-# Not called here; perfbench/tracing.py wraps costate.solver.hessian_with.
-from .curvature import hessian_with  # noqa: F401
+from .adjoint import AdjointSolution, adjoint_along, forward_adjoint
 from .curvature import stage_curvature, symmetric_part
-from .problem import NumericalBlowupError, ProblemDef, eval_cost
+from .problem import (NumericalBlowupError, ProblemDef, check_count,
+                      roll_forward)
+# Neither is called here; perfbench/tracing.py wraps both as
+# costate.solver.hessian_with and costate.solver.eval_cost.
+from .curvature import hessian_with  # noqa: F401
+from .problem import eval_cost  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -70,11 +78,6 @@ class LinearSolveError(RuntimeError):
         super().__init__(message)
 
 
-def _check_count(name: str, value, low: int) -> None:
-    if not isinstance(value, numbers.Integral) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Tuning for the second-order iteration.
@@ -103,9 +106,9 @@ class SolverConfig:
             raise ValueError(f"r_reg must be > 0, got {self.r_reg}")
         if not self.grad_tol > 0:
             raise ValueError(f"grad_tol must be > 0, got {self.grad_tol}")
-        _check_count("max_outer", self.max_outer, 1)
+        check_count(self.max_outer, 1, "max_outer")
         if self.inner_depth_cap is not None:
-            _check_count("inner_depth_cap", self.inner_depth_cap, 0)
+            check_count(self.inner_depth_cap, 0, "inner_depth_cap")
 
 
 @dataclass
@@ -147,20 +150,61 @@ class _StagewiseFactor:
     cost-to-go term s_k, and one forward pass, for du_k and dx_{k+1}.  Each
     stage of a pass is one np.dot of a fixed stage matrix with a slice of a
     row buffer; only b enters per solve, copied into the buffer at once.
+
+    The object is a workspace sized by (N, n, m): its stage matrices, row
+    buffers and the step lists that bind them are allocated once, and each
+    factor() call refills them in place.  minimize builds one per solve, so
+    every outer iteration and every escalation retry reuses it; a failed
+    factorization leaves nothing that the next one reads.
     """
 
-    def __init__(self, adj: AdjointSolution, c: np.ndarray, r: float):
-        fx, fu = adj.fx, adj.fu
-        horizon, n, m = fu.shape[0] - 1, fu.shape[1], fu.shape[2]
-        q = symmetric_part(c)
-        q[:, n:, n:] += r * np.eye(m)
-        fxu = np.concatenate((fx, fu), axis=2)
+    def __init__(self, horizon: int, n: int, m: int):
+        self.horizon, self.n, self.m = horizon, n, m
+        self.eye = np.eye(m)
+        self.fxu = np.empty((horizon + 1, n, n + m))
         # sol[k] = Q_uu^{-1} [Q_ux | I] = [-K_k | Q_uu^{-1}].
-        sol = np.empty((horizon + 1, m, n + m))
-        rhs = np.empty((m, n + m))
-        rhs[:, n:] = np.eye(m)
+        self.sol = np.empty((horizon + 1, m, n + m))
+        self.rhs = np.empty((m, n + m))
+        self.rhs[:, n:] = self.eye
+        # back[k] maps [s_{k+1}; b_k] to [kff_k; s_k]:
+        #   kff_k = Q_uu^{-1} (b_k - f_u' s_{k+1})
+        #   s_k = A_k' s_{k+1} - K_k' b_k
+        # fwd[k] maps [dx_k; kff_k] to [du_k; dx_{k+1}]:
+        #   du_k = K_k dx_k + kff_k
+        #   dx_{k+1} = A_k dx_k + f_u kff_k
+        self.back = np.empty((horizon + 1, m + n, n + m))
+        self.fwd = np.empty((horizon + 1, m + n, n + m))
+        self.fwd[:, :m, n:] = self.eye
+        # Backward rows are [kff_k, s_k, b_{k-1}]: stage k reads
+        # [s_{k+1}; b_k] from row k+1 and writes [kff_k; s_k] to row k.
+        # Forward rows are [du_{k-1}, dx_k, kff_k]: stage k reads
+        # [dx_k; kff_k] from row k and writes [du_k; dx_{k+1}] to row k+1.
+        # s_{N+1} = 0 and dx_0 = 0 are never written.
+        self.s_rows = np.zeros((horizon + 2, 2 * m + n))
+        self.x_rows = np.zeros((horizon + 2, 2 * m + n))
+        self.back_steps = [(self.back[k], self.s_rows[k + 1, m:],
+                            self.s_rows[k, :m + n])
+                           for k in range(horizon, -1, -1)]
+        self.fwd_steps = [(self.fwd[k], self.x_rows[k, m:],
+                           self.x_rows[k + 1, :m + n])
+                          for k in range(horizon + 1)]
+
+    def factor(self, adj: AdjointSolution, c: np.ndarray, r: float) -> None:
+        """Factor R + H at the snapshot (adj, c) with R = r * I.
+
+        Raises AsymmetricHessianError from the symmetry check of c, and
+        LinearSolveError naming the stage whose pivot failed.
+        """
+        n, m, fxu, sol, rhs = self.n, self.m, self.fxu, self.sol, self.rhs
+        fx, fu = adj.fx, adj.fu
+        # The recursion accumulates into q, so every factorization starts
+        # from a fresh symmetric part.
+        q = symmetric_part(c)
+        q[:, n:, n:] += r * self.eye
+        fxu[:, :, :n] = fx
+        fxu[:, :, n:] = fu
         p = np.zeros((n, n))
-        for k in range(horizon, -1, -1):
+        for k in range(self.horizon, -1, -1):
             qk = q[k]
             qk += np.dot(fxu[k].T, np.dot(p, fxu[k]))
             rhs[:, :n] = qk[n:, :n]
@@ -173,36 +217,14 @@ class _StagewiseFactor:
             p = qk[:n, :n] - np.dot(qk[:n, n:], x[:, :n])
         neg_gain, quu_inv = sol[:, :, :n], sol[:, :, n:]
         closed = fx - fu @ neg_gain  # A_k = f_x + f_u K_k
-        # back[k] maps [s_{k+1}; b_k] to [kff_k; s_k]:
-        #   kff_k = Q_uu^{-1} (b_k - f_u' s_{k+1})
-        #   s_k = A_k' s_{k+1} - K_k' b_k
-        back = np.empty((horizon + 1, m + n, n + m))
+        back, fwd = self.back, self.fwd
         back[:, :m, :n] = -quu_inv @ fu.transpose(0, 2, 1)
         back[:, :m, n:] = quu_inv
         back[:, m:, :n] = closed.transpose(0, 2, 1)
         back[:, m:, n:] = neg_gain.transpose(0, 2, 1)
-        # fwd[k] maps [dx_k; kff_k] to [du_k; dx_{k+1}]:
-        #   du_k = K_k dx_k + kff_k
-        #   dx_{k+1} = A_k dx_k + f_u kff_k
-        fwd = np.empty((horizon + 1, m + n, n + m))
         fwd[:, :m, :n] = -neg_gain
-        fwd[:, :m, n:] = np.eye(m)
         fwd[:, m:, :n] = closed
         fwd[:, m:, n:] = fu
-        # Backward rows are [kff_k, s_k, b_{k-1}]: stage k reads
-        # [s_{k+1}; b_k] from row k+1 and writes [kff_k; s_k] to row k.
-        # Forward rows are [du_{k-1}, dx_k, kff_k]: stage k reads
-        # [dx_k; kff_k] from row k and writes [du_k; dx_{k+1}] to row k+1.
-        # s_{N+1} = 0 and dx_0 = 0 are never written.
-        self.s_rows = np.zeros((horizon + 2, 2 * m + n))
-        self.x_rows = np.zeros((horizon + 2, 2 * m + n))
-        self.back_steps = [(back[k], self.s_rows[k + 1, m:],
-                            self.s_rows[k, :m + n])
-                           for k in range(horizon, -1, -1)]
-        self.fwd_steps = [(fwd[k], self.x_rows[k, m:],
-                           self.x_rows[k + 1, :m + n])
-                          for k in range(horizon + 1)]
-        self.m = m
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         m, s_rows, x_rows = self.m, self.s_rows, self.x_rows
@@ -216,7 +238,8 @@ class _StagewiseFactor:
 
 
 def step_direction(adj: AdjointSolution, c: np.ndarray, g: np.ndarray,
-                   cfg: SolverConfig, depth: int) -> np.ndarray:
+                   cfg: SolverConfig, depth: int,
+                   _factor: Optional[_StagewiseFactor] = None) -> np.ndarray:
     """Inner update direction from one stagewise factorization of (R + H).
 
     H is the Hessian of the rollout cost at the snapshot that produced adj
@@ -231,6 +254,10 @@ def step_direction(adj: AdjointSolution, c: np.ndarray, g: np.ndarray,
     pivot per stage; each solve is one backward and one forward pass over
     the stages.  No m(N+1)-square matrix is formed.
 
+    _factor (internal) is the workspace to factor in, sized for the
+    snapshot; minimize passes the one it holds for the whole solve.
+    Without it a workspace is built for this call.
+
     Raises:
         ValueError: depth < 0.
         AsymmetricHessianError: c violates the symmetry tolerance.
@@ -240,7 +267,9 @@ def step_direction(adj: AdjointSolution, c: np.ndarray, g: np.ndarray,
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     r = float(cfg.r_reg)
-    factor = _StagewiseFactor(adj, c, r)
+    factor = _factor if _factor is not None else _StagewiseFactor(
+        adj.fu.shape[0] - 1, *adj.fu.shape[1:])
+    factor.factor(adj, c, r)
     d = factor.solve(g)
     for _ in range(depth):
         d = factor.solve(g + r * d)
@@ -271,9 +300,12 @@ def _escalated(cfg: SolverConfig) -> SolverConfig:
 def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig) -> SolveReport:
     """Minimize the rollout cost from z0 with the second-order iteration.
 
-    The gradient and the stage curvature are recomputed each outer
-    iteration; the update is z <- z - d with d from step_direction at
-    depth min(iteration index, inner_depth_cap).  Terminates as Converged
+    z0 is rolled out once; after that the rollout of each accepted trial
+    point is kept, so an outer iteration runs only the costate sweep on it
+    (adjoint_along), the stage curvature, and the factorization in the
+    workspace this call holds.  The update is z <- z - d with d from
+    step_direction at depth min(iteration index, inner_depth_cap), and the
+    trial point z - d is priced by its own rollout.  Terminates as Converged
     when the max-abs gradient entry drops below cfg.grad_tol (checked
     before any step, so a stationary start returns unchanged with zero
     outer iterations) or as MaxIters when the budget is exhausted.
@@ -291,12 +323,15 @@ def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig) -> SolveRepor
     """
     t0 = time.perf_counter()
     z = np.array(z0, dtype=float, copy=True)
+    dims = p.dims
+    factor = _StagewiseFactor(dims.N, dims.n, dims.m)
     gnorms: List[float] = []
     costs: List[float] = []
     inner_total = 0
     i = 0
+    roll = roll_forward(p, x0, z)
     while True:
-        roll, adj = forward_adjoint(p, x0, z)
+        adj = adjoint_along(p, roll, z)
         gnorm = float(np.abs(adj.gradient).max(initial=0.0))
         gnorms.append(gnorm)
         costs.append(roll.total_cost)
@@ -309,11 +344,12 @@ def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig) -> SolveRepor
         c = stage_curvature(p, roll, adj, z)
         depth = i if cfg.inner_depth_cap is None else min(i, cfg.inner_depth_cap)
         trial_cfg = cfg
-        z_next = None
+        z_next = roll_next = None
         for attempt in range(MAX_ESCALATIONS + 1):
             last = attempt == MAX_ESCALATIONS
             try:
-                d = step_direction(adj, c, adj.gradient, trial_cfg, depth)
+                d = step_direction(adj, c, adj.gradient, trial_cfg, depth,
+                                   _factor=factor)
             except LinearSolveError as exc:
                 if last:
                     partial = _report(z, i, inner_total, gnorms, costs,
@@ -332,17 +368,18 @@ def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig) -> SolveRepor
             inner_total += depth + 1
             candidate = z - d
             try:
-                trial_cost = eval_cost(p, x0, candidate)
+                trial = roll_forward(p, x0, candidate)
+                trial_cost = trial.total_cost
             except NumericalBlowupError:
-                trial_cost = float("inf")
+                trial, trial_cost = None, float("inf")
             if trial_cost <= costs[-1] + _COST_SLACK * (1.0 + abs(costs[-1])):
-                z_next = candidate
+                z_next, roll_next = candidate, trial
                 break
             if last:
                 if np.isfinite(trial_cost):
                     log.info("accepting non-decreasing step at maximum "
                              "regularization, outer iteration %d", i)
-                    z_next = candidate
+                    z_next, roll_next = candidate, trial
                     break
                 partial = _report(z, i, inner_total, gnorms, costs,
                                   Termination.LINEAR_SOLVE_FAILURE, t0)
@@ -355,7 +392,7 @@ def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig) -> SolveRepor
             log.info("trial cost %.6g above %.6g, escalating regularizer "
                      "(attempt %d) at outer iteration %d",
                      trial_cost, costs[-1], attempt + 1, i)
-        z = z_next
+        z, roll = z_next, roll_next
         i += 1
 
 
@@ -369,7 +406,7 @@ def minimize_gd(p: ProblemDef, x0, z0: np.ndarray, lr: float,
     """
     if not lr > 0:
         raise ValueError(f"lr must be > 0, got {lr}")
-    _check_count("max_iters", max_iters, 0)
+    check_count(max_iters, 0, "max_iters")
     t0 = time.perf_counter()
     z = np.array(z0, dtype=float, copy=True)
     gnorms: List[float] = []

@@ -1,0 +1,34 @@
+"""The benchmark's correctness check, run in-process on the tiny workloads.
+
+perfbench refuses a run whose outputs fail the workload's referee or
+differ between passes; these tests hold the library to the same contract
+on every test run.  perfbench/ is only read: its modules are imported
+without writing bytecode next to them.
+"""
+
+import sys
+
+import pytest
+
+
+@pytest.fixture(scope="module")
+def bench():
+    old = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        from perfbench import speed, tracing, workloads
+    finally:
+        sys.dont_write_bytecode = old
+    return workloads, tracing.Untraced(), speed.NoClock()
+
+
+@pytest.mark.parametrize("name", ["MpcCircle", "LongHorizon"])
+def test_tiny_workload_passes_its_check_twice(bench, name):
+    workloads, untraced, clock = bench
+    wl = getattr(workloads, name)(0, tiny=True)
+    passes = [wl.run_pass(untraced, clock) for _ in range(2)]
+    first = passes[0]
+    assert wl.check(first.outputs) == []
+    assert [res.failed for res in passes] == [0, 0]
+    assert first.attempted > 0 and first.fingerprint
+    assert passes[1].fingerprint == first.fingerprint

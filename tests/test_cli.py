@@ -283,9 +283,14 @@ def test_rollout_blowup_fails_with_one_line(tmp_path, capsys, command,
     assert err == (f"{command}: FAIL (numerical blow-up at stage 0 "
                    f"(stage cost))\n")
     report = json.loads((tmp_path / "report.json").read_text())
-    assert report == {"schema_version": SCHEMA_VERSION, "command": command,
-                      "passed": False,
-                      "failure": "numerical blow-up at stage 0 (stage cost)"}
+    expected = {"schema_version": SCHEMA_VERSION, "command": command,
+                "passed": False,
+                "failure": "numerical blow-up at stage 0 (stage cost)"}
+    assert {key: report.get(key) for key in expected} == expected
+    if command == "run-mpc":
+        # run_mpc keeps the solved prefix, here empty, and its report.
+        assert report["failed_step"] == 0
+        assert report["steps_completed"] == 0
 
 
 def test_usage_error_exits_2():

@@ -1,12 +1,15 @@
 """Receding-horizon driver: degeneracies, replay, warm starts, failures."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from costate import (DimensionMismatchError, Dims, MpcConfig,
-                     ProblemDef, SolverConfig, Termination, UnicycleSpec,
-                     WarmStart, build_unicycle_plant, build_unicycle_tracking,
-                     minimize, run_mpc)
+                     NumericalBlowupError, ProblemDef, SolverConfig,
+                     Termination, UnicycleSpec, WarmStart,
+                     build_unicycle_plant, build_unicycle_tracking, minimize,
+                     run_mpc)
 
 
 def _unicycle_setup(total_steps, horizon=10):
@@ -112,6 +115,28 @@ def test_solver_failure_truncates_trace_with_report():
             is Termination.LINEAR_SOLVE_FAILURE)
 
 
+def test_blowup_truncates_trace_and_keeps_the_prefix():
+    spec = UnicycleSpec(N=10, N_p=4)
+    plant = build_unicycle_plant(spec)
+
+    def blowing_factory(state, step):
+        prob = build_unicycle_tracking(spec, step, state)
+        if step < 2:
+            return prob
+        return dataclasses.replace(
+            prob, stage_cost=lambda xs, us, ks: np.full(len(ks), np.nan))
+
+    trace = run_mpc(plant, blowing_factory, np.asarray(spec.X0),
+                    MpcConfig(horizon=4, total_steps=10))
+    assert trace.failed_step == 2
+    assert trace.applied_controls.shape == (2, 2)
+    assert trace.applied_states.shape == (3, 3)
+    # A blow-up leaves no partial report.
+    assert len(trace.per_step_reports) == 2
+    assert isinstance(trace.failure, NumericalBlowupError)
+    assert str(trace.failure) == "numerical blow-up at stage 0 (stage cost)"
+
+
 def test_factory_dims_are_checked():
     spec, plant, _ = _unicycle_setup(total_steps=5)
 
@@ -128,3 +153,14 @@ def test_config_validation():
         MpcConfig(horizon=0, total_steps=5)
     with pytest.raises(ValueError):
         MpcConfig(horizon=5, total_steps=0)
+
+
+@pytest.mark.parametrize("field, value", [("total_steps", 2.5),
+                                          ("horizon", 10.0)])
+def test_fractional_counts_rejected(field, value):
+    # run_mpc loops over range(total_steps): a float must fail up front.
+    counts = {"horizon": 10, "total_steps": 5, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        MpcConfig(**counts)
+    counts[field] = np.int64(3)
+    assert getattr(MpcConfig(**counts), field) == 3

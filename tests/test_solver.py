@@ -1,5 +1,8 @@
 """Second-order iteration, inner recursion, and the gradient baseline."""
 
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,9 +13,10 @@ import costate.solver
 from costate import (AsymmetricHessianError, Dims, LinearSolveError, LqrSpec,
                      NumericalBlowupError, ProblemDef, SolverConfig,
                      Termination, UnicycleSpec, build_lqr,
-                     build_unicycle_tracking, forward_adjoint, hessian,
-                     minimize, minimize_gd, one_row, random_smooth_problem,
-                     riccati_lqr, stage_curvature, step_direction)
+                     build_unicycle_tracking, eval_cost, forward_adjoint,
+                     gradient, hessian, minimize, minimize_gd, one_row,
+                     random_smooth_problem, riccati_lqr, stage_curvature,
+                     step_direction)
 
 
 def _lq_problem(a, b, q, r_u, n_last):
@@ -125,6 +129,14 @@ class TestStepDirection:
             step_direction(adj, c, np.ones(2), SolverConfig(), -1)
 
 
+def _stage_two_problem(weight):
+    """n = 2, m = 1, N = 4, every control weight 1 but stage 2's."""
+    weights = [np.eye(1)] * 5
+    weights[2] = weight * np.eye(1)
+    return _lq_problem(0.9 * np.eye(2), np.ones((2, 1)), np.eye(2),
+                       weights, 4)
+
+
 class TestStagewiseSolve:
     @settings(max_examples=25, deadline=None, database=None)
     @given(n=st.integers(1, 4), m=st.integers(1, 3), n_last=st.integers(0, 12),
@@ -199,11 +211,7 @@ class TestStagewiseSolve:
         assert err.value.index[0] == 2  # the stage of the skewed block
 
     def test_failed_pivot_names_its_stage(self):
-        # Convex everywhere but the control weight of stage 2.
-        weights = [np.eye(1)] * 5
-        weights[2] = -5000.0 * np.eye(1)
-        prob = _lq_problem(0.9 * np.eye(2), np.ones((2, 1)), np.eye(2),
-                           weights, 4)
+        prob = _stage_two_problem(-5000.0)
         adj, c, _ = _snapshot(prob, np.ones(2), np.zeros(5))
         with pytest.raises(LinearSolveError) as err:
             step_direction(adj, c, np.ones(5), SolverConfig(r_reg=0.1), 0)
@@ -212,6 +220,29 @@ class TestStagewiseSolve:
             minimize(prob, np.ones(2), np.zeros(5), SolverConfig(r_reg=0.1))
         assert err.value.stage == 2
         assert err.value.report.termination is Termination.LINEAR_SOLVE_FAILURE
+
+    def test_workspace_reuse_matches_a_fresh_factorization(self):
+        # minimize factors every outer iteration and every escalation retry
+        # in one workspace; a failed factorization must leave nothing behind
+        # that a later one reads.
+        g = np.random.default_rng(3).normal(size=5)
+        x0, z0 = np.ones(2), np.zeros(5)
+        bad_adj, bad_c, _ = _snapshot(_stage_two_problem(-5000.0), x0, z0)
+        adj, c, _ = _snapshot(_stage_two_problem(2.0), x0, z0)
+        cfg, retry_cfg = SolverConfig(r_reg=0.1), SolverConfig(r_reg=1e4)
+        workspace = costate.solver._StagewiseFactor(4, 2, 1)
+        with pytest.raises(LinearSolveError) as err:
+            step_direction(bad_adj, bad_c, g, cfg, 2, _factor=workspace)
+        assert err.value.stage == 2
+        reused = step_direction(adj, c, g, cfg, 2, _factor=workspace)
+        assert np.array_equal(reused, step_direction(adj, c, g, cfg, 2))
+        # The escalation retry: the same snapshot, a larger regularizer.
+        with pytest.raises(LinearSolveError):
+            step_direction(bad_adj, bad_c, g, cfg, 2, _factor=workspace)
+        retried = step_direction(bad_adj, bad_c, g, retry_cfg, 2,
+                                 _factor=workspace)
+        assert np.array_equal(
+            retried, step_direction(bad_adj, bad_c, g, retry_cfg, 2))
 
 
 class TestMinimize:
@@ -267,6 +298,57 @@ class TestMinimize:
                        SolverConfig())
         assert rep.termination is Termination.CONVERGED
         assert rep.grad_norm_history[-1] < 1e-6
+
+    @pytest.mark.parametrize("step, offset, escalates", [
+        (3, [0.1, 0.1, 0.1], False),
+        (0, [0.0, 0.0, 0.0], True),
+        (0, [0.5, -0.3, 0.4], True),
+    ])
+    def test_one_rollout_per_trial(self, caplog, step, offset, escalates):
+        # The initial rollout, then one per trial point: an accepted trial's
+        # rollout is reused by the next iteration, not recomputed.
+        spec = UnicycleSpec()
+        x0 = np.asarray(spec.X0) + np.asarray(offset)
+        base = build_unicycle_tracking(spec, step, x0)
+        calls = {"dynamics": 0, "stage_cost": 0}
+
+        def counted(name):
+            fn = getattr(base, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        prob = dataclasses.replace(base, **{name: counted(name)
+                                            for name in calls})
+        caplog.set_level(logging.INFO, logger="costate.solver")
+        rep = minimize(prob, x0, np.zeros(prob.dims.z_len), SolverConfig())
+        assert rep.termination is Termination.CONVERGED
+        retried = sum(r.getMessage().startswith("trial cost")
+                      for r in caplog.records)
+        assert bool(caplog.records) is escalates
+        rollouts = 1 + rep.outer_iters + retried
+        assert calls["dynamics"] == prob.dims.N * rollouts
+        assert calls["stage_cost"] == rollouts
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 3), n_last=st.integers(0, 12),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1.0, 5.0]),
+           max_outer=st.sampled_from([1, 2, 50]))
+    def test_report_matches_a_fresh_evaluation(self, n, m, n_last, seed,
+                                               scale, max_outer):
+        # The reported cost and gradient norm come from the kept rollout;
+        # they must equal a fresh evaluation at z_final exactly.
+        prob, x0, z0 = random_smooth_problem(seed, n, m, n_last)
+        x0, z0 = scale * x0, scale * z0
+        try:
+            rep = minimize(prob, x0, z0, SolverConfig(max_outer=max_outer))
+        except LinearSolveError as exc:
+            rep = exc.report
+        assert rep.cost_history[-1] == eval_cost(prob, x0, rep.z_final)
+        assert rep.grad_norm_history[-1] == np.abs(
+            gradient(prob, x0, rep.z_final).gradient).max(initial=0.0)
 
     def test_unrecoverable_linear_solve_failure(self):
         n_last = 2
