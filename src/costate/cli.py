@@ -44,7 +44,8 @@ from .curvature import hessian_product, stage_curvature, symmetric_part
 from .mpc import MpcConfig, run_mpc
 from .oracles import (fd_consistency, fd_gradient, fd_hessian, max_rel_error,
                       riccati_lqr)
-from .problem import NumericalBlowupError, central_difference, roll_forward
+from .problem import (NumericalBlowupError, central_difference, check_count,
+                      roll_forward)
 from .scenarios import (CircleReference, LqrSpec, UnicycleSpec, WaypointTable,
                         build_lqr, build_unicycle_plant,
                         build_unicycle_tracking, random_smooth_problem,
@@ -99,7 +100,8 @@ class MpcOutput:
 
 @dataclass(frozen=True)
 class GdBaseline:
-    """Step size and per-step iteration cap of the --baseline gd run."""
+    """Step size and per-step iteration cap (an integer >= 1) of the
+    --baseline gd run."""
 
     lr: float = 0.05
     max_iters: int = 5000
@@ -107,8 +109,7 @@ class GdBaseline:
     def __post_init__(self):
         if not self.lr > 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        check_count(self.max_iters, 1, "max_iters")
 
 
 def _load_json(path: str, sections: Sequence[str]) -> dict:
@@ -287,6 +288,30 @@ def cmd_run_lqr(config_path: str, out_dir: str) -> int:
 # run-mpc
 # ---------------------------------------------------------------------------
 
+def _trace_summary(trace) -> dict:
+    """Report fields of one run_mpc trace, shared by both run-mpc blocks.
+
+    The iteration median is over the solved steps; the termination
+    histogram also counts a failed step's partial report.  failure is
+    present only when a step's solve failed.
+    """
+    steps_done = trace.applied_controls.shape[0]
+    iters = [rep.outer_iters for rep in trace.per_step_reports[:steps_done]]
+    terminations = Counter(rep.termination.value
+                           for rep in trace.per_step_reports)
+    summary = {
+        "failed_step": trace.failed_step,
+        "median_iters": float(statistics.median(iters)) if iters else None,
+        "terminations": dict(sorted(terminations.items())),
+        "steps_unconverged": sum(v for k, v in terminations.items()
+                                 if k != Termination.CONVERGED.value),
+        "total_wall_time_s": float(trace.per_step_wall_time.sum()),
+    }
+    if trace.failed_step is not None:
+        summary["failure"] = str(trace.failure)
+    return summary
+
+
 def cmd_run_mpc(config_path: str, out_dir: str, baseline: Optional[str]) -> int:
     cfg = _load_json(config_path,
                      ("scenario", "solver", "mpc", "baseline", "output"))
@@ -337,10 +362,8 @@ def cmd_run_mpc(config_path: str, out_dir: str, baseline: Optional[str]) -> int:
         ))
 
     iters = [rep.outer_iters for rep in trace.per_step_reports[:steps_done]]
-    terminations = Counter(rep.termination.value
-                           for rep in trace.per_step_reports)
-    unconverged = sum(v for k, v in terminations.items()
-                      if k != Termination.CONVERGED.value)
+    summary = _trace_summary(trace)
+    unconverged = summary["steps_unconverged"]
     steady = times > limits.transient_time_s
     steady_any = bool(steady.any())
     max_pos_err = float(pos_errors[steady].max()) if steady_any else float("nan")
@@ -352,7 +375,6 @@ def cmd_run_mpc(config_path: str, out_dir: str, baseline: Optional[str]) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "run-mpc",
         "steps_completed": steps_done,
-        "failed_step": trace.failed_step,
         "steady_state": {
             "transient_time_s": limits.transient_time_s,
             "max_pos_error_m": max_pos_err,
@@ -363,11 +385,8 @@ def cmd_run_mpc(config_path: str, out_dir: str, baseline: Optional[str]) -> int:
                        "max_heading_error_rad": limits.max_heading_error_rad},
         "iteration_histogram": {str(k): v for k, v in
                                 sorted(Counter(iters).items())},
-        "median_iters": float(statistics.median(iters)) if iters else None,
         "max_iters": max(iters) if iters else None,
-        "terminations": dict(sorted(terminations.items())),
-        "steps_unconverged": unconverged,
-        "total_wall_time_s": float(trace.per_step_wall_time.sum()),
+        **summary,
     }
 
     if baseline == "gd":
@@ -382,9 +401,8 @@ def cmd_run_mpc(config_path: str, out_dir: str, baseline: Optional[str]) -> int:
             "lr": gd.lr,
             "max_iters": gd.max_iters,
             "per_step_iters": gd_iters,
-            "median_iters": float(statistics.median(gd_iters)) if gd_iters else None,
             "steps_at_cap": sum(1 for v in gd_iters if v >= gd.max_iters),
-            "total_wall_time_s": float(gd_trace.per_step_wall_time.sum()),
+            **_trace_summary(gd_trace),
         }
         report["per_step_iters"] = iters
 
@@ -396,7 +414,6 @@ def cmd_run_mpc(config_path: str, out_dir: str, baseline: Optional[str]) -> int:
 
     if trace.failed_step is not None:
         report["passed"] = False
-        report["failure"] = str(trace.failure)
         _write_json(out / "report.json", report)
         reason = (str(trace.failure)
                   if isinstance(trace.failure, NumericalBlowupError)

@@ -64,14 +64,9 @@ class MpcTrace:
 def _shift_warm_start(z_prev: np.ndarray, dims) -> np.ndarray:
     # Drop stage 0, repeat the last meaningful control, keep the padding
     # stage as is (its entries never matter to the cost).
-    u = stage_controls(z_prev, dims).copy()
-    shifted = np.empty_like(u)
-    if dims.N >= 2:
-        shifted[:dims.N - 1] = u[1:dims.N]
-        shifted[dims.N - 1] = u[dims.N - 1]
-    else:
-        shifted[0] = u[0]
-    shifted[dims.N] = u[dims.N]
+    u = stage_controls(z_prev, dims)
+    shifted = u.copy()
+    shifted[:dims.N - 1] = u[1:dims.N]
     return shifted.reshape(-1)
 
 

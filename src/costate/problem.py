@@ -53,9 +53,9 @@ class Dims:
     """Problem dimensions.
 
     Attributes:
-        n: state dimension, >= 1.
-        m: control dimension, >= 1.
-        N: index of the last stage, >= 0 (stages run k = 0..N).
+        n: state dimension, an integer >= 1.
+        m: control dimension, an integer >= 1.
+        N: index of the last stage, an integer >= 0 (stages run k = 0..N).
     """
 
     n: int
@@ -63,12 +63,9 @@ class Dims:
     N: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"state dimension n must be >= 1, got {self.n}")
-        if self.m < 1:
-            raise ValueError(f"control dimension m must be >= 1, got {self.m}")
-        if self.N < 0:
-            raise ValueError(f"last stage index N must be >= 0, got {self.N}")
+        check_count(self.n, 1, "n")
+        check_count(self.m, 1, "m")
+        check_count(self.N, 0, "N")
 
     @property
     def z_len(self) -> int:

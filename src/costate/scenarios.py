@@ -21,7 +21,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .problem import Dims, ProblemDef, check_state
+from .problem import Dims, ProblemDef, check_count, check_state
 
 
 def wrap_angle(a):
@@ -50,7 +50,7 @@ def _half_quad(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class LqrSpec:
     """Scalar linear-quadratic problem: x' = a x + b u, running cost
-    q x^2 + r u^2, terminal cost p_term x_N^2."""
+    q x^2 + r u^2, terminal cost p_term x_N^2; N is an integer >= 0."""
 
     a: float = 1.8
     b: float = 0.9
@@ -67,8 +67,7 @@ class LqrSpec:
             raise ValueError(f"q must be >= 0, got {self.q}")
         if self.p_term < 0:
             raise ValueError(f"p_term must be >= 0, got {self.p_term}")
-        if self.N < 0:
-            raise ValueError(f"N must be >= 0, got {self.N}")
+        check_count(self.N, 0, "N")
 
 
 def build_lqr(spec: LqrSpec) -> ProblemDef:
@@ -160,9 +159,10 @@ class UnicycleSpec:
 
     State is [x (m), y (m), heading (rad)], controls are [speed (m/s),
     turn rate (rad/s)].  delta is the Euler step, N the total number of
-    plant steps, N_p the prediction horizon.  Q_weights/R_weights are the
-    diagonal tracking weights.  The solver settings are not part of the
-    scenario; the default SolverConfig() is what the benchmark runs use.
+    plant steps, N_p the prediction horizon (both integers >= 1).
+    Q_weights/R_weights are the diagonal tracking weights.  The solver
+    settings are not part of the scenario; the default SolverConfig() is
+    what the benchmark runs use.
     """
 
     delta: float = 0.05
@@ -178,10 +178,8 @@ class UnicycleSpec:
     def __post_init__(self):
         if not self.delta > 0:
             raise ValueError(f"delta must be > 0, got {self.delta}")
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
-        if self.N_p < 1:
-            raise ValueError(f"N_p must be >= 1, got {self.N_p}")
+        check_count(self.N, 1, "N")
+        check_count(self.N_p, 1, "N_p")
         if any(w < 0 for w in self.Q_weights):
             raise ValueError("Q_weights must be non-negative")
         if any(w <= 0 for w in self.R_weights):

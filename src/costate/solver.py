@@ -6,9 +6,9 @@ outer iteration, reused across an inner recursion whose depth grows with
 the outer iteration count.  Each inner level feeds the previous direction
 back through the factorization, so the direction approaches the exact
 Newton step geometrically; with the depth schedule the overall iteration
-converges superlinearly.  There is no line search: if (R + H) fails to
-factor, the regularizer is escalated and the iteration retried a bounded
-number of times.
+converges superlinearly.  There is no line search: a step that cannot be
+trusted ((R + H) fails to factor, or the trial cost blows up or increases)
+is retried with a tenfold larger regularizer, a bounded number of times.
 
 (R + H) d = g is the optimality condition of a linear-quadratic subproblem
 along the rollout, so the factorization is a backward Riccati recursion
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional
 
@@ -52,6 +52,12 @@ log = logging.getLogger(__name__)
 # each multiplying the regularizer by FALLBACK_SCALE.
 MAX_ESCALATIONS = 3
 FALLBACK_SCALE = 10.0
+
+
+def _check_positive(value, what: str) -> None:
+    """Reject a value that is not a finite number > 0 with a ValueError."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{what} must be finite and > 0, got {value}")
 
 
 class Termination(Enum):
@@ -83,9 +89,10 @@ class SolverConfig:
     """Tuning for the second-order iteration.
 
     Attributes:
-        r_reg: regularizer, a positive scalar; R is r_reg times the
+        r_reg: regularizer, a finite scalar > 0; R is r_reg times the
             identity.
-        grad_tol: stop when the max-abs gradient entry drops below this.
+        grad_tol: stop when the max-abs gradient entry drops below this
+            finite positive value.
         max_outer: outer iteration budget, an integer >= 1.
         inner_depth_cap: bound on the inner recursion depth, an integer
             >= 0; None means the depth simply equals the outer iteration
@@ -102,10 +109,8 @@ class SolverConfig:
         if not np.isscalar(self.r_reg):
             raise ValueError(
                 f"r_reg must be a scalar, got shape {np.shape(self.r_reg)}")
-        if not self.r_reg > 0:
-            raise ValueError(f"r_reg must be > 0, got {self.r_reg}")
-        if not self.grad_tol > 0:
-            raise ValueError(f"grad_tol must be > 0, got {self.grad_tol}")
+        _check_positive(self.r_reg, "r_reg")
+        _check_positive(self.grad_tol, "grad_tol")
         check_count(self.max_outer, 1, "max_outer")
         if self.inner_depth_cap is not None:
             check_count(self.inner_depth_cap, 0, "inner_depth_cap")
@@ -238,16 +243,16 @@ class _StagewiseFactor:
 
 
 def step_direction(adj: AdjointSolution, c: np.ndarray, g: np.ndarray,
-                   cfg: SolverConfig, depth: int,
+                   r: float, depth: int,
                    _factor: Optional[_StagewiseFactor] = None) -> np.ndarray:
     """Inner update direction from one stagewise factorization of (R + H).
 
     H is the Hessian of the rollout cost at the snapshot that produced adj
     (its dynamics Jacobians) and c (its stage Hamiltonian Hessians, from
-    curvature.stage_curvature); R = cfg.r_reg * I.  Depth 0 solves
-    (R + H) d = g; each further level solves (R + H) d = g + R d_prev
-    against the same factors.  For positive-definite H the sequence
-    converges geometrically to the Newton direction.
+    curvature.stage_curvature); R = r * I.  Depth 0 solves (R + H) d = g;
+    each further level solves (R + H) d = g + R d_prev against the same
+    factors.  For positive-definite H the sequence converges geometrically
+    to the Newton direction.
 
     c is checked against the symmetry tolerance and its symmetric part is
     factored by a backward Riccati recursion, one Cholesky-factored control
@@ -259,14 +264,15 @@ def step_direction(adj: AdjointSolution, c: np.ndarray, g: np.ndarray,
     Without it a workspace is built for this call.
 
     Raises:
-        ValueError: depth < 0.
+        ValueError: r is not finite and > 0, or depth < 0.
         AsymmetricHessianError: c violates the symmetry tolerance.
         LinearSolveError: (R + H) is not positive definite; its stage is
             the stage whose pivot failed.
     """
+    _check_positive(r, "r")
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    r = float(cfg.r_reg)
+    r = float(r)
     factor = _factor if _factor is not None else _StagewiseFactor(
         adj.fu.shape[0] - 1, *adj.fu.shape[1:])
     factor.factor(adj, c, r)
@@ -278,23 +284,14 @@ def step_direction(adj: AdjointSolution, c: np.ndarray, g: np.ndarray,
 
 def _report(z, outer, inner, gnorms, costs, termination, t0) -> SolveReport:
     return SolveReport(
-        z_final=z,
-        outer_iters=outer,
-        inner_iters_total=inner,
-        grad_norm_history=np.asarray(gnorms),
-        cost_history=np.asarray(costs),
-        termination=termination,
-        wall_time=time.perf_counter() - t0,
-    )
+        z_final=z, outer_iters=outer, inner_iters_total=inner,
+        grad_norm_history=np.asarray(gnorms), cost_history=np.asarray(costs),
+        termination=termination, wall_time=time.perf_counter() - t0)
 
 
 # Relative slack when comparing a trial cost against the current one;
 # guards against spurious escalations from last-ulp noise near an optimum.
 _COST_SLACK = 1e-12
-
-
-def _escalated(cfg: SolverConfig) -> SolverConfig:
-    return replace(cfg, r_reg=cfg.r_reg * FALLBACK_SCALE)
 
 
 def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig) -> SolveReport:
@@ -310,16 +307,17 @@ def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig) -> SolveRepor
     before any step, so a stationary start returns unchanged with zero
     outer iterations) or as MaxIters when the budget is exhausted.
 
-    An iteration is retried with the regularizer multiplied by
-    FALLBACK_SCALE, up to MAX_ESCALATIONS times, whenever the step is
-    untrustworthy: (R + H) fails to factor, or the trial cost blows up or
-    increases.  The latter two only occur when the curvature is indefinite
-    beyond what R absorbs, since on a positive-semidefinite model every
-    direction the recursion produces is a strict descent step.  If the
-    system still fails to factor after the escalations, LinearSolveError is
-    raised carrying the partial report and the stage whose pivot failed; a
-    merely non-decreasing trial is accepted at the highest regularization,
-    which bounds the step and keeps the iteration alive.
+    Each outer iteration makes up to MAX_ESCALATIONS + 1 attempts from
+    r = cfg.r_reg, each after the first with r multiplied by
+    FALLBACK_SCALE.  An attempt is accepted if its trial cost does not
+    increase; otherwise its cause is logged ((R + H) failed to factor at
+    stage k, or the trial cost blew up or increased).  Blow-ups and
+    increases only occur when the curvature is indefinite beyond what R
+    absorbs, since on a positive-semidefinite model every direction the
+    recursion produces is a strict descent step.  After the last attempt a
+    finite trial is accepted at the highest regularization, which bounds
+    the step and keeps the iteration alive; otherwise LinearSolveError
+    carries the partial report and the failing stage (None for a blow-up).
     """
     t0 = time.perf_counter()
     z = np.array(z0, dtype=float, copy=True)
@@ -343,28 +341,20 @@ def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig) -> SolveRepor
                            Termination.MAX_ITERS, t0)
         c = stage_curvature(p, roll, adj, z)
         depth = i if cfg.inner_depth_cap is None else min(i, cfg.inner_depth_cap)
-        trial_cfg = cfg
-        z_next = roll_next = None
+        r = cfg.r_reg
         for attempt in range(MAX_ESCALATIONS + 1):
-            last = attempt == MAX_ESCALATIONS
+            if attempt:
+                r *= FALLBACK_SCALE
+                log.info("%s, escalating regularizer (attempt %d) at outer "
+                         "iteration %d", cause, attempt, i)
             try:
-                d = step_direction(adj, c, adj.gradient, trial_cfg, depth,
+                d = step_direction(adj, c, adj.gradient, r, depth,
                                    _factor=factor)
             except LinearSolveError as exc:
-                if last:
-                    partial = _report(z, i, inner_total, gnorms, costs,
-                                      Termination.LINEAR_SOLVE_FAILURE, t0)
-                    raise LinearSolveError(
-                        f"regularized system failed to factor after "
-                        f"{MAX_ESCALATIONS} escalations at outer iteration "
-                        f"{i} (stage {exc.stage})",
-                        report=partial, stage=exc.stage,
-                    ) from exc
-                trial_cfg = _escalated(trial_cfg)
-                log.info("factorization failed at stage %d, escalating "
-                         "regularizer (attempt %d) at outer iteration %d",
-                         exc.stage, attempt + 1, i)
+                failed = exc
+                cause = f"factorization failed at stage {exc.stage}"
                 continue
+            failed = None
             inner_total += depth + 1
             candidate = z - d
             try:
@@ -373,26 +363,21 @@ def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig) -> SolveRepor
             except NumericalBlowupError:
                 trial, trial_cost = None, float("inf")
             if trial_cost <= costs[-1] + _COST_SLACK * (1.0 + abs(costs[-1])):
-                z_next, roll_next = candidate, trial
                 break
-            if last:
-                if np.isfinite(trial_cost):
-                    log.info("accepting non-decreasing step at maximum "
-                             "regularization, outer iteration %d", i)
-                    z_next, roll_next = candidate, trial
-                    break
-                partial = _report(z, i, inner_total, gnorms, costs,
-                                  Termination.LINEAR_SOLVE_FAILURE, t0)
+            cause = f"trial cost {trial_cost:.6g} above {costs[-1]:.6g}"
+        else:  # no attempt was accepted
+            if failed is not None or not np.isfinite(trial_cost):
                 raise LinearSolveError(
-                    f"trial steps blew up through {MAX_ESCALATIONS} "
-                    f"regularizer escalations at outer iteration {i}",
-                    report=partial,
-                )
-            trial_cfg = _escalated(trial_cfg)
-            log.info("trial cost %.6g above %.6g, escalating regularizer "
-                     "(attempt %d) at outer iteration %d",
-                     trial_cost, costs[-1], attempt + 1, i)
-        z, roll = z_next, roll_next
+                    f"no acceptable step through {MAX_ESCALATIONS} "
+                    f"regularizer escalations at outer iteration {i}: "
+                    f"{cause}",
+                    report=_report(z, i, inner_total, gnorms, costs,
+                                   Termination.LINEAR_SOLVE_FAILURE, t0),
+                    stage=None if failed is None else failed.stage,
+                ) from failed
+            log.info("accepting non-decreasing step at maximum "
+                     "regularization, outer iteration %d", i)
+        z, roll = candidate, trial
         i += 1
 
 

@@ -10,6 +10,9 @@ import sys
 
 import pytest
 
+import costate.solver
+from costate import SolverConfig, random_smooth_problem
+
 
 @pytest.fixture(scope="module")
 def bench():
@@ -32,3 +35,19 @@ def test_tiny_workload_passes_its_check_twice(bench, name):
     assert [res.failed for res in passes] == [0, 0]
     assert first.attempted > 0 and first.fingerprint
     assert passes[1].fingerprint == first.fingerprint
+
+
+def test_tracer_counts_escalations_by_cause(bench):
+    # The traced solver.escalations.* metrics parse the solver's log; this
+    # problem escalates on both causes, 5 failed factorizations and 1
+    # increased trial cost, and converges in 10 outer iterations.
+    from perfbench import tracing  # already imported by bench, no bytecode
+
+    prob, x0, z0 = random_smooth_problem(2, 3, 2, 30)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        rep = costate.solver.minimize(prob, 5 * x0, 5 * z0, SolverConfig())
+    assert rep.outer_iters == 10
+    assert dict(tracer.escalations) == {"factor_fail": 5, "cost_increase": 1}
+    tried = sum(span[0] == "solver.step_direction" for span in tracer.spans)
+    assert tried == rep.outer_iters + 6

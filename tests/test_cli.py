@@ -12,7 +12,7 @@ import pytest
 
 from costate import (CircleReference, LqrSpec, ProblemDef, build_lqr,
                      euler_rolled_reference)
-from costate.cli import SCHEMA_VERSION, main, run_check_suites
+from costate.cli import GdBaseline, SCHEMA_VERSION, main, run_check_suites
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -267,6 +267,45 @@ def test_bad_config_exits_2_and_names_the_field(tmp_path, capsys, command,
     rc = main([command, "--config", cfg, "--out", str(tmp_path)])
     assert rc == 2
     assert f"'{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, payload, field", [
+    ("run-lqr", {"scenario": {"N": -1}}, "scenario.N"),
+    ("run-mpc", {"scenario": {"N_p": 0}}, "scenario.N_p"),
+    ("run-mpc", {"baseline": {"max_iters": 0}}, "baseline.max_iters"),
+])
+def test_count_range_error_names_the_field(tmp_path, capsys, command,
+                                           payload, field):
+    cfg = _write_config(tmp_path, payload)
+    rc = main([command, "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"'{field}'" in capsys.readouterr().err
+
+
+def test_gd_baseline_budget_is_a_count():
+    with pytest.raises(ValueError, match="^max_iters must be an integer"):
+        GdBaseline(max_iters=2.5)
+    assert GdBaseline(max_iters=np.int64(7)).max_iters == 7
+
+
+def test_failed_baseline_reports_its_failure(tmp_path):
+    # The plant start overflows the first rollout of both runs; the
+    # baseline block says so itself instead of reading as an empty run.
+    cfg = _write_config(tmp_path, {"scenario": {"X0": [1e200, 0, 0]}})
+    rc = main(["run-mpc", "--config", cfg, "--baseline", "gd",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    failure = "numerical blow-up at stage 0 (stage cost)"
+    for block in (report, report["baseline"]):
+        assert block["failed_step"] == 0
+        assert block["failure"] == failure
+        assert block["terminations"] == {}
+        assert block["steps_unconverged"] == 0
+        assert block["median_iters"] is None
+    gd = report["baseline"]
+    assert (gd["method"], gd["per_step_iters"], gd["steps_at_cap"]) == (
+        "gd", [], 0)
 
 
 @pytest.mark.parametrize("command, payload", [

@@ -185,11 +185,11 @@ class TestSecondOrderPass:
         prob, x0, z = random_smooth_problem(2, 4, 2, 800)
         roll, adj = _snapshot(prob, x0, z)
         c = stage_curvature(prob, roll, adj, z)
-        cfg = SolverConfig()
+        r = SolverConfig().r_reg
         g = adj.gradient
-        d = step_direction(adj, c, g, cfg, 0)
+        d = step_direction(adj, c, g, r, 0)
         hd = hessian_product(adj, symmetric_part(c), d[:, None])[0][:, 0]
-        residual = np.abs(cfg.r_reg * d + hd - g).max()
+        residual = np.abs(r * d + hd - g).max()
         assert residual <= 1e-12 * np.abs(g).max()
 
     def test_reuses_the_sweep_jacobians(self):

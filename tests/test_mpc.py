@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import costate.mpc
 from costate import (DimensionMismatchError, Dims, MpcConfig,
                      NumericalBlowupError, ProblemDef, SolverConfig,
                      Termination, UnicycleSpec, WarmStart,
@@ -80,6 +81,27 @@ def test_shift_warm_start_converges_and_usually_saves_iterations():
                for r in shift.per_step_reports)
     frac = np.mean(shift_iters <= zero_iters)
     assert frac >= 0.8, f"shift saved iterations on only {frac:.0%} of steps"
+
+
+@pytest.mark.parametrize("n_last", [1, 2, 3, 7])
+def test_shift_warm_start_drops_stage_zero(n_last):
+    # Stages 1..N-1 move up one, the last meaningful control repeats and
+    # the padding stage stays; at N = 1 only the padding stage is left.
+    dims = Dims(n=3, m=2, N=n_last)
+    u = np.arange(dims.z_len, dtype=float).reshape(-1, 2)
+    expected = np.vstack([u[1:n_last], u[n_last - 1], u[n_last]])
+    shifted = costate.mpc._shift_warm_start(u.reshape(-1), dims)
+    assert np.array_equal(shifted, expected.reshape(-1))
+
+
+def test_shift_warm_start_with_a_one_stage_horizon():
+    spec, plant, factory = _unicycle_setup(total_steps=8, horizon=1)
+    trace = run_mpc(plant, factory, np.asarray(spec.X0),
+                    MpcConfig(horizon=1, total_steps=8,
+                              warm_start=WarmStart.SHIFT))
+    assert trace.failed_step is None
+    assert all(r.termination is Termination.CONVERGED
+               for r in trace.per_step_reports)
 
 
 def test_solver_failure_truncates_trace_with_report():

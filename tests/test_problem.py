@@ -28,6 +28,14 @@ class TestDims:
         with pytest.raises(ValueError):
             Dims(**kwargs)
 
+    @pytest.mark.parametrize("field", ["n", "m", "N"])
+    def test_fractional_counts_rejected(self, field):
+        # Dims(n=2, m=1, N=2.5) used to build, with z_len == 3.5.
+        counts = dict(n=2, m=1, N=3)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            Dims(**{**counts, field: 2.5})
+        assert getattr(Dims(**{**counts, field: np.int64(2)}), field) == 2
+
     def test_flat_index_bijection(self):
         dims = Dims(n=2, m=3, N=4)
         seen = set()

@@ -42,6 +42,16 @@ class TestLqrScenario:
         assert max(errs.values()) <= 1e-5
 
 
+@pytest.mark.parametrize("spec, field, value", [
+    (LqrSpec, "N", 3.5), (UnicycleSpec, "N", 20.5), (UnicycleSpec, "N_p", 4.0),
+])
+def test_fractional_counts_rejected(spec, field, value):
+    # UnicycleSpec(N_p=4.0) used to build and then fail in range().
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        spec(**{field: value})
+    assert getattr(spec(**{field: np.int64(4)}), field) == 4
+
+
 class TestCircleReference:
     def test_start_of_default_circle(self):
         xr, ur = circle_reference(CircleReference(), 0.05, 0)

@@ -68,8 +68,8 @@ class TestStepDirection:
         prob = _convex_problem()
         adj, c, _ = _snapshot(prob, np.ones(3), np.zeros(prob.dims.z_len))
         for depth in (0, 1, 7):
-            d = step_direction(adj, c, np.zeros(prob.dims.z_len),
-                               SolverConfig(r_reg=0.5), depth)
+            d = step_direction(adj, c, np.zeros(prob.dims.z_len), 0.5,
+                               depth)
             assert np.array_equal(d, np.zeros(prob.dims.z_len))
 
     def test_identity_pair_halves_gradient(self):
@@ -78,20 +78,20 @@ class TestStepDirection:
         adj, c, h = _snapshot(prob, np.ones(1), np.zeros(2))
         assert np.array_equal(h, np.eye(2))
         g = np.array([2.0, -4.0])
-        d = step_direction(adj, c, g, SolverConfig(r_reg=1.0), 0)
+        d = step_direction(adj, c, g, 1.0, 0)
         np.testing.assert_allclose(d, g / 2.0, rtol=1e-14)
 
     def test_lqr_depth_zero_numbers(self, lqr1):
         adj, c, h = _snapshot(lqr1, 1.0, np.zeros(2))
         np.testing.assert_allclose(h, [[10.86, 0.0], [0.0, 0.0]], atol=1e-12)
         g = np.array([9.72, 0.0])
-        d = step_direction(adj, c, g, SolverConfig(r_reg=0.1), 0)
+        d = step_direction(adj, c, g, 0.1, 0)
         np.testing.assert_allclose(d, [9.72 / 10.96, 0.0], rtol=1e-12)
 
     def test_deep_recursion_reaches_newton_step(self, lqr1):
         adj, c, _ = _snapshot(lqr1, 1.0, np.zeros(2))
         g = np.array([9.72, 0.0])
-        d = step_direction(adj, c, g, SolverConfig(r_reg=0.1), 50)
+        d = step_direction(adj, c, g, 0.1, 50)
         np.testing.assert_allclose(d, [9.72 / 10.86, 0.0], atol=1e-8)
 
     def test_depth_zero_matches_dense_solve(self):
@@ -101,7 +101,7 @@ class TestStepDirection:
             adj, c, h = _snapshot(prob, x0, z)
             g = np.random.default_rng(14).normal(size=prob.dims.z_len)
             assert np.linalg.eigvalsh(h + 0.3 * np.eye(h.shape[0])).min() > 0
-            d = step_direction(adj, c, g, SolverConfig(r_reg=0.3), 0)
+            d = step_direction(adj, c, g, 0.3, 0)
             np.testing.assert_allclose(d, _dense_direction(h, g, 0.3, 0),
                                        rtol=1e-12)
 
@@ -110,9 +110,8 @@ class TestStepDirection:
         adj, c, h = _snapshot(prob, np.ones(3), np.zeros(prob.dims.z_len))
         assert np.linalg.eigvalsh(h).min() > 0
         g = np.random.default_rng(2).normal(size=prob.dims.z_len)
-        cfg = SolverConfig(r_reg=0.4)
         newton = np.linalg.solve(h, g)
-        gaps = [np.linalg.norm(step_direction(adj, c, g, cfg, j) - newton)
+        gaps = [np.linalg.norm(step_direction(adj, c, g, 0.4, j) - newton)
                 for j in range(12)]
         assert all(gaps[j + 1] <= gaps[j] + 1e-15 for j in range(11))
 
@@ -121,12 +120,18 @@ class TestStepDirection:
                            [-np.eye(1)] * 3, 2)
         adj, c, _ = _snapshot(prob, np.ones(3), np.zeros(3))
         with pytest.raises(LinearSolveError):
-            step_direction(adj, c, np.ones(3), SolverConfig(r_reg=0.1), 0)
+            step_direction(adj, c, np.ones(3), 0.1, 0)
+
+    @pytest.mark.parametrize("r", [0.0, -0.1, np.inf, np.nan])
+    def test_regularizer_must_be_finite_and_positive(self, lqr1, r):
+        adj, c, _ = _snapshot(lqr1, 1.0, np.zeros(2))
+        with pytest.raises(ValueError, match="r must be finite and > 0"):
+            step_direction(adj, c, np.ones(2), r, 0)
 
     def test_negative_depth_rejected(self, lqr1):
         adj, c, _ = _snapshot(lqr1, 1.0, np.zeros(2))
         with pytest.raises(ValueError):
-            step_direction(adj, c, np.ones(2), SolverConfig(), -1)
+            step_direction(adj, c, np.ones(2), 0.1, -1)
 
 
 def _stage_two_problem(weight):
@@ -151,7 +156,7 @@ class TestStagewiseSolve:
         lam = np.linalg.eigvalsh(h + r * np.eye(h.shape[0])).min()
         margin = 1e-6 * (1.0 + np.linalg.norm(h, 2))
         try:
-            d = step_direction(adj, c, g, SolverConfig(r_reg=r), depth)
+            d = step_direction(adj, c, g, r, depth)
         except LinearSolveError:
             assert lam < margin, f"PD system ({lam}) rejected"
             return
@@ -214,7 +219,7 @@ class TestStagewiseSolve:
         prob = _stage_two_problem(-5000.0)
         adj, c, _ = _snapshot(prob, np.ones(2), np.zeros(5))
         with pytest.raises(LinearSolveError) as err:
-            step_direction(adj, c, np.ones(5), SolverConfig(r_reg=0.1), 0)
+            step_direction(adj, c, np.ones(5), 0.1, 0)
         assert err.value.stage == 2
         with pytest.raises(LinearSolveError) as err:
             minimize(prob, np.ones(2), np.zeros(5), SolverConfig(r_reg=0.1))
@@ -229,20 +234,20 @@ class TestStagewiseSolve:
         x0, z0 = np.ones(2), np.zeros(5)
         bad_adj, bad_c, _ = _snapshot(_stage_two_problem(-5000.0), x0, z0)
         adj, c, _ = _snapshot(_stage_two_problem(2.0), x0, z0)
-        cfg, retry_cfg = SolverConfig(r_reg=0.1), SolverConfig(r_reg=1e4)
+        r, retry_r = 0.1, 1e4
         workspace = costate.solver._StagewiseFactor(4, 2, 1)
         with pytest.raises(LinearSolveError) as err:
-            step_direction(bad_adj, bad_c, g, cfg, 2, _factor=workspace)
+            step_direction(bad_adj, bad_c, g, r, 2, _factor=workspace)
         assert err.value.stage == 2
-        reused = step_direction(adj, c, g, cfg, 2, _factor=workspace)
-        assert np.array_equal(reused, step_direction(adj, c, g, cfg, 2))
+        reused = step_direction(adj, c, g, r, 2, _factor=workspace)
+        assert np.array_equal(reused, step_direction(adj, c, g, r, 2))
         # The escalation retry: the same snapshot, a larger regularizer.
         with pytest.raises(LinearSolveError):
-            step_direction(bad_adj, bad_c, g, cfg, 2, _factor=workspace)
-        retried = step_direction(bad_adj, bad_c, g, retry_cfg, 2,
+            step_direction(bad_adj, bad_c, g, r, 2, _factor=workspace)
+        retried = step_direction(bad_adj, bad_c, g, retry_r, 2,
                                  _factor=workspace)
         assert np.array_equal(
-            retried, step_direction(bad_adj, bad_c, g, retry_cfg, 2))
+            retried, step_direction(bad_adj, bad_c, g, retry_r, 2))
 
 
 class TestMinimize:
@@ -370,6 +375,35 @@ class TestMinimize:
         assert report.termination is Termination.LINEAR_SOLVE_FAILURE
         assert report.outer_iters == 0
 
+    def test_blowup_through_every_escalation_has_no_stage(self, caplog):
+        # H = I factors at every regularizer, but the gradient is so large
+        # that every trial overflows the cost: LinearSolveError without a
+        # stage, after MAX_ESCALATIONS escalations logged as trial costs.
+        prob = ProblemDef.from_stagewise(
+            dims=Dims(n=1, m=1, N=2),
+            dynamics=lambda x, u, k: x,
+            stage_cost=lambda x, u, k: float(1e306 * u[0] + 0.5 * u[0] ** 2),
+            d_dynamics=lambda x, u, k: (np.eye(1), np.zeros((1, 1))),
+            d_stage_cost=lambda x, u, k: (np.zeros(1),
+                                          np.array([1e306 + u[0]])),
+            dd_stage_cost=lambda x, u, k: (np.zeros((1, 1)), np.zeros((1, 1)),
+                                           np.eye(1)),
+            dd_dynamics_contracted=lambda w, x, u, k: (np.zeros((1, 1)),) * 3,
+        )
+        caplog.set_level(logging.INFO, logger="costate.solver")
+        with pytest.raises(LinearSolveError) as err, \
+                np.errstate(over="ignore", invalid="ignore"):
+            minimize(prob, 0.0, np.zeros(3), SolverConfig())
+        assert err.value.stage is None
+        report = err.value.report
+        assert report.termination is Termination.LINEAR_SOLVE_FAILURE
+        assert report.outer_iters == 0
+        escalations = costate.solver.MAX_ESCALATIONS
+        assert report.inner_iters_total == escalations + 1
+        assert np.array_equal(report.z_final, np.zeros(3))
+        assert [r.getMessage().startswith("trial cost inf")
+                for r in caplog.records] == [True] * escalations
+
     def test_budget_exhaustion_reported_not_thrown(self, lqr15):
         rep = minimize(lqr15, 3.0, np.zeros(lqr15.dims.z_len),
                        SolverConfig(r_reg=0.1, max_outer=1))
@@ -383,6 +417,14 @@ class TestMinimize:
             SolverConfig(r_reg=np.diag([0.5, 0.25]))
         with pytest.raises(ValueError):
             SolverConfig(grad_tol=-1.0)
+
+    @pytest.mark.parametrize("field", ["r_reg", "grad_tol"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_settings_rejected(self, field, value):
+        # grad_tol=inf used to report Converged at iteration 0, and
+        # r_reg=inf to overflow into a LinearSolveError.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SolverConfig(**{field: value})
 
     @pytest.mark.parametrize("field", ["max_outer", "inner_depth_cap"])
     def test_fractional_counts_rejected(self, field):
