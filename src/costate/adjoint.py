@@ -80,8 +80,8 @@ def adjoint_along(p: ProblemDef, roll: Rollout, z: np.ndarray) -> AdjointSolutio
         fu[:horizon] = np.asarray(ju, dtype=float).reshape(horizon, n, m)
     lam = np.zeros((horizon + 1, n))
     for k in range(horizon, 0, -1):
-        # np.dot: same BLAS call as @, with less overhead per tiny product.
-        lam[k - 1] = cx[k] + np.dot(fx[k].T, lam[k])
+        # ndarray.dot skips np.dot's Python-level dispatch on a tiny product.
+        lam[k - 1] = cx[k] + fx[k].T.dot(lam[k])
     g += (fu.transpose(0, 2, 1) @ lam[:, :, None])[..., 0]
     return AdjointSolution(costates=lam, gradient=g.reshape(-1), fx=fx, fu=fu)
 

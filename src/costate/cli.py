@@ -292,13 +292,16 @@ def _trace_summary(trace) -> dict:
     """Report fields of one run_mpc trace, shared by both run-mpc blocks.
 
     The iteration median is over the solved steps; the termination
-    histogram also counts a failed step's partial report.  failure is
-    present only when a step's solve failed.
+    histogram also counts a failed step's partial report, or the step as
+    "NumericalBlowup" when a blow-up left none.  failure is present only
+    when a step's solve failed.
     """
     steps_done = trace.applied_controls.shape[0]
     iters = [rep.outer_iters for rep in trace.per_step_reports[:steps_done]]
     terminations = Counter(rep.termination.value
                            for rep in trace.per_step_reports)
+    if isinstance(trace.failure, NumericalBlowupError):
+        terminations["NumericalBlowup"] += 1
     summary = {
         "failed_step": trace.failed_step,
         "median_iters": float(statistics.median(iters)) if iters else None,

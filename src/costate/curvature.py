@@ -3,7 +3,7 @@ and its Hessian-vector product."""
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -134,24 +134,29 @@ def hessian_product(adj: AdjointSolution, c: np.ndarray,
     return hv.reshape(-1, width), dx
 
 
-def symmetric_part(a: np.ndarray) -> np.ndarray:
+def symmetric_part(a: np.ndarray, out: Optional[np.ndarray] = None
+                   ) -> np.ndarray:
     """(a + a^T)/2 over the last two axes, once a passes the symmetry check.
 
     a is a Hessian or a stack of stage Hessians.  Its defect max|a - a^T|
     must not exceed SYMMETRY_TOL * (1 + max|a|).
+
+    out, if given, is a float64 array of a's shape not overlapping a, e.g.
+    the solver workspace's stack; it takes |a - a^T| for the check (and keeps
+    it on an error), then (a + a^T) * 0.5, the bits of 0.5 * (a + a^T).
 
     Raises:
         AsymmetricHessianError: the defect exceeds the tolerance; carries
             the index of the worst entry.
     """
     at = np.swapaxes(a, -1, -2)
-    defect_mat = np.abs(a - at)
+    defect_mat = np.abs(np.subtract(a, at, out=out), out=out)
     defect = float(defect_mat.max())
     tol = SYMMETRY_TOL * (1.0 + float(np.abs(a).max(initial=0.0)))
     if defect > tol:
         idx = np.unravel_index(int(defect_mat.argmax()), defect_mat.shape)
         raise AsymmetricHessianError(defect, tol, tuple(int(v) for v in idx))
-    return 0.5 * (a + at)
+    return np.multiply(np.add(a, at, out=out), 0.5, out=out)
 
 
 def hessian_with(p: ProblemDef, roll: Rollout, adj: AdjointSolution,

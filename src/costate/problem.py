@@ -270,8 +270,10 @@ def roll_forward(p: ProblemDef, x0, z: np.ndarray) -> Rollout:
     states[0] = check_state(x0, n, "x0")
     blown = None
     for k in range(horizon):
-        nxt = np.atleast_1d(np.asarray(p.dynamics(states[k], u[k], k),
-                                       dtype=float))
+        nxt = p.dynamics(states[k], u[k], k)
+        # A float64 ndarray needs no conversion; skip its dispatching calls.
+        if type(nxt) is not np.ndarray or nxt.dtype is not states.dtype:
+            nxt = np.atleast_1d(np.asarray(nxt, dtype=float))
         if nxt.shape != (n,):
             raise DimensionMismatchError(
                 f"dynamics returned shape {nxt.shape} at stage {k}, "

@@ -153,24 +153,40 @@ class _StagewiseFactor:
 
     A solve is one backward pass, for the feedforward kff_k and the linear
     cost-to-go term s_k, and one forward pass, for du_k and dx_{k+1}.  Each
-    stage of a pass is one np.dot of a fixed stage matrix with a slice of a
+    stage of a pass is one product of a fixed stage matrix with a slice of a
     row buffer; only b enters per solve, copied into the buffer at once.
 
-    The object is a workspace sized by (N, n, m): its stage matrices, row
-    buffers and the step lists that bind them are allocated once, and each
-    factor() call refills them in place.  minimize builds one per solve, so
-    every outer iteration and every escalation retry reuses it; a failed
-    factorization leaves nothing that the next one reads.
+    The object is a workspace sized by (N, n, m): its arrays, the
+    symmetrized stack q included, and the per-stage lists that bind them are
+    allocated once and refilled in place by each factor() call.  minimize
+    builds one per solve, so every outer iteration and escalation retry
+    reuses it; a failed factorization leaves nothing the next one reads.
+    Stage k of the factor loop, with F_k = [f_x | f_u], is
+
+        P F_k -> pf;  F_k' pf -> fpf;  Q_k += fpf;  [Q_ux | I] -> rhs;
+        dposv(Q_uu, rhs) -> x -> sol[k];  Q_xu x[:, :n] -> schur;
+        Q_xx - schur -> P.
+
+    Each product is an ndarray.dot bound once, writing into a preallocated
+    output: np.dot's BLAS call without its Python-level dispatch and new
+    temporary, which cost more than the arithmetic at these sizes.
     """
 
     def __init__(self, horizon: int, n: int, m: int):
-        self.horizon, self.n, self.m = horizon, n, m
+        self.n, self.m = n, m
         self.eye = np.eye(m)
+        self.q = np.empty((horizon + 1, n + m, n + m))
         self.fxu = np.empty((horizon + 1, n, n + m))
         # sol[k] = Q_uu^{-1} [Q_ux | I] = [-K_k | Q_uu^{-1}].
         self.sol = np.empty((horizon + 1, m, n + m))
         self.rhs = np.empty((m, n + m))
         self.rhs[:, n:] = self.eye
+        self.p = np.empty((n, n))
+        self.pf = np.empty((n, n + m))
+        self.fpf = np.empty((n + m, n + m))
+        self.schur = np.empty((n, n))
+        self.stages = [(k, self.q[k], self.fxu[k], self.fxu[k].T.dot)
+                       for k in range(horizon, -1, -1)]
         # back[k] maps [s_{k+1}; b_k] to [kff_k; s_k]:
         #   kff_k = Q_uu^{-1} (b_k - f_u' s_{k+1})
         #   s_k = A_k' s_{k+1} - K_k' b_k
@@ -187,10 +203,10 @@ class _StagewiseFactor:
         # s_{N+1} = 0 and dx_0 = 0 are never written.
         self.s_rows = np.zeros((horizon + 2, 2 * m + n))
         self.x_rows = np.zeros((horizon + 2, 2 * m + n))
-        self.back_steps = [(self.back[k], self.s_rows[k + 1, m:],
+        self.back_steps = [(self.back[k].dot, self.s_rows[k + 1, m:],
                             self.s_rows[k, :m + n])
                            for k in range(horizon, -1, -1)]
-        self.fwd_steps = [(self.fwd[k], self.x_rows[k, m:],
+        self.fwd_steps = [(self.fwd[k].dot, self.x_rows[k, m:],
                            self.x_rows[k + 1, :m + n])
                           for k in range(horizon + 1)]
 
@@ -201,17 +217,19 @@ class _StagewiseFactor:
         LinearSolveError naming the stage whose pivot failed.
         """
         n, m, fxu, sol, rhs = self.n, self.m, self.fxu, self.sol, self.rhs
+        p, pf, fpf, schur = self.p, self.pf, self.fpf, self.schur
         fx, fu = adj.fx, adj.fu
         # The recursion accumulates into q, so every factorization starts
         # from a fresh symmetric part.
-        q = symmetric_part(c)
+        q = symmetric_part(c, out=self.q)
         q[:, n:, n:] += r * self.eye
         fxu[:, :, :n] = fx
         fxu[:, :, n:] = fu
-        p = np.zeros((n, n))
-        for k in range(self.horizon, -1, -1):
-            qk = q[k]
-            qk += np.dot(fxu[k].T, np.dot(p, fxu[k]))
+        p.fill(0.0)
+        for k, qk, fk, fk_t_dot in self.stages:
+            p.dot(fk, pf)
+            fk_t_dot(pf, fpf)
+            qk += fpf
             rhs[:, :n] = qk[n:, :n]
             _, x, info = dposv(qk[n:, n:], rhs, lower=1)
             if info:
@@ -219,7 +237,8 @@ class _StagewiseFactor:
                     f"(R + H) is not positive definite: the pivot of stage "
                     f"{k} failed to factor", stage=k)
             sol[k] = x
-            p = qk[:n, :n] - np.dot(qk[:n, n:], x[:, :n])
+            qk[:n, n:].dot(x[:, :n], schur)
+            np.subtract(qk[:n, :n], schur, out=p)
         neg_gain, quu_inv = sol[:, :, :n], sol[:, :, n:]
         closed = fx - fu @ neg_gain  # A_k = f_x + f_u K_k
         back, fwd = self.back, self.fwd
@@ -234,11 +253,11 @@ class _StagewiseFactor:
     def solve(self, b: np.ndarray) -> np.ndarray:
         m, s_rows, x_rows = self.m, self.s_rows, self.x_rows
         s_rows[1:, -m:] = b.reshape(-1, m)
-        for mat, src, dst in self.back_steps:
-            np.dot(mat, src, out=dst)
+        for dot, src, dst in self.back_steps:
+            dot(src, dst)
         x_rows[:-1, -m:] = s_rows[:-1, :m]
-        for mat, src, dst in self.fwd_steps:
-            np.dot(mat, src, out=dst)
+        for dot, src, dst in self.fwd_steps:
+            dot(src, dst)
         return x_rows[1:, :m].reshape(-1)
 
 
@@ -264,14 +283,13 @@ def step_direction(adj: AdjointSolution, c: np.ndarray, g: np.ndarray,
     Without it a workspace is built for this call.
 
     Raises:
-        ValueError: r is not finite and > 0, or depth < 0.
+        ValueError: r is not finite and > 0, or depth not an integer >= 0.
         AsymmetricHessianError: c violates the symmetry tolerance.
         LinearSolveError: (R + H) is not positive definite; its stage is
             the stage whose pivot failed.
     """
     _check_positive(r, "r")
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
+    check_count(depth, 0, "depth")
     r = float(r)
     factor = _factor if _factor is not None else _StagewiseFactor(
         adj.fu.shape[0] - 1, *adj.fu.shape[1:])
@@ -385,12 +403,13 @@ def minimize_gd(p: ProblemDef, x0, z0: np.ndarray, lr: float,
                 grad_tol: float = 1e-6, max_iters: int = 10000) -> SolveReport:
     """Plain gradient descent baseline, z <- z - lr * gradient.
 
-    Same instrumentation as minimize; max_iters is an integer >= 0.  If the
-    cost climbs past ten times its initial magnitude the run stops with the
-    Diverged termination instead of crashing.
+    Same instrumentation as minimize; lr and grad_tol are finite and > 0 and
+    max_iters is an integer >= 0.  If the cost climbs past ten times its
+    initial magnitude the run stops with the Diverged termination instead of
+    crashing.
     """
-    if not lr > 0:
-        raise ValueError(f"lr must be > 0, got {lr}")
+    _check_positive(lr, "lr")
+    _check_positive(grad_tol, "grad_tol")
     check_count(max_iters, 0, "max_iters")
     t0 = time.perf_counter()
     z = np.array(z0, dtype=float, copy=True)

@@ -290,7 +290,8 @@ def test_gd_baseline_budget_is_a_count():
 
 def test_failed_baseline_reports_its_failure(tmp_path):
     # The plant start overflows the first rollout of both runs; the
-    # baseline block says so itself instead of reading as an empty run.
+    # baseline block says so itself instead of reading as an empty run, and
+    # both blocks count the blown-up step although it left no report.
     cfg = _write_config(tmp_path, {"scenario": {"X0": [1e200, 0, 0]}})
     rc = main(["run-mpc", "--config", cfg, "--baseline", "gd",
                "--out", str(tmp_path)])
@@ -300,8 +301,8 @@ def test_failed_baseline_reports_its_failure(tmp_path):
     for block in (report, report["baseline"]):
         assert block["failed_step"] == 0
         assert block["failure"] == failure
-        assert block["terminations"] == {}
-        assert block["steps_unconverged"] == 0
+        assert block["terminations"] == {"NumericalBlowup": 1}
+        assert block["steps_unconverged"] == 1
         assert block["median_iters"] is None
     gd = report["baseline"]
     assert (gd["method"], gd["per_step_iters"], gd["steps_at_cap"]) == (

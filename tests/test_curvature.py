@@ -293,6 +293,24 @@ class TestHessian:
         h = hessian(prob, x0, z)
         assert np.array_equal(h, h.T)
 
+    def test_symmetric_part_into_a_buffer(self):
+        # The solver symmetrizes into the stack its workspace owns; the bits
+        # and the error must be those of the allocating form.
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(4, 3, 3))
+        a = a + np.swapaxes(a, 1, 2) + 1e-12 * rng.normal(size=a.shape)
+        buf = np.full_like(a, np.nan)
+        assert symmetric_part(a, out=buf) is buf
+        assert np.array_equal(buf, symmetric_part(a))
+        assert np.array_equal(buf, 0.5 * (a + np.swapaxes(a, 1, 2)))
+        a[2, 0, 1] += 1.0
+        with pytest.raises(AsymmetricHessianError) as fresh:
+            symmetric_part(a)
+        with pytest.raises(AsymmetricHessianError) as into:
+            symmetric_part(a, out=buf)
+        assert (str(into.value), into.value.defect, into.value.index) == (
+            str(fresh.value), fresh.value.defect, fresh.value.index)
+
     def test_quadratic_model_exact_for_lqr(self, lqr15):
         rng = np.random.default_rng(8)
         z = rng.normal(size=lqr15.dims.z_len)

@@ -128,6 +128,40 @@ class TestRollForward:
             roll_forward(prob, 1.0, np.zeros(2))
         assert err.value.stage == 1
 
+    @staticmethod
+    def _doubling(n, dynamics):
+        return ProblemDef.from_stagewise(
+            dims=Dims(n=n, m=1, N=3), dynamics=dynamics,
+            stage_cost=lambda x, u, k: float(x @ x),
+            d_dynamics=lambda x, u, k: (2.0 * np.eye(n), np.zeros((n, 1))),
+            d_stage_cost=lambda x, u, k: (2.0 * x, np.zeros(1)))
+
+    @pytest.mark.parametrize("n, convert", [
+        (2, lambda y: y.tolist()),
+        (2, lambda y: y.astype(np.int64)),
+        (1, lambda y: float(y[0])),
+        (2, lambda y: y.astype(">f8")),
+    ], ids=["list", "int-array", "scalar", "big-endian"])
+    def test_dynamics_output_is_converted(self, n, convert):
+        ref = roll_forward(self._doubling(n, lambda x, u, k: 2.0 * x),
+                           np.ones(n), np.zeros(4))
+        roll = roll_forward(
+            self._doubling(n, lambda x, u, k: convert(2.0 * x)),
+            np.ones(n), np.zeros(4))
+        assert np.array_equal(roll.states, ref.states)
+        assert roll.total_cost == ref.total_cost
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.zeros(3), DimensionMismatchError),
+        ([0.0, 0.0, 0.0], DimensionMismatchError),
+        (np.array([1.0, np.inf]), NumericalBlowupError),
+        ([np.nan, 1.0], NumericalBlowupError),
+    ])
+    def test_bad_dynamics_output_names_the_stage(self, bad, error):
+        prob = self._doubling(2, lambda x, u, k: bad if k == 1 else 2.0 * x)
+        with pytest.raises(error, match="at stage 1"):
+            roll_forward(prob, np.ones(2), np.zeros(4))
+
     def test_replay_determinism(self, lqr15):
         z = np.linspace(-1, 1, lqr15.dims.z_len)
         a = roll_forward(lqr15, 2.0, z)

@@ -133,6 +133,12 @@ class TestStepDirection:
         with pytest.raises(ValueError):
             step_direction(adj, c, np.ones(2), 0.1, -1)
 
+    @pytest.mark.parametrize("depth", [1.5, 2.0])
+    def test_fractional_depth_rejected(self, lqr1, depth):
+        adj, c, _ = _snapshot(lqr1, 1.0, np.zeros(2))
+        with pytest.raises(ValueError, match="^depth must be an integer >= 0"):
+            step_direction(adj, c, np.ones(2), 0.1, depth)
+
 
 def _stage_two_problem(weight):
     """n = 2, m = 1, N = 4, every control weight 1 but stage 2's."""
@@ -248,6 +254,19 @@ class TestStagewiseSolve:
                                  _factor=workspace)
         assert np.array_equal(
             retried, step_direction(bad_adj, bad_c, g, retry_r, 2))
+
+    def test_workspace_after_an_asymmetric_stack_matches_a_fresh_one(self):
+        # The symmetry check writes the defect into the workspace's stack
+        # before it raises; the next factorization must not read it.
+        g = np.random.default_rng(4).normal(size=5)
+        adj, c, _ = _snapshot(_stage_two_problem(2.0), np.ones(2), np.zeros(5))
+        skewed = c.copy()
+        skewed[2, 0, 1] += 1.0
+        workspace = costate.solver._StagewiseFactor(4, 2, 1)
+        with pytest.raises(AsymmetricHessianError):
+            step_direction(adj, skewed, g, 0.1, 2, _factor=workspace)
+        reused = step_direction(adj, c, g, 0.1, 2, _factor=workspace)
+        assert np.array_equal(reused, step_direction(adj, c, g, 0.1, 2))
 
 
 class TestMinimize:
@@ -472,6 +491,14 @@ class TestMinimizeGd:
     def test_rate_must_be_positive(self, lqr15):
         with pytest.raises(ValueError):
             minimize_gd(lqr15, 1.0, np.zeros(lqr15.dims.z_len), lr=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", np.inf), ("lr", np.nan), ("grad_tol", np.inf),
+        ("grad_tol", np.nan), ("grad_tol", -1.0)])
+    def test_settings_must_be_finite_and_positive(self, lqr15, field, value):
+        kwargs = {"lr": 0.01, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            minimize_gd(lqr15, 1.0, np.zeros(lqr15.dims.z_len), **kwargs)
 
     @pytest.mark.parametrize("max_iters", [2.5, -1])
     def test_budget_must_be_a_count(self, lqr15, max_iters):
