@@ -13,8 +13,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .problem import (ProblemDef, Rollout, check_state, one_row, roll_forward,
-                      stage_controls)
+from .problem import (ProblemDef, Rollout, as_stack, check_state, one_row,
+                      roll_forward, stage_controls)
 
 
 @dataclass(frozen=True)
@@ -69,20 +69,29 @@ def adjoint_along(p: ProblemDef, roll: Rollout, z: np.ndarray) -> AdjointSolutio
     n, m, horizon = dims.n, dims.m, dims.N
     u = stage_controls(z, dims)
     xs = roll.states
-    cx, cu = p.d_stage_cost(xs, u, np.arange(horizon + 1))
-    cx = np.asarray(cx, dtype=float).reshape(horizon + 1, n)
-    g = np.array(cu, dtype=float).reshape(horizon + 1, m)
-    fx = np.zeros((horizon + 1, n, n))
-    fu = np.zeros((horizon + 1, n, m))
+    ks = np.arange(horizon + 1)
+    cx, cu = p.d_stage_cost(xs, u, ks)
+    cx = as_stack(cx, (horizon + 1, n))
+    fx = np.empty((horizon + 1, n, n))
+    fu = np.empty((horizon + 1, n, m))
+    fx[horizon] = 0.0
+    fu[horizon] = 0.0
     if horizon:
-        jx, ju = p.d_dynamics(xs[:horizon], u[:horizon], np.arange(horizon))
-        fx[:horizon] = np.asarray(jx, dtype=float).reshape(horizon, n, n)
-        fu[:horizon] = np.asarray(ju, dtype=float).reshape(horizon, n, m)
-    lam = np.zeros((horizon + 1, n))
-    for k in range(horizon, 0, -1):
-        # ndarray.dot skips np.dot's Python-level dispatch on a tiny product.
-        lam[k - 1] = cx[k] + fx[k].T.dot(lam[k])
-    g += (fu.transpose(0, 2, 1) @ lam[:, :, None])[..., 0]
+        jx, ju = p.d_dynamics(xs[:horizon], u[:horizon], ks[:horizon])
+        fx[:horizon] = as_stack(jx, (horizon, n, n))
+        fu[:horizon] = as_stack(ju, (horizon, n, m))
+    lam = np.empty((horizon + 1, n))
+    lam[horizon] = 0.0
+    # Stages k = N .. 1: lam[k-1] = f_x[k]' lam[k] + c_x[k], the product
+    # written in place by ndarray.dot, which skips np.dot's Python-level
+    # dispatch.
+    for fx_k_t, lam_k, lam_prev, cx_k in zip(
+            fx.transpose(0, 2, 1)[:0:-1], lam[:0:-1], lam[-2::-1],
+            cx[:0:-1]):
+        fx_k_t.dot(lam_k, lam_prev)
+        lam_prev += cx_k
+    g = as_stack(cu, (horizon + 1, m)) + (
+        fu.transpose(0, 2, 1) @ lam[:, :, None])[..., 0]
     return AdjointSolution(costates=lam, gradient=g.reshape(-1), fx=fx, fu=fu)
 
 

@@ -8,7 +8,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .adjoint import AdjointSolution, forward_adjoint
-from .problem import NumericalBlowupError, ProblemDef, Rollout, stage_controls
+from .problem import (NumericalBlowupError, ProblemDef, Rollout, as_stack,
+                      stage_controls)
 
 
 class CurvatureOracleError(ValueError):
@@ -63,17 +64,18 @@ def stage_curvature(p: ProblemDef, roll: Rollout, adj: AdjointSolution,
     ks = np.arange(horizon + 1)
     c = np.empty((horizon + 1, n + m, n + m))
     xx, xu, uu = c[:, :n, :n], c[:, :n, n:], c[:, n:, n:]
-    shapes = ((n, n), (n, m), (m, m))
-    blocks = p.dd_stage_cost(roll.states, u, ks)
-    for dst, src, shape in zip((xx, xu, uu), blocks, shapes):
-        dst[...] = np.asarray(src, dtype=float).reshape((horizon + 1,) + shape)
+    cxx, cxu, cuu = p.dd_stage_cost(roll.states, u, ks)
+    xx[...] = as_stack(cxx, (horizon + 1, n, n))
+    xu[...] = as_stack(cxu, (horizon + 1, n, m))
+    uu[...] = as_stack(cuu, (horizon + 1, m, m))
     if horizon:
-        blocks = p.dd_dynamics_contracted(adj.costates[:horizon],
-                                          roll.states[:horizon],
-                                          u[:horizon], ks[:horizon])
-        for dst, src, shape in zip((xx, xu, uu), blocks, shapes):
-            dst[:horizon] += np.asarray(src, dtype=float).reshape(
-                (horizon,) + shape)
+        wxx, wxu, wuu = p.dd_dynamics_contracted(
+            adj.costates[:horizon], roll.states[:horizon], u[:horizon],
+            ks[:horizon])
+        run_xx, run_xu, run_uu = xx[:horizon], xu[:horizon], uu[:horizon]
+        run_xx += as_stack(wxx, (horizon, n, n))
+        run_xu += as_stack(wxu, (horizon, n, m))
+        run_uu += as_stack(wuu, (horizon, m, m))
     c[:, n:, :n] = xu.transpose(0, 2, 1)
     if not np.isfinite(c).all():
         bad = ~np.isfinite(c).all(axis=(1, 2))

@@ -11,13 +11,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, List, Optional
 
 import numpy as np
 
 from .problem import (DimensionMismatchError, NumericalBlowupError,
                       ProblemDef, check_count, check_state, stage_controls)
-from .solver import LinearSolveError, SolveReport, SolverConfig, minimize
+from .solver import (LinearSolveError, SolveReport, SolverConfig,
+                     StagewiseFactor, minimize)
 
 
 class WarmStart(Enum):
@@ -82,14 +84,28 @@ def run_mpc(plant: ProblemDef, ocp_factory: Callable, x0, cfg: MpcConfig,
         x0: initial plant state.
         cfg: horizon length, number of steps, warm start, solver settings.
         _solve: override for the per-step solver (internal; used to drive
-            the same loop with baseline optimizers).
+            the same loop with baseline optimizers), called as
+            _solve(problem, state, z0, cfg.solver).  Without it every step
+            runs minimize in one factorization workspace, built once:
+            every step's problem has the same (N_p, n, m).
 
     Returns:
         MpcTrace.  A step whose solve raises LinearSolveError or
         NumericalBlowupError truncates the trace and names the error; a
         LinearSolveError's partial report is attached.
+
+    Raises:
+        DimensionMismatchError: a factory problem does not match cfg.horizon
+            or the plant's (n, m); or the plant dynamics returned the wrong
+            shape, named with the step.
+        NumericalBlowupError: the plant dynamics returned a non-finite
+            state; carries the step.
     """
-    solve = _solve if _solve is not None else minimize
+    if _solve is not None:
+        solve = _solve
+    else:
+        solve = partial(minimize, _factor=StagewiseFactor(
+            cfg.horizon, plant.dims.n, plant.dims.m))
     x = check_state(x0, plant.dims.n, "x0")
     states = [x.copy()]
     controls: List[np.ndarray] = []
@@ -128,7 +144,11 @@ def run_mpc(plant: ProblemDef, ocp_factory: Callable, x0, cfg: MpcConfig,
         z_prev = report.z_final
         u = np.array(report.z_final[:prob.dims.m], dtype=float, copy=True)
         nxt = np.atleast_1d(np.asarray(plant.dynamics(x, u, k), dtype=float))
-        if nxt.shape != (plant.dims.n,) or not np.all(np.isfinite(nxt)):
+        if nxt.shape != (plant.dims.n,):
+            raise DimensionMismatchError(
+                f"plant dynamics returned shape {nxt.shape} at step {k}, "
+                f"expected ({plant.dims.n},)")
+        if not np.all(np.isfinite(nxt)):
             raise NumericalBlowupError(k, "plant dynamics")
         controls.append(u)
         states.append(nxt)

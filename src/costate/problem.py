@@ -84,9 +84,14 @@ def flat_index(dims: Dims, k: int, p: int) -> int:
     return k * dims.m + p
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def stage_controls(z: np.ndarray, dims: Dims) -> np.ndarray:
     """View the decision vector as an (N+1, m) array, one row per stage."""
-    z = np.asarray(z, dtype=float)
+    # A float64 ndarray needs no conversion; skip its dispatching call.
+    if type(z) is not np.ndarray or z.dtype is not _FLOAT64:
+        z = np.asarray(z, dtype=float)
     if z.shape != (dims.z_len,):
         raise DimensionMismatchError(
             f"decision vector has shape {z.shape}, expected ({dims.z_len},) "
@@ -208,6 +213,19 @@ def one_row(oracle: Callable) -> Callable:
     return at_stage
 
 
+def as_stack(a, shape: tuple) -> np.ndarray:
+    """A stacked oracle's output as a float64 array of the given shape.
+
+    A float64 ndarray of that shape is returned as it is, without the
+    dispatching calls of a conversion; anything else becomes
+    np.asarray(a, dtype=float).reshape(shape), which raises ValueError on a
+    wrong size.
+    """
+    if type(a) is np.ndarray and a.dtype is _FLOAT64 and a.shape == shape:
+        return a
+    return np.asarray(a, dtype=float).reshape(shape)
+
+
 @dataclass(frozen=True)
 class Rollout:
     """Forward simulation result.
@@ -268,18 +286,19 @@ def roll_forward(p: ProblemDef, x0, z: np.ndarray) -> Rollout:
     u = stage_controls(z, dims)
     states = np.empty((horizon + 1, n))
     states[0] = check_state(x0, n, "x0")
+    dynamics, shape, isfinite = p.dynamics, (n,), math.isfinite
     blown = None
-    for k in range(horizon):
-        nxt = p.dynamics(states[k], u[k], k)
+    for k, (x_k, u_k) in enumerate(zip(states[:horizon], u)):
+        nxt = dynamics(x_k, u_k, k)
         # A float64 ndarray needs no conversion; skip its dispatching calls.
-        if type(nxt) is not np.ndarray or nxt.dtype is not states.dtype:
+        if type(nxt) is not np.ndarray or nxt.dtype is not _FLOAT64:
             nxt = np.atleast_1d(np.asarray(nxt, dtype=float))
-        if nxt.shape != (n,):
+        if nxt.shape != shape:
             raise DimensionMismatchError(
                 f"dynamics returned shape {nxt.shape} at stage {k}, "
                 f"expected ({n},)"
             )
-        if not all(map(math.isfinite, nxt.tolist())):
+        if not all(map(isfinite, nxt.tolist())):
             blown = k
             break
         states[k + 1] = nxt

@@ -23,6 +23,8 @@ import numpy as np
 
 from .problem import Dims, ProblemDef, check_count, check_state
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 def wrap_angle(a):
     """Map angles to (-pi, pi], elementwise; a scalar gives a float."""
@@ -186,6 +188,22 @@ class UnicycleSpec:
             raise ValueError("R_weights must be strictly positive")
 
 
+def _circle_rows(circle: CircleReference, delta: float,
+                 steps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    # Reference states (K, 3) and controls (K, 2) at the integer steps: the
+    # one formula behind circle_reference and the tracking builder.
+    cx, cy = circle.center
+    w = circle.angular_rate
+    phase = w * (steps * delta)
+    xr = np.empty((len(steps), 3))
+    xr[:, 0] = cx + circle.radius * np.cos(phase)
+    xr[:, 1] = cy + circle.radius * np.sin(phase)
+    xr[:, 2] = wrap_angle(phase + 0.5 * np.pi)
+    ur = np.empty((len(steps), 2))
+    ur[:] = (circle.radius * w, w)
+    return xr, ur
+
+
 def circle_reference(circle: CircleReference, delta: float,
                      step: int) -> Tuple[np.ndarray, np.ndarray]:
     """Reference state and control at a given absolute step.
@@ -193,21 +211,12 @@ def circle_reference(circle: CircleReference, delta: float,
     At time t = step * delta the reference pose is the circle point with the
     heading tangent to it (quarter turn ahead of the radius angle, wrapped
     to (-pi, pi]); the reference controls are the constant speed
-    radius * angular_rate and the angular rate itself.
+    radius * angular_rate and the angular rate itself.  step is an integer
+    >= 0.
     """
-    if step < 0:
-        raise ValueError(f"step must be >= 0, got {step}")
-    cx, cy = circle.center
-    w = circle.angular_rate
-    t = step * delta
-    phase = w * t
-    xr = np.array([
-        cx + circle.radius * np.cos(phase),
-        cy + circle.radius * np.sin(phase),
-        wrap_angle(phase + 0.5 * np.pi),
-    ])
-    ur = np.array([circle.radius * w, w])
-    return xr, ur
+    check_count(step, 0, "step")
+    xr, ur = _circle_rows(circle, delta, np.array([step]))
+    return xr[0], ur[0]
 
 
 def euler_rolled_reference(circle: CircleReference, delta: float,
@@ -232,10 +241,15 @@ def unicycle_step(x: np.ndarray, u: np.ndarray, delta: float) -> np.ndarray:
     """One forward-Euler step of the unicycle kinematics.
 
     Computed in Python floats: the rollout takes one step per stage, and
-    numpy scalar arithmetic would cost twice as much.
+    numpy scalar arithmetic would cost twice as much.  A float64 ndarray,
+    which is what the rollout passes, is read without a conversion.
     """
-    px, py, heading = np.asarray(x, dtype=float).tolist()
-    speed, turn = np.asarray(u, dtype=float).tolist()
+    if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
+        x = np.asarray(x, dtype=float)
+    if type(u) is not np.ndarray or u.dtype is not _FLOAT64:
+        u = np.asarray(u, dtype=float)
+    px, py, heading = x.tolist()
+    speed, turn = u.tolist()
     step = delta * speed
     return np.array([
         px + step * math.cos(heading),
@@ -244,17 +258,30 @@ def unicycle_step(x: np.ndarray, u: np.ndarray, delta: float) -> np.ndarray:
     ])
 
 
-def reference_at(spec: UnicycleSpec, step: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Reference state and control of the scenario at an absolute step,
-    from its waypoint table or its circle."""
+def _reference_rows(spec: UnicycleSpec, first: int,
+                    count: int) -> Tuple[np.ndarray, np.ndarray]:
+    # Reference states and controls at steps first .. first + count - 1,
+    # which the caller has checked: a copied slice of the waypoint table,
+    # so a problem keeps its reference if the table's arrays change, or one
+    # stacked evaluation of the circle.
     ref = spec.reference
     if isinstance(ref, WaypointTable):
-        if step >= len(ref):
-            raise ValueError(
-                f"waypoint table has {len(ref)} entries, no reference at step {step}"
-            )
-        return ref.states[step], ref.controls[step]
-    return circle_reference(ref, spec.delta, step)
+        return (ref.states[first:first + count].copy(),
+                ref.controls[first:first + count].copy())
+    return _circle_rows(ref, spec.delta, np.arange(first, first + count))
+
+
+def reference_at(spec: UnicycleSpec, step: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Reference state and control of the scenario at an absolute step (an
+    integer >= 0), from its waypoint table or its circle."""
+    check_count(step, 0, "step")
+    ref = spec.reference
+    if isinstance(ref, WaypointTable) and step >= len(ref):
+        raise ValueError(
+            f"waypoint table has {len(ref)} entries, no reference at step {step}"
+        )
+    xr, ur = _reference_rows(spec, step, 1)
+    return xr[0], ur[0]
 
 
 def build_unicycle_tracking(spec: UnicycleSpec, anchor_step: int,
@@ -267,13 +294,14 @@ def build_unicycle_tracking(spec: UnicycleSpec, anchor_step: int,
     the terminal stage charges the state error only, so the padded terminal
     control has exactly zero cost and derivatives.
 
-    A waypoint-table reference must cover the whole horizon
-    (anchor_step + N_p within the table); the analytic circle extends to any
-    step.  current_state is validated against the state dimension and
-    otherwise unused here; the rollout start is supplied at solve time.
+    anchor_step is an integer >= 0.  A waypoint-table reference must cover
+    the whole horizon (anchor_step + N_p within the table); the analytic
+    circle extends to any step.  current_state is validated against the
+    state dimension and otherwise unused here; the rollout start is
+    supplied at solve time.  The stacked oracles look their reference rows
+    and constant blocks up by ks, so ks must be stages 0..N_p.
     """
-    if anchor_step < 0:
-        raise ValueError(f"anchor_step must be >= 0, got {anchor_step}")
+    check_count(anchor_step, 0, "anchor_step")
     if isinstance(spec.reference, WaypointTable):
         if anchor_step + spec.N_p >= len(spec.reference):
             raise ValueError(
@@ -286,14 +314,17 @@ def build_unicycle_tracking(spec: UnicycleSpec, anchor_step: int,
     qw = np.asarray(spec.Q_weights, dtype=float)
     rw = np.asarray(spec.R_weights, dtype=float)
     horizon = spec.N_p
-    refs = [reference_at(spec, anchor_step + k) for k in range(horizon + 1)]
-    ref_x = np.array([xr for xr, _ in refs])
-    ref_u = np.array([ur for _, ur in refs])
-    hess_x = np.diag(2.0 * qw)
-    hess_u = np.diag(2.0 * rw)
+    ref_x, ref_u = _reference_rows(spec, anchor_step, horizon + 1)
+    # Per-stage constant blocks, indexed by ks: take copies them, so a
+    # caller may change what an oracle returns.
+    eye_x = np.repeat(np.eye(3)[None], horizon + 1, axis=0)
+    hess_x = np.repeat(np.diag(2.0 * qw)[None], horizon + 1, axis=0)
+    hess_u = np.repeat(np.diag(2.0 * rw)[None], horizon + 1, axis=0)
+    hess_u[horizon] = 0.0
+    zero_xu = np.zeros((horizon + 1, 3, 2))
 
     def _state_error(x, ks):
-        e = x - ref_x[ks]
+        e = x - ref_x.take(ks, axis=0)
         e[:, 2] = wrap_angle(e[:, 2])
         return e
 
@@ -302,14 +333,13 @@ def build_unicycle_tracking(spec: UnicycleSpec, anchor_step: int,
 
     def stage_cost(x, u, ks):
         ex = _state_error(x, ks)
-        eu = u - ref_u[ks]
+        eu = u - ref_u.take(ks, axis=0)
         return _dot(qw, ex * ex) + np.where(ks < horizon, _dot(rw, eu * eu),
                                             0.0)
 
     def d_dynamics(x, u, ks):
         s, c = np.sin(x[:, 2]), np.cos(x[:, 2])
-        fx = np.zeros((len(ks), 3, 3))
-        fx[:, 0, 0] = fx[:, 1, 1] = fx[:, 2, 2] = 1.0
+        fx = eye_x.take(ks, axis=0)
         fx[:, 0, 2] = -delta * u[:, 0] * s
         fx[:, 1, 2] = delta * u[:, 0] * c
         fu = np.zeros((len(ks), 3, 2))
@@ -320,13 +350,13 @@ def build_unicycle_tracking(spec: UnicycleSpec, anchor_step: int,
 
     def d_stage_cost(x, u, ks):
         cx = 2.0 * qw * _state_error(x, ks)
-        cu = np.where((ks < horizon)[:, None], 2.0 * rw * (u - ref_u[ks]), 0.0)
+        eu = u - ref_u.take(ks, axis=0)
+        cu = np.where((ks < horizon)[:, None], 2.0 * rw * eu, 0.0)
         return cx, cu
 
     def dd_stage_cost(x, u, ks):
-        cuu = np.where((ks < horizon)[:, None, None], hess_u, 0.0)
-        return (np.repeat(hess_x[None], len(ks), axis=0),
-                np.zeros((len(ks), 3, 2)), cuu)
+        return (hess_x.take(ks, axis=0), zero_xu.take(ks, axis=0),
+                hess_u.take(ks, axis=0))
 
     def dd_dynamics_contracted(w, x, u, ks):
         # Nonzero second partials of the kinematics: d2x/dheading2,

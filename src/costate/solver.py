@@ -19,8 +19,9 @@ memory.  The dense Hessian is never formed.
 Each iterate is rolled out once.  The rollout that prices a trial point is
 kept when the point is accepted and becomes the next iteration's snapshot,
 on which only the backward costate sweep runs.  The factorization's
-buffers are a workspace bound once per solve and refilled in place by
-every outer iteration and escalation retry.
+buffers are a workspace bound once per solve, or once per closed loop by
+run_mpc, and refilled in place by every outer iteration and escalation
+retry.
 
 A plain gradient-descent baseline with identical instrumentation is
 provided for iteration-count comparisons.
@@ -135,7 +136,7 @@ class SolveReport:
     wall_time: float
 
 
-class _StagewiseFactor:
+class StagewiseFactor:
     """Backward Riccati factorization of (R + H), solved by stage passes.
 
     (R + H) d = b is the optimality condition of the LQ subproblem
@@ -157,57 +158,82 @@ class _StagewiseFactor:
     row buffer; only b enters per solve, copied into the buffer at once.
 
     The object is a workspace sized by (N, n, m): its arrays, the
-    symmetrized stack q included, and the per-stage lists that bind them are
-    allocated once and refilled in place by each factor() call.  minimize
-    builds one per solve, so every outer iteration and escalation retry
+    symmetrized stack q included, and the per-stage views and bound methods
+    over them are made once and refilled in place by each factor() call.
+    minimize holds one for the whole solve and run_mpc one for the whole
+    closed loop, so every outer iteration, escalation retry and plant step
     reuses it; a failed factorization leaves nothing the next one reads.
     Stage k of the factor loop, with F_k = [f_x | f_u], is
 
-        P F_k -> pf;  F_k' pf -> fpf;  Q_k += fpf;  [Q_ux | I] -> rhs;
-        dposv(Q_uu, rhs) -> x -> sol[k];  Q_xu x[:, :n] -> schur;
+        P F_k -> pf;  F_k' pf -> fpf;  Q_k += fpf;  Q_ux -> rhs;
+        dposv(Q_uu, [Q_ux | I]) -> x -> sol[k];  Q_xu x[:, :n] -> schur;
         Q_xx - schur -> P.
 
     Each product is an ndarray.dot bound once, writing into a preallocated
     output: np.dot's BLAS call without its Python-level dispatch and new
-    temporary, which cost more than the arithmetic at these sizes.
+    temporary, which cost more than the arithmetic at these sizes.  F_k is
+    the lower block of the forward stage matrix, and sol[k] = [-K_k |
+    Q_uu^{-1}] the upper block of the backward one, so the stage matrices
+    are finished in place after the loop.
     """
 
     def __init__(self, horizon: int, n: int, m: int):
-        self.n, self.m = n, m
         self.eye = np.eye(m)
         self.q = np.empty((horizon + 1, n + m, n + m))
-        self.fxu = np.empty((horizon + 1, n, n + m))
-        # sol[k] = Q_uu^{-1} [Q_ux | I] = [-K_k | Q_uu^{-1}].
-        self.sol = np.empty((horizon + 1, m, n + m))
-        self.rhs = np.empty((m, n + m))
-        self.rhs[:, n:] = self.eye
-        self.p = np.empty((n, n))
-        self.pf = np.empty((n, n + m))
-        self.fpf = np.empty((n + m, n + m))
-        self.schur = np.empty((n, n))
-        self.stages = [(k, self.q[k], self.fxu[k], self.fxu[k].T.dot)
-                       for k in range(horizon, -1, -1)]
+        self.q_uu = self.q[:, n:, n:]
         # back[k] maps [s_{k+1}; b_k] to [kff_k; s_k]:
         #   kff_k = Q_uu^{-1} (b_k - f_u' s_{k+1})
         #   s_k = A_k' s_{k+1} - K_k' b_k
         # fwd[k] maps [dx_k; kff_k] to [du_k; dx_{k+1}]:
         #   du_k = K_k dx_k + kff_k
         #   dx_{k+1} = A_k dx_k + f_u kff_k
+        # with A_k = f_x + f_u K_k.
         self.back = np.empty((horizon + 1, m + n, n + m))
         self.fwd = np.empty((horizon + 1, m + n, n + m))
         self.fwd[:, :m, n:] = self.eye
+        # fxu[k] = F_k until the loop ends; its f_x block then becomes A_k.
+        fxu = self.fwd[:, m:, :]
+        self.f_x, self.f_u = fxu[:, :, :n], fxu[:, :, n:]
+        self.f_x_t = self.f_x.transpose(0, 2, 1)
+        self.f_u_t = self.f_u.transpose(0, 2, 1)
+        self.fu_gain = np.empty((horizon + 1, n, n))
+        # sol[k] = Q_uu^{-1} [Q_ux | I] = [-K_k | Q_uu^{-1}] until the loop
+        # ends; its -K_k block then becomes -Q_uu^{-1} f_u'.
+        sol = self.back[:, :m, :]
+        self.neg_gain, self.quu_inv = sol[:, :, :n], sol[:, :, n:]
+        self.neg_gain_t = self.neg_gain.transpose(0, 2, 1)
+        # Where the loop's results go: K_k, A_k' and -K_k'.
+        self.fwd_gain = self.fwd[:, :m, :n]
+        self.back_a_t = self.back[:, m:, :n]
+        self.back_neg_gain_t = self.back[:, m:, n:]
+        self.rhs = np.empty((m, n + m))
+        self.rhs_ux = self.rhs[:, :n]
+        self.rhs[:, n:] = self.eye
+        self.p = np.empty((n, n))
+        self.pf = np.empty((n, n + m))
+        self.fpf = np.empty((n + m, n + m))
+        self.schur = np.empty((n, n))
+        self.stages = []
+        for k in range(horizon, -1, -1):
+            qk = self.q[k]
+            self.stages.append((k, qk, qk[n:, :n], qk[n:, n:], qk[:n, :n],
+                                qk[:n, n:].dot, sol[k], sol[k, :, :n],
+                                fxu[k], fxu[k].T.dot))
         # Backward rows are [kff_k, s_k, b_{k-1}]: stage k reads
         # [s_{k+1}; b_k] from row k+1 and writes [kff_k; s_k] to row k.
         # Forward rows are [du_{k-1}, dx_k, kff_k]: stage k reads
         # [dx_k; kff_k] from row k and writes [du_k; dx_{k+1}] to row k+1.
         # s_{N+1} = 0 and dx_0 = 0 are never written.
-        self.s_rows = np.zeros((horizon + 2, 2 * m + n))
-        self.x_rows = np.zeros((horizon + 2, 2 * m + n))
-        self.back_steps = [(self.back[k].dot, self.s_rows[k + 1, m:],
-                            self.s_rows[k, :m + n])
+        s_rows = np.zeros((horizon + 2, 2 * m + n))
+        x_rows = np.zeros((horizon + 2, 2 * m + n))
+        # b in, kff out of the backward rows; kff in, du out of the forward.
+        self.b_in, self.kff_out = s_rows[1:, m + n:], s_rows[:-1, :m]
+        self.kff_in, self.du_out = x_rows[:-1, m + n:], x_rows[1:, :m]
+        self.back_steps = [(self.back[k].dot, s_rows[k + 1, m:],
+                            s_rows[k, :m + n])
                            for k in range(horizon, -1, -1)]
-        self.fwd_steps = [(self.fwd[k].dot, self.x_rows[k, m:],
-                           self.x_rows[k + 1, :m + n])
+        self.fwd_steps = [(self.fwd[k].dot, x_rows[k, m:],
+                           x_rows[k + 1, :m + n])
                           for k in range(horizon + 1)]
 
     def factor(self, adj: AdjointSolution, c: np.ndarray, r: float) -> None:
@@ -216,54 +242,52 @@ class _StagewiseFactor:
         Raises AsymmetricHessianError from the symmetry check of c, and
         LinearSolveError naming the stage whose pivot failed.
         """
-        n, m, fxu, sol, rhs = self.n, self.m, self.fxu, self.sol, self.rhs
         p, pf, fpf, schur = self.p, self.pf, self.fpf, self.schur
-        fx, fu = adj.fx, adj.fu
+        rhs, rhs_ux = self.rhs, self.rhs_ux
         # The recursion accumulates into q, so every factorization starts
         # from a fresh symmetric part.
-        q = symmetric_part(c, out=self.q)
-        q[:, n:, n:] += r * self.eye
-        fxu[:, :, :n] = fx
-        fxu[:, :, n:] = fu
+        symmetric_part(c, out=self.q)
+        self.q_uu += r * self.eye
+        f_x, f_u = self.f_x, self.f_u
+        f_x[...] = adj.fx
+        f_u[...] = adj.fu
         p.fill(0.0)
-        for k, qk, fk, fk_t_dot in self.stages:
+        for (k, qk, q_ux, q_uu, q_xx, q_xu_dot, sol_k, neg_gain_k, fk,
+             fk_t_dot) in self.stages:
             p.dot(fk, pf)
             fk_t_dot(pf, fpf)
             qk += fpf
-            rhs[:, :n] = qk[n:, :n]
-            _, x, info = dposv(qk[n:, n:], rhs, lower=1)
+            rhs_ux[...] = q_ux
+            _, x, info = dposv(q_uu, rhs, lower=1)
             if info:
                 raise LinearSolveError(
                     f"(R + H) is not positive definite: the pivot of stage "
                     f"{k} failed to factor", stage=k)
-            sol[k] = x
-            qk[:n, n:].dot(x[:, :n], schur)
-            np.subtract(qk[:n, :n], schur, out=p)
-        neg_gain, quu_inv = sol[:, :, :n], sol[:, :, n:]
-        closed = fx - fu @ neg_gain  # A_k = f_x + f_u K_k
-        back, fwd = self.back, self.fwd
-        back[:, :m, :n] = -quu_inv @ fu.transpose(0, 2, 1)
-        back[:, :m, n:] = quu_inv
-        back[:, m:, :n] = closed.transpose(0, 2, 1)
-        back[:, m:, n:] = neg_gain.transpose(0, 2, 1)
-        fwd[:, :m, :n] = -neg_gain
-        fwd[:, m:, :n] = closed
-        fwd[:, m:, n:] = fu
+            sol_k[...] = x
+            q_xu_dot(neg_gain_k, schur)
+            np.subtract(q_xx, schur, out=p)
+        neg_gain = self.neg_gain
+        np.negative(neg_gain, out=self.fwd_gain)
+        self.back_neg_gain_t[...] = self.neg_gain_t
+        np.matmul(f_u, neg_gain, out=self.fu_gain)
+        np.subtract(f_x, self.fu_gain, out=f_x)
+        self.back_a_t[...] = self.f_x_t
+        np.matmul(self.quu_inv, self.f_u_t, out=neg_gain)
+        np.negative(neg_gain, out=neg_gain)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        m, s_rows, x_rows = self.m, self.s_rows, self.x_rows
-        s_rows[1:, -m:] = b.reshape(-1, m)
+        self.b_in[...] = b.reshape(self.b_in.shape)
         for dot, src, dst in self.back_steps:
             dot(src, dst)
-        x_rows[:-1, -m:] = s_rows[:-1, :m]
+        self.kff_in[...] = self.kff_out
         for dot, src, dst in self.fwd_steps:
             dot(src, dst)
-        return x_rows[1:, :m].reshape(-1)
+        return self.du_out.reshape(-1)
 
 
 def step_direction(adj: AdjointSolution, c: np.ndarray, g: np.ndarray,
                    r: float, depth: int,
-                   _factor: Optional[_StagewiseFactor] = None) -> np.ndarray:
+                   _factor: Optional[StagewiseFactor] = None) -> np.ndarray:
     """Inner update direction from one stagewise factorization of (R + H).
 
     H is the Hessian of the rollout cost at the snapshot that produced adj
@@ -291,7 +315,7 @@ def step_direction(adj: AdjointSolution, c: np.ndarray, g: np.ndarray,
     _check_positive(r, "r")
     check_count(depth, 0, "depth")
     r = float(r)
-    factor = _factor if _factor is not None else _StagewiseFactor(
+    factor = _factor if _factor is not None else StagewiseFactor(
         adj.fu.shape[0] - 1, *adj.fu.shape[1:])
     factor.factor(adj, c, r)
     d = factor.solve(g)
@@ -312,7 +336,8 @@ def _report(z, outer, inner, gnorms, costs, termination, t0) -> SolveReport:
 _COST_SLACK = 1e-12
 
 
-def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig) -> SolveReport:
+def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig,
+             _factor: Optional[StagewiseFactor] = None) -> SolveReport:
     """Minimize the rollout cost from z0 with the second-order iteration.
 
     z0 is rolled out once; after that the rollout of each accepted trial
@@ -336,11 +361,16 @@ def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig) -> SolveRepor
     finite trial is accepted at the highest regularization, which bounds
     the step and keeps the iteration alive; otherwise LinearSolveError
     carries the partial report and the failing stage (None for a blow-up).
+
+    _factor (internal) is the factorization workspace, sized for p's
+    (N, n, m); run_mpc passes the one it holds for the whole closed loop.
+    Without it a workspace is built for this call.
     """
     t0 = time.perf_counter()
     z = np.array(z0, dtype=float, copy=True)
     dims = p.dims
-    factor = _StagewiseFactor(dims.N, dims.n, dims.m)
+    factor = _factor if _factor is not None else StagewiseFactor(
+        dims.N, dims.n, dims.m)
     gnorms: List[float] = []
     costs: List[float] = []
     inner_total = 0

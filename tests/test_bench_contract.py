@@ -10,8 +10,13 @@ import sys
 
 import pytest
 
+import numpy as np
+
+import costate.mpc
 import costate.solver
-from costate import SolverConfig, random_smooth_problem
+from costate import (MpcConfig, SolverConfig, UnicycleSpec, WarmStart,
+                     build_unicycle_plant, build_unicycle_tracking,
+                     random_smooth_problem, run_mpc)
 
 
 @pytest.fixture(scope="module")
@@ -51,3 +56,46 @@ def test_tracer_counts_escalations_by_cause(bench):
     assert dict(tracer.escalations) == {"factor_fail": 5, "cost_increase": 1}
     tried = sum(span[0] == "solver.step_direction" for span in tracer.spans)
     assert tried == rep.outer_iters + 6
+
+
+@pytest.mark.parametrize("warm_start, tried", [(WarmStart.ZERO, 41),
+                                               (WarmStart.SHIFT, 39)])
+def test_traced_closed_loop_keeps_its_bytes(bench, monkeypatch, warm_start,
+                                            tried):
+    # The tracer swaps costate.mpc.minimize for a wrapper; run_mpc's shared
+    # workspace reaches minimize through it as a keyword.  The traced run
+    # must build one workspace, give the untraced bytes and make the
+    # parent's 41 / 39 step_direction calls (one escalation each).
+    from perfbench import tracing  # already imported by bench, no bytecode
+
+    built = []
+
+    class Counting(costate.solver.StagewiseFactor):
+        def __init__(self, *dims):
+            built.append(dims)
+            super().__init__(*dims)
+
+    monkeypatch.setattr(costate.mpc, "StagewiseFactor", Counting)
+    spec = UnicycleSpec(N=12)
+    plant = build_unicycle_plant(spec)
+    cfg = MpcConfig(horizon=10, total_steps=12, warm_start=warm_start)
+
+    def factory(state, step):
+        return build_unicycle_tracking(spec, step, state)
+
+    def trace_bytes(trace):
+        parts = [trace.applied_states]
+        for rep in trace.per_step_reports:
+            parts += [rep.z_final, rep.grad_norm_history, rep.cost_history]
+        return [np.asarray(a).tobytes() for a in parts]
+
+    untraced = run_mpc(plant, factory, np.asarray(spec.X0), cfg)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        traced = run_mpc(plant, factory, np.asarray(spec.X0), cfg)
+    assert built == [(10, 3, 2), (10, 3, 2)]
+    assert trace_bytes(traced) == trace_bytes(untraced)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("solver.minimize") == 12
+    assert names.count("solver.step_direction") == tried
+    assert dict(tracer.escalations) == {"cost_increase": 1}

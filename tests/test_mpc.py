@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import costate.mpc
+import costate.solver
 from costate import (DimensionMismatchError, Dims, MpcConfig,
                      NumericalBlowupError, ProblemDef, SolverConfig,
                      Termination, UnicycleSpec, WarmStart,
@@ -186,3 +187,63 @@ def test_fractional_counts_rejected(field, value):
         MpcConfig(**counts)
     counts[field] = np.int64(3)
     assert getattr(MpcConfig(**counts), field) == 3
+
+
+def _trace_bytes(trace):
+    parts = [trace.applied_states, trace.applied_controls]
+    for rep in trace.per_step_reports:
+        parts += [rep.z_final, rep.grad_norm_history, rep.cost_history]
+    return [np.asarray(a).tobytes() for a in parts]
+
+
+@pytest.mark.parametrize("warm_start", list(WarmStart))
+def test_shared_workspace_matches_fresh_solves(warm_start):
+    # run_mpc factors every step in one workspace; minimize as a _solve
+    # override builds a fresh one per step.  The bytes must not differ.
+    spec, plant, factory = _unicycle_setup(total_steps=12)
+    cfg = MpcConfig(horizon=10, total_steps=12, warm_start=warm_start)
+    shared = run_mpc(plant, factory, np.asarray(spec.X0), cfg)
+    fresh = run_mpc(plant, factory, np.asarray(spec.X0), cfg, _solve=minimize)
+    assert shared.failed_step is None
+    assert _trace_bytes(shared) == _trace_bytes(fresh)
+
+
+def test_one_workspace_per_closed_loop(monkeypatch):
+    built = []
+
+    class Counting(costate.solver.StagewiseFactor):
+        def __init__(self, *dims):
+            built.append(dims)
+            super().__init__(*dims)
+
+    monkeypatch.setattr(costate.solver, "StagewiseFactor", Counting)
+    monkeypatch.setattr(costate.mpc, "StagewiseFactor", Counting)
+    spec, plant, factory = _unicycle_setup(total_steps=6, horizon=4)
+    trace = run_mpc(plant, factory, np.asarray(spec.X0),
+                    MpcConfig(horizon=4, total_steps=6))
+    assert len(trace.per_step_reports) == 6
+    assert built == [(4, 3, 2)]
+
+
+def _plant_failing_at(plant, step, output):
+    def dynamics(x, u, k):
+        return output if k == step else plant.dynamics(x, u, k)
+    return dataclasses.replace(plant, dynamics=dynamics)
+
+
+def test_wrong_shape_plant_output_names_the_step_and_shape():
+    spec, plant, factory = _unicycle_setup(total_steps=5)
+    bad = _plant_failing_at(plant, 2, np.zeros(4))
+    with pytest.raises(DimensionMismatchError,
+                       match=r"plant dynamics returned shape \(4,\) at step 2"):
+        run_mpc(bad, factory, np.asarray(spec.X0),
+                MpcConfig(horizon=10, total_steps=5))
+
+
+def test_non_finite_plant_output_is_a_blowup():
+    spec, plant, factory = _unicycle_setup(total_steps=5)
+    bad = _plant_failing_at(plant, 2, np.array([0.0, np.inf, 0.0]))
+    with pytest.raises(NumericalBlowupError) as err:
+        run_mpc(bad, factory, np.asarray(spec.X0),
+                MpcConfig(horizon=10, total_steps=5))
+    assert (err.value.stage, err.value.what) == (2, "plant dynamics")

@@ -1,5 +1,7 @@
 """Bundled scenario builders: LQR, unicycle tracking, circle references."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from costate import (CircleReference, LqrSpec, UnicycleSpec,
                      build_unicycle_tracking, circle_reference,
                      eval_cost, euler_rolled_reference, fd_consistency,
                      gradient, hessian, one_row, random_smooth_problem,
-                     roll_forward, unicycle_step, wrap_angle)
+                     reference_at, roll_forward, unicycle_step, wrap_angle)
 from costate.scenarios import tracking_sampler
 
 
@@ -81,6 +83,15 @@ class TestCircleReference:
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
             circle_reference(CircleReference(), 0.05, -1)
+
+    @pytest.mark.parametrize("step", [2.5, 2.0])
+    def test_fractional_step_rejected(self, step):
+        # A float step used to return the pose between two samples.
+        with pytest.raises(ValueError, match="^step must be an integer"):
+            circle_reference(CircleReference(), 0.05, step)
+        xr, ur = circle_reference(CircleReference(), 0.05, np.int64(2))
+        assert np.array_equal(xr, circle_reference(CircleReference(), 0.05,
+                                                   2)[0])
 
 
 class TestUnicycleScenario:
@@ -176,3 +187,104 @@ class TestRandomSmoothProblem:
         prob, _, _ = random_smooth_problem(1, 4, 3, 5)
         errs = fd_consistency(prob, np.random.default_rng(2), n_points=40)
         assert max(errs.values()) <= 1e-5
+
+
+def _seam_specs():
+    # Circle headings wrap from +pi to -pi near this step; the waypoint
+    # table rolled from the same circle keeps its heading unwrapped.
+    circle, delta = CircleReference(), 0.05
+    seam = int((np.pi / 2) / (circle.angular_rate * delta)) + 1
+    spec = UnicycleSpec(N=seam + 30, N_p=10)
+    table = euler_rolled_reference(circle, delta, seam + 30)
+    return seam, {"circle": spec,
+                  "table": dataclasses.replace(spec, reference=table)}
+
+
+@pytest.mark.parametrize("kind", ["circle", "table"])
+def test_fractional_anchor_rejected(kind):
+    # A float anchor used to track a time between samples on the circle
+    # and to raise a bare IndexError on the table.
+    spec = _seam_specs()[1][kind]
+    x0 = np.asarray(spec.X0)
+    with pytest.raises(ValueError, match="^anchor_step must be an integer"):
+        build_unicycle_tracking(spec, 1.5, x0)
+    with pytest.raises(ValueError, match="^step must be an integer"):
+        reference_at(spec, 1.5)
+    with pytest.raises(ValueError, match="^step must be an integer"):
+        reference_at(spec, -1)
+    prob = build_unicycle_tracking(spec, np.int64(2), x0)
+    z = np.full(prob.dims.z_len, 0.2)
+    assert (roll_forward(prob, x0, z).total_cost
+            == roll_forward(build_unicycle_tracking(spec, 2, x0), x0,
+                            z).total_cost)
+
+
+@pytest.mark.parametrize("kind", ["circle", "table"])
+def test_builder_tracks_the_reference_bits(kind):
+    # The builder's stacked reference rows and reference_at (and, on the
+    # circle, circle_reference) come from one formula: placed exactly on
+    # the reference, every stage has an exactly zero gradient.
+    seam, specs = _seam_specs()
+    spec = specs[kind]
+    ks = np.arange(spec.N_p + 1)
+    for anchor in range(seam - spec.N_p - 2, seam + 2):
+        prob = build_unicycle_tracking(spec, anchor, np.asarray(spec.X0))
+        rows = [reference_at(spec, anchor + k) for k in ks]
+        if kind == "circle":
+            assert all(
+                np.array_equal(xr, circle_reference(
+                    spec.reference, spec.delta, anchor + k)[0])
+                for k, (xr, _) in zip(ks, rows))
+        x = np.array([xr for xr, _ in rows])
+        u = np.array([ur for _, ur in rows])
+        cx, cu = prob.d_stage_cost(x, u, ks)
+        assert not cx.any() and not cu.any()
+        assert not prob.stage_cost(x, u, ks).any()
+
+
+def test_trimmed_unicycle_oracles_keep_the_stacked_contract():
+    # fd_consistency passes ks that repeat, run backwards and outnumber the
+    # N + 1 stages; each row must be its one-row evaluation bit for bit,
+    # and a caller that changes a returned block must not change the next
+    # call's output.
+    spec = UnicycleSpec(N=30, N_p=4)
+    prob = build_unicycle_tracking(spec, 3, np.asarray(spec.X0))
+    ks = np.array([4, 4, 3, 2, 1, 0, 0, 2, 4, 1, 3, 3, 0])
+    k_dyn = np.minimum(ks, spec.N_p - 1)
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(len(ks), 3))
+    u = rng.normal(size=(len(ks), 2))
+    w = rng.normal(size=(len(ks), 3))
+    calls = {"stage_cost": (x, u, ks), "d_stage_cost": (x, u, ks),
+             "dd_stage_cost": (x, u, ks), "d_dynamics": (x, u, k_dyn),
+             "dd_dynamics_contracted": (w, x, u, k_dyn)}
+
+    def parts(out):
+        return [np.asarray(p) for p in (out if isinstance(out, tuple)
+                                        else (out,))]
+
+    for name, args in calls.items():
+        oracle = getattr(prob, name)
+        got = parts(oracle(*args))
+        single = one_row(oracle)
+        for i in range(len(ks)):
+            alone = parts(single(*(a[i] for a in args)))
+            assert [g[i].tobytes() for g in got] == [
+                a.tobytes() for a in alone], (name, i)
+        kept = [g.tobytes() for g in got]
+        for g in got:
+            g[...] = np.nan
+        assert [g.tobytes() for g in parts(oracle(*args))] == kept, name
+
+
+def test_table_problem_keeps_its_reference():
+    # The builder slices the waypoint table; the problem must not see a
+    # later change to the table's arrays.
+    spec = _seam_specs()[1]["table"]
+    x0 = np.asarray(spec.X0)
+    prob = build_unicycle_tracking(spec, 5, x0)
+    z = np.full(prob.dims.z_len, 0.2)
+    before = roll_forward(prob, x0, z).stage_costs
+    spec.reference.states[5:20] += 1.0
+    spec.reference.controls[5:20] += 1.0
+    assert np.array_equal(roll_forward(prob, x0, z).stage_costs, before)

@@ -241,7 +241,7 @@ class TestStagewiseSolve:
         bad_adj, bad_c, _ = _snapshot(_stage_two_problem(-5000.0), x0, z0)
         adj, c, _ = _snapshot(_stage_two_problem(2.0), x0, z0)
         r, retry_r = 0.1, 1e4
-        workspace = costate.solver._StagewiseFactor(4, 2, 1)
+        workspace = costate.solver.StagewiseFactor(4, 2, 1)
         with pytest.raises(LinearSolveError) as err:
             step_direction(bad_adj, bad_c, g, r, 2, _factor=workspace)
         assert err.value.stage == 2
@@ -262,7 +262,7 @@ class TestStagewiseSolve:
         adj, c, _ = _snapshot(_stage_two_problem(2.0), np.ones(2), np.zeros(5))
         skewed = c.copy()
         skewed[2, 0, 1] += 1.0
-        workspace = costate.solver._StagewiseFactor(4, 2, 1)
+        workspace = costate.solver.StagewiseFactor(4, 2, 1)
         with pytest.raises(AsymmetricHessianError):
             step_direction(adj, skewed, g, 0.1, 2, _factor=workspace)
         reused = step_direction(adj, c, g, 0.1, 2, _factor=workspace)
