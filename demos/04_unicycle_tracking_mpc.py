@@ -7,13 +7,11 @@ error settles near two millimeters, and each solve needs only a few outer
 iterations.
 """
 
-from collections import Counter
-
 import numpy as np
 
 from costate import (MpcConfig, SolverConfig, UnicycleSpec,
-                     build_unicycle_plant, build_unicycle_tracking,
-                     circle_reference, run_mpc, wrap_angle)
+                     build_unicycle_plant, build_unicycle_tracking, run_mpc,
+                     tracking_errors)
 
 spec = UnicycleSpec(N=160)  # 8 seconds of the default circle
 plant = build_unicycle_plant(spec)
@@ -26,13 +24,10 @@ trace = run_mpc(
               solver=SolverConfig()),
 )
 
-pos_err = np.empty(spec.N)
-head_err = np.empty(spec.N)
-for k in range(spec.N):
-    ref, _ = circle_reference(spec.reference, spec.delta, k)
-    state = trace.applied_states[k]
-    pos_err[k] = np.hypot(state[0] - ref[0], state[1] - ref[1])
-    head_err[k] = abs(wrap_angle(state[2] - ref[2]))
+# Errors against the reference at each applied step, and the iteration
+# account of the run.
+_, pos_err, head_err = tracking_errors(spec, trace.applied_states[:-1])
+summary = trace.summary()
 
 t = np.arange(spec.N) * spec.delta
 print("position error along the run:")
@@ -44,8 +39,6 @@ steady = t > 3.0
 print(f"\nsteady state (t > 3 s): max {pos_err[steady].max() * 1000:.2f} mm, "
       f"heading {head_err[steady].max():.4f} rad")
 
-iters = Counter(r.outer_iters for r in trace.per_step_reports)
-print("outer iterations per step:",
-      dict(sorted(iters.items())))
+print("outer iterations per step:", summary["iteration_histogram"])
 print(f"median solve time: "
       f"{np.median(trace.per_step_wall_time) * 1000:.2f} ms")

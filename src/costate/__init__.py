@@ -22,7 +22,8 @@ from .scenarios import (CircleReference, LqrSpec, UnicycleSpec, WaypointTable,
                         build_lqr, build_unicycle_plant,
                         build_unicycle_tracking, circle_reference,
                         euler_rolled_reference, random_smooth_problem,
-                        reference_at, unicycle_step, wrap_angle)
+                        reference_at, tracking_errors, unicycle_step,
+                        wrap_angle)
 from .solver import (LinearSolveError, SolveReport, SolverConfig, Termination,
                      minimize, minimize_gd, step_direction)
 
@@ -41,7 +42,7 @@ __all__ = [
     "make_fd_problem", "max_rel_error", "minimize", "minimize_gd", "one_row",
     "random_smooth_problem", "reference_at", "riccati_lqr", "roll_forward",
     "run_mpc", "stage_controls", "stage_curvature",
-    "step_direction",
+    "step_direction", "tracking_errors",
     "unicycle_step", "wrap_angle",
 ]
 

@@ -28,10 +28,8 @@ import csv
 import json
 import math
 import re
-import statistics
 import sys
 import typing
-from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -49,7 +47,7 @@ from .problem import (NumericalBlowupError, central_difference, check_count,
 from .scenarios import (CircleReference, LqrSpec, UnicycleSpec, WaypointTable,
                         build_lqr, build_unicycle_plant,
                         build_unicycle_tracking, random_smooth_problem,
-                        reference_at, tracking_sampler, wrap_angle)
+                        tracking_errors, tracking_sampler)
 from .solver import SolverConfig, Termination, minimize, minimize_gd
 
 SCHEMA_VERSION = 1
@@ -213,21 +211,17 @@ def _reference(user, where: str):
 # Output helpers
 # ---------------------------------------------------------------------------
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+    # csv writes a float as its repr, which round-trips.
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt_cell(v) for v in row])
+        writer.writerows(rows)
 
 
 def _write_json(path: Path, obj: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -256,7 +250,6 @@ def cmd_run_lqr(config_path: str, out_dir: str) -> int:
     passed = report.termination is Termination.CONVERGED and max_u_dev <= tol
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rows = [
         (k, float(roll.states[k, 0]), float(report.z_final[k]),
          float(ric.states[k]), float(u_ric[k]))
@@ -288,33 +281,6 @@ def cmd_run_lqr(config_path: str, out_dir: str) -> int:
 # run-mpc
 # ---------------------------------------------------------------------------
 
-def _trace_summary(trace) -> dict:
-    """Report fields of one run_mpc trace, shared by both run-mpc blocks.
-
-    The iteration median is over the solved steps; the termination
-    histogram also counts a failed step's partial report, or the step as
-    "NumericalBlowup" when a blow-up left none.  failure is present only
-    when a step's solve failed.
-    """
-    steps_done = trace.applied_controls.shape[0]
-    iters = [rep.outer_iters for rep in trace.per_step_reports[:steps_done]]
-    terminations = Counter(rep.termination.value
-                           for rep in trace.per_step_reports)
-    if isinstance(trace.failure, NumericalBlowupError):
-        terminations["NumericalBlowup"] += 1
-    summary = {
-        "failed_step": trace.failed_step,
-        "median_iters": float(statistics.median(iters)) if iters else None,
-        "terminations": dict(sorted(terminations.items())),
-        "steps_unconverged": sum(v for k, v in terminations.items()
-                                 if k != Termination.CONVERGED.value),
-        "total_wall_time_s": float(trace.per_step_wall_time.sum()),
-    }
-    if trace.failed_step is not None:
-        summary["failure"] = str(trace.failure)
-    return summary
-
-
 def cmd_run_mpc(config_path: str, out_dir: str, baseline: Optional[str]) -> int:
     cfg = _load_json(config_path,
                      ("scenario", "solver", "mpc", "baseline", "output"))
@@ -344,98 +310,78 @@ def cmd_run_mpc(config_path: str, out_dir: str, baseline: Optional[str]) -> int:
         return build_unicycle_tracking(spec, step, state)
 
     trace = run_mpc(plant, factory, x_init, mpc_cfg)
-    steps_done = trace.applied_controls.shape[0]
-
-    rows = []
-    pos_errors = np.empty(steps_done)
-    heading_errors = np.empty(steps_done)
-    times = np.arange(steps_done) * spec.delta
-    for k in range(steps_done):
-        state = trace.applied_states[k]
-        ctrl = trace.applied_controls[k]
-        xr, _ = reference_at(spec, k)
-        pos_errors[k] = float(np.hypot(state[0] - xr[0], state[1] - xr[1]))
-        heading_errors[k] = abs(wrap_angle(state[2] - xr[2]))
-        rows.append((
-            k, float(times[k]), float(state[0]), float(state[1]),
-            float(state[2]), float(ctrl[0]), float(ctrl[1]), float(xr[0]),
-            float(xr[1]), float(xr[2]), float(pos_errors[k]),
-            trace.per_step_reports[k].outer_iters,
-            float(trace.per_step_wall_time[k] * 1e3),
-        ))
-
-    iters = [rep.outer_iters for rep in trace.per_step_reports[:steps_done]]
-    summary = _trace_summary(trace)
-    unconverged = summary["steps_unconverged"]
+    summary = trace.summary()
+    states = trace.applied_states[:-1]
+    ref, pos, heading = tracking_errors(spec, states)
+    times = np.arange(len(states)) * spec.delta
     steady = times > limits.transient_time_s
-    steady_any = bool(steady.any())
-    max_pos_err = float(pos_errors[steady].max()) if steady_any else float("nan")
-    mean_pos_err = float(pos_errors[steady].mean()) if steady_any else float("nan")
-    max_heading_err = (float(heading_errors[steady].max()) if steady_any
-                       else float("nan"))
 
+    def steady_stat(reduce, errors):
+        # null when the run failed before any step after the transient.
+        return float(reduce(errors[steady])) if steady.any() else None
+
+    stats = {"transient_time_s": limits.transient_time_s,
+             "max_pos_error_m": steady_stat(np.max, pos),
+             "mean_pos_error_m": steady_stat(np.mean, pos),
+             "max_heading_error_rad": steady_stat(np.max, heading)}
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "run-mpc",
-        "steps_completed": steps_done,
-        "steady_state": {
-            "transient_time_s": limits.transient_time_s,
-            "max_pos_error_m": max_pos_err,
-            "mean_pos_error_m": mean_pos_err,
-            "max_heading_error_rad": max_heading_err,
-        },
+        "steady_state": stats,
         "thresholds": {"max_pos_error_m": limits.max_pos_error_m,
                        "max_heading_error_rad": limits.max_heading_error_rad},
-        "iteration_histogram": {str(k): v for k, v in
-                                sorted(Counter(iters).items())},
-        "max_iters": max(iters) if iters else None,
         **summary,
+        "iteration_histogram": {str(k): v for k, v in
+                                summary["iteration_histogram"].items()},
     }
-
     if baseline == "gd":
         def gd_solve(prob, x, z0, scfg):
             return minimize_gd(prob, x, z0, lr=gd.lr, grad_tol=scfg.grad_tol,
                                max_iters=gd.max_iters)
 
-        gd_trace = run_mpc(plant, factory, x_init, mpc_cfg, _solve=gd_solve)
-        gd_iters = [rep.outer_iters for rep in gd_trace.per_step_reports]
+        gd_summary = run_mpc(plant, factory, x_init, mpc_cfg,
+                             _solve=gd_solve).summary()
+        for key in ("steps_completed", "iteration_histogram", "max_iters"):
+            del gd_summary[key]
         report["baseline"] = {
-            "method": "gd",
-            "lr": gd.lr,
-            "max_iters": gd.max_iters,
-            "per_step_iters": gd_iters,
-            "steps_at_cap": sum(1 for v in gd_iters if v >= gd.max_iters),
-            **_trace_summary(gd_trace),
-        }
-        report["per_step_iters"] = iters
+            "method": "gd", "lr": gd.lr, "max_iters": gd.max_iters,
+            "steps_at_cap": sum(v >= gd.max_iters
+                                for v in gd_summary["per_step_iters"]),
+            **gd_summary}
+    else:  # the per-step counts are there to compare with the baseline's
+        del report["per_step_iters"]
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "mpc_trace.csv",
                ["k", "t", "x", "y", "theta", "v", "omega", "x_r", "y_r",
-                "theta_r", "pos_error", "iters", "solve_ms"], rows)
+                "theta_r", "pos_error", "iters", "solve_ms"],
+               zip(range(len(states)), times.tolist(), *states.T.tolist(),
+                   *trace.applied_controls.T.tolist(), *ref.T.tolist(),
+                   pos.tolist(), summary["per_step_iters"],
+                   (trace.per_step_wall_time[:len(states)] * 1e3).tolist()))
 
-    if trace.failed_step is not None:
-        report["passed"] = False
-        _write_json(out / "report.json", report)
+    # A run that did not fail solved all N steps, the last one after the
+    # transient (checked above), so its steady-state statistics are numbers.
+    failed = trace.failed_step is not None
+    unconverged = summary["steps_unconverged"]
+    report["passed"] = passed = (
+        not failed and unconverged == 0
+        and stats["max_pos_error_m"] <= limits.max_pos_error_m
+        and stats["max_heading_error_rad"] <= limits.max_heading_error_rad)
+    _write_json(out / "report.json", report)
+    if failed:
         reason = (str(trace.failure)
                   if isinstance(trace.failure, NumericalBlowupError)
                   else f"solver failure at step {trace.failed_step}")
         print(f"run-mpc: FAIL ({reason})", file=sys.stderr)
-        return 1
-
-    passed = (steady_any and unconverged == 0
-              and max_pos_err <= limits.max_pos_error_m
-              and max_heading_err <= limits.max_heading_error_rad)
-    report["passed"] = passed
-    _write_json(out / "report.json", report)
-    print(f"run-mpc: {'PASS' if passed else 'FAIL'} "
-          f"(steady-state max position error {max_pos_err:.4f} m, "
-          f"max heading error {max_heading_err:.4f} rad, "
-          f"median iterations {report['median_iters']})")
-    if unconverged:
-        print(f"run-mpc: {unconverged} of {steps_done} steps did not "
-              f"converge {report['terminations']}", file=sys.stderr)
+    else:
+        print(f"run-mpc: {'PASS' if passed else 'FAIL'} (steady-state max "
+              f"position error {stats['max_pos_error_m']:.4f} m, max heading "
+              f"error {stats['max_heading_error_rad']:.4f} rad, median "
+              f"iterations {summary['median_iters']})")
+        if unconverged:
+            print(f"run-mpc: {unconverged} of {len(states)} steps did not "
+                  f"converge {summary['terminations']}", file=sys.stderr)
     return 0 if passed else 1
 
 
@@ -603,9 +549,7 @@ def cmd_check(seed: int, sizes_text: Optional[str],
         print(f"FAILED: {r.name} (max error {r.max_error:.3e}, {r.detail})",
               file=sys.stderr)
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "check_report.json", {
+        _write_json(Path(out_dir) / "check_report.json", {
             "schema_version": SCHEMA_VERSION,
             "command": "check",
             "seed": seed,
@@ -674,9 +618,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # A finite config whose rollout overflows is a failed run.
         print(f"{args.command}: FAIL ({exc})", file=sys.stderr)
         if args.out is not None:
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            _write_json(out / "report.json", {
+            _write_json(Path(args.out) / "report.json", {
                 "schema_version": SCHEMA_VERSION,
                 "command": args.command,
                 "passed": False,

@@ -9,6 +9,7 @@ aligned with plant time.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -19,7 +20,7 @@ import numpy as np
 from .problem import (DimensionMismatchError, NumericalBlowupError,
                       ProblemDef, check_count, check_state, stage_controls)
 from .solver import (LinearSolveError, SolveReport, SolverConfig,
-                     StagewiseFactor, minimize)
+                     StagewiseFactor, Termination, minimize)
 
 
 class WarmStart(Enum):
@@ -61,6 +62,38 @@ class MpcTrace:
     per_step_wall_time: np.ndarray
     failed_step: Optional[int] = None
     failure: Optional[Exception] = None
+
+    def summary(self) -> dict:
+        """JSON-ready account of the run's steps and iterations.
+
+        per_step_iters lists the outer iterations of the solved steps;
+        iteration_histogram, max_iters and median_iters summarize them
+        (None when no step was solved).  terminations counts the solver
+        terminations by name, a failed step's partial report included, or
+        that step as "NumericalBlowup" when a blow-up left none, and
+        steps_unconverged those that are not Converged.  failure, the
+        error's message, is present only when a step's solve failed.
+        """
+        done = self.applied_controls.shape[0]
+        iters = [rep.outer_iters for rep in self.per_step_reports[:done]]
+        ends = Counter(rep.termination.value for rep in self.per_step_reports)
+        if isinstance(self.failure, NumericalBlowupError):
+            ends["NumericalBlowup"] += 1
+        summary = {
+            "steps_completed": done,
+            "per_step_iters": iters,
+            "iteration_histogram": dict(sorted(Counter(iters).items())),
+            "max_iters": max(iters, default=None),
+            "median_iters": float(np.median(iters)) if iters else None,
+            "terminations": dict(sorted(ends.items())),
+            "steps_unconverged": (sum(ends.values())
+                                  - ends[Termination.CONVERGED.value]),
+            "failed_step": self.failed_step,
+            "total_wall_time_s": float(self.per_step_wall_time.sum()),
+        }
+        if self.failed_step is not None:
+            summary["failure"] = str(self.failure)
+        return summary
 
 
 def _shift_warm_start(z_prev: np.ndarray, dims) -> np.ndarray:

@@ -284,6 +284,25 @@ def reference_at(spec: UnicycleSpec, step: int) -> Tuple[np.ndarray, np.ndarray]
     return xr[0], ur[0]
 
 
+def tracking_errors(spec: UnicycleSpec, states):
+    """Reference states (K, 3), position errors and wrapped heading errors
+    (both (K,)) of the (K, 3) states, row k taken at absolute step k.
+
+    The reference rows come from one stacked evaluation and equal
+    reference_at's bit for bit; the errors, hypot(x - x_r, y - y_r) and
+    |wrap_angle(theta - theta_r)|, equal the per-step formula's.  A
+    waypoint table with fewer than K rows raises reference_at's ValueError.
+    """
+    states = np.asarray(states, dtype=float)
+    if states.ndim != 2 or states.shape[1] != 3:
+        raise ValueError(f"states must be (K, 3), got {states.shape}")
+    if len(states):
+        reference_at(spec, len(states) - 1)  # raises if the table is short
+    ref, _ = _reference_rows(spec, 0, len(states))
+    err = states - ref
+    return ref, np.hypot(err[:, 0], err[:, 1]), np.abs(wrap_angle(err[:, 2]))
+
+
 def build_unicycle_tracking(spec: UnicycleSpec, anchor_step: int,
                             current_state) -> ProblemDef:
     """Horizon tracking problem anchored at an absolute plant step.

@@ -28,6 +28,14 @@ def _read_csv(path):
         return list(csv.reader(fh))
 
 
+def _read_strict_json(path):
+    # RFC 8259 has no NaN or Infinity, which json.loads would accept.
+    def reject(constant):
+        raise ValueError(f"{path.name} is not strict JSON: {constant}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 class TestRunLqr:
     def test_benchmark_config_passes(self, tmp_path):
         rc = main(["run-lqr", "--config", str(REPO / "configs" / "lqr.json"),
@@ -296,8 +304,11 @@ def test_failed_baseline_reports_its_failure(tmp_path):
     rc = main(["run-mpc", "--config", cfg, "--baseline", "gd",
                "--out", str(tmp_path)])
     assert rc == 1
-    report = json.loads((tmp_path / "report.json").read_text())
+    report = _read_strict_json(tmp_path / "report.json")
     failure = "numerical blow-up at stage 0 (stage cost)"
+    assert report["steady_state"] == {
+        "transient_time_s": 3.0, "max_pos_error_m": None,
+        "mean_pos_error_m": None, "max_heading_error_rad": None}
     for block in (report, report["baseline"]):
         assert block["failed_step"] == 0
         assert block["failure"] == failure
@@ -322,7 +333,7 @@ def test_rollout_blowup_fails_with_one_line(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err == (f"{command}: FAIL (numerical blow-up at stage 0 "
                    f"(stage cost))\n")
-    report = json.loads((tmp_path / "report.json").read_text())
+    report = _read_strict_json(tmp_path / "report.json")
     expected = {"schema_version": SCHEMA_VERSION, "command": command,
                 "passed": False,
                 "failure": "numerical blow-up at stage 0 (stage cost)"}

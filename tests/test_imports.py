@@ -20,8 +20,9 @@ def _private_imports(path):
 
 
 def test_no_private_names_imported_across_modules():
+    # The demos too: they show the public API, scorer and summary included.
     files = sorted((REPO / "src").rglob("*.py")) + sorted(
-        (REPO / "tests").glob("*.py"))
+        (REPO / "tests").glob("*.py")) + sorted((REPO / "demos").glob("*.py"))
     found = [hit for path in files for hit in _private_imports(path)]
     assert not found, "private names imported: " + ", ".join(found)
 

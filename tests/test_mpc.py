@@ -136,6 +136,18 @@ def test_solver_failure_truncates_trace_with_report():
     assert len(trace.per_step_reports) == 3
     assert (trace.per_step_reports[-1].termination
             is Termination.LINEAR_SOLVE_FAILURE)
+    # The partial report counts among the terminations, not the iterations.
+    summary = trace.summary()
+    solved = [rep.outer_iters for rep in trace.per_step_reports[:2]]
+    assert summary["terminations"] == {"Converged": 2,
+                                       "LinearSolveFailure": 1}
+    assert summary["per_step_iters"] == solved
+    assert sum(summary["iteration_histogram"].values()) == 2
+    assert summary["median_iters"] == float(np.median(solved))
+    assert summary["max_iters"] == max(solved)
+    assert (summary["steps_completed"], summary["failed_step"],
+            summary["steps_unconverged"]) == (2, 2, 1)
+    assert summary["failure"] == str(trace.failure)
 
 
 def test_blowup_truncates_trace_and_keeps_the_prefix():
@@ -158,6 +170,17 @@ def test_blowup_truncates_trace_and_keeps_the_prefix():
     assert len(trace.per_step_reports) == 2
     assert isinstance(trace.failure, NumericalBlowupError)
     assert str(trace.failure) == "numerical blow-up at stage 0 (stage cost)"
+    # With no partial report, the blown-up step counts as NumericalBlowup.
+    summary = trace.summary()
+    solved = [rep.outer_iters for rep in trace.per_step_reports]
+    assert summary["terminations"] == {"Converged": 2, "NumericalBlowup": 1}
+    assert summary["per_step_iters"] == solved
+    assert summary["median_iters"] == float(np.median(solved))
+    assert (summary["steps_completed"], summary["failed_step"],
+            summary["steps_unconverged"]) == (2, 2, 1)
+    assert summary["failure"] == str(trace.failure)
+    assert summary["total_wall_time_s"] == float(
+        trace.per_step_wall_time.sum())
 
 
 def test_factory_dims_are_checked():

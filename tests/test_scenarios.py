@@ -9,7 +9,8 @@ from costate import (CircleReference, LqrSpec, UnicycleSpec,
                      build_unicycle_tracking, circle_reference,
                      eval_cost, euler_rolled_reference, fd_consistency,
                      gradient, hessian, one_row, random_smooth_problem,
-                     reference_at, roll_forward, unicycle_step, wrap_angle)
+                     reference_at, roll_forward, tracking_errors,
+                     unicycle_step, wrap_angle)
 from costate.scenarios import tracking_sampler
 
 
@@ -288,3 +289,39 @@ def test_table_problem_keeps_its_reference():
     spec.reference.states[5:20] += 1.0
     spec.reference.controls[5:20] += 1.0
     assert np.array_equal(roll_forward(prob, x0, z).stage_costs, before)
+
+
+@pytest.mark.parametrize("kind", ["circle", "table"])
+def test_tracking_errors_match_the_per_step_formula(kind):
+    # States scattered about the reference, headings wrapped, over steps
+    # that cross the circle's heading seam: each row is the per-step
+    # reference_at + hypot + |wrap_angle| result, byte for byte.
+    seam, specs = _seam_specs()
+    spec = specs[kind]
+    rng = np.random.default_rng(5)
+    steps = seam + 20
+    states = np.array([reference_at(spec, k)[0] for k in range(steps)])
+    states += rng.normal(scale=0.3, size=states.shape)
+    states[:, 2] = wrap_angle(states[:, 2])
+    ref, pos, heading = tracking_errors(spec, states)
+    assert ref.shape == (steps, 3) and pos.shape == heading.shape == (steps,)
+    for k, x in enumerate(states):
+        xr, _ = reference_at(spec, k)
+        expected = np.array([np.hypot(x[0] - xr[0], x[1] - xr[1]),
+                             abs(wrap_angle(x[2] - xr[2]))])
+        assert ref[k].tobytes() == xr.tobytes(), k
+        assert np.array([pos[k], heading[k]]).tobytes() == expected.tobytes()
+    assert heading.max() <= np.pi
+    empty = tracking_errors(spec, np.empty((0, 3)))
+    assert [a.shape for a in empty] == [(0, 3), (0,), (0,)]
+
+
+def test_tracking_errors_need_the_table_to_cover_the_states():
+    spec = _seam_specs()[1]["table"]
+    rows = len(spec.reference)
+    assert len(tracking_errors(spec, np.zeros((rows, 3)))[1]) == rows
+    with pytest.raises(ValueError, match=f"^waypoint table has {rows} "
+                       f"entries, no reference at step {rows}$"):
+        tracking_errors(spec, np.zeros((rows + 1, 3)))
+    with pytest.raises(ValueError, match=r"^states must be \(K, 3\)"):
+        tracking_errors(spec, np.zeros(3))
