@@ -29,7 +29,6 @@ import json
 import math
 import re
 import sys
-import typing
 from dataclasses import MISSING, asdict, dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -42,8 +41,8 @@ from .curvature import hessian_product, stage_curvature, symmetric_part
 from .mpc import MpcConfig, run_mpc
 from .oracles import (fd_consistency, fd_gradient, fd_hessian, max_rel_error,
                       riccati_lqr)
-from .problem import (NumericalBlowupError, central_difference, check_count,
-                      roll_forward)
+from .problem import (FD_STEP, Dims, NumericalBlowupError, central_difference,
+                      check_count, check_positive, roll_forward)
 from .scenarios import (CircleReference, LqrSpec, UnicycleSpec, WaypointTable,
                         build_lqr, build_unicycle_plant,
                         build_unicycle_tracking, random_smooth_problem,
@@ -75,8 +74,7 @@ class LqrOutput:
     tolerance: float = 1e-4
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
+        check_positive(self.tolerance, "tolerance")
 
 
 @dataclass(frozen=True)
@@ -88,12 +86,9 @@ class MpcOutput:
     transient_time_s: float = 3.0
 
     def __post_init__(self):
-        for name in ("max_pos_error_m", "max_heading_error_rad"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.transient_time_s < 0:
-            raise ValueError(
-                f"transient_time_s must be >= 0, got {self.transient_time_s}")
+        check_positive(self.max_pos_error_m, "max_pos_error_m")
+        check_positive(self.max_heading_error_rad, "max_heading_error_rad")
+        check_positive(self.transient_time_s, "transient_time_s", zero_ok=True)
 
 
 @dataclass(frozen=True)
@@ -105,8 +100,7 @@ class GdBaseline:
     max_iters: int = 5000
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+        check_positive(self.lr, "lr")
         check_count(self.max_iters, 1, "max_iters")
 
 
@@ -129,11 +123,9 @@ def _load_json(path: str, sections: Sequence[str]) -> dict:
     return data
 
 
-def _typed(value, default, optional: bool, where: str):
+def _typed(value, default, where: str):
     # A JSON value checked against the type of the field's default; fields
     # without one (a waypoint table's arrays) are left to the dataclass.
-    if value is None and optional:
-        return None
     if default is MISSING:
         return value
     if isinstance(default, CircleReference):
@@ -147,7 +139,7 @@ def _typed(value, default, optional: bool, where: str):
         if not isinstance(value, list) or len(value) != len(default):
             raise ConfigError(where, f"expected a list of {len(default)} "
                               f"numbers, got {value!r}")
-        return tuple(_typed(v, d, False, where) for v, d in zip(value, default))
+        return tuple(_typed(v, d, where) for v, d in zip(value, default))
     if isinstance(default, int):
         if type(value) is not int:
             raise ConfigError(where, f"expected an integer, got {value!r}")
@@ -161,21 +153,18 @@ def _build(cls, user, where: str, **fixed):
     """Instance of the dataclass cls from the JSON object at where.
 
     Defaults and range checks are those of cls.  Each value must have the
-    JSON type of the field's default, null is accepted where the field is
-    Optional, and the fields in fixed cannot be set from the config.  A
-    range error of cls names the field it mentions first.
+    JSON type of the field's default, so null is never accepted, and the
+    fields in fixed cannot be set from the config.  A range error of cls
+    names the field it mentions first.
     """
     if not isinstance(user, dict):
         raise ConfigError(where, "expected an object")
-    hints = typing.get_type_hints(cls)
     kwargs = dict(fixed)
     for f in fields(cls):
         if f.name in user and f.name not in fixed:
             default = (f.default if f.default_factory is MISSING
                        else f.default_factory())
-            kwargs[f.name] = _typed(user[f.name], default,
-                                    type(None) in typing.get_args(hints[f.name]),
-                                    f"{where}.{f.name}")
+            kwargs[f.name] = _typed(user[f.name], default, f"{where}.{f.name}")
     for key in user:
         if key not in kwargs or key in fixed:
             raise ConfigError(f"{where}.{key}", "unknown field")
@@ -186,13 +175,6 @@ def _build(cls, user, where: str, **fixed):
         named = [w for w in re.findall(r"\w+", str(exc)) if w in names]
         raise ConfigError(f"{where}.{named[0]}" if named else where,
                           str(exc)) from exc
-
-
-def _solver_config(cfg: dict) -> SolverConfig:
-    sec = cfg.get("solver", {})
-    if isinstance(sec, dict) and sec.get("inner_depth_cap") == "unbounded":
-        sec = {**sec, "inner_depth_cap": None}
-    return _build(SolverConfig, sec, "solver")
 
 
 def _reference(user, where: str):
@@ -234,7 +216,7 @@ def _write_json(path: Path, obj: dict) -> None:
 def cmd_run_lqr(config_path: str, out_dir: str) -> int:
     cfg = _load_json(config_path, ("scenario", "solver", "output"))
     spec = _build(LqrSpec, cfg.get("scenario", {}), "scenario")
-    solver_cfg = _solver_config(cfg)
+    solver_cfg = _build(SolverConfig, cfg.get("solver", {}), "solver")
     tol = _build(LqrOutput, cfg.get("output", {}), "output").tolerance
 
     prob = build_lqr(spec)
@@ -293,8 +275,9 @@ def cmd_run_mpc(config_path: str, out_dir: str, baseline: Optional[str]) -> int:
         raise ConfigError("scenario.reference", f"waypoint table has "
                           f"{len(spec.reference)} rows, N + N_p = "
                           f"{spec.N + spec.N_p} are needed")
+    solver_cfg = _build(SolverConfig, cfg.get("solver", {}), "solver")
     mpc_cfg = _build(MpcConfig, cfg.get("mpc", {}), "mpc", horizon=spec.N_p,
-                     total_steps=spec.N, solver=_solver_config(cfg))
+                     total_steps=spec.N, solver=solver_cfg)
     gd = _build(GdBaseline, cfg.get("baseline", {}), "baseline")
     limits = _build(MpcOutput, cfg.get("output", {}), "output")
     if (spec.N - 1) * spec.delta <= limits.transient_time_s:
@@ -400,7 +383,8 @@ class SuiteResult:
 
 def _named_problems(seed: int, sizes: Sequence[Tuple[int, int, int]],
                     extra_problems=None):
-    """(name, problem, x0, z, fd_sampler) tuples for the suites."""
+    """(name, problem, x0, z, fd_sampler) tuples for the suites; the extra
+    (name, problem, x0, z) tuples use the default sampler."""
     rng = np.random.default_rng(seed)
     problems = []
     for (n, m, n_last) in sizes:
@@ -416,10 +400,8 @@ def _named_problems(seed: int, sizes: Sequence[Tuple[int, int, int]],
     problems.append(("unicycle", uni, x_uni,
                      rng.normal(scale=0.3, size=uni.dims.z_len),
                      tracking_sampler(uni_spec, 3)))
-    if extra_problems:
-        for entry in extra_problems:
-            problems.append(tuple(entry) if len(entry) == 5
-                            else tuple(entry) + (None,))
+    problems.extend((name, prob, x0, z, None)
+                    for name, prob, x0, z in extra_problems or ())
     return rng, problems
 
 
@@ -450,7 +432,7 @@ def run_check_suites(seed: int = 0,
     # Adjoint gradient against central differences of the cost.
     record("gradient-vs-fd", 1e-5, (
         (max_rel_error(gradient(prob, x0, z).gradient,
-                       fd_gradient(prob, x0, z, 1e-6)), name)
+                       fd_gradient(prob, x0, z, FD_STEP)), name)
         for name, prob, x0, z, _ in problems))
 
     # One snapshot and one Hessian product with the identity per problem
@@ -464,7 +446,7 @@ def run_check_suites(seed: int = 0,
 
     # Assembled second-order matrix against differenced adjoint gradients.
     record("hessian-vs-fd", 1e-4, (
-        (max_rel_error(symmetric_part(hv), fd_hessian(prob, x0, z, 1e-6)),
+        (max_rel_error(symmetric_part(hv), fd_hessian(prob, x0, z, FD_STEP)),
          name)
         for (name, prob, x0, z, _), (hv, _) in zip(problems, products)))
 
@@ -486,7 +468,7 @@ def run_check_suites(seed: int = 0,
             else:
                 flats = sorted(rng.choice(width, size=8, replace=False).tolist())
             sens = central_difference(
-                lambda v: roll_forward(prob, x0, v).states, z, 1e-6)
+                lambda v: roll_forward(prob, x0, v).states, z, FD_STEP)
             for flat in flats:
                 yield (max_rel_error(dx[..., flat], sens[..., flat]),
                        f"{name} row {flat}")
@@ -522,24 +504,22 @@ def _print_suite_table(results: List[SuiteResult]) -> None:
 def _parse_sizes(text: str) -> List[Tuple[int, int, int]]:
     sizes = []
     for chunk in text.split(";"):
-        parts = chunk.split(",")
-        if len(parts) != 3:
-            raise ConfigError("sizes", f"expected 'n,m,N' triples separated "
-                              f"by ';', got {chunk!r}")
         try:
-            n, m, n_last = (int(v) for v in parts)
+            n, m, n_last = (int(v) for v in chunk.split(","))
+            Dims(n, m, n_last)
         except ValueError as exc:
-            raise ConfigError("sizes", f"non-integer entry in {chunk!r}") from exc
-        if n < 1 or m < 1 or n_last < 0:
-            raise ConfigError("sizes", f"invalid dimensions {chunk!r}")
+            raise ConfigError("sizes", f"expected 'n,m,N' triples separated "
+                              f"by ';', got {chunk!r} ({exc})") from exc
         sizes.append((n, m, n_last))
     return sizes
 
 
 def cmd_check(seed: int, sizes_text: Optional[str],
               out_dir: Optional[str]) -> int:
-    if seed < 0:
-        raise ConfigError("seed", f"must be >= 0, got {seed}")
+    try:
+        check_count(seed, 0, "seed")
+    except ValueError as exc:
+        raise ConfigError("seed", str(exc)) from exc
     sizes = _parse_sizes(sizes_text) if sizes_text else None
     results = run_check_suites(seed=seed, sizes=sizes)
     print(f"validation suites, seed {seed}")

@@ -14,27 +14,26 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from .adjoint import gradient
-from .problem import (ProblemDef, central_difference, eval_cost,
-                      make_fd_problem, one_row)
+from .problem import (FD_STEP, ProblemDef, central_difference, check_count,
+                      check_positive, eval_cost, make_fd_problem, one_row)
 
 
-def fd_gradient(p: ProblemDef, x0, z: np.ndarray, h: float = 1e-6) -> np.ndarray:
+def fd_gradient(p: ProblemDef, x0, z: np.ndarray, h: float = FD_STEP) -> np.ndarray:
     """Central-difference gradient of the rollout cost, coordinate by
-    coordinate: (J(z + h e_i) - J(z - h e_i)) / (2 h)."""
-    if not h > 0:
-        raise ValueError(f"h must be > 0, got {h}")
+    coordinate: (J(z + h e_i) - J(z - h e_i)) / (2 h), h finite and > 0."""
+    check_positive(h, "h")
     return central_difference(lambda v: eval_cost(p, x0, v), z, h)
 
 
-def fd_hessian(p: ProblemDef, x0, z: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central differences of the adjoint gradient, symmetrized.
+def fd_hessian(p: ProblemDef, x0, z: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+    """Central differences of the adjoint gradient with step h (finite and
+    > 0), symmetrized.
 
     Differencing the exact gradient rather than double-differencing the cost
     drops one order of cancellation error, which is why downstream checks
     can afford a 1e-4 tolerance.
     """
-    if not h > 0:
-        raise ValueError(f"h must be > 0, got {h}")
+    check_positive(h, "h")
     cols = central_difference(lambda v: gradient(p, x0, v).gradient, z, h)
     return 0.5 * (cols + cols.T)
 
@@ -59,19 +58,18 @@ class RiccatiSolution:
 def riccati_lqr(a: float, b: float, q: float, r: float, p_term: float,
                 N: int, x0: float) -> RiccatiSolution:
     """Backward value recursion and closed-loop rollout for the scalar
-    problem x' = a x + b u with cost sum(q x^2 + r u^2) + p_term x_N^2.
+    problem x' = a x + b u with cost sum(q x^2 + r u^2) + p_term x_N^2;
+    r is finite and > 0, q and p_term finite and >= 0, N an integer >= 0.
 
     P_N = p_term,
     P_k = q + a^2 P_{k+1} - (a b P_{k+1})^2 / (r + b^2 P_{k+1}),
     K_k = a b P_{k+1} / (r + b^2 P_{k+1}),
     u_k = -K_k x_k.
     """
-    if not r > 0:
-        raise ValueError(f"r must be > 0, got {r}")
-    if q < 0 or p_term < 0:
-        raise ValueError("q and p_term must be >= 0")
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
+    check_positive(r, "r")
+    check_positive(q, "q", zero_ok=True)
+    check_positive(p_term, "p_term", zero_ok=True)
+    check_count(N, 0, "N")
     pk = np.empty(N + 1)
     pk[N] = p_term
     gains = np.empty(N)

@@ -258,6 +258,15 @@ def check_count(value, low: int, what: str) -> None:
         raise ValueError(f"{what} must be an integer >= {low}, got {value!r}")
 
 
+def check_positive(value, what: str, zero_ok: bool = False) -> None:
+    """Reject value with a ValueError naming what unless it is a finite
+    real > 0, or >= 0 with zero_ok; numpy scalars and integers pass."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)
+            and (value >= 0 if zero_ok else value > 0)):
+        bound = ">= 0" if zero_ok else "> 0"
+        raise ValueError(f"{what} must be finite and {bound}, got {value}")
+
+
 def roll_forward(p: ProblemDef, x0, z: np.ndarray) -> Rollout:
     """Simulate the dynamics under the controls in z and accumulate cost.
 
@@ -369,10 +378,9 @@ def make_fd_problem(dynamics, stage_cost, dims: Dims, step: float = FD_STEP) -> 
         dynamics: callable (x, u, k) -> next state.
         stage_cost: per-stage callable (x, u, k) -> float.
         dims: problem dimensions.
-        step: relative step for first derivatives, > 0.
+        step: relative step for first derivatives, finite and > 0.
     """
-    if not step > 0:
-        raise ValueError(f"step must be > 0, got {step}")
+    check_positive(step, "step")
     n, m = dims.n, dims.m
 
     def f(x, u, k):

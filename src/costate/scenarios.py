@@ -21,7 +21,8 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .problem import Dims, ProblemDef, check_count, check_state
+from .problem import (Dims, ProblemDef, check_count, check_positive,
+                      check_state)
 
 _FLOAT64 = np.dtype(np.float64)
 
@@ -52,7 +53,8 @@ def _half_quad(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class LqrSpec:
     """Scalar linear-quadratic problem: x' = a x + b u, running cost
-    q x^2 + r u^2, terminal cost p_term x_N^2; N is an integer >= 0."""
+    q x^2 + r u^2, terminal cost p_term x_N^2; r is finite and > 0, q and
+    p_term finite and >= 0, N an integer >= 0."""
 
     a: float = 1.8
     b: float = 0.9
@@ -63,12 +65,9 @@ class LqrSpec:
     x0: float = 1.0
 
     def __post_init__(self):
-        if not self.r > 0:
-            raise ValueError(f"r must be > 0, got {self.r}")
-        if self.q < 0:
-            raise ValueError(f"q must be >= 0, got {self.q}")
-        if self.p_term < 0:
-            raise ValueError(f"p_term must be >= 0, got {self.p_term}")
+        check_positive(self.r, "r")
+        check_positive(self.q, "q", zero_ok=True)
+        check_positive(self.p_term, "p_term", zero_ok=True)
         check_count(self.N, 0, "N")
 
 
@@ -118,15 +117,15 @@ def build_lqr(spec: LqrSpec) -> ProblemDef:
 
 @dataclass(frozen=True)
 class CircleReference:
-    """Circular reference trajectory traversed at constant angular rate."""
+    """Circular reference trajectory traversed at constant angular rate;
+    radius is finite and > 0."""
 
     center: Tuple[float, float] = (0.0, 0.0)
     radius: float = 1.0
     angular_rate: float = 0.3
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError(f"radius must be > 0, got {self.radius}")
+        check_positive(self.radius, "radius")
 
 
 @dataclass(frozen=True)
@@ -160,9 +159,10 @@ class UnicycleSpec:
     """Planar unicycle tracking scenario.
 
     State is [x (m), y (m), heading (rad)], controls are [speed (m/s),
-    turn rate (rad/s)].  delta is the Euler step, N the total number of
-    plant steps, N_p the prediction horizon (both integers >= 1).
-    Q_weights/R_weights are the diagonal tracking weights.  The solver
+    turn rate (rad/s)].  delta is the Euler step (finite and > 0), N the
+    total number of plant steps, N_p the prediction horizon (both integers
+    >= 1).  Q_weights/R_weights are the diagonal tracking weights: each
+    Q weight finite and >= 0, each R weight finite and > 0.  The solver
     settings are not part of the scenario; the default SolverConfig() is
     what the benchmark runs use.
     """
@@ -178,14 +178,13 @@ class UnicycleSpec:
     )
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError(f"delta must be > 0, got {self.delta}")
+        check_positive(self.delta, "delta")
         check_count(self.N, 1, "N")
         check_count(self.N_p, 1, "N_p")
-        if any(w < 0 for w in self.Q_weights):
-            raise ValueError("Q_weights must be non-negative")
-        if any(w <= 0 for w in self.R_weights):
-            raise ValueError("R_weights must be strictly positive")
+        for i, w in enumerate(self.Q_weights):
+            check_positive(w, f"Q_weights[{i}]", zero_ok=True)
+        for i, w in enumerate(self.R_weights):
+            check_positive(w, f"R_weights[{i}]")
 
 
 def _circle_rows(circle: CircleReference, delta: float,
@@ -398,20 +397,19 @@ def build_unicycle_tracking(spec: UnicycleSpec, anchor_step: int,
     )
 
 
-def tracking_sampler(spec: UnicycleSpec, anchor_step: int = 0,
-                     scale: float = 0.4):
+def tracking_sampler(spec: UnicycleSpec, anchor_step: int = 0):
     """Sampler for derivative checks on tracking problems.
 
-    Draws states and controls near the reference at the anchor step, where
-    the quadratic tracking cost stays moderate (keeping finite-difference
-    cancellation noise small) and the wrapped heading residual stays far
-    from the seam.
+    Draws states and controls near the reference at the anchor step, with
+    normal offsets of scale 0.4, where the quadratic tracking cost stays
+    moderate (keeping finite-difference cancellation noise small) and the
+    wrapped heading residual stays far from the seam.
     """
     xr, ur = reference_at(spec, anchor_step)
 
     def sample(rng: np.random.Generator, dims: Dims):
-        return (xr + rng.normal(scale=scale, size=3),
-                ur + rng.normal(scale=scale, size=2))
+        return (xr + rng.normal(scale=0.4, size=3),
+                ur + rng.normal(scale=0.4, size=2))
 
     return sample
 

@@ -41,7 +41,7 @@ from scipy.linalg.lapack import dposv
 from .adjoint import AdjointSolution, adjoint_along, forward_adjoint
 from .curvature import stage_curvature, symmetric_part
 from .problem import (NumericalBlowupError, ProblemDef, check_count,
-                      roll_forward)
+                      check_positive, roll_forward)
 # Neither is called here; perfbench/tracing.py wraps both as
 # costate.solver.hessian_with and costate.solver.eval_cost.
 from .curvature import hessian_with  # noqa: F401
@@ -53,12 +53,6 @@ log = logging.getLogger(__name__)
 # each multiplying the regularizer by FALLBACK_SCALE.
 MAX_ESCALATIONS = 3
 FALLBACK_SCALE = 10.0
-
-
-def _check_positive(value, what: str) -> None:
-    """Reject a value that is not a finite number > 0 with a ValueError."""
-    if not (np.isfinite(value) and value > 0):
-        raise ValueError(f"{what} must be finite and > 0, got {value}")
 
 
 class Termination(Enum):
@@ -96,25 +90,25 @@ class SolverConfig:
             finite positive value.
         max_outer: outer iteration budget, an integer >= 1.
         inner_depth_cap: bound on the inner recursion depth, an integer
-            >= 0; None means the depth simply equals the outer iteration
-            index.  Deep inner loops add nothing past roundoff, so the
-            default cap is cheap and safe.
+            >= 0: outer iteration i < max_outer recurses to min(i, cap),
+            so any cap >= max_outer is the uncapped schedule depth = i.
+            Deep inner loops add nothing past roundoff, so the default cap
+            is cheap and safe.
     """
 
     r_reg: float = 0.1
     grad_tol: float = 1e-6
     max_outer: int = 50
-    inner_depth_cap: Optional[int] = 20
+    inner_depth_cap: int = 20
 
     def __post_init__(self):
         if not np.isscalar(self.r_reg):
             raise ValueError(
                 f"r_reg must be a scalar, got shape {np.shape(self.r_reg)}")
-        _check_positive(self.r_reg, "r_reg")
-        _check_positive(self.grad_tol, "grad_tol")
+        check_positive(self.r_reg, "r_reg")
+        check_positive(self.grad_tol, "grad_tol")
         check_count(self.max_outer, 1, "max_outer")
-        if self.inner_depth_cap is not None:
-            check_count(self.inner_depth_cap, 0, "inner_depth_cap")
+        check_count(self.inner_depth_cap, 0, "inner_depth_cap")
 
 
 @dataclass
@@ -312,7 +306,7 @@ def step_direction(adj: AdjointSolution, c: np.ndarray, g: np.ndarray,
         LinearSolveError: (R + H) is not positive definite; its stage is
             the stage whose pivot failed.
     """
-    _check_positive(r, "r")
+    check_positive(r, "r")
     check_count(depth, 0, "depth")
     r = float(r)
     factor = _factor if _factor is not None else StagewiseFactor(
@@ -388,7 +382,7 @@ def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig,
             return _report(z, i, inner_total, gnorms, costs,
                            Termination.MAX_ITERS, t0)
         c = stage_curvature(p, roll, adj, z)
-        depth = i if cfg.inner_depth_cap is None else min(i, cfg.inner_depth_cap)
+        depth = min(i, cfg.inner_depth_cap)
         r = cfg.r_reg
         for attempt in range(MAX_ESCALATIONS + 1):
             if attempt:
@@ -438,8 +432,8 @@ def minimize_gd(p: ProblemDef, x0, z0: np.ndarray, lr: float,
     initial magnitude the run stops with the Diverged termination instead of
     crashing.
     """
-    _check_positive(lr, "lr")
-    _check_positive(grad_tol, "grad_tol")
+    check_positive(lr, "lr")
+    check_positive(grad_tol, "grad_tol")
     check_count(max_iters, 0, "max_iters")
     t0 = time.perf_counter()
     z = np.array(z0, dtype=float, copy=True)

@@ -225,13 +225,6 @@ class TestCheck:
         assert "suite" in proc.stdout and "fd-consistency" in proc.stdout
         assert "lqr-riccati" in proc.stdout
 
-    def test_unbounded_inner_depth_accepted(self, tmp_path):
-        cfg = _write_config(tmp_path, {
-            "scenario": {"x0": 0.5},
-            "solver": {"inner_depth_cap": "unbounded"},
-        })
-        assert main(["run-lqr", "--config", cfg, "--out", str(tmp_path)]) == 0
-
     def test_injected_sign_flip_fails_fd_consistency(self):
         base = build_lqr(LqrSpec(N=4))
         flipped = ProblemDef(
@@ -267,6 +260,12 @@ class TestCheck:
         "type": "table", "states": [[0, 0, 0]] * 2,
         "controls": [[1, 1]] * 2}}}, "scenario.reference"),
     ("run-mpc", {"scenario": {"N": 5, "N_p": 3}}, "output.transient_time_s"),
+    ("run-mpc", {"scenario": {"Q_weights": [1, 1, -1]}}, "scenario.Q_weights"),
+    # The depth cap is an integer only; a cap >= max_outer is uncapped.
+    ("run-lqr", {"solver": {"inner_depth_cap": "unbounded"}},
+     "solver.inner_depth_cap"),
+    ("run-mpc", {"solver": {"inner_depth_cap": None}},
+     "solver.inner_depth_cap"),
 ])
 def test_bad_config_exits_2_and_names_the_field(tmp_path, capsys, command,
                                                 payload, field):

@@ -1,6 +1,7 @@
 """Modules use each other only through public names."""
 
 import ast
+import re
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -25,6 +26,38 @@ def test_no_private_names_imported_across_modules():
         (REPO / "tests").glob("*.py")) + sorted((REPO / "demos").glob("*.py"))
     found = [hit for path in files for hit in _private_imports(path)]
     assert not found, "private names imported: " + ", ".join(found)
+
+
+# The wordings of hand-written range checks that check_positive replaced.
+_RANGE_MESSAGE = re.compile(r"must be >=? 0|non-negative|strictly positive")
+
+
+def _range_checks(path):
+    # _check_* helpers, and range messages in string literals other than
+    # docstrings, f-string parts included.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, scopes) and node.body
+                  and isinstance(node.body[0], ast.Expr)}
+    where = path.relative_to(REPO)
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("_check_")):
+            yield f"{where}:{node.lineno} defines {node.name}"
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and id(node) not in docstrings
+                and _RANGE_MESSAGE.search(node.value)):
+            yield f"{where}:{node.lineno} formats {node.value!r}"
+
+
+def test_range_checks_go_through_problem_helpers():
+    # Real-valued range checks are problem.check_positive calls and integer
+    # ones problem.check_count calls; no module writes its own.
+    files = sorted(path for path in (REPO / "src" / "costate").glob("*.py")
+                   if path.name != "problem.py")
+    found = [hit for path in files for hit in _range_checks(path)]
+    assert not found, "hand-written range checks: " + ", ".join(found)
 
 
 def test_traced_entry_points_are_module_attributes():

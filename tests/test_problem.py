@@ -1,19 +1,25 @@
 """Rollout, decision-vector layout, the finite-difference constructor, and
 the stacked oracle contract."""
 
+import math
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from costate import (DimensionMismatchError, Dims, LinearSolveError,
-                     NumericalBlowupError, ProblemDef, SolverConfig,
-                     UnicycleSpec, build_unicycle_tracking, eval_cost,
+from costate import (CircleReference, DimensionMismatchError, Dims,
+                     LinearSolveError, LqrSpec, NumericalBlowupError,
+                     ProblemDef, SolverConfig, UnicycleSpec, build_lqr,
+                     build_unicycle_tracking, eval_cost, fd_gradient,
                      flat_index, forward_adjoint, gradient, make_fd_problem,
                      max_rel_error, minimize, one_row, random_smooth_problem,
-                     roll_forward, stage_controls, stage_curvature)
+                     riccati_lqr, roll_forward, stage_controls,
+                     stage_curvature)
+from costate.cli import GdBaseline, LqrOutput, MpcOutput
+from costate.problem import check_positive
 
 
 class TestDims:
@@ -431,3 +437,60 @@ class TestBlowupOrder:
             assert err.value.what == what
             assert f"({what})" in str(err.value)
             assert handed and all(np.isfinite(x).all() for x in handed)
+
+
+_RICCATI = dict(a=1.8, b=0.9, q=1.0, r=3.0, p_term=3.0, N=15, x0=1.0)
+_LQR = build_lqr(LqrSpec(N=2))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: LqrSpec(r=math.inf), "r must be finite and > 0"),
+    (lambda: LqrSpec(q=math.nan), "q must be finite and >= 0"),
+    (lambda: UnicycleSpec(delta=math.inf), "delta must be finite and > 0"),
+    (lambda: UnicycleSpec(R_weights=(math.nan, 1.0)),
+     "R_weights[0] must be finite and > 0"),
+    (lambda: UnicycleSpec(Q_weights=(1.0, 1.0, -1.0)),
+     "Q_weights[2] must be finite and >= 0"),
+    (lambda: CircleReference(radius=math.inf), "radius must be finite and > 0"),
+    (lambda: GdBaseline(lr=math.inf), "lr must be finite and > 0"),
+    (lambda: LqrOutput(tolerance=math.inf), "tolerance must be finite and > 0"),
+    (lambda: MpcOutput(transient_time_s=math.nan),
+     "transient_time_s must be finite and >= 0"),
+    (lambda: riccati_lqr(**{**_RICCATI, "r": math.inf}),
+     "r must be finite and > 0"),
+    (lambda: riccati_lqr(**{**_RICCATI, "N": 2.5}), "N must be an integer"),
+    (lambda: make_fd_problem(_LQR.dynamics, lambda x, u, k: 0.0, _LQR.dims,
+                             step=math.inf), "step must be finite and > 0"),
+    (lambda: fd_gradient(_LQR, np.ones(1), np.zeros(3), h=math.inf),
+     "h must be finite and > 0"),
+], ids=["LqrSpec.r", "LqrSpec.q", "UnicycleSpec.delta",
+        "UnicycleSpec.R_weights", "UnicycleSpec.Q_weights",
+        "CircleReference.radius", "GdBaseline.lr", "LqrOutput.tolerance",
+        "MpcOutput.transient_time_s", "riccati_lqr.r", "riccati_lqr.N",
+        "make_fd_problem.step", "fd_gradient.h"])
+def test_range_errors_name_their_field(build, message):
+    # A non-finite or out-of-range setting is a ValueError naming its field,
+    # not a value that surfaces later as a blow-up or a numpy TypeError.
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        build()
+
+
+def _accepts(build) -> bool:
+    try:
+        build()
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(value=st.floats(), zero_ok=st.booleans())
+@example(value=0.0, zero_ok=False)
+@example(value=-0.0, zero_ok=True)
+@example(value=5e-324, zero_ok=False)
+def test_check_positive_accepts_exactly_the_finite_positive_floats(value,
+                                                                    zero_ok):
+    expected = math.isfinite(value) and (value >= 0 if zero_ok else value > 0)
+    assert _accepts(lambda: check_positive(value, "v", zero_ok)) == expected
+    assert _accepts(lambda: LqrSpec(r=value)) == _accepts(
+        lambda: check_positive(value, "r"))
