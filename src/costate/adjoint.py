@@ -50,7 +50,7 @@ def hamiltonian(p: ProblemDef, x, u, lam_next, k: int) -> float:
     x = check_state(x, dims.n, "x")
     u = check_state(u, dims.m, "u")
     lam_next = check_state(lam_next, dims.n, "costate")
-    fx = np.atleast_1d(np.asarray(p.dynamics(x, u, k), dtype=float))
+    fx = check_state(p.dynamics(x, u, k), dims.n, "dynamics")
     return one_row(p.stage_cost)(x, u, k) + float(lam_next @ fx)
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import re
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -46,7 +45,7 @@ from .problem import (FD_STEP, Dims, NumericalBlowupError, central_difference,
 from .scenarios import (CircleReference, LqrSpec, UnicycleSpec, WaypointTable,
                         build_lqr, build_unicycle_plant,
                         build_unicycle_tracking, random_smooth_problem,
-                        tracking_errors, tracking_sampler)
+                        reference_at, tracking_errors, tracking_sampler)
 from .solver import SolverConfig, Termination, minimize, minimize_gd
 
 SCHEMA_VERSION = 1
@@ -124,8 +123,8 @@ def _load_json(path: str, sections: Sequence[str]) -> dict:
 
 
 def _typed(value, default, where: str):
-    # A JSON value checked against the type of the field's default; fields
-    # without one (a waypoint table's arrays) are left to the dataclass.
+    # Structure only, read off the field's default: a reference object, an
+    # enum, a tuple, an int as a float.  Values are the dataclass's to check.
     if default is MISSING:
         return value
     if isinstance(default, CircleReference):
@@ -140,22 +139,17 @@ def _typed(value, default, where: str):
             raise ConfigError(where, f"expected a list of {len(default)} "
                               f"numbers, got {value!r}")
         return tuple(_typed(v, d, where) for v, d in zip(value, default))
-    if isinstance(default, int):
-        if type(value) is not int:
-            raise ConfigError(where, f"expected an integer, got {value!r}")
-        return value
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ConfigError(where, f"expected a finite number, got {value!r}")
-    return float(value)
+    if isinstance(default, float) and type(value) is int:
+        return float(value)
+    return value
 
 
 def _build(cls, user, where: str, **fixed):
     """Instance of the dataclass cls from the JSON object at where.
 
-    Defaults and range checks are those of cls.  Each value must have the
-    JSON type of the field's default, so null is never accepted, and the
-    fields in fixed cannot be set from the config.  A range error of cls
-    names the field it mentions first.
+    Only the JSON structure is read here (_typed); the fields in fixed
+    cannot be set from the config.  Defaults and every value check are
+    cls's, and an error of cls names the field it mentions first.
     """
     if not isinstance(user, dict):
         raise ConfigError(where, "expected an object")
@@ -270,11 +264,10 @@ def cmd_run_mpc(config_path: str, out_dir: str, baseline: Optional[str]) -> int:
     if spec.N_p > spec.N:
         raise ConfigError("scenario.N_p", f"prediction horizon {spec.N_p} "
                           f"exceeds total steps N={spec.N}")
-    if (isinstance(spec.reference, WaypointTable)
-            and len(spec.reference) < spec.N + spec.N_p):
-        raise ConfigError("scenario.reference", f"waypoint table has "
-                          f"{len(spec.reference)} rows, N + N_p = "
-                          f"{spec.N + spec.N_p} are needed")
+    try:  # the last horizon ends at step N + N_p - 1
+        reference_at(spec, spec.N + spec.N_p - 1)
+    except ValueError as exc:
+        raise ConfigError("scenario.reference", str(exc)) from exc
     solver_cfg = _build(SolverConfig, cfg.get("solver", {}), "solver")
     mpc_cfg = _build(MpcConfig, cfg.get("mpc", {}), "mpc", horizon=spec.N_p,
                      total_steps=spec.N, solver=solver_cfg)

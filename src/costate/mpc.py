@@ -176,11 +176,8 @@ def run_mpc(plant: ProblemDef, ocp_factory: Callable, x0, cfg: MpcConfig,
         reports.append(report)
         z_prev = report.z_final
         u = np.array(report.z_final[:prob.dims.m], dtype=float, copy=True)
-        nxt = np.atleast_1d(np.asarray(plant.dynamics(x, u, k), dtype=float))
-        if nxt.shape != (plant.dims.n,):
-            raise DimensionMismatchError(
-                f"plant dynamics returned shape {nxt.shape} at step {k}, "
-                f"expected ({plant.dims.n},)")
+        nxt = check_state(plant.dynamics(x, u, k), plant.dims.n,
+                          f"plant dynamics at step {k}")
         if not np.all(np.isfinite(nxt)):
             raise NumericalBlowupError(k, "plant dynamics")
         controls.append(u)

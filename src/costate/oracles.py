@@ -14,8 +14,9 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from .adjoint import gradient
-from .problem import (FD_STEP, ProblemDef, central_difference, check_count,
+from .problem import (FD_STEP, ProblemDef, central_difference,
                       check_positive, eval_cost, make_fd_problem, one_row)
+from .scenarios import LqrSpec
 
 
 def fd_gradient(p: ProblemDef, x0, z: np.ndarray, h: float = FD_STEP) -> np.ndarray:
@@ -59,17 +60,14 @@ def riccati_lqr(a: float, b: float, q: float, r: float, p_term: float,
                 N: int, x0: float) -> RiccatiSolution:
     """Backward value recursion and closed-loop rollout for the scalar
     problem x' = a x + b u with cost sum(q x^2 + r u^2) + p_term x_N^2;
-    r is finite and > 0, q and p_term finite and >= 0, N an integer >= 0.
+    the arguments are checked as the LqrSpec they make.
 
     P_N = p_term,
     P_k = q + a^2 P_{k+1} - (a b P_{k+1})^2 / (r + b^2 P_{k+1}),
     K_k = a b P_{k+1} / (r + b^2 P_{k+1}),
     u_k = -K_k x_k.
     """
-    check_positive(r, "r")
-    check_positive(q, "q", zero_ok=True)
-    check_positive(p_term, "p_term", zero_ok=True)
-    check_count(N, 0, "N")
+    LqrSpec(a, b, q, r, p_term, N, x0)
     pk = np.empty(N + 1)
     pk[N] = p_term
     gains = np.empty(N)

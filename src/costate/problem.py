@@ -250,21 +250,32 @@ def check_state(x, n: int, what: str = "state") -> np.ndarray:
 
 
 def check_count(value, low: int, what: str) -> None:
-    """Reject a count that is not an integer >= low with a ValueError.
-
-    Python and numpy integers pass; no float does, 10.0 included.
-    """
-    if not isinstance(value, numbers.Integral) or value < low:
+    """Reject a count that is not an integer >= low with a ValueError;
+    Python and numpy integers pass, no float (10.0 included) or bool does."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < low):
         raise ValueError(f"{what} must be an integer >= {low}, got {value!r}")
 
 
-def check_positive(value, what: str, zero_ok: bool = False) -> None:
+def _finite_real(value) -> bool:
+    # bool is an int subclass, but True is no setting.
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def check_finite(value, what: str) -> None:
     """Reject value with a ValueError naming what unless it is a finite
-    real > 0, or >= 0 with zero_ok; numpy scalars and integers pass."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)
-            and (value >= 0 if zero_ok else value > 0)):
+    real; numpy scalars and integers pass, no bool or string does."""
+    if not _finite_real(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+
+
+def check_positive(value, what: str, zero_ok: bool = False) -> None:
+    """check_finite's rule and value > 0, or >= 0 with zero_ok; the value
+    is shown as its repr, so a string "0.05" reads as one."""
+    if not (_finite_real(value) and (value >= 0 if zero_ok else value > 0)):
         bound = ">= 0" if zero_ok else "> 0"
-        raise ValueError(f"{what} must be finite and {bound}, got {value}")
+        raise ValueError(f"{what} must be finite and {bound}, got {value!r}")
 
 
 def roll_forward(p: ProblemDef, x0, z: np.ndarray) -> Rollout:

@@ -21,8 +21,8 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .problem import (Dims, ProblemDef, check_count, check_positive,
-                      check_state)
+from .problem import (Dims, ProblemDef, check_count, check_finite,
+                      check_positive, check_state)
 
 _FLOAT64 = np.dtype(np.float64)
 
@@ -52,9 +52,9 @@ def _half_quad(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LqrSpec:
-    """Scalar linear-quadratic problem: x' = a x + b u, running cost
-    q x^2 + r u^2, terminal cost p_term x_N^2; r is finite and > 0, q and
-    p_term finite and >= 0, N an integer >= 0."""
+    """Scalar linear-quadratic problem: x' = a x + b u from x0, running cost
+    q x^2 + r u^2, terminal cost p_term x_N^2; a, b and x0 are finite, r
+    finite and > 0, q and p_term finite and >= 0, N an integer >= 0."""
 
     a: float = 1.8
     b: float = 0.9
@@ -65,10 +65,13 @@ class LqrSpec:
     x0: float = 1.0
 
     def __post_init__(self):
-        check_positive(self.r, "r")
+        check_finite(self.a, "a")
+        check_finite(self.b, "b")
         check_positive(self.q, "q", zero_ok=True)
+        check_positive(self.r, "r")
         check_positive(self.p_term, "p_term", zero_ok=True)
         check_count(self.N, 0, "N")
+        check_finite(self.x0, "x0")
 
 
 def build_lqr(spec: LqrSpec) -> ProblemDef:
@@ -118,14 +121,17 @@ def build_lqr(spec: LqrSpec) -> ProblemDef:
 @dataclass(frozen=True)
 class CircleReference:
     """Circular reference trajectory traversed at constant angular rate;
-    radius is finite and > 0."""
+    the center entries and angular_rate are finite, radius finite and > 0."""
 
     center: Tuple[float, float] = (0.0, 0.0)
     radius: float = 1.0
     angular_rate: float = 0.3
 
     def __post_init__(self):
+        for i, c in enumerate(self.center):
+            check_finite(c, f"center[{i}]")
         check_positive(self.radius, "radius")
+        check_finite(self.angular_rate, "angular_rate")
 
 
 @dataclass(frozen=True)
@@ -161,10 +167,11 @@ class UnicycleSpec:
     State is [x (m), y (m), heading (rad)], controls are [speed (m/s),
     turn rate (rad/s)].  delta is the Euler step (finite and > 0), N the
     total number of plant steps, N_p the prediction horizon (both integers
-    >= 1).  Q_weights/R_weights are the diagonal tracking weights: each
-    Q weight finite and >= 0, each R weight finite and > 0.  The solver
-    settings are not part of the scenario; the default SolverConfig() is
-    what the benchmark runs use.
+    >= 1), X0 the finite start.  Q_weights/R_weights are the diagonal
+    tracking weights: each Q weight finite and >= 0, each R weight finite
+    and > 0; an error names the entry, e.g. X0[2].  The solver settings are
+    not part of the scenario; the default SolverConfig() is what the
+    benchmark runs use.
     """
 
     delta: float = 0.05
@@ -181,6 +188,8 @@ class UnicycleSpec:
         check_positive(self.delta, "delta")
         check_count(self.N, 1, "N")
         check_count(self.N_p, 1, "N_p")
+        for i, x in enumerate(self.X0):
+            check_finite(x, f"X0[{i}]")
         for i, w in enumerate(self.Q_weights):
             check_positive(w, f"Q_weights[{i}]", zero_ok=True)
         for i, w in enumerate(self.R_weights):
@@ -259,12 +268,15 @@ def unicycle_step(x: np.ndarray, u: np.ndarray, delta: float) -> np.ndarray:
 
 def _reference_rows(spec: UnicycleSpec, first: int,
                     count: int) -> Tuple[np.ndarray, np.ndarray]:
-    # Reference states and controls at steps first .. first + count - 1,
-    # which the caller has checked: a copied slice of the waypoint table,
-    # so a problem keeps its reference if the table's arrays change, or one
-    # stacked evaluation of the circle.
+    # Reference states and controls at steps first .. first + count - 1
+    # (first >= 0): a copied slice of the waypoint table, which must reach
+    # the last step, so a problem keeps its reference if the table's arrays
+    # change, or one stacked evaluation of the circle.
     ref = spec.reference
     if isinstance(ref, WaypointTable):
+        if first + count > len(ref):
+            raise ValueError(f"waypoint table has {len(ref)} entries, no "
+                             f"reference at step {first + count - 1}")
         return (ref.states[first:first + count].copy(),
                 ref.controls[first:first + count].copy())
     return _circle_rows(ref, spec.delta, np.arange(first, first + count))
@@ -274,11 +286,6 @@ def reference_at(spec: UnicycleSpec, step: int) -> Tuple[np.ndarray, np.ndarray]
     """Reference state and control of the scenario at an absolute step (an
     integer >= 0), from its waypoint table or its circle."""
     check_count(step, 0, "step")
-    ref = spec.reference
-    if isinstance(ref, WaypointTable) and step >= len(ref):
-        raise ValueError(
-            f"waypoint table has {len(ref)} entries, no reference at step {step}"
-        )
     xr, ur = _reference_rows(spec, step, 1)
     return xr[0], ur[0]
 
@@ -295,8 +302,6 @@ def tracking_errors(spec: UnicycleSpec, states):
     states = np.asarray(states, dtype=float)
     if states.ndim != 2 or states.shape[1] != 3:
         raise ValueError(f"states must be (K, 3), got {states.shape}")
-    if len(states):
-        reference_at(spec, len(states) - 1)  # raises if the table is short
     ref, _ = _reference_rows(spec, 0, len(states))
     err = states - ref
     return ref, np.hypot(err[:, 0], err[:, 1]), np.abs(wrap_angle(err[:, 2]))
@@ -320,12 +325,6 @@ def build_unicycle_tracking(spec: UnicycleSpec, anchor_step: int,
     and constant blocks up by ks, so ks must be stages 0..N_p.
     """
     check_count(anchor_step, 0, "anchor_step")
-    if isinstance(spec.reference, WaypointTable):
-        if anchor_step + spec.N_p >= len(spec.reference):
-            raise ValueError(
-                f"anchor_step {anchor_step} + horizon {spec.N_p} exceeds the "
-                f"waypoint table ({len(spec.reference)} entries)"
-            )
     check_state(current_state, 3, "current_state")
 
     delta = spec.delta

@@ -118,7 +118,8 @@ class SolveReport:
     grad_norm_history and cost_history hold one entry per outer evaluation,
     the final (terminating) evaluation included; on Converged the last
     gradient norm is below grad_tol.  inner_iters_total counts linear solves
-    against the factorizations (depth + 1 per accepted outer step).
+    against the factorizations: depth + 1 per successful factorization, a
+    trial rejected for its cost included; a failed one adds none.
     """
 
     z_final: np.ndarray

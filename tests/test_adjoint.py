@@ -1,14 +1,16 @@
 """Costate sweep and gradient checks against finite differences."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import zero_cost_problem
-from costate import (Dims, LqrSpec, ProblemDef, UnicycleSpec,
-                     adjoint_along, build_lqr, build_unicycle_tracking,
-                     fd_gradient, forward_adjoint, gradient, hamiltonian,
-                     max_rel_error, one_row, random_smooth_problem,
-                     roll_forward)
+from costate import (DimensionMismatchError, Dims, LqrSpec, ProblemDef,
+                     UnicycleSpec, adjoint_along, build_lqr,
+                     build_unicycle_tracking, fd_gradient, forward_adjoint,
+                     gradient, hamiltonian, max_rel_error, one_row,
+                     random_smooth_problem, roll_forward)
 
 
 class TestHamiltonian:
@@ -32,6 +34,14 @@ class TestHamiltonian:
         x = np.array([0.5, -2.0])
         lam = np.array([3.0, 1.0])
         assert hamiltonian(prob, x, np.zeros(1), lam, 0) == pytest.approx(lam @ x)
+
+    def test_wrong_shape_dynamics_output_is_a_dimension_error(self, lqr1):
+        # Not numpy's plain ValueError from the costate product: the
+        # subclass, naming the output and both shapes.
+        prob = dataclasses.replace(lqr1, dynamics=lambda x, u, k: np.zeros(2))
+        with pytest.raises(DimensionMismatchError, match=r"^dynamics has "
+                           r"shape \(2,\), expected \(1,\)$"):
+            hamiltonian(prob, np.ones(1), np.zeros(1), np.ones(1), 0)
 
 
 class TestBackwardCostates:

@@ -28,13 +28,16 @@ def test_no_private_names_imported_across_modules():
     assert not found, "private names imported: " + ", ".join(found)
 
 
-# The wordings of hand-written range checks that check_positive replaced.
-_RANGE_MESSAGE = re.compile(r"must be >=? 0|non-negative|strictly positive")
+# The wordings of hand-written range checks that check_positive replaced,
+# and of the CLI's value checks that the config dataclasses replaced.
+_RANGE_MESSAGE = re.compile(r"must be >=? 0|non-negative|strictly positive"
+                            r"|expected an? (finite )?(number|integer)")
 
 
 def _range_checks(path):
-    # _check_* helpers, and range messages in string literals other than
-    # docstrings, f-string parts included.
+    # _check_* helpers, math.isfinite (check_finite and check_positive are
+    # the finiteness checks of a value), and range messages in string
+    # literals other than docstrings, f-string parts included.
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
     docstrings = {id(node.body[0].value) for node in ast.walk(tree)
@@ -45,6 +48,10 @@ def _range_checks(path):
         if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and node.name.startswith("_check_")):
             yield f"{where}:{node.lineno} defines {node.name}"
+        if (isinstance(node, ast.Attribute) and node.attr == "isfinite"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "math"):
+            yield f"{where}:{node.lineno} uses math.isfinite"
         if (isinstance(node, ast.Constant) and isinstance(node.value, str)
                 and id(node) not in docstrings
                 and _RANGE_MESSAGE.search(node.value)):
@@ -52,8 +59,9 @@ def _range_checks(path):
 
 
 def test_range_checks_go_through_problem_helpers():
-    # Real-valued range checks are problem.check_positive calls and integer
-    # ones problem.check_count calls; no module writes its own.
+    # Real-valued range checks are problem.check_positive or check_finite
+    # calls and integer ones problem.check_count calls; no module writes its
+    # own, and the CLI checks no value at all.
     files = sorted(path for path in (REPO / "src" / "costate").glob("*.py")
                    if path.name != "problem.py")
     found = [hit for path in files for hit in _range_checks(path)]

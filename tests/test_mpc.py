@@ -258,7 +258,8 @@ def test_wrong_shape_plant_output_names_the_step_and_shape():
     spec, plant, factory = _unicycle_setup(total_steps=5)
     bad = _plant_failing_at(plant, 2, np.zeros(4))
     with pytest.raises(DimensionMismatchError,
-                       match=r"plant dynamics returned shape \(4,\) at step 2"):
+                       match=r"^plant dynamics at step 2 has shape \(4,\), "
+                             r"expected \(3,\)$"):
         run_mpc(bad, factory, np.asarray(spec.X0),
                 MpcConfig(horizon=10, total_steps=5))
 

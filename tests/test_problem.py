@@ -1,6 +1,7 @@
 """Rollout, decision-vector layout, the finite-difference constructor, and
 the stacked oracle contract."""
 
+import dataclasses
 import math
 import re
 from collections import Counter
@@ -463,16 +464,60 @@ _LQR = build_lqr(LqrSpec(N=2))
                              step=math.inf), "step must be finite and > 0"),
     (lambda: fd_gradient(_LQR, np.ones(1), np.zeros(3), h=math.inf),
      "h must be finite and > 0"),
+    (lambda: riccati_lqr(math.nan, 0.9, 1.0, 3.0, 3.0, 5, 1.0),
+     "a must be finite, got nan"),
+    (lambda: UnicycleSpec(reference=CircleReference(angular_rate=math.nan),
+                          N=20), "angular_rate must be finite, got nan"),
+    (lambda: SolverConfig(max_outer=True),
+     "max_outer must be an integer >= 1, got True"),
+    # A string is quoted, so it does not read as the valid value 0.05.
+    (lambda: UnicycleSpec(delta="0.05"),
+     "delta must be finite and > 0, got '0.05'"),
 ], ids=["LqrSpec.r", "LqrSpec.q", "UnicycleSpec.delta",
         "UnicycleSpec.R_weights", "UnicycleSpec.Q_weights",
         "CircleReference.radius", "GdBaseline.lr", "LqrOutput.tolerance",
         "MpcOutput.transient_time_s", "riccati_lqr.r", "riccati_lqr.N",
-        "make_fd_problem.step", "fd_gradient.h"])
+        "make_fd_problem.step", "fd_gradient.h", "riccati_lqr.a",
+        "CircleReference.angular_rate", "SolverConfig.max_outer",
+        "UnicycleSpec.delta-string"])
 def test_range_errors_name_their_field(build, message):
     # A non-finite or out-of-range setting is a ValueError naming its field,
     # not a value that surfaces later as a blow-up or a numpy TypeError.
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         build()
+
+
+def _numeric_entries():
+    # (id, name, build) for every numeric field of the config dataclasses
+    # and every entry of a tuple field; build(v) sets that one value.
+    for cls in (LqrSpec, UnicycleSpec, CircleReference, SolverConfig,
+                MpcOutput, LqrOutput, GdBaseline):
+        for f in dataclasses.fields(cls):
+            if isinstance(f.default, tuple):
+                for i in range(len(f.default)):
+                    def build(v, cls=cls, f=f, i=i):
+                        entries = list(f.default)
+                        entries[i] = v
+                        return cls(**{f.name: tuple(entries)})
+                    name = f"{f.name}[{i}]"
+                    yield f"{cls.__name__}.{name}", name, build
+            elif isinstance(f.default, (int, float)):
+                yield (f"{cls.__name__}.{f.name}", f.name,
+                       lambda v, cls=cls, f=f: cls(**{f.name: v}))
+
+
+_ENTRIES = list(_numeric_entries())
+
+
+@pytest.mark.parametrize("name, build", [e[1:] for e in _ENTRIES],
+                         ids=[e[0] for e in _ENTRIES])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, True, "1"])
+def test_every_numeric_field_rejects_non_finite_bool_and_string(name, build,
+                                                                bad):
+    # The dataclasses are the one place that checks a value, so every number
+    # they hold is checked there, under its own name.
+    with pytest.raises(ValueError, match="^" + re.escape(name) + " must be "):
+        build(bad)
 
 
 def _accepts(build) -> bool:

@@ -423,6 +423,17 @@ class TestMinimize:
         assert [r.getMessage().startswith("trial cost inf")
                 for r in caplog.records] == [True] * escalations
 
+    def test_inner_solves_count_rejected_trials(self):
+        # This start escalates 5 times on a failed factorization (no solves)
+        # and once on an increased trial cost at outer iteration 4, whose
+        # depth + 1 = 5 solves count beside the 10 accepted steps'
+        # 1 + 2 + ... + 10 = 55.
+        prob, x0, z0 = random_smooth_problem(2, 3, 2, 30)
+        rep = minimize(prob, 5 * x0, 5 * z0, SolverConfig())
+        assert rep.termination is Termination.CONVERGED
+        assert rep.outer_iters == 10
+        assert rep.inner_iters_total == 60
+
     def test_budget_exhaustion_reported_not_thrown(self, lqr15):
         rep = minimize(lqr15, 3.0, np.zeros(lqr15.dims.z_len),
                        SolverConfig(r_reg=0.1, max_outer=1))
