@@ -98,9 +98,9 @@ def adjoint_along(p: ProblemDef, roll: Rollout, z: np.ndarray) -> AdjointSolutio
 def forward_adjoint(p: ProblemDef, x0, z: np.ndarray) -> Tuple[Rollout, AdjointSolution]:
     """Rollout plus adjoint solution in one fused pass.
 
-    This is the workhorse used by the solvers and the second-order sweeps,
-    which consume both the rollout and the costates; returning both avoids
-    recomputation.  It is roll_forward followed by adjoint_along.
+    roll_forward then adjoint_along, for callers at a fresh point:
+    minimize_gd, hessian() and the check suites.  minimize reuses the
+    rollout of an accepted trial and runs adjoint_along alone.
     """
     roll = roll_forward(p, x0, z)
     return roll, adjoint_along(p, roll, z)

@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .adjoint import forward_adjoint, gradient
-from .curvature import hessian_product, stage_curvature, symmetric_part
+from .curvature import SYMMETRY_TOL, hessian_product, stage_curvature
 from .mpc import MpcConfig, run_mpc
 from .oracles import (fd_consistency, fd_gradient, fd_hessian, max_rel_error,
                       riccati_lqr)
@@ -140,7 +140,10 @@ def _typed(value, default, where: str):
                               f"numbers, got {value!r}")
         return tuple(_typed(v, d, where) for v, d in zip(value, default))
     if isinstance(default, float) and type(value) is int:
-        return float(value)
+        try:  # one beyond float range stays an int, for the dataclass
+            return float(value)
+        except OverflowError:
+            pass
     return value
 
 
@@ -438,8 +441,9 @@ def run_check_suites(seed: int = 0,
     products = [product(prob, x0, z) for _, prob, x0, z, _ in problems]
 
     # Assembled second-order matrix against differenced adjoint gradients.
+    # Symmetrized unchecked: an asymmetry is hessian-symmetry's FAIL.
     record("hessian-vs-fd", 1e-4, (
-        (max_rel_error(symmetric_part(hv), fd_hessian(prob, x0, z, FD_STEP)),
+        (max_rel_error(0.5 * (hv + hv.T), fd_hessian(prob, x0, z, FD_STEP)),
          name)
         for (name, prob, x0, z, _), (hv, _) in zip(problems, products)))
 
@@ -448,7 +452,7 @@ def run_check_suites(seed: int = 0,
         return (float(np.abs(raw - raw.T).max())
                 / (1.0 + float(np.abs(raw).max(initial=0.0))))
 
-    record("hessian-symmetry", 1e-8, (
+    record("hessian-symmetry", SYMMETRY_TOL, (
         (asymmetry(hv), name)
         for (name, *_), (hv, _) in zip(problems, products)))
 

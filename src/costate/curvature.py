@@ -8,8 +8,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .adjoint import AdjointSolution, forward_adjoint
-from .problem import (NumericalBlowupError, ProblemDef, Rollout, as_stack,
-                      stage_controls)
+from .problem import (DimensionMismatchError, NumericalBlowupError,
+                      ProblemDef, Rollout, as_stack, stage_controls)
 
 
 class CurvatureOracleError(ValueError):
@@ -117,11 +117,15 @@ def hessian_product(adj: AdjointSolution, c: np.ndarray,
     stages, and mu_N = 0 removes the dynamics terms at stage N.  No oracle is
     called.  Time is O(N (n+m)^2 K) and only dx is stored stage by stage;
     mu is a single (n, K) block.  C is used as given, so an asymmetric
-    oracle shows as an asymmetric H (see symmetric_part).
+    oracle shows as an asymmetric H (see symmetric_part).  A v of another
+    shape than (m*(N+1), K) is a DimensionMismatchError.
     """
     fx, fu = adj.fx, adj.fu
     horizon, n, m = fu.shape[0] - 1, fu.shape[1], fu.shape[2]
     v = np.asarray(v, dtype=float)
+    if v.ndim != 2 or v.shape[0] != (horizon + 1) * m:
+        raise DimensionMismatchError(
+            f"v has shape {v.shape}, expected ({(horizon + 1) * m}, K)")
     width = v.shape[1]
     vs = v.reshape(horizon + 1, m, width)
     dx = np.zeros((horizon + 1, n, width))

@@ -152,13 +152,11 @@ def run_mpc(plant: ProblemDef, ocp_factory: Callable, x0, cfg: MpcConfig,
         prob = ocp_factory(x.copy(), k)
         if prob.dims.N != cfg.horizon:
             raise DimensionMismatchError(
-                f"factory produced horizon {prob.dims.N}, expected {cfg.horizon}"
-            )
+                f"factory produced horizon {prob.dims.N}, expected {cfg.horizon}")
         if prob.dims.n != plant.dims.n or prob.dims.m != plant.dims.m:
             raise DimensionMismatchError(
                 f"factory dims ({prob.dims.n}, {prob.dims.m}) do not match "
-                f"plant ({plant.dims.n}, {plant.dims.m})"
-            )
+                f"plant ({plant.dims.n}, {plant.dims.m})")
         if cfg.warm_start is WarmStart.SHIFT and z_prev is not None:
             z0 = _shift_warm_start(z_prev, prob.dims)
         else:

@@ -14,7 +14,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from .adjoint import gradient
-from .problem import (FD_STEP, ProblemDef, central_difference,
+from .problem import (FD_STEP, ProblemDef, central_difference, check_count,
                       check_positive, eval_cost, make_fd_problem, one_row)
 from .scenarios import LqrSpec
 
@@ -104,14 +104,15 @@ def fd_consistency(p: ProblemDef, rng: np.random.Generator,
     problem's own dynamics and stage cost, and check that the stacked
     oracles treat their rows independently.
 
-    Draws n_points (x, u, k) points and evaluates each oracle once on their
-    stack.  Returns the worst relative error per derivative oracle against
-    the differenced reference, and under "row_independence" the worst
-    relative gap between any stacked oracle's rows, the stage cost
-    included, and the same oracle evaluated one row at a time.
-    Second-order comparisons are skipped when the problem does not define
-    the corresponding oracles.
+    Draws n_points (x, u, k) points (an integer >= 1) and evaluates each
+    oracle once on their stack.  Returns the worst relative error per
+    derivative oracle against the differenced reference, and under
+    "row_independence" the worst relative gap between any stacked oracle's
+    rows, the stage cost included, and the same oracle evaluated one row at
+    a time.  Second-order comparisons are skipped when the problem does not
+    define the corresponding oracles.
     """
+    check_count(n_points, 1, "n_points")
     dims = p.dims
     ref = make_fd_problem(p.dynamics, one_row(p.stage_cost), dims)
     draw = sampler if sampler is not None else _default_sampler
@@ -121,8 +122,6 @@ def fd_consistency(p: ProblemDef, rng: np.random.Generator,
         worst["dd_stage_cost"] = 0.0
         worst["dd_dynamics_contracted"] = 0.0
     worst["row_independence"] = 0.0
-    if n_points < 1:
-        return worst
     xs, us, ks, ws = [], [], [], []
     for _ in range(n_points):
         x, u = draw(rng, dims)

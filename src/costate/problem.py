@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -79,25 +80,15 @@ def flat_index(dims: Dims, k: int, p: int) -> int:
         raise DimensionMismatchError(f"stage index {k} outside 0..{dims.N}")
     if not 0 <= p < dims.m:
         raise DimensionMismatchError(
-            f"control component {p} outside 0..{dims.m - 1}"
-        )
+            f"control component {p} outside 0..{dims.m - 1}")
     return k * dims.m + p
 
 
-_FLOAT64 = np.dtype(np.float64)
-
-
 def stage_controls(z: np.ndarray, dims: Dims) -> np.ndarray:
-    """View the decision vector as an (N+1, m) array, one row per stage."""
-    # A float64 ndarray needs no conversion; skip its dispatching call.
-    if type(z) is not np.ndarray or z.dtype is not _FLOAT64:
-        z = np.asarray(z, dtype=float)
-    if z.shape != (dims.z_len,):
-        raise DimensionMismatchError(
-            f"decision vector has shape {z.shape}, expected ({dims.z_len},) "
-            f"for m={dims.m}, N={dims.N}"
-        )
-    return z.reshape(dims.N + 1, dims.m)
+    """View the decision vector as an (N+1, m) array, one row per stage;
+    z is read as check_state reads a vector of length m*(N+1)."""
+    return check_state(z, dims.z_len, "decision vector").reshape(
+        dims.N + 1, dims.m)
 
 
 @dataclass(frozen=True)
@@ -213,6 +204,9 @@ def one_row(oracle: Callable) -> Callable:
     return at_stage
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def as_stack(a, shape: tuple) -> np.ndarray:
     """A stacked oracle's output as a float64 array of the given shape.
 
@@ -242,7 +236,13 @@ class Rollout:
 
 
 def check_state(x, n: int, what: str = "state") -> np.ndarray:
-    """Coerce to a float vector of length n or raise a structured error."""
+    """x as a float64 vector of shape (n,), the one rule for a vector input.
+
+    As in as_stack, a float64 ndarray of that shape is returned as it is,
+    anything else as np.atleast_1d(np.asarray(x, dtype=float)), so a scalar
+    passes for n = 1; another shape raises DimensionMismatchError."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.shape == (n,):
+        return x
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (n,):
         raise DimensionMismatchError(f"{what} has shape {x.shape}, expected ({n},)")
@@ -258,14 +258,16 @@ def check_count(value, low: int, what: str) -> None:
 
 
 def _finite_real(value) -> bool:
-    # bool is an int subclass, but True is no setting.
+    # bool is an int subclass, but True is no setting.  The bounds fail nan,
+    # inf and an int beyond float range (math.isfinite would overflow).
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and -sys.float_info.max <= value <= sys.float_info.max)
 
 
 def check_finite(value, what: str) -> None:
     """Reject value with a ValueError naming what unless it is a finite
-    real; numpy scalars and integers pass, no bool or string does."""
+    real; numpy scalars and integers pass, no bool, string or integer
+    beyond float range does."""
     if not _finite_real(value):
         raise ValueError(f"{what} must be finite, got {value!r}")
 
@@ -282,7 +284,8 @@ def roll_forward(p: ProblemDef, x0, z: np.ndarray) -> Rollout:
     """Simulate the dynamics under the controls in z and accumulate cost.
 
     The states come from one dynamics call per stage; the stage costs from
-    one stage_cost call over all of them.
+    one stage_cost call over all of them.  x0, z, each dynamics output and
+    the stage costs are read by check_state's rule.
 
     Args:
         p: problem definition.
@@ -293,8 +296,8 @@ def roll_forward(p: ProblemDef, x0, z: np.ndarray) -> Rollout:
         A Rollout with states x_0..x_N, per-stage costs, and their sum.
 
     Raises:
-        DimensionMismatchError: x0 or z has the wrong shape, naming it, or
-            an oracle returned the wrong shape.
+        DimensionMismatchError: check_state's error naming "x0", "decision
+            vector", "dynamics at stage k" or "stage_cost".
         NumericalBlowupError: dynamics or cost returned a non-finite value;
             the error carries the first stage k, in the order stage cost k,
             then dynamics k.  The stage costs are evaluated only up to the
@@ -310,24 +313,18 @@ def roll_forward(p: ProblemDef, x0, z: np.ndarray) -> Rollout:
     blown = None
     for k, (x_k, u_k) in enumerate(zip(states[:horizon], u)):
         nxt = dynamics(x_k, u_k, k)
-        # A float64 ndarray needs no conversion; skip its dispatching calls.
-        if type(nxt) is not np.ndarray or nxt.dtype is not _FLOAT64:
-            nxt = np.atleast_1d(np.asarray(nxt, dtype=float))
-        if nxt.shape != shape:
-            raise DimensionMismatchError(
-                f"dynamics returned shape {nxt.shape} at stage {k}, "
-                f"expected ({n},)"
-            )
+        # check_state's fast path inline: its call would outcost the step.
+        if not (type(nxt) is np.ndarray and nxt.dtype is _FLOAT64
+                and nxt.shape == shape):
+            nxt = check_state(nxt, n, f"dynamics at stage {k}")
         if not all(map(isfinite, nxt.tolist())):
             blown = k
             break
         states[k + 1] = nxt
     last = horizon if blown is None else blown
-    costs = np.asarray(p.stage_cost(states[:last + 1], u[:last + 1],
-                                    np.arange(last + 1)), dtype=float)
-    if costs.shape != (last + 1,):
-        raise DimensionMismatchError(
-            f"stage_cost returned shape {costs.shape}, expected ({last + 1},)")
+    costs = check_state(p.stage_cost(states[:last + 1], u[:last + 1],
+                                     np.arange(last + 1)), last + 1,
+                        "stage_cost")
     if not np.isfinite(costs).all():
         raise NumericalBlowupError(int(np.isfinite(costs).argmin()),
                                    "stage cost")

@@ -24,8 +24,6 @@ import numpy as np
 from .problem import (Dims, ProblemDef, check_count, check_finite,
                       check_positive, check_state)
 
-_FLOAT64 = np.dtype(np.float64)
-
 
 def wrap_angle(a):
     """Map angles to (-pi, pi], elementwise; a scalar gives a float."""
@@ -148,8 +146,7 @@ class WaypointTable:
             raise ValueError(f"waypoint states must be (L, 3), got {s.shape}")
         if c.shape != (s.shape[0], 2):
             raise ValueError(
-                f"waypoint controls must be ({s.shape[0]}, 2), got {c.shape}"
-            )
+                f"waypoint controls must be ({s.shape[0]}, 2), got {c.shape}")
         for name, arr in (("states", s), ("controls", c)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"waypoint {name} must be finite")
@@ -249,13 +246,12 @@ def unicycle_step(x: np.ndarray, u: np.ndarray, delta: float) -> np.ndarray:
     """One forward-Euler step of the unicycle kinematics.
 
     Computed in Python floats: the rollout takes one step per stage, and
-    numpy scalar arithmetic would cost twice as much.  A float64 ndarray,
-    which is what the rollout passes, is read without a conversion.
+    numpy scalar arithmetic would cost twice as much.  An ndarray is read
+    through tolist() as it is, which gives the bits of its float64 values
+    for any real dtype; anything else goes through check_state.
     """
-    if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
-        x = np.asarray(x, dtype=float)
-    if type(u) is not np.ndarray or u.dtype is not _FLOAT64:
-        u = np.asarray(u, dtype=float)
+    x = x if type(x) is np.ndarray else check_state(x, 3, "x")
+    u = u if type(u) is np.ndarray else check_state(u, 2, "u")
     px, py, heading = x.tolist()
     speed, turn = u.tolist()
     step = delta * speed

@@ -41,7 +41,7 @@ from scipy.linalg.lapack import dposv
 from .adjoint import AdjointSolution, adjoint_along, forward_adjoint
 from .curvature import stage_curvature, symmetric_part
 from .problem import (NumericalBlowupError, ProblemDef, check_count,
-                      check_positive, roll_forward)
+                      check_positive, check_state, roll_forward)
 # Neither is called here; perfbench/tracing.py wraps both as
 # costate.solver.hessian_with and costate.solver.eval_cost.
 from .curvature import hessian_with  # noqa: F401
@@ -302,6 +302,7 @@ def step_direction(adj: AdjointSolution, c: np.ndarray, g: np.ndarray,
     Without it a workspace is built for this call.
 
     Raises:
+        DimensionMismatchError: g is not a vector of length m*(N+1).
         ValueError: r is not finite and > 0, or depth not an integer >= 0.
         AsymmetricHessianError: c violates the symmetry tolerance.
         LinearSolveError: (R + H) is not positive definite; its stage is
@@ -309,9 +310,10 @@ def step_direction(adj: AdjointSolution, c: np.ndarray, g: np.ndarray,
     """
     check_positive(r, "r")
     check_count(depth, 0, "depth")
+    stages, n, m = adj.fu.shape
+    g = check_state(g, stages * m, "g")
     r = float(r)
-    factor = _factor if _factor is not None else StagewiseFactor(
-        adj.fu.shape[0] - 1, *adj.fu.shape[1:])
+    factor = _factor or StagewiseFactor(stages - 1, n, m)
     factor.factor(adj, c, r)
     d = factor.solve(g)
     for _ in range(depth):
@@ -364,8 +366,7 @@ def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig,
     t0 = time.perf_counter()
     z = np.array(z0, dtype=float, copy=True)
     dims = p.dims
-    factor = _factor if _factor is not None else StagewiseFactor(
-        dims.N, dims.n, dims.m)
+    factor = _factor or StagewiseFactor(dims.N, dims.n, dims.m)
     gnorms: List[float] = []
     costs: List[float] = []
     inner_total = 0

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file outputs, validation suites."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 
 from costate import (CircleReference, LqrSpec, ProblemDef, build_lqr,
-                     euler_rolled_reference)
+                     euler_rolled_reference, random_smooth_problem)
 from costate.cli import GdBaseline, SCHEMA_VERSION, main, run_check_suites
+from costate.curvature import SYMMETRY_TOL
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -244,6 +246,26 @@ class TestCheck:
         assert not by_name["fd-consistency"].passed
         assert "sign-flipped" in by_name["fd-consistency"].detail
 
+    def test_skewed_stage_hessian_fails_the_symmetry_suite(self):
+        # hessian-vs-fd symmetrizes without the symmetry check, so the
+        # skew reaches hessian-symmetry as a FAIL, not as an exception.
+        base, x0, z = random_smooth_problem(0, 2, 1, 4)
+
+        def skewed_dd(x, u, ks):
+            cxx, cxu, cuu = base.dd_stage_cost(x, u, ks)
+            cxx = np.array(cxx)
+            cxx[:, 0, 1] += 1e-3
+            return cxx, cxu, cuu
+
+        skewed = dataclasses.replace(base, dd_stage_cost=skewed_dd)
+        results = run_check_suites(
+            seed=0, sizes=[(2, 1, 4)],
+            extra_problems=[("skewed", skewed, x0, z)])
+        symmetry = {r.name: r for r in results}["hessian-symmetry"]
+        assert not symmetry.passed
+        assert symmetry.tolerance == SYMMETRY_TOL
+        assert "skewed" in symmetry.detail
+
 
 @pytest.mark.parametrize("command, payload, field", [
     ("run-lqr", {"solver": {"fallback_scale": 0.5}}, "solver.fallback_scale"),
@@ -266,6 +288,17 @@ class TestCheck:
      "solver.inner_depth_cap"),
     ("run-mpc", {"solver": {"inner_depth_cap": None}},
      "solver.inner_depth_cap"),
+    # An integer beyond float range reaches the dataclass unconverted.
+    ("run-lqr", {"scenario": {"r": 10**400}}, "scenario.r"),
+    ("run-mpc", {"scenario": {"delta": 10**400}}, "scenario.delta"),
+    # JSON structure: the top level, sections, objects, enum, reference type.
+    ("run-lqr", [1, 2], "config"),
+    ("run-lqr", {"mpc": {}}, "mpc"),
+    ("run-mpc", {"mpc": {"warm_start": "previous"}}, "mpc.warm_start"),
+    ("run-mpc", {"solver": 3}, "solver"),
+    ("run-mpc", {"scenario": {"reference": [0, 0]}}, "scenario.reference"),
+    ("run-mpc", {"scenario": {"reference": {"type": "spiral"}}},
+     "scenario.reference.type"),
 ])
 def test_bad_config_exits_2_and_names_the_field(tmp_path, capsys, command,
                                                 payload, field):

@@ -1,6 +1,7 @@
 """Second-order sweeps: the stage curvature stack, the Hessian-vector
 product, full assembly, and symmetry handling."""
 
+import re
 import tracemalloc
 from collections import Counter
 
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 
 from conftest import zero_cost_problem
 from costate import (AsymmetricHessianError, CurvatureOracleError,
-                     LqrSpec, ProblemDef, SolverConfig, UnicycleSpec,
-                     build_lqr, build_unicycle_tracking, eval_cost,
+                     DimensionMismatchError, LqrSpec, ProblemDef,
+                     SolverConfig, UnicycleSpec, build_lqr,
+                     build_unicycle_tracking, eval_cost,
                      fd_hessian, forward_adjoint, gradient, hessian,
                      hessian_product, max_rel_error, one_row,
                      random_smooth_problem, roll_forward, stage_curvature,
@@ -165,6 +167,20 @@ class TestSecondOrderPass:
             lambda a: roll_forward(prob, x0, z + v @ a).states,
             np.zeros(k), 1e-6)
         assert max_rel_error(dx, sens) <= 1e-5
+
+    # A vector, a block with a row too many, and a block with an extra
+    # axis: an IndexError, numpy's reshape ValueError and a silent
+    # acceptance before the block had a shape rule.
+    @pytest.mark.parametrize("shape", [(4,), (5, 1), (4, 1, 1)])
+    def test_wrong_shape_block_is_a_dimension_error(self, shape):
+        prob = build_lqr(LqrSpec(N=3))
+        z = np.zeros(prob.dims.z_len)
+        roll, adj = _snapshot(prob, np.ones(1), z)
+        c = stage_curvature(prob, roll, adj, z)
+        message = f"v has shape {shape}, expected (4, K)"
+        with pytest.raises(DimensionMismatchError,
+                           match="^" + re.escape(message) + "$"):
+            hessian_product(adj, c, np.ones(shape))
 
     def test_long_horizon_product_memory(self):
         prob, x0, z = random_smooth_problem(2, 4, 2, 800)

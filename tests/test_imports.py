@@ -68,6 +68,36 @@ def test_range_checks_go_through_problem_helpers():
     assert not found, "hand-written range checks: " + ", ".join(found)
 
 
+# check_state's float64 fast path: the dtype object it compares against,
+# and the identity test on a dtype.
+_FAST_PATH = re.compile(r"np\.dtype\(np\.float64\)|\.dtype\s+is\b")
+
+
+def test_vectors_are_accepted_through_check_state():
+    # problem.check_state is the one rule for a vector input, fast path
+    # included (as_stack is its counterpart for stacks): no other module
+    # tests for float64 itself, and the rollout's own vectors raise
+    # check_state's DimensionMismatchError, not one of their own.
+    found = [
+        f"{path.relative_to(REPO)}:{lineno} {line.strip()}"
+        for path in sorted((REPO / "src" / "costate").glob("*.py"))
+        if path.name != "problem.py"
+        for lineno, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), 1)
+        if _FAST_PATH.search(line)]
+    tree = ast.parse((REPO / "src" / "costate" / "problem.py").read_text(
+        encoding="utf-8"))
+    for func in ast.walk(tree):
+        if (isinstance(func, ast.FunctionDef)
+                and func.name in ("stage_controls", "roll_forward")):
+            found += [
+                f"problem.py:{node.lineno} {func.name} raises its own "
+                f"DimensionMismatchError" for node in ast.walk(func)
+                if isinstance(node, ast.Raise) and "DimensionMismatchError"
+                in ast.unparse(node.exc)]
+    assert not found, "vector checks outside check_state: " + ", ".join(found)
+
+
 def test_traced_entry_points_are_module_attributes():
     # perfbench/tracing.py swaps these attributes for recording wrappers;
     # a refactor that drops one would break the traced benchmark run.

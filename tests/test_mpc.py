@@ -7,9 +7,9 @@ import pytest
 
 import costate.mpc
 import costate.solver
-from costate import (DimensionMismatchError, Dims, MpcConfig,
+from costate import (DimensionMismatchError, Dims, LqrSpec, MpcConfig,
                      NumericalBlowupError, ProblemDef, SolverConfig,
-                     Termination, UnicycleSpec, WarmStart,
+                     Termination, UnicycleSpec, WarmStart, build_lqr,
                      build_unicycle_plant, build_unicycle_tracking, minimize,
                      run_mpc)
 
@@ -191,6 +191,15 @@ def test_factory_dims_are_checked():
 
     with pytest.raises(DimensionMismatchError, match="horizon"):
         run_mpc(plant, wrong_horizon, np.asarray(spec.X0),
+                MpcConfig(horizon=10, total_steps=5))
+
+    def wrong_dims(state, step):
+        return build_lqr(LqrSpec(N=10))
+
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^factory dims \(1, 1\) do not match plant "
+                             r"\(3, 2\)$"):
+        run_mpc(plant, wrong_dims, np.asarray(spec.X0),
                 MpcConfig(horizon=10, total_steps=5))
 
 

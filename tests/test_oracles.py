@@ -111,6 +111,14 @@ class TestFdConsistency:
         errs = fd_consistency(base, np.random.default_rng(0), n_points=25)
         assert max(errs.values()) <= 1e-5
 
+    @pytest.mark.parametrize("n_points", [0, -1, 2.0])
+    def test_needs_at_least_one_sample(self, n_points):
+        # No sample is no evidence: zero errors from none would pass.
+        with pytest.raises(ValueError,
+                           match="^n_points must be an integer >= 1"):
+            fd_consistency(build_lqr(LqrSpec(N=4)),
+                           np.random.default_rng(0), n_points=n_points)
+
     @pytest.mark.parametrize("build", [
         lambda: build_lqr(LqrSpec(N=4)),
         lambda: random_smooth_problem(3, 3, 2, 5)[0],

@@ -169,6 +169,41 @@ class TestRollForward:
         with pytest.raises(error, match="at stage 1"):
             roll_forward(prob, np.ones(2), np.zeros(4))
 
+    def test_shape_errors_read_as_the_vector_rule(self, lqr1):
+        # Every vector goes through check_state: one wording, and the
+        # dynamics error still names its stage.
+        bad_dynamics = self._doubling(
+            2, lambda x, u, k: np.zeros(3) if k == 1 else 2.0 * x)
+        column_cost = dataclasses.replace(lqr1, stage_cost=lambda x, u, ks:
+                                          lqr1.stage_cost(x, u, ks)[:, None])
+        for args, message in (
+                ((lqr1, 1.0, np.zeros(3)),
+                 "decision vector has shape (3,), expected (2,)"),
+                ((bad_dynamics, np.ones(2), np.zeros(4)),
+                 "dynamics at stage 1 has shape (3,), expected (2,)"),
+                ((column_cost, 1.0, np.zeros(2)),
+                 "stage_cost has shape (2, 1), expected (2,)")):
+            with pytest.raises(DimensionMismatchError,
+                               match="^" + re.escape(message) + "$"):
+                roll_forward(*args)
+
+    def test_one_stage_takes_scalars_for_its_vectors(self):
+        # With N = 0 and m = 1, z and the stage costs have length 1; a
+        # scalar passes for either, as it does for x0 when n = 1.
+        prob = build_lqr(LqrSpec(N=0))
+
+        def scalar_cost(x, u, ks):
+            return float(prob.stage_cost(x, u, ks)[0])
+
+        ref = roll_forward(prob, np.array([2.0]), np.array([0.5]))
+        for p, z in ((prob, np.array(0.5)), (prob, 0.5),
+                     (dataclasses.replace(prob, stage_cost=scalar_cost),
+                      np.array([0.5]))):
+            roll = roll_forward(p, 2.0, z)
+            assert np.array_equal(roll.states, ref.states)
+            assert np.array_equal(roll.stage_costs, ref.stage_costs)
+            assert roll.total_cost == ref.total_cost
+
     def test_replay_determinism(self, lqr15):
         z = np.linspace(-1, 1, lqr15.dims.z_len)
         a = roll_forward(lqr15, 2.0, z)
@@ -378,6 +413,35 @@ class TestStackedOracles:
         assert fx.shape == (3, 2, 2) and fu.shape == (3, 2, 1)
         assert prob.dd_stage_cost is None
 
+    def test_list_and_flat_oracle_outputs_keep_the_bits(self, lqr15):
+        # Outputs that are not float64 stacks of the documented shape, lists
+        # and a (K,) c_u for m = 1, are converted to the same numbers.
+        def listed_costs(x, u, ks):
+            return lqr15.stage_cost(x, u, ks).tolist()
+
+        def listed(oracle):
+            return lambda *args: tuple(part.tolist() for part in oracle(*args))
+
+        def flat_cu(x, u, ks):
+            cx, cu = lqr15.d_stage_cost(x, u, ks)
+            return cx, cu.reshape(-1)
+
+        converted = dataclasses.replace(
+            lqr15, stage_cost=listed_costs, d_stage_cost=flat_cu,
+            d_dynamics=listed(lqr15.d_dynamics),
+            dd_stage_cost=listed(lqr15.dd_stage_cost),
+            dd_dynamics_contracted=listed(lqr15.dd_dynamics_contracted))
+        z = np.linspace(-1.0, 1.0, lqr15.dims.z_len)
+        (roll, adj), (roll_c, adj_c) = (forward_adjoint(p, 1.5, z)
+                                        for p in (lqr15, converted))
+        assert roll.total_cost == roll_c.total_cost
+        for a, b in ((roll.stage_costs, roll_c.stage_costs),
+                     (adj.gradient, adj_c.gradient), (adj.fx, adj_c.fx),
+                     (adj.fu, adj_c.fu), (adj.costates, adj_c.costates),
+                     (stage_curvature(lqr15, roll, adj, z),
+                      stage_curvature(converted, roll_c, adj_c, z))):
+            assert np.array_equal(a, b)
+
     def test_one_row_inverts_from_stagewise(self):
         base, x0, z = random_smooth_problem(4, 3, 2, 5)
         x, u = np.arange(3.0), np.array([0.5, -1.0])
@@ -473,13 +537,19 @@ _LQR = build_lqr(LqrSpec(N=2))
     # A string is quoted, so it does not read as the valid value 0.05.
     (lambda: UnicycleSpec(delta="0.05"),
      "delta must be finite and > 0, got '0.05'"),
+    # An integer beyond float range is no finite value, not an
+    # OverflowError.
+    (lambda: LqrSpec(r=10**400), "r must be finite and > 0, got 1000"),
+    (lambda: UnicycleSpec(delta=10**400),
+     "delta must be finite and > 0, got 1000"),
 ], ids=["LqrSpec.r", "LqrSpec.q", "UnicycleSpec.delta",
         "UnicycleSpec.R_weights", "UnicycleSpec.Q_weights",
         "CircleReference.radius", "GdBaseline.lr", "LqrOutput.tolerance",
         "MpcOutput.transient_time_s", "riccati_lqr.r", "riccati_lqr.N",
         "make_fd_problem.step", "fd_gradient.h", "riccati_lqr.a",
         "CircleReference.angular_rate", "SolverConfig.max_outer",
-        "UnicycleSpec.delta-string"])
+        "UnicycleSpec.delta-string", "LqrSpec.r-huge-int",
+        "UnicycleSpec.delta-huge-int"])
 def test_range_errors_name_their_field(build, message):
     # A non-finite or out-of-range setting is a ValueError naming its field,
     # not a value that surfaces later as a blow-up or a numpy TypeError.

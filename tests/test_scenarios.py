@@ -5,12 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from costate import (CircleReference, LqrSpec, UnicycleSpec,
-                     build_unicycle_tracking, circle_reference,
-                     eval_cost, euler_rolled_reference, fd_consistency,
-                     gradient, hessian, one_row, random_smooth_problem,
-                     reference_at, roll_forward, tracking_errors,
-                     unicycle_step, wrap_angle)
+from costate import (CircleReference, DimensionMismatchError, LqrSpec,
+                     UnicycleSpec, WaypointTable, build_unicycle_tracking,
+                     circle_reference, eval_cost, euler_rolled_reference,
+                     fd_consistency, gradient, hessian, one_row,
+                     random_smooth_problem, reference_at, roll_forward,
+                     tracking_errors, unicycle_step, wrap_angle)
 from costate.scenarios import tracking_sampler
 
 
@@ -169,6 +169,38 @@ class TestUnicycleScenario:
         build_unicycle_tracking(spec, 2, table.states[2])
         with pytest.raises(ValueError, match="waypoint table"):
             build_unicycle_tracking(spec, 3, table.states[3])
+
+    @pytest.mark.parametrize("states, controls, message", [
+        (np.zeros((4, 2)), np.zeros((4, 2)),
+         r"waypoint states must be \(L, 3\), got \(4, 2\)"),
+        (np.zeros((4, 3)), np.zeros((3, 2)),
+         r"waypoint controls must be \(4, 2\), got \(3, 2\)"),
+        (np.zeros((4, 3)), np.full((4, 2), np.nan),
+         "waypoint controls must be finite"),
+    ])
+    def test_waypoint_table_rejects_bad_arrays(self, states, controls,
+                                               message):
+        with pytest.raises(ValueError, match="^" + message + "$"):
+            WaypointTable(states=states, controls=controls)
+
+    @pytest.mark.parametrize("convert", [
+        lambda a: a.astype(np.float32), lambda a: a.astype(np.int64),
+        lambda a: a.tolist(), lambda a: a.astype(bool)],
+        ids=["float32", "int", "list", "bool"])
+    def test_step_reads_any_vector_as_its_float64_values(self, convert):
+        x, u = np.array([0.3, -1.0, 2.5]), np.array([1.0, 0.0])
+        got = unicycle_step(convert(x), convert(u), 0.05)
+        want = unicycle_step(np.asarray(convert(x), dtype=float),
+                             np.asarray(convert(u), dtype=float), 0.05)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("x, u, message", [
+        ([0.0, 0.0], [1.0, 0.0], r"^x has shape \(2,\), expected \(3,\)$"),
+        ([0.0, 0.0, 0.0], [1.0], r"^u has shape \(1,\), expected \(2,\)$"),
+    ])
+    def test_step_names_a_wrong_length_list(self, x, u, message):
+        with pytest.raises(DimensionMismatchError, match=message):
+            unicycle_step(x, u, 0.05)
 
     def test_circle_reference_extends_past_total_steps(self):
         spec = UnicycleSpec(N=20, N_p=10)

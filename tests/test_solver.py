@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 import costate.curvature
 import costate.solver
-from costate import (AsymmetricHessianError, Dims, LinearSolveError, LqrSpec,
-                     NumericalBlowupError, ProblemDef, SolverConfig,
-                     Termination, UnicycleSpec, build_lqr,
-                     build_unicycle_tracking, eval_cost, forward_adjoint,
-                     gradient, hessian, minimize, minimize_gd, one_row,
-                     random_smooth_problem, riccati_lqr, stage_curvature,
-                     step_direction)
+from costate import (AsymmetricHessianError, DimensionMismatchError, Dims,
+                     LinearSolveError, LqrSpec, NumericalBlowupError,
+                     ProblemDef, SolverConfig, Termination, UnicycleSpec,
+                     build_lqr, build_unicycle_tracking, eval_cost,
+                     forward_adjoint, gradient, hessian, minimize,
+                     minimize_gd, one_row, random_smooth_problem,
+                     riccati_lqr, stage_curvature, step_direction)
 
 
 def _lq_problem(a, b, q, r_u, n_last):
@@ -138,6 +138,13 @@ class TestStepDirection:
         adj, c, _ = _snapshot(lqr1, 1.0, np.zeros(2))
         with pytest.raises(ValueError, match="^depth must be an integer >= 0"):
             step_direction(adj, c, np.ones(2), 0.1, depth)
+
+    def test_wrong_length_gradient_is_a_dimension_error(self):
+        prob = build_lqr(LqrSpec(N=3))
+        adj, c, _ = _snapshot(prob, np.ones(1), np.zeros(4))
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^g has shape \(3,\), expected \(4,\)$"):
+            step_direction(adj, c, np.ones(3), 0.1, 0)
 
 
 def _stage_two_problem(weight):
@@ -433,6 +440,31 @@ class TestMinimize:
         assert rep.termination is Termination.CONVERGED
         assert rep.outer_iters == 10
         assert rep.inner_iters_total == 60
+
+    def test_step_accepted_at_maximum_regularization_raises_the_cost(
+            self, caplog):
+        # Pins the branch as it stands: at outer iteration 1 three
+        # factorizations fail at stage 10 and the fourth attempt (r = 1.0)
+        # raises the cost but is accepted; iteration 2 then fails to factor
+        # at stage 13 through every escalation.  The accepted cost rises, so
+        # minimize's costs are not monotone on an indefinite start.
+        prob, x0, z0 = random_smooth_problem(4, 3, 2, 20)
+        caplog.set_level(logging.INFO, logger="costate.solver")
+        with pytest.raises(LinearSolveError) as err:
+            minimize(prob, 3 * x0, 3 * z0,
+                     SolverConfig(r_reg=1e-3, max_outer=30))
+        assert err.value.stage == 13
+        messages = [r.getMessage() for r in caplog.records]
+        assert ("accepting non-decreasing step at maximum regularization, "
+                "outer iteration 1") in messages
+        assert sum(m.startswith("factorization failed at stage 10") and
+                   m.endswith("at outer iteration 1") for m in messages) == 3
+        report = err.value.report
+        assert report.termination is Termination.LINEAR_SOLVE_FAILURE
+        assert report.outer_iters == 2
+        costs = report.cost_history
+        assert len(costs) == 3
+        assert costs[1] < costs[0] < costs[2]
 
     def test_budget_exhaustion_reported_not_thrown(self, lqr15):
         rep = minimize(lqr15, 3.0, np.zeros(lqr15.dims.z_len),
