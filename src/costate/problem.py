@@ -392,7 +392,7 @@ def make_fd_problem(dynamics, stage_cost, dims: Dims, step: float = FD_STEP) -> 
     n, m = dims.n, dims.m
 
     def f(x, u, k):
-        return np.atleast_1d(np.asarray(dynamics(x, u, k), dtype=float))
+        return check_state(dynamics(x, u, k), n, "dynamics output")
 
     def d_x(fun, x, u, k, h):
         return central_difference(lambda xx: fun(xx, u, k), x, h, relative=True)

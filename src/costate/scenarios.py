@@ -252,14 +252,19 @@ def unicycle_step(x: np.ndarray, u: np.ndarray, delta: float) -> np.ndarray:
     """
     x = x if type(x) is np.ndarray else check_state(x, 3, "x")
     u = u if type(u) is np.ndarray else check_state(u, 2, "u")
-    px, py, heading = x.tolist()
-    speed, turn = u.tolist()
-    step = delta * speed
-    return np.array([
-        px + step * math.cos(heading),
-        py + step * math.sin(heading),
-        heading + delta * turn,
-    ])
+    try:
+        px, py, heading = x.tolist()
+        speed, turn = u.tolist()
+        step = delta * speed
+        return np.array([
+            px + step * math.cos(heading),
+            py + step * math.sin(heading),
+            heading + delta * turn,
+        ])
+    except (TypeError, ValueError):  # a wrong-shape ndarray: name it
+        check_state(x, 3, "x")
+        check_state(u, 2, "u")
+        raise
 
 
 def _reference_rows(spec: UnicycleSpec, first: int,

@@ -8,7 +8,8 @@ back through the factorization, so the direction approaches the exact
 Newton step geometrically; with the depth schedule the overall iteration
 converges superlinearly.  There is no line search: a step that cannot be
 trusted ((R + H) fails to factor, or the trial cost blows up or increases)
-is retried with a tenfold larger regularizer, a bounded number of times.
+is retried with a larger regularizer, which minimize carries across outer
+iterations as a Levenberg-Marquardt damping.
 
 (R + H) d = g is the optimality condition of a linear-quadratic subproblem
 along the rollout, so the factorization is a backward Riccati recursion
@@ -49,10 +50,10 @@ from .problem import eval_cost  # noqa: F401
 
 log = logging.getLogger(__name__)
 
-# Bounded retries of an untrustworthy step within one outer iteration,
-# each multiplying the regularizer by FALLBACK_SCALE.
-MAX_ESCALATIONS = 3
-FALLBACK_SCALE = 10.0
+# minimize's regularizer schedule, described in its docstring.
+REG_GROW = 10.0
+REG_SHRINK = 3.0
+REG_MAX = 1e8
 
 
 class Termination(Enum):
@@ -63,13 +64,12 @@ class Termination(Enum):
 
 
 class LinearSolveError(RuntimeError):
-    """(R + H) could not be factored, or trial steps blew up.
+    """(R + H) could not be factored, or no trial step was acceptable.
 
     Attributes:
-        report: the partial report when raised from the outer loop after
-            all escalations failed, else None.
+        report: the partial report when raised by minimize, else None.
         stage: the stage whose Riccati pivot failed to factor; None when
-            the trial steps blew up.
+            the last trial step blew up or raised the cost.
     """
 
     def __init__(self, message: str, report: Optional["SolveReport"] = None,
@@ -347,17 +347,16 @@ def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig,
     before any step, so a stationary start returns unchanged with zero
     outer iterations) or as MaxIters when the budget is exhausted.
 
-    Each outer iteration makes up to MAX_ESCALATIONS + 1 attempts from
-    r = cfg.r_reg, each after the first with r multiplied by
-    FALLBACK_SCALE.  An attempt is accepted if its trial cost does not
-    increase; otherwise its cause is logged ((R + H) failed to factor at
-    stage k, or the trial cost blew up or increased).  Blow-ups and
-    increases only occur when the curvature is indefinite beyond what R
-    absorbs, since on a positive-semidefinite model every direction the
-    recursion produces is a strict descent step.  After the last attempt a
-    finite trial is accepted at the highest regularization, which bounds
-    the step and keeps the iteration alive; otherwise LinearSolveError
-    carries the partial report and the failing stage (None for a blow-up).
+    The regularizer starts at r = cfg.r_reg and is carried across outer
+    iterations.  A step is accepted only if its trial cost does not rise
+    beyond _COST_SLACK; otherwise its cause is logged ((R + H) failed to
+    factor at stage k, or the trial cost blew up or increased) and the step
+    is retried with r multiplied by REG_GROW.  Blow-ups and increases only
+    occur when the curvature is indefinite beyond what R absorbs, since on
+    a positive-semidefinite model every direction the recursion produces is
+    a strict descent step.  An accepted step sets r to max(cfg.r_reg,
+    r / REG_SHRINK).  When the next escalation would pass REG_MAX,
+    LinearSolveError carries the partial report and the failing stage.
 
     _factor (internal) is the factorization workspace, sized for p's
     (N, n, m); run_mpc passes the one it holds for the whole closed loop.
@@ -365,12 +364,12 @@ def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig,
     """
     t0 = time.perf_counter()
     z = np.array(z0, dtype=float, copy=True)
-    dims = p.dims
-    factor = _factor or StagewiseFactor(dims.N, dims.n, dims.m)
+    factor = _factor or StagewiseFactor(p.dims.N, p.dims.n, p.dims.m)
     gnorms: List[float] = []
     costs: List[float] = []
     inner_total = 0
     i = 0
+    r = cfg.r_reg
     roll = roll_forward(p, x0, z)
     while True:
         adj = adjoint_along(p, roll, z)
@@ -385,43 +384,39 @@ def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig,
                            Termination.MAX_ITERS, t0)
         c = stage_curvature(p, roll, adj, z)
         depth = min(i, cfg.inner_depth_cap)
-        r = cfg.r_reg
-        for attempt in range(MAX_ESCALATIONS + 1):
-            if attempt:
-                r *= FALLBACK_SCALE
-                log.info("%s, escalating regularizer (attempt %d) at outer "
-                         "iteration %d", cause, attempt, i)
+        bound = costs[-1] + _COST_SLACK * (1.0 + abs(costs[-1]))
+        while True:
+            failed = None
             try:
                 d = step_direction(adj, c, adj.gradient, r, depth,
                                    _factor=factor)
             except LinearSolveError as exc:
                 failed = exc
                 cause = f"factorization failed at stage {exc.stage}"
-                continue
-            failed = None
-            inner_total += depth + 1
-            candidate = z - d
-            try:
-                trial = roll_forward(p, x0, candidate)
-                trial_cost = trial.total_cost
-            except NumericalBlowupError:
-                trial, trial_cost = None, float("inf")
-            if trial_cost <= costs[-1] + _COST_SLACK * (1.0 + abs(costs[-1])):
-                break
-            cause = f"trial cost {trial_cost:.6g} above {costs[-1]:.6g}"
-        else:  # no attempt was accepted
-            if failed is not None or not np.isfinite(trial_cost):
+            else:
+                inner_total += depth + 1
+                candidate = z - d
+                try:
+                    trial = roll_forward(p, x0, candidate)
+                    trial_cost = trial.total_cost
+                except NumericalBlowupError:
+                    trial_cost = float("inf")
+                if trial_cost <= bound:
+                    break
+                cause = f"trial cost {trial_cost:.6g} above {costs[-1]:.6g}"
+            if r * REG_GROW > REG_MAX:
                 raise LinearSolveError(
-                    f"no acceptable step through {MAX_ESCALATIONS} "
-                    f"regularizer escalations at outer iteration {i}: "
-                    f"{cause}",
+                    f"no acceptable step at outer iteration {i} with the "
+                    f"regularizer at {r:.6g}: {cause}",
                     report=_report(z, i, inner_total, gnorms, costs,
                                    Termination.LINEAR_SOLVE_FAILURE, t0),
                     stage=None if failed is None else failed.stage,
                 ) from failed
-            log.info("accepting non-decreasing step at maximum "
-                     "regularization, outer iteration %d", i)
+            r *= REG_GROW
+            log.info("%s, regularizer raised to %.6g at outer iteration %d",
+                     cause, r, i)
         z, roll = candidate, trial
+        r = max(cfg.r_reg, r / REG_SHRINK)
         i += 1
 
 

@@ -98,6 +98,23 @@ def test_vectors_are_accepted_through_check_state():
     assert not found, "vector checks outside check_state: " + ", ".join(found)
 
 
+# A library name as the README spells it: costate.<module>.<name>.
+_README_NAME = re.compile(r"\bcostate\.([a-z_]+)\.([A-Za-z_]\w*)")
+
+
+def test_library_names_in_the_readme_resolve():
+    # A constant or function deleted from the library must not live on in
+    # the README that documents it.
+    import importlib
+
+    names = sorted(set(_README_NAME.findall(
+        (REPO / "README.md").read_text(encoding="utf-8"))))
+    missing = [f"costate.{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(f"costate.{module}"),
+                              name)]
+    assert names and not missing, "README names missing: " + ", ".join(missing)
+
+
 def test_traced_entry_points_are_module_attributes():
     # perfbench/tracing.py swaps these attributes for recording wrappers;
     # a refactor that drops one would break the traced benchmark run.

@@ -109,7 +109,9 @@ def test_solver_failure_truncates_trace_with_report():
     n_last = 3
 
     def hopeless_factory(state, step):
-        concave = -2000.0
+        # A control curvature of -4e8, below -REG_MAX: no regularizer up to
+        # the cap factors step 2's problem.
+        concave = -2e8
         if step < 2:
             return build_unicycle_tracking(
                 UnicycleSpec(N=10, N_p=n_last), step, state)
@@ -136,6 +138,8 @@ def test_solver_failure_truncates_trace_with_report():
     assert len(trace.per_step_reports) == 3
     assert (trace.per_step_reports[-1].termination
             is Termination.LINEAR_SOLVE_FAILURE)
+    assert trace.per_step_reports[-1].outer_iters == 0
+    assert trace.failure.stage == n_last
     # The partial report counts among the terminations, not the iterations.
     summary = trace.summary()
     solved = [rep.outer_iters for rep in trace.per_step_reports[:2]]

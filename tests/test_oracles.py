@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import zero_cost_problem
-from costate import (Dims, LqrSpec, ProblemDef, UnicycleSpec, build_lqr,
+from costate import (DimensionMismatchError, Dims, LqrSpec, ProblemDef,
+                     UnicycleSpec, build_lqr,
                      build_unicycle_tracking, eval_cost, fd_consistency,
                      fd_gradient, fd_hessian, max_rel_error,
                      random_smooth_problem, riccati_lqr)
@@ -110,6 +111,17 @@ class TestFdConsistency:
         base = build_lqr(LqrSpec(N=4))
         errs = fd_consistency(base, np.random.default_rng(0), n_points=25)
         assert max(errs.values()) <= 1e-5
+
+    def test_wrong_length_dynamics_output_is_named(self):
+        # The referee differences the problem's own dynamics; an output of
+        # the wrong length is a dimension error naming them, not a reshape
+        # failure inside the stacking.
+        bad = replace(build_lqr(LqrSpec(N=3)),
+                      dynamics=lambda x, u, k: np.zeros(2))
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^dynamics output has shape \(2,\), "
+                                 r"expected \(1,\)$"):
+            fd_consistency(bad, np.random.default_rng(0), n_points=3)
 
     @pytest.mark.parametrize("n_points", [0, -1, 2.0])
     def test_needs_at_least_one_sample(self, n_points):

@@ -202,6 +202,19 @@ class TestUnicycleScenario:
         with pytest.raises(DimensionMismatchError, match=message):
             unicycle_step(x, u, 0.05)
 
+    @pytest.mark.parametrize("x, u, message", [
+        (np.zeros(4), np.zeros(2), r"^x has shape \(4,\), expected \(3,\)$"),
+        (np.zeros((3, 1)), np.zeros(2),
+         r"^x has shape \(3, 1\), expected \(3,\)$"),
+        (np.zeros((1, 3)), np.zeros(2),
+         r"^x has shape \(1, 3\), expected \(3,\)$"),
+        (np.zeros(3), np.zeros((2, 1)),
+         r"^u has shape \(2, 1\), expected \(2,\)$"),
+    ])
+    def test_step_names_a_wrong_shape_array(self, x, u, message):
+        with pytest.raises(DimensionMismatchError, match=message):
+            unicycle_step(x, u, 0.05)
+
     def test_circle_reference_extends_past_total_steps(self):
         spec = UnicycleSpec(N=20, N_p=10)
         prob = build_unicycle_tracking(spec, 19, np.asarray(spec.X0))

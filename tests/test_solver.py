@@ -5,7 +5,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import costate.curvature
@@ -17,6 +17,7 @@ from costate import (AsymmetricHessianError, DimensionMismatchError, Dims,
                      forward_adjoint, gradient, hessian, minimize,
                      minimize_gd, one_row, random_smooth_problem,
                      riccati_lqr, stage_curvature, step_direction)
+from costate.problem import central_difference
 
 
 def _lq_problem(a, b, q, r_u, n_last):
@@ -229,7 +230,9 @@ class TestStagewiseSolve:
         assert err.value.index[0] == 2  # the stage of the skewed block
 
     def test_failed_pivot_names_its_stage(self):
-        prob = _stage_two_problem(-5000.0)
+        # Stage 2's control curvature is below -REG_MAX, so no regularizer
+        # up to the cap factors it.
+        prob = _stage_two_problem(-5e8)
         adj, c, _ = _snapshot(prob, np.ones(2), np.zeros(5))
         with pytest.raises(LinearSolveError) as err:
             step_direction(adj, c, np.ones(5), 0.1, 0)
@@ -382,29 +385,34 @@ class TestMinimize:
             gradient(prob, x0, rep.z_final).gradient).max(initial=0.0)
 
     def test_unrecoverable_linear_solve_failure(self):
+        # A control curvature below -REG_MAX: no regularizer up to the cap
+        # factors the last stage's pivot, so the solve fails naming it.
         n_last = 2
         prob = ProblemDef.from_stagewise(
             dims=Dims(n=1, m=1, N=n_last),
             dynamics=lambda x, u, k: x,
-            stage_cost=lambda x, u, k: -2000.0 * float(u[0] ** 2) + float(u[0]),
+            stage_cost=lambda x, u, k: -2e8 * float(u[0] ** 2) + float(u[0]),
             d_dynamics=lambda x, u, k: (np.eye(1), np.zeros((1, 1))),
             d_stage_cost=lambda x, u, k: (np.zeros(1),
-                                          np.array([-4000.0 * u[0] + 1.0])),
+                                          np.array([-4e8 * u[0] + 1.0])),
             dd_stage_cost=lambda x, u, k: (np.zeros((1, 1)), np.zeros((1, 1)),
-                                           np.array([[-4000.0]])),
+                                           np.array([[-4e8]])),
             dd_dynamics_contracted=lambda w, x, u, k: (np.zeros((1, 1)),) * 3,
         )
         with pytest.raises(LinearSolveError) as err:
             minimize(prob, 0.0, np.zeros(n_last + 1), SolverConfig(r_reg=0.1))
+        assert err.value.stage == n_last
         report = err.value.report
         assert report is not None
         assert report.termination is Termination.LINEAR_SOLVE_FAILURE
         assert report.outer_iters == 0
+        assert report.inner_iters_total == 0
 
     def test_blowup_through_every_escalation_has_no_stage(self, caplog):
         # H = I factors at every regularizer, but the gradient is so large
         # that every trial overflows the cost: LinearSolveError without a
-        # stage, after MAX_ESCALATIONS escalations logged as trial costs.
+        # stage, after the 9 escalations from r = 0.1 to REG_MAX = 1e8,
+        # each logged as a trial cost.
         prob = ProblemDef.from_stagewise(
             dims=Dims(n=1, m=1, N=2),
             dynamics=lambda x, u, k: x,
@@ -424,47 +432,94 @@ class TestMinimize:
         report = err.value.report
         assert report.termination is Termination.LINEAR_SOLVE_FAILURE
         assert report.outer_iters == 0
-        escalations = costate.solver.MAX_ESCALATIONS
-        assert report.inner_iters_total == escalations + 1
+        assert report.inner_iters_total == 10
         assert np.array_equal(report.z_final, np.zeros(3))
         assert [r.getMessage().startswith("trial cost inf")
-                for r in caplog.records] == [True] * escalations
+                for r in caplog.records] == [True] * 9
+        assert caplog.records[-1].getMessage().endswith(
+            "regularizer raised to 1e+08 at outer iteration 0")
 
-    def test_inner_solves_count_rejected_trials(self):
-        # This start escalates 5 times on a failed factorization (no solves)
-        # and once on an increased trial cost at outer iteration 4, whose
-        # depth + 1 = 5 solves count beside the 10 accepted steps'
-        # 1 + 2 + ... + 10 = 55.
+    def test_inner_solves_count_rejected_trials(self, caplog):
+        # This start escalates twice on a failed factorization (no solves)
+        # and once on an increased trial cost at outer iteration 3, whose
+        # depth + 1 = 4 solves count beside the 9 accepted steps'
+        # 1 + 2 + ... + 9 = 45.
         prob, x0, z0 = random_smooth_problem(2, 3, 2, 30)
+        caplog.set_level(logging.INFO, logger="costate.solver")
         rep = minimize(prob, 5 * x0, 5 * z0, SolverConfig())
         assert rep.termination is Termination.CONVERGED
-        assert rep.outer_iters == 10
-        assert rep.inner_iters_total == 60
+        assert rep.outer_iters == 9
+        assert rep.inner_iters_total == 49
+        messages = [r.getMessage() for r in caplog.records]
+        assert [m.split()[0] for m in messages] == [
+            "factorization", "factorization", "trial"]
+        assert messages[-1].endswith("at outer iteration 3")
 
-    def test_step_accepted_at_maximum_regularization_raises_the_cost(
+    def test_indefinite_start_converges_without_raising_the_cost(
             self, caplog):
-        # Pins the branch as it stands: at outer iteration 1 three
-        # factorizations fail at stage 10 and the fourth attempt (r = 1.0)
-        # raises the cost but is accepted; iteration 2 then fails to factor
-        # at stage 13 through every escalation.  The accepted cost rises, so
-        # minimize's costs are not monotone on an indefinite start.
+        # From this start r_reg = 1e-3 is far too small: the solve escalates
+        # on both causes, 3 failed factorizations and 2 increased trial
+        # costs, and must still never accept a step that raises the cost.
         prob, x0, z0 = random_smooth_problem(4, 3, 2, 20)
         caplog.set_level(logging.INFO, logger="costate.solver")
-        with pytest.raises(LinearSolveError) as err:
-            minimize(prob, 3 * x0, 3 * z0,
-                     SolverConfig(r_reg=1e-3, max_outer=30))
-        assert err.value.stage == 13
+        rep = minimize(prob, 3 * x0, 3 * z0,
+                       SolverConfig(r_reg=1e-3, max_outer=30))
+        assert rep.termination is Termination.CONVERGED
+        assert rep.outer_iters == 8
         messages = [r.getMessage() for r in caplog.records]
-        assert ("accepting non-decreasing step at maximum regularization, "
-                "outer iteration 1") in messages
-        assert sum(m.startswith("factorization failed at stage 10") and
-                   m.endswith("at outer iteration 1") for m in messages) == 3
-        report = err.value.report
-        assert report.termination is Termination.LINEAR_SOLVE_FAILURE
-        assert report.outer_iters == 2
-        costs = report.cost_history
-        assert len(costs) == 3
-        assert costs[1] < costs[0] < costs[2]
+        assert sum(m.startswith("factorization failed") for m in messages) == 3
+        assert sum(m.startswith("trial cost") for m in messages) == 2
+        costs = rep.cost_history
+        assert costs[0] == pytest.approx(115.3425, abs=1e-4)
+        assert costs[-1] == pytest.approx(14.0020, abs=1e-4)
+        assert (np.diff(costs) <= 0).all()
+
+    @pytest.mark.parametrize("start", ["zero", "random"])
+    @pytest.mark.parametrize("n_p", [100, 200, 400])
+    def test_long_open_loop_horizon_converges_to_a_minimum(self, n_p, start):
+        # The smallest eigenvalue of H at the zero start is -709 at
+        # N_p = 100, so R + H factors only once r has grown past it.  The
+        # minima differ between starts, so each is checked for curvature,
+        # not against a common optimum.  H's smallest eigenvalue is 0 at a
+        # minimum: the terminal control is unused.
+        spec = UnicycleSpec(N_p=n_p)
+        x0 = np.asarray(spec.X0)
+        prob = build_unicycle_tracking(spec, 0, x0)
+        z0 = np.zeros(prob.dims.z_len)
+        if start == "random":
+            z0 = np.random.default_rng(n_p).normal(size=z0.size)
+        rep = minimize(prob, x0, z0, SolverConfig(max_outer=100))
+        assert rep.termination is Termination.CONVERGED
+        eig = np.linalg.eigvalsh(hessian(prob, x0, rep.z_final))
+        assert eig.min() >= -1e-9 * np.abs(eig).max()
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 3), n_last=st.integers(0, 12),
+           seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1.0, 3.0, 5.0]),
+           r_reg=st.sampled_from([1e-3, 0.1]))
+    @example(n=3, m=2, n_last=20, seed=4, scale=3.0, r_reg=1e-3)
+    def test_accepted_cost_never_rises_and_convergence_is_stationary(
+            self, n, m, n_last, seed, scale, r_reg):
+        # The example needs r far above r_reg before a step is accepted;
+        # a step taken at a capped r raised its cost 1400-fold.
+        prob, x0, z0 = random_smooth_problem(seed, n, m, n_last)
+        x0, z0 = scale * x0, scale * z0
+        try:
+            rep = minimize(prob, x0, z0, SolverConfig(r_reg=r_reg))
+        except LinearSolveError as exc:
+            rep = exc.report
+        costs = rep.cost_history
+        # minimize's relative slack against last-ulp noise.
+        slack = 1e-12 * (1.0 + np.abs(costs[:-1]))
+        assert (np.diff(costs) <= slack).all(), costs
+        if rep.termination is Termination.CONVERGED:
+            v = np.random.default_rng(seed).normal(size=prob.dims.z_len)
+            v /= np.linalg.norm(v)
+            slope = central_difference(
+                lambda t: eval_cost(prob, x0, rep.z_final + t[0] * v),
+                np.zeros(1), 1e-5)[0]
+            assert abs(slope) <= 1e-5 * (1.0 + abs(costs[-1]))
 
     def test_budget_exhaustion_reported_not_thrown(self, lqr15):
         rep = minimize(lqr15, 3.0, np.zeros(lqr15.dims.z_len),
