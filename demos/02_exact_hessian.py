@@ -18,7 +18,7 @@ from costate import (fd_hessian, flat_index, forward_adjoint, hessian,
 
 prob, x0, z = random_smooth_problem(seed_or_rng=42, n=3, m=2, N=8)
 roll, adj = forward_adjoint(prob, x0, z)
-c = stage_curvature(prob, roll, adj, z)
+c = stage_curvature(prob, roll, adj)
 
 # One direction: the unit vector of control component 1 at stage 2.
 flat = flat_index(prob.dims, 2, 1)

@@ -14,7 +14,7 @@ from typing import Tuple
 import numpy as np
 
 from .problem import (ProblemDef, Rollout, as_stack, check_state, one_row,
-                      roll_forward, stage_controls)
+                      roll_forward)
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,8 @@ def hamiltonian(p: ProblemDef, x, u, lam_next, k: int) -> float:
     return one_row(p.stage_cost)(x, u, k) + float(lam_next @ fx)
 
 
-def adjoint_along(p: ProblemDef, roll: Rollout, z: np.ndarray) -> AdjointSolution:
-    """Backward costate sweep along a rollout produced from (p, z).
+def adjoint_along(p: ProblemDef, roll: Rollout) -> AdjointSolution:
+    """Backward costate sweep along a rollout, at its states and controls.
 
     Propagates lam[k-1] = c_x[k] + f_x[k]' lam[k] from lam[N] = 0, then
     assembles the gradient as one stacked contraction over all N+1 stages,
@@ -67,8 +67,7 @@ def adjoint_along(p: ProblemDef, roll: Rollout, z: np.ndarray) -> AdjointSolutio
     """
     dims = p.dims
     n, m, horizon = dims.n, dims.m, dims.N
-    u = stage_controls(z, dims)
-    xs = roll.states
+    xs, u = roll.states, roll.controls
     ks = np.arange(horizon + 1)
     cx, cu = p.d_stage_cost(xs, u, ks)
     cx = as_stack(cx, (horizon + 1, n))
@@ -98,12 +97,13 @@ def adjoint_along(p: ProblemDef, roll: Rollout, z: np.ndarray) -> AdjointSolutio
 def forward_adjoint(p: ProblemDef, x0, z: np.ndarray) -> Tuple[Rollout, AdjointSolution]:
     """Rollout plus adjoint solution in one fused pass.
 
-    roll_forward then adjoint_along, for callers at a fresh point:
-    minimize_gd, hessian() and the check suites.  minimize reuses the
-    rollout of an accepted trial and runs adjoint_along alone.
+    roll_forward then adjoint_along: the snapshot that stage_curvature and
+    hessian_with read, for callers at a fresh point (minimize_gd, hessian()
+    and the check suites).  minimize reuses the rollout of an accepted
+    trial and runs adjoint_along alone.
     """
     roll = roll_forward(p, x0, z)
-    return roll, adjoint_along(p, roll, z)
+    return roll, adjoint_along(p, roll)
 
 
 def gradient(p: ProblemDef, x0, z: np.ndarray) -> AdjointSolution:

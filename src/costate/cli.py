@@ -29,7 +29,6 @@ import json
 import re
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
-from enum import Enum
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -123,17 +122,12 @@ def _load_json(path: str, sections: Sequence[str]) -> dict:
 
 
 def _typed(value, default, where: str):
-    # Structure only, read off the field's default: a reference object, an
-    # enum, a tuple, an int as a float.  Values are the dataclass's to check.
+    # Structure only, read off the field's default: a reference object, a
+    # tuple, an int as a float.  Values are the dataclass's to check.
     if default is MISSING:
         return value
     if isinstance(default, CircleReference):
         return _reference(value, where)
-    if isinstance(default, Enum):
-        allowed = [e.value for e in type(default)]
-        if value not in allowed:
-            raise ConfigError(where, f"expected one of {allowed}, got {value!r}")
-        return type(default)(value)
     if isinstance(default, tuple):
         if not isinstance(value, list) or len(value) != len(default):
             raise ConfigError(where, f"expected a list of {len(default)} "
@@ -435,7 +429,7 @@ def run_check_suites(seed: int = 0,
     # serve the three second-order suites: (H, state sensitivities).
     def product(prob, x0, z):
         roll, adj = forward_adjoint(prob, x0, z)
-        return hessian_product(adj, stage_curvature(prob, roll, adj, z),
+        return hessian_product(adj, stage_curvature(prob, roll, adj),
                                np.eye(prob.dims.z_len))
 
     products = [product(prob, x0, z) for _, prob, x0, z, _ in problems]

@@ -9,7 +9,7 @@ import numpy as np
 
 from .adjoint import AdjointSolution, forward_adjoint
 from .problem import (DimensionMismatchError, NumericalBlowupError,
-                      ProblemDef, Rollout, as_stack, stage_controls)
+                      ProblemDef, Rollout, as_stack)
 
 
 class CurvatureOracleError(ValueError):
@@ -34,12 +34,12 @@ class AsymmetricHessianError(RuntimeError):
 SYMMETRY_TOL = 1e-8
 
 
-def stage_curvature(p: ProblemDef, roll: Rollout, adj: AdjointSolution,
-                    z: np.ndarray) -> np.ndarray:
+def stage_curvature(p: ProblemDef, roll: Rollout,
+                    adj: AdjointSolution) -> np.ndarray:
     """Hessians of the stage Hamiltonians along one snapshot.
 
-    The snapshot is the rollout, plus the costates and dynamics Jacobians
-    of the adjoint sweep that produced the gradient.  These are the only
+    The snapshot is the rollout, its states and controls, plus the costates
+    and dynamics Jacobians of the adjoint sweep along it.  These are the only
     new oracle calls of second-order work: one stacked call of each
     second-derivative oracle.  The solver's stagewise Newton solve and
     hessian_product both read the stack directly.
@@ -60,18 +60,17 @@ def stage_curvature(p: ProblemDef, roll: Rollout, adj: AdjointSolution,
         raise CurvatureOracleError("curvature requires dd_* oracles or FD problem")
     dims = p.dims
     n, m, horizon = dims.n, dims.m, dims.N
-    u = stage_controls(z, dims)
     ks = np.arange(horizon + 1)
     c = np.empty((horizon + 1, n + m, n + m))
     xx, xu, uu = c[:, :n, :n], c[:, :n, n:], c[:, n:, n:]
-    cxx, cxu, cuu = p.dd_stage_cost(roll.states, u, ks)
+    cxx, cxu, cuu = p.dd_stage_cost(roll.states, roll.controls, ks)
     xx[...] = as_stack(cxx, (horizon + 1, n, n))
     xu[...] = as_stack(cxu, (horizon + 1, n, m))
     uu[...] = as_stack(cuu, (horizon + 1, m, m))
     if horizon:
         wxx, wxu, wuu = p.dd_dynamics_contracted(
-            adj.costates[:horizon], roll.states[:horizon], u[:horizon],
-            ks[:horizon])
+            adj.costates[:horizon], roll.states[:horizon],
+            roll.controls[:horizon], ks[:horizon])
         run_xx, run_xu, run_uu = xx[:horizon], xu[:horizon], uu[:horizon]
         run_xx += as_stack(wxx, (horizon, n, n))
         run_xu += as_stack(wxu, (horizon, n, m))
@@ -82,6 +81,15 @@ def stage_curvature(p: ProblemDef, roll: Rollout, adj: AdjointSolution,
         raise NumericalBlowupError(int(bad.argmax()),
                                    "second-order stage data")
     return c
+
+
+def check_curvature(adj: AdjointSolution, c: np.ndarray) -> None:
+    """Reject a stage curvature stack whose shape is not the (N+1, n+m, n+m)
+    of adj's snapshot with a DimensionMismatchError naming c."""
+    stages, n, m = adj.fu.shape
+    if np.shape(c) != (stages, n + m, n + m):
+        raise DimensionMismatchError(
+            f"c has shape {np.shape(c)}, expected {(stages, n + m, n + m)}")
 
 
 def hessian_product(adj: AdjointSolution, c: np.ndarray,
@@ -117,9 +125,11 @@ def hessian_product(adj: AdjointSolution, c: np.ndarray,
     stages, and mu_N = 0 removes the dynamics terms at stage N.  No oracle is
     called.  Time is O(N (n+m)^2 K) and only dx is stored stage by stage;
     mu is a single (n, K) block.  C is used as given, so an asymmetric
-    oracle shows as an asymmetric H (see symmetric_part).  A v of another
-    shape than (m*(N+1), K) is a DimensionMismatchError.
+    oracle shows as an asymmetric H (see symmetric_part).  A c or v of
+    another shape than (N+1, n+m, n+m) or (m*(N+1), K) is a
+    DimensionMismatchError.
     """
+    check_curvature(adj, c)
     fx, fu = adj.fx, adj.fu
     horizon, n, m = fu.shape[0] - 1, fu.shape[1], fu.shape[2]
     v = np.asarray(v, dtype=float)
@@ -165,27 +175,27 @@ def symmetric_part(a: np.ndarray, out: Optional[np.ndarray] = None
     return np.multiply(np.add(a, at, out=out), 0.5, out=out)
 
 
-def hessian_with(p: ProblemDef, roll: Rollout, adj: AdjointSolution,
-                 z: np.ndarray) -> np.ndarray:
-    """Full Hessian from an existing rollout/adjoint snapshot.
+def hessian_with(p: ProblemDef, roll: Rollout,
+                 adj: AdjointSolution) -> np.ndarray:
+    """Full Hessian from an existing snapshot, as forward_adjoint returns it.
 
     The product of hessian_product with the identity, checked against the
     symmetry tolerance (defect <= 1e-8 * (1 + max|H|)) and returned as the
     symmetrized matrix (H + H^T)/2, which suppresses roundoff drift in
     downstream linear solves.
     """
-    c = stage_curvature(p, roll, adj, z)
+    c = stage_curvature(p, roll, adj)
     return symmetric_part(hessian_product(adj, c, np.eye(p.dims.z_len))[0])
 
 
 def hessian(p: ProblemDef, x0, z: np.ndarray) -> np.ndarray:
     """Exact Hessian of the rollout cost with respect to z.
 
-    Runs one rollout and one costate sweep, evaluates the stage curvature
-    on that shared snapshot, and takes hessian_product with the identity:
-    column r of the matrix is H e_r, for the control coordinate with flat
-    index r.  The result is checked for symmetry and symmetrized, as in
-    hessian_with.
+    hessian_with on the snapshot of forward_adjoint: one rollout, one
+    costate sweep, the stage curvature on them, and hessian_product with
+    the identity, so column r of the matrix is H e_r, for the control
+    coordinate with flat index r.  The result is checked for symmetry and
+    symmetrized.
 
     Raises:
         CurvatureOracleError: p lacks second-derivative oracles.
@@ -194,5 +204,4 @@ def hessian(p: ProblemDef, x0, z: np.ndarray) -> np.ndarray:
         AsymmetricHessianError: assembly asymmetry beyond tolerance, with
             the worst entry in the message.
     """
-    roll, adj = forward_adjoint(p, x0, z)
-    return hessian_with(p, roll, adj, z)
+    return hessian_with(p, *forward_adjoint(p, x0, z))

@@ -31,8 +31,8 @@ class WarmStart(Enum):
 @dataclass(frozen=True)
 class MpcConfig:
     """Receding-horizon settings: prediction horizon N_p, number of plant
-    steps (both integers >= 1), warm-start policy, and the per-step solver
-    configuration."""
+    steps (both integers >= 1), warm-start policy (a WarmStart or its
+    value), and the per-step solver configuration."""
 
     horizon: int
     total_steps: int
@@ -42,6 +42,12 @@ class MpcConfig:
     def __post_init__(self):
         check_count(self.horizon, 1, "horizon")
         check_count(self.total_steps, 1, "total_steps")
+        try:
+            object.__setattr__(self, "warm_start", WarmStart(self.warm_start))
+        except ValueError:
+            raise ValueError(
+                f"warm_start must be one of {[w.value for w in WarmStart]}, "
+                f"got {self.warm_start!r}") from None
 
 
 @dataclass
@@ -133,6 +139,8 @@ def run_mpc(plant: ProblemDef, ocp_factory: Callable, x0, cfg: MpcConfig,
             shape, named with the step.
         NumericalBlowupError: the plant dynamics returned a non-finite
             state; carries the step.
+        AsymmetricHessianError: a step's stage curvature failed the
+            symmetry check; the loop ends without a trace.
     """
     if _solve is not None:
         solve = _solve

@@ -222,15 +222,18 @@ def as_stack(a, shape: tuple) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Rollout:
-    """Forward simulation result.
+    """Forward simulation result: the snapshot the sweeps read.
 
     Attributes:
         states: (N+1, n) array, x_0..x_N.
+        controls: (N+1, m) array, u_0..u_N, the controls the states were
+            rolled out under; a copy, so editing z afterwards leaves it be.
         stage_costs: (N+1,) array of per-stage costs.
         total_cost: running sum of stage_costs in stage order.
     """
 
     states: np.ndarray
+    controls: np.ndarray
     stage_costs: np.ndarray
     total_cost: float
 
@@ -293,7 +296,7 @@ def roll_forward(p: ProblemDef, x0, z: np.ndarray) -> Rollout:
         z: flat decision vector of length m*(N+1).
 
     Returns:
-        A Rollout with states x_0..x_N, per-stage costs, and their sum.
+        A Rollout of states x_0..x_N, controls, stage costs and their sum.
 
     Raises:
         DimensionMismatchError: check_state's error naming "x0", "decision
@@ -306,7 +309,7 @@ def roll_forward(p: ProblemDef, x0, z: np.ndarray) -> Rollout:
     """
     dims = p.dims
     n, horizon = dims.n, dims.N
-    u = stage_controls(z, dims)
+    u = stage_controls(z, dims).copy()
     states = np.empty((horizon + 1, n))
     states[0] = check_state(x0, n, "x0")
     dynamics, shape, isfinite = p.dynamics, (n,), math.isfinite
@@ -335,7 +338,7 @@ def roll_forward(p: ProblemDef, x0, z: np.ndarray) -> Rollout:
     total = 0.0
     for c in costs.tolist():
         total += c
-    return Rollout(states=states, stage_costs=costs, total_cost=total)
+    return Rollout(states, u, costs, total)
 
 
 def eval_cost(p: ProblemDef, x0, z: np.ndarray) -> float:

@@ -431,8 +431,7 @@ def random_smooth_problem(seed_or_rng, n: int, m: int, N: int) -> Tuple[ProblemD
     nonvanishing third derivatives, which is what makes them useful for
     exercising the derivative sweeps.  Returns (problem, x0, z).
     """
-    rng = np.random.default_rng(seed_or_rng) if not isinstance(
-        seed_or_rng, np.random.Generator) else seed_or_rng
+    rng = np.random.default_rng(seed_or_rng)  # a Generator passes as it is
     dims = Dims(n=n, m=m, N=N)
 
     amat = rng.normal(size=(n, n)) * (0.6 / np.sqrt(n))

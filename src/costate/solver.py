@@ -40,7 +40,7 @@ import numpy as np
 from scipy.linalg.lapack import dposv
 
 from .adjoint import AdjointSolution, adjoint_along, forward_adjoint
-from .curvature import stage_curvature, symmetric_part
+from .curvature import check_curvature, stage_curvature, symmetric_part
 from .problem import (NumericalBlowupError, ProblemDef, check_count,
                       check_positive, check_state, roll_forward)
 # Neither is called here; perfbench/tracing.py wraps both as
@@ -102,9 +102,6 @@ class SolverConfig:
     inner_depth_cap: int = 20
 
     def __post_init__(self):
-        if not np.isscalar(self.r_reg):
-            raise ValueError(
-                f"r_reg must be a scalar, got shape {np.shape(self.r_reg)}")
         check_positive(self.r_reg, "r_reg")
         check_positive(self.grad_tol, "grad_tol")
         check_count(self.max_outer, 1, "max_outer")
@@ -302,7 +299,8 @@ def step_direction(adj: AdjointSolution, c: np.ndarray, g: np.ndarray,
     Without it a workspace is built for this call.
 
     Raises:
-        DimensionMismatchError: g is not a vector of length m*(N+1).
+        DimensionMismatchError: g is not a vector of length m*(N+1), or c
+            not an (N+1, n+m, n+m) stack.
         ValueError: r is not finite and > 0, or depth not an integer >= 0.
         AsymmetricHessianError: c violates the symmetry tolerance.
         LinearSolveError: (R + H) is not positive definite; its stage is
@@ -312,6 +310,7 @@ def step_direction(adj: AdjointSolution, c: np.ndarray, g: np.ndarray,
     check_count(depth, 0, "depth")
     stages, n, m = adj.fu.shape
     g = check_state(g, stages * m, "g")
+    check_curvature(adj, c)
     r = float(r)
     factor = _factor or StagewiseFactor(stages - 1, n, m)
     factor.factor(adj, c, r)
@@ -338,14 +337,15 @@ def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig,
     """Minimize the rollout cost from z0 with the second-order iteration.
 
     z0 is rolled out once; after that the rollout of each accepted trial
-    point is kept, so an outer iteration runs only the costate sweep on it
-    (adjoint_along), the stage curvature, and the factorization in the
-    workspace this call holds.  The update is z <- z - d with d from
-    step_direction at depth min(iteration index, inner_depth_cap), and the
-    trial point z - d is priced by its own rollout.  Terminates as Converged
-    when the max-abs gradient entry drops below cfg.grad_tol (checked
-    before any step, so a stationary start returns unchanged with zero
-    outer iterations) or as MaxIters when the budget is exhausted.
+    point, controls included, is kept as the snapshot on which an outer
+    iteration runs only the costate sweep (adjoint_along), the stage
+    curvature, and the factorization in the workspace this call holds.  The
+    update is z <- z - d with d from step_direction at depth min(iteration
+    index, inner_depth_cap), and the trial point z - d is priced by its own
+    rollout.  Terminates as Converged when the max-abs gradient entry drops
+    below cfg.grad_tol (checked before any step, so a stationary start
+    returns unchanged with zero outer iterations) or as MaxIters when the
+    budget is exhausted.
 
     The regularizer starts at r = cfg.r_reg and is carried across outer
     iterations.  A step is accepted only if its trial cost does not rise
@@ -372,7 +372,7 @@ def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig,
     r = cfg.r_reg
     roll = roll_forward(p, x0, z)
     while True:
-        adj = adjoint_along(p, roll, z)
+        adj = adjoint_along(p, roll)
         gnorm = float(np.abs(adj.gradient).max(initial=0.0))
         gnorms.append(gnorm)
         costs.append(roll.total_cost)
@@ -382,7 +382,7 @@ def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig,
         if i == cfg.max_outer:
             return _report(z, i, inner_total, gnorms, costs,
                            Termination.MAX_ITERS, t0)
-        c = stage_curvature(p, roll, adj, z)
+        c = stage_curvature(p, roll, adj)
         depth = min(i, cfg.inner_depth_cap)
         bound = costs[-1] + _COST_SLACK * (1.0 + abs(costs[-1]))
         while True:

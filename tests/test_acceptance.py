@@ -105,7 +105,7 @@ def test_criterion_2_hessian_exactness(problem_set):
     worst_err, worst_sym, where = 0.0, 0.0, ""
     for name, prob, x0, z in problem_set:
         roll, adj = forward_adjoint(prob, x0, z)
-        raw = hessian_product(adj, stage_curvature(prob, roll, adj, z),
+        raw = hessian_product(adj, stage_curvature(prob, roll, adj),
                               np.eye(prob.dims.z_len))[0]
         sym = float(np.abs(raw - raw.T).max()
                     / (1.0 + np.abs(raw).max(initial=0.0)))
@@ -124,7 +124,7 @@ def test_criterion_3_sensitivity_identity(problem_set):
     h = 1e-6
     for name, prob, x0, z in problem_set:
         roll, adj = forward_adjoint(prob, x0, z)
-        betas = hessian_product(adj, stage_curvature(prob, roll, adj, z),
+        betas = hessian_product(adj, stage_curvature(prob, roll, adj),
                                 np.eye(prob.dims.z_len))[1]
         for flat in range(prob.dims.z_len):
             zp, zm = z.copy(), z.copy()

@@ -47,7 +47,7 @@ class TestHamiltonian:
 class TestBackwardCostates:
     def test_lqr_hand_values(self, lqr1):
         roll = roll_forward(lqr1, 1.0, np.zeros(2))
-        lam = adjoint_along(lqr1, roll, np.zeros(2)).costates
+        lam = adjoint_along(lqr1, roll).costates
         # terminal costate zero, then d(p x1^2)/dx1 = 2*3*1.8
         np.testing.assert_allclose(lam.ravel(), [10.8, 0.0], rtol=1e-14)
 
@@ -55,13 +55,13 @@ class TestBackwardCostates:
         prob = zero_cost_problem()
         z = np.ones(prob.dims.z_len)
         roll = roll_forward(prob, np.ones(2), z)
-        assert np.array_equal(adjoint_along(prob, roll, z).costates,
+        assert np.array_equal(adjoint_along(prob, roll).costates,
                               np.zeros((prob.dims.N + 1, 2)))
 
     def test_horizonless_problem(self, lqr1):
         prob = build_lqr(LqrSpec(N=0))
         roll = roll_forward(prob, 1.0, np.zeros(1))
-        lam = adjoint_along(prob, roll, np.zeros(1)).costates
+        lam = adjoint_along(prob, roll).costates
         assert lam.shape == (1, 1)
         assert lam[0, 0] == 0.0
 
@@ -69,7 +69,7 @@ class TestBackwardCostates:
         z = np.linspace(-1, 1, lqr15.dims.z_len)
         roll = roll_forward(lqr15, 2.0, z)
         _, adj = forward_adjoint(lqr15, 2.0, z)
-        assert np.array_equal(adjoint_along(lqr15, roll, z).costates,
+        assert np.array_equal(adjoint_along(lqr15, roll).costates,
                               adj.costates)
 
 

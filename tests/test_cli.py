@@ -291,10 +291,11 @@ class TestCheck:
     # An integer beyond float range reaches the dataclass unconverted.
     ("run-lqr", {"scenario": {"r": 10**400}}, "scenario.r"),
     ("run-mpc", {"scenario": {"delta": 10**400}}, "scenario.delta"),
-    # JSON structure: the top level, sections, objects, enum, reference type.
+    # An unknown warm start, which MpcConfig rejects.
+    ("run-mpc", {"mpc": {"warm_start": "previous"}}, "mpc.warm_start"),
+    # JSON structure: the top level, sections, objects, reference type.
     ("run-lqr", [1, 2], "config"),
     ("run-lqr", {"mpc": {}}, "mpc"),
-    ("run-mpc", {"mpc": {"warm_start": "previous"}}, "mpc.warm_start"),
     ("run-mpc", {"solver": 3}, "solver"),
     ("run-mpc", {"scenario": {"reference": [0, 0]}}, "scenario.reference"),
     ("run-mpc", {"scenario": {"reference": {"type": "spiral"}}},

@@ -33,17 +33,16 @@ def _product(prob, x0, z, v=None):
     roll, adj = _snapshot(prob, x0, z)
     if v is None:
         v = np.eye(prob.dims.z_len)
-    return hessian_product(adj, stage_curvature(prob, roll, adj, z), v)
+    return hessian_product(adj, stage_curvature(prob, roll, adj), v)
 
 
-def _row_by_row(prob, roll, adj, z, flat):
+def _row_by_row(prob, roll, adj, flat):
     """Reference for one Hessian row: the single-row forward and backward
     recursions as plain loops over the oracles, independent of the
     vectorized product.  Returns (betas, row)."""
     dims = prob.dims
     i, comp = divmod(flat, dims.m)
-    u = z.reshape(dims.N + 1, dims.m)
-    xs = roll.states
+    xs, u = roll.states, roll.controls
     fx, fu, cxx, cxu, cuu = [], [], [], [], []
     for k in range(dims.N + 1):
         xx, xu, uu = (np.asarray(v, dtype=float)
@@ -91,7 +90,7 @@ def _assert_matches_row_by_row(prob, x0, z):
     assert dx.shape == (prob.dims.N + 1, prob.dims.n, width)
     assert hv.shape == (width, width)
     for flat in range(width):
-        betas, row = _row_by_row(prob, roll, adj, z, flat)
+        betas, row = _row_by_row(prob, roll, adj, flat)
         np.testing.assert_allclose(dx[..., flat], betas,
                                    rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(hv[:, flat], row,
@@ -157,7 +156,7 @@ class TestSecondOrderPass:
         hv, dx = _product(prob, x0, z, v)
         assert hv.shape == v.shape
         assert dx.shape == (n_last + 1, n, k)
-        rows = np.vstack([_row_by_row(prob, roll, adj, z, flat)[1]
+        rows = np.vstack([_row_by_row(prob, roll, adj, flat)[1]
                           for flat in range(prob.dims.z_len)])
         # Column r of H is row r as the reference assembles it.
         assert max_rel_error(hv, rows.T @ v) <= 1e-13
@@ -170,22 +169,26 @@ class TestSecondOrderPass:
 
     # A vector, a block with a row too many, and a block with an extra
     # axis: an IndexError, numpy's reshape ValueError and a silent
-    # acceptance before the block had a shape rule.
-    @pytest.mark.parametrize("shape", [(4,), (5, 1), (4, 1, 1)])
-    def test_wrong_shape_block_is_a_dimension_error(self, shape):
+    # acceptance before the block had a shape rule.  A stage stack short
+    # of stages was an IndexError.
+    @pytest.mark.parametrize("block, shape", [
+        ("v", (4,)), ("v", (5, 1)), ("v", (4, 1, 1)), ("c", (2, 2, 2))])
+    def test_wrong_shape_block_is_a_dimension_error(self, block, shape):
         prob = build_lqr(LqrSpec(N=3))
         z = np.zeros(prob.dims.z_len)
         roll, adj = _snapshot(prob, np.ones(1), z)
-        c = stage_curvature(prob, roll, adj, z)
-        message = f"v has shape {shape}, expected (4, K)"
+        args = {"c": stage_curvature(prob, roll, adj), "v": np.eye(4)}
+        args[block] = np.ones(shape)
+        expected = {"c": "(4, 2, 2)", "v": "(4, K)"}[block]
+        message = f"{block} has shape {shape}, expected {expected}"
         with pytest.raises(DimensionMismatchError,
                            match="^" + re.escape(message) + "$"):
-            hessian_product(adj, c, np.ones(shape))
+            hessian_product(adj, args["c"], args["v"])
 
     def test_long_horizon_product_memory(self):
         prob, x0, z = random_smooth_problem(2, 4, 2, 800)
         roll, adj = _snapshot(prob, x0, z)
-        c = stage_curvature(prob, roll, adj, z)
+        c = stage_curvature(prob, roll, adj)
         v = np.random.default_rng(0).normal(size=(prob.dims.z_len, 3))
         tracemalloc.start()
         try:
@@ -200,7 +203,7 @@ class TestSecondOrderPass:
         (R + H) d = g to roundoff at N = 800."""
         prob, x0, z = random_smooth_problem(2, 4, 2, 800)
         roll, adj = _snapshot(prob, x0, z)
-        c = stage_curvature(prob, roll, adj, z)
+        c = stage_curvature(prob, roll, adj)
         r = SolverConfig().r_reg
         g = adj.gradient
         d = step_direction(adj, c, g, r, 0)
@@ -228,18 +231,36 @@ class TestSecondOrderPass:
             **{name: counted(name) for name in names})
         roll, adj = forward_adjoint(counting, x0, z)
         calls.clear()
-        h = hessian_with(counting, roll, adj, z)
+        h = hessian_with(counting, roll, adj)
         n_last = base.dims.N
         assert calls == Counter({"dd_stage_cost": n_last + 1,
                                  "dd_dynamics_contracted": n_last})
         assert np.array_equal(h, hessian(base, x0, z))
 
 
+class TestSnapshot:
+    """A rollout carries the controls it was rolled out under, so the
+    sweeps read one snapshot and no z that must match it."""
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 3), n_last=st.integers(0, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rollout_keeps_a_copy_of_its_controls(self, n, m, n_last, seed):
+        prob, x0, z = random_smooth_problem(seed, n, m, n_last)
+        edited = z.copy()
+        roll = roll_forward(prob, x0, edited)
+        assert roll.controls.tobytes() == z.reshape(n_last + 1, m).tobytes()
+        edited += 0.5
+        assert roll.controls.tobytes() == z.reshape(n_last + 1, m).tobytes()
+        assert np.array_equal(hessian_with(prob, *forward_adjoint(prob, x0, z)),
+                              hessian(prob, x0, z))
+
+
 class TestStageCurvature:
     def test_blocks_are_the_stage_hamiltonian_hessians(self):
         prob, x0, z = random_smooth_problem(23, 3, 2, 5)
         roll, adj = _snapshot(prob, x0, z)
-        c = stage_curvature(prob, roll, adj, z)
+        c = stage_curvature(prob, roll, adj)
         dims = prob.dims
         n, u = dims.n, z.reshape(dims.N + 1, dims.m)
         assert c.shape == (dims.N + 1, n + dims.m, n + dims.m)
@@ -291,7 +312,7 @@ class TestHessian:
         prob, x0, z = random_smooth_problem(21, 4, 3, 7)
         roll, adj = _snapshot(prob, x0, z)
         h = hessian(prob, x0, z)
-        stacked = np.vstack([_row_by_row(prob, roll, adj, z, flat)[1]
+        stacked = np.vstack([_row_by_row(prob, roll, adj, flat)[1]
                              for flat in range(prob.dims.z_len)])
         stacked = 0.5 * (stacked + stacked.T)
         np.testing.assert_allclose(h, stacked, rtol=1e-13, atol=1e-13)

@@ -98,6 +98,41 @@ def test_vectors_are_accepted_through_check_state():
     assert not found, "vector checks outside check_state: " + ", ".join(found)
 
 
+# The functions that view a decision vector as stage rows: the rollout,
+# whose Rollout.controls every sweep reads, and the MPC shift of a solution.
+_STAGE_CONTROLS_CALLERS = {("problem", "roll_forward"),
+                           ("mpc", "_shift_warm_start")}
+
+
+def test_a_snapshot_is_one_rollout():
+    # A rollout carries its controls, so no function takes a rollout and
+    # a z that must match it, and no sweep re-derives the stage rows.
+    found = []
+    for path in sorted((REPO / "src" / "costate").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        funcs = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for func in funcs:
+            args = func.args
+            names = {a.arg for a in args.posonlyargs + args.args
+                     + args.kwonlyargs}
+            if {"roll", "z"} <= names:
+                found.append(f"{path.name}:{func.lineno} {func.name} takes "
+                             "roll and z")
+        for call in ast.walk(tree):
+            if not (isinstance(call, ast.Call) and ast.unparse(
+                    call.func).split(".")[-1] == "stage_controls"):
+                continue
+            owner = max((f for f in funcs
+                         if f.lineno <= call.lineno <= f.end_lineno),
+                        key=lambda f: f.lineno, default=None)
+            name = owner.name if owner else "<module>"
+            if (path.stem, name) not in _STAGE_CONTROLS_CALLERS:
+                found.append(f"{path.name}:{call.lineno} {name} calls "
+                             "stage_controls")
+    assert not found, "snapshot split: " + ", ".join(found)
+
+
 # A library name as the README spells it: costate.<module>.<name>.
 _README_NAME = re.compile(r"\bcostate\.([a-z_]+)\.([A-Za-z_]\w*)")
 

@@ -1,6 +1,7 @@
 """Receding-horizon driver: degeneracies, replay, warm starts, failures."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,21 @@ def test_shift_warm_start_with_a_one_stage_horizon():
     assert trace.failed_step is None
     assert all(r.termination is Termination.CONVERGED
                for r in trace.per_step_reports)
+
+
+def test_warm_start_value_selects_the_member():
+    # MpcConfig(warm_start="shift") used to run the zero warm start.
+    cfg = MpcConfig(horizon=10, total_steps=1, warm_start="shift")
+    assert cfg.warm_start is WarmStart.SHIFT
+    assert MpcConfig(horizon=10, total_steps=1,
+                     warm_start=WarmStart.ZERO).warm_start is WarmStart.ZERO
+
+
+@pytest.mark.parametrize("value", ["previous", "SHIFT", None, 1, ["zero"]])
+def test_unknown_warm_start_names_the_field(value):
+    message = f"warm_start must be one of ['zero', 'shift'], got {value!r}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        MpcConfig(horizon=10, total_steps=1, warm_start=value)
 
 
 def test_solver_failure_truncates_trace_with_report():

@@ -374,8 +374,8 @@ class TestStackedOracles:
         (roll, adj), (roll_s, adj_s) = snaps
         assert max_rel_error(adj.gradient, adj_s.gradient) <= 1e-12
         assert max_rel_error(roll.stage_costs, roll_s.stage_costs) <= 1e-12
-        curv = stage_curvature(native, roll, adj, z)
-        curv_s = stage_curvature(staged, roll_s, adj_s, z)
+        curv = stage_curvature(native, roll, adj)
+        curv_s = stage_curvature(staged, roll_s, adj_s)
         assert max_rel_error(curv, curv_s) <= 1e-12
         reports = []
         for p in (native, staged):
@@ -438,8 +438,8 @@ class TestStackedOracles:
         for a, b in ((roll.stage_costs, roll_c.stage_costs),
                      (adj.gradient, adj_c.gradient), (adj.fx, adj_c.fx),
                      (adj.fu, adj_c.fu), (adj.costates, adj_c.costates),
-                     (stage_curvature(lqr15, roll, adj, z),
-                      stage_curvature(converted, roll_c, adj_c, z))):
+                     (stage_curvature(lqr15, roll, adj),
+                      stage_curvature(converted, roll_c, adj_c))):
             assert np.array_equal(a, b)
 
     def test_one_row_inverts_from_stagewise(self):
@@ -459,7 +459,7 @@ class TestStackedOracles:
         assert calls == Counter(dynamics=7, stage_cost=1, d_stage_cost=1,
                                 d_dynamics=1)
         calls.clear()
-        stage_curvature(prob, roll, adj, z)
+        stage_curvature(prob, roll, adj)
         assert calls == Counter(dd_stage_cost=1, dd_dynamics_contracted=1)
 
 

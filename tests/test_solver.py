@@ -45,7 +45,7 @@ def _lq_problem(a, b, q, r_u, n_last):
 def _snapshot(prob, x0, z):
     """(adj, stage curvature, dense Hessian) at one point."""
     roll, adj = forward_adjoint(prob, x0, z)
-    return adj, stage_curvature(prob, roll, adj, z), hessian(prob, x0, z)
+    return adj, stage_curvature(prob, roll, adj), hessian(prob, x0, z)
 
 
 def _dense_direction(h, g, r, depth):
@@ -146,6 +146,10 @@ class TestStepDirection:
         with pytest.raises(DimensionMismatchError,
                            match=r"^g has shape \(3,\), expected \(4,\)$"):
             step_direction(adj, c, np.ones(3), 0.1, 0)
+        # A stage stack short of stages was numpy's broadcast ValueError.
+        with pytest.raises(DimensionMismatchError, match=r"^c has shape "
+                           r"\(2, 2, 2\), expected \(4, 2, 2\)$"):
+            step_direction(adj, c[:2], np.ones(4), 0.1, 0)
 
 
 def _stage_two_problem(weight):
@@ -204,7 +208,7 @@ class TestStagewiseSolve:
             dd_dynamics_contracted=one_row(base.dd_dynamics_contracted))
         roll, adj = forward_adjoint(broken, x0, z0)
         with pytest.raises(NumericalBlowupError) as err:
-            stage_curvature(broken, roll, adj, z0)
+            stage_curvature(broken, roll, adj)
         assert err.value.stage == 3
         with pytest.raises(NumericalBlowupError) as err:
             minimize(broken, x0, z0, SolverConfig())
@@ -530,8 +534,12 @@ class TestMinimize:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(r_reg=0.0)
-        with pytest.raises(ValueError, match="r_reg must be a scalar"):
-            SolverConfig(r_reg=np.diag([0.5, 0.25]))
+        # No array, list or string is a regularizer: check_positive's rule.
+        for value in (np.diag([0.5, 0.25]), np.array([0.1]), np.array(0.1),
+                      [0.1], "0.1"):
+            with pytest.raises(ValueError,
+                               match="^r_reg must be finite and > 0, got "):
+                SolverConfig(r_reg=value)
         with pytest.raises(ValueError):
             SolverConfig(grad_tol=-1.0)
 
