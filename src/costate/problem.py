@@ -220,6 +220,28 @@ def as_stack(a, shape: tuple) -> np.ndarray:
     return np.asarray(a, dtype=float).reshape(shape)
 
 
+def band_blocks(band: np.ndarray, lower: bool, row: int, col: int,
+                shape: tuple, step: int) -> np.ndarray:
+    """Writable view of equally spaced blocks of a banded matrix's storage.
+
+    band is a C-ordered float64 (columns, k+1) array, whose transpose is the
+    LAPACK storage of a matrix with k sub- (lower) or super-diagonals that
+    dtbsv reads without a copy: entry (i, j) sits at flat element j*k + i,
+    or (j+1)*k + i for an upper band.  Block b of the (blocks, rows, cols)
+    view is the matrix block whose first entry is (row + b*step,
+    col + b*step); every entry of every block must lie off the diagonal,
+    inside the band.  Zero blocks give an empty array, since their first
+    element may lie past the end of a small band.
+    """
+    if not shape[0]:
+        return np.empty(shape)
+    k = band.shape[1] - 1
+    first = col * k + row + (0 if lower else k)
+    size = band.itemsize
+    return np.ndarray(shape, buffer=band, offset=first * size,
+                      strides=(step * (k + 1) * size, size, k * size))
+
+
 @dataclass(frozen=True)
 class Rollout:
     """Forward simulation result: the snapshot the sweeps read.

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import zero_cost_problem
 from costate import (DimensionMismatchError, Dims, LqrSpec, ProblemDef,
@@ -64,6 +66,33 @@ class TestBackwardCostates:
         lam = adjoint_along(prob, roll).costates
         assert lam.shape == (1, 1)
         assert lam[0, 0] == 0.0
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 3), n_last=st.integers(0, 40),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=3, m=2, n_last=0, seed=5)
+    @example(n=3, m=2, n_last=1, seed=5)
+    @example(n=4, m=2, n_last=800, seed=2)
+    def test_matches_a_plain_stage_recursion(self, n, m, n_last, seed):
+        # The banded solve against the recursion it replaces, one stage and
+        # one per-stage oracle call at a time; the sums run in another
+        # order, so they agree to roundoff.
+        prob, x0, z = random_smooth_problem(seed, n, m, n_last)
+        roll = roll_forward(prob, x0, z)
+        adj = adjoint_along(prob, roll)
+        lam = np.zeros((n_last + 1, n))
+        grad = np.empty((n_last + 1, m))
+        for k in range(n_last, -1, -1):
+            x, u = roll.states[k], roll.controls[k]
+            cx, cu = one_row(prob.d_stage_cost)(x, u, k)
+            fx, fu = (one_row(prob.d_dynamics)(x, u, k) if k < n_last
+                      else (np.zeros((n, n)), np.zeros((n, m))))
+            grad[k] = cu + fu.T @ lam[k]
+            if k:
+                lam[k - 1] = cx + fx.T @ lam[k]
+        tol = 1e-12 * (1.0 + np.abs(lam).max())
+        assert np.abs(adj.costates - lam).max() <= tol
+        assert np.abs(adj.gradient - grad.reshape(-1)).max() <= tol
 
     def test_matches_fused_pass_bitwise(self, lqr15):
         z = np.linspace(-1, 1, lqr15.dims.z_len)

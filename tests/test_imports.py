@@ -182,3 +182,28 @@ def test_problem_fields_are_the_traced_callbacks():
     assert all(callable(getattr(prob, name)) for name in names)
     assert dataclasses.replace(prob, **{
         name: getattr(prob, name) for name in names}) == prob
+
+
+# The linear stage recursions that run as one banded triangular solve each:
+# (module, class or None, function).
+_LOOP_FREE = [("adjoint", None, "adjoint_along"),
+              ("solver", "StagewiseFactor", "solve")]
+
+
+def test_linear_recursions_have_no_python_stage_loop():
+    # The costate sweep and the two solve passes are each one dtbsv call;
+    # an O(N) Python loop (a comprehension included) must not come back.
+    found = []
+    for module, owner, name in _LOOP_FREE:
+        tree = ast.parse((REPO / "src" / "costate" / f"{module}.py")
+                         .read_text(encoding="utf-8"))
+        scope = tree if owner is None else next(
+            node for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == owner)
+        func = next(node for node in scope.body
+                    if isinstance(node, ast.FunctionDef) and node.name == name)
+        found += [f"{module}.py:{node.lineno} {name}"
+                  for node in ast.walk(func)
+                  if isinstance(node, (ast.For, ast.AsyncFor, ast.While,
+                                       ast.comprehension))]
+    assert not found, "Python loops in a banded recursion: " + ", ".join(found)

@@ -16,7 +16,8 @@ from costate import (AsymmetricHessianError, DimensionMismatchError, Dims,
                      build_lqr, build_unicycle_tracking, eval_cost,
                      forward_adjoint, gradient, hessian, minimize,
                      minimize_gd, one_row, random_smooth_problem,
-                     riccati_lqr, stage_curvature, step_direction)
+                     hessian_product, riccati_lqr, stage_curvature,
+                     step_direction)
 from costate.problem import central_difference
 
 
@@ -281,6 +282,54 @@ class TestStagewiseSolve:
             step_direction(adj, skewed, g, 0.1, 2, _factor=workspace)
         reused = step_direction(adj, c, g, 0.1, 2, _factor=workspace)
         assert np.array_equal(reused, step_direction(adj, c, g, 0.1, 2))
+
+
+def _banded_snapshot(n_last):
+    """(adj, stage curvature, gradient) of random_smooth_problem(2, 4, 2, N)."""
+    prob, x0, z = random_smooth_problem(2, 4, 2, n_last)
+    roll, adj = forward_adjoint(prob, x0, z)
+    return adj, stage_curvature(prob, roll, adj), adj.gradient
+
+
+def _residual(adj, c, d, rhs, r):
+    """||(R + H) d - rhs|| / ||rhs||, H d from one Hessian-vector product."""
+    hd = hessian_product(adj, c, d[:, None])[0][:, 0]
+    return np.linalg.norm(hd + r * d - rhs) / np.linalg.norm(rhs)
+
+
+class TestBandedSolve:
+    """StagewiseFactor's solve passes, each one banded triangular solve,
+    checked against (R + H) itself at the band's edge cases: no block
+    (N = 0), one block (N = 1), and the long horizon (N = 800)."""
+
+    @pytest.mark.parametrize("n_last", [0, 1, 800])
+    def test_depth_zero_and_three_solve_their_systems(self, n_last):
+        adj, c, g = _banded_snapshot(n_last)
+        r = 1.0
+        d0 = step_direction(adj, c, g, r, 0)
+        assert _residual(adj, c, d0, g, r) <= 1e-9
+        # Depth 3 solves (R + H) d3 = g + R d2 against the same factors.
+        d2 = step_direction(adj, c, g, r, 2)
+        d3 = step_direction(adj, c, g, r, 3)
+        assert _residual(adj, c, d3, g + r * d2, r) <= 1e-9
+
+    @pytest.mark.parametrize("n_last", [0, 1, 800])
+    def test_refactor_after_a_failed_pivot_refills_the_bands(self, n_last):
+        # The workspace's bands hold the last good factorization when a
+        # later one fails; the next must overwrite every block of them.
+        adj, c, g = _banded_snapshot(n_last)
+        workspace = costate.solver.StagewiseFactor(n_last, 4, 2)
+        step_direction(adj, 2.0 * c, g, 0.5, 1, _factor=workspace)
+        bad = c.copy()
+        bad[n_last // 2, 4:, 4:] -= 1e6 * np.eye(2)
+        with pytest.raises(LinearSolveError) as err:
+            step_direction(adj, bad, g, 0.5, 1, _factor=workspace)
+        assert err.value.stage == n_last // 2
+        r = 1.0
+        reused = step_direction(adj, c, g, r, 3, _factor=workspace)
+        assert np.array_equal(reused, step_direction(adj, c, g, r, 3))
+        d2 = step_direction(adj, c, g, r, 2)
+        assert _residual(adj, c, reused, g + r * d2, r) <= 1e-9
 
 
 class TestMinimize:
