@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.linalg.blas import dtbsv
 
 from .problem import (ProblemDef, Rollout, as_stack, band_blocks, check_state,
-                      one_row, roll_forward)
+                      dtbsv, one_row, roll_forward)
 
 
 @dataclass(frozen=True)

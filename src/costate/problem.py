@@ -19,6 +19,8 @@ one_row turns a stacked oracle back into a per-stage one.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import numbers
 import sys
@@ -218,6 +220,39 @@ def as_stack(a, shape: tuple) -> np.ndarray:
     if type(a) is np.ndarray and a.dtype is _FLOAT64 and a.shape == shape:
         return a
     return np.asarray(a, dtype=float).reshape(shape)
+
+
+# The banded solves call two compiled routines, BLAS dtbsv and LAPACK dposv,
+# which live in scipy.linalg's extension modules _fblas and _flapack.
+# Importing them through the scipy.linalg package runs its __init__, which
+# (by way of scipy._lib._array_api) imports numpy.f2py, numpy.testing,
+# numpy.ma and more: about 0.2 s of every process's start-up on 2 vCPUs,
+# against 6-7 ms for the two extension modules alone.  So they are loaded
+# from the package's directory, which find_spec locates by importing only
+# the top-level scipy.  Each is registered in sys.modules under its own
+# name, so a later `import scipy.linalg` shares these objects, and one that
+# an earlier import already loaded is reused.
+_LINALG_PATH = importlib.util.find_spec(
+    "scipy.linalg").submodule_search_locations
+
+
+def _compiled(name: str):
+    """The extension module scipy.linalg.<name>, without its package."""
+    full = f"scipy.linalg.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.machinery.PathFinder.find_spec(full, _LINALG_PATH)
+        if spec is None:
+            raise ImportError(f"{full} not found in {_LINALG_PATH}",
+                              name=full)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+dtbsv = _compiled("_fblas").dtbsv
+dposv = _compiled("_flapack").dposv
 
 
 def band_blocks(band: np.ndarray, lower: bool, row: int, col: int,

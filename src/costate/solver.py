@@ -39,13 +39,12 @@ from enum import Enum
 from typing import List, Optional
 
 import numpy as np
-from scipy.linalg.blas import dtbsv
-from scipy.linalg.lapack import dposv
 
 from .adjoint import AdjointSolution, adjoint_along, forward_adjoint
 from .curvature import check_curvature, stage_curvature, symmetric_part
 from .problem import (NumericalBlowupError, ProblemDef, band_blocks,
-                      check_count, check_positive, check_state, roll_forward)
+                      check_count, check_positive, check_state, dposv, dtbsv,
+                      roll_forward)
 # Neither is called here; perfbench/tracing.py wraps both as
 # costate.solver.hessian_with and costate.solver.eval_cost.
 from .curvature import hessian_with  # noqa: F401

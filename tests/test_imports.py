@@ -1,8 +1,14 @@
 """Modules use each other only through public names."""
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -207,3 +213,88 @@ def test_linear_recursions_have_no_python_stage_loop():
                   if isinstance(node, (ast.For, ast.AsyncFor, ast.While,
                                        ast.comprehension))]
     assert not found, "Python loops in a banded recursion: " + ", ".join(found)
+
+
+def _run_fresh(code):
+    # code's stdout, run in a fresh interpreter that imports from src.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_costate_imports_without_the_scipy_linalg_package():
+    # problem.py loads dtbsv's and dposv's extension modules directly; the
+    # package's __init__ would add about 0.2 s to every start-up.
+    loaded = json.loads(_run_fresh(
+        "import json, sys\n"
+        "import costate, costate.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules "
+        "if m.startswith('scipy.linalg'))))\n"))
+    assert "scipy.linalg" not in loaded, loaded
+    assert {"scipy.linalg._fblas", "scipy.linalg._flapack"} <= set(loaded)
+
+
+_SHARED_ROUTINES = """
+import numpy as np
+{imports}
+assert costate.problem.dtbsv is scipy.linalg.blas.dtbsv
+assert costate.problem.dposv is scipy.linalg.lapack.dposv
+a = np.array([[4.0, 2.0, 0.0], [2.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+b = np.array([1.0, -2.0, 0.5])
+x = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a), b)
+assert np.allclose(a @ x, b)
+band = np.array([[0.0, 2.0, 1.0], [4.0, 3.0, 2.0], [2.0, 1.0, 0.0]])
+x = scipy.linalg.solve_banded((1, 1), band, b)
+assert np.allclose(a @ x, b)
+"""
+
+
+@pytest.mark.parametrize("imports", [
+    "import costate.problem\nimport scipy.linalg",
+    "import scipy.linalg\nimport costate.problem"],
+    ids=["costate_first", "scipy_linalg_first"])
+def test_one_copy_of_each_compiled_routine_in_either_import_order(imports):
+    # costate's routines are scipy.linalg's own objects, whichever package
+    # was imported first, and scipy.linalg still works after costate.
+    _run_fresh(_SHARED_ROUTINES.format(imports=imports))
+
+
+# The compiled routines and the modules that call them: (module, names).
+_ROUTINE_USERS = [("adjoint", {"dtbsv"}), ("solver", {"dtbsv", "dposv"})]
+
+
+def _scipy_references(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        else:
+            continue
+        yield from (f"{path.name}:{node.lineno} {name}" for name in names
+                    if name.split(".")[0] == "scipy")
+
+
+def test_problem_is_the_one_site_that_loads_compiled_routines():
+    # Only problem.py names scipy; adjoint and solver take the routines from
+    # it, so where they come from is decided in one place.
+    src = REPO / "src" / "costate"
+    found = [hit for path in sorted(src.glob("*.py"))
+             if path.name != "problem.py" for hit in _scipy_references(path)]
+    for module, names in _ROUTINE_USERS:
+        tree = ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))
+        taken = {alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 1
+                 and node.module == "problem" for alias in node.names}
+        found += [f"{module}.py does not take {name} from .problem"
+                  for name in sorted(names - taken)]
+    assert not found, "scipy outside problem.py: " + ", ".join(found)
