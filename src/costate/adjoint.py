@@ -75,10 +75,8 @@ def adjoint_along(p: ProblemDef, roll: Rollout) -> AdjointSolution:
     ks = np.arange(horizon + 1)
     cx, cu = p.d_stage_cost(xs, u, ks)
     cx = as_stack(cx, (horizon + 1, n))
-    fx = np.empty((horizon + 1, n, n))
-    fu = np.empty((horizon + 1, n, m))
-    fx[horizon] = 0.0
-    fu[horizon] = 0.0
+    fx = np.zeros((horizon + 1, n, n))
+    fu = np.zeros((horizon + 1, n, m))
     if horizon:
         jx, ju = p.d_dynamics(xs[:horizon], u[:horizon], ks[:horizon])
         fx[:horizon] = as_stack(jx, (horizon, n, n))
@@ -95,8 +93,8 @@ def adjoint_along(p: ProblemDef, roll: Rollout) -> AdjointSolution:
     lam[horizon] = 0.0
     lam = dtbsv(2 * n - 1, band.T, lam.reshape(-1), lower=1, trans=1,
                 diag=1, overwrite_x=1).reshape(horizon + 1, n)
-    g = as_stack(cu, (horizon + 1, m)) + (
-        fu.transpose(0, 2, 1) @ lam[:, :, None])[..., 0]
+    g = lam[:, None, :] @ fu
+    g += as_stack(cu, (horizon + 1, m))[:, None, :]
     return AdjointSolution(costates=lam, gradient=g.reshape(-1), fx=fx, fu=fu)
 
 

@@ -385,16 +385,19 @@ def roll_forward(p: ProblemDef, x0, z: np.ndarray) -> Rollout:
     costs = check_state(p.stage_cost(states[:last + 1], u[:last + 1],
                                      np.arange(last + 1)), last + 1,
                         "stage_cost")
-    if not np.isfinite(costs).all():
-        raise NumericalBlowupError(int(np.isfinite(costs).argmin()),
-                                   "stage cost")
-    if blown is not None:
-        raise NumericalBlowupError(blown, "dynamics")
     # A running sum in stage order, as the costs accrue; np.sum's pairwise
-    # order would change the last bits of the objective.
+    # order would change the last bits of the objective.  A non-finite
+    # stage cost makes the sum non-finite, so only then are the costs
+    # scanned; finite costs whose sum overflows give an infinite total.
     total = 0.0
     for c in costs.tolist():
         total += c
+    if not isfinite(total):
+        finite = np.isfinite(costs)
+        if not finite.all():
+            raise NumericalBlowupError(int(finite.argmin()), "stage cost")
+    if blown is not None:
+        raise NumericalBlowupError(blown, "dynamics")
     return Rollout(states, u, costs, total)
 
 

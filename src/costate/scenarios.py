@@ -231,8 +231,11 @@ def euler_rolled_reference(circle: CircleReference, delta: float,
 
     Unlike the analytic circle, this table satisfies the discrete dynamics
     exactly, so a plant started on it with the reference controls stays on
-    it to machine precision.
+    it to machine precision.  delta is finite and > 0, n_steps an integer
+    >= 0.
     """
+    check_positive(delta, "delta")
+    check_count(n_steps, 0, "n_steps")
     x0, u0 = circle_reference(circle, delta, 0)
     states = np.empty((n_steps + 1, 3))
     controls = np.tile(u0, (n_steps + 1, 1))
@@ -315,8 +318,10 @@ def build_unicycle_tracking(spec: UnicycleSpec, anchor_step: int,
     Stage k of the horizon tracks the reference at absolute step
     anchor_step + k.  Stages 0..N_p-1 charge the full quadratic tracking
     cost on state and control errors (heading error wrapped to (-pi, pi]);
-    the terminal stage charges the state error only, so the padded terminal
-    control has exactly zero cost and derivatives.
+    the terminal stage charges the state error only, so a finite padded
+    terminal control has exactly zero cost and derivatives.  Its R weights
+    are zero rather than masked out: a non-finite terminal control gives a
+    non-finite cost, which the rollout reports as a blow-up.
 
     anchor_step is an integer >= 0.  A waypoint-table reference must cover
     the whole horizon (anchor_step + N_p within the table); the analytic
@@ -333,13 +338,22 @@ def build_unicycle_tracking(spec: UnicycleSpec, anchor_step: int,
     rw = np.asarray(spec.R_weights, dtype=float)
     horizon = spec.N_p
     ref_x, ref_u = _reference_rows(spec, anchor_step, horizon + 1)
-    # Per-stage constant blocks, indexed by ks: take copies them, so a
-    # caller may change what an oracle returns.
-    eye_x = np.repeat(np.eye(3)[None], horizon + 1, axis=0)
-    hess_x = np.repeat(np.diag(2.0 * qw)[None], horizon + 1, axis=0)
-    hess_u = np.repeat(np.diag(2.0 * rw)[None], horizon + 1, axis=0)
-    hess_u[horizon] = 0.0
+    # Constant data, built once per problem.  The per-stage tables are
+    # indexed by ks, and take copies them, so a caller may change what an
+    # oracle returns; the oracles write only the entries that depend on the
+    # heading.  The R rows are zero on the padded terminal control.
+    q_col, q2 = qw[:, None], 2.0 * qw
+    r_cols = np.zeros((horizon + 1, 2, 1))
+    r_cols[:horizon, :, 0] = rw
+    r2_rows = 2.0 * r_cols[:, :, 0]
+    fx_rows = np.repeat(np.eye(3)[None], horizon + 1, axis=0)
+    fu_rows = np.zeros((horizon + 1, 3, 2))
+    fu_rows[:, 2, 1] = delta
+    hess_x = np.repeat(np.diag(q2)[None], horizon + 1, axis=0)
+    hess_u = r2_rows[:, :, None] * np.eye(2)
+    zero_xx = np.zeros((horizon + 1, 3, 3))
     zero_xu = np.zeros((horizon + 1, 3, 2))
+    zero_uu = np.zeros((horizon + 1, 2, 2))
 
     def _state_error(x, ks):
         e = x - ref_x.take(ks, axis=0)
@@ -350,27 +364,27 @@ def build_unicycle_tracking(spec: UnicycleSpec, anchor_step: int,
         return unicycle_step(x, u, delta)
 
     def stage_cost(x, u, ks):
+        # q . ex^2 + r . eu^2, each batched as in _dot.
         ex = _state_error(x, ks)
         eu = u - ref_u.take(ks, axis=0)
-        return _dot(qw, ex * ex) + np.where(ks < horizon, _dot(rw, eu * eu),
-                                            0.0)
+        return (((ex * ex)[:, None, :] @ q_col)[:, 0, 0]
+                + ((eu * eu)[:, None, :] @ r_cols.take(ks, axis=0))[:, 0, 0])
 
     def d_dynamics(x, u, ks):
         s, c = np.sin(x[:, 2]), np.cos(x[:, 2])
-        fx = eye_x.take(ks, axis=0)
-        fx[:, 0, 2] = -delta * u[:, 0] * s
-        fx[:, 1, 2] = delta * u[:, 0] * c
-        fu = np.zeros((len(ks), 3, 2))
+        step = delta * u[:, 0]
+        fx = fx_rows.take(ks, axis=0)
+        fx[:, 0, 2] = -step * s
+        fx[:, 1, 2] = step * c
+        fu = fu_rows.take(ks, axis=0)
         fu[:, 0, 0] = delta * c
         fu[:, 1, 0] = delta * s
-        fu[:, 2, 1] = delta
         return fx, fu
 
     def d_stage_cost(x, u, ks):
-        cx = 2.0 * qw * _state_error(x, ks)
-        eu = u - ref_u.take(ks, axis=0)
-        cu = np.where((ks < horizon)[:, None], 2.0 * rw * eu, 0.0)
-        return cx, cu
+        cu = r2_rows.take(ks, axis=0)
+        cu *= u - ref_u.take(ks, axis=0)
+        return q2 * _state_error(x, ks), cu
 
     def dd_stage_cost(x, u, ks):
         return (hess_x.take(ks, axis=0), zero_xu.take(ks, axis=0),
@@ -380,11 +394,11 @@ def build_unicycle_tracking(spec: UnicycleSpec, anchor_step: int,
         # Nonzero second partials of the kinematics: d2x/dheading2,
         # d2x/dspeed dheading, and the same pair for y.
         s, c = np.sin(x[:, 2]), np.cos(x[:, 2])
-        wxx = np.zeros((len(ks), 3, 3))
+        wxx = zero_xx.take(ks, axis=0)
         wxx[:, 2, 2] = -delta * u[:, 0] * (w[:, 0] * c + w[:, 1] * s)
-        wxu = np.zeros((len(ks), 3, 2))
+        wxu = zero_xu.take(ks, axis=0)
         wxu[:, 2, 0] = delta * (w[:, 1] * c - w[:, 0] * s)
-        return wxx, wxu, np.zeros((len(ks), 2, 2))
+        return wxx, wxu, zero_uu.take(ks, axis=0)
 
     return ProblemDef(
         dims=Dims(n=3, m=2, N=horizon),

@@ -215,6 +215,30 @@ def test_linear_recursions_have_no_python_stage_loop():
     assert not found, "Python loops in a banded recursion: " + ", ".join(found)
 
 
+# Calls that build constant arrays: the unicycle oracles take them by ks
+# from tables that build_unicycle_tracking fills once per problem.
+_CONSTANT_BUILDERS = {"np.zeros", "np.where", "np.repeat", "np.eye",
+                      "np.diag"}
+
+
+def test_unicycle_oracles_build_no_constants_per_call():
+    tree = ast.parse((REPO / "src" / "costate" / "scenarios.py")
+                     .read_text(encoding="utf-8"))
+    builder = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "build_unicycle_tracking")
+    closures = [node for node in builder.body
+                if isinstance(node, ast.FunctionDef)]
+    assert {"stage_cost", "d_stage_cost", "d_dynamics",
+            "dd_dynamics_contracted"} <= {f.name for f in closures}
+    found = [f"scenarios.py:{call.lineno} {func.name} calls "
+             f"{ast.unparse(call.func)}"
+             for func in closures for call in ast.walk(func)
+             if isinstance(call, ast.Call)
+             and ast.unparse(call.func) in _CONSTANT_BUILDERS]
+    assert not found, "constants built per call: " + ", ".join(found)
+
+
 def _run_fresh(code):
     # code's stdout, run in a fresh interpreter that imports from src.
     env = dict(os.environ)

@@ -503,6 +503,30 @@ class TestBlowupOrder:
             assert f"({what})" in str(err.value)
             assert handed and all(np.isfinite(x).all() for x in handed)
 
+    LQR3 = build_lqr(LqrSpec(N=3))
+
+    def test_stage_cost_before_a_later_dynamics_blowup(self):
+        # The stage costs are scanned only once their sum is not finite;
+        # the infinite cost at stage 1 still comes before the NaN state
+        # that the dynamics return at stage 2.
+        base = self.LQR3
+        prob = dataclasses.replace(
+            base,
+            stage_cost=lambda x, u, ks: np.where(ks == 1, np.inf,
+                                                 base.stage_cost(x, u, ks)),
+            dynamics=lambda x, u, k: (np.full(1, np.nan) if k == 2
+                                      else base.dynamics(x, u, k)))
+        with pytest.raises(NumericalBlowupError) as err:
+            roll_forward(prob, 1.0, np.full(4, 0.1))
+        assert (err.value.stage, err.value.what) == (1, "stage cost")
+
+    def test_finite_costs_whose_sum_overflows_give_an_infinite_total(self):
+        prob = dataclasses.replace(
+            self.LQR3, stage_cost=lambda x, u, ks: np.full(len(ks), 1e308))
+        roll = roll_forward(prob, 1.0, np.full(4, 0.1))
+        assert roll.total_cost == math.inf
+        assert np.array_equal(roll.stage_costs, np.full(4, 1e308))
+
 
 _RICCATI = dict(a=1.8, b=0.9, q=1.0, r=3.0, p_term=3.0, N=15, x0=1.0)
 _LQR = build_lqr(LqrSpec(N=2))

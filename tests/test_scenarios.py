@@ -1,16 +1,20 @@
 """Bundled scenario builders: LQR, unicycle tracking, circle references."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from costate import (CircleReference, DimensionMismatchError, LqrSpec,
-                     UnicycleSpec, WaypointTable, build_unicycle_tracking,
-                     circle_reference, eval_cost, euler_rolled_reference,
-                     fd_consistency, gradient, hessian, one_row,
-                     random_smooth_problem, reference_at, roll_forward,
-                     tracking_errors, unicycle_step, wrap_angle)
+                     NumericalBlowupError, UnicycleSpec, WaypointTable,
+                     build_unicycle_tracking, circle_reference, eval_cost,
+                     euler_rolled_reference, fd_consistency, gradient,
+                     hessian, one_row, random_smooth_problem, reference_at,
+                     roll_forward, tracking_errors, unicycle_step,
+                     wrap_angle)
 from costate.scenarios import tracking_sampler
 
 
@@ -94,6 +98,20 @@ class TestCircleReference:
         assert np.array_equal(xr, circle_reference(CircleReference(), 0.05,
                                                    2)[0])
 
+    @pytest.mark.parametrize("delta, n_steps, message", [
+        (0.05, -1, "^n_steps must be an integer >= 0, got -1$"),
+        (0.05, 2.5, "^n_steps must be an integer >= 0, got 2.5$"),
+        (-0.05, 3, r"^delta must be finite and > 0, got -0.05$"),
+    ])
+    def test_euler_rolled_reference_names_a_bad_input(self, delta, n_steps,
+                                                      message):
+        # n_steps=-1 used to raise an IndexError, 2.5 a bare TypeError, and
+        # a negative delta rolled a table that UnicycleSpec would refuse.
+        with pytest.raises(ValueError, match=message):
+            euler_rolled_reference(CircleReference(), delta, n_steps)
+        assert len(euler_rolled_reference(CircleReference(), 0.05,
+                                          np.int64(0))) == 1
+
 
 class TestUnicycleScenario:
     def test_spec_invariants(self):
@@ -162,6 +180,19 @@ class TestUnicycleScenario:
         assert np.array_equal(adj.gradient[horizon * m:], np.zeros(m))
         h = hessian(prob, x0, z)
         assert np.array_equal(h[horizon * m:, :], np.zeros((m, h.shape[0])))
+
+    def test_non_finite_terminal_control_is_a_blowup(self):
+        # The terminal R weights are zero, not masked out: the control
+        # error times zero is NaN, and the rollout names the stage.
+        spec = UnicycleSpec()
+        x0 = np.asarray(spec.X0)
+        prob = build_unicycle_tracking(spec, 0, x0)
+        z = np.zeros(prob.dims.z_len)
+        z[-1] = np.inf
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalBlowupError) as err:
+                roll_forward(prob, x0, z)
+        assert (err.value.stage, err.value.what) == (spec.N_p, "stage cost")
 
     def test_waypoint_table_must_cover_the_horizon(self):
         table = euler_rolled_reference(CircleReference(), 0.05, 12)
@@ -321,6 +352,91 @@ def test_trimmed_unicycle_oracles_keep_the_stacked_contract():
         for g in got:
             g[...] = np.nan
         assert [g.tobytes() for g in parts(oracle(*args))] == kept, name
+
+
+def _scalar_wrap(a):
+    # wrap_angle in Python floats: float % is numpy's floor remainder.
+    return math.pi - (math.pi - a) % (2.0 * math.pi)
+
+
+def _scalar_oracles(spec, anchor, k, x, u, w):
+    """Stage cost, its derivatives and the Euler kinematics' derivatives
+    (second ones contracted with w) at one row, from the formulas in
+    Python floats; stage k tracks the circle at absolute step anchor + k."""
+    circle, delta = spec.reference, spec.delta
+    q, r = spec.Q_weights, spec.R_weights
+    phase = circle.angular_rate * ((anchor + k) * delta)
+    xr = (circle.center[0] + circle.radius * math.cos(phase),
+          circle.center[1] + circle.radius * math.sin(phase),
+          _scalar_wrap(phase + 0.5 * math.pi))
+    ur = (circle.radius * circle.angular_rate, circle.angular_rate)
+    ex = [x[0] - xr[0], x[1] - xr[1], _scalar_wrap(x[2] - xr[2])]
+    eu = [u[0] - ur[0], u[1] - ur[1]]
+    run = 1.0 if k < spec.N_p else 0.0
+    s, c = math.sin(x[2]), math.cos(x[2])
+    return {
+        "stage_cost": [sum(q[i] * ex[i] ** 2 for i in range(3))
+                       + run * sum(r[j] * eu[j] ** 2 for j in range(2))],
+        "d_stage_cost": [[2.0 * q[i] * ex[i] for i in range(3)],
+                         [run * 2.0 * r[j] * eu[j] for j in range(2)]],
+        "dd_stage_cost": [np.diag([2.0 * qi for qi in q]), np.zeros((3, 2)),
+                          np.diag([run * 2.0 * rj for rj in r])],
+        "d_dynamics": [[[1.0, 0.0, -delta * u[0] * s],
+                        [0.0, 1.0, delta * u[0] * c],
+                        [0.0, 0.0, 1.0]],
+                       [[delta * c, 0.0], [delta * s, 0.0], [0.0, delta]]],
+        "dd_dynamics_contracted": [
+            [[0.0] * 3, [0.0] * 3,
+             [0.0, 0.0, -delta * u[0] * (w[0] * c + w[1] * s)]],
+            [[0.0] * 2, [0.0] * 2, [delta * (w[1] * c - w[0] * s), 0.0]],
+            np.zeros((2, 2))],
+    }
+
+
+_WEIGHT = st.floats(0.0, 300.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(anchor=st.integers(0, 100_000), horizon=st.integers(1, 12),
+       delta=st.floats(1e-3, 0.5), rate=st.floats(-2.0, 2.0),
+       radius=st.floats(0.1, 5.0), q=st.tuples(_WEIGHT, _WEIGHT, _WEIGHT),
+       r=st.tuples(st.floats(0.01, 10.0), st.floats(0.01, 10.0)),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_unicycle_oracles_match_scalar_formulas(anchor, horizon, delta, rate,
+                                                radius, q, r, seed, data):
+    # An independent referee for the five stacked oracles, on ks that
+    # repeat, run backwards and outnumber the stages.  The dynamics
+    # derivatives are asked for stages 0..N_p-1 only, as the contract says.
+    spec = UnicycleSpec(delta=delta, N=horizon, N_p=horizon, Q_weights=q,
+                        R_weights=r, reference=CircleReference(
+                            radius=radius, angular_rate=rate))
+    prob = build_unicycle_tracking(spec, anchor, np.asarray(spec.X0))
+    drawn = data.draw(st.lists(st.integers(0, horizon), min_size=1,
+                               max_size=2 * (horizon + 1)))
+    ks = np.array(drawn + drawn[::-1])
+    k_dyn = np.minimum(ks, horizon - 1)
+    rng = np.random.default_rng(seed)
+    x, u, w = (rng.uniform(-10.0, 10.0, size=(len(ks), size))
+               for size in (3, 2, 3))
+    x[:, 2] *= 3.0  # headings over several turns, across the seam
+    args = {"stage_cost": (x, u, ks), "d_stage_cost": (x, u, ks),
+            "dd_stage_cost": (x, u, ks), "d_dynamics": (x, u, k_dyn),
+            "dd_dynamics_contracted": (w, x, u, k_dyn)}
+    for name, call in args.items():
+        out = getattr(prob, name)(*call)
+        got = out if isinstance(out, tuple) else (out,)
+        refs = [_scalar_oracles(spec, anchor, int(k), xi, ui, wi)[name]
+                for k, xi, ui, wi in zip(call[-1], x, u, w)]
+        for part, ref in zip(got, zip(*refs)):
+            ref = np.array(ref, dtype=float).reshape(part.shape)
+            scale = max(1.0, float(np.abs(ref).max()))
+            assert np.abs(part - ref).max() <= 1e-13 * scale, name
+    # The padded terminal control carries exactly zero cost and derivatives.
+    last = ks == horizon
+    cost = prob.stage_cost(x, u, ks)
+    assert np.array_equal(prob.stage_cost(x, u + 1.0, ks)[last], cost[last])
+    assert not prob.d_stage_cost(x, u, ks)[1][last].any()
+    assert not prob.dd_stage_cost(x, u, ks)[2][last].any()
 
 
 def test_table_problem_keeps_its_reference():
