@@ -13,8 +13,8 @@ Three commands:
                                        random problems plus the bundled
                                        scenarios
 
-Exit codes: 0 pass, 1 quantitative failure (a numerical blow-up of a run
-included), 2 usage or config error.
+Exit codes: 0 pass, 1 quantitative failure (a numerical blow-up or a
+solver failure of a run included), 2 usage or config error.
 Configs are JSON with sections {scenario, solver, mpc, baseline, output},
 each read into a dataclass whose defaults fill missing fields and whose
 checks reject bad values.  CSV and JSON outputs are deterministic for a
@@ -45,7 +45,8 @@ from .scenarios import (CircleReference, LqrSpec, UnicycleSpec, WaypointTable,
                         build_lqr, build_unicycle_plant,
                         build_unicycle_tracking, random_smooth_problem,
                         reference_at, tracking_errors, tracking_sampler)
-from .solver import SolverConfig, Termination, minimize, minimize_gd
+from .solver import (LinearSolveError, SolverConfig, Termination, minimize,
+                     minimize_gd)
 
 SCHEMA_VERSION = 1
 
@@ -508,7 +509,7 @@ def _parse_sizes(text: str) -> List[Tuple[int, int, int]]:
 def cmd_check(seed: int, sizes_text: Optional[str],
               out_dir: Optional[str]) -> int:
     try:
-        check_count(seed, 0, "seed")
+        check_count(seed, 0, "seed", bounded=False)  # default_rng's range
     except ValueError as exc:
         raise ConfigError("seed", str(exc)) from exc
     sizes = _parse_sizes(sizes_text) if sizes_text else None
@@ -585,8 +586,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except NumericalBlowupError as exc:
-        # A finite config whose rollout overflows is a failed run.
+    except (NumericalBlowupError, LinearSolveError) as exc:
+        # A finite config whose rollout overflows, or whose solve finds no
+        # acceptable step, is a failed run.
         print(f"{args.command}: FAIL ({exc})", file=sys.stderr)
         if args.out is not None:
             _write_json(Path(args.out) / "report.json", {

@@ -193,22 +193,6 @@ class UnicycleSpec:
             check_positive(w, f"R_weights[{i}]")
 
 
-def _circle_rows(circle: CircleReference, delta: float,
-                 steps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    # Reference states (K, 3) and controls (K, 2) at the integer steps: the
-    # one formula behind circle_reference and the tracking builder.
-    cx, cy = circle.center
-    w = circle.angular_rate
-    phase = w * (steps * delta)
-    xr = np.empty((len(steps), 3))
-    xr[:, 0] = cx + circle.radius * np.cos(phase)
-    xr[:, 1] = cy + circle.radius * np.sin(phase)
-    xr[:, 2] = wrap_angle(phase + 0.5 * np.pi)
-    ur = np.empty((len(steps), 2))
-    ur[:] = (circle.radius * w, w)
-    return xr, ur
-
-
 def circle_reference(circle: CircleReference, delta: float,
                      step: int) -> Tuple[np.ndarray, np.ndarray]:
     """Reference state and control at a given absolute step.
@@ -216,12 +200,11 @@ def circle_reference(circle: CircleReference, delta: float,
     At time t = step * delta the reference pose is the circle point with the
     heading tangent to it (quarter turn ahead of the radius angle, wrapped
     to (-pi, pi]); the reference controls are the constant speed
-    radius * angular_rate and the angular rate itself.  step is an integer
-    >= 0.
+    radius * angular_rate and the angular rate itself.  This is reference_at
+    of the circle scenario with that delta, so delta and step take its
+    checks: delta finite and > 0, step an integer >= 0.
     """
-    check_count(step, 0, "step")
-    xr, ur = _circle_rows(circle, delta, np.array([step]))
-    return xr[0], ur[0]
+    return reference_at(UnicycleSpec(delta=delta, reference=circle), step)
 
 
 def euler_rolled_reference(circle: CircleReference, delta: float,
@@ -231,12 +214,11 @@ def euler_rolled_reference(circle: CircleReference, delta: float,
 
     Unlike the analytic circle, this table satisfies the discrete dynamics
     exactly, so a plant started on it with the reference controls stays on
-    it to machine precision.  delta is finite and > 0, n_steps an integer
-    >= 0.
+    it to machine precision.  delta is checked as circle_reference checks
+    it, n_steps is an integer >= 0.
     """
-    check_positive(delta, "delta")
-    check_count(n_steps, 0, "n_steps")
     x0, u0 = circle_reference(circle, delta, 0)
+    check_count(n_steps, 0, "n_steps")
     states = np.empty((n_steps + 1, 3))
     controls = np.tile(u0, (n_steps + 1, 1))
     states[0] = x0
@@ -273,9 +255,9 @@ def unicycle_step(x: np.ndarray, u: np.ndarray, delta: float) -> np.ndarray:
 def _reference_rows(spec: UnicycleSpec, first: int,
                     count: int) -> Tuple[np.ndarray, np.ndarray]:
     # Reference states and controls at steps first .. first + count - 1
-    # (first >= 0): a copied slice of the waypoint table, which must reach
-    # the last step, so a problem keeps its reference if the table's arrays
-    # change, or one stacked evaluation of the circle.
+    # (first >= 0), the one evaluation of a reference: a copied slice of the
+    # waypoint table, which must reach the last step, so a problem keeps its
+    # reference if the table's arrays change, or the circle over the steps.
     ref = spec.reference
     if isinstance(ref, WaypointTable):
         if first + count > len(ref):
@@ -283,7 +265,14 @@ def _reference_rows(spec: UnicycleSpec, first: int,
                              f"reference at step {first + count - 1}")
         return (ref.states[first:first + count].copy(),
                 ref.controls[first:first + count].copy())
-    return _circle_rows(ref, spec.delta, np.arange(first, first + count))
+    cx, cy = ref.center
+    w = ref.angular_rate
+    phase = w * (np.arange(first, first + count) * spec.delta)
+    xr = np.empty((count, 3))
+    xr[:, 0] = cx + ref.radius * np.cos(phase)
+    xr[:, 1] = cy + ref.radius * np.sin(phase)
+    xr[:, 2] = wrap_angle(phase + 0.5 * np.pi)
+    return xr, np.full((count, 2), (ref.radius * w, w), dtype=float)
 
 
 def reference_at(spec: UnicycleSpec, step: int) -> Tuple[np.ndarray, np.ndarray]:

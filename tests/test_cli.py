@@ -1,15 +1,21 @@
 """Command-line interface: exit codes, file outputs, validation suites."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from costate import (CircleReference, LqrSpec, ProblemDef, build_lqr,
                      euler_rolled_reference, random_smooth_problem)
@@ -196,6 +202,10 @@ class TestCheck:
         assert rc == 2
         assert "sizes" in capsys.readouterr().err
 
+    def test_seed_beyond_numpy_index_range_runs(self, capsys):
+        # A seed is no size: default_rng takes any integer >= 0.
+        assert main(["check", "--seed", str(2**70), "--sizes", "1,1,0"]) == 0
+
     def test_negative_seed_exits_2(self, capsys):
         rc = main(["check", "--seed", "-1"])
         assert rc == 2
@@ -314,6 +324,10 @@ def test_bad_config_exits_2_and_names_the_field(tmp_path, capsys, command,
     ("run-lqr", {"scenario": {"N": -1}}, "scenario.N"),
     ("run-mpc", {"scenario": {"N_p": 0}}, "scenario.N_p"),
     ("run-mpc", {"baseline": {"max_iters": 0}}, "baseline.max_iters"),
+    # Beyond numpy's index range: these used to escape main, from a numpy
+    # allocation and from cos on an object array.
+    ("run-lqr", {"scenario": {"N": 2**70}}, "scenario.N"),
+    ("run-mpc", {"scenario": {"N": 2**70}}, "scenario.N"),
 ])
 def test_count_range_error_names_the_field(tmp_path, capsys, command,
                                            payload, field):
@@ -381,3 +395,112 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["run-lqr"])  # missing --config
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("leaf, value", [("a", 1e6), ("b", 1e308)])
+def test_solver_failure_fails_with_one_line(tmp_path, capsys, leaf, value):
+    # Finite configs whose solve finds no acceptable step below the
+    # regularizer cap: a failed run, where the LinearSolveError used to
+    # escape main.
+    config = json.loads((REPO / "configs" / "lqr.json").read_text())
+    config["scenario"][leaf] = value
+    cfg = _write_config(tmp_path, config)
+    rc = main(["run-lqr", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    failure = re.fullmatch(r"run-lqr: FAIL \((.*)\)\n", err).group(1)
+    assert failure.startswith("no acceptable step at outer iteration 0 ")
+    report = _read_strict_json(tmp_path / "report.json")
+    assert {key: report.get(key) for key in ("command", "passed", "failure")
+            } == {"command": "run-lqr", "passed": False, "failure": failure}
+
+
+# Values for a fuzzed config leaf: extremes, wrong types and plain
+# settings.  No freely drawn integer: a valid count such as 2**40 would
+# have numpy allocate terabytes, or a solve run for hours.
+_FUZZ_VALUES = [0, -1, 1e308, 1e-320, 2**70, -2**70, "x", None, True, False,
+                [0.5, 0.5, 0.5], {}, 0.5, 3, 1e6, float("nan")]
+
+
+def _leaf_paths(node, path=()):
+    # Paths to the scalar leaves of a JSON tree, list entries included.
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _leaf_paths(child, path + (key,))
+    else:
+        yield path
+
+
+def _bundled_config(name, **scenario):
+    config = json.loads((REPO / "configs" / name).read_text())
+    config["scenario"].update(scenario)
+    return config
+
+
+_FUZZED_CONFIGS = {"run-lqr": _bundled_config("lqr.json"),
+                   "run-mpc": _bundled_config("agv_circle.json", N=70)}
+
+
+def _fuzzed_config(command):
+    paths = list(_leaf_paths(_FUZZED_CONFIGS[command]))
+    edits = st.lists(st.tuples(st.sampled_from(paths),
+                               st.sampled_from(_FUZZ_VALUES)),
+                     min_size=1, max_size=3)
+    return st.tuples(st.just(command), edits)
+
+
+def _exits_cleanly(argv, report_name, field_pattern):
+    # main in process: no exception escapes, exit 2 names its field on
+    # stderr, and exit 0 or 1 leaves a report that passed or failed.
+    with tempfile.TemporaryDirectory() as out:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            rc = main([*argv, "--out", out])
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert re.search(field_pattern, err.getvalue()), err.getvalue()
+        else:
+            report = _read_strict_json(Path(out) / report_name)
+            assert report["passed"] is (rc == 0)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(case=_fuzzed_config("run-lqr") | _fuzzed_config("run-mpc"))
+@example(case=("run-lqr", [(("scenario", "a"), 1e6)]))
+@example(case=("run-lqr", [(("scenario", "b"), 1e308)]))
+@example(case=("run-lqr", [(("scenario", "N"), 2**70)]))
+@example(case=("run-mpc", [(("scenario", "N"), 2**70)]))
+def test_a_fuzzed_config_exits_0_1_or_2(case):
+    command, edits = case
+    config = json.loads(json.dumps(_FUZZED_CONFIGS[command]))
+    for path, value in edits:
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _write_config(Path(tmp), config)
+        _exits_cleanly([command, "--config", cfg], "report.json",
+                       r"'[a-z_]+(\.\w+)+'")
+
+
+_INTEGERS = [v for v in _FUZZ_VALUES if type(v) is int]
+
+
+# A size entry: small enough to run in milliseconds, or a fuzzed value.
+_SIZE_ENTRIES = st.sampled_from([1, 2, 3]) | st.sampled_from(_FUZZ_VALUES)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(seed=st.sampled_from(_INTEGERS),
+       sizes=st.lists(st.lists(_SIZE_ENTRIES, min_size=2, max_size=4),
+                      min_size=1, max_size=2))
+@example(seed=2**70, sizes=[[2**70, 1, 1]])
+def test_fuzzed_check_arguments_exit_0_1_or_2(seed, sizes):
+    # "--opt=value" keeps a value that starts with "-" from reading as an
+    # option.
+    text = ";".join(",".join(map(str, triple)) for triple in sizes)
+    _exits_cleanly(["check", f"--seed={seed}", f"--sizes={text}"],
+                   "check_report.json", "'(seed|sizes)'")

@@ -239,6 +239,33 @@ def test_unicycle_oracles_build_no_constants_per_call():
     assert not found, "constants built per call: " + ", ".join(found)
 
 
+def _delta_checks(node, scope=()):
+    # The enclosing class and function names of each check_positive call
+    # whose arguments include the string "delta".
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef)):
+            yield from _delta_checks(child, scope + (child.name,))
+            continue
+        if (isinstance(child, ast.Call)
+                and ast.unparse(child.func).endswith("check_positive")
+                and any(isinstance(arg, ast.Constant) and arg.value == "delta"
+                        for arg in [*child.args,
+                                    *(kw.value for kw in child.keywords)])):
+            yield ".".join(scope)
+        yield from _delta_checks(child, scope)
+
+
+def test_delta_is_checked_in_one_place():
+    # UnicycleSpec states the rule for the Euler step; circle_reference and
+    # euler_rolled_reference reach it through reference_at.
+    found = [f"{path.name}:{scope}"
+             for path in sorted((REPO / "src" / "costate").glob("*.py"))
+             for scope in _delta_checks(ast.parse(
+                 path.read_text(encoding="utf-8")))]
+    assert found == ["scenarios.py:UnicycleSpec.__post_init__"], found
+
+
 def _run_fresh(code):
     # code's stdout, run in a fresh interpreter that imports from src.
     env = dict(os.environ)

@@ -12,13 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from costate import (CircleReference, DimensionMismatchError, Dims,
-                     LinearSolveError, LqrSpec, NumericalBlowupError,
-                     ProblemDef, SolverConfig, UnicycleSpec, build_lqr,
-                     build_unicycle_tracking, eval_cost, fd_gradient,
-                     flat_index, forward_adjoint, gradient, make_fd_problem,
-                     max_rel_error, minimize, one_row, random_smooth_problem,
-                     riccati_lqr, roll_forward, stage_controls,
-                     stage_curvature)
+                     LinearSolveError, LqrSpec, MpcConfig,
+                     NumericalBlowupError, ProblemDef, SolverConfig,
+                     UnicycleSpec, build_lqr, build_unicycle_tracking,
+                     eval_cost, fd_gradient, flat_index, forward_adjoint,
+                     gradient, make_fd_problem, max_rel_error, minimize,
+                     one_row, random_smooth_problem, riccati_lqr,
+                     roll_forward, stage_controls, stage_curvature)
 from costate.cli import GdBaseline, LqrOutput, MpcOutput
 from costate.problem import check_positive
 
@@ -579,6 +579,26 @@ def test_range_errors_name_their_field(build, message):
     # not a value that surfaces later as a blow-up or a numpy TypeError.
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         build()
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda v: Dims(n=v, m=1, N=1), "n"),
+    (lambda v: Dims(n=1, m=1, N=v), "N"),
+    (lambda v: LqrSpec(N=v), "N"),
+    (lambda v: UnicycleSpec(N_p=v), "N_p"),
+    (lambda v: MpcConfig(horizon=v, total_steps=1), "horizon"),
+], ids=["Dims.n", "Dims.N", "LqrSpec.N", "UnicycleSpec.N_p",
+        "MpcConfig.horizon"])
+def test_counts_end_at_numpy_index_range(build, field):
+    # A size or step numpy cannot index used to pass, then fail in numpy
+    # with a bare ValueError or TypeError.  Below the bound the message is
+    # the integer rule's, as before.
+    top = int(np.iinfo(np.intp).max)
+    with pytest.raises(ValueError, match=f"^{field} must be at most {top}, "
+                       f"numpy's index range, got {2**70}$"):
+        build(2**70)
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+        build(-2**70)
 
 
 def _numeric_entries():

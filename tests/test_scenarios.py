@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -111,6 +112,23 @@ class TestCircleReference:
             euler_rolled_reference(CircleReference(), delta, n_steps)
         assert len(euler_rolled_reference(CircleReference(), 0.05,
                                           np.int64(0))) == 1
+
+    @pytest.mark.parametrize("delta", [-0.05, 0.0, math.nan, "0.05", True])
+    def test_circle_reference_names_a_bad_delta(self, delta):
+        # circle_reference is reference_at of a circle scenario, so delta
+        # takes UnicycleSpec's rule.  It used to return the pose before the
+        # start for -0.05 and raise numpy's TypeError for "0.05".
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"delta must be finite and > 0, got {delta!r}") + "$"):
+            circle_reference(CircleReference(), delta, 3)
+
+    def test_step_beyond_numpy_index_range_is_named(self):
+        # A huge step used to reach the circle formula as an object array,
+        # where cos raised a TypeError; the range's last step still works.
+        with pytest.raises(ValueError, match="^step must be at most"):
+            reference_at(UnicycleSpec(), 2**70)
+        xr, _ = reference_at(UnicycleSpec(), np.iinfo(np.intp).max)
+        assert np.isfinite(xr).all()
 
 
 class TestUnicycleScenario:
