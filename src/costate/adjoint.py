@@ -15,8 +15,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .problem import (ProblemDef, Rollout, as_stack, band_blocks, check_state,
-                      dtbsv, one_row, roll_forward)
+from .problem import (NumericalBlowupError, ProblemDef, Rollout, as_stack,
+                      band_blocks, check_state, dtbsv, one_row, roll_forward)
 
 
 @dataclass(frozen=True)
@@ -68,19 +68,25 @@ def adjoint_along(p: ProblemDef, roll: Rollout) -> AdjointSolution:
     N+1-stage model.  The costate recursion is one dtbsv call over a band
     of the negated f_x[k], so its sums run in BLAS's order and agree with a
     stage-by-stage loop to roundoff.
+
+    Raises NumericalBlowupError(k, "first-order stage data") when an entry
+    of c_x, c_u, f_x or f_u that the gradient reads is not finite, k being
+    the first stage with a non-finite entry, and as_stack's
+    DimensionMismatchError for an oracle output of another shape.
     """
     dims = p.dims
     n, m, horizon = dims.n, dims.m, dims.N
     xs, u = roll.states, roll.controls
     ks = np.arange(horizon + 1)
     cx, cu = p.d_stage_cost(xs, u, ks)
-    cx = as_stack(cx, (horizon + 1, n))
+    cx = as_stack(cx, (horizon + 1, n), "d_stage_cost c_x")
+    cu = as_stack(cu, (horizon + 1, m), "d_stage_cost c_u")
     fx = np.zeros((horizon + 1, n, n))
     fu = np.zeros((horizon + 1, n, m))
     if horizon:
         jx, ju = p.d_dynamics(xs[:horizon], u[:horizon], ks[:horizon])
-        fx[:horizon] = as_stack(jx, (horizon, n, n))
-        fu[:horizon] = as_stack(ju, (horizon, n, m))
+        fx[:horizon] = as_stack(jx, (horizon, n, n), "d_dynamics f_x")
+        fu[:horizon] = as_stack(ju, (horizon, n, m), "d_dynamics f_u")
     # lam[0..N-1] solves A' lam = [c_x[1]; ..; c_x[N]] with A unit lower
     # block-bidiagonal, -f_x[k] at block (k, k-1) for k = 1..N-1 (f_x[N]
     # meets lam[N] = 0): one dtbsv back-substitution in place over lam,
@@ -94,8 +100,20 @@ def adjoint_along(p: ProblemDef, roll: Rollout) -> AdjointSolution:
     lam = dtbsv(2 * n - 1, band.T, lam.reshape(-1), lower=1, trans=1,
                 diag=1, overwrite_x=1).reshape(horizon + 1, n)
     g = lam[:, None, :] @ fu
-    g += as_stack(cu, (horizon + 1, m))[:, None, :]
-    return AdjointSolution(costates=lam, gradient=g.reshape(-1), fx=fx, fu=fu)
+    g += cu[:, None, :]
+    g = g.reshape(-1)
+    # Every input the gradient reads (all but c_x[0] and f_x[0]) carries a
+    # non-finite value into it, so the inputs are scanned only when its
+    # squared norm is not finite; a gradient that overflows from finite
+    # inputs is returned as it is.
+    if not np.isfinite(g.dot(g)):
+        finite = (np.isfinite(cx).all(axis=1) & np.isfinite(cu).all(axis=1)
+                  & np.isfinite(fx).all(axis=(1, 2))
+                  & np.isfinite(fu).all(axis=(1, 2)))
+        if not finite.all():
+            raise NumericalBlowupError(int(finite.argmin()),
+                                       "first-order stage data")
+    return AdjointSolution(costates=lam, gradient=g, fx=fx, fu=fu)
 
 
 def forward_adjoint(p: ProblemDef, x0, z: np.ndarray) -> Tuple[Rollout, AdjointSolution]:

@@ -40,7 +40,8 @@ from .mpc import MpcConfig, run_mpc
 from .oracles import (fd_consistency, fd_gradient, fd_hessian, max_rel_error,
                       riccati_lqr)
 from .problem import (FD_STEP, Dims, NumericalBlowupError, central_difference,
-                      check_count, check_positive, roll_forward)
+                      check_byte_range, check_count, check_positive,
+                      roll_forward)
 from .scenarios import (CircleReference, LqrSpec, UnicycleSpec, WaypointTable,
                         build_lqr, build_unicycle_plant,
                         build_unicycle_tracking, random_smooth_problem,
@@ -208,6 +209,7 @@ def _write_json(path: Path, obj: dict) -> None:
 def cmd_run_lqr(config_path: str, out_dir: str) -> int:
     cfg = _load_json(config_path, ("scenario", "solver", "output"))
     spec = _build(LqrSpec, cfg.get("scenario", {}), "scenario")
+    check_byte_range(spec.N + 1, "scenario.N")
     solver_cfg = _build(SolverConfig, cfg.get("solver", {}), "solver")
     tol = _build(LqrOutput, cfg.get("output", {}), "output").tolerance
 
@@ -259,6 +261,7 @@ def cmd_run_mpc(config_path: str, out_dir: str, baseline: Optional[str]) -> int:
     cfg = _load_json(config_path,
                      ("scenario", "solver", "mpc", "baseline", "output"))
     spec = _build(UnicycleSpec, cfg.get("scenario", {}), "scenario")
+    check_byte_range(spec.N + 1, "scenario.N")
     if spec.N_p > spec.N:
         raise ConfigError("scenario.N_p", f"prediction horizon {spec.N_p} "
                           f"exceeds total steps N={spec.N}")
@@ -586,9 +589,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (NumericalBlowupError, LinearSolveError) as exc:
-        # A finite config whose rollout overflows, or whose solve finds no
-        # acceptable step, is a failed run.
+    except (NumericalBlowupError, LinearSolveError, MemoryError) as exc:
+        # A finite config whose rollout overflows, whose solve finds no
+        # acceptable step, or whose arrays cannot be allocated is a failed
+        # run.
         print(f"{args.command}: FAIL ({exc})", file=sys.stderr)
         if args.out is not None:
             _write_json(Path(args.out) / "report.json", {

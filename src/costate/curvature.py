@@ -64,17 +64,20 @@ def stage_curvature(p: ProblemDef, roll: Rollout,
     c = np.empty((horizon + 1, n + m, n + m))
     xx, xu, uu = c[:, :n, :n], c[:, :n, n:], c[:, n:, n:]
     cxx, cxu, cuu = p.dd_stage_cost(roll.states, roll.controls, ks)
-    xx[...] = as_stack(cxx, (horizon + 1, n, n))
-    xu[...] = as_stack(cxu, (horizon + 1, n, m))
-    uu[...] = as_stack(cuu, (horizon + 1, m, m))
+    xx[...] = as_stack(cxx, (horizon + 1, n, n), "dd_stage_cost c_xx")
+    xu[...] = as_stack(cxu, (horizon + 1, n, m), "dd_stage_cost c_xu")
+    uu[...] = as_stack(cuu, (horizon + 1, m, m), "dd_stage_cost c_uu")
     if horizon:
         wxx, wxu, wuu = p.dd_dynamics_contracted(
             adj.costates[:horizon], roll.states[:horizon],
             roll.controls[:horizon], ks[:horizon])
         run_xx, run_xu, run_uu = xx[:horizon], xu[:horizon], uu[:horizon]
-        run_xx += as_stack(wxx, (horizon, n, n))
-        run_xu += as_stack(wxu, (horizon, n, m))
-        run_uu += as_stack(wuu, (horizon, m, m))
+        run_xx += as_stack(wxx, (horizon, n, n),
+                           "dd_dynamics_contracted w.f_xx")
+        run_xu += as_stack(wxu, (horizon, n, m),
+                           "dd_dynamics_contracted w.f_xu")
+        run_uu += as_stack(wuu, (horizon, m, m),
+                           "dd_dynamics_contracted w.f_uu")
     c[:, n:, :n] = xu.transpose(0, 2, 1)
     if not np.isfinite(c).all():
         bad = ~np.isfinite(c).all(axis=(1, 2))
@@ -116,10 +119,10 @@ def hessian_product(adj: AdjointSolution, c: np.ndarray,
         dx[k+1] = f_x[k] dx[k] + f_u[k] v_k;
 
     backward, a second-order costate mu from mu_N = 0, read off into the
-    product stage by stage,
+    product stage by stage in one block statement, with F_k = [f_x | f_u]
+    as in solver.StagewiseFactor,
 
-        hv_k     = C_ux[k] dx[k] + f_u[k]' mu_k + C_uu[k] v_k,
-        mu_{k-1} = C_xx[k] dx[k] + f_x[k]' mu_k + C_xu[k] v_k.
+        [mu_{k-1}; hv_k] = C[k][:, :n] dx[k] + C[k][:, n:] v_k + F_k' mu_k.
 
     Both passes treat every stage alike: adj has Jacobians for all N+1
     stages, and mu_N = 0 removes the dynamics terms at stage N.  No oracle is
@@ -141,12 +144,12 @@ def hessian_product(adj: AdjointSolution, c: np.ndarray,
     dx = np.zeros((horizon + 1, n, width))
     for k in range(horizon):
         dx[k + 1] = fx[k] @ dx[k] + fu[k] @ vs[k]
+    f_t = np.concatenate((fx, fu), axis=2).transpose(0, 2, 1)
     hv = np.empty((horizon + 1, m, width))
     mu = np.zeros((n, width))
     for k in range(horizon, -1, -1):
-        ck = c[k]
-        hv[k] = ck[n:, :n] @ dx[k] + fu[k].T @ mu + ck[n:, n:] @ vs[k]
-        mu = ck[:n, :n] @ dx[k] + fx[k].T @ mu + ck[:n, n:] @ vs[k]
+        row = c[k, :, :n] @ dx[k] + c[k, :, n:] @ vs[k] + f_t[k] @ mu
+        mu, hv[k] = row[:n], row[n:]
     return hv.reshape(-1, width), dx
 
 
@@ -181,8 +184,7 @@ def hessian_with(p: ProblemDef, roll: Rollout,
 
     The product of hessian_product with the identity, checked against the
     symmetry tolerance (defect <= 1e-8 * (1 + max|H|)) and returned as the
-    symmetrized matrix (H + H^T)/2, which suppresses roundoff drift in
-    downstream linear solves.
+    symmetrized matrix (H + H^T)/2.
     """
     c = stage_curvature(p, roll, adj)
     return symmetric_part(hessian_product(adj, c, np.eye(p.dims.z_len))[0])

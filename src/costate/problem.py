@@ -209,17 +209,24 @@ def one_row(oracle: Callable) -> Callable:
 _FLOAT64 = np.dtype(np.float64)
 
 
-def as_stack(a, shape: tuple) -> np.ndarray:
+def as_stack(a, shape: tuple, what: str) -> np.ndarray:
     """A stacked oracle's output as a float64 array of the given shape.
 
     A float64 ndarray of that shape is returned as it is, without the
     dispatching calls of a conversion; anything else becomes
-    np.asarray(a, dtype=float).reshape(shape), which raises ValueError on a
-    wrong size.
+    np.asarray(a, dtype=float).reshape(shape), so a list of rows or a (K,)
+    c_u for m = 1 passes.  Its leading axis must be the K rows of shape and
+    its size that of shape, else a DimensionMismatchError names what, e.g.
+    "d_stage_cost c_x".  A transposed output is caught unless it is square:
+    with n = K, only fd_consistency's row check tells it from the rows.
     """
     if type(a) is np.ndarray and a.dtype is _FLOAT64 and a.shape == shape:
         return a
-    return np.asarray(a, dtype=float).reshape(shape)
+    a = np.asarray(a, dtype=float)
+    if a.shape[:1] != shape[:1] or a.size != math.prod(shape):
+        raise DimensionMismatchError(
+            f"{what} has shape {a.shape}, expected {shape}")
+    return a.reshape(shape)
 
 
 # The banded solves call two compiled routines, BLAS dtbsv and LAPACK dposv,
@@ -324,6 +331,16 @@ def check_count(value, low: int, what: str, bounded: bool = True) -> None:
     if bounded and value > _MAX_COUNT:
         raise ValueError(f"{what} must be at most {_MAX_COUNT}, numpy's "
                          f"index range, got {value!r}")
+
+
+def check_byte_range(count: int, what: str) -> None:
+    """Refuse count float64 rows past numpy's byte range with the
+    MemoryError that numpy raises for an allocation the machine cannot
+    hold; numpy refuses such an array with a bare ValueError ("array is too
+    big"), which a caller cannot tell from a bug."""
+    if 8 * count > _MAX_COUNT:
+        raise MemoryError(f"{what}: {count} float64 rows exceed numpy's "
+                          f"byte range")
 
 
 def _finite_real(value) -> bool:

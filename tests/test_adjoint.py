@@ -8,11 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import zero_cost_problem
-from costate import (DimensionMismatchError, Dims, LqrSpec, ProblemDef,
+from costate import (DimensionMismatchError, Dims, LqrSpec,
+                     NumericalBlowupError, ProblemDef, SolverConfig,
                      UnicycleSpec, adjoint_along, build_lqr,
                      build_unicycle_tracking, fd_gradient, forward_adjoint,
-                     gradient, hamiltonian, max_rel_error, one_row,
-                     random_smooth_problem, roll_forward)
+                     gradient, hamiltonian, max_rel_error, minimize,
+                     minimize_gd, one_row, random_smooth_problem,
+                     roll_forward)
 
 
 class TestHamiltonian:
@@ -186,3 +188,47 @@ class TestGradient:
         assert adj.fx.shape == (N + 1, n, n)
         assert adj.fu.shape == (N + 1, n, m)
         assert not adj.fx[N].any() and not adj.fu[N].any()
+
+
+def _poisoned(base, cx_at=None, cu_at=None, fx_at=None):
+    # base with a NaN in the first entry of c_x, c_u or f_x at one stage.
+    def d_stage_cost(x, u, ks):
+        cx, cu = (part.copy() for part in base.d_stage_cost(x, u, ks))
+        cx[ks == cx_at, 0] = np.nan
+        cu[ks == cu_at, 0] = np.nan
+        return cx, cu
+
+    def d_dynamics(x, u, ks):
+        fx, fu = base.d_dynamics(x, u, ks)
+        fx = fx.copy()
+        fx[ks == fx_at, 0, 0] = np.nan
+        return fx, fu
+
+    return dataclasses.replace(base, d_stage_cost=d_stage_cost,
+                               d_dynamics=d_dynamics)
+
+
+class TestNonFiniteFirstOrderData:
+    BASE, X0, Z = random_smooth_problem(3, 3, 2, 6)
+
+    @pytest.mark.parametrize("solve", [
+        lambda p, x0, z: minimize(p, x0, z, SolverConfig()),
+        lambda p, x0, z: minimize_gd(p, x0, z, 0.01),
+    ], ids=["minimize", "minimize_gd"])
+    def test_nan_in_c_u_is_a_named_blowup_in_both_solvers(self, solve):
+        # minimize used to escalate to LinearSolveError on an infinite trial
+        # cost, and minimize_gd to blame the stage cost of its next iterate.
+        prob = _poisoned(self.BASE, cu_at=4)
+        with pytest.raises(NumericalBlowupError) as err:
+            solve(prob, self.X0, self.Z)
+        assert (err.value.stage, err.value.what) == (
+            4, "first-order stage data")
+
+    @pytest.mark.parametrize("fx_at, cx_at", [(2, 3), (3, 2)])
+    def test_first_stage_with_a_non_finite_input_is_named(self, fx_at,
+                                                          cx_at):
+        prob = _poisoned(self.BASE, cx_at=cx_at, fx_at=fx_at)
+        with pytest.raises(NumericalBlowupError) as err:
+            gradient(prob, self.X0, self.Z)
+        assert (err.value.stage, err.value.what) == (
+            2, "first-order stage data")

@@ -415,6 +415,29 @@ def test_solver_failure_fails_with_one_line(tmp_path, capsys, leaf, value):
             } == {"command": "run-lqr", "passed": False, "failure": failure}
 
 
+@pytest.mark.parametrize("count", [2**58, 2**62])
+@pytest.mark.parametrize("command, config_name", [
+    ("run-lqr", "lqr.json"), ("run-mpc", "agv_circle.json")])
+def test_count_too_large_to_allocate_fails_with_one_line(
+        tmp_path, capsys, command, config_name, count):
+    # Valid counts whose arrays cannot exist, refused before any memory is
+    # touched: 2**58 float64 rows are 2 EiB, which numpy fails to allocate
+    # (its MemoryError), and 2**62 rows pass numpy's byte range, which
+    # numpy would refuse with a bare ValueError.  Both used to escape as
+    # tracebacks.
+    config = json.loads((REPO / "configs" / config_name).read_text())
+    config["scenario"]["N"] = count
+    cfg = _write_config(tmp_path, config)
+    rc = main([command, "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    failure = re.fullmatch(rf"{command}: FAIL \((.*)\)\n", err).group(1)
+    assert re.search("allocate|byte range", failure)
+    report = _read_strict_json(tmp_path / "report.json")
+    assert {key: report.get(key) for key in ("command", "passed", "failure")
+            } == {"command": command, "passed": False, "failure": failure}
+
+
 # Values for a fuzzed config leaf: extremes, wrong types and plain
 # settings.  No freely drawn integer: a valid count such as 2**40 would
 # have numpy allocate terabytes, or a solve run for hours.

@@ -442,6 +442,37 @@ class TestStackedOracles:
                       stage_curvature(converted, roll_c, adj_c))):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("oracle, part, name", [
+        ("d_stage_cost", 0, "d_stage_cost c_x"),
+        ("d_stage_cost", 1, "d_stage_cost c_u"),
+        ("d_dynamics", 0, "d_dynamics f_x"),
+        ("d_dynamics", 1, "d_dynamics f_u"),
+        ("dd_stage_cost", 0, "dd_stage_cost c_xx"),
+        ("dd_stage_cost", 1, "dd_stage_cost c_xu"),
+        ("dd_stage_cost", 2, "dd_stage_cost c_uu"),
+        ("dd_dynamics_contracted", 0, "dd_dynamics_contracted w.f_xx"),
+        ("dd_dynamics_contracted", 1, "dd_dynamics_contracted w.f_xu"),
+        ("dd_dynamics_contracted", 2, "dd_dynamics_contracted w.f_uu"),
+    ])
+    def test_output_with_the_rows_on_another_axis_names_the_oracle(
+            self, oracle, part, name):
+        # The row axis moved last, as c_x.T returns it: the size is right,
+        # so a reshape used to accept it and mix the stages' entries (the
+        # transposed d_stage_cost gave a gradient 98% off fd_gradient).
+        base, x0, z = random_smooth_problem(3, 3, 2, 6)
+        stacked = getattr(base, oracle)
+
+        def rows_last(*args):
+            out = list(stacked(*args))
+            out[part] = np.moveaxis(out[part], 0, -1)
+            return tuple(out)
+
+        prob = dataclasses.replace(base, **{oracle: rows_last})
+        with pytest.raises(DimensionMismatchError,
+                           match=f"^{re.escape(name)} has shape "):
+            roll, adj = forward_adjoint(prob, x0, z)
+            stage_curvature(prob, roll, adj)
+
     def test_one_row_inverts_from_stagewise(self):
         base, x0, z = random_smooth_problem(4, 3, 2, 5)
         x, u = np.arange(3.0), np.array([0.5, -1.0])

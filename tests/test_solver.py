@@ -2,10 +2,11 @@
 
 import dataclasses
 import logging
+import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import costate.curvature
@@ -574,6 +575,39 @@ class TestMinimize:
                 np.zeros(1), 1e-5)[0]
             assert abs(slope) <= 1e-5 * (1.0 + abs(costs[-1]))
 
+    def test_a_step_that_raises_the_cost_is_retried(self, caplog,
+                                                     monkeypatch):
+        # The first attempt is replaced by an ascent step along the gradient
+        # whose trial cost is higher by a relative 1e-6.  That is far above
+        # minimize's 1e-12 slack, so the step must be logged and retried at
+        # a raised regularizer, and the accepted costs must never rise.
+        prob, x0, z0 = random_smooth_problem(3, 3, 2, 6)
+        cost0 = eval_cost(prob, x0, z0)
+        g0 = gradient(prob, x0, z0).gradient
+        t = 1e-6 * abs(cost0) / (g0 @ g0)
+        rise = (eval_cost(prob, x0, z0 + t * g0) - cost0) / abs(cost0)
+        assert 5e-7 < rise < 2e-6
+        real = costate.solver.step_direction
+        regularizers = []
+
+        def uphill_once(adj, c, g, r, depth, _factor=None):
+            regularizers.append(r)
+            if len(regularizers) == 1:
+                return -t * g0  # the trial point z0 - d = z0 + t g0
+            return real(adj, c, g, r, depth, _factor=_factor)
+
+        monkeypatch.setattr(costate.solver, "step_direction", uphill_once)
+        caplog.set_level(logging.INFO, logger="costate.solver")
+        rep = minimize(prob, x0, z0, SolverConfig())
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages[:1] and re.fullmatch(
+            r"trial cost \S+ above \S+, regularizer raised to 1 at outer "
+            r"iteration 0", messages[0]), messages
+        assert regularizers[:2] == [0.1, 1.0]
+        assert rep.termination is Termination.CONVERGED
+        costs = rep.cost_history
+        assert (np.diff(costs) <= 1e-12 * (1.0 + np.abs(costs[:-1]))).all()
+
     def test_budget_exhaustion_reported_not_thrown(self, lqr15):
         rep = minimize(lqr15, 3.0, np.zeros(lqr15.dims.z_len),
                        SolverConfig(r_reg=0.1, max_outer=1))
@@ -607,6 +641,81 @@ class TestMinimize:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SolverConfig(**{field: 1.5})
         assert getattr(SolverConfig(**{field: np.int64(3)}), field) == 3
+
+
+def _acceptance_random_problems():
+    # The 50 random problems of tests/test_acceptance.py's problem set, drawn
+    # in its order from the same generator.
+    rng = np.random.default_rng(2024)
+    problems = []
+    for _ in range(50):
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 4))
+        n_last = int(rng.integers(0, 13))
+        problems.append(random_smooth_problem(rng, n, m, n_last))
+    return problems
+
+
+def _rate_case(prob, x0, z0):
+    """(default, capped, rho) for a tight solve from (x0, z0), or None
+    unless it converges under both configs to a point where H is positive
+    definite.
+
+    default and capped are the ratios g_{i+1}/g_i of the max-abs gradient
+    with the default depth schedule and with inner_depth_cap=0; rho is
+    r_reg / (r_reg + lambda_min(H)) at the solution, the factor by which
+    one depth-0 solve shrinks the slowest error component."""
+    default = SolverConfig(grad_tol=1e-10, max_outer=100)
+    ratios = []
+    for cfg in (default, dataclasses.replace(default, inner_depth_cap=0)):
+        try:
+            rep = minimize(prob, x0, z0, cfg)
+        except LinearSolveError:
+            return None
+        if rep.termination is not Termination.CONVERGED:
+            return None
+        g = rep.grad_norm_history
+        ratios.append(g[1:] / g[:-1])
+    lam = np.linalg.eigvalsh(hessian(prob, x0, rep.z_final)).min()
+    if lam <= 0.0:
+        return None
+    return ratios[0], ratios[1], default.r_reg / (default.r_reg + lam)
+
+
+def _check_rates(default, capped, rho):
+    # The depth schedule is superlinear: its last ratio is below 1e-2.
+    # Depth 0 is linear: its last three ratios stay below 1, and its last
+    # one is within a factor of 2 of rho, the rate the spectrum predicts.
+    assert default[-1] < 1e-2, default
+    assert capped[-3:].max() < 1.0, capped
+    assert 0.5 * rho <= capped[-1] <= 1.5 * rho, (capped, rho)
+
+
+class TestConvergenceRate:
+    """The paper's superlinear-convergence claim, on the gradient norms that
+    SolveReport keeps.  Depth j of the inner recursion shrinks the error of
+    the Newton direction by about rho^(j+1), so the schedule depth = i
+    drives the ratios g_{i+1}/g_i to zero, while inner_depth_cap=0 leaves
+    the linear rate rho."""
+
+    def test_acceptance_set_converges_superlinearly(self):
+        for i, (prob, x0, z0) in enumerate(_acceptance_random_problems()):
+            case = _rate_case(prob, x0, z0)
+            assert case is not None, f"random-{i}"
+            _check_rates(*case)
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 3), n_last=st.integers(0, 12),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1.0, 2.0]))
+    def test_drawn_problems_converge_superlinearly(self, n, m, n_last, seed,
+                                                   scale):
+        # rho <= 1/2 (lambda_min >= r_reg): with a flatter spectrum the
+        # ratios still fall as rho^(i+1), but 1e-10 is reached before they
+        # pass 1e-2 (rho = 0.73 gave a last ratio of 0.02).
+        prob, x0, z0 = random_smooth_problem(seed, n, m, n_last)
+        case = _rate_case(prob, scale * x0, scale * z0)
+        assume(case is not None and case[2] <= 0.5)
+        _check_rates(*case)
 
 
 class TestMinimizeGd:
