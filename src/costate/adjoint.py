@@ -4,8 +4,8 @@ The backward pass propagates costates from a zero terminal value; stacking
 the control partials of the per-stage Hamiltonians then gives the full
 gradient at a cost of roughly two rollouts, independent of how many decision
 variables there are.  The costate recursion is linear, a unit
-block-bidiagonal system in the stacked costates, so it runs as one compiled
-banded back-substitution (BLAS dtbsv) with no Python loop over the stages.
+block-bidiagonal system in the stacked costates, so it runs as one
+problem.BlockBidiagonal solve with no Python loop over the stages.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .problem import (NumericalBlowupError, ProblemDef, Rollout, as_stack,
-                      band_blocks, check_state, dtbsv, one_row, roll_forward)
+from .problem import (BlockBidiagonal, NumericalBlowupError, ProblemDef,
+                      Rollout, as_stack, check_state, one_row, roll_forward)
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,9 @@ def adjoint_along(p: ProblemDef, roll: Rollout) -> AdjointSolution:
     first-derivative oracle covers the sweep.  This is the one place that
     knows stage N has no dynamics: the Jacobians are never requested there
     and are returned as zero, so consumers of fx and fu see a uniform
-    N+1-stage model.  The costate recursion is one dtbsv call over a band
-    of the negated f_x[k], so its sums run in BLAS's order and agree with a
-    stage-by-stage loop to roundoff.
+    N+1-stage model.  The costate recursion is one BlockBidiagonal solve
+    over the negated f_x[k], a BLAS banded back-substitution, so its sums
+    run in BLAS's order and agree with a stage-by-stage loop to roundoff.
 
     Raises NumericalBlowupError(k, "first-order stage data") when an entry
     of c_x, c_u, f_x or f_u that the gradient reads is not finite, k being
@@ -89,16 +89,14 @@ def adjoint_along(p: ProblemDef, roll: Rollout) -> AdjointSolution:
         fu[:horizon] = as_stack(ju, (horizon, n, m), "d_dynamics f_u")
     # lam[0..N-1] solves A' lam = [c_x[1]; ..; c_x[N]] with A unit lower
     # block-bidiagonal, -f_x[k] at block (k, k-1) for k = 1..N-1 (f_x[N]
-    # meets lam[N] = 0): one dtbsv back-substitution in place over lam,
-    # whose zero row N it never reads.
-    band = np.zeros((n * horizon, 2 * n))
-    inner = fx[1:horizon]
-    np.negative(inner, out=band_blocks(band, True, n, 0, inner.shape, n))
+    # meets lam[N] = 0): one back-substitution in place over lam, whose
+    # zero row N it never reads.
+    sweep = BlockBidiagonal(horizon, n, n, 0, True)
+    np.negative(fx[1:horizon], out=sweep.blocks)
     lam = np.empty((horizon + 1, n))
     lam[:horizon] = cx[1:]
     lam[horizon] = 0.0
-    lam = dtbsv(2 * n - 1, band.T, lam.reshape(-1), lower=1, trans=1,
-                diag=1, overwrite_x=1).reshape(horizon + 1, n)
+    lam = sweep.solve(lam.reshape(-1), trans=1).reshape(horizon + 1, n)
     g = lam[:, None, :] @ fu
     g += cu[:, None, :]
     g = g.reshape(-1)

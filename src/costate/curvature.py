@@ -53,11 +53,16 @@ def stage_curvature(p: ProblemDef, roll: Rollout,
 
     Raises:
         CurvatureOracleError: p lacks second-derivative oracles.
-        NumericalBlowupError: a stage Hessian is not finite; carries the
+        NumericalBlowupError: adj.fx[0] is not finite (stage 0, "first-order
+            stage data"), or a stage Hessian is not finite; carries the
             first such stage.
     """
     if p.dd_stage_cost is None or p.dd_dynamics_contracted is None:
         raise CurvatureOracleError("curvature requires dd_* oracles or FD problem")
+    # The gradient never reads f_x[0], so adjoint_along's check passes it;
+    # the Hessian and the Newton step both read it.
+    if not np.isfinite(adj.fx[0]).all():
+        raise NumericalBlowupError(0, "first-order stage data")
     dims = p.dims
     n, m, horizon = dims.n, dims.m, dims.N
     ks = np.arange(horizon + 1)
@@ -165,14 +170,15 @@ def symmetric_part(a: np.ndarray, out: Optional[np.ndarray] = None
     it on an error), then (a + a^T) * 0.5, the bits of 0.5 * (a + a^T).
 
     Raises:
-        AsymmetricHessianError: the defect exceeds the tolerance; carries
-            the index of the worst entry.
+        AsymmetricHessianError: the defect exceeds the tolerance, or is NaN
+            because a holds a NaN or an infinity; carries the index of the
+            worst entry.
     """
     at = np.swapaxes(a, -1, -2)
     defect_mat = np.abs(np.subtract(a, at, out=out), out=out)
     defect = float(defect_mat.max())
     tol = SYMMETRY_TOL * (1.0 + float(np.abs(a).max(initial=0.0)))
-    if defect > tol:
+    if not defect <= tol:  # a NaN defect fails too
         idx = np.unravel_index(int(defect_mat.argmax()), defect_mat.shape)
         raise AsymmetricHessianError(defect, tol, tuple(int(v) for v in idx))
     return np.multiply(np.add(a, at, out=out), 0.5, out=out)

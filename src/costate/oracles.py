@@ -8,6 +8,7 @@ path is the rollout itself, which keeps these usable as referees for it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
@@ -86,11 +87,19 @@ def riccati_lqr(a: float, b: float, q: float, r: float, p_term: float,
 
 
 def max_rel_error(actual: np.ndarray, expected: np.ndarray) -> float:
-    """Max absolute deviation scaled by max(1, max|expected|)."""
+    """Max absolute deviation scaled by max(1, max|expected|).
+
+    Where that is NaN (a NaN on either side, or an infinity in expected)
+    the error is inf: every err <= tol test and every max() would drop a
+    NaN, and pass what they referee.
+    """
     actual = np.asarray(actual, dtype=float)
     expected = np.asarray(expected, dtype=float)
     scale = max(1.0, float(np.abs(expected).max(initial=0.0)))
-    return float(np.abs(actual - expected).max(initial=0.0)) / scale
+    with np.errstate(invalid="ignore"):
+        dev = float(np.abs(actual - expected).max(initial=0.0))
+    err = dev / scale
+    return math.inf if math.isnan(err) else err
 
 
 def _default_sampler(rng: np.random.Generator, dims) -> tuple:

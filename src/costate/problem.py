@@ -262,26 +262,40 @@ dtbsv = _compiled("_fblas").dtbsv
 dposv = _compiled("_flapack").dposv
 
 
-def band_blocks(band: np.ndarray, lower: bool, row: int, col: int,
-                shape: tuple, step: int) -> np.ndarray:
-    """Writable view of equally spaced blocks of a banded matrix's storage.
+class BlockBidiagonal:
+    """Unit block-bidiagonal matrix in the band storage that dtbsv reads.
 
-    band is a C-ordered float64 (columns, k+1) array, whose transpose is the
-    LAPACK storage of a matrix with k sub- (lower) or super-diagonals that
-    dtbsv reads without a copy: entry (i, j) sits at flat element j*k + i,
-    or (j+1)*k + i for an upper band.  Block b of the (blocks, rows, cols)
-    view is the matrix block whose first entry is (row + b*step,
-    col + b*step); every entry of every block must lie off the diagonal,
-    inside the band.  Zero blocks give an empty array, since their first
-    element may lie past the end of a small band.
+    count diagonal blocks, each the width x width identity, and one
+    off-diagonal block between neighbours: (k, k-1) if lower, else (k, k+1),
+    nonzero only in its n columns from col (0 <= col <= width - n).  blocks
+    is a writable (count - 1, width, n) view of those; every other entry
+    stays zero.  solve(x, trans) overwrites the first count * width entries
+    of the float64 vector x with y solving A y = x, or A' y = x if trans=1.
+
+    band is C-ordered (count * width, k + 1); its transpose is the LAPACK
+    storage with k sub- or super-diagonals: entry (i, j) at flat element
+    j*k + i, or (j+1)*k + i if upper.  k reaches a lower block's last row
+    in its first column, or an upper block's first row in its last column.
     """
-    if not shape[0]:
-        return np.empty(shape)
-    k = band.shape[1] - 1
-    first = col * k + row + (0 if lower else k)
-    size = band.itemsize
-    return np.ndarray(shape, buffer=band, offset=first * size,
-                      strides=(step * (k + 1) * size, size, k * size))
+
+    __slots__ = ("band", "blocks", "lower")
+
+    def __init__(self, count: int, width: int, n: int, col: int, lower: bool):
+        k = 2 * width - 1 - col if lower else width + col + n - 1
+        self.band = np.zeros((count * width, k + 1))
+        self.lower = lower
+        if count < 2:
+            # The first block's offset may lie past the end of the band.
+            self.blocks = np.empty((0, width, n))
+            return
+        first = col * k + width if lower else (width + col + 1) * k
+        self.blocks = np.ndarray(  # 8 bytes per float64 entry
+            (count - 1, width, n), buffer=self.band, offset=8 * first,
+            strides=(8 * width * (k + 1), 8, 8 * k))
+
+    def solve(self, x: np.ndarray, trans: int = 0) -> np.ndarray:
+        return dtbsv(self.band.shape[1] - 1, self.band.T, x, lower=self.lower,
+                     trans=trans, diag=1, overwrite_x=1)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ over the stage Hamiltonian Hessians of curvature.stage_curvature and the
 dynamics Jacobians of the costate sweep: O(N (n+m)^3) time and O(N (n+m)^2)
 memory.  The dense Hessian is never formed.  Only the factorization's
 pivots loop over the stages in Python; each solve against it is two banded
-triangular solves (BLAS dtbsv), like the costate sweep.
+triangular solves (problem.BlockBidiagonal), like the costate sweep.
 
 Each iterate is rolled out once.  The rollout that prices a trial point is
 kept when the point is accepted and becomes the next iteration's snapshot,
@@ -42,8 +42,8 @@ import numpy as np
 
 from .adjoint import AdjointSolution, adjoint_along, forward_adjoint
 from .curvature import check_curvature, stage_curvature, symmetric_part
-from .problem import (NumericalBlowupError, ProblemDef, band_blocks,
-                      check_count, check_positive, check_state, dposv, dtbsv,
+from .problem import (BlockBidiagonal, NumericalBlowupError, ProblemDef,
+                      check_count, check_positive, check_state, dposv,
                       roll_forward)
 # Neither is called here; perfbench/tracing.py wraps both as
 # costate.solver.hessian_with and costate.solver.eval_cost.
@@ -149,21 +149,20 @@ class StagewiseFactor:
     A solve is one backward pass, for the feedforward kff_k and the linear
     cost-to-go term s_k, and one forward pass, for du_k and dx_{k+1}.  Each
     pass is linear in its unknowns through fixed stage matrices, so it is a
-    unit block-bidiagonal system: one batched product applies the b (or
-    kff) columns of every stage at once, and one dtbsv call (BLAS's banded
-    triangular solve, the same sequential recurrence in compiled code) runs
-    the recursion over a band holding the negated state columns.  A solve
-    is these four calls, with no Python loop over the stages; its sums run
-    in BLAS's order, so it agrees with a stage-by-stage pass to roundoff.
+    unit block-bidiagonal system (problem.BlockBidiagonal): one batched
+    product applies the b (or kff) columns of every stage at once, and one
+    banded solve runs the recursion over the negated state columns.  A
+    solve is these four calls, with no Python loop over the stages; its
+    sums run in BLAS's order and agree with a stage-by-stage pass to roundoff.
 
     The object is a workspace sized by (N, n, m): its arrays, the
-    symmetrized stack q and the two bands included, and the per-stage views
-    and bound methods over them are made once and refilled in place by each
-    factor() call.
-    minimize holds one for the whole solve and run_mpc one for the whole
-    closed loop, so every outer iteration, escalation retry and plant step
-    reuses it; a failed factorization leaves nothing the next one reads.
-    Stage k of the factor loop, with F_k = [f_x | f_u], is
+    symmetrized stack q and the two block-bidiagonal systems included, and
+    the per-stage views and bound methods over them are made once and
+    refilled in place by each factor() call.  minimize holds one for the
+    whole solve and run_mpc one for the whole closed loop, so every outer
+    iteration, escalation retry and plant step reuses it; a failed
+    factorization leaves nothing the next one reads.  Stage k of the factor
+    loop, with F_k = [f_x | f_u], is
 
         P F_k -> pf;  F_k' pf -> fpf;  Q_k += fpf;  Q_ux -> rhs;
         dposv(Q_uu, [Q_ux | I]) -> x -> sol[k];  Q_xu x[:, :n] -> schur;
@@ -175,7 +174,7 @@ class StagewiseFactor:
     the lower block of the forward stage matrix, and sol[k] = [-K_k |
     Q_uu^{-1}] the upper block of the backward one, so the stage matrices
     are finished in place after the loop, and their negated state columns
-    copied into the bands.
+    copied into the two systems.
     """
 
     def __init__(self, horizon: int, n: int, m: int):
@@ -220,25 +219,15 @@ class StagewiseFactor:
             self.stages.append((k, qk, qk[n:, :n], qk[n:, n:], qk[:n, :n],
                                 qk[:n, n:].dot, sol[k], sol[k, :, :n],
                                 fxu[k], fxu[k].T.dot))
-        # A solve's two recursions are unit block-bidiagonal systems in
-        # [kff_k; s_k] (upper) and [du_k; dx_{k+1}] (lower), k = 0..N, whose
-        # off-diagonal blocks are the negated state columns of back[k],
+        # A solve's two recursions are unit block-bidiagonal in [kff_k; s_k]
+        # (upper) and [du_k; dx_{k+1}] (lower), k = 0..N; factor() copies in
+        # their off-diagonal blocks, the negated state columns of back[k],
         # k < N, and fwd[k], k > 0 (s_{N+1} = 0 and dx_0 = 0 reach none).
-        # factor() copies them into band storage; the rest stays zero.  The
-        # farthest entries from the diagonal, s_{k+1}'s last column in
-        # kff_k's first row and dx_k's first column in dx_{k+1}'s last row,
-        # are 2w - 1 above and w + n - 1 below it.  The b and kff columns
-        # are applied to a whole solve at once, giving the right-hand sides
-        # the recursions then overwrite.
         w = m + n
-        self.back_band = np.zeros(((horizon + 1) * w, 2 * w))
-        self.fwd_band = np.zeros(((horizon + 1) * w, w + n))
+        self.back_sys = BlockBidiagonal(horizon + 1, w, n, m, False)
+        self.fwd_sys = BlockBidiagonal(horizon + 1, w, n, m, True)
         self.back_state = self.back[:-1, :, :n]
         self.fwd_state = self.fwd[1:, :, :n]
-        self.back_blocks = band_blocks(self.back_band, False, 0, w + m,
-                                       self.back_state.shape, w)
-        self.fwd_blocks = band_blocks(self.fwd_band, True, w, m,
-                                      self.fwd_state.shape, w)
         self.back_b, self.fwd_kff = self.back[:, :, n:], self.fwd[:, :, n:]
         self.back_x = np.empty((horizon + 1, w, 1))
         self.fwd_x = np.empty((horizon + 1, w, 1))
@@ -281,19 +270,17 @@ class StagewiseFactor:
         self.back_a_t[...] = self.f_x_t
         np.matmul(self.quu_inv, self.f_u_t, out=neg_gain)
         np.negative(neg_gain, out=neg_gain)
-        np.negative(self.back_state, out=self.back_blocks)
-        np.negative(self.fwd_state, out=self.fwd_blocks)
+        np.negative(self.back_state, out=self.back_sys.blocks)
+        np.negative(self.fwd_state, out=self.fwd_sys.blocks)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """d solving (R + H) d = b against the last successful factor()."""
         back_x, fwd_x = self.back_x, self.fwd_x
         m = self.back_b.shape[2]
         np.matmul(self.back_b, b.reshape(-1, m, 1), out=back_x)
-        kff_s = dtbsv(self.back_band.shape[1] - 1, self.back_band.T,
-                      back_x.reshape(-1), diag=1, overwrite_x=1)
+        kff_s = self.back_sys.solve(back_x.reshape(-1))
         np.matmul(self.fwd_kff, kff_s.reshape(back_x.shape)[:, :m], out=fwd_x)
-        du_dx = dtbsv(self.fwd_band.shape[1] - 1, self.fwd_band.T,
-                      fwd_x.reshape(-1), lower=1, diag=1, overwrite_x=1)
+        du_dx = self.fwd_sys.solve(fwd_x.reshape(-1))
         return du_dx.reshape(fwd_x.shape[:2])[:, :m].reshape(-1)
 
 

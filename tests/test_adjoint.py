@@ -12,8 +12,8 @@ from costate import (DimensionMismatchError, Dims, LqrSpec,
                      NumericalBlowupError, ProblemDef, SolverConfig,
                      UnicycleSpec, adjoint_along, build_lqr,
                      build_unicycle_tracking, fd_gradient, forward_adjoint,
-                     gradient, hamiltonian, max_rel_error, minimize,
-                     minimize_gd, one_row, random_smooth_problem,
+                     gradient, hamiltonian, hessian, max_rel_error,
+                     minimize, minimize_gd, one_row, random_smooth_problem,
                      roll_forward)
 
 
@@ -232,3 +232,19 @@ class TestNonFiniteFirstOrderData:
             gradient(prob, self.X0, self.Z)
         assert (err.value.stage, err.value.what) == (
             2, "first-order stage data")
+
+    @pytest.mark.parametrize("second_order", [
+        lambda p, x0, z: minimize(p, x0, z, SolverConfig()),
+        hessian,
+    ], ids=["minimize", "hessian"])
+    def test_non_finite_f_x_at_stage_0_is_named_by_second_order_work(
+            self, second_order):
+        # The gradient never reads f_x[0], so it stays finite; minimize used
+        # to end in LinearSolveError on an infinite trial cost, and hessian()
+        # to return a matrix of NaNs.
+        prob = _poisoned(self.BASE, fx_at=0)
+        assert np.isfinite(gradient(prob, self.X0, self.Z).gradient).all()
+        with pytest.raises(NumericalBlowupError) as err:
+            second_order(prob, self.X0, self.Z)
+        assert (err.value.stage, err.value.what) == (
+            0, "first-order stage data")

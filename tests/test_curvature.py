@@ -348,6 +348,14 @@ class TestHessian:
         assert (str(into.value), into.value.defect, into.value.index) == (
             str(fresh.value), fresh.value.defect, fresh.value.index)
 
+    @pytest.mark.parametrize("a", [[[1.0, np.nan], [0.0, 1.0]],
+                                   [[np.nan, 0.0], [0.0, 1.0]]])
+    def test_a_nan_fails_the_symmetry_check(self, a):
+        # A NaN defect used to pass defect > tol and come back as a NaN
+        # matrix.
+        with pytest.raises(AsymmetricHessianError):
+            symmetric_part(np.array(a))
+
     def test_quadratic_model_exact_for_lqr(self, lqr15):
         rng = np.random.default_rng(8)
         z = rng.normal(size=lqr15.dims.z_len)

@@ -314,33 +314,42 @@ def test_one_copy_of_each_compiled_routine_in_either_import_order(imports):
     _run_fresh(_SHARED_ROUTINES.format(imports=imports))
 
 
-# The compiled routines and the modules that call them: (module, names).
-_ROUTINE_USERS = [("adjoint", {"dtbsv"}), ("solver", {"dtbsv", "dposv"})]
+# The modules built on the compiled routines and what they take from
+# .problem: (module, names).  dtbsv itself is named only in problem.py,
+# whose BlockBidiagonal owns the band storage that dtbsv reads.
+_ROUTINE_USERS = [("adjoint", {"BlockBidiagonal"}),
+                  ("solver", {"BlockBidiagonal", "dposv"})]
+_PROBLEM_ONLY = {"dtbsv"}
 
 
-def _scipy_references(path):
+def _compiled_references(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+            if node.level == 0:
+                names.append(node.module)
         elif isinstance(node, ast.Name):
             names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names = [node.value]
         else:
             continue
         yield from (f"{path.name}:{node.lineno} {name}" for name in names
-                    if name.split(".")[0] == "scipy")
+                    if name.split(".")[0] == "scipy" or name in _PROBLEM_ONLY)
 
 
 def test_problem_is_the_one_site_that_loads_compiled_routines():
-    # Only problem.py names scipy; adjoint and solver take the routines from
-    # it, so where they come from is decided in one place.
+    # Only problem.py names scipy or dtbsv; adjoint and solver take what
+    # they use from it, so where the routines come from, and the band
+    # storage that dtbsv reads, are decided in one place.
     src = REPO / "src" / "costate"
     found = [hit for path in sorted(src.glob("*.py"))
-             if path.name != "problem.py" for hit in _scipy_references(path)]
+             if path.name != "problem.py" for hit in _compiled_references(path)]
     for module, names in _ROUTINE_USERS:
         tree = ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))
         taken = {alias.name for node in ast.walk(tree)
@@ -348,4 +357,5 @@ def test_problem_is_the_one_site_that_loads_compiled_routines():
                  and node.module == "problem" for alias in node.names}
         found += [f"{module}.py does not take {name} from .problem"
                   for name in sorted(names - taken)]
-    assert not found, "scipy outside problem.py: " + ", ".join(found)
+    assert not found, "compiled routines outside problem.py: " + ", ".join(
+        found)

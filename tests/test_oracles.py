@@ -159,6 +159,21 @@ class TestFdConsistency:
         suite = {r.name: r for r in results}["fd-consistency"]
         assert not suite.passed and "row-mixing" in suite.detail
 
+    def test_nan_oracle_output_is_an_infinite_error(self):
+        # A NaN error used to vanish in the max() over the points, and an
+        # oracle whose every c_xx[0, 0] is NaN read 1.28e-8: a pass.
+        base, _, _ = random_smooth_problem(3, 3, 2, 6)
+
+        def dd_stage_cost(x, u, ks):
+            cxx, cxu, cuu = base.dd_stage_cost(x, u, ks)
+            cxx = cxx.copy()
+            cxx[:, 0, 0] = np.nan
+            return cxx, cxu, cuu
+
+        errs = fd_consistency(replace(base, dd_stage_cost=dd_stage_cost),
+                              np.random.default_rng(0), n_points=5)
+        assert errs["dd_stage_cost"] == np.inf
+
 
 def test_oracles_do_not_touch_curvature_code():
     """The referee stays independent of the module it referees."""
@@ -170,3 +185,10 @@ def test_oracles_do_not_touch_curvature_code():
 def test_max_rel_error_uses_unit_floor():
     assert max_rel_error(np.array([1e-7]), np.array([0.0])) == 1e-7
     assert max_rel_error(np.array([2.0]), np.array([4.0])) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("actual, expected", [
+    ([np.nan, 1.0], [1.0, 1.0]), ([1.0, 1.0], [1.0, np.nan]),
+    ([np.inf], [np.inf]), ([1.0], [np.inf])])
+def test_max_rel_error_is_inf_where_it_would_be_nan(actual, expected):
+    assert max_rel_error(np.array(actual), np.array(expected)) == np.inf

@@ -20,7 +20,7 @@ from costate import (CircleReference, DimensionMismatchError, Dims,
                      one_row, random_smooth_problem, riccati_lqr,
                      roll_forward, stage_controls, stage_curvature)
 from costate.cli import GdBaseline, LqrOutput, MpcOutput
-from costate.problem import check_positive
+from costate.problem import BlockBidiagonal, check_positive
 
 
 class TestDims:
@@ -684,3 +684,53 @@ def test_check_positive_accepts_exactly_the_finite_positive_floats(value,
     assert _accepts(lambda: check_positive(value, "v", zero_ok)) == expected
     assert _accepts(lambda: LqrSpec(r=value)) == _accepts(
         lambda: check_positive(value, "r"))
+
+
+@st.composite
+def _block_geometry(draw):
+    # (count, width, n, col, lower): count 0 and 1 are the N = 0 costate
+    # sweep and Riccati solve, which have no off-diagonal block.
+    width = draw(st.integers(1, 5))
+    n = draw(st.integers(1, width))
+    return (draw(st.integers(0, 6)), width, n, draw(st.integers(0, width - n)),
+            draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(geometry=_block_geometry(), trans=st.sampled_from([0, 1]),
+       seed=st.integers(0, 2**32 - 1))
+@example(geometry=(0, 3, 3, 0, True), trans=1, seed=0)
+@example(geometry=(1, 5, 4, 2, False), trans=0, seed=0)
+def test_block_bidiagonal_solves_the_matrix_its_blocks_make(geometry, trans,
+                                                            seed):
+    count, width, n, col, lower = geometry
+    rng = np.random.default_rng(seed)
+    system = BlockBidiagonal(count, width, n, col, lower)
+    system.blocks[...] = rng.uniform(-1.0, 1.0, system.blocks.shape)
+    size = count * width
+    dense = np.eye(size)
+    for b, block in enumerate(system.blocks):
+        row, column = (b + 1, b) if lower else (b, b + 1)
+        dense[row * width:(row + 1) * width,
+              column * width + col:column * width + col + n] = block
+    # The LAPACK storage that dtbsv reads, rebuilt from dense: the blocks
+    # are where they claim to be, and every other entry, the unit diagonal's
+    # included, is zero.
+    storage = system.band.T
+    k = storage.shape[0] - 1
+    expected = np.zeros_like(storage)
+    for j in range(size):
+        for d in range(k + 1):
+            i = j + d if lower else j - k + d
+            if 0 <= i < size and i != j:
+                expected[d, j] = dense[i, j]
+    assert np.array_equal(storage, expected)
+    # One trailing entry past the matrix, which the solve must not touch.
+    x = rng.normal(size=size + 1)
+    want = np.linalg.solve(dense.T if trans else dense, x[:size])
+    rhs = x.copy()
+    got = system.solve(rhs, trans)
+    assert np.shares_memory(got, rhs)
+    scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+    assert np.abs(got[:size] - want).max(initial=0.0) <= 1e-12 * scale
+    assert got[size] == x[size]
