@@ -5,7 +5,9 @@ the control partials of the per-stage Hamiltonians then gives the full
 gradient at a cost of roughly two rollouts, independent of how many decision
 variables there are.  The costate recursion is linear, a unit
 block-bidiagonal system in the stacked costates, so it runs as one
-problem.BlockBidiagonal solve with no Python loop over the stages.
+problem.BlockBidiagonal solve with no Python loop over the stages.  The
+Newton step's two solve passes (solver.StagewiseFactor) are the same
+system over the closed-loop Jacobians in place of f_x.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ def adjoint_along(p: ProblemDef, roll: Rollout) -> AdjointSolution:
     # block-bidiagonal, -f_x[k] at block (k, k-1) for k = 1..N-1 (f_x[N]
     # meets lam[N] = 0): one back-substitution in place over lam, whose
     # zero row N it never reads.
-    sweep = BlockBidiagonal(horizon, n, n, 0, True)
+    sweep = BlockBidiagonal(horizon, n)
     np.negative(fx[1:horizon], out=sweep.blocks)
     lam = np.empty((horizon + 1, n))
     lam[:horizon] = cx[1:]

@@ -8,8 +8,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .adjoint import AdjointSolution, forward_adjoint
-from .problem import (DimensionMismatchError, NumericalBlowupError,
-                      ProblemDef, Rollout, as_stack)
+from .problem import (DimensionMismatchError, ProblemDef, Rollout, as_stack,
+                      check_finite_stages)
 
 
 class CurvatureOracleError(ValueError):
@@ -61,8 +61,7 @@ def stage_curvature(p: ProblemDef, roll: Rollout,
         raise CurvatureOracleError("curvature requires dd_* oracles or FD problem")
     # The gradient never reads f_x[0], so adjoint_along's check passes it;
     # the Hessian and the Newton step both read it.
-    if not np.isfinite(adj.fx[0]).all():
-        raise NumericalBlowupError(0, "first-order stage data")
+    check_finite_stages(adj.fx[:1], "first-order stage data")
     dims = p.dims
     n, m, horizon = dims.n, dims.m, dims.N
     ks = np.arange(horizon + 1)
@@ -84,10 +83,7 @@ def stage_curvature(p: ProblemDef, roll: Rollout,
         run_uu += as_stack(wuu, (horizon, m, m),
                            "dd_dynamics_contracted w.f_uu")
     c[:, n:, :n] = xu.transpose(0, 2, 1)
-    if not np.isfinite(c).all():
-        bad = ~np.isfinite(c).all(axis=(1, 2))
-        raise NumericalBlowupError(int(bad.argmax()),
-                                   "second-order stage data")
+    check_finite_stages(c, "second-order stage data")
     return c
 
 

@@ -263,38 +263,35 @@ dposv = _compiled("_flapack").dposv
 
 
 class BlockBidiagonal:
-    """Unit block-bidiagonal matrix in the band storage that dtbsv reads.
+    """Unit lower block-bidiagonal matrix in the band storage that dtbsv reads.
 
-    count diagonal blocks, each the width x width identity, and one
-    off-diagonal block between neighbours: (k, k-1) if lower, else (k, k+1),
-    nonzero only in its n columns from col (0 <= col <= width - n).  blocks
-    is a writable (count - 1, width, n) view of those; every other entry
-    stays zero.  solve(x, trans) overwrites the first count * width entries
-    of the float64 vector x with y solving A y = x, or A' y = x if trans=1.
+    count diagonal blocks, each the n x n identity, and one n x n block at
+    (k, k-1) below each but the first.  blocks is a writable
+    (count - 1, n, n) view of those; every other entry stays zero.
+    solve(x, trans) overwrites the first count * n entries of the float64
+    vector x with y solving A y = x, or A' y = x if trans=1: a first-order
+    linear recursion over count stages, forward or backward.
 
-    band is C-ordered (count * width, k + 1); its transpose is the LAPACK
-    storage with k sub- or super-diagonals: entry (i, j) at flat element
-    j*k + i, or (j+1)*k + i if upper.  k reaches a lower block's last row
-    in its first column, or an upper block's first row in its last column.
+    band is C-ordered (count * n, 2n); its transpose is the LAPACK storage
+    with k = 2n - 1 subdiagonals, the reach of a block's last row in its
+    first column: entry (i, j) at flat element j*k + i.
     """
 
-    __slots__ = ("band", "blocks", "lower")
+    __slots__ = ("band", "blocks")
 
-    def __init__(self, count: int, width: int, n: int, col: int, lower: bool):
-        k = 2 * width - 1 - col if lower else width + col + n - 1
-        self.band = np.zeros((count * width, k + 1))
-        self.lower = lower
+    def __init__(self, count: int, n: int):
+        k = 2 * n - 1
+        self.band = np.zeros((count * n, k + 1))
         if count < 2:
             # The first block's offset may lie past the end of the band.
-            self.blocks = np.empty((0, width, n))
+            self.blocks = np.empty((0, n, n))
             return
-        first = col * k + width if lower else (width + col + 1) * k
         self.blocks = np.ndarray(  # 8 bytes per float64 entry
-            (count - 1, width, n), buffer=self.band, offset=8 * first,
-            strides=(8 * width * (k + 1), 8, 8 * k))
+            (count - 1, n, n), buffer=self.band, offset=8 * n,
+            strides=(8 * n * (k + 1), 8, 8 * k))
 
     def solve(self, x: np.ndarray, trans: int = 0) -> np.ndarray:
-        return dtbsv(self.band.shape[1] - 1, self.band.T, x, lower=self.lower,
+        return dtbsv(self.band.shape[1] - 1, self.band.T, x, lower=1,
                      trans=trans, diag=1, overwrite_x=1)
 
 
@@ -370,6 +367,19 @@ def check_finite(value, what: str) -> None:
     beyond float range does."""
     if not _finite_real(value):
         raise ValueError(f"{what} must be finite, got {value!r}")
+
+
+def check_finite_stages(stack, what: str) -> None:
+    """Raise NumericalBlowupError(k, what) for the first stage k of a stage
+    stack, its stages on the leading axis, that holds a non-finite entry.
+
+    The stages are scanned only when the stack's sum of squares is not
+    finite, which any non-finite entry makes it; a stack whose sum
+    overflows from finite entries passes."""
+    if not math.isfinite(np.vdot(stack, stack)):
+        finite = np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
+        if not finite.all():
+            raise NumericalBlowupError(int(finite.argmin()), what)
 
 
 def check_positive(value, what: str, zero_ok: bool = False) -> None:

@@ -16,8 +16,10 @@ along the rollout, so the factorization is a backward Riccati recursion
 over the stage Hamiltonian Hessians of curvature.stage_curvature and the
 dynamics Jacobians of the costate sweep: O(N (n+m)^3) time and O(N (n+m)^2)
 memory.  The dense Hessian is never formed.  Only the factorization's
-pivots loop over the stages in Python; each solve against it is two banded
-triangular solves (problem.BlockBidiagonal), like the costate sweep.
+pivots loop over the stages in Python; each solve against it is a costate
+sweep plus a linearized rollout on the closed-loop Jacobians, the two
+banded triangular solves of one problem.BlockBidiagonal system with the
+costate sweep's geometry.
 
 Each iterate is rolled out once.  The rollout that prices a trial point is
 kept when the point is accepted and becomes the next iteration's snapshot,
@@ -43,8 +45,8 @@ import numpy as np
 from .adjoint import AdjointSolution, adjoint_along, forward_adjoint
 from .curvature import check_curvature, stage_curvature, symmetric_part
 from .problem import (BlockBidiagonal, NumericalBlowupError, ProblemDef,
-                      check_count, check_positive, check_state, dposv,
-                      roll_forward)
+                      check_count, check_finite_stages, check_positive,
+                      check_state, dposv, roll_forward)
 # Neither is called here; perfbench/tracing.py wraps both as
 # costate.solver.hessian_with and costate.solver.eval_cost.
 from .curvature import hessian_with  # noqa: F401
@@ -146,23 +148,28 @@ class StagewiseFactor:
     at once, and P_k = Q_xx + Q_xu K_k.  The pivots are positive definite
     exactly when R + H is.
 
-    A solve is one backward pass, for the feedforward kff_k and the linear
-    cost-to-go term s_k, and one forward pass, for du_k and dx_{k+1}.  Each
-    pass is linear in its unknowns through fixed stage matrices, so it is a
-    unit block-bidiagonal system (problem.BlockBidiagonal): one batched
-    product applies the b (or kff) columns of every stage at once, and one
-    banded solve runs the recursion over the negated state columns.  A
-    solve is these four calls, with no Python loop over the stages; its
-    sums run in BLAS's order and agree with a stage-by-stage pass to roundoff.
+    A solve is a costate sweep plus a linearized rollout on the closed-loop
+    Jacobians A_k = f_x + f_u K_k.  Backward from s_{N+1} = 0, the linear
+    cost-to-go term is s_k = A_k' s_{k+1} - K_k' b_k and the feedforward
+    kff_k = Q_uu^{-1} (b_k - f_u' s_{k+1}); forward from dx_0 = 0,
+    dx_{k+1} = A_k dx_k + f_u kff_k and du_k = kff_k + K_k dx_k.  Both
+    recursions are one unit lower block-bidiagonal system, -A_1 .. -A_{N-1}
+    below its diagonal (problem.BlockBidiagonal, the costate sweep's
+    geometry), solved transposed for s_1..s_N and as it is for dx_1..dx_N
+    (A_0 meets only dx_0 = 0 and s_0, which nothing reads, and A_N = 0,
+    stage N having no dynamics).  Batched products apply the forcing
+    terms and read off kff and du, so a solve has no Python loop over the
+    stages; its sums run in BLAS's order and agree with a stage-by-stage
+    pass to roundoff.
 
     The object is a workspace sized by (N, n, m): its arrays, the
-    symmetrized stack q and the two block-bidiagonal systems included, and
-    the per-stage views and bound methods over them are made once and
-    refilled in place by each factor() call.  minimize holds one for the
-    whole solve and run_mpc one for the whole closed loop, so every outer
-    iteration, escalation retry and plant step reuses it; a failed
-    factorization leaves nothing the next one reads.  Stage k of the factor
-    loop, with F_k = [f_x | f_u], is
+    symmetrized stack q and the block-bidiagonal system included, and the
+    per-stage views and bound methods over them are made once and refilled
+    in place by each factor() call.  minimize holds one for the whole solve
+    and run_mpc one for the whole closed loop, so every outer iteration,
+    escalation retry and plant step reuses it; a failed factorization
+    leaves nothing the next one reads.  Stage k of the factor loop, with
+    F_k = [f_x | f_u], is
 
         P F_k -> pf;  F_k' pf -> fpf;  Q_k += fpf;  Q_ux -> rhs;
         dposv(Q_uu, [Q_ux | I]) -> x -> sol[k];  Q_xu x[:, :n] -> schur;
@@ -170,42 +177,21 @@ class StagewiseFactor:
 
     Each product is an ndarray.dot bound once, writing into a preallocated
     output: np.dot's BLAS call without its Python-level dispatch and new
-    temporary, which cost more than the arithmetic at these sizes.  F_k is
-    the lower block of the forward stage matrix, and sol[k] = [-K_k |
-    Q_uu^{-1}] the upper block of the backward one, so the stage matrices
-    are finished in place after the loop, and their negated state columns
-    copied into the two systems.
+    temporary, which cost more than the arithmetic at these sizes.
+    sol[k] = [-K_k | Q_uu^{-1}]; after the loop one batched product and one
+    subtraction write -A_k = f_u (-K_k) - f_x into the system.
     """
 
     def __init__(self, horizon: int, n: int, m: int):
         self.eye = np.eye(m)
         self.q = np.empty((horizon + 1, n + m, n + m))
         self.q_uu = self.q[:, n:, n:]
-        # back[k] maps [s_{k+1}; b_k] to [kff_k; s_k]:
-        #   kff_k = Q_uu^{-1} (b_k - f_u' s_{k+1})
-        #   s_k = A_k' s_{k+1} - K_k' b_k
-        # fwd[k] maps [dx_k; kff_k] to [du_k; dx_{k+1}]:
-        #   du_k = K_k dx_k + kff_k
-        #   dx_{k+1} = A_k dx_k + f_u kff_k
-        # with A_k = f_x + f_u K_k.
-        self.back = np.empty((horizon + 1, m + n, n + m))
-        self.fwd = np.empty((horizon + 1, m + n, n + m))
-        self.fwd[:, :m, n:] = self.eye
-        # fxu[k] = F_k until the loop ends; its f_x block then becomes A_k.
-        fxu = self.fwd[:, m:, :]
+        fxu = np.empty((horizon + 1, n, n + m))
         self.f_x, self.f_u = fxu[:, :, :n], fxu[:, :, n:]
-        self.f_x_t = self.f_x.transpose(0, 2, 1)
         self.f_u_t = self.f_u.transpose(0, 2, 1)
-        self.fu_gain = np.empty((horizon + 1, n, n))
-        # sol[k] = Q_uu^{-1} [Q_ux | I] = [-K_k | Q_uu^{-1}] until the loop
-        # ends; its -K_k block then becomes -Q_uu^{-1} f_u'.
-        sol = self.back[:, :m, :]
+        sol = np.empty((horizon + 1, m, n + m))
         self.neg_gain, self.quu_inv = sol[:, :, :n], sol[:, :, n:]
         self.neg_gain_t = self.neg_gain.transpose(0, 2, 1)
-        # Where the loop's results go: K_k, A_k' and -K_k'.
-        self.fwd_gain = self.fwd[:, :m, :n]
-        self.back_a_t = self.back[:, m:, :n]
-        self.back_neg_gain_t = self.back[:, m:, n:]
         self.rhs = np.empty((m, n + m))
         self.rhs_ux = self.rhs[:, :n]
         self.rhs[:, n:] = self.eye
@@ -219,27 +205,29 @@ class StagewiseFactor:
             self.stages.append((k, qk, qk[n:, :n], qk[n:, n:], qk[:n, :n],
                                 qk[:n, n:].dot, sol[k], sol[k, :, :n],
                                 fxu[k], fxu[k].T.dot))
-        # A solve's two recursions are unit block-bidiagonal in [kff_k; s_k]
-        # (upper) and [du_k; dx_{k+1}] (lower), k = 0..N; factor() copies in
-        # their off-diagonal blocks, the negated state columns of back[k],
-        # k < N, and fwd[k], k > 0 (s_{N+1} = 0 and dx_0 = 0 reach none).
-        w = m + n
-        self.back_sys = BlockBidiagonal(horizon + 1, w, n, m, False)
-        self.fwd_sys = BlockBidiagonal(horizon + 1, w, n, m, True)
-        self.back_state = self.back[:-1, :, :n]
-        self.fwd_state = self.fwd[1:, :, :n]
-        self.back_b, self.fwd_kff = self.back[:, :, n:], self.fwd[:, :, n:]
-        self.back_x = np.empty((horizon + 1, w, 1))
-        self.fwd_x = np.empty((horizon + 1, w, 1))
+        self.system = BlockBidiagonal(horizon, n)
+        # Rows 0..N+1 hold s_k and dx_k.  The forcing products also write
+        # s_0 and dx_{N+1} = f_u[N] kff_N, which nothing reads; nothing
+        # writes s_{N+1} = 0 or dx_0 = 0 (the band solves stop at row N).
+        s = np.zeros((horizon + 2, n, 1))
+        dx = np.zeros((horizon + 2, n, 1))
+        self.s_now, self.s_next = s[:-1], s[1:]
+        self.dx_now, self.dx_next = dx[:-1], dx[1:]
+        self.s_flat, self.dx_flat = s[1:].reshape(-1), dx[1:].reshape(-1)
+        self.kff_rhs = np.empty((horizon + 1, m, 1))
+        self.kff = np.empty((horizon + 1, m, 1))
 
     def factor(self, adj: AdjointSolution, c: np.ndarray, r: float) -> None:
         """Factor R + H at the snapshot (adj, c) with R = r * I.
 
-        Raises AsymmetricHessianError from the symmetry check of c, and
-        LinearSolveError naming the stage whose pivot failed.
+        Raises NumericalBlowupError(k, "second-order stage data") for the
+        first stage k of c with a non-finite entry, AsymmetricHessianError
+        from the symmetry check of c, and LinearSolveError naming the stage
+        whose pivot failed.
         """
         p, pf, fpf, schur = self.p, self.pf, self.fpf, self.schur
         rhs, rhs_ux = self.rhs, self.rhs_ux
+        check_finite_stages(c, "second-order stage data")
         # The recursion accumulates into q, so every factorization starts
         # from a fresh symmetric part.
         symmetric_part(c, out=self.q)
@@ -262,26 +250,24 @@ class StagewiseFactor:
             sol_k[...] = x
             q_xu_dot(neg_gain_k, schur)
             np.subtract(q_xx, schur, out=p)
-        neg_gain = self.neg_gain
-        np.negative(neg_gain, out=self.fwd_gain)
-        self.back_neg_gain_t[...] = self.neg_gain_t
-        np.matmul(f_u, neg_gain, out=self.fu_gain)
-        np.subtract(f_x, self.fu_gain, out=f_x)
-        self.back_a_t[...] = self.f_x_t
-        np.matmul(self.quu_inv, self.f_u_t, out=neg_gain)
-        np.negative(neg_gain, out=neg_gain)
-        np.negative(self.back_state, out=self.back_sys.blocks)
-        np.negative(self.fwd_state, out=self.fwd_sys.blocks)
+        neg_a = self.system.blocks
+        np.matmul(f_u[1:-1], self.neg_gain[1:-1], out=neg_a)
+        np.subtract(neg_a, f_x[1:-1], out=neg_a)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """d solving (R + H) d = b against the last successful factor()."""
-        back_x, fwd_x = self.back_x, self.fwd_x
-        m = self.back_b.shape[2]
-        np.matmul(self.back_b, b.reshape(-1, m, 1), out=back_x)
-        kff_s = self.back_sys.solve(back_x.reshape(-1))
-        np.matmul(self.fwd_kff, kff_s.reshape(back_x.shape)[:, :m], out=fwd_x)
-        du_dx = self.fwd_sys.solve(fwd_x.reshape(-1))
-        return du_dx.reshape(fwd_x.shape[:2])[:, :m].reshape(-1)
+        rhs, kff = self.kff_rhs, self.kff
+        b = b.reshape(kff.shape)
+        np.matmul(self.neg_gain_t, b, out=self.s_now)
+        self.system.solve(self.s_flat, 1)
+        np.matmul(self.f_u_t, self.s_next, out=rhs)
+        np.subtract(b, rhs, out=rhs)
+        np.matmul(self.quu_inv, rhs, out=kff)
+        np.matmul(self.f_u, kff, out=self.dx_next)
+        self.system.solve(self.dx_flat)
+        du = np.matmul(self.neg_gain, self.dx_now)
+        np.subtract(kff, du, out=du)
+        return du.reshape(-1)
 
 
 def step_direction(adj: AdjointSolution, c: np.ndarray, g: np.ndarray,
@@ -309,6 +295,9 @@ def step_direction(adj: AdjointSolution, c: np.ndarray, g: np.ndarray,
         DimensionMismatchError: g is not a vector of length m*(N+1), or c
             not an (N+1, n+m, n+m) stack.
         ValueError: r is not finite and > 0, or depth not an integer >= 0.
+        NumericalBlowupError: c holds a non-finite entry; carries the
+            first such stage and "second-order stage data", as
+            stage_curvature does.
         AsymmetricHessianError: c violates the symmetry tolerance.
         LinearSolveError: (R + H) is not positive definite; its stage is
             the stage whose pivot failed.

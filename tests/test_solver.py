@@ -216,6 +216,26 @@ class TestStagewiseSolve:
             minimize(broken, x0, z0, SolverConfig())
         assert err.value.stage == 3
 
+    @pytest.mark.parametrize("value, entry", [
+        (np.nan, (2, 0, 0)), (np.inf, (2, 0, 0)), (np.inf, (2, 0, 1))],
+        ids=["nan-diagonal", "inf-diagonal", "inf-off-diagonal"])
+    def test_non_finite_stack_is_a_named_blowup(self, value, entry):
+        # A caller's stack gets stage_curvature's error, before the symmetry
+        # check reads the NaN as an asymmetry or subtracts infinities, and
+        # before an infinity off the diagonal fails a later stage's pivot.
+        # The suite turns numpy's RuntimeWarning into an error.
+        prob, x0, z = random_smooth_problem(3, 3, 2, 6)
+        roll, adj = forward_adjoint(prob, x0, z)
+        c = stage_curvature(prob, roll, adj)
+        c[entry] = value
+        workspace = costate.solver.StagewiseFactor(6, 3, 2)
+        for call in (lambda: step_direction(adj, c, adj.gradient, 0.1, 0),
+                     lambda: workspace.factor(adj, c, 0.1)):
+            with pytest.raises(NumericalBlowupError) as err:
+                call()
+            assert (err.value.stage, err.value.what) == (
+                2, "second-order stage data")
+
     def test_skewed_stage_oracle_raises_asymmetry(self):
         base, x0, z0 = random_smooth_problem(6, 2, 2, 4)
         skew = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -299,11 +319,12 @@ def _residual(adj, c, d, rhs, r):
 
 
 class TestBandedSolve:
-    """StagewiseFactor's solve passes, each one banded triangular solve,
-    checked against (R + H) itself at the band's edge cases: no block
-    (N = 0), one block (N = 1), and the long horizon (N = 800)."""
+    """StagewiseFactor's solve passes, each one banded triangular solve of
+    the count-N system, checked against (R + H) itself at the band's edge
+    cases: no stage to solve for (N = 0), one stage and no block (N = 1),
+    one block (N = 2), and the long horizon (N = 800)."""
 
-    @pytest.mark.parametrize("n_last", [0, 1, 800])
+    @pytest.mark.parametrize("n_last", [0, 1, 2, 800])
     def test_depth_zero_and_three_solve_their_systems(self, n_last):
         adj, c, g = _banded_snapshot(n_last)
         r = 1.0
@@ -314,7 +335,7 @@ class TestBandedSolve:
         d3 = step_direction(adj, c, g, r, 3)
         assert _residual(adj, c, d3, g + r * d2, r) <= 1e-9
 
-    @pytest.mark.parametrize("n_last", [0, 1, 800])
+    @pytest.mark.parametrize("n_last", [0, 1, 2, 800])
     def test_refactor_after_a_failed_pivot_refills_the_bands(self, n_last):
         # The workspace's bands hold the last good factorization when a
         # later one fails; the next must overwrite every block of them.
@@ -331,6 +352,27 @@ class TestBandedSolve:
         assert np.array_equal(reused, step_direction(adj, c, g, r, 3))
         d2 = step_direction(adj, c, g, r, 2)
         assert _residual(adj, c, reused, g + r * d2, r) <= 1e-9
+
+    def test_workspace_reads_no_entry_it_did_not_write(self, monkeypatch):
+        # Every buffer the workspace leaves uninitialised is written before
+        # a solve reads it, and the terminal terms s_{N+1} = 0 and dx_0 = 0
+        # are zeroed once: with np.empty's memory filled with NaN, the
+        # directions keep their bits.  s_{N+1} reaches a solve only through
+        # f_u[N]' s_{N+1} with f_u[N] = 0, so only a NaN there shows.
+        adj, c, g = _banded_snapshot(10)
+        want = step_direction(adj, c, g, 1.0, 2)
+        empty = np.empty
+
+        def nan_empty(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(np, "empty", nan_empty)
+        workspace = costate.solver.StagewiseFactor(10, 4, 2)
+        monkeypatch.undo()
+        got = step_direction(adj, c, g, 1.0, 2, _factor=workspace)
+        assert np.array_equal(got, want)
 
 
 class TestMinimize:
