@@ -411,17 +411,27 @@ def run_check_suites(seed: int = 0,
     rng, problems = _named_problems(seed, sizes, extra_problems)
     results: List[SuiteResult] = []
 
-    def record(name, tol, errors):
-        # errors yields (error, where); the first largest one is reported.
-        worst, where = max([(0.0, "")] + list(errors), key=lambda e: e[0])
+    def record(name, tol, errors, exact=()):
+        # errors yields (error, where) pairs held to tol, exact yields pairs
+        # that must be zero.  The first nonzero exact error is reported,
+        # else the first largest error.
+        nonzero = [e for e in exact if e[0]]
+        worst, where = nonzero[0] if nonzero else max(
+            [(0.0, "")] + list(errors), key=lambda e: e[0])
         results.append(SuiteResult(
-            name=name, passed=worst <= tol, max_error=worst, tolerance=tol,
-            detail=f"seed {seed}, problem {where}"))
+            name=name, passed=worst <= tol and not nonzero, max_error=worst,
+            tolerance=tol, detail=f"seed {seed}, problem {where}"))
 
-    # Analytic oracles against finite differences of the raw callables.
+    # Analytic oracles against finite differences of the raw callables.  A
+    # rollout oracle has no differencing error: it must equal the stepped
+    # dynamics bit for bit.
+    consistency = [(fd_consistency(prob, rng, n_points=30, sampler=sampler),
+                    name) for name, prob, _, _, sampler in problems]
     record("fd-consistency", 1e-5, (
-        (max(fd_consistency(prob, rng, n_points=30, sampler=sampler).values()),
-         name) for name, prob, _, _, sampler in problems))
+        (max(err for key, err in errs.items() if key != "rollout"), name)
+        for errs, name in consistency), exact=(
+        (errs["rollout"], f"{name} rollout")
+        for errs, name in consistency if "rollout" in errs))
 
     # Adjoint gradient against central differences of the cost.
     record("gradient-vs-fd", 1e-5, (

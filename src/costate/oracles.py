@@ -15,8 +15,9 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from .adjoint import gradient
-from .problem import (FD_STEP, ProblemDef, central_difference, check_count,
-                      check_positive, eval_cost, make_fd_problem, one_row)
+from .problem import (FD_STEP, ProblemDef, as_stack, central_difference,
+                      check_count, check_positive, check_state, eval_cost,
+                      make_fd_problem, one_row)
 from .scenarios import LqrSpec
 
 
@@ -119,7 +120,10 @@ def fd_consistency(p: ProblemDef, rng: np.random.Generator,
     "row_independence" the worst relative gap between any stacked oracle's
     rows, the stage cost included, and the same oracle evaluated one row at
     a time.  Second-order comparisons are skipped when the problem does not
-    define the corresponding oracles.
+    define the corresponding oracles.  A problem with a rollout oracle also
+    gets a "rollout" entry: the worst relative gap between rollout(x0, U)
+    and iterating the dynamics, over n_points starts and N-row control
+    sequences drawn after the points; a faithful oracle reads 0.
     """
     check_count(n_points, 1, "n_points")
     dims = p.dims
@@ -139,6 +143,9 @@ def fd_consistency(p: ProblemDef, rng: np.random.Generator,
         ks.append(int(rng.integers(0, dims.N + 1)))
         if second and dims.N > 0:
             ws.append(rng.normal(size=dims.n))
+    if p.rollout is not None:
+        worst["rollout"] = max(_rollout_gap(p, rng, draw)
+                               for _ in range(n_points))
     x = np.asarray(xs, dtype=float).reshape(n_points, dims.n)
     u = np.asarray(us, dtype=float).reshape(n_points, dims.m)
     k = np.asarray(ks)
@@ -169,3 +176,19 @@ def fd_consistency(p: ProblemDef, rng: np.random.Generator,
                 worst[name] = max(worst[name], *(
                     max_rel_error(g[i], e[i]) for g, e in zip(got, expected)))
     return worst
+
+
+def _rollout_gap(p: ProblemDef, rng: np.random.Generator,
+                 draw: Callable) -> float:
+    # max_rel_error of p.rollout from one drawn start under N drawn control
+    # rows against stepping p.dynamics from the same start.
+    dims = p.dims
+    x0 = check_state(draw(rng, dims)[0], dims.n, "x0")
+    u = np.array([check_state(draw(rng, dims)[1], dims.m, "control")
+                  for _ in range(dims.N)]).reshape(dims.N, dims.m)
+    stepped = [x0]
+    for k in range(dims.N):
+        stepped.append(check_state(p.dynamics(stepped[-1], u[k], k), dims.n,
+                                   f"dynamics at stage {k}"))
+    got = as_stack(p.rollout(x0, u), (dims.N + 1, dims.n), "rollout")
+    return max_rel_error(got, np.array(stepped))

@@ -11,10 +11,11 @@ stage ignores it; such stages simply report zero cost and zero derivatives
 for u, which pins the corresponding gradient entries to exactly zero.
 
 The dynamics are called one stage at a time, because the rollout is
-sequential.  The stage cost and the derivative oracles are stacked: one
-call evaluates every stage of a pass, row i of its inputs at stage ks[i].
-ProblemDef.from_stagewise builds a problem from per-stage callables, and
-one_row turns a stacked oracle back into a per-stage one.
+sequential; a problem may add a stacked rollout oracle that runs the whole
+recursion in one call.  The stage cost and the derivative oracles are
+stacked: one call evaluates every stage of a pass, row i of its inputs at
+stage ks[i].  ProblemDef.from_stagewise builds a problem from per-stage
+callables, and one_row turns a stacked oracle back into a per-stage one.
 """
 
 from __future__ import annotations
@@ -114,7 +115,17 @@ class ProblemDef:
     The library calls each stacked oracle once per pass, on every stage of
     the pass in stage order.  The dynamics stay per stage because the
     rollout is sequential: x_{k+1} exists only once x_k does, and a
-    one-row stacked step costs several times a per-stage one.
+    one-row stacked step costs several times a per-stage one.  A problem
+    that can run the whole recursion in one call supplies the optional
+
+        rollout(x0, U) -> (N+1, n)                             stages 0..N-1
+
+    the states x_0..x_N from the float64 (n,) x0 under the (N, m) control
+    rows of stages 0..N-1.  While the states are finite they must equal
+    iterating dynamics bit for bit; the rows after the first non-finite
+    state are unspecified.  roll_forward then calls it once in place of N
+    dynamics calls.  dataclasses.replace of dynamics keeps the rollout, so
+    a replacement meant to reach the rollout sets rollout=None with it.
 
     Second derivatives of the dynamics appear only contracted against a
     costate-like vector w, which is the shape the second-order sweeps need
@@ -137,6 +148,7 @@ class ProblemDef:
     d_stage_cost: Callable
     dd_stage_cost: Optional[Callable] = None
     dd_dynamics_contracted: Optional[Callable] = None
+    rollout: Optional[Callable] = None
 
     @classmethod
     def from_stagewise(cls, dims: Dims, dynamics: Callable,
@@ -393,9 +405,11 @@ def check_positive(value, what: str, zero_ok: bool = False) -> None:
 def roll_forward(p: ProblemDef, x0, z: np.ndarray) -> Rollout:
     """Simulate the dynamics under the controls in z and accumulate cost.
 
-    The states come from one dynamics call per stage; the stage costs from
-    one stage_cost call over all of them.  x0, z, each dynamics output and
-    the stage costs are read by check_state's rule.
+    The states come from one rollout call when the problem supplies that
+    oracle, else from one dynamics call per stage; the stage costs from one
+    stage_cost call over all of them.  x0, z, each dynamics output and the
+    stage costs are read by check_state's rule, the rollout's states by
+    as_stack's.
 
     Args:
         p: problem definition.
@@ -407,30 +421,45 @@ def roll_forward(p: ProblemDef, x0, z: np.ndarray) -> Rollout:
 
     Raises:
         DimensionMismatchError: check_state's error naming "x0", "decision
-            vector", "dynamics at stage k" or "stage_cost".
+            vector", "dynamics at stage k" or "stage_cost", or as_stack's
+            naming "rollout".
         NumericalBlowupError: dynamics or cost returned a non-finite value;
             the error carries the first stage k, in the order stage cost k,
-            then dynamics k.  The stage costs are evaluated only up to the
-            first non-finite state, so no callable receives one that the
-            dynamics produced.
+            then dynamics k.  A non-finite row k + 1 of the rollout (or a
+            non-finite x0) is dynamics k (0).  The stage costs are evaluated
+            only up to the first non-finite state, so no callable receives
+            one that the dynamics produced.
     """
     dims = p.dims
     n, horizon = dims.n, dims.N
     u = stage_controls(z, dims).copy()
-    states = np.empty((horizon + 1, n))
-    states[0] = check_state(x0, n, "x0")
-    dynamics, shape, isfinite = p.dynamics, (n,), math.isfinite
+    x0 = check_state(x0, n, "x0")
+    isfinite = math.isfinite
     blown = None
-    for k, (x_k, u_k) in enumerate(zip(states[:horizon], u)):
-        nxt = dynamics(x_k, u_k, k)
-        # check_state's fast path inline: its call would outcost the step.
-        if not (type(nxt) is np.ndarray and nxt.dtype is _FLOAT64
-                and nxt.shape == shape):
-            nxt = check_state(nxt, n, f"dynamics at stage {k}")
-        if not all(map(isfinite, nxt.tolist())):
-            blown = k
-            break
-        states[k + 1] = nxt
+    if p.rollout is not None:
+        states = as_stack(p.rollout(x0, u[:horizon]), (horizon + 1, n),
+                          "rollout")
+        # As in check_finite_stages: any non-finite state makes the sum of
+        # squares non-finite, so only then are the rows scanned.
+        if not isfinite(np.vdot(states, states)):
+            finite = np.isfinite(states).all(axis=1)
+            if not finite.all():
+                blown = max(int(finite.argmin()) - 1, 0)
+    else:
+        states = np.empty((horizon + 1, n))
+        states[0] = x0
+        dynamics, shape = p.dynamics, (n,)
+        for k, (x_k, u_k) in enumerate(zip(states[:horizon], u)):
+            nxt = dynamics(x_k, u_k, k)
+            # check_state's fast path inline: its call would outcost the
+            # step.
+            if not (type(nxt) is np.ndarray and nxt.dtype is _FLOAT64
+                    and nxt.shape == shape):
+                nxt = check_state(nxt, n, f"dynamics at stage {k}")
+            if not all(map(isfinite, nxt.tolist())):
+                blown = k
+                break
+            states[k + 1] = nxt
     last = horizon if blown is None else blown
     costs = check_state(p.stage_cost(states[:last + 1], u[:last + 1],
                                      np.arange(last + 1)), last + 1,

@@ -6,7 +6,7 @@ kinematics, quadratic tracking cost against a circle or a waypoint table).
 A seeded random smooth problem generator for validation harnesses lives
 here too.  Every builder returns its stage cost and derivative oracles
 in the stacked form of ProblemDef, vectorized over the rows; the dynamics
-take one stage.
+take one stage, and the unicycle also supplies the stacked rollout.
 
 The circle parameters are this library's documented defaults: center at the
 origin, radius 1 m, angular rate 0.3 rad/s.  They are plain config values
@@ -214,38 +214,53 @@ def euler_rolled_reference(circle: CircleReference, delta: float,
 
     Unlike the analytic circle, this table satisfies the discrete dynamics
     exactly, so a plant started on it with the reference controls stays on
-    it to machine precision.  delta is checked as circle_reference checks
-    it, n_steps is an integer >= 0.
+    it to machine precision.  The states are unicycle_step's, iterated, in
+    one call of its kinematics.  delta is checked as circle_reference
+    checks it, n_steps is an integer >= 0.
     """
     x0, u0 = circle_reference(circle, delta, 0)
     check_count(n_steps, 0, "n_steps")
-    states = np.empty((n_steps + 1, 3))
     controls = np.tile(u0, (n_steps + 1, 1))
-    states[0] = x0
-    for k in range(n_steps):
-        states[k + 1] = unicycle_step(states[k], controls[k], delta)
+    states = np.array(_euler_states(x0.tolist(), controls[:n_steps].tolist(),
+                                    delta)).reshape(n_steps + 1, 3)
     return WaypointTable(states=states, controls=controls)
+
+
+def _euler_states(state: list, controls: list, delta: float) -> list:
+    # The one implementation of the unicycle kinematics: the K + 1 states
+    # x_0..x_K, flat as [x, y, heading, x, ...], stepped by forward Euler
+    # from state under the K [speed, turn rate] rows of controls.  Python
+    # floats, as numpy scalar arithmetic would cost twice as much.
+    # math.cos raises ValueError on an infinite heading; the states from
+    # there on are NaN.
+    px, py, heading = state
+    flat = [px, py, heading]
+    for speed, turn in controls:
+        step = delta * speed
+        try:
+            px += step * math.cos(heading)
+            py += step * math.sin(heading)
+        except ValueError:
+            flat += [math.nan] * (3 * len(controls) + 3 - len(flat))
+            break
+        heading += delta * turn
+        flat += px, py, heading
+    return flat
 
 
 def unicycle_step(x: np.ndarray, u: np.ndarray, delta: float) -> np.ndarray:
     """One forward-Euler step of the unicycle kinematics.
 
-    Computed in Python floats: the rollout takes one step per stage, and
-    numpy scalar arithmetic would cost twice as much.  An ndarray is read
-    through tolist() as it is, which gives the bits of its float64 values
-    for any real dtype; anything else goes through check_state.
+    Computed in Python floats, by the kinematics that the tracking
+    problem's rollout iterates.  An ndarray is read through tolist() as it
+    is, which gives the bits of its float64 values for any real dtype;
+    anything else goes through check_state.  An infinite heading gives a
+    NaN state.
     """
     x = x if type(x) is np.ndarray else check_state(x, 3, "x")
     u = u if type(u) is np.ndarray else check_state(u, 2, "u")
     try:
-        px, py, heading = x.tolist()
-        speed, turn = u.tolist()
-        step = delta * speed
-        return np.array([
-            px + step * math.cos(heading),
-            py + step * math.sin(heading),
-            heading + delta * turn,
-        ])
+        return np.array(_euler_states(x.tolist(), [u.tolist()], delta)[3:])
     except (TypeError, ValueError):  # a wrong-shape ndarray: name it
         check_state(x, 3, "x")
         check_state(u, 2, "u")
@@ -317,7 +332,10 @@ def build_unicycle_tracking(spec: UnicycleSpec, anchor_step: int,
     circle extends to any step.  current_state is validated against the
     state dimension and otherwise unused here; the rollout start is
     supplied at solve time.  The stacked oracles look their reference rows
-    and constant blocks up by ks, so ks must be stages 0..N_p.
+    and constant blocks up by ks, so ks must be stages 0..N_p.  The
+    rollout oracle steps unicycle_step's kinematics over u.tolist() in
+    Python floats and makes one array of the states at the end, so a
+    rollout is one call, not N_p.
     """
     check_count(anchor_step, 0, "anchor_step")
     check_state(current_state, 3, "current_state")
@@ -351,6 +369,10 @@ def build_unicycle_tracking(spec: UnicycleSpec, anchor_step: int,
 
     def dynamics(x, u, k):
         return unicycle_step(x, u, delta)
+
+    def rollout(x0, u):
+        return np.array(_euler_states(x0.tolist(), u.tolist(),
+                                      delta)).reshape(-1, 3)
 
     def stage_cost(x, u, ks):
         # q . ex^2 + r . eu^2, each batched as in _dot.
@@ -397,6 +419,7 @@ def build_unicycle_tracking(spec: UnicycleSpec, anchor_step: int,
         d_stage_cost=d_stage_cost,
         dd_stage_cost=dd_stage_cost,
         dd_dynamics_contracted=dd_dynamics_contracted,
+        rollout=rollout,
     )
 
 

@@ -174,6 +174,35 @@ class TestFdConsistency:
                               np.random.default_rng(0), n_points=5)
         assert errs["dd_stage_cost"] == np.inf
 
+    def test_rollout_entry_referees_the_rollout_oracle(self):
+        # Only a problem with a rollout oracle gets the entry, and the
+        # unicycle's equals its stepped dynamics exactly.
+        uni = build_unicycle_tracking(UnicycleSpec(), 2, np.zeros(3))
+        errs = fd_consistency(uni, np.random.default_rng(1), n_points=5)
+        assert errs["rollout"] == 0.0
+        assert "rollout" not in fd_consistency(
+            build_lqr(LqrSpec(N=4)), np.random.default_rng(1), n_points=5)
+
+    def test_rollout_off_in_one_row_fails_the_suite(self):
+        # 1e-6 is far inside the derivative tolerance; the rollout is held
+        # to its stepped dynamics exactly.
+        base = build_unicycle_tracking(UnicycleSpec(), 2, np.zeros(3))
+
+        def rollout(x0, u):
+            states = base.rollout(x0, u).copy()
+            states[4] += 1e-6
+            return states
+
+        off = replace(base, rollout=rollout)
+        errs = fd_consistency(off, np.random.default_rng(0), n_points=5)
+        assert 0.0 < errs["rollout"] < 1e-5
+        results = run_check_suites(seed=0, sizes=[(1, 1, 0)], extra_problems=[
+            ("off-rollout", off, np.zeros(3), np.zeros(off.dims.z_len))])
+        suite = {r.name: r for r in results}["fd-consistency"]
+        assert not suite.passed
+        assert 0.0 < suite.max_error < suite.tolerance
+        assert "off-rollout rollout" in suite.detail
+
 
 def test_oracles_do_not_touch_curvature_code():
     """The referee stays independent of the module it referees."""

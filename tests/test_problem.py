@@ -494,37 +494,45 @@ class TestStackedOracles:
         assert calls == Counter(dd_stage_cost=1, dd_dynamics_contracted=1)
 
 
+_BLOWUPS = [  # (cost_at, dyn_at, stage, what)
+    (2, None, 2, "stage cost"),
+    (None, 2, 2, "dynamics"),
+    (2, 2, 2, "stage cost"),
+    (3, 2, 2, "dynamics"),
+    (2, 3, 2, "stage cost"),
+    (0, None, 0, "stage cost"),
+    (None, 4, 4, "dynamics"),
+    (5, None, 5, "stage cost"),
+]
+
+
+def _nan_injected(cost_at, dyn_at, handed):
+    # N = 5, n = 2, m = 1: NaN from the stage cost at cost_at and from the
+    # dynamics at dyn_at; every state a callable receives lands in handed.
+    def dynamics(x, u, k):
+        handed.append(x.copy())
+        return np.full(2, np.nan) if k == dyn_at else 0.9 * x + u
+
+    def stage_cost(x, u, k):
+        handed.append(x.copy())
+        return float("nan") if k == cost_at else float(x @ x + u @ u)
+
+    return ProblemDef.from_stagewise(
+        dims=Dims(n=2, m=1, N=5), dynamics=dynamics,
+        stage_cost=stage_cost,
+        d_dynamics=lambda x, u, k: (0.9 * np.eye(2), np.ones((2, 1))),
+        d_stage_cost=lambda x, u, k: (2.0 * x, 2.0 * u))
+
+
 class TestBlowupOrder:
     """A non-finite stage cost or state is reported at the first stage in
     the order stage cost k, then dynamics k, and no callable is ever handed
     a non-finite state."""
 
-    @pytest.mark.parametrize("cost_at, dyn_at, stage, what", [
-        (2, None, 2, "stage cost"),
-        (None, 2, 2, "dynamics"),
-        (2, 2, 2, "stage cost"),
-        (3, 2, 2, "dynamics"),
-        (2, 3, 2, "stage cost"),
-        (0, None, 0, "stage cost"),
-        (None, 4, 4, "dynamics"),
-        (5, None, 5, "stage cost"),
-    ])
+    @pytest.mark.parametrize("cost_at, dyn_at, stage, what", _BLOWUPS)
     def test_nan_injection(self, cost_at, dyn_at, stage, what):
         handed = []
-
-        def dynamics(x, u, k):
-            handed.append(x.copy())
-            return np.full(2, np.nan) if k == dyn_at else 0.9 * x + u
-
-        def stage_cost(x, u, k):
-            handed.append(x.copy())
-            return float("nan") if k == cost_at else float(x @ x + u @ u)
-
-        prob = ProblemDef.from_stagewise(
-            dims=Dims(n=2, m=1, N=5), dynamics=dynamics,
-            stage_cost=stage_cost,
-            d_dynamics=lambda x, u, k: (0.9 * np.eye(2), np.ones((2, 1))),
-            d_stage_cost=lambda x, u, k: (2.0 * x, 2.0 * u))
+        prob = _nan_injected(cost_at, dyn_at, handed)
         for run in (roll_forward, gradient):
             handed.clear()
             with pytest.raises(NumericalBlowupError) as err:
@@ -533,6 +541,30 @@ class TestBlowupOrder:
             assert err.value.what == what
             assert f"({what})" in str(err.value)
             assert handed and all(np.isfinite(x).all() for x in handed)
+
+    @pytest.mark.parametrize("cost_at, dyn_at, stage, what", _BLOWUPS)
+    def test_rollout_oracle_blows_up_at_the_same_stage(self, cost_at, dyn_at,
+                                                       stage, what):
+        # The stacked path takes the first non-finite row as the blown
+        # stage and prices the states before it alone; the rows after it
+        # are unspecified, here finite junk that no callable may see.
+        handed = []
+        base = _nan_injected(cost_at, dyn_at, handed)
+
+        def rollout(x0, u):
+            states = [x0]
+            for k, u_k in enumerate(u):
+                states.append(np.full(2, np.nan) if k == dyn_at
+                              else np.zeros(2) if dyn_at is not None
+                              and k > dyn_at else 0.9 * states[-1] + u_k)
+            return np.array(states)
+
+        prob = dataclasses.replace(base, rollout=rollout)
+        with pytest.raises(NumericalBlowupError) as err:
+            roll_forward(prob, np.ones(2), np.full(6, 0.1))
+        assert (err.value.stage, err.value.what) == (stage, what)
+        assert handed and all(np.isfinite(x).all() for x in handed)
+        assert len(handed) == (5 if dyn_at is None else dyn_at) + 1
 
     LQR3 = build_lqr(LqrSpec(N=3))
 

@@ -504,3 +504,91 @@ def test_tracking_errors_need_the_table_to_cover_the_states():
         tracking_errors(spec, np.zeros((rows + 1, 3)))
     with pytest.raises(ValueError, match=r"^states must be \(K, 3\)"):
         tracking_errors(spec, np.zeros(3))
+
+
+def _rolled(prob, x0, z):
+    # roll_forward's outcome as bytes, or the blow-up it raised.  numpy's
+    # overflow and invalid warnings are the blow-ups themselves here.
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            roll = roll_forward(prob, x0, z)
+    except NumericalBlowupError as exc:
+        return "blowup", exc.stage, exc.what
+    return ("rolled", roll.states.tobytes(), roll.controls.tobytes(),
+            roll.stage_costs.tobytes(), np.float64(roll.total_cost).tobytes())
+
+
+_SPECIAL = st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308])
+
+
+class TestStackedRollout:
+    """The unicycle's rollout oracle against its own per-stage dynamics."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(horizon=st.integers(1, 60), anchor=st.integers(0, 500),
+           seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 30.0, 1e3]),
+           specials=st.lists(st.tuples(st.integers(-1, 60), st.integers(0, 2),
+                                       _SPECIAL), max_size=3))
+    def test_rollout_oracle_matches_the_stepped_dynamics(
+            self, horizon, anchor, seed, scale, specials):
+        # Same bytes, or the same NumericalBlowupError(stage, what), with a
+        # non-finite or huge entry at random stages: stage -1 puts it in
+        # the start, stage k >= 0 in control k (the terminal one included).
+        spec = UnicycleSpec(N_p=horizon)
+        rng = np.random.default_rng(seed)
+        x0 = np.asarray(spec.X0) + rng.normal(scale=2.0, size=3)
+        u = rng.normal(scale=scale, size=(horizon + 1, 2))
+        for stage, part, value in specials:
+            if stage < 0:
+                x0[part] = value
+            elif stage <= horizon:
+                u[stage, part % 2] = value
+        stacked = build_unicycle_tracking(spec, anchor, np.zeros(3))
+        stepped = dataclasses.replace(stacked, rollout=None)
+        assert _rolled(stacked, x0, u.ravel()) == _rolled(stepped, x0,
+                                                          u.ravel())
+
+    @pytest.mark.parametrize("stacked", [True, False],
+                             ids=["rollout", "per-stage"])
+    def test_infinite_heading_is_a_blowup(self, stacked):
+        # math.cos(inf) used to escape the per-stage rollout as a bare
+        # ValueError; the kinematics now give a NaN state.
+        assert np.isnan(unicycle_step(np.array([0.0, 0.0, math.inf]),
+                                      np.array([1.0, 0.0]), 0.05)).all()
+        prob = build_unicycle_tracking(UnicycleSpec(), 0, np.zeros(3))
+        if not stacked:
+            prob = dataclasses.replace(prob, rollout=None)
+        x0 = np.array([1.0, 0.0, math.inf])
+        assert _rolled(prob, x0, np.zeros(22)) == ("blowup", 0, "stage cost")
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(horizon=st.integers(1, 12), rows=st.integers(0, 15),
+           cols=st.integers(1, 5))
+    def test_wrong_shape_rollout_is_named(self, horizon, rows, cols):
+        shape = (rows, cols) if (rows, cols) != (horizon + 1, 3) else (0, 3)
+        base = build_unicycle_tracking(UnicycleSpec(N_p=horizon), 0,
+                                       np.zeros(3))
+        prob = dataclasses.replace(base,
+                                   rollout=lambda x0, u: np.zeros(shape))
+        expected = re.escape(f"rollout has shape {shape}, expected "
+                             f"{(horizon + 1, 3)}")
+        with pytest.raises(DimensionMismatchError, match=f"^{expected}$"):
+            roll_forward(prob, np.zeros(3), np.zeros(2 * horizon + 2))
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(cx=st.floats(-5, 5), cy=st.floats(-5, 5),
+           radius=st.floats(0.01, 10), rate=st.floats(-3, 3),
+           delta=st.floats(1e-3, 0.5), n_steps=st.integers(0, 100))
+    def test_euler_table_iterates_the_step(self, cx, cy, radius, rate, delta,
+                                           n_steps):
+        circle = CircleReference(center=(cx, cy), radius=radius,
+                                 angular_rate=rate)
+        table = euler_rolled_reference(circle, delta, n_steps)
+        x, u = circle_reference(circle, delta, 0)
+        states = [x]
+        for _ in range(n_steps):
+            states.append(unicycle_step(states[-1], u, delta))
+        assert table.states.tobytes() == np.array(states).tobytes()
+        assert table.controls.tobytes() == np.tile(u, (n_steps + 1,
+                                                       1)).tobytes()

@@ -429,18 +429,25 @@ class TestMinimize:
         assert rep.termination is Termination.CONVERGED
         assert rep.grad_norm_history[-1] < 1e-6
 
+    @pytest.mark.parametrize("stacked", [True, False],
+                             ids=["rollout", "per-stage"])
     @pytest.mark.parametrize("step, offset, escalates", [
         (3, [0.1, 0.1, 0.1], False),
         (0, [0.0, 0.0, 0.0], True),
         (0, [0.5, -0.3, 0.4], True),
     ])
-    def test_one_rollout_per_trial(self, caplog, step, offset, escalates):
+    def test_one_rollout_per_trial(self, caplog, step, offset, escalates,
+                                   stacked):
         # The initial rollout, then one per trial point: an accepted trial's
-        # rollout is reused by the next iteration, not recomputed.
+        # rollout is reused by the next iteration, not recomputed.  With its
+        # rollout oracle the unicycle makes one rollout call per rollout
+        # and no dynamics call; without it, one dynamics call per stage.
         spec = UnicycleSpec()
         x0 = np.asarray(spec.X0) + np.asarray(offset)
         base = build_unicycle_tracking(spec, step, x0)
-        calls = {"dynamics": 0, "stage_cost": 0}
+        if not stacked:
+            base = dataclasses.replace(base, rollout=None)
+        calls = {"dynamics": 0, "stage_cost": 0, "rollout": 0}
 
         def counted(name):
             fn = getattr(base, name)
@@ -451,7 +458,8 @@ class TestMinimize:
             return wrapper
 
         prob = dataclasses.replace(base, **{name: counted(name)
-                                            for name in calls})
+                                            for name in calls
+                                            if getattr(base, name)})
         caplog.set_level(logging.INFO, logger="costate.solver")
         rep = minimize(prob, x0, np.zeros(prob.dims.z_len), SolverConfig())
         assert rep.termination is Termination.CONVERGED
@@ -459,7 +467,12 @@ class TestMinimize:
                       for r in caplog.records)
         assert bool(caplog.records) is escalates
         rollouts = 1 + rep.outer_iters + retried
-        assert calls["dynamics"] == prob.dims.N * rollouts
+        if stacked:
+            assert calls["rollout"] == rollouts
+            assert calls["dynamics"] == 0
+        else:
+            assert calls["rollout"] == 0
+            assert calls["dynamics"] == prob.dims.N * rollouts
         assert calls["stage_cost"] == rollouts
 
     @settings(max_examples=25, deadline=None, database=None)
