@@ -7,8 +7,7 @@ recursion, and a receding-horizon driver, plus bundled scenarios and
 independent oracles for validating all of it.
 """
 
-from .adjoint import (AdjointSolution, adjoint_along, forward_adjoint, gradient,
-                      hamiltonian)
+from .adjoint import AdjointSolution, adjoint_along, forward_adjoint, gradient
 from .curvature import (AsymmetricHessianError, CurvatureOracleError, hessian,
                         hessian_product, stage_curvature)
 from .mpc import MpcConfig, MpcTrace, WarmStart, run_mpc
@@ -21,9 +20,8 @@ from .problem import (DimensionMismatchError, Dims, NumericalBlowupError,
 from .scenarios import (CircleReference, LqrSpec, UnicycleSpec, WaypointTable,
                         build_lqr, build_unicycle_plant,
                         build_unicycle_tracking, circle_reference,
-                        euler_rolled_reference, random_smooth_problem,
-                        reference_at, tracking_errors, unicycle_step,
-                        wrap_angle)
+                        random_smooth_problem, reference_at, tracking_errors,
+                        unicycle_step, wrap_angle)
 from .solver import (LinearSolveError, SolveReport, SolverConfig, Termination,
                      minimize, minimize_gd, step_direction)
 
@@ -36,9 +34,8 @@ __all__ = [
     "UnicycleSpec", "WarmStart", "WaypointTable",
     "adjoint_along", "build_lqr", "build_unicycle_plant",
     "build_unicycle_tracking", "circle_reference", "eval_cost",
-    "euler_rolled_reference", "fd_consistency", "fd_gradient", "fd_hessian",
-    "flat_index", "forward_adjoint", "gradient", "hamiltonian", "hessian",
-    "hessian_product",
+    "fd_consistency", "fd_gradient", "fd_hessian", "flat_index",
+    "forward_adjoint", "gradient", "hessian", "hessian_product",
     "make_fd_problem", "max_rel_error", "minimize", "minimize_gd", "one_row",
     "random_smooth_problem", "reference_at", "riccati_lqr", "roll_forward",
     "run_mpc", "stage_controls", "stage_curvature",

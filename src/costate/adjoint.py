@@ -18,7 +18,7 @@ from typing import Tuple
 import numpy as np
 
 from .problem import (BlockBidiagonal, NumericalBlowupError, ProblemDef,
-                      Rollout, as_stack, check_state, one_row, roll_forward)
+                      Rollout, as_stack, roll_forward)
 
 
 @dataclass(frozen=True)
@@ -41,21 +41,6 @@ class AdjointSolution:
     gradient: np.ndarray
     fx: np.ndarray
     fu: np.ndarray
-
-
-def hamiltonian(p: ProblemDef, x, u, lam_next, k: int) -> float:
-    """Stage Hamiltonian: stage cost plus costate-weighted next state.
-
-    Evaluates cost(x, u, k) + lam_next . dynamics(x, u, k).  The sweeps never
-    call this at stage N (the zero terminal costate removes the dynamics
-    term there), but direct evaluation at any stage is allowed.
-    """
-    dims = p.dims
-    x = check_state(x, dims.n, "x")
-    u = check_state(u, dims.m, "u")
-    lam_next = check_state(lam_next, dims.n, "costate")
-    fx = check_state(p.dynamics(x, u, k), dims.n, "dynamics")
-    return one_row(p.stage_cost)(x, u, k) + float(lam_next @ fx)
 
 
 def adjoint_along(p: ProblemDef, roll: Rollout) -> AdjointSolution:

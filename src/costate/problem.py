@@ -10,12 +10,12 @@ m*(N+1).  The terminal control u_N stays in the layout even when the last
 stage ignores it; such stages simply report zero cost and zero derivatives
 for u, which pins the corresponding gradient entries to exactly zero.
 
-The dynamics are called one stage at a time, because the rollout is
-sequential; a problem may add a stacked rollout oracle that runs the whole
-recursion in one call.  The stage cost and the derivative oracles are
-stacked: one call evaluates every stage of a pass, row i of its inputs at
-stage ks[i].  ProblemDef.from_stagewise builds a problem from per-stage
-callables, and one_row turns a stacked oracle back into a per-stage one.
+The states of a rollout come from one call of the rollout that ProblemDef
+describes, by default one dynamics call per stage.  The stage cost and
+the derivative oracles are stacked: one call evaluates every stage of a
+pass, row i of its inputs at stage ks[i].  ProblemDef.from_stagewise
+builds a problem from per-stage callables, and one_row turns a stacked
+oracle back into a per-stage one.
 """
 
 from __future__ import annotations
@@ -115,24 +115,26 @@ class ProblemDef:
     The library calls each stacked oracle once per pass, on every stage of
     the pass in stage order.  The dynamics stay per stage because the
     rollout is sequential: x_{k+1} exists only once x_k does, and a
-    one-row stacked step costs several times a per-stage one.  A problem
-    that can run the whole recursion in one call supplies the optional
+    one-row stacked step costs several times a per-stage one.  The states
+    of a rollout come from one call of
 
         rollout(x0, U) -> (N+1, n)                             stages 0..N-1
 
-    the states x_0..x_N from the float64 (n,) x0 under the (N, m) control
-    rows of stages 0..N-1.  While the states are finite they must equal
-    iterating dynamics bit for bit; the rows after the first non-finite
-    state are unspecified.  roll_forward then calls it once in place of N
-    dynamics calls.  dataclasses.replace of dynamics keeps the rollout, so
-    a replacement meant to reach the rollout sets rollout=None with it.
+    the states x_0..x_N from the finite float64 (n,) x0 under the (N, m)
+    control rows of stages 0..N-1.  While the states are finite they equal
+    iterating dynamics bit for bit; a non-finite row k+1 means dynamics
+    failed at stage k, and the rows after it are unspecified.  A problem
+    that can run the whole recursion in one call supplies rollout; without
+    it, roll_forward steps dynamics once per stage and stops at the first
+    non-finite state.  dataclasses.replace of dynamics keeps the rollout,
+    so a replacement meant to reach the rollout sets rollout=None with it.
 
     Second derivatives of the dynamics appear only contracted against a
     costate-like vector w, which is the shape the second-order sweeps need
     and avoids rank-3 tensor storage.  Dynamics callables (and their
     derivatives) are never invoked at stage N: the terminal costate is zero,
     so every term that would require them vanishes.  No callable ever
-    receives a non-finite state produced by the dynamics.
+    receives a non-finite state, x0 included.
 
     ``dd_stage_cost`` and ``dd_dynamics_contracted`` may be None for
     problems that are only differentiated once; second-order computations
@@ -402,14 +404,34 @@ def check_positive(value, what: str, zero_ok: bool = False) -> None:
         raise ValueError(f"{what} must be finite and {bound}, got {value!r}")
 
 
+def _stepped(dynamics: Callable, x0: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # ProblemDef's rollout by one dynamics call per stage, each output read
+    # by check_state's rule: the steps stop at the first non-finite state,
+    # which no call receives, and its row and the rest are NaN.
+    n = len(x0)
+    states = np.empty((len(u) + 1, n))
+    states[0] = x0
+    isfinite, shape = math.isfinite, (n,)
+    for k, (x_k, u_k) in enumerate(zip(states, u)):
+        nxt = dynamics(x_k, u_k, k)
+        # check_state's fast path inline: its call would outcost the step.
+        if not (type(nxt) is np.ndarray and nxt.dtype is _FLOAT64
+                and nxt.shape == shape):
+            nxt = check_state(nxt, n, f"dynamics at stage {k}")
+        if not all(map(isfinite, nxt.tolist())):
+            states[k + 1:] = np.nan
+            break
+        states[k + 1] = nxt
+    return states
+
+
 def roll_forward(p: ProblemDef, x0, z: np.ndarray) -> Rollout:
     """Simulate the dynamics under the controls in z and accumulate cost.
 
-    The states come from one rollout call when the problem supplies that
-    oracle, else from one dynamics call per stage; the stage costs from one
-    stage_cost call over all of them.  x0, z, each dynamics output and the
-    stage costs are read by check_state's rule, the rollout's states by
-    as_stack's.
+    The states come from one call of the rollout that ProblemDef describes,
+    under its contract; the stage costs from one stage_cost call over all
+    of them.  x0, z and the stage costs are read by check_state's rule, the
+    states by as_stack's.
 
     Args:
         p: problem definition.
@@ -423,43 +445,28 @@ def roll_forward(p: ProblemDef, x0, z: np.ndarray) -> Rollout:
         DimensionMismatchError: check_state's error naming "x0", "decision
             vector", "dynamics at stage k" or "stage_cost", or as_stack's
             naming "rollout".
-        NumericalBlowupError: dynamics or cost returned a non-finite value;
-            the error carries the first stage k, in the order stage cost k,
-            then dynamics k.  A non-finite row k + 1 of the rollout (or a
-            non-finite x0) is dynamics k (0).  The stage costs are evaluated
-            only up to the first non-finite state, so no callable receives
-            one that the dynamics produced.
+        NumericalBlowupError: (0, "x0") for a non-finite x0, before any
+            callable runs; else the first stage k whose cost or dynamics is
+            not finite, stage cost k before dynamics k, where a non-finite
+            state x_{k+1} is dynamics k.  No stage past the first
+            non-finite state is priced.
     """
     dims = p.dims
     n, horizon = dims.n, dims.N
     u = stage_controls(z, dims).copy()
     x0 = check_state(x0, n, "x0")
     isfinite = math.isfinite
+    if not all(map(isfinite, x0.tolist())):
+        raise NumericalBlowupError(0, "x0")
+    states = as_stack((p.rollout or partial(_stepped, p.dynamics))(
+        x0, u[:horizon]), (horizon + 1, n), "rollout")
     blown = None
-    if p.rollout is not None:
-        states = as_stack(p.rollout(x0, u[:horizon]), (horizon + 1, n),
-                          "rollout")
-        # As in check_finite_stages: any non-finite state makes the sum of
-        # squares non-finite, so only then are the rows scanned.
-        if not isfinite(np.vdot(states, states)):
-            finite = np.isfinite(states).all(axis=1)
-            if not finite.all():
-                blown = max(int(finite.argmin()) - 1, 0)
-    else:
-        states = np.empty((horizon + 1, n))
-        states[0] = x0
-        dynamics, shape = p.dynamics, (n,)
-        for k, (x_k, u_k) in enumerate(zip(states[:horizon], u)):
-            nxt = dynamics(x_k, u_k, k)
-            # check_state's fast path inline: its call would outcost the
-            # step.
-            if not (type(nxt) is np.ndarray and nxt.dtype is _FLOAT64
-                    and nxt.shape == shape):
-                nxt = check_state(nxt, n, f"dynamics at stage {k}")
-            if not all(map(isfinite, nxt.tolist())):
-                blown = k
-                break
-            states[k + 1] = nxt
+    # As in check_finite_stages: any non-finite state makes the sum of
+    # squares non-finite, so only then are the rows scanned.
+    if not isfinite(np.vdot(states, states)):
+        finite = np.isfinite(states).all(axis=1)
+        if not finite.all():
+            blown = max(int(finite.argmin()) - 1, 0)
     last = horizon if blown is None else blown
     costs = check_state(p.stage_cost(states[:last + 1], u[:last + 1],
                                      np.arange(last + 1)), last + 1,

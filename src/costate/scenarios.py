@@ -207,25 +207,6 @@ def circle_reference(circle: CircleReference, delta: float,
     return reference_at(UnicycleSpec(delta=delta, reference=circle), step)
 
 
-def euler_rolled_reference(circle: CircleReference, delta: float,
-                           n_steps: int) -> WaypointTable:
-    """Waypoint table obtained by rolling the Euler kinematics from the
-    circle's starting pose under the constant reference controls.
-
-    Unlike the analytic circle, this table satisfies the discrete dynamics
-    exactly, so a plant started on it with the reference controls stays on
-    it to machine precision.  The states are unicycle_step's, iterated, in
-    one call of its kinematics.  delta is checked as circle_reference
-    checks it, n_steps is an integer >= 0.
-    """
-    x0, u0 = circle_reference(circle, delta, 0)
-    check_count(n_steps, 0, "n_steps")
-    controls = np.tile(u0, (n_steps + 1, 1))
-    states = np.array(_euler_states(x0.tolist(), controls[:n_steps].tolist(),
-                                    delta)).reshape(n_steps + 1, 3)
-    return WaypointTable(states=states, controls=controls)
-
-
 def _euler_states(state: list, controls: list, delta: float) -> list:
     # The one implementation of the unicycle kinematics: the K + 1 states
     # x_0..x_K, flat as [x, y, heading, x, ...], stepped by forward Euler

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from costate import Dims, LqrSpec, ProblemDef, build_lqr
+from costate import (Dims, LqrSpec, ProblemDef, UnicycleSpec, WaypointTable,
+                     build_lqr, build_unicycle_tracking, reference_at)
 
 
 @pytest.fixture
@@ -33,3 +34,15 @@ def zero_cost_problem(n=2, m=1, N=4) -> ProblemDef:
                                                    np.zeros((n, m)),
                                                    np.zeros((m, m))),
     )
+
+
+def rolled_table(circle, delta, n_steps) -> WaypointTable:
+    """Waypoint table on the discrete unicycle kinematics: the tracking
+    problem's rollout from the circle's start under the constant reference
+    controls, over n_steps >= 1 steps of length delta."""
+    spec = UnicycleSpec(delta=delta, N_p=n_steps, reference=circle)
+    x0, u0 = reference_at(spec, 0)
+    controls = np.tile(u0, (n_steps + 1, 1))
+    states = build_unicycle_tracking(spec, 0, x0).rollout(x0,
+                                                          controls[:n_steps])
+    return WaypointTable(states=states, controls=controls)

@@ -12,19 +12,28 @@ from costate import (DimensionMismatchError, Dims, LqrSpec,
                      NumericalBlowupError, ProblemDef, SolverConfig,
                      UnicycleSpec, adjoint_along, build_lqr,
                      build_unicycle_tracking, fd_gradient, forward_adjoint,
-                     gradient, hamiltonian, hessian, max_rel_error,
-                     minimize, minimize_gd, one_row, random_smooth_problem,
-                     roll_forward)
+                     gradient, hessian, max_rel_error, minimize, minimize_gd,
+                     one_row, random_smooth_problem, roll_forward)
+from costate.problem import FD_STEP, central_difference
+
+
+def _hamiltonian(p, x, u, lam_next, k):
+    # Stage Hamiltonian: stage cost plus costate-weighted next state,
+    # cost(x, u, k) + lam_next . dynamics(x, u, k).
+    return one_row(p.stage_cost)(x, u, k) + float(
+        lam_next @ p.dynamics(x, u, k))
 
 
 class TestHamiltonian:
     def test_zero_costate_is_stage_cost(self, lqr1):
-        h = hamiltonian(lqr1, np.array([1.3]), np.array([0.2]), np.zeros(1), 0)
+        h = _hamiltonian(lqr1, np.array([1.3]), np.array([0.2]), np.zeros(1),
+                         0)
         assert h == pytest.approx(1.0 * 1.3 ** 2 + 3.0 * 0.2 ** 2, rel=1e-14)
 
     def test_lqr_hand_value(self, lqr1):
         # cost 1 + costate 10.8 times next state 1.8
-        h = hamiltonian(lqr1, np.array([1.0]), np.zeros(1), np.array([10.8]), 0)
+        h = _hamiltonian(lqr1, np.array([1.0]), np.zeros(1),
+                         np.array([10.8]), 0)
         assert h == pytest.approx(20.44, rel=1e-14)
 
     def test_pure_dynamics_term(self):
@@ -37,15 +46,32 @@ class TestHamiltonian:
         )
         x = np.array([0.5, -2.0])
         lam = np.array([3.0, 1.0])
-        assert hamiltonian(prob, x, np.zeros(1), lam, 0) == pytest.approx(lam @ x)
+        assert _hamiltonian(prob, x, np.zeros(1), lam, 0) == pytest.approx(
+            lam @ x)
 
     def test_wrong_shape_dynamics_output_is_a_dimension_error(self, lqr1):
         # Not numpy's plain ValueError from the costate product: the
-        # subclass, naming the output and both shapes.
+        # subclass, naming the output, its stage and both shapes, raised
+        # by the rollout before any costate is formed.
         prob = dataclasses.replace(lqr1, dynamics=lambda x, u, k: np.zeros(2))
-        with pytest.raises(DimensionMismatchError, match=r"^dynamics has "
-                           r"shape \(2,\), expected \(1,\)$"):
-            hamiltonian(prob, np.ones(1), np.zeros(1), np.ones(1), 0)
+        with pytest.raises(DimensionMismatchError, match=r"^dynamics at stage "
+                           r"0 has shape \(2,\), expected \(1,\)$"):
+            forward_adjoint(prob, np.ones(1), np.zeros(2))
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_gradient_is_the_control_partial(self, seed):
+        # g[k] = c_u[k] + f_u[k]' lam[k] is dH_k/du at (x_k, u_k), lam[k]
+        # the costate of stage k + 1, for every stage with dynamics.
+        prob, x0, z = random_smooth_problem(seed, 3, 2, 6)
+        roll, adj = forward_adjoint(prob, x0, z)
+        m = prob.dims.m
+        for k in range(prob.dims.N):
+            x_k, lam_k = roll.states[k], adj.costates[k]
+            fd = central_difference(
+                lambda uu: _hamiltonian(prob, x_k, uu, lam_k, k),
+                roll.controls[k], FD_STEP)
+            assert max_rel_error(adj.gradient[k * m:(k + 1) * m],
+                                 fd) <= 1e-7
 
 
 class TestBackwardCostates:

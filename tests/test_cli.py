@@ -17,8 +17,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import rolled_table
 from costate import (CircleReference, LqrSpec, ProblemDef, build_lqr,
-                     euler_rolled_reference, random_smooth_problem)
+                     random_smooth_problem)
 from costate.cli import GdBaseline, SCHEMA_VERSION, main, run_check_suites
 from costate.curvature import SYMMETRY_TOL
 
@@ -149,8 +150,7 @@ class TestRunMpc:
 
     def test_waypoint_table_reference(self, tmp_path):
         n_steps, horizon = 80, 10
-        table = euler_rolled_reference(CircleReference(), 0.05,
-                                       n_steps + horizon)
+        table = rolled_table(CircleReference(), 0.05, n_steps + horizon)
         cfg = _write_config(tmp_path, {"scenario": {
             "N": n_steps, "N_p": horizon,
             "reference": {"type": "table", "states": table.states.tolist(),

@@ -156,6 +156,29 @@ def test_library_names_in_the_readme_resolve():
     assert names and not missing, "README names missing: " + ", ".join(missing)
 
 
+def _uses(path, name):
+    # The lines of path that name name as a word, but not its definition.
+    word = re.compile(rf"\b{name}\b")
+    definition = re.compile(rf"^\s*(def|class)\s+{name}\b")
+    return [line for line in path.read_text(encoding="utf-8").splitlines()
+            if word.search(line) and not definition.match(line)]
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # A public name earns its place by a use that is not a test's: in the
+    # library apart from its definition and the package's re-export, in
+    # the benchmark, in a demo or in the README.
+    import costate
+
+    users = [path for path in sorted((REPO / "src" / "costate").glob("*.py"))
+             if path.name != "__init__.py"]
+    users += sorted((REPO / "perfbench").rglob("*.py"))
+    users += sorted((REPO / "demos").rglob("*.py")) + [REPO / "README.md"]
+    unused = [name for name in costate.__all__
+              if not any(_uses(path, name) for path in users)]
+    assert not unused, "public names used only by tests: " + ", ".join(unused)
+
+
 def test_traced_entry_points_are_module_attributes():
     # perfbench/tracing.py swaps these attributes for recording wrappers;
     # a refactor that drops one would break the traced benchmark run.
@@ -257,8 +280,8 @@ def _delta_checks(node, scope=()):
 
 
 def test_delta_is_checked_in_one_place():
-    # UnicycleSpec states the rule for the Euler step; circle_reference and
-    # euler_rolled_reference reach it through reference_at.
+    # UnicycleSpec states the rule for the Euler step; circle_reference
+    # reaches it through reference_at.
     found = [f"{path.name}:{scope}"
              for path in sorted((REPO / "src" / "costate").glob("*.py"))
              for scope in _delta_checks(ast.parse(

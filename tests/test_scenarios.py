@@ -6,16 +6,16 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import rolled_table
 from costate import (CircleReference, DimensionMismatchError, LqrSpec,
                      NumericalBlowupError, UnicycleSpec, WaypointTable,
                      build_unicycle_tracking, circle_reference, eval_cost,
-                     euler_rolled_reference, fd_consistency, gradient,
-                     hessian, one_row, random_smooth_problem, reference_at,
-                     roll_forward, tracking_errors, unicycle_step,
-                     wrap_angle)
+                     fd_consistency, gradient, hessian, one_row,
+                     random_smooth_problem, reference_at, roll_forward,
+                     tracking_errors, unicycle_step, wrap_angle)
 from costate.scenarios import tracking_sampler
 
 
@@ -99,20 +99,6 @@ class TestCircleReference:
         assert np.array_equal(xr, circle_reference(CircleReference(), 0.05,
                                                    2)[0])
 
-    @pytest.mark.parametrize("delta, n_steps, message", [
-        (0.05, -1, "^n_steps must be an integer >= 0, got -1$"),
-        (0.05, 2.5, "^n_steps must be an integer >= 0, got 2.5$"),
-        (-0.05, 3, r"^delta must be finite and > 0, got -0.05$"),
-    ])
-    def test_euler_rolled_reference_names_a_bad_input(self, delta, n_steps,
-                                                      message):
-        # n_steps=-1 used to raise an IndexError, 2.5 a bare TypeError, and
-        # a negative delta rolled a table that UnicycleSpec would refuse.
-        with pytest.raises(ValueError, match=message):
-            euler_rolled_reference(CircleReference(), delta, n_steps)
-        assert len(euler_rolled_reference(CircleReference(), 0.05,
-                                          np.int64(0))) == 1
-
     @pytest.mark.parametrize("delta", [-0.05, 0.0, math.nan, "0.05", True])
     def test_circle_reference_names_a_bad_delta(self, delta):
         # circle_reference is reference_at of a circle scenario, so delta
@@ -157,11 +143,11 @@ class TestUnicycleScenario:
                               sampler=tracking_sampler(spec, 2))
         assert max(errs.values()) <= 1e-5
 
-    def test_euler_rolled_reference_is_cost_free(self):
+    def test_rolled_table_is_cost_free(self):
         """A plant started on the rolled table under the reference controls
         accumulates essentially no tracking cost."""
         circle = CircleReference()
-        table = euler_rolled_reference(circle, 0.05, 30)
+        table = rolled_table(circle, 0.05, 30)
         spec = UnicycleSpec(N=30, N_p=12, reference=table)
         prob = build_unicycle_tracking(spec, 0, table.states[0])
         z = np.tile(table.controls[0], spec.N_p + 1).reshape(-1)
@@ -213,7 +199,7 @@ class TestUnicycleScenario:
         assert (err.value.stage, err.value.what) == (spec.N_p, "stage cost")
 
     def test_waypoint_table_must_cover_the_horizon(self):
-        table = euler_rolled_reference(CircleReference(), 0.05, 12)
+        table = rolled_table(CircleReference(), 0.05, 12)
         spec = UnicycleSpec(N=12, N_p=10, reference=table)
         build_unicycle_tracking(spec, 2, table.states[2])
         with pytest.raises(ValueError, match="waypoint table"):
@@ -290,7 +276,7 @@ def _seam_specs():
     circle, delta = CircleReference(), 0.05
     seam = int((np.pi / 2) / (circle.angular_rate * delta)) + 1
     spec = UnicycleSpec(N=seam + 30, N_p=10)
-    table = euler_rolled_reference(circle, delta, seam + 30)
+    table = rolled_table(circle, delta, seam + 30)
     return seam, {"circle": spec,
                   "table": dataclasses.replace(spec, reference=table)}
 
@@ -549,18 +535,57 @@ class TestStackedRollout:
         assert _rolled(stacked, x0, u.ravel()) == _rolled(stepped, x0,
                                                           u.ravel())
 
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(horizon=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+           specials=st.lists(st.tuples(st.integers(-1, 30), st.integers(0, 2),
+                                       _SPECIAL), min_size=1, max_size=3))
+    @example(horizon=5, seed=0, specials=[(-1, 0, math.nan)])
+    def test_no_callable_receives_a_non_finite_state(self, horizon, seed,
+                                                     specials):
+        # ProblemDef's promise on the stepped path, for a non-finite start
+        # (stage -1) as for a state that a step made non-finite: dynamics
+        # and stage_cost record every state they are handed, and a
+        # non-finite start is named before either runs.
+        spec = UnicycleSpec(N_p=horizon)
+        base = build_unicycle_tracking(spec, 0, np.zeros(3))
+        seen = []
+
+        def dynamics(x, u, k):
+            seen.append(np.array(x))
+            return base.dynamics(x, u, k)
+
+        def stage_cost(x, u, ks):
+            seen.append(np.array(x))
+            return base.stage_cost(x, u, ks)
+
+        prob = dataclasses.replace(base, dynamics=dynamics,
+                                   stage_cost=stage_cost, rollout=None)
+        rng = np.random.default_rng(seed)
+        x0 = np.asarray(spec.X0) + rng.normal(scale=2.0, size=3)
+        u = rng.normal(size=(horizon + 1, 2))
+        for stage, part, value in specials:
+            if stage < 0:
+                x0[part] = value
+            elif stage <= horizon:
+                u[stage, part % 2] = value
+        outcome = _rolled(prob, x0, u.ravel())
+        assert all(np.isfinite(x).all() for x in seen)
+        if not np.isfinite(x0).all():
+            assert (outcome, seen) == (("blowup", 0, "x0"), [])
+
     @pytest.mark.parametrize("stacked", [True, False],
                              ids=["rollout", "per-stage"])
     def test_infinite_heading_is_a_blowup(self, stacked):
         # math.cos(inf) used to escape the per-stage rollout as a bare
-        # ValueError; the kinematics now give a NaN state.
+        # ValueError; the kinematics now give a NaN state.  A start with an
+        # infinite heading is named as such before any callable runs.
         assert np.isnan(unicycle_step(np.array([0.0, 0.0, math.inf]),
                                       np.array([1.0, 0.0]), 0.05)).all()
         prob = build_unicycle_tracking(UnicycleSpec(), 0, np.zeros(3))
         if not stacked:
             prob = dataclasses.replace(prob, rollout=None)
         x0 = np.array([1.0, 0.0, math.inf])
-        assert _rolled(prob, x0, np.zeros(22)) == ("blowup", 0, "stage cost")
+        assert _rolled(prob, x0, np.zeros(22)) == ("blowup", 0, "x0")
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(horizon=st.integers(1, 12), rows=st.integers(0, 15),
@@ -575,20 +600,3 @@ class TestStackedRollout:
                              f"{(horizon + 1, 3)}")
         with pytest.raises(DimensionMismatchError, match=f"^{expected}$"):
             roll_forward(prob, np.zeros(3), np.zeros(2 * horizon + 2))
-
-    @settings(max_examples=100, deadline=None, database=None)
-    @given(cx=st.floats(-5, 5), cy=st.floats(-5, 5),
-           radius=st.floats(0.01, 10), rate=st.floats(-3, 3),
-           delta=st.floats(1e-3, 0.5), n_steps=st.integers(0, 100))
-    def test_euler_table_iterates_the_step(self, cx, cy, radius, rate, delta,
-                                           n_steps):
-        circle = CircleReference(center=(cx, cy), radius=radius,
-                                 angular_rate=rate)
-        table = euler_rolled_reference(circle, delta, n_steps)
-        x, u = circle_reference(circle, delta, 0)
-        states = [x]
-        for _ in range(n_steps):
-            states.append(unicycle_step(states[-1], u, delta))
-        assert table.states.tobytes() == np.array(states).tobytes()
-        assert table.controls.tobytes() == np.tile(u, (n_steps + 1,
-                                                       1)).tobytes()
