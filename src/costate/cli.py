@@ -14,7 +14,8 @@ Three commands:
                                        scenarios
 
 Exit codes: 0 pass, 1 quantitative failure (a numerical blow-up or a
-solver failure of a run included), 2 usage or config error.
+solver failure of a run included), 2 usage or config error.  main creates
+--out and writes each command's report there, on failure too.
 Configs are JSON with sections {scenario, solver, mpc, baseline, output},
 each read into a dataclass whose defaults fill missing fields and whose
 checks reject bad values.  CSV and JSON outputs are deterministic for a
@@ -115,6 +116,10 @@ def _load_json(path: str, sections: Sequence[str]) -> dict:
         raise ConfigError(
             "config", f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        # Unreadable, not UTF-8, nested past the parser's depth, or an
+        # integer literal past Python's digit limit.
+        raise ConfigError("config", f"cannot read {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config", "top level must be a JSON object")
     for key in data:
@@ -188,7 +193,6 @@ def _reference(user, where: str):
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     # csv writes a float as its repr, which round-trips.
-    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -196,7 +200,6 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -206,36 +209,41 @@ def _write_json(path: Path, obj: dict) -> None:
 # run-lqr
 # ---------------------------------------------------------------------------
 
-def cmd_run_lqr(config_path: str, out_dir: str) -> int:
+def _lqr_against_riccati(spec: LqrSpec, solver_cfg: SolverConfig):
+    """The scalar LQR scenario solved from zero controls beside its
+    closed-form solution: (problem, solver report, Riccati solution, largest
+    control deviation).  The solver's u_N carries no cost and is compared
+    with 0."""
+    prob = build_lqr(spec)
+    report = minimize(prob, np.array([spec.x0]), np.zeros(prob.dims.z_len),
+                      solver_cfg)
+    ric = riccati_lqr(spec.a, spec.b, spec.q, spec.r, spec.p_term, spec.N,
+                      spec.x0)
+    u_ric = np.append(ric.controls, 0.0)
+    return prob, report, ric, float(np.abs(report.z_final - u_ric).max())
+
+
+def cmd_run_lqr(config_path: str, out: Path) -> dict:
     cfg = _load_json(config_path, ("scenario", "solver", "output"))
     spec = _build(LqrSpec, cfg.get("scenario", {}), "scenario")
     check_byte_range(spec.N + 1, "scenario.N")
     solver_cfg = _build(SolverConfig, cfg.get("solver", {}), "solver")
     tol = _build(LqrOutput, cfg.get("output", {}), "output").tolerance
 
-    prob = build_lqr(spec)
-    x0 = np.array([spec.x0])
-    report = minimize(prob, x0, np.zeros(prob.dims.z_len), solver_cfg)
-    roll = roll_forward(prob, x0, report.z_final)
-    ric = riccati_lqr(spec.a, spec.b, spec.q, spec.r, spec.p_term, spec.N,
-                      spec.x0)
-
-    u_ric = np.append(ric.controls, 0.0)
-    max_u_dev = float(np.abs(report.z_final - u_ric).max())
+    prob, report, ric, max_u_dev = _lqr_against_riccati(spec, solver_cfg)
+    roll = roll_forward(prob, np.array([spec.x0]), report.z_final)
     max_x_dev = float(np.abs(roll.states[:, 0] - ric.states).max())
     passed = report.termination is Termination.CONVERGED and max_u_dev <= tol
 
-    out = Path(out_dir)
-    rows = [
-        (k, float(roll.states[k, 0]), float(report.z_final[k]),
-         float(ric.states[k]), float(u_ric[k]))
-        for k in range(spec.N + 1)
-    ]
     _write_csv(out / "lqr_trace.csv",
-               ["k", "x_solver", "u_solver", "x_riccati", "u_riccati"], rows)
-    _write_json(out / "report.json", {
-        "schema_version": SCHEMA_VERSION,
-        "command": "run-lqr",
+               ["k", "x_solver", "u_solver", "x_riccati", "u_riccati"],
+               zip(range(spec.N + 1), roll.states[:, 0].tolist(),
+                   report.z_final.tolist(), ric.states.tolist(),
+                   [*ric.controls.tolist(), 0.0]))
+    print(f"run-lqr: {'PASS' if passed else 'FAIL'} "
+          f"(max control deviation {max_u_dev:.3e}, tolerance {tol:.1e}, "
+          f"{report.outer_iters} outer iterations)")
+    return {
         "scenario": asdict(spec),
         "termination": report.termination.value,
         "outer_iters": report.outer_iters,
@@ -246,18 +254,14 @@ def cmd_run_lqr(config_path: str, out_dir: str) -> int:
         "tolerance": tol,
         "passed": passed,
         "wall_time_s": report.wall_time,
-    })
-    print(f"run-lqr: {'PASS' if passed else 'FAIL'} "
-          f"(max control deviation {max_u_dev:.3e}, tolerance {tol:.1e}, "
-          f"{report.outer_iters} outer iterations)")
-    return 0 if passed else 1
+    }
 
 
 # ---------------------------------------------------------------------------
 # run-mpc
 # ---------------------------------------------------------------------------
 
-def cmd_run_mpc(config_path: str, out_dir: str, baseline: Optional[str]) -> int:
+def cmd_run_mpc(config_path: str, out: Path, baseline: Optional[str]) -> dict:
     cfg = _load_json(config_path,
                      ("scenario", "solver", "mpc", "baseline", "output"))
     spec = _build(UnicycleSpec, cfg.get("scenario", {}), "scenario")
@@ -302,8 +306,6 @@ def cmd_run_mpc(config_path: str, out_dir: str, baseline: Optional[str]) -> int:
              "mean_pos_error_m": steady_stat(np.mean, pos),
              "max_heading_error_rad": steady_stat(np.max, heading)}
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "run-mpc",
         "steady_state": stats,
         "thresholds": {"max_pos_error_m": limits.max_pos_error_m,
                        "max_heading_error_rad": limits.max_heading_error_rad},
@@ -328,7 +330,6 @@ def cmd_run_mpc(config_path: str, out_dir: str, baseline: Optional[str]) -> int:
     else:  # the per-step counts are there to compare with the baseline's
         del report["per_step_iters"]
 
-    out = Path(out_dir)
     _write_csv(out / "mpc_trace.csv",
                ["k", "t", "x", "y", "theta", "v", "omega", "x_r", "y_r",
                 "theta_r", "pos_error", "iters", "solve_ms"],
@@ -345,7 +346,6 @@ def cmd_run_mpc(config_path: str, out_dir: str, baseline: Optional[str]) -> int:
         not failed and unconverged == 0
         and stats["max_pos_error_m"] <= limits.max_pos_error_m
         and stats["max_heading_error_rad"] <= limits.max_heading_error_rad)
-    _write_json(out / "report.json", report)
     if failed:
         reason = (str(trace.failure)
                   if isinstance(trace.failure, NumericalBlowupError)
@@ -359,7 +359,7 @@ def cmd_run_mpc(config_path: str, out_dir: str, baseline: Optional[str]) -> int:
         if unconverged:
             print(f"run-mpc: {unconverged} of {len(states)} steps did not "
                   f"converge {summary['terminations']}", file=sys.stderr)
-    return 0 if passed else 1
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -481,18 +481,9 @@ def run_check_suites(seed: int = 0,
     record("rollout-sensitivity", 1e-5, sensitivity_errors())
 
     # Solver against the closed-form scalar LQR solution.
-    lqr_spec = LqrSpec()
-    lqr = build_lqr(lqr_spec)
-
-    def lqr_deviation(x0_val):
-        rep = minimize(lqr, np.array([x0_val]), np.zeros(lqr.dims.z_len),
-                       SolverConfig())
-        ric = riccati_lqr(lqr_spec.a, lqr_spec.b, lqr_spec.q, lqr_spec.r,
-                          lqr_spec.p_term, lqr_spec.N, x0_val)
-        return float(np.abs(rep.z_final[:lqr_spec.N] - ric.controls).max())
-
-    record("lqr-riccati", 1e-4, ((lqr_deviation(v), f"lqr x0={v}")
-                                 for v in (1.0, 2.0, 3.0)))
+    record("lqr-riccati", 1e-4, (
+        (_lqr_against_riccati(LqrSpec(x0=v), SolverConfig())[3],
+         f"lqr x0={v}") for v in (1.0, 2.0, 3.0)))
 
     return results
 
@@ -515,12 +506,17 @@ def _parse_sizes(text: str) -> List[Tuple[int, int, int]]:
         except ValueError as exc:
             raise ConfigError("sizes", f"expected 'n,m,N' triples separated "
                               f"by ';', got {chunk!r} ({exc})") from exc
+        # The largest arrays of a check problem: the identity product's
+        # Hessian and sensitivity stack, and the n x n random matrices (the
+        # n x m and m x m ones are no larger than these).
+        z_len = m * (n_last + 1)
+        check_byte_range(max(z_len * z_len, (n_last + 1) * n * z_len, n * n),
+                         f"sizes {chunk!r}")
         sizes.append((n, m, n_last))
     return sizes
 
 
-def cmd_check(seed: int, sizes_text: Optional[str],
-              out_dir: Optional[str]) -> int:
+def cmd_check(seed: int, sizes_text: Optional[str]) -> dict:
     try:
         check_count(seed, 0, "seed", bounded=False)  # default_rng's range
     except ValueError as exc:
@@ -533,18 +529,9 @@ def cmd_check(seed: int, sizes_text: Optional[str],
     for r in failing:
         print(f"FAILED: {r.name} (max error {r.max_error:.3e}, {r.detail})",
               file=sys.stderr)
-    if out_dir is not None:
-        _write_json(Path(out_dir) / "check_report.json", {
-            "schema_version": SCHEMA_VERSION,
-            "command": "check",
-            "seed": seed,
+    return {"seed": seed,
             "sizes": [list(s) for s in (sizes or DEFAULT_CHECK_SIZES)],
-            "suites": [{"name": r.name, "passed": r.passed,
-                        "max_error": r.max_error, "tolerance": r.tolerance,
-                        "detail": r.detail} for r in results],
-            "passed": not failing,
-        })
-    return 0 if not failing else 1
+            "suites": [asdict(r) for r in results], "passed": not failing}
 
 
 # ---------------------------------------------------------------------------
@@ -584,18 +571,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: create --out, write the command's report there on
+    pass and failure alike, and return the exit code."""
+    args = _build_parser().parse_args(argv)
+    out = None if args.out is None else Path(args.out)
     try:
+        if out is not None:
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError("out", f"cannot create directory: {exc}"
+                                  ) from exc
         # Rollouts check every state and cost for finiteness and raise
         # NumericalBlowupError, so numpy's overflow warnings add nothing.
         with np.errstate(over="ignore", invalid="ignore"):
             if args.command == "run-lqr":
-                return cmd_run_lqr(args.config, args.out)
-            if args.command == "run-mpc":
-                return cmd_run_mpc(args.config, args.out, args.baseline)
-            if args.command == "check":
-                return cmd_check(args.seed, args.sizes, args.out)
+                report = cmd_run_lqr(args.config, out)
+            elif args.command == "run-mpc":
+                report = cmd_run_mpc(args.config, out, args.baseline)
+            else:
+                report = cmd_check(args.seed, args.sizes)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -604,15 +599,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # acceptable step, or whose arrays cannot be allocated is a failed
         # run.
         print(f"{args.command}: FAIL ({exc})", file=sys.stderr)
-        if args.out is not None:
-            _write_json(Path(args.out) / "report.json", {
-                "schema_version": SCHEMA_VERSION,
-                "command": args.command,
-                "passed": False,
-                "failure": str(exc),
-            })
-        return 1
-    raise AssertionError(f"unhandled command {args.command}")
+        report = {"passed": False, "failure": str(exc)}
+    if out is not None:
+        name = ("check_report.json" if args.command == "check"
+                else "report.json")
+        _write_json(out / name, {"schema_version": SCHEMA_VERSION,
+                                 "command": args.command, **report})
+    return 0 if report["passed"] else 1
 
 
 def entry() -> None:

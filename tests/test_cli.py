@@ -92,6 +92,20 @@ class TestRunLqr:
         assert rc == 2
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data", [
+        b'{"scenario": \xff}',  # not UTF-8
+        b"[" * 100_000,  # nested past the parser's depth
+        b'{"scenario": {"N": ' + b"1" * 5000 + b"}}",  # past 4300 digits
+    ], ids=["not-utf8", "too-deep", "too-many-digits"])
+    def test_undecodable_config_exits_2(self, tmp_path, capsys, data):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        rc = main(["run-lqr", "--config", str(bad), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error in field 'config': ")
+        assert err.count("\n") == 1
+
 
 class TestRunMpc:
     def _short_config(self, tmp_path, **scenario_overrides):
@@ -192,6 +206,19 @@ class TestCheck:
         assert {s["name"] for s in report["suites"]} == {
             "fd-consistency", "gradient-vs-fd", "hessian-vs-fd",
             "hessian-symmetry", "rollout-sensitivity", "lqr-riccati"}
+
+    def test_size_past_the_byte_range_fails_in_check_report(self, tmp_path,
+                                                            capsys):
+        # n * n float64 values exceed numpy's byte range, which numpy
+        # refuses with a bare ValueError; nothing is allocated.
+        rc = main(["check", "--sizes", "4294967296,1,1",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"check: FAIL \(.*byte range\)\n", err), err
+        report = _read_strict_json(tmp_path / "check_report.json")
+        assert (report["command"], report["passed"]) == ("check", False)
+        assert not (tmp_path / "report.json").exists()
 
     def test_degenerate_size_passes(self):
         results = run_check_suites(seed=0, sizes=[(1, 1, 0)])
@@ -391,6 +418,21 @@ def test_rollout_blowup_fails_with_one_line(tmp_path, capsys, command,
         assert report["steps_completed"] == 0
 
 
+@pytest.mark.parametrize("argv, out", [
+    (["run-lqr", "--config", str(REPO / "configs" / "lqr.json")], "taken"),
+    (["check", "--sizes", "1,1,0"], "taken/sub"),
+])
+def test_out_that_cannot_be_a_directory_exits_2_before_running(
+        tmp_path, capsys, argv, out):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    rc = main([*argv, "--out", str(tmp_path / out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "'out'" in captured.err and captured.out == ""
+    assert sorted(tmp_path.iterdir()) == [taken]
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["run-lqr"])  # missing --config
@@ -509,6 +551,16 @@ def test_a_fuzzed_config_exits_0_1_or_2(case):
                        r"'[a-z_]+(\.\w+)+'")
 
 
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.binary())
+def test_arbitrary_config_bytes_exit_0_1_or_2(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_bytes(data)
+        _exits_cleanly(["run-lqr", "--config", str(cfg)], "report.json",
+                       "^config error in field '")
+
+
 _INTEGERS = [v for v in _FUZZ_VALUES if type(v) is int]
 
 
@@ -521,6 +573,10 @@ _SIZE_ENTRIES = st.sampled_from([1, 2, 3]) | st.sampled_from(_FUZZ_VALUES)
        sizes=st.lists(st.lists(_SIZE_ENTRIES, min_size=2, max_size=4),
                       min_size=1, max_size=2))
 @example(seed=2**70, sizes=[[2**70, 1, 1]])
+# Past numpy's byte range: refused before any allocation.  A size whose
+# arrays fit the byte range but not memory would really be allocated.
+@example(seed=0, sizes=[[2**32, 1, 1]])
+@example(seed=0, sizes=[[1, 1, 2**31]])
 def test_fuzzed_check_arguments_exit_0_1_or_2(seed, sizes):
     # "--opt=value" keeps a value that starts with "-" from reading as an
     # option.

@@ -289,6 +289,42 @@ def test_delta_is_checked_in_one_place():
     assert found == ["scenarios.py:UnicycleSpec.__post_init__"], found
 
 
+def _callers(tree, name):
+    # The top-level function around each call of name, or of a method so
+    # named.
+    return [func.name for func in tree.body
+            if isinstance(func, ast.FunctionDef)
+            for call in ast.walk(func)
+            if isinstance(call, ast.Call)
+            and ast.unparse(call.func).split(".")[-1] == name]
+
+
+def _int_valued(node):
+    # A return value that is an int literal, or a choice between them.
+    if isinstance(node, ast.IfExp):
+        return _int_valued(node.body) or _int_valued(node.orelse)
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def test_main_is_the_one_way_out_of_the_cli():
+    # Each command returns its report; main creates --out, writes the
+    # report file and turns "passed" into the exit code.
+    tree = ast.parse((REPO / "src" / "costate" / "cli.py")
+                     .read_text(encoding="utf-8"))
+    assert _callers(tree, "_write_json") == ["main"]
+    assert _callers(tree, "mkdir") == ["main"]
+    commands = [func for func in tree.body
+                if isinstance(func, ast.FunctionDef)
+                and func.name.startswith("cmd_")]
+    assert len(commands) == 3
+    found = [f"cli.py:{node.lineno} {func.name}" for func in commands
+             for node in ast.walk(func)
+             if isinstance(node, ast.Return) and _int_valued(node.value)]
+    found += [f"{func.name} -> {ast.unparse(func.returns)}"
+              for func in commands if ast.unparse(func.returns) != "dict"]
+    assert not found, "commands that return an exit code: " + ", ".join(found)
+
+
 def _run_fresh(code):
     # code's stdout, run in a fresh interpreter that imports from src.
     env = dict(os.environ)
