@@ -7,7 +7,8 @@ variables there are.  The costate recursion is linear, a unit
 block-bidiagonal system in the stacked costates, so it runs as one
 problem.BlockBidiagonal solve with no Python loop over the stages.  The
 Newton step's two solve passes (solver.StagewiseFactor) are the same
-system over the closed-loop Jacobians in place of f_x.
+system over blocks of stages, with the closed-loop block Jacobians in
+place of f_x.
 """
 
 from __future__ import annotations

@@ -14,8 +14,9 @@ Three commands:
                                        scenarios
 
 Exit codes: 0 pass, 1 quantitative failure (a numerical blow-up or a
-solver failure of a run included), 2 usage or config error.  main creates
---out and writes each command's report there, on failure too.
+solver failure of a run included), 2 usage or config error, an --out
+that cannot be created or written included.  main creates --out and writes
+each command's report there, on failure too.
 Configs are JSON with sections {scenario, solver, mpc, baseline, output},
 each read into a dataclass whose defaults fill missing fields and whose
 checks reject bad values.  CSV and JSON outputs are deterministic for a
@@ -29,6 +30,7 @@ import csv
 import json
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -191,16 +193,27 @@ def _reference(user, where: str):
 # Output helpers
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _out_file(path: Path):
+    """path opened for writing; an OSError, from the open or a write, is
+    ConfigError("out", ...) naming the path."""
+    try:
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError("out", f"cannot write {path}: {exc}") from exc
+
+
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     # csv writes a float as its repr, which round-trips.
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    with _out_file(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    with path.open("w", encoding="utf-8") as fh:
+    with _out_file(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -582,29 +595,30 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             except OSError as exc:
                 raise ConfigError("out", f"cannot create directory: {exc}"
                                   ) from exc
-        # Rollouts check every state and cost for finiteness and raise
-        # NumericalBlowupError, so numpy's overflow warnings add nothing.
-        with np.errstate(over="ignore", invalid="ignore"):
-            if args.command == "run-lqr":
-                report = cmd_run_lqr(args.config, out)
-            elif args.command == "run-mpc":
-                report = cmd_run_mpc(args.config, out, args.baseline)
-            else:
-                report = cmd_check(args.seed, args.sizes)
+        try:
+            # Rollouts check every state and cost for finiteness and raise
+            # NumericalBlowupError, so numpy's overflow warnings add nothing.
+            with np.errstate(over="ignore", invalid="ignore"):
+                if args.command == "run-lqr":
+                    report = cmd_run_lqr(args.config, out)
+                elif args.command == "run-mpc":
+                    report = cmd_run_mpc(args.config, out, args.baseline)
+                else:
+                    report = cmd_check(args.seed, args.sizes)
+        except (NumericalBlowupError, LinearSolveError, MemoryError) as exc:
+            # A finite config whose rollout overflows, whose solve finds no
+            # acceptable step, or whose arrays cannot be allocated is a
+            # failed run.
+            print(f"{args.command}: FAIL ({exc})", file=sys.stderr)
+            report = {"passed": False, "failure": str(exc)}
+        if out is not None:
+            name = ("check_report.json" if args.command == "check"
+                    else "report.json")
+            _write_json(out / name, {"schema_version": SCHEMA_VERSION,
+                                     "command": args.command, **report})
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (NumericalBlowupError, LinearSolveError, MemoryError) as exc:
-        # A finite config whose rollout overflows, whose solve finds no
-        # acceptable step, or whose arrays cannot be allocated is a failed
-        # run.
-        print(f"{args.command}: FAIL ({exc})", file=sys.stderr)
-        report = {"passed": False, "failure": str(exc)}
-    if out is not None:
-        name = ("check_report.json" if args.command == "check"
-                else "report.json")
-        _write_json(out / name, {"schema_version": SCHEMA_VERSION,
-                                 "command": args.command, **report})
     return 0 if report["passed"] else 1
 
 

@@ -12,14 +12,11 @@ is retried with a larger regularizer, which minimize carries across outer
 iterations as a Levenberg-Marquardt damping.
 
 (R + H) d = g is the optimality condition of a linear-quadratic subproblem
-along the rollout, so the factorization is a backward Riccati recursion
-over the stage Hamiltonian Hessians of curvature.stage_curvature and the
-dynamics Jacobians of the costate sweep: O(N (n+m)^3) time and O(N (n+m)^2)
-memory.  The dense Hessian is never formed.  Only the factorization's
-pivots loop over the stages in Python; each solve against it is a costate
-sweep plus a linearized rollout on the closed-loop Jacobians, the two
-banded triangular solves of one problem.BlockBidiagonal system with the
-costate sweep's geometry.
+along the rollout, so StagewiseFactor factors it by a backward Riccati
+recursion over blocks of up to B_MAX stages, from the stage Hamiltonian
+Hessians of curvature.stage_curvature and the dynamics Jacobians of the
+costate sweep, and solves against it with two banded passes: O(N (n+mB)^3
+/ B) time, O(N (n+m)(n+mB)) memory, and no matrix larger than (n+mB)^2.
 
 Each iterate is rolled out once.  The rollout that prices a trial point is
 kept when the point is accepted and becomes the next iteration's snapshot,
@@ -41,6 +38,7 @@ from enum import Enum
 from typing import List, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .adjoint import AdjointSolution, adjoint_along, forward_adjoint
 from .curvature import check_curvature, stage_curvature, symmetric_part
@@ -58,6 +56,12 @@ log = logging.getLogger(__name__)
 REG_GROW = 10.0
 REG_SHRINK = 3.0
 REG_MAX = 1e8
+
+# Most stages per block of StagewiseFactor's partially condensed Riccati
+# recursion.  Larger blocks take fewer Python iterations but more flops per
+# block, (n + m B)^3 against B (n + m)^3; tools/block_sweep.py times the
+# trade-off, and CHANGES.md records the sweep that chose this value.
+B_MAX = 8
 
 
 class Termination(Enum):
@@ -133,7 +137,7 @@ class SolveReport:
 
 
 class StagewiseFactor:
-    """Backward Riccati factorization of (R + H), solved by stage passes.
+    """Backward Riccati factorization of (R + H) over blocks of stages.
 
     (R + H) d = b is the optimality condition of the LQ subproblem
 
@@ -141,81 +145,141 @@ class StagewiseFactor:
         subject   dx_{k+1} = f_x dx_k + f_u du_k,   dx_0 = 0,
 
     with Q_k the stage Hessian plus r_reg on its uu diagonal, and f_x, f_u
-    the sweep's Jacobians, zero at stage N.  Going backward from P = 0,
-    each stage adds the propagated cost-to-go curvature P to Q_k and
-    Cholesky-factors its control pivot Q_uu; one solve against
-    [Q_ux | I] yields the feedback gain K_k = -Q_uu^{-1} Q_ux and Q_uu^{-1}
-    at once, and P_k = Q_xx + Q_xu K_k.  The pivots are positive definite
-    exactly when R + H is.
+    the sweep's Jacobians, zero at stage N.  Partial condensing (Axehill,
+    Syst. Control Lett. 76, 2015) folds the stages into nb blocks of B:
+    nb = ceil((N+1) / B_MAX) and B = ceil((N+1) / nb), the horizon padded
+    after stage N with stages of zero Jacobians and zero curvature.  Block
+    j, stages jB .. e_j = jB + B - 1, has the state dx_{jB} and the mB
+    controls du_{e_j}, .., du_{jB}, last stage first.  One banded solve
+    (BlockBidiagonal.solve_columns, its blocks decoupled at their first
+    rows) gives every block's state sensitivities [Phi_i | Gamma_i] of
+    dx_{jB+i}, i = 0..B, to both.  With S_i those rows over the rows that
+    select du_{jB+i}, two batched products form the block Hessians
+    Qb_j = sum_i S_i' Q_i S_i, and R adds r_reg on their uu diagonal.  Block
+    j is then a stage of the same LQ form, with state dimension n, control
+    dimension mB and Jacobians F_j = [Phi_B | Gamma_B].
+
+    Going backward over the blocks from P = 0, each adds the propagated
+    cost-to-go curvature P to Qb_j and Cholesky-factors its control pivot;
+    one solve against [Qb_ux | I] yields the feedback gain
+    K_j = -Qb_uu^{-1} Qb_ux and Qb_uu^{-1} at once, and
+    P_j = Qb_xx + Qb_xu K_j.  As a block's controls run last stage first,
+    its Cholesky eliminates them in the stage-wise recursion's backward
+    order, so its leading minors are the stage pivots: it succeeds exactly
+    when they, and so R + H, are positive definite, and the first minor that
+    fails, info, names stage e_j - (info - 1) // m.  A padded stage's pivot
+    is r_reg * I.
 
     A solve is a costate sweep plus a linearized rollout on the closed-loop
-    Jacobians A_k = f_x + f_u K_k.  Backward from s_{N+1} = 0, the linear
-    cost-to-go term is s_k = A_k' s_{k+1} - K_k' b_k and the feedforward
-    kff_k = Q_uu^{-1} (b_k - f_u' s_{k+1}); forward from dx_0 = 0,
-    dx_{k+1} = A_k dx_k + f_u kff_k and du_k = kff_k + K_k dx_k.  Both
-    recursions are one unit lower block-bidiagonal system, -A_1 .. -A_{N-1}
+    block Jacobians A_j = Phi_B + Gamma_B K_j, with b_j and du_j block j's
+    entries in its control order.  Backward from s_nb = 0, the linear
+    cost-to-go term is s_j = A_j' s_{j+1} - K_j' b_j and the feedforward
+    kff_j = Qb_uu^{-1} (b_j - Gamma_B' s_{j+1}); forward from dx_0 = 0,
+    dx_{j+1} = A_j dx_j + Gamma_B kff_j and du_j = kff_j + K_j dx_j.  Both
+    recursions are one unit lower block-bidiagonal system, -A_1 .. -A_{nb-2}
     below its diagonal (problem.BlockBidiagonal, the costate sweep's
-    geometry), solved transposed for s_1..s_N and as it is for dx_1..dx_N
-    (A_0 meets only dx_0 = 0 and s_0, which nothing reads, and A_N = 0,
-    stage N having no dynamics).  Batched products apply the forcing
-    terms and read off kff and du, so a solve has no Python loop over the
-    stages; its sums run in BLAS's order and agree with a stage-by-stage
-    pass to roundoff.
+    geometry over the blocks), solved transposed for s_1..s_{nb-1} and as it
+    is for dx_1..dx_{nb-1} (A_0 meets only dx_0 = 0 and s_0, which nothing
+    reads, and A_{nb-1} = 0, the last block ending in stage N or a padded
+    stage).  One index array moves b into block order and du back out, and
+    batched products apply the forcing terms, so a solve has no Python
+    loop; its sums run in BLAS's order and agree with a stage-by-stage pass
+    to roundoff.
 
-    The object is a workspace sized by (N, n, m): its arrays, the
-    symmetrized stack q and the block-bidiagonal system included, and the
-    per-stage views and bound methods over them are made once and refilled
-    in place by each factor() call.  minimize holds one for the whole solve
-    and run_mpc one for the whole closed loop, so every outer iteration,
-    escalation retry and plant step reuses it; a failed factorization
-    leaves nothing the next one reads.  Stage k of the factor loop, with
-    F_k = [f_x | f_u], is
+    The object is a workspace sized by (N, n, m): its arrays, about
+    3 (N+B)(n+m)(n+mB) floats, and the per-block views and bound methods
+    over them are made once and refilled in place by each factor() call.
+    minimize holds one for the whole solve and run_mpc one for the whole
+    closed loop, so every outer iteration, escalation retry and plant step
+    reuses it; a failed factorization leaves nothing the next one reads.
+    Block j of the factor loop is
 
-        P F_k -> pf;  F_k' pf -> fpf;  Q_k += fpf;  Q_ux -> rhs;
-        dposv(Q_uu, [Q_ux | I]) -> x -> sol[k];  Q_xu x[:, :n] -> schur;
-        Q_xx - schur -> P.
+        P F_j -> pf;  F_j' pf -> fpf;  Qb_j += fpf;  Qb_ux -> rhs;
+        dposv(Qb_uu, [Qb_ux | I]) -> x -> sol[j];  Qb_xu x[:, :n] -> schur;
+        Qb_xx - schur -> P.
 
     Each product is an ndarray.dot bound once, writing into a preallocated
     output: np.dot's BLAS call without its Python-level dispatch and new
     temporary, which cost more than the arithmetic at these sizes.
-    sol[k] = [-K_k | Q_uu^{-1}]; after the loop one batched product and one
-    subtraction write -A_k = f_u (-K_k) - f_x into the system.
+    sol[j] = [-K_j | Qb_uu^{-1}]; after the loop one batched product and one
+    subtraction write -A_j = Gamma_B (-K_j) - Phi_B into the system.
     """
 
     def __init__(self, horizon: int, n: int, m: int):
-        self.eye = np.eye(m)
-        self.q = np.empty((horizon + 1, n + m, n + m))
-        self.q_uu = self.q[:, n:, n:]
-        fxu = np.empty((horizon + 1, n, n + m))
+        count = -(-(horizon + 1) // B_MAX)
+        size = -(-(horizon + 1) // count)
+        mb, cols = m * size, n + m * size
+        self.stages, self.m = horizon + 1, m
+        self.eye = np.eye(mb)
+        # Stage data over the padded horizon; the padded stages stay zero.
+        self.q = np.zeros((count * size, n + m, n + m))
+        fxu = np.zeros((count * size, n, n + m))
         self.f_x, self.f_u = fxu[:, :, :n], fxu[:, :, n:]
-        self.f_u_t = self.f_u.transpose(0, 2, 1)
-        sol = np.empty((horizon + 1, m, n + m))
+        # The sensitivity system has B + 1 rows per block, -f_x coupling
+        # each to the next within the block.  sens is the transpose of the
+        # Fortran (rows, cols) right-hand side that its solve overwrites:
+        # [I | 0] in each block's first row, and in the next B rows f_u at
+        # the columns of its stage's controls.
+        self.sens_system = BlockBidiagonal(count * (size + 1), n)
+        s0, s1, s2 = self.sens_system.blocks.strides
+        self.couplings = as_strided(
+            self.sens_system.blocks, (count, size, n, n),
+            ((size + 1) * s0, s0, s1, s2))
+        self.sens = np.empty((cols, count, size + 1, n))
+        self.sens_eye = self.sens[:n, :, 0]
+        self.eye_n = np.eye(n)[:, None]
+        sc, sj, si, sr = self.sens.strides
+        self.sens_fu = as_strided(self.sens[n + (size - 1) * m:, :, 1:],
+                                  (count, size, n, m),
+                                  (sj, si - m * sc, sr, sc))
+        self.sens_columns = self.sens.reshape(cols, -1).T
+        sens_t = self.sens.transpose(1, 2, 3, 0)
+        self.sens_in, self.sens_out = sens_t[:, :size], sens_t[:, size]
+        s = np.zeros((count, size, n + m, cols))
+        for i in range(size):
+            s[:, i, n:, n + (size - 1 - i) * m:n + (size - i) * m] = np.eye(m)
+        self.s, self.s_top = s.reshape(-1, n + m, cols), s[:, :, :n]
+        self.s_block_t = s.reshape(count, -1, cols).transpose(0, 2, 1)
+        self.qs = np.empty((count * size, n + m, cols))
+        self.qs_block = self.qs.reshape(count, -1, cols)
+        self.qb = np.empty((count, cols, cols))
+        self.qb_uu = self.qb[:, n:, n:]
+        fb = np.empty((count, n, cols))
+        self.fb, self.phi, self.gam = fb, fb[:, :, :n], fb[:, :, n:]
+        self.gam_t = self.gam.transpose(0, 2, 1)
+        sol = np.empty((count, mb, cols))
         self.neg_gain, self.quu_inv = sol[:, :, :n], sol[:, :, n:]
         self.neg_gain_t = self.neg_gain.transpose(0, 2, 1)
-        self.rhs = np.empty((m, n + m))
+        self.rhs = np.empty((mb, cols))
         self.rhs_ux = self.rhs[:, :n]
         self.rhs[:, n:] = self.eye
         self.p = np.empty((n, n))
-        self.pf = np.empty((n, n + m))
-        self.fpf = np.empty((n + m, n + m))
+        self.pf = np.empty((n, cols))
+        self.fpf = np.empty((cols, cols))
         self.schur = np.empty((n, n))
-        self.stages = []
-        for k in range(horizon, -1, -1):
-            qk = self.q[k]
-            self.stages.append((k, qk, qk[n:, :n], qk[n:, n:], qk[:n, :n],
-                                qk[:n, n:].dot, sol[k], sol[k, :, :n],
-                                fxu[k], fxu[k].T.dot))
-        self.system = BlockBidiagonal(horizon, n)
-        # Rows 0..N+1 hold s_k and dx_k.  The forcing products also write
-        # s_0 and dx_{N+1} = f_u[N] kff_N, which nothing reads; nothing
-        # writes s_{N+1} = 0 or dx_0 = 0 (the band solves stop at row N).
-        s = np.zeros((horizon + 2, n, 1))
-        dx = np.zeros((horizon + 2, n, 1))
-        self.s_now, self.s_next = s[:-1], s[1:]
+        self.blocks = []
+        for j in range(count - 1, -1, -1):
+            qj = self.qb[j]
+            self.blocks.append((j * size + size - 1, qj, qj[n:, :n],
+                                qj[n:, n:], qj[:n, :n], qj[:n, n:].dot,
+                                sol[j], sol[j, :, :n], fb[j], fb[j].T.dot))
+        # Entry k*m + c of a stage-ordered vector sits at order[k*m + c] of
+        # the block-ordered one.
+        k, c = np.divmod(np.arange(self.stages * m), m)
+        self.order = k // size * mb + (size - 1 - k % size) * m + c
+        self.system = BlockBidiagonal(count - 1, n)
+        # Rows 0..nb hold s_j and dx_j.  The forcing products also write s_0
+        # and dx_nb = Gamma_B kff_{nb-1}, which nothing reads; nothing writes
+        # s_nb = 0 or dx_0 = 0 (the band solves stop at row nb - 1), nor the
+        # padded stages' entries of b, which stay zero.
+        s_vec = np.zeros((count + 1, n, 1))
+        dx = np.zeros((count + 1, n, 1))
+        self.s_now, self.s_next = s_vec[:-1], s_vec[1:]
         self.dx_now, self.dx_next = dx[:-1], dx[1:]
-        self.s_flat, self.dx_flat = s[1:].reshape(-1), dx[1:].reshape(-1)
-        self.kff_rhs = np.empty((horizon + 1, m, 1))
-        self.kff = np.empty((horizon + 1, m, 1))
+        self.s_flat, self.dx_flat = s_vec[1:].reshape(-1), dx[1:].reshape(-1)
+        self.b = np.zeros((count, mb, 1))
+        self.kff_rhs = np.empty((count, mb, 1))
+        self.kff = np.empty((count, mb, 1))
 
     def factor(self, adj: AdjointSolution, c: np.ndarray, r: float) -> None:
         """Factor R + H at the snapshot (adj, c) with R = r * I.
@@ -226,48 +290,56 @@ class StagewiseFactor:
         whose pivot failed.
         """
         p, pf, fpf, schur = self.p, self.pf, self.fpf, self.schur
-        rhs, rhs_ux = self.rhs, self.rhs_ux
+        rhs, rhs_ux, m = self.rhs, self.rhs_ux, self.m
         check_finite_stages(c, "second-order stage data")
-        # The recursion accumulates into q, so every factorization starts
-        # from a fresh symmetric part.
-        symmetric_part(c, out=self.q)
-        self.q_uu += r * self.eye
-        f_x, f_u = self.f_x, self.f_u
-        f_x[...] = adj.fx
-        f_u[...] = adj.fu
+        symmetric_part(c, out=self.q[:self.stages])
+        self.f_x[:self.stages] = adj.fx
+        self.f_u[:self.stages] = adj.fu
+        np.negative(self.f_x.reshape(self.couplings.shape),
+                    out=self.couplings)
+        self.sens.fill(0.0)
+        self.sens_eye[...] = self.eye_n
+        self.sens_fu[...] = self.f_u.reshape(self.sens_fu.shape)
+        self.sens_system.solve_columns(self.sens_columns)
+        self.s_top[...] = self.sens_in
+        self.fb[...] = self.sens_out
+        np.matmul(self.q, self.s, out=self.qs)
+        np.matmul(self.s_block_t, self.qs_block, out=self.qb)
+        self.qb_uu += r * self.eye
         p.fill(0.0)
-        for (k, qk, q_ux, q_uu, q_xx, q_xu_dot, sol_k, neg_gain_k, fk,
-             fk_t_dot) in self.stages:
-            p.dot(fk, pf)
-            fk_t_dot(pf, fpf)
-            qk += fpf
+        for (last, qj, q_ux, q_uu, q_xx, q_xu_dot, sol_j, neg_gain_j, fj,
+             fj_t_dot) in self.blocks:
+            p.dot(fj, pf)
+            fj_t_dot(pf, fpf)
+            qj += fpf
             rhs_ux[...] = q_ux
             _, x, info = dposv(q_uu, rhs, lower=1)
             if info:
+                k = last - (info - 1) // m
                 raise LinearSolveError(
                     f"(R + H) is not positive definite: the pivot of stage "
                     f"{k} failed to factor", stage=k)
-            sol_k[...] = x
-            q_xu_dot(neg_gain_k, schur)
+            sol_j[...] = x
+            q_xu_dot(neg_gain_j, schur)
             np.subtract(q_xx, schur, out=p)
         neg_a = self.system.blocks
-        np.matmul(f_u[1:-1], self.neg_gain[1:-1], out=neg_a)
-        np.subtract(neg_a, f_x[1:-1], out=neg_a)
+        np.matmul(self.gam[1:-1], self.neg_gain[1:-1], out=neg_a)
+        np.subtract(neg_a, self.phi[1:-1], out=neg_a)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """d solving (R + H) d = b against the last successful factor()."""
-        rhs, kff = self.kff_rhs, self.kff
-        b = b.reshape(kff.shape)
-        np.matmul(self.neg_gain_t, b, out=self.s_now)
+        rhs, kff, bb = self.kff_rhs, self.kff, self.b
+        bb.reshape(-1)[self.order] = b
+        np.matmul(self.neg_gain_t, bb, out=self.s_now)
         self.system.solve(self.s_flat, 1)
-        np.matmul(self.f_u_t, self.s_next, out=rhs)
-        np.subtract(b, rhs, out=rhs)
+        np.matmul(self.gam_t, self.s_next, out=rhs)
+        np.subtract(bb, rhs, out=rhs)
         np.matmul(self.quu_inv, rhs, out=kff)
-        np.matmul(self.f_u, kff, out=self.dx_next)
+        np.matmul(self.gam, kff, out=self.dx_next)
         self.system.solve(self.dx_flat)
         du = np.matmul(self.neg_gain, self.dx_now)
         np.subtract(kff, du, out=du)
-        return du.reshape(-1)
+        return du.reshape(-1)[self.order]
 
 
 def step_direction(adj: AdjointSolution, c: np.ndarray, g: np.ndarray,
@@ -283,9 +355,10 @@ def step_direction(adj: AdjointSolution, c: np.ndarray, g: np.ndarray,
     to the Newton direction.
 
     c is checked against the symmetry tolerance and its symmetric part is
-    factored by a backward Riccati recursion, one Cholesky-factored control
-    pivot per stage; each solve is one backward and one forward pass over
-    the stages.  No m(N+1)-square matrix is formed.
+    factored by a backward Riccati recursion over blocks of up to B_MAX
+    stages (StagewiseFactor), one Cholesky-factored control pivot per
+    block; each solve is one backward and one forward pass over the blocks.
+    No matrix larger than (n + m B_MAX)^2 is formed.
 
     _factor (internal) is the workspace to factor in, sized for the
     snapshot; minimize passes the one it holds for the whole solve.

@@ -433,6 +433,30 @@ def test_out_that_cannot_be_a_directory_exits_2_before_running(
     assert sorted(tmp_path.iterdir()) == [taken]
 
 
+@pytest.mark.parametrize("argv, taken", [
+    (["run-lqr", "--config", str(REPO / "configs" / "lqr.json")],
+     "report.json"),
+    (["run-lqr", "--config", str(REPO / "configs" / "lqr.json")],
+     "lqr_trace.csv"),
+    (["run-mpc", "--config", "{mpc}"], "mpc_trace.csv"),
+    (["check", "--sizes", "1,1,0"], "check_report.json"),
+])
+def test_out_file_that_cannot_be_written_exits_2(tmp_path, capsys, argv,
+                                                 taken):
+    # A directory where a report or a CSV goes: the command runs, then the
+    # write fails with an OSError, which is a config error naming out and
+    # the path, not a traceback.
+    cfg = _write_config(tmp_path, {"scenario": {"N": 80}})
+    out = tmp_path / "out"
+    (out / taken).mkdir(parents=True)
+    rc = main([arg.format(mpc=cfg) for arg in argv] + ["--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert err.startswith("config error in field 'out': cannot write "
+                          f"{out / taken}: "), err
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["run-lqr"])  # missing --config

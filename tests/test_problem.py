@@ -753,3 +753,11 @@ def test_block_bidiagonal_solves_the_matrix_its_blocks_make(count, n, trans,
     scale = max(1.0, float(np.abs(want).max(initial=0.0)))
     assert np.abs(got[:size] - want).max(initial=0.0) <= 1e-12 * scale
     assert got[size] == x[size]
+    if trans or not size:
+        return
+    # solve_columns runs the forward recursion on every column in place.
+    cols = np.asfortranarray(rng.normal(size=(size, 3)))
+    want = np.linalg.solve(dense, cols)
+    got = system.solve_columns(cols)
+    assert np.shares_memory(got, cols)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())

@@ -20,6 +20,7 @@ from costate import (AsymmetricHessianError, DimensionMismatchError, Dims,
                      hessian_product, riccati_lqr, stage_curvature,
                      step_direction)
 from costate.problem import central_difference
+from costate.solver import B_MAX
 
 
 def _lq_problem(a, b, q, r_u, n_last):
@@ -154,17 +155,87 @@ class TestStepDirection:
             step_direction(adj, c[:2], np.ones(4), 0.1, 0)
 
 
-def _stage_two_problem(weight):
-    """n = 2, m = 1, N = 4, every control weight 1 but stage 2's."""
-    weights = [np.eye(1)] * 5
-    weights[2] = weight * np.eye(1)
+def _one_stage_problem(weight, stage=2, n_last=4):
+    """n = 2, m = 1, every control weight 1 but the given stage's."""
+    weights = [np.eye(1)] * (n_last + 1)
+    weights[stage] = weight * np.eye(1)
     return _lq_problem(0.9 * np.eye(2), np.ones((2, 1)), np.eye(2),
-                       weights, 4)
+                       weights, n_last)
+
+
+def _blocks(n_last):
+    """(block count, stages per block) of StagewiseFactor's condensing."""
+    count = -(-(n_last + 1) // B_MAX)
+    return count, -(-(n_last + 1) // count)
+
+
+# A horizon of several blocks whose last one is padded.
+PADDED = 2 * B_MAX
+assert _blocks(PADDED)[0] > 1 and np.prod(_blocks(PADDED)) > PADDED + 1
+
+
+def _stagewise_referee(adj, c, r, b):
+    """(R + H)^{-1} b by the stage-wise Riccati recursion, one control pivot
+    per stage from the last; LinearSolveError names the first that fails."""
+    stages, n, m = adj.fu.shape
+    q = 0.5 * (c + np.swapaxes(c, 1, 2))
+    b = b.reshape(stages, m)
+    p, s, gains, ffs = np.zeros((n, n)), np.zeros(n), [], []
+    for k in range(stages - 1, -1, -1):
+        f = np.hstack([adj.fx[k], adj.fu[k]])
+        qk = q[k] + f.T @ p @ f
+        quu = qk[n:, n:] + r * np.eye(m)
+        try:
+            np.linalg.cholesky(quu)
+        except np.linalg.LinAlgError:
+            raise LinearSolveError("pivot failed", stage=k) from None
+        gain = -np.linalg.solve(quu, qk[n:, :n])
+        ffs.append(np.linalg.solve(quu, b[k] - adj.fu[k].T @ s))
+        gains.append(gain)
+        p = qk[:n, :n] + qk[:n, n:] @ gain
+        s = (adj.fx[k] + adj.fu[k] @ gain).T @ s - gain.T @ b[k]
+    dx, du = np.zeros(n), []
+    for k, (gain, ff) in enumerate(zip(gains[::-1], ffs[::-1])):
+        du.append(ff + gain @ dx)
+        dx = adj.fx[k] @ dx + adj.fu[k] @ du[-1]
+    return np.concatenate(du)
+
+
+def _failed_stage(solve):
+    """solve()'s result, or the stage its LinearSolveError names."""
+    try:
+        return solve(), None
+    except LinearSolveError as exc:
+        return None, exc.stage
+
+
+def _check_workspace_reuse(n_last, stage):
+    """A failed factorization of the one-stage problem in a workspace, then
+    good ones there, match fresh workspaces bit for bit."""
+    g = np.random.default_rng(3).normal(size=n_last + 1)
+    x0, z0 = np.ones(2), np.zeros(n_last + 1)
+    bad_adj, bad_c, _ = _snapshot(
+        _one_stage_problem(-5000.0, stage, n_last), x0, z0)
+    adj, c, _ = _snapshot(_one_stage_problem(2.0, stage, n_last), x0, z0)
+    r, retry_r = 0.1, 1e4
+    workspace = costate.solver.StagewiseFactor(n_last, 2, 1)
+    with pytest.raises(LinearSolveError) as err:
+        step_direction(bad_adj, bad_c, g, r, 2, _factor=workspace)
+    assert err.value.stage == stage
+    reused = step_direction(adj, c, g, r, 2, _factor=workspace)
+    assert np.array_equal(reused, step_direction(adj, c, g, r, 2))
+    # The escalation retry: the same snapshot, a larger regularizer.
+    with pytest.raises(LinearSolveError):
+        step_direction(bad_adj, bad_c, g, r, 2, _factor=workspace)
+    retried = step_direction(bad_adj, bad_c, g, retry_r, 2,
+                             _factor=workspace)
+    assert np.array_equal(
+        retried, step_direction(bad_adj, bad_c, g, retry_r, 2))
 
 
 class TestStagewiseSolve:
     @settings(max_examples=25, deadline=None, database=None)
-    @given(n=st.integers(1, 4), m=st.integers(1, 3), n_last=st.integers(0, 12),
+    @given(n=st.integers(1, 4), m=st.integers(1, 3), n_last=st.integers(0, 40),
            seed=st.integers(0, 2**32 - 1), r=st.sampled_from([1e-3, 0.1, 1.0]),
            depth=st.integers(0, 3), scale=st.sampled_from([1.0, 20.0]))
     def test_matches_dense_solve(self, n, m, n_last, seed, r, depth, scale):
@@ -183,6 +254,47 @@ class TestStagewiseSolve:
         assert lam > -margin, f"indefinite system ({lam}) factored"
         dense = _dense_direction(h, g, r, depth)
         assert np.abs(d - dense).max() <= 1e-10 * np.abs(dense).max()
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 3),
+           n_last=st.one_of(
+               st.integers(0, 40), st.integers(0, B_MAX - 1),
+               st.builds(lambda k, e: B_MAX * k + e - 1, st.integers(1, 4),
+                         st.sampled_from([-1, 1])).filter(lambda v: v <= 40)),
+           seed=st.integers(0, 2**32 - 1), r=st.sampled_from([1e-3, 0.1, 1.0]),
+           scale=st.sampled_from([1.0, 20.0]))
+    @example(n=2, m=1, n_last=0, seed=0, r=0.1, scale=1.0)
+    @example(n=1, m=2, n_last=1, seed=1, r=0.1, scale=1.0)
+    @example(n=3, m=2, n_last=B_MAX - 1, seed=2, r=0.1, scale=1.0)
+    @example(n=3, m=2, n_last=PADDED, seed=3, r=0.1, scale=20.0)
+    def test_matches_the_stagewise_recursion(self, n, m, n_last, seed, r,
+                                             scale):
+        # Horizons of one block, of several, and of B_MAX k +- 1 stages,
+        # which pad the last block.  The scale of 20 makes about a third of
+        # the systems indefinite: then both fail, at the same stage.
+        prob, x0, z = random_smooth_problem(seed, n, m, n_last)
+        roll, adj = forward_adjoint(prob, scale * x0, scale * z)
+        c = stage_curvature(prob, roll, adj)
+        g = np.random.default_rng(seed).normal(size=prob.dims.z_len)
+        want, want_stage = _failed_stage(
+            lambda: _stagewise_referee(adj, c, r, g))
+        got, got_stage = _failed_stage(
+            lambda: step_direction(adj, c, g, r, 0))
+        assert got_stage == want_stage
+        if want is not None:
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_failed_pivot_is_attributed_to_its_stage_at_block_edges(self):
+        # Every stage in turn, the first and last of each block and the
+        # padded block's stage N included, holds a control curvature that
+        # no regularizer up to the cap absorbs.
+        g = np.ones(PADDED + 1)
+        for k in range(PADDED + 1):
+            prob = _one_stage_problem(-5e8, k, PADDED)
+            adj, c, _ = _snapshot(prob, np.ones(2), np.zeros(PADDED + 1))
+            with pytest.raises(LinearSolveError) as err:
+                step_direction(adj, c, g, 0.1, 0)
+            assert err.value.stage == k
 
     def test_minimize_never_forms_the_dense_hessian(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -258,7 +370,7 @@ class TestStagewiseSolve:
     def test_failed_pivot_names_its_stage(self):
         # Stage 2's control curvature is below -REG_MAX, so no regularizer
         # up to the cap factors it.
-        prob = _stage_two_problem(-5e8)
+        prob = _one_stage_problem(-5e8)
         adj, c, _ = _snapshot(prob, np.ones(2), np.zeros(5))
         with pytest.raises(LinearSolveError) as err:
             step_direction(adj, c, np.ones(5), 0.1, 0)
@@ -272,30 +384,17 @@ class TestStagewiseSolve:
         # minimize factors every outer iteration and every escalation retry
         # in one workspace; a failed factorization must leave nothing behind
         # that a later one reads.
-        g = np.random.default_rng(3).normal(size=5)
-        x0, z0 = np.ones(2), np.zeros(5)
-        bad_adj, bad_c, _ = _snapshot(_stage_two_problem(-5000.0), x0, z0)
-        adj, c, _ = _snapshot(_stage_two_problem(2.0), x0, z0)
-        r, retry_r = 0.1, 1e4
-        workspace = costate.solver.StagewiseFactor(4, 2, 1)
-        with pytest.raises(LinearSolveError) as err:
-            step_direction(bad_adj, bad_c, g, r, 2, _factor=workspace)
-        assert err.value.stage == 2
-        reused = step_direction(adj, c, g, r, 2, _factor=workspace)
-        assert np.array_equal(reused, step_direction(adj, c, g, r, 2))
-        # The escalation retry: the same snapshot, a larger regularizer.
-        with pytest.raises(LinearSolveError):
-            step_direction(bad_adj, bad_c, g, r, 2, _factor=workspace)
-        retried = step_direction(bad_adj, bad_c, g, retry_r, 2,
-                                 _factor=workspace)
-        assert np.array_equal(
-            retried, step_direction(bad_adj, bad_c, g, retry_r, 2))
+        _check_workspace_reuse(4, 2)
+
+    def test_workspace_reuse_on_a_padded_horizon(self):
+        # The failed factorization stops at a block's first stage.
+        _check_workspace_reuse(PADDED, _blocks(PADDED)[1])
 
     def test_workspace_after_an_asymmetric_stack_matches_a_fresh_one(self):
         # The symmetry check writes the defect into the workspace's stack
         # before it raises; the next factorization must not read it.
         g = np.random.default_rng(4).normal(size=5)
-        adj, c, _ = _snapshot(_stage_two_problem(2.0), np.ones(2), np.zeros(5))
+        adj, c, _ = _snapshot(_one_stage_problem(2.0), np.ones(2), np.zeros(5))
         skewed = c.copy()
         skewed[2, 0, 1] += 1.0
         workspace = costate.solver.StagewiseFactor(4, 2, 1)
@@ -354,25 +453,34 @@ class TestBandedSolve:
         assert _residual(adj, c, reused, g + r * d2, r) <= 1e-9
 
     def test_workspace_reads_no_entry_it_did_not_write(self, monkeypatch):
-        # Every buffer the workspace leaves uninitialised is written before
-        # a solve reads it, and the terminal terms s_{N+1} = 0 and dx_0 = 0
-        # are zeroed once: with np.empty's memory filled with NaN, the
-        # directions keep their bits.  s_{N+1} reaches a solve only through
-        # f_u[N]' s_{N+1} with f_u[N] = 0, so only a NaN there shows.
-        adj, c, g = _banded_snapshot(10)
-        want = step_direction(adj, c, g, 1.0, 2)
-        empty = np.empty
+        _check_no_unwritten_reads(monkeypatch, 10)
 
-        def nan_empty(*args, **kwargs):
-            out = empty(*args, **kwargs)
-            out.fill(np.nan)
-            return out
+    def test_padded_workspace_reads_no_entry_it_did_not_write(
+            self, monkeypatch):
+        _check_no_unwritten_reads(monkeypatch, PADDED)
 
-        monkeypatch.setattr(np, "empty", nan_empty)
-        workspace = costate.solver.StagewiseFactor(10, 4, 2)
-        monkeypatch.undo()
-        got = step_direction(adj, c, g, 1.0, 2, _factor=workspace)
-        assert np.array_equal(got, want)
+
+def _check_no_unwritten_reads(monkeypatch, n_last):
+    """Every buffer the workspace leaves uninitialised is written before a
+    solve reads it, and the terminal terms s_nb = 0 and dx_0 = 0 and the
+    padded stages' entries are zeroed once: with np.empty's memory filled
+    with NaN, the directions keep their bits.  s_nb reaches a solve only
+    through Gamma_B' s_nb with the last block's Gamma_B = 0, so only a NaN
+    there shows."""
+    adj, c, g = _banded_snapshot(n_last)
+    want = step_direction(adj, c, g, 1.0, 2)
+    empty = np.empty
+
+    def nan_empty(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", nan_empty)
+    workspace = costate.solver.StagewiseFactor(n_last, 4, 2)
+    monkeypatch.undo()
+    got = step_direction(adj, c, g, 1.0, 2, _factor=workspace)
+    assert np.array_equal(got, want)
 
 
 class TestMinimize:
