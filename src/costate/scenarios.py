@@ -6,7 +6,8 @@ kinematics, quadratic tracking cost against a circle or a waypoint table).
 A seeded random smooth problem generator for validation harnesses lives
 here too.  Every builder returns its stage cost and derivative oracles
 in the stacked form of ProblemDef, vectorized over the rows; the dynamics
-take one stage, and the unicycle also supplies the stacked rollout.
+take one stage, and the unicycle and the random problem also supply the
+stacked rollout, of which their dynamics are the one-stage case.
 
 The circle parameters are this library's documented defaults: center at the
 origin, radius 1 m, angular rate 0.3 rad/s.  They are plain config values
@@ -437,6 +438,12 @@ def random_smooth_problem(seed_or_rng, n: int, m: int, N: int) -> Tuple[ProblemD
     stage cost is a positive quadratic plus a cosine ripple.  Both have
     nonvanishing third derivatives, which is what makes them useful for
     exercising the derivative sweeps.  Returns (problem, x0, z).
+
+    The rollout oracle is the one implementation of the dynamics: it forms
+    every stage's control terms in one batched product, then steps in
+    preallocated arrays, and dynamics is its one-row call, so the two agree
+    bit for bit.  A state that overflows or turns NaN carries on quietly
+    into the rows after it; neither raises a RuntimeWarning.
     """
     rng = np.random.default_rng(seed_or_rng)  # a Generator passes as it is
     dims = Dims(n=n, m=m, N=N)
@@ -458,8 +465,33 @@ def random_smooth_problem(seed_or_rng, n: int, m: int, N: int) -> Tuple[ProblemD
     wx = rng.normal(size=n) * 0.5
     wu = rng.normal(size=m) * 0.5
 
+    # [A; D] and [B; E]: one product gives a stage's linear part and its
+    # sine argument together.
+    ad = np.vstack([amat, dvec])
+    be = np.vstack([bmat, evec])
+
+    def _smooth_states(x0, u):
+        # The K + 1 states x_0..x_K from x0 under the K control rows of u,
+        # each step (A x + B u) + samp * sin((D x + E u) + phase).  The
+        # rows of the batched [B u; E u] equal its one-row calls, so
+        # dynamics, the one-row call, gives a rollout's rows bit for bit.
+        states = np.empty((len(u) + 1, n))
+        states[0] = x0
+        y = np.empty(2 * n)
+        lin, s = y[:n], y[n:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            cu = _matvec(be, u)
+            for k, c in enumerate(cu):
+                ad.dot(states[k], out=y)
+                y += c
+                s += phase
+                np.sin(s, out=s)
+                s *= samp
+                np.add(lin, s, out=states[k + 1])
+        return states
+
     def dynamics(x, u, k):
-        return amat @ x + bmat @ u + samp * np.sin(dvec @ x + evec @ u + phase)
+        return _smooth_states(x, np.asarray(u, dtype=float)[None])[1]
 
     def _args(x, u):
         return _matvec(dvec, x) + _matvec(evec, u) + phase
@@ -502,6 +534,7 @@ def random_smooth_problem(seed_or_rng, n: int, m: int, N: int) -> Tuple[ProblemD
         d_stage_cost=d_stage_cost,
         dd_stage_cost=dd_stage_cost,
         dd_dynamics_contracted=dd_dynamics_contracted,
+        rollout=_smooth_states,
     )
     x0 = rng.normal(size=n)
     z = rng.normal(scale=0.5, size=dims.z_len)

@@ -176,10 +176,15 @@ class TestFdConsistency:
 
     def test_rollout_entry_referees_the_rollout_oracle(self):
         # Only a problem with a rollout oracle gets the entry, and the
-        # unicycle's equals its stepped dynamics exactly.
+        # unicycle's and the random problem's equal their stepped dynamics
+        # exactly.
         uni = build_unicycle_tracking(UnicycleSpec(), 2, np.zeros(3))
         errs = fd_consistency(uni, np.random.default_rng(1), n_points=5)
         assert errs["rollout"] == 0.0
+        for n, m in ((1, 2), (4, 2), (9, 3), (12, 6)):
+            rand, _, _ = random_smooth_problem(5, n, m, 30)
+            errs = fd_consistency(rand, np.random.default_rng(1), n_points=5)
+            assert errs["rollout"] == 0.0
         assert "rollout" not in fd_consistency(
             build_lqr(LqrSpec(N=4)), np.random.default_rng(1), n_points=5)
 

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -600,3 +601,78 @@ class TestStackedRollout:
                              f"{(horizon + 1, 3)}")
         with pytest.raises(DimensionMismatchError, match=f"^{expected}$"):
             roll_forward(prob, np.zeros(3), np.zeros(2 * horizon + 2))
+
+
+def _stepped_states(prob, x0, u):
+    # The states of ProblemDef's rollout contract by stepping dynamics,
+    # which never sees a non-finite state: the rows up to and including
+    # the first non-finite one.
+    states = [x0]
+    for k, u_k in enumerate(u):
+        if not np.isfinite(states[-1]).all():
+            break
+        states.append(prob.dynamics(states[-1], u_k, k))
+    return np.array(states)
+
+
+class TestRandomSmoothRollout:
+    """random_smooth_problem's rollout oracle against its own per-stage
+    dynamics."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+           m=st.integers(1, 6), horizon=st.integers(0, 40))
+    @example(seed=0, n=9, m=1, horizon=40)
+    @example(seed=0, n=12, m=6, horizon=40)
+    @example(seed=0, n=1, m=2, horizon=40)
+    @example(seed=0, n=4, m=2, horizon=0)
+    def test_rollout_oracle_matches_the_stepped_dynamics(self, seed, n, m,
+                                                         horizon):
+        # Same bytes for every (n, m): with n >= 9 a stacked product of
+        # [A; D] differs in the last bit from A @ x, and for many (n, m) the
+        # batched [B; E] product from the one-row B @ u, so dynamics must
+        # be the rollout's own one-row call, not a formula of its own.
+        prob, x0, z = random_smooth_problem(seed, n, m, horizon)
+        stepped = dataclasses.replace(prob, rollout=None)
+        assert _rolled(prob, x0, z) == _rolled(stepped, x0, z)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+           m=st.integers(1, 6), horizon=st.integers(1, 30),
+           special=st.one_of(
+               st.just(None),
+               st.tuples(st.integers(0, 30), st.integers(0, 5),
+                         st.sampled_from([1e308, -1e308, math.inf,
+                                          math.nan]))))
+    @example(seed=3, n=4, m=3, horizon=30, special=(5, 1, math.nan))
+    @example(seed=3, n=4, m=3, horizon=30, special=None)
+    def test_blowups_match_the_stepped_dynamics(self, seed, n, m, horizon,
+                                                special):
+        # A start scaled by 1e200 (special None) or one control set to a
+        # huge or non-finite value: the rollout's states equal the stepped
+        # ones up to the same first non-finite row, and roll_forward raises
+        # the same NumericalBlowupError(stage, what) on both paths.
+        prob, x0, z = random_smooth_problem(seed, n, m, horizon)
+        u = z.reshape(horizon + 1, m)
+        if special is None:
+            x0 = 1e200 * x0
+        else:
+            stage, part, value = special
+            u[stage % (horizon + 1), part % m] = value
+        # The kernel runs outside any errstate here: it must raise no
+        # RuntimeWarning of its own.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = prob.rollout(x0, u[:horizon])
+            want = _stepped_states(prob, x0, u[:horizon])
+        kept = got[:len(want)]
+        finite = np.isfinite(kept).all(axis=1)
+        assert finite.tolist() == np.isfinite(want).all(axis=1).tolist()
+        assert kept[finite].tobytes() == want[finite].tobytes()
+        assert len(kept) == len(got) or not finite[-1]
+        # The stage-cost oracle still overflows with a warning on such
+        # inputs, which is not the rollout's to fix; _rolled runs both
+        # paths under errstate.
+        stepped = dataclasses.replace(prob, rollout=None)
+        assert _rolled(prob, x0, u.ravel()) == _rolled(stepped, x0,
+                                                         u.ravel())
