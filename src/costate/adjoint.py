@@ -14,7 +14,7 @@ place of f_x.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -44,7 +44,8 @@ class AdjointSolution:
     fu: np.ndarray
 
 
-def adjoint_along(p: ProblemDef, roll: Rollout) -> AdjointSolution:
+def adjoint_along(p: ProblemDef, roll: Rollout,
+                  _sweep: Optional[BlockBidiagonal] = None) -> AdjointSolution:
     """Backward costate sweep along a rollout, at its states and controls.
 
     Propagates lam[k-1] = c_x[k] + f_x[k]' lam[k] from lam[N] = 0, then
@@ -56,6 +57,10 @@ def adjoint_along(p: ProblemDef, roll: Rollout) -> AdjointSolution:
     N+1-stage model.  The costate recursion is one BlockBidiagonal solve
     over the negated f_x[k], a BLAS banded back-substitution, so its sums
     run in BLAS's order and agree with a stage-by-stage loop to roundoff.
+
+    _sweep (internal) is the BlockBidiagonal(N, n) to solve in; minimize
+    passes the one its workspace holds.  Without it one is built for this
+    call.
 
     Raises NumericalBlowupError(k, "first-order stage data") when an entry
     of c_x, c_u, f_x or f_u that the gradient reads is not finite, k being
@@ -79,7 +84,7 @@ def adjoint_along(p: ProblemDef, roll: Rollout) -> AdjointSolution:
     # block-bidiagonal, -f_x[k] at block (k, k-1) for k = 1..N-1 (f_x[N]
     # meets lam[N] = 0): one back-substitution in place over lam, whose
     # zero row N it never reads.
-    sweep = BlockBidiagonal(horizon, n)
+    sweep = BlockBidiagonal(horizon, n) if _sweep is None else _sweep
     np.negative(fx[1:horizon], out=sweep.blocks)
     lam = np.empty((horizon + 1, n))
     lam[:horizon] = cx[1:]

@@ -172,8 +172,9 @@ def symmetric_part(a: np.ndarray, out: Optional[np.ndarray] = None
     """
     at = np.swapaxes(a, -1, -2)
     defect_mat = np.abs(np.subtract(a, at, out=out), out=out)
-    defect = float(defect_mat.max())
-    tol = SYMMETRY_TOL * (1.0 + float(np.abs(a).max(initial=0.0)))
+    defect = float(np.maximum.reduce(defect_mat, axis=None))
+    tol = SYMMETRY_TOL * (1.0 + float(np.maximum.reduce(
+        np.abs(a), axis=None, initial=0.0)))
     if not defect <= tol:  # a NaN defect fails too
         idx = np.unravel_index(int(defect_mat.argmax()), defect_mat.shape)
         raise AsymmetricHessianError(defect, tol, tuple(int(v) for v in idx))

@@ -293,6 +293,9 @@ class BlockBidiagonal:
     band is C-ordered (count * n, 2n); its transpose is the LAPACK storage
     with k = 2n - 1 subdiagonals, the reach of a block's last row in its
     first column: entry (i, j) at flat element j*k + i.
+
+    A system with no coupling block (count < 2) is the identity: its
+    solves return x as it is, without a BLAS call.
     """
 
     __slots__ = ("band", "blocks")
@@ -309,10 +312,14 @@ class BlockBidiagonal:
             strides=(8 * n * (k + 1), 8, 8 * k))
 
     def solve(self, x: np.ndarray, trans: int = 0) -> np.ndarray:
+        if not len(self.blocks):
+            return x
         return dtbsv(self.band.shape[1] - 1, self.band.T, x, lower=1,
                      trans=trans, diag=1, overwrite_x=1)
 
     def solve_columns(self, x: np.ndarray) -> np.ndarray:
+        if not len(self.blocks):
+            return x
         return dtbtrs(self.band.T, x, uplo="L", diag="U", overwrite_b=1)[0]
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Tuple, Union
 
 import numpy as np
@@ -297,6 +298,33 @@ def tracking_errors(spec: UnicycleSpec, states):
     return ref, np.hypot(err[:, 0], err[:, 1]), np.abs(wrap_angle(err[:, 2]))
 
 
+@lru_cache(maxsize=16)
+def _tracking_tables(delta: float, q_bytes: bytes, r_bytes: bytes,
+                     horizon: int) -> tuple:
+    # The constant tables of build_unicycle_tracking's oracles.  The weights
+    # come as the bytes of their float64 arrays, so -0.0 and 0.0 are
+    # different keys.  The per-stage tables are indexed by ks, and take
+    # copies them, so a caller may change what an oracle returns; the
+    # oracles write only the entries that depend on the heading.  The R rows
+    # are zero on the padded terminal control.
+    qw, rw = np.frombuffer(q_bytes), np.frombuffer(r_bytes)
+    r_cols = np.zeros((horizon + 1, 2, 1))
+    r_cols[:horizon, :, 0] = rw
+    r2_rows = 2.0 * r_cols[:, :, 0]
+    fx_rows = np.repeat(np.eye(3)[None], horizon + 1, axis=0)
+    fu_rows = np.zeros((horizon + 1, 3, 2))
+    fu_rows[:, 2, 1] = delta
+    q2 = 2.0 * qw
+    tables = (qw[:, None], q2, r_cols, r2_rows, fx_rows, fu_rows,
+              np.repeat(np.diag(q2)[None], horizon + 1, axis=0),
+              r2_rows[:, :, None] * np.eye(2),
+              np.zeros((horizon + 1, 3, 3)), np.zeros((horizon + 1, 3, 2)),
+              np.zeros((horizon + 1, 2, 2)))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def build_unicycle_tracking(spec: UnicycleSpec, anchor_step: int,
                             current_state) -> ProblemDef:
     """Horizon tracking problem anchored at an absolute plant step.
@@ -314,7 +342,9 @@ def build_unicycle_tracking(spec: UnicycleSpec, anchor_step: int,
     circle extends to any step.  current_state is validated against the
     state dimension and otherwise unused here; the rollout start is
     supplied at solve time.  The stacked oracles look their reference rows
-    and constant blocks up by ks, so ks must be stages 0..N_p.  The
+    and constant blocks up by ks, so ks must be stages 0..N_p; the constant
+    blocks are built once per (delta, Q_weights, R_weights, N_p) and shared
+    read-only by the problems so specified.  The
     rollout oracle steps unicycle_step's kinematics over u.tolist() in
     Python floats and makes one array of the states at the end, so a
     rollout is one call, not N_p.
@@ -323,26 +353,12 @@ def build_unicycle_tracking(spec: UnicycleSpec, anchor_step: int,
     check_state(current_state, 3, "current_state")
 
     delta = spec.delta
-    qw = np.asarray(spec.Q_weights, dtype=float)
-    rw = np.asarray(spec.R_weights, dtype=float)
     horizon = spec.N_p
     ref_x, ref_u = _reference_rows(spec, anchor_step, horizon + 1)
-    # Constant data, built once per problem.  The per-stage tables are
-    # indexed by ks, and take copies them, so a caller may change what an
-    # oracle returns; the oracles write only the entries that depend on the
-    # heading.  The R rows are zero on the padded terminal control.
-    q_col, q2 = qw[:, None], 2.0 * qw
-    r_cols = np.zeros((horizon + 1, 2, 1))
-    r_cols[:horizon, :, 0] = rw
-    r2_rows = 2.0 * r_cols[:, :, 0]
-    fx_rows = np.repeat(np.eye(3)[None], horizon + 1, axis=0)
-    fu_rows = np.zeros((horizon + 1, 3, 2))
-    fu_rows[:, 2, 1] = delta
-    hess_x = np.repeat(np.diag(q2)[None], horizon + 1, axis=0)
-    hess_u = r2_rows[:, :, None] * np.eye(2)
-    zero_xx = np.zeros((horizon + 1, 3, 3))
-    zero_xu = np.zeros((horizon + 1, 3, 2))
-    zero_uu = np.zeros((horizon + 1, 2, 2))
+    (q_col, q2, r_cols, r2_rows, fx_rows, fu_rows, hess_x, hess_u, zero_xx,
+     zero_xu, zero_uu) = _tracking_tables(
+        float(delta), np.asarray(spec.Q_weights, dtype=float).tobytes(),
+        np.asarray(spec.R_weights, dtype=float).tobytes(), horizon)
 
     def _state_error(x, ks):
         e = x - ref_x.take(ks, axis=0)
@@ -443,7 +459,8 @@ def random_smooth_problem(seed_or_rng, n: int, m: int, N: int) -> Tuple[ProblemD
     every stage's control terms in one batched product, then steps in
     preallocated arrays, and dynamics is its one-row call, so the two agree
     bit for bit.  A state that overflows or turns NaN carries on quietly
-    into the rows after it; neither raises a RuntimeWarning.
+    into the rows after it, and a stage cost that overflows is returned as
+    it is; neither raises a RuntimeWarning.
     """
     rng = np.random.default_rng(seed_or_rng)  # a Generator passes as it is
     dims = Dims(n=n, m=m, N=N)
@@ -513,8 +530,12 @@ def random_smooth_problem(seed_or_rng, n: int, m: int, N: int) -> Tuple[ProblemD
         return _dot(wx, x) + _dot(wu, u)
 
     def stage_cost(x, u, ks):
-        return (_half_quad(qmat, x) + _half_quad(rmat, u) + _dot(qlin, x)
-                + _dot(rlin, u) + kappa * np.cos(_ripple(x, u)))
+        # Quiet as the rollout is: a cost that overflows is non-finite, and
+        # roll_forward names its stage.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (_half_quad(qmat, x) + _half_quad(rmat, u)
+                    + _dot(qlin, x) + _dot(rlin, u)
+                    + kappa * np.cos(_ripple(x, u)))
 
     def d_stage_cost(x, u, ks):
         s = (kappa * np.sin(_ripple(x, u)))[:, None]

@@ -181,10 +181,13 @@ class StagewiseFactor:
     geometry over the blocks), solved transposed for s_1..s_{nb-1} and as it
     is for dx_1..dx_{nb-1} (A_0 meets only dx_0 = 0 and s_0, which nothing
     reads, and A_{nb-1} = 0, the last block ending in stage N or a padded
-    stage).  One index array moves b into block order and du back out, and
-    batched products apply the forcing terms, so a solve has no Python
+    stage).  With nb <= 2 (N + 1 <= 2 B_MAX) that system has no coupling
+    and is the identity.  solve takes b and returns du in block order;
+    in_blocks and in_stages move a vector into that order and out of it
+    with one index array, so step_direction's inner levels move each once.
+    Batched products apply the forcing terms, so a solve has no Python
     loop; its sums run in BLAS's order and agree with a stage-by-stage pass
-    to roundoff.
+    to roundoff.  A padded stage's entries of du are exactly zero.
 
     The object is a workspace sized by (N, n, m): its arrays, about
     3 (N+B)(n+m)(n+mB) floats, and the per-block views and bound methods
@@ -192,17 +195,21 @@ class StagewiseFactor:
     minimize holds one for the whole solve and run_mpc one for the whole
     closed loop, so every outer iteration, escalation retry and plant step
     reuses it; a failed factorization leaves nothing the next one reads.
-    Block j of the factor loop is
+    It also holds the costate sweep's BlockBidiagonal(N, n), sweep, which
+    minimize lends adjoint_along.  Block j of the factor loop is
 
         P F_j -> pf;  F_j' pf -> fpf;  Qb_j += fpf;  Qb_ux -> rhs;
         dposv(Qb_uu, [Qb_ux | I]) -> x -> sol[j];  Qb_xu x[:, :n] -> schur;
         Qb_xx - schur -> P.
 
-    Each product is an ndarray.dot bound once, writing into a preallocated
-    output: np.dot's BLAS call without its Python-level dispatch and new
-    temporary, which cost more than the arithmetic at these sizes.
-    sol[j] = [-K_j | Qb_uu^{-1}]; after the loop one batched product and one
-    subtraction write -A_j = Gamma_B (-K_j) - Phi_B into the system.
+    The first block of the loop, nb - 1, meets P = 0 and skips the three P
+    products; the last, block 0, skips the Schur update, as nothing reads
+    its P.  Each product is an ndarray.dot bound once, writing into a
+    preallocated output: np.dot's BLAS call without its Python-level
+    dispatch and new temporary, which cost more than the arithmetic at
+    these sizes.  sol[j] = [-K_j | Qb_uu^{-1}]; after the loop one batched
+    product and one subtraction write -A_j = Gamma_B (-K_j) - Phi_B into
+    the system, when it has couplings.
     """
 
     def __init__(self, horizon: int, n: int, m: int):
@@ -210,7 +217,7 @@ class StagewiseFactor:
         size = -(-(horizon + 1) // count)
         mb, cols = m * size, n + m * size
         self.stages, self.m = horizon + 1, m
-        self.eye = np.eye(mb)
+        self.sweep = BlockBidiagonal(horizon, n)
         # Stage data over the padded horizon; the padded stages stay zero.
         self.q = np.zeros((count * size, n + m, n + m))
         fxu = np.zeros((count * size, n, n + m))
@@ -243,7 +250,9 @@ class StagewiseFactor:
         self.qs = np.empty((count * size, n + m, cols))
         self.qs_block = self.qs.reshape(count, -1, cols)
         self.qb = np.empty((count, cols, cols))
-        self.qb_uu = self.qb[:, n:, n:]
+        # The diagonals of the blocks' control pivots, Qb_uu.
+        self.qb_uu_diag = self.qb.reshape(count, -1)[:, n * (cols + 1)::
+                                                     cols + 1]
         fb = np.empty((count, n, cols))
         self.fb, self.phi, self.gam = fb, fb[:, :, :n], fb[:, :, n:]
         self.gam_t = self.gam.transpose(0, 2, 1)
@@ -252,7 +261,7 @@ class StagewiseFactor:
         self.neg_gain_t = self.neg_gain.transpose(0, 2, 1)
         self.rhs = np.empty((mb, cols))
         self.rhs_ux = self.rhs[:, :n]
-        self.rhs[:, n:] = self.eye
+        self.rhs[:, n:] = np.eye(mb)
         self.p = np.empty((n, n))
         self.pf = np.empty((n, cols))
         self.fpf = np.empty((cols, cols))
@@ -305,13 +314,14 @@ class StagewiseFactor:
         self.fb[...] = self.sens_out
         np.matmul(self.q, self.s, out=self.qs)
         np.matmul(self.s_block_t, self.qs_block, out=self.qb)
-        self.qb_uu += r * self.eye
-        p.fill(0.0)
-        for (last, qj, q_ux, q_uu, q_xx, q_xu_dot, sol_j, neg_gain_j, fj,
-             fj_t_dot) in self.blocks:
-            p.dot(fj, pf)
-            fj_t_dot(pf, fpf)
-            qj += fpf
+        self.qb_uu_diag += r
+        block0 = len(self.blocks) - 1
+        for i, (last, qj, q_ux, q_uu, q_xx, q_xu_dot, sol_j, neg_gain_j, fj,
+                fj_t_dot) in enumerate(self.blocks):
+            if i:  # block nb - 1 meets P = 0
+                p.dot(fj, pf)
+                fj_t_dot(pf, fpf)
+                qj += fpf
             rhs_ux[...] = q_ux
             _, x, info = dposv(q_uu, rhs, lower=1)
             if info:
@@ -320,26 +330,38 @@ class StagewiseFactor:
                     f"(R + H) is not positive definite: the pivot of stage "
                     f"{k} failed to factor", stage=k)
             sol_j[...] = x
-            q_xu_dot(neg_gain_j, schur)
-            np.subtract(q_xx, schur, out=p)
+            if i < block0:  # nothing reads block 0's P
+                q_xu_dot(neg_gain_j, schur)
+                np.subtract(q_xx, schur, out=p)
         neg_a = self.system.blocks
-        np.matmul(self.gam[1:-1], self.neg_gain[1:-1], out=neg_a)
-        np.subtract(neg_a, self.phi[1:-1], out=neg_a)
+        if len(neg_a):
+            np.matmul(self.gam[1:-1], self.neg_gain[1:-1], out=neg_a)
+            np.subtract(neg_a, self.phi[1:-1], out=neg_a)
+
+    def in_blocks(self, g: np.ndarray) -> np.ndarray:
+        """The stage-ordered vector g as the (nb, mB, 1) block-ordered stack
+        that solve takes, its padded stages' entries zero; the stack is a
+        workspace buffer that the next in_blocks call overwrites."""
+        self.b.reshape(-1)[self.order] = g
+        return self.b
+
+    def in_stages(self, du: np.ndarray) -> np.ndarray:
+        """The block-ordered stack du as a stage-ordered vector, a copy."""
+        return du.reshape(-1)[self.order]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """d solving (R + H) d = b against the last successful factor()."""
-        rhs, kff, bb = self.kff_rhs, self.kff, self.b
-        bb.reshape(-1)[self.order] = b
-        np.matmul(self.neg_gain_t, bb, out=self.s_now)
+        """du solving (R + H) du = b against the last successful factor(),
+        both (nb, mB, 1) stacks in block order; du is a new array."""
+        rhs, kff = self.kff_rhs, self.kff
+        np.matmul(self.neg_gain_t, b, out=self.s_now)
         self.system.solve(self.s_flat, 1)
         np.matmul(self.gam_t, self.s_next, out=rhs)
-        np.subtract(bb, rhs, out=rhs)
+        np.subtract(b, rhs, out=rhs)
         np.matmul(self.quu_inv, rhs, out=kff)
         np.matmul(self.gam, kff, out=self.dx_next)
         self.system.solve(self.dx_flat)
         du = np.matmul(self.neg_gain, self.dx_now)
-        np.subtract(kff, du, out=du)
-        return du.reshape(-1)[self.order]
+        return np.subtract(kff, du, out=du)
 
 
 def step_direction(adj: AdjointSolution, c: np.ndarray, g: np.ndarray,
@@ -358,7 +380,9 @@ def step_direction(adj: AdjointSolution, c: np.ndarray, g: np.ndarray,
     factored by a backward Riccati recursion over blocks of up to B_MAX
     stages (StagewiseFactor), one Cholesky-factored control pivot per
     block; each solve is one backward and one forward pass over the blocks.
-    No matrix larger than (n + m B_MAX)^2 is formed.
+    No matrix larger than (n + m B_MAX)^2 is formed.  The levels run in the
+    factor's block order: g is moved into it once and d out of it once,
+    which gives the bits of the levels in stage order.
 
     _factor (internal) is the workspace to factor in, sized for the
     snapshot; minimize passes the one it holds for the whole solve.
@@ -383,10 +407,13 @@ def step_direction(adj: AdjointSolution, c: np.ndarray, g: np.ndarray,
     r = float(r)
     factor = _factor or StagewiseFactor(stages - 1, n, m)
     factor.factor(adj, c, r)
-    d = factor.solve(g)
+    # (g + r d)[order] is g[order] + r d[order] entry by entry, and a padded
+    # stage's entries of d are exactly zero, as the entries of g there.
+    gb = factor.in_blocks(g)
+    d = factor.solve(gb)
     for _ in range(depth):
-        d = factor.solve(g + r * d)
-    return d
+        d = factor.solve(gb + r * d)
+    return factor.in_stages(d)
 
 
 def _report(z, outer, inner, gnorms, costs, termination, t0) -> SolveReport:
@@ -441,8 +468,8 @@ def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig,
     r = cfg.r_reg
     roll = roll_forward(p, x0, z)
     while True:
-        adj = adjoint_along(p, roll)
-        gnorm = float(np.abs(adj.gradient).max(initial=0.0))
+        adj = adjoint_along(p, roll, _sweep=factor.sweep)
+        gnorm = float(np.maximum.reduce(np.abs(adj.gradient), initial=0.0))
         gnorms.append(gnorm)
         costs.append(roll.total_cost)
         if gnorm < cfg.grad_tol:
@@ -508,7 +535,7 @@ def minimize_gd(p: ProblemDef, x0, z0: np.ndarray, lr: float,
     i = 0
     while True:
         roll, adj = forward_adjoint(p, x0, z)
-        gnorm = float(np.abs(adj.gradient).max(initial=0.0))
+        gnorm = float(np.maximum.reduce(np.abs(adj.gradient), initial=0.0))
         gnorms.append(gnorm)
         costs.append(roll.total_cost)
         if gnorm < grad_tol:

@@ -20,6 +20,7 @@ from costate import (CircleReference, DimensionMismatchError, Dims,
                      one_row, random_smooth_problem, riccati_lqr,
                      roll_forward, stage_controls, stage_curvature)
 from costate.cli import GdBaseline, LqrOutput, MpcOutput
+import costate.problem
 from costate.problem import BlockBidiagonal, check_positive
 
 
@@ -716,6 +717,29 @@ def test_check_positive_accepts_exactly_the_finite_positive_floats(value,
     assert _accepts(lambda: check_positive(value, "v", zero_ok)) == expected
     assert _accepts(lambda: LqrSpec(r=value)) == _accepts(
         lambda: check_positive(value, "r"))
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_a_system_without_couplings_is_the_identity(monkeypatch, count):
+    # count 0 and 1 have no block below the diagonal: both solves return
+    # their input as it is, and no BLAS routine runs.
+    def no_blas(*args, **kwargs):
+        raise AssertionError("a BLAS routine ran")
+
+    monkeypatch.setattr(costate.problem, "dtbsv", no_blas)
+    monkeypatch.setattr(costate.problem, "dtbtrs", no_blas)
+    n = 3
+    system = BlockBidiagonal(count, n)
+    rng = np.random.default_rng(count)
+    x = rng.normal(size=count * n)
+    kept = x.tobytes()
+    for trans in (0, 1):
+        assert system.solve(x, trans) is x
+        assert x.tobytes() == kept
+    cols = np.asfortranarray(rng.normal(size=(count * n, 2)))
+    kept = cols.tobytes()
+    assert system.solve_columns(cols) is cols
+    assert cols.tobytes() == kept
 
 
 @settings(max_examples=200, deadline=None, database=None)

@@ -1,6 +1,7 @@
 """Bundled scenario builders: LQR, unicycle tracking, circle references."""
 
 import dataclasses
+import inspect
 import math
 import re
 import warnings
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import costate.scenarios
 from conftest import rolled_table
 from costate import (CircleReference, DimensionMismatchError, LqrSpec,
                      NumericalBlowupError, UnicycleSpec, WaypointTable,
@@ -359,6 +361,105 @@ def test_trimmed_unicycle_oracles_keep_the_stacked_contract():
         assert [g.tobytes() for g in parts(oracle(*args))] == kept, name
 
 
+_ORACLES = ("stage_cost", "d_stage_cost", "dd_stage_cost", "d_dynamics",
+            "dd_dynamics_contracted", "rollout")
+
+
+def _tables(prob):
+    """name -> the constant table that a unicycle oracle closes over; the
+    reference rows, which are the problem's own, are left out."""
+    return {name: value for oracle in _ORACLES
+            for name, value in inspect.getclosurevars(
+                getattr(prob, oracle)).nonlocals.items()
+            if isinstance(value, np.ndarray)
+            and name not in ("ref_x", "ref_u")}
+
+
+def _oracle_bytes(prob):
+    """Every unicycle oracle's output at one stack of stages 0..N_p."""
+    ks = np.arange(prob.dims.N + 1)
+    rng = np.random.default_rng(8)
+    x, w = rng.normal(size=(2, len(ks), 3))
+    u = rng.normal(size=(len(ks), 2))
+    run = (x[:-1], u[:-1], ks[:-1])
+    outs = [prob.stage_cost(x, u, ks), *prob.d_stage_cost(x, u, ks),
+            *prob.dd_stage_cost(x, u, ks), *prob.d_dynamics(*run),
+            *prob.dd_dynamics_contracted(w[:-1], *run),
+            prob.rollout(x[0], u[:-1])]
+    return [np.asarray(out).tobytes() for out in outs]
+
+
+def _uncached_bytes(monkeypatch, spec, anchor=0):
+    """_oracle_bytes of a problem whose tables were built for it alone."""
+    tables = costate.scenarios._tracking_tables
+    with monkeypatch.context() as patch:
+        patch.setattr(costate.scenarios, "_tracking_tables",
+                      tables.__wrapped__)
+        return _oracle_bytes(build_unicycle_tracking(
+            spec, anchor, np.asarray(spec.X0)))
+
+
+class TestTrackingTables:
+    """build_unicycle_tracking's constant tables: built once per (delta,
+    Q weights, R weights, N_p) and shared read-only."""
+
+    def test_equal_specs_share_one_build(self):
+        cache = costate.scenarios._tracking_tables
+        cache.cache_clear()
+        spec = UnicycleSpec(N_p=6)
+        x0 = np.asarray(spec.X0)
+        first = _tables(build_unicycle_tracking(spec, 0, x0))
+        # An equal spec: its Q weights a list of ints, another anchor.
+        same = _tables(build_unicycle_tracking(
+            dataclasses.replace(spec, Q_weights=[150, 150, 3]), 9, x0))
+        assert (cache.cache_info().hits, cache.cache_info().misses) == (1, 1)
+        assert same.keys() == first.keys()
+        assert all(same[name] is table for name, table in first.items())
+        for misses, changes in enumerate(
+                [{"delta": 0.04}, {"Q_weights": (150.0, 150.0, 2.0)},
+                 {"R_weights": (0.5, 0.25)}, {"N_p": 7}], start=2):
+            other = _tables(build_unicycle_tracking(
+                dataclasses.replace(spec, **changes), 0, x0))
+            assert cache.cache_info().misses == misses, changes
+            assert not any(other[name] is table
+                           for name, table in first.items()), changes
+
+    def test_table_reference_and_list_weights_keep_the_bytes(
+            self, monkeypatch):
+        table_spec = dataclasses.replace(_seam_specs()[1]["table"],
+                                         Q_weights=[100.0, 120.0, 2.0])
+        for spec in (table_spec, UnicycleSpec(N_p=5, R_weights=[0.3, 0.7])):
+            got = _oracle_bytes(build_unicycle_tracking(
+                spec, 4, np.asarray(spec.X0)))
+            assert got == _uncached_bytes(monkeypatch, spec, 4)
+
+    def test_a_negative_zero_weight_gives_its_own_bytes(self, monkeypatch):
+        # -0.0 == 0.0 as a key of floats; its tables hold -0.0, which shows
+        # in the sign of zero derivative entries.
+        spec = UnicycleSpec(N_p=5, Q_weights=(150.0, 150.0, 0.0))
+        x0 = np.asarray(spec.X0)
+        positive = _oracle_bytes(build_unicycle_tracking(spec, 0, x0))
+        negative = dataclasses.replace(spec, Q_weights=(150.0, 150.0, -0.0))
+        got = _oracle_bytes(build_unicycle_tracking(negative, 0, x0))
+        assert got == _uncached_bytes(monkeypatch, negative)
+        assert got != positive
+
+    def test_shared_tables_are_read_only(self):
+        spec = UnicycleSpec(N_p=4)
+        prob = build_unicycle_tracking(spec, 0, np.asarray(spec.X0))
+        tables = _tables(prob)
+        assert tables.keys() == {
+            "q_col", "q2", "r_cols", "r2_rows", "fx_rows", "fu_rows",
+            "hess_x", "hess_u", "zero_xx", "zero_xu", "zero_uu"}
+        for table in tables.values():
+            with pytest.raises(ValueError, match="read-only"):
+                table.flat[0] = 1.0
+        # What an oracle returns is its caller's to change.
+        xx, _, _ = prob.dd_stage_cost(np.zeros((5, 3)), np.zeros((5, 2)),
+                                      np.arange(5))
+        xx[...] = np.nan
+
+
 def _scalar_wrap(a):
     # wrap_angle in Python floats: float % is numpy's floor remainder.
     return math.pi - (math.pi - a) % (2.0 * math.pi)
@@ -493,11 +594,13 @@ def test_tracking_errors_need_the_table_to_cover_the_states():
         tracking_errors(spec, np.zeros(3))
 
 
-def _rolled(prob, x0, z):
+def _rolled(prob, x0, z, quiet=True):
     # roll_forward's outcome as bytes, or the blow-up it raised.  numpy's
-    # overflow and invalid warnings are the blow-ups themselves here.
+    # overflow and invalid warnings are the blow-ups themselves here, unless
+    # quiet is False: then the oracles must raise none of their own.
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(**({"over": "ignore", "invalid": "ignore"}
+                            if quiet else {})):
             roll = roll_forward(prob, x0, z)
     except NumericalBlowupError as exc:
         return "blowup", exc.stage, exc.what
@@ -670,9 +773,20 @@ class TestRandomSmoothRollout:
         assert finite.tolist() == np.isfinite(want).all(axis=1).tolist()
         assert kept[finite].tobytes() == want[finite].tobytes()
         assert len(kept) == len(got) or not finite[-1]
-        # The stage-cost oracle still overflows with a warning on such
-        # inputs, which is not the rollout's to fix; _rolled runs both
-        # paths under errstate.
+        # The stage-cost oracle prices such inputs quietly too, so both
+        # paths run outside any errstate, and the suite's warnings filter
+        # turns a RuntimeWarning into a failure.
         stepped = dataclasses.replace(prob, rollout=None)
-        assert _rolled(prob, x0, u.ravel()) == _rolled(stepped, x0,
-                                                         u.ravel())
+        assert _rolled(prob, x0, u.ravel(), quiet=False) == _rolled(
+            stepped, x0, u.ravel(), quiet=False)
+
+    def test_an_overflowing_stage_cost_is_a_named_blowup(self):
+        # The start scaled by 1e200 overflows stage 0's quadratic cost.
+        # Under the suite's error::RuntimeWarning filter, numpy's overflow
+        # warning would end the call before roll_forward names the stage.
+        prob, x0, z = random_smooth_problem(3, 4, 2, 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalBlowupError) as err:
+                roll_forward(prob, 1e200 * x0, z)
+        assert (err.value.stage, err.value.what) == (0, "stage cost")

@@ -233,6 +233,18 @@ def _check_workspace_reuse(n_last, stage):
         retried, step_direction(bad_adj, bad_c, g, retry_r, 2))
 
 
+def _check_pivot_attribution(n_last):
+    """Each stage of the one-stage problem in turn fails its pivot at every
+    regularizer up to the cap, and LinearSolveError names it."""
+    g = np.ones(n_last + 1)
+    for k in range(n_last + 1):
+        prob = _one_stage_problem(-5e8, k, n_last)
+        adj, c, _ = _snapshot(prob, np.ones(2), np.zeros(n_last + 1))
+        with pytest.raises(LinearSolveError) as err:
+            step_direction(adj, c, g, 0.1, 0)
+        assert err.value.stage == k
+
+
 class TestStagewiseSolve:
     @settings(max_examples=25, deadline=None, database=None)
     @given(n=st.integers(1, 4), m=st.integers(1, 3), n_last=st.integers(0, 40),
@@ -267,6 +279,16 @@ class TestStagewiseSolve:
     @example(n=1, m=2, n_last=1, seed=1, r=0.1, scale=1.0)
     @example(n=3, m=2, n_last=B_MAX - 1, seed=2, r=0.1, scale=1.0)
     @example(n=3, m=2, n_last=PADDED, seed=3, r=0.1, scale=20.0)
+    # The last horizon of one block and the first of two, the last of two
+    # and the first of three, the last of three and the first of four: the
+    # factor skips the P products of its first block and the Schur update
+    # of block 0, and its band system has couplings from three blocks on.
+    @example(n=2, m=2, n_last=B_MAX - 1, seed=4, r=1e-3, scale=20.0)
+    @example(n=2, m=1, n_last=B_MAX, seed=5, r=0.1, scale=1.0)
+    @example(n=4, m=3, n_last=2 * B_MAX - 1, seed=6, r=1.0, scale=1.0)
+    @example(n=1, m=2, n_last=2 * B_MAX, seed=7, r=0.1, scale=20.0)
+    @example(n=3, m=1, n_last=3 * B_MAX - 1, seed=8, r=1e-3, scale=1.0)
+    @example(n=4, m=2, n_last=3 * B_MAX, seed=9, r=0.1, scale=1.0)
     def test_matches_the_stagewise_recursion(self, n, m, n_last, seed, r,
                                              scale):
         # Horizons of one block, of several, and of B_MAX k +- 1 stages,
@@ -288,13 +310,15 @@ class TestStagewiseSolve:
         # Every stage in turn, the first and last of each block and the
         # padded block's stage N included, holds a control curvature that
         # no regularizer up to the cap absorbs.
-        g = np.ones(PADDED + 1)
-        for k in range(PADDED + 1):
-            prob = _one_stage_problem(-5e8, k, PADDED)
-            adj, c, _ = _snapshot(prob, np.ones(2), np.zeros(PADDED + 1))
-            with pytest.raises(LinearSolveError) as err:
-                step_direction(adj, c, g, 0.1, 0)
-            assert err.value.stage == k
+        _check_pivot_attribution(PADDED)
+
+    @pytest.mark.parametrize("n_last", [B_MAX - 1, B_MAX, 2 * B_MAX - 1],
+                             ids=["one-block", "two-blocks-padded",
+                                  "two-blocks"])
+    def test_failed_pivot_is_attributed_on_one_and_two_blocks(self, n_last):
+        # The horizons whose factor skips the P products of its only or
+        # last block and the Schur update of block 0.
+        _check_pivot_attribution(n_last)
 
     def test_minimize_never_forms_the_dense_hessian(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -389,6 +413,42 @@ class TestStagewiseSolve:
     def test_workspace_reuse_on_a_padded_horizon(self):
         # The failed factorization stops at a block's first stage.
         _check_workspace_reuse(PADDED, _blocks(PADDED)[1])
+
+    @pytest.mark.parametrize("depth", range(5))
+    @pytest.mark.parametrize("case", ["unicycle", "random"])
+    def test_block_order_levels_keep_the_stage_order_bytes(self, case,
+                                                            depth):
+        # step_direction's inner levels run in the factor's block order;
+        # the stage-order recursion d = solve(g + r d) moves every
+        # right-hand side into that order and every direction out of it.
+        # Both horizons pad their last block.
+        if case == "unicycle":
+            spec = UnicycleSpec()
+            x0 = np.asarray(spec.X0)
+            prob = build_unicycle_tracking(spec, 0, x0)
+            z = np.zeros(prob.dims.z_len)
+        else:
+            prob, x0, z = random_smooth_problem(2, 4, 2, 40)
+        roll, adj = forward_adjoint(prob, x0, z)
+        c = stage_curvature(prob, roll, adj)
+        g, r, dims = adj.gradient, 0.1, prob.dims
+        workspace = costate.solver.StagewiseFactor(dims.N, dims.n, dims.m)
+        got = step_direction(adj, c, g, r, depth, _factor=workspace)
+
+        def stage_order(b):
+            return workspace.in_stages(workspace.solve(
+                workspace.in_blocks(b)))
+
+        want = stage_order(g)
+        for _ in range(depth):
+            want = stage_order(g + r * want)
+        assert got.tobytes() == want.tobytes()
+        # What makes them equal: a padded stage's entries of a block-ordered
+        # direction are exactly zero, as those of the gradient are.
+        padded = np.setdiff1d(np.arange(workspace.b.size), workspace.order)
+        assert padded.size
+        d = workspace.solve(workspace.in_blocks(g)).reshape(-1)
+        assert not d[padded].any()
 
     def test_workspace_after_an_asymmetric_stack_matches_a_fresh_one(self):
         # The symmetry check writes the defect into the workspace's stack

@@ -83,20 +83,18 @@ def sweep(problems, b_maxes=B_MAXES, rounds=15):
         adj, c, r = snapshot(prob, x0, z)
         g = adj.gradient
         spaces = {b: workspace(prob.dims, b) for b in b_maxes}
-        directions = {}
-        for b, w in spaces.items():
+
+        def once(w):
             w.factor(adj, c, r)
-            directions[b] = w.solve(g)
+            return w.in_stages(w.solve(w.in_blocks(g)))
+
+        directions = {b: once(w) for b, w in spaces.items()}
         ref = directions[b_maxes[0]]
         for b, d in directions.items():
             gap = np.abs(d - ref).max() / np.abs(ref).max()
             if not gap <= 1e-10:
                 raise AssertionError(f"{name}: B_MAX={b} direction differs "
                                      f"by {gap:.3g} relative")
-
-        def once(w):
-            w.factor(adj, c, r)
-            w.solve(g)
 
         start = time.perf_counter()
         once(spaces[b_maxes[0]])
