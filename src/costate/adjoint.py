@@ -58,9 +58,10 @@ def adjoint_along(p: ProblemDef, roll: Rollout,
     over the negated f_x[k], a BLAS banded back-substitution, so its sums
     run in BLAS's order and agree with a stage-by-stage loop to roundoff.
 
-    _sweep (internal) is the BlockBidiagonal(N, n) to solve in; minimize
-    passes the one its workspace holds.  Without it one is built for this
-    call.
+    _sweep (internal) is the BlockBidiagonal(N, n) to solve in, owned by
+    the caller that lends it: minimize's workspace band, or the one band of
+    a minimize_gd solve.  Without it one is built for this call.  No array
+    of the result is a view of it, so the next call may reuse it.
 
     Raises NumericalBlowupError(k, "first-order stage data") when an entry
     of c_x, c_u, f_x or f_u that the gradient reads is not finite, k being
@@ -76,22 +77,22 @@ def adjoint_along(p: ProblemDef, roll: Rollout,
     cu = as_stack(cu, (horizon + 1, m), "d_stage_cost c_u")
     fx = np.zeros((horizon + 1, n, n))
     fu = np.zeros((horizon + 1, n, m))
-    if horizon:
-        jx, ju = p.d_dynamics(xs[:horizon], u[:horizon], ks[:horizon])
-        fx[:horizon] = as_stack(jx, (horizon, n, n), "d_dynamics f_x")
-        fu[:horizon] = as_stack(ju, (horizon, n, m), "d_dynamics f_u")
     # lam[0..N-1] solves A' lam = [c_x[1]; ..; c_x[N]] with A unit lower
     # block-bidiagonal, -f_x[k] at block (k, k-1) for k = 1..N-1 (f_x[N]
     # meets lam[N] = 0): one back-substitution in place over lam, whose
-    # zero row N it never reads.
+    # zero row N it never reads.  The blocks are negated straight from the
+    # oracle's stack; lam has the gradient product's (N+1, 1, n) shape.
     sweep = BlockBidiagonal(horizon, n) if _sweep is None else _sweep
-    np.negative(fx[1:horizon], out=sweep.blocks)
-    lam = np.empty((horizon + 1, n))
-    lam[:horizon] = cx[1:]
-    lam[horizon] = 0.0
-    lam = sweep.solve(lam.reshape(-1), trans=1).reshape(horizon + 1, n)
-    g = lam[:, None, :] @ fu
-    g += cu[:, None, :]
+    if horizon:
+        jx, ju = p.d_dynamics(xs[:horizon], u[:horizon], ks[:horizon])
+        fx[:horizon] = jx = as_stack(jx, (horizon, n, n), "d_dynamics f_x")
+        fu[:horizon] = as_stack(ju, (horizon, n, m), "d_dynamics f_u")
+        np.negative(jx[1:], out=sweep.blocks)
+    lam = np.zeros((horizon + 1, 1, n))
+    lam[:horizon, 0] = cx[1:]
+    sweep.solve(lam.reshape(-1), trans=1)
+    g = lam @ fu
+    g += cu.reshape(horizon + 1, 1, m)
     g = g.reshape(-1)
     # Every input the gradient reads (all but c_x[0] and f_x[0]) carries a
     # non-finite value into it, so the inputs are scanned only when its
@@ -104,19 +105,22 @@ def adjoint_along(p: ProblemDef, roll: Rollout,
         if not finite.all():
             raise NumericalBlowupError(int(finite.argmin()),
                                        "first-order stage data")
-    return AdjointSolution(costates=lam, gradient=g, fx=fx, fu=fu)
+    return AdjointSolution(costates=lam[:, 0], gradient=g, fx=fx, fu=fu)
 
 
-def forward_adjoint(p: ProblemDef, x0, z: np.ndarray) -> Tuple[Rollout, AdjointSolution]:
+def forward_adjoint(p: ProblemDef, x0, z: np.ndarray, _sweep=None
+                    ) -> Tuple[Rollout, AdjointSolution]:
     """Rollout plus adjoint solution in one fused pass.
 
     roll_forward then adjoint_along: the snapshot that stage_curvature and
     hessian_with read, for callers at a fresh point (minimize_gd, hessian()
     and the check suites).  minimize reuses the rollout of an accepted
-    trial and runs adjoint_along alone.
+    trial and runs adjoint_along alone.  _sweep (internal) is the band
+    adjoint_along solves in, owned by the caller: minimize_gd lends the one
+    it builds per solve.  Without it adjoint_along builds one.
     """
     roll = roll_forward(p, x0, z)
-    return roll, adjoint_along(p, roll)
+    return roll, adjoint_along(p, roll, _sweep=_sweep)
 
 
 def gradient(p: ProblemDef, x0, z: np.ndarray) -> AdjointSolution:

@@ -212,9 +212,21 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _strict(value):
+    # value with every non-finite float, which strict JSON cannot hold, as
+    # None (null), in its dicts, lists and tuples too.
+    if isinstance(value, float):
+        return value if np.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _strict(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
 def _write_json(path: Path, obj: dict) -> None:
     with _out_file(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_strict(obj), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

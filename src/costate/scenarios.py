@@ -326,7 +326,8 @@ def _tracking_tables(delta: float, q_bytes: bytes, r_bytes: bytes,
 
 
 def build_unicycle_tracking(spec: UnicycleSpec, anchor_step: int,
-                            current_state) -> ProblemDef:
+                            current_state, _shared: bool = True
+                            ) -> ProblemDef:
     """Horizon tracking problem anchored at an absolute plant step.
 
     Stage k of the horizon tracks the reference at absolute step
@@ -344,7 +345,8 @@ def build_unicycle_tracking(spec: UnicycleSpec, anchor_step: int,
     supplied at solve time.  The stacked oracles look their reference rows
     and constant blocks up by ks, so ks must be stages 0..N_p; the constant
     blocks are built once per (delta, Q_weights, R_weights, N_p) and shared
-    read-only by the problems so specified.  The
+    read-only by the problems so specified.  _shared=False (internal)
+    builds them for this problem alone, so that they go when it goes.  The
     rollout oracle steps unicycle_step's kinematics over u.tolist() in
     Python floats and makes one array of the states at the end, so a
     rollout is one call, not N_p.
@@ -356,13 +358,20 @@ def build_unicycle_tracking(spec: UnicycleSpec, anchor_step: int,
     horizon = spec.N_p
     ref_x, ref_u = _reference_rows(spec, anchor_step, horizon + 1)
     (q_col, q2, r_cols, r2_rows, fx_rows, fu_rows, hess_x, hess_u, zero_xx,
-     zero_xu, zero_uu) = _tracking_tables(
+     zero_xu, zero_uu) = (_tracking_tables if _shared
+                          else _tracking_tables.__wrapped__)(
         float(delta), np.asarray(spec.Q_weights, dtype=float).tobytes(),
         np.asarray(spec.R_weights, dtype=float).tobytes(), horizon)
 
     def _state_error(x, ks):
-        e = x - ref_x.take(ks, axis=0)
-        e[:, 2] = wrap_angle(e[:, 2])
+        # wrap_angle's three operations in place on the heading column, so
+        # its bits without its temporaries or a call.
+        e = ref_x.take(ks, axis=0)
+        np.subtract(x, e, out=e)
+        heading = e[:, 2]
+        np.subtract(np.pi, heading, out=heading)
+        np.mod(heading, 2.0 * np.pi, out=heading)
+        np.subtract(np.pi, heading, out=heading)
         return e
 
     def dynamics(x, u, k):
@@ -376,24 +385,29 @@ def build_unicycle_tracking(spec: UnicycleSpec, anchor_step: int,
         # q . ex^2 + r . eu^2, each batched as in _dot.
         ex = _state_error(x, ks)
         eu = u - ref_u.take(ks, axis=0)
-        return (((ex * ex)[:, None, :] @ q_col)[:, 0, 0]
-                + ((eu * eu)[:, None, :] @ r_cols.take(ks, axis=0))[:, 0, 0])
+        ex *= ex
+        eu *= eu
+        cost = ex[:, None, :] @ q_col
+        cost += eu[:, None, :] @ r_cols.take(ks, axis=0)
+        return cost[:, 0, 0]
 
     def d_dynamics(x, u, ks):
         s, c = np.sin(x[:, 2]), np.cos(x[:, 2])
         step = delta * u[:, 0]
         fx = fx_rows.take(ks, axis=0)
-        fx[:, 0, 2] = -step * s
-        fx[:, 1, 2] = step * c
+        np.multiply(-step, s, out=fx[:, 0, 2])
+        np.multiply(step, c, out=fx[:, 1, 2])
         fu = fu_rows.take(ks, axis=0)
-        fu[:, 0, 0] = delta * c
-        fu[:, 1, 0] = delta * s
+        np.multiply(delta, c, out=fu[:, 0, 0])
+        np.multiply(delta, s, out=fu[:, 1, 0])
         return fx, fu
 
     def d_stage_cost(x, u, ks):
+        cx = _state_error(x, ks)
+        cx *= q2
         cu = r2_rows.take(ks, axis=0)
         cu *= u - ref_u.take(ks, axis=0)
-        return q2 * _state_error(x, ks), cu
+        return cx, cu
 
     def dd_stage_cost(x, u, ks):
         return (hess_x.take(ks, axis=0), zero_xu.take(ks, axis=0),
@@ -404,9 +418,10 @@ def build_unicycle_tracking(spec: UnicycleSpec, anchor_step: int,
         # d2x/dspeed dheading, and the same pair for y.
         s, c = np.sin(x[:, 2]), np.cos(x[:, 2])
         wxx = zero_xx.take(ks, axis=0)
-        wxx[:, 2, 2] = -delta * u[:, 0] * (w[:, 0] * c + w[:, 1] * s)
+        np.multiply(-delta * u[:, 0], w[:, 0] * c + w[:, 1] * s,
+                    out=wxx[:, 2, 2])
         wxu = zero_xu.take(ks, axis=0)
-        wxu[:, 2, 0] = delta * (w[:, 1] * c - w[:, 0] * s)
+        np.multiply(delta, w[:, 1] * c - w[:, 0] * s, out=wxu[:, 2, 0])
         return wxx, wxu, zero_uu.take(ks, axis=0)
 
     return ProblemDef(
@@ -442,9 +457,12 @@ def build_unicycle_plant(spec: UnicycleSpec) -> ProblemDef:
     """Full-length tracking problem over all N plant steps, anchored at 0.
 
     The receding-horizon driver only uses its dynamics, but having the full
-    cost around makes open-loop comparisons cheap.
+    cost around makes open-loop comparisons cheap.  Its constant tables,
+    N + 1 stages long, are its own rather than cached, so that they are
+    freed with it.
     """
-    return build_unicycle_tracking(replace(spec, N_p=spec.N), 0, spec.X0)
+    return build_unicycle_tracking(replace(spec, N_p=spec.N), 0, spec.X0,
+                                   _shared=False)
 
 
 def random_smooth_problem(seed_or_rng, n: int, m: int, N: int) -> Tuple[ProblemDef, np.ndarray, np.ndarray]:

@@ -444,9 +444,10 @@ def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig,
     budget is exhausted.
 
     The regularizer starts at r = cfg.r_reg and is carried across outer
-    iterations.  A step is accepted only if its trial cost does not rise
-    beyond _COST_SLACK; otherwise its cause is logged ((R + H) failed to
-    factor at stage k, or the trial cost blew up or increased) and the step
+    iterations.  A step is accepted only if its direction is finite and its
+    trial cost does not rise beyond _COST_SLACK; otherwise its cause is
+    logged ((R + H) failed to factor at stage k, the direction is not
+    finite at stage k, or the trial cost blew up or increased) and the step
     is retried with r multiplied by REG_GROW.  Blow-ups and increases only
     occur when the curvature is indefinite beyond what R absorbs, since on
     a positive-semidefinite model every direction the recursion produces is
@@ -460,7 +461,8 @@ def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig,
     """
     t0 = time.perf_counter()
     z = np.array(z0, dtype=float, copy=True)
-    factor = _factor or StagewiseFactor(p.dims.N, p.dims.n, p.dims.m)
+    m = p.dims.m
+    factor = _factor or StagewiseFactor(p.dims.N, p.dims.n, m)
     gnorms: List[float] = []
     costs: List[float] = []
     inner_total = 0
@@ -491,15 +493,24 @@ def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig,
                 cause = f"factorization failed at stage {exc.stage}"
             else:
                 inner_total += depth + 1
-                candidate = z - d
                 try:
-                    trial = roll_forward(p, x0, candidate)
-                    trial_cost = trial.total_cost
-                except NumericalBlowupError:
-                    trial_cost = float("inf")
-                if trial_cost <= bound:
-                    break
-                cause = f"trial cost {trial_cost:.6g} above {costs[-1]:.6g}"
+                    # A pivot as small as a subnormal r inverts to inf, and
+                    # the trial cost need not read the entry it spoils (the
+                    # LQR's u_N), so the direction is checked itself.
+                    check_finite_stages(d.reshape(-1, m), "direction")
+                except NumericalBlowupError as exc:
+                    cause = f"direction not finite at stage {exc.stage}"
+                else:
+                    candidate = z - d
+                    try:
+                        trial = roll_forward(p, x0, candidate)
+                        trial_cost = trial.total_cost
+                    except NumericalBlowupError:
+                        trial_cost = float("inf")
+                    if trial_cost <= bound:
+                        break
+                    cause = (f"trial cost {trial_cost:.6g} above "
+                             f"{costs[-1]:.6g}")
             if r * REG_GROW > REG_MAX:
                 raise LinearSolveError(
                     f"no acceptable step at outer iteration {i} with the "
@@ -523,18 +534,20 @@ def minimize_gd(p: ProblemDef, x0, z0: np.ndarray, lr: float,
     Same instrumentation as minimize; lr and grad_tol are finite and > 0 and
     max_iters is an integer >= 0.  If the cost climbs past ten times its
     initial magnitude the run stops with the Diverged termination instead of
-    crashing.
+    crashing.  The solve builds one costate band, BlockBidiagonal(N, n),
+    and lends it to every iteration's forward_adjoint.
     """
     check_positive(lr, "lr")
     check_positive(grad_tol, "grad_tol")
     check_count(max_iters, 0, "max_iters")
     t0 = time.perf_counter()
     z = np.array(z0, dtype=float, copy=True)
+    sweep = BlockBidiagonal(p.dims.N, p.dims.n)
     gnorms: List[float] = []
     costs: List[float] = []
     i = 0
     while True:
-        roll, adj = forward_adjoint(p, x0, z)
+        roll, adj = forward_adjoint(p, x0, z, _sweep=sweep)
         gnorm = float(np.maximum.reduce(np.abs(adj.gradient), initial=0.0))
         gnorms.append(gnorm)
         costs.append(roll.total_cost)
@@ -544,5 +557,5 @@ def minimize_gd(p: ProblemDef, x0, z0: np.ndarray, lr: float,
             return _report(z, i, 0, gnorms, costs, Termination.DIVERGED, t0)
         if i == max_iters:
             return _report(z, i, 0, gnorms, costs, Termination.MAX_ITERS, t0)
-        z = z - lr * adj.gradient
+        z -= lr * adj.gradient
         i += 1

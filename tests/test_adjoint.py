@@ -14,7 +14,7 @@ from costate import (DimensionMismatchError, Dims, LqrSpec,
                      build_unicycle_tracking, fd_gradient, forward_adjoint,
                      gradient, hessian, max_rel_error, minimize, minimize_gd,
                      one_row, random_smooth_problem, roll_forward)
-from costate.problem import FD_STEP, central_difference
+from costate.problem import BlockBidiagonal, FD_STEP, central_difference
 
 
 def _hamiltonian(p, x, u, lam_next, k):
@@ -274,3 +274,50 @@ class TestNonFiniteFirstOrderData:
             second_order(prob, self.X0, self.Z)
         assert (err.value.stage, err.value.what) == (
             0, "first-order stage data")
+
+
+def _band_cases():
+    # (problem, x0, z, another z): the unicycle horizon, a random problem
+    # whose band has couplings, and the scalar LQR.
+    spec = UnicycleSpec()
+    unicycle = build_unicycle_tracking(spec, 7, np.asarray(spec.X0))
+    rng = np.random.default_rng(5)
+    z_len = unicycle.dims.z_len
+    smooth, x0, z = random_smooth_problem(4, 3, 2, 12)
+    lqr = build_lqr(LqrSpec())
+    return [(unicycle, np.asarray(spec.X0), rng.normal(scale=0.3, size=z_len),
+             rng.normal(scale=0.3, size=z_len)),
+            (smooth, x0, z, z + 0.1),
+            (lqr, np.ones(1), np.linspace(-1.0, 1.0, 16), np.zeros(16))]
+
+
+_FIELDS = ("costates", "gradient", "fx", "fu")
+
+
+class TestLentBand:
+    """forward_adjoint solving in a band its caller owns and lends."""
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_lent_band_gives_the_fresh_band_bits(self, case):
+        prob, x0, z, _ = _band_cases()[case]
+        band = BlockBidiagonal(prob.dims.N, prob.dims.n)
+        band.blocks[...] = np.nan  # whatever a lent band held before
+        roll, fresh = forward_adjoint(prob, x0, z)
+        lent_roll, lent = forward_adjoint(prob, x0, z, _sweep=band)
+        assert lent_roll.states.tobytes() == roll.states.tobytes()
+        for name in _FIELDS:
+            assert np.array_equal(getattr(lent, name), getattr(fresh, name))
+            assert getattr(lent, name).tobytes() == getattr(
+                fresh, name).tobytes(), name
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_a_second_call_leaves_the_first_solution_be(self, case):
+        prob, x0, z, other = _band_cases()[case]
+        band = BlockBidiagonal(prob.dims.N, prob.dims.n)
+        _, first = forward_adjoint(prob, x0, z, _sweep=band)
+        kept = {name: getattr(first, name).copy() for name in _FIELDS}
+        _, second = forward_adjoint(prob, x0, other, _sweep=band)
+        for name in _FIELDS:
+            assert not np.shares_memory(getattr(first, name), band.band)
+            assert np.array_equal(getattr(first, name), kept[name]), name
+        assert not np.array_equal(second.gradient, first.gradient)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import costate.cli
 from conftest import rolled_table
 from costate import (CircleReference, LqrSpec, ProblemDef, build_lqr,
                      random_smooth_problem)
@@ -105,6 +106,34 @@ class TestRunLqr:
         err = capsys.readouterr().err
         assert err.startswith("config error in field 'config': ")
         assert err.count("\n") == 1
+
+
+    def test_subnormal_regularizer_passes(self, tmp_path):
+        path = _write_config(tmp_path, {"solver": {"r_reg": 1e-320}})
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["run-lqr", "--config", path, "--out", str(tmp_path)])
+        report = _read_strict_json(tmp_path / "report.json")
+        assert rc == 0 and report["passed"] is True
+        assert report["max_control_deviation"] <= 1e-4
+
+    def test_non_finite_solution_is_written_as_null(self, tmp_path,
+                                                    monkeypatch):
+        # Whatever the solve returns, report.json stays strict JSON: a NaN
+        # control makes the deviation NaN, which is written as null.
+        solve = costate.cli.minimize
+
+        def spoiled(*args):
+            report = solve(*args)
+            report.z_final[-1] = np.nan
+            return report
+
+        monkeypatch.setattr(costate.cli, "minimize", spoiled)
+        path = str(REPO / "configs" / "lqr.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["run-lqr", "--config", path, "--out", str(tmp_path)])
+        report = _read_strict_json(tmp_path / "report.json")
+        assert rc == 1 and report["passed"] is False
+        assert report["max_control_deviation"] is None
 
 
 class TestRunMpc:
@@ -561,6 +590,9 @@ def _exits_cleanly(argv, report_name, field_pattern):
 @example(case=("run-lqr", [(("scenario", "b"), 1e308)]))
 @example(case=("run-lqr", [(("scenario", "N"), 2**70)]))
 @example(case=("run-mpc", [(("scenario", "N"), 2**70)]))
+# A subnormal regularizer: its pivot inverts to inf, which once left a NaN
+# u_N in z_final and a NaN deviation in report.json.
+@example(case=("run-lqr", [(("solver", "r_reg"), 1e-320)]))
 def test_a_fuzzed_config_exits_0_1_or_2(case):
     command, edits = case
     config = json.loads(json.dumps(_FUZZED_CONFIGS[command]))

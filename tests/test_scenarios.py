@@ -1,9 +1,11 @@
 """Bundled scenario builders: LQR, unicycle tracking, circle references."""
 
 import dataclasses
+import gc
 import inspect
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +17,8 @@ import costate.scenarios
 from conftest import rolled_table
 from costate import (CircleReference, DimensionMismatchError, LqrSpec,
                      NumericalBlowupError, UnicycleSpec, WaypointTable,
-                     build_unicycle_tracking, circle_reference, eval_cost,
+                     build_unicycle_plant, build_unicycle_tracking,
+                     circle_reference, eval_cost,
                      fd_consistency, gradient, hessian, one_row,
                      random_smooth_problem, reference_at, roll_forward,
                      tracking_errors, unicycle_step, wrap_angle)
@@ -543,6 +546,66 @@ def test_unicycle_oracles_match_scalar_formulas(anchor, horizon, delta, rate,
     assert np.array_equal(prob.stage_cost(x, u + 1.0, ks)[last], cost[last])
     assert not prob.d_stage_cost(x, u, ks)[1][last].any()
     assert not prob.dd_stage_cost(x, u, ks)[2][last].any()
+
+
+# Heading differences on and next to the +-pi seam, and whole turns off it.
+_SEAM = [math.pi, -math.pi, np.nextafter(math.pi, 0.0),
+         np.nextafter(math.pi, 4.0), np.nextafter(-math.pi, 0.0),
+         np.nextafter(-math.pi, -4.0), 3.0 * math.pi, -3.0 * math.pi,
+         2.0 * math.pi, 0.0, -0.0]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(anchor=st.integers(0, 100_000),
+       diffs=st.lists(st.sampled_from(_SEAM) | st.floats(-25.0, 25.0),
+                      min_size=11, max_size=11),
+       seed=st.integers(0, 2**32 - 1))
+@example(anchor=0, diffs=_SEAM, seed=0)
+def test_in_place_heading_error_is_wrap_angle_of_the_difference(
+        anchor, diffs, seed):
+    # The oracles wrap the heading error in place by wrap_angle's three
+    # operations; with every Q weight 0.5, c_x is 1.0 times the error, so
+    # its bits are the error's.  stage_cost squares and weighs it in place,
+    # and must give the bits of the formula on fresh temporaries.
+    spec = UnicycleSpec(N_p=10, Q_weights=(0.5, 0.5, 0.5))
+    prob = build_unicycle_tracking(spec, anchor, np.asarray(spec.X0))
+    ks = np.arange(11)
+    rng = np.random.default_rng(seed)
+    xr = np.array([reference_at(spec, anchor + k)[0] for k in ks])
+    ur = np.array([reference_at(spec, anchor + k)[1] for k in ks])
+    x = xr + rng.normal(size=(11, 3))
+    x[:, 2] = xr[:, 2] + np.array(diffs)
+    u = ur + rng.normal(size=(11, 2))
+    ex = x - xr
+    ex[:, 2] = wrap_angle(x[:, 2] - xr[:, 2])
+    cx, _ = prob.d_stage_cost(x, u, ks)
+    assert cx.tobytes() == ex.tobytes()
+    eu = u - ur
+    q = np.full((3, 1), 0.5)
+    r = np.zeros((11, 2, 1))
+    r[:10, :, 0] = spec.R_weights
+    cost = (((ex * ex)[:, None, :] @ q)[:, 0, 0]
+            + ((eu * eu)[:, None, :] @ r)[:, 0, 0])
+    assert prob.stage_cost(x, u, ks).tobytes() == cost.tobytes()
+
+
+def test_a_deleted_plant_frees_its_tables():
+    # The plant's tables are N + 1 stages long and its own: none stays in
+    # the cache of the horizon problems' tables once the plant is gone.
+    build_unicycle_plant(UnicycleSpec(N=20))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        plant = build_unicycle_plant(UnicycleSpec(N=20000))
+        built = tracemalloc.get_traced_memory()[0] - before
+        del plant
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert built > 5e6
+    assert kept < 0.5e6
 
 
 def test_table_problem_keeps_its_reference():

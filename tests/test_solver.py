@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import costate.adjoint
 import costate.curvature
 import costate.solver
 from costate import (AsymmetricHessianError, DimensionMismatchError, Dims,
@@ -19,7 +20,7 @@ from costate import (AsymmetricHessianError, DimensionMismatchError, Dims,
                      minimize_gd, one_row, random_smooth_problem,
                      hessian_product, riccati_lqr, stage_curvature,
                      step_direction)
-from costate.problem import central_difference
+from costate.problem import BlockBidiagonal, central_difference
 from costate.solver import B_MAX
 
 
@@ -751,6 +752,28 @@ class TestMinimize:
         assert costs[-1] == pytest.approx(14.0020, abs=1e-4)
         assert (np.diff(costs) <= 0).all()
 
+    @pytest.mark.parametrize("r_reg", [1e-320, 1e-310])
+    def test_subnormal_regularizer_rejects_a_non_finite_direction(
+            self, caplog, r_reg):
+        # The pivot of the unused u_N is r alone, whose inverse overflows
+        # to inf; inf * 0 puts a NaN in the direction, which the LQR's
+        # trial cost never reads.  The attempt is rejected under its own
+        # cause and r escalates until the direction is finite.
+        spec = LqrSpec()
+        prob = build_lqr(spec)
+        caplog.set_level(logging.INFO, logger="costate.solver")
+        with np.errstate(invalid="ignore"):
+            rep = minimize(prob, spec.x0, np.zeros(prob.dims.z_len),
+                           SolverConfig(r_reg=r_reg))
+        assert rep.termination is Termination.CONVERGED
+        assert np.isfinite(rep.z_final).all()
+        ric = riccati_lqr(spec.a, spec.b, spec.q, spec.r, spec.p_term,
+                          spec.N, spec.x0)
+        assert np.abs(rep.z_final - np.append(ric.controls, 0.0)).max(
+            ) <= 1e-4
+        assert caplog.records[0].getMessage().startswith(
+            f"direction not finite at stage {spec.N}, regularizer raised")
+
     @pytest.mark.parametrize("start", ["zero", "random"])
     @pytest.mark.parametrize("n_p", [100, 200, 400])
     def test_long_open_loop_horizon_converges_to_a_minimum(self, n_p, start):
@@ -974,6 +997,44 @@ class TestMinimizeGd:
                           max_iters=500)
         assert rep.termination is Termination.DIVERGED
         assert rep.cost_history[-1] > 10 * rep.cost_history[0]
+
+    def test_one_band_per_solve(self, monkeypatch):
+        # The solve builds one costate band and lends it to every
+        # iteration's forward_adjoint.
+        built = []
+
+        class Counted(BlockBidiagonal):
+            __slots__ = ()
+
+            def __init__(self, count, n):
+                built.append((count, n))
+                super().__init__(count, n)
+
+        monkeypatch.setattr(costate.solver, "BlockBidiagonal", Counted)
+        monkeypatch.setattr(costate.adjoint, "BlockBidiagonal", Counted)
+        spec = UnicycleSpec()
+        prob = build_unicycle_tracking(spec, 0, np.asarray(spec.X0))
+        rep = minimize_gd(prob, np.asarray(spec.X0),
+                          np.zeros(prob.dims.z_len), lr=0.05, max_iters=30)
+        assert rep.outer_iters == 30
+        assert built == [(spec.N_p, 3)]
+
+    @pytest.mark.parametrize("which", ["unicycle", "smooth"])
+    def test_iterates_are_the_plain_update_bit_for_bit(self, which):
+        if which == "unicycle":
+            spec = UnicycleSpec()
+            x0 = np.asarray(spec.X0)
+            prob = build_unicycle_tracking(spec, 3, x0)
+            z0, lr = np.zeros(prob.dims.z_len), 0.05
+        else:
+            prob, x0, z0 = random_smooth_problem(6, 3, 2, 12)
+            lr = 0.02
+        rep = minimize_gd(prob, x0, z0, lr=lr, max_iters=40)
+        assert rep.outer_iters == 40
+        z = z0
+        for _ in range(rep.outer_iters):
+            z = z - lr * forward_adjoint(prob, x0, z)[1].gradient
+        assert rep.z_final.tobytes() == z.tobytes()
 
     def test_rate_must_be_positive(self, lqr15):
         with pytest.raises(ValueError):
