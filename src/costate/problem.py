@@ -401,13 +401,19 @@ def check_finite_stages(stack, what: str) -> None:
     """Raise NumericalBlowupError(k, what) for the first stage k of a stage
     stack, its stages on the leading axis, that holds a non-finite entry.
 
-    The stages are scanned only when the stack's sum of squares is not
-    finite, which any non-finite entry makes it; a stack whose sum
-    overflows from finite entries passes."""
-    if not math.isfinite(np.vdot(stack, stack)):
+    The stages are scanned only when squares_finite(stack) is False; a
+    stack whose sum overflows from finite entries passes."""
+    if not squares_finite(stack):
         finite = np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
         if not finite.all():
             raise NumericalBlowupError(int(finite.argmin()), what)
+
+
+def squares_finite(a: np.ndarray) -> bool:
+    """Whether the sum of squares of a's entries is finite: False for any
+    non-finite entry, and for finite ones whose sum overflows.  np.vdot
+    raises no floating-point warning, so the test is quiet."""
+    return math.isfinite(np.vdot(a, a))
 
 
 def check_positive(value, what: str, zero_ok: bool = False) -> None:

@@ -473,12 +473,12 @@ def random_smooth_problem(seed_or_rng, n: int, m: int, N: int) -> Tuple[ProblemD
     nonvanishing third derivatives, which is what makes them useful for
     exercising the derivative sweeps.  Returns (problem, x0, z).
 
-    The rollout oracle is the one implementation of the dynamics: it forms
-    every stage's control terms in one batched product, then steps in
-    preallocated arrays, and dynamics is its one-row call, so the two agree
-    bit for bit.  A state that overflows or turns NaN carries on quietly
-    into the rows after it, and a stage cost that overflows is returned as
-    it is; neither raises a RuntimeWarning.
+    The rollout oracle is the one implementation of the dynamics: it steps
+    the rows [x_k, u_k, 1] of one preallocated buffer with one product of
+    M = [[A, B, 0], [D, E, phase]] per stage, and dynamics is its one-row
+    call, so the two agree bit for bit.  A state that overflows or turns
+    NaN carries on quietly into the rows after it, and a stage cost that
+    overflows is returned as it is; neither raises a RuntimeWarning.
     """
     rng = np.random.default_rng(seed_or_rng)  # a Generator passes as it is
     dims = Dims(n=n, m=m, N=N)
@@ -500,30 +500,29 @@ def random_smooth_problem(seed_or_rng, n: int, m: int, N: int) -> Tuple[ProblemD
     wx = rng.normal(size=n) * 0.5
     wu = rng.normal(size=m) * 0.5
 
-    # [A; D] and [B; E]: one product gives a stage's linear part and its
-    # sine argument together.
-    ad = np.vstack([amat, dvec])
-    be = np.vstack([bmat, evec])
+    # M = [[A, B, 0], [D, E, phase]]: one product with a row [x, u, 1]
+    # gives a stage's linear part and its sine argument together.
+    mat = np.block([[amat, bmat, np.zeros((n, 1))],
+                    [dvec, evec, phase[:, None]]])
 
     def _smooth_states(x0, u):
         # The K + 1 states x_0..x_K from x0 under the K control rows of u,
-        # each step (A x + B u) + samp * sin((D x + E u) + phase).  The
-        # rows of the batched [B u; E u] equal its one-row calls, so
-        # dynamics, the one-row call, gives a rollout's rows bit for bit.
-        states = np.empty((len(u) + 1, n))
-        states[0] = x0
+        # each step (A x + B u) + samp * sin((D x + E u) + phase), stepped
+        # in the rows [x_k, u_k, 1] of one buffer.  dynamics is the one-row
+        # call, so it gives a rollout's rows bit for bit.
+        buf = np.empty((len(u) + 1, n + m + 1))
+        buf[0, :n] = x0
+        buf[:-1, n:-1] = u
+        buf[:, -1] = 1.0
         y = np.empty(2 * n)
         lin, s = y[:n], y[n:]
         with np.errstate(over="ignore", invalid="ignore"):
-            cu = _matvec(be, u)
-            for k, c in enumerate(cu):
-                ad.dot(states[k], out=y)
-                y += c
-                s += phase
+            for k in range(len(u)):
+                mat.dot(buf[k], out=y)
                 np.sin(s, out=s)
                 s *= samp
-                np.add(lin, s, out=states[k + 1])
-        return states
+                np.add(lin, s, out=buf[k + 1, :n])
+        return buf[:, :n].copy()
 
     def dynamics(x, u, k):
         return _smooth_states(x, np.asarray(u, dtype=float)[None])[1]

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import logging
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional
@@ -44,7 +45,7 @@ from .adjoint import AdjointSolution, adjoint_along, forward_adjoint
 from .curvature import check_curvature, stage_curvature, symmetric_part
 from .problem import (BlockBidiagonal, NumericalBlowupError, ProblemDef,
                       check_count, check_finite_stages, check_positive,
-                      check_state, dposv, roll_forward)
+                      check_state, dposv, roll_forward, squares_finite)
 # Neither is called here; perfbench/tracing.py wraps both as
 # costate.solver.hessian_with and costate.solver.eval_cost.
 from .curvature import hessian_with  # noqa: F401
@@ -209,7 +210,10 @@ class StagewiseFactor:
     dispatch and new temporary, which cost more than the arithmetic at
     these sizes.  sol[j] = [-K_j | Qb_uu^{-1}]; after the loop one batched
     product and one subtraction write -A_j = Gamma_B (-K_j) - Phi_B into
-    the system, when it has couplings.
+    the system, when it has couplings.  One sum of squares over the sol
+    stack sets finite, false when a pivot inverse overflowed, as a
+    subnormal r's does; step_direction then runs its solves, whose
+    direction minimize rejects, under np.errstate.
     """
 
     def __init__(self, horizon: int, n: int, m: int):
@@ -257,6 +261,7 @@ class StagewiseFactor:
         self.fb, self.phi, self.gam = fb, fb[:, :, :n], fb[:, :, n:]
         self.gam_t = self.gam.transpose(0, 2, 1)
         sol = np.empty((count, mb, cols))
+        self.sol, self.finite = sol, True
         self.neg_gain, self.quu_inv = sol[:, :, :n], sol[:, :, n:]
         self.neg_gain_t = self.neg_gain.transpose(0, 2, 1)
         self.rhs = np.empty((mb, cols))
@@ -333,6 +338,9 @@ class StagewiseFactor:
             if i < block0:  # nothing reads block 0's P
                 q_xu_dot(neg_gain_j, schur)
                 np.subtract(q_xx, schur, out=p)
+        # A pivot as small as a subnormal r inverts to inf.  A sum that
+        # overflows from finite gains only quiets their solves.
+        self.finite = squares_finite(self.sol)
         neg_a = self.system.blocks
         if len(neg_a):
             np.matmul(self.gam[1:-1], self.neg_gain[1:-1], out=neg_a)
@@ -410,9 +418,13 @@ def step_direction(adj: AdjointSolution, c: np.ndarray, g: np.ndarray,
     # (g + r d)[order] is g[order] + r d[order] entry by entry, and a padded
     # stage's entries of d are exactly zero, as the entries of g there.
     gb = factor.in_blocks(g)
-    d = factor.solve(gb)
-    for _ in range(depth):
-        d = factor.solve(gb + r * d)
+    # A pivot inverse that is not finite spoils the direction, which
+    # minimize rejects; the solves that meet its inf * 0 run quietly.
+    with (nullcontext() if factor.finite
+          else np.errstate(over="ignore", invalid="ignore")):
+        d = factor.solve(gb)
+        for _ in range(depth):
+            d = factor.solve(gb + r * d)
     return factor.in_stages(d)
 
 

@@ -794,13 +794,40 @@ class TestRandomSmoothRollout:
     @example(seed=0, n=4, m=2, horizon=0)
     def test_rollout_oracle_matches_the_stepped_dynamics(self, seed, n, m,
                                                          horizon):
-        # Same bytes for every (n, m): with n >= 9 a stacked product of
-        # [A; D] differs in the last bit from A @ x, and for many (n, m) the
-        # batched [B; E] product from the one-row B @ u, so dynamics must
-        # be the rollout's own one-row call, not a formula of its own.
+        # Same bytes for every (n, m): a formula of its own would round the
+        # map's sums in another order than the kernel's one product of
+        # [[A, B, 0], [D, E, phase]] per stage, so dynamics must be the
+        # rollout's own one-row call.
         prob, x0, z = random_smooth_problem(seed, n, m, horizon)
         stepped = dataclasses.replace(prob, rollout=None)
         assert _rolled(prob, x0, z) == _rolled(stepped, x0, z)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+           m=st.integers(1, 6), horizon=st.integers(0, 40))
+    @example(seed=0, n=4, m=2, horizon=40)
+    def test_rollout_and_dynamics_step_the_drawn_map(self, seed, n, m,
+                                                     horizon):
+        # The map's values, whatever the kernel's layout: A, B, samp, D, E
+        # and phase are random_smooth_problem's first six draws, redrawn
+        # here in its order and with its scales.
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, n)) * (0.6 / np.sqrt(n))
+        b = rng.normal(size=(n, m)) * (0.6 / np.sqrt(m))
+        samp = rng.uniform(0.05, 0.2, size=n)
+        d = rng.normal(size=(n, n)) * 0.5
+        e = rng.normal(size=(n, m)) * 0.5
+        phase = rng.uniform(-np.pi, np.pi, size=n)
+        prob, x0, z = random_smooth_problem(seed, n, m, horizon)
+        u = z.reshape(horizon + 1, m)[:horizon]
+        states = prob.rollout(x0, u)
+        assert states.shape == (horizon + 1, n)
+        assert states[0].tobytes() == x0.tobytes()
+        for k, (x, u_k) in enumerate(zip(states, u)):
+            want = (a @ x + b @ u_k) + samp * np.sin((d @ x + e @ u_k) + phase)
+            tol = 4e-15 * max(1.0, np.abs(want).max())
+            assert np.abs(states[k + 1] - want).max() <= tol
+            assert np.abs(prob.dynamics(x, u_k, k) - want).max() <= tol
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
