@@ -243,9 +243,9 @@ def as_stack(a, shape: tuple, what: str) -> np.ndarray:
     return a.reshape(shape)
 
 
-# The banded solves call three compiled routines, BLAS dtbsv and LAPACK
-# dtbtrs and dposv, which live in scipy.linalg's extension modules _fblas
-# and _flapack.
+# The banded solves and the Riccati pivots call two compiled routines, BLAS
+# dtbsv and LAPACK dposv, which live in scipy.linalg's extension modules
+# _fblas and _flapack.
 # Importing them through the scipy.linalg package runs its __init__, which
 # (by way of scipy._lib._array_api) imports numpy.f2py, numpy.testing,
 # numpy.ma and more: about 0.2 s of every process's start-up on 2 vCPUs,
@@ -274,7 +274,6 @@ def _compiled(name: str):
 
 
 dtbsv = _compiled("_fblas").dtbsv
-dtbtrs = _compiled("_flapack").dtbtrs
 dposv = _compiled("_flapack").dposv
 
 
@@ -287,8 +286,6 @@ class BlockBidiagonal:
     solve(x, trans) overwrites the first count * n entries of the float64
     vector x with y solving A y = x, or A' y = x if trans=1: a first-order
     linear recursion over count stages, forward or backward.
-    solve_columns(x) does the forward one for every column of the
-    Fortran-ordered (count * n, K) float64 array x, in place.
 
     band is C-ordered (count * n, 2n); its transpose is the LAPACK storage
     with k = 2n - 1 subdiagonals, the reach of a block's last row in its
@@ -316,11 +313,6 @@ class BlockBidiagonal:
             return x
         return dtbsv(self.band.shape[1] - 1, self.band.T, x, lower=1,
                      trans=trans, diag=1, overwrite_x=1)
-
-    def solve_columns(self, x: np.ndarray) -> np.ndarray:
-        if not len(self.blocks):
-            return x
-        return dtbtrs(self.band.T, x, uplo="L", diag="U", overwrite_b=1)[0]
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ from enum import Enum
 from typing import List, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .adjoint import AdjointSolution, adjoint_along, forward_adjoint
 from .curvature import check_curvature, stage_curvature, symmetric_part
@@ -59,9 +58,10 @@ REG_SHRINK = 3.0
 REG_MAX = 1e8
 
 # Most stages per block of StagewiseFactor's partially condensed Riccati
-# recursion.  Larger blocks take fewer Python iterations but more flops per
-# block, (n + m B)^3 against B (n + m)^3; tools/block_sweep.py times the
-# trade-off, and CHANGES.md records the sweep that chose this value.
+# recursion.  Larger blocks take fewer pivot iterations but more flops per
+# block, (n + m B)^3 against B (n + m)^3, and each factor makes B batched
+# sensitivity products, one per position in a block; tools/block_sweep.py
+# times the trade-off, and CHANGES.md records the sweeps behind this value.
 B_MAX = 8
 
 
@@ -151,14 +151,15 @@ class StagewiseFactor:
     nb = ceil((N+1) / B_MAX) and B = ceil((N+1) / nb), the horizon padded
     after stage N with stages of zero Jacobians and zero curvature.  Block
     j, stages jB .. e_j = jB + B - 1, has the state dx_{jB} and the mB
-    controls du_{e_j}, .., du_{jB}, last stage first.  One banded solve
-    (BlockBidiagonal.solve_columns, its blocks decoupled at their first
-    rows) gives every block's state sensitivities [Phi_i | Gamma_i] of
-    dx_{jB+i}, i = 0..B, to both.  With S_i those rows over the rows that
-    select du_{jB+i}, two batched products form the block Hessians
+    controls du_{e_j}, .., du_{jB}, last stage first.  At position i of the
+    block, S_i = [T_i; E_i] maps those to [dx_{jB+i}; du_{jB+i}]: T_i =
+    [Phi_i | Gamma_i] holds the state sensitivities and E_i the constant
+    rows that select du_{jB+i}.  From T_0 = [I | 0], T_{i+1} = F_i S_i with
+    F_i = [f_x | f_u] of stage jB + i, one batched product per position over
+    all blocks.  Two more batched products form the block Hessians
     Qb_j = sum_i S_i' Q_i S_i, and R adds r_reg on their uu diagonal.  Block
     j is then a stage of the same LQ form, with state dimension n, control
-    dimension mB and Jacobians F_j = [Phi_B | Gamma_B].
+    dimension mB and Jacobians F_j = T_B = [Phi_B | Gamma_B].
 
     Going backward over the blocks from P = 0, each adds the propagated
     cost-to-go curvature P to Qb_j and Cholesky-factors its control pivot;
@@ -190,9 +191,11 @@ class StagewiseFactor:
     loop; its sums run in BLAS's order and agree with a stage-by-stage pass
     to roundoff.  A padded stage's entries of du are exactly zero.
 
-    The object is a workspace sized by (N, n, m): its arrays, about
-    3 (N+B)(n+m)(n+mB) floats, and the per-block views and bound methods
-    over them are made once and refilled in place by each factor() call.
+    The object is a workspace sized by (N, n, m): its arrays, chiefly the
+    s and qs stacks of (N+B)(n+m)(n+mB) floats each (2.9 MB in all at
+    N = 800, n = 4, m = 2), and the per-block views and bound methods over
+    them are made once and refilled in place by each factor() call; s
+    keeps its E_i and T_0 rows from __init__.
     minimize holds one for the whole solve and run_mpc one for the whole
     closed loop, so every outer iteration, escalation retry and plant step
     reuses it; a failed factorization leaves nothing the next one reads.
@@ -226,30 +229,14 @@ class StagewiseFactor:
         self.q = np.zeros((count * size, n + m, n + m))
         fxu = np.zeros((count * size, n, n + m))
         self.f_x, self.f_u = fxu[:, :, :n], fxu[:, :, n:]
-        # The sensitivity system has B + 1 rows per block, -f_x coupling
-        # each to the next within the block.  sens is the transpose of the
-        # Fortran (rows, cols) right-hand side that its solve overwrites:
-        # [I | 0] in each block's first row, and in the next B rows f_u at
-        # the columns of its stage's controls.
-        self.sens_system = BlockBidiagonal(count * (size + 1), n)
-        s0, s1, s2 = self.sens_system.blocks.strides
-        self.couplings = as_strided(
-            self.sens_system.blocks, (count, size, n, n),
-            ((size + 1) * s0, s0, s1, s2))
-        self.sens = np.empty((cols, count, size + 1, n))
-        self.sens_eye = self.sens[:n, :, 0]
-        self.eye_n = np.eye(n)[:, None]
-        sc, sj, si, sr = self.sens.strides
-        self.sens_fu = as_strided(self.sens[n + (size - 1) * m:, :, 1:],
-                                  (count, size, n, m),
-                                  (sj, si - m * sc, sr, sc))
-        self.sens_columns = self.sens.reshape(cols, -1).T
-        sens_t = self.sens.transpose(1, 2, 3, 0)
-        self.sens_in, self.sens_out = sens_t[:, :size], sens_t[:, size]
+        # Position i's rows of the selector stack are S_i = [T_i; E_i]: the
+        # state sensitivities, [I | 0] at position 0, over the constant rows
+        # that select the stage's controls.
         s = np.zeros((count, size, n + m, cols))
+        s[:, 0, :n, :n] = np.eye(n)
         for i in range(size):
             s[:, i, n:, n + (size - 1 - i) * m:n + (size - i) * m] = np.eye(m)
-        self.s, self.s_top = s.reshape(-1, n + m, cols), s[:, :, :n]
+        self.s = s.reshape(-1, n + m, cols)
         self.s_block_t = s.reshape(count, -1, cols).transpose(0, 2, 1)
         self.qs = np.empty((count * size, n + m, cols))
         self.qs_block = self.qs.reshape(count, -1, cols)
@@ -260,6 +247,12 @@ class StagewiseFactor:
         fb = np.empty((count, n, cols))
         self.fb, self.phi, self.gam = fb, fb[:, :, :n], fb[:, :, n:]
         self.gam_t = self.gam.transpose(0, 2, 1)
+        # T_{i+1} = F_i S_i, batched over the blocks, into the next
+        # position's top rows; the last position's product is F_j.
+        fxu_blocks = fxu.reshape(count, size, n, n + m)
+        self.sens_steps = [(fxu_blocks[:, i], s[:, i], s[:, i + 1, :n])
+                           for i in range(size - 1)]
+        self.sens_steps.append((fxu_blocks[:, -1], s[:, -1], fb))
         sol = np.empty((count, mb, cols))
         self.sol, self.finite = sol, True
         self.neg_gain, self.quu_inv = sol[:, :, :n], sol[:, :, n:]
@@ -309,14 +302,8 @@ class StagewiseFactor:
         symmetric_part(c, out=self.q[:self.stages])
         self.f_x[:self.stages] = adj.fx
         self.f_u[:self.stages] = adj.fu
-        np.negative(self.f_x.reshape(self.couplings.shape),
-                    out=self.couplings)
-        self.sens.fill(0.0)
-        self.sens_eye[...] = self.eye_n
-        self.sens_fu[...] = self.f_u.reshape(self.sens_fu.shape)
-        self.sens_system.solve_columns(self.sens_columns)
-        self.s_top[...] = self.sens_in
-        self.fb[...] = self.sens_out
+        for f_i, s_i, out in self.sens_steps:
+            np.matmul(f_i, s_i, out=out)
         np.matmul(self.q, self.s, out=self.qs)
         np.matmul(self.s_block_t, self.qs_block, out=self.qb)
         self.qb_uu_diag += r

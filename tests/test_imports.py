@@ -352,7 +352,6 @@ _SHARED_ROUTINES = """
 import numpy as np
 {imports}
 assert costate.problem.dtbsv is scipy.linalg.blas.dtbsv
-assert costate.problem.dtbtrs is scipy.linalg.lapack.dtbtrs
 assert costate.problem.dposv is scipy.linalg.lapack.dposv
 a = np.array([[4.0, 2.0, 0.0], [2.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
 b = np.array([1.0, -2.0, 0.5])
@@ -375,11 +374,11 @@ def test_one_copy_of_each_compiled_routine_in_either_import_order(imports):
 
 
 # The modules built on the compiled routines and what they take from
-# .problem: (module, names).  dtbsv and dtbtrs are named only in
-# problem.py, whose BlockBidiagonal owns the band storage that they read.
+# .problem: (module, names).  dtbsv is named only in problem.py, whose
+# BlockBidiagonal owns the band storage that it reads.
 _ROUTINE_USERS = [("adjoint", {"BlockBidiagonal"}),
                   ("solver", {"BlockBidiagonal", "dposv"})]
-_PROBLEM_ONLY = {"dtbsv", "dtbtrs"}
+_PROBLEM_ONLY = {"dtbsv"}
 
 
 def _compiled_references(path):
@@ -404,7 +403,7 @@ def _compiled_references(path):
 
 
 def test_problem_is_the_one_site_that_loads_compiled_routines():
-    # Only problem.py names scipy, dtbsv or dtbtrs; adjoint and solver take
+    # Only problem.py names scipy or dtbsv; adjoint and solver take
     # what they use from it, so where the routines come from, and the band
     # storage that the banded solves read, are decided in one place.
     src = REPO / "src" / "costate"

@@ -727,7 +727,6 @@ def test_a_system_without_couplings_is_the_identity(monkeypatch, count):
         raise AssertionError("a BLAS routine ran")
 
     monkeypatch.setattr(costate.problem, "dtbsv", no_blas)
-    monkeypatch.setattr(costate.problem, "dtbtrs", no_blas)
     n = 3
     system = BlockBidiagonal(count, n)
     rng = np.random.default_rng(count)
@@ -736,10 +735,6 @@ def test_a_system_without_couplings_is_the_identity(monkeypatch, count):
     for trans in (0, 1):
         assert system.solve(x, trans) is x
         assert x.tobytes() == kept
-    cols = np.asfortranarray(rng.normal(size=(count * n, 2)))
-    kept = cols.tobytes()
-    assert system.solve_columns(cols) is cols
-    assert cols.tobytes() == kept
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -777,11 +772,3 @@ def test_block_bidiagonal_solves_the_matrix_its_blocks_make(count, n, trans,
     scale = max(1.0, float(np.abs(want).max(initial=0.0)))
     assert np.abs(got[:size] - want).max(initial=0.0) <= 1e-12 * scale
     assert got[size] == x[size]
-    if trans or not size:
-        return
-    # solve_columns runs the forward recursion on every column in place.
-    cols = np.asfortranarray(rng.normal(size=(size, 3)))
-    want = np.linalg.solve(dense, cols)
-    got = system.solve_columns(cols)
-    assert np.shares_memory(got, cols)
-    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())

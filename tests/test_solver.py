@@ -3,10 +3,11 @@
 import dataclasses
 import logging
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import costate.adjoint
@@ -22,6 +23,7 @@ from costate import (AsymmetricHessianError, DimensionMismatchError, Dims,
                      step_direction)
 from costate.problem import BlockBidiagonal, central_difference
 from costate.solver import B_MAX
+from dense_twin import minimize_dense
 
 
 def _lq_problem(a, b, q, r_u, n_last):
@@ -963,6 +965,117 @@ class TestConvergenceRate:
         case = _rate_case(prob, scale * x0, scale * z0)
         assume(case is not None and case[2] <= 0.5)
         _check_rates(*case)
+
+
+_CAUSES = {"factorization": "factor", "direction": "finite", "trial": "cost"}
+
+
+def _recorded_minimize(p, x0, z0, cfg):
+    """minimize's report and attempts, each attempt (outer iteration, r,
+    depth, outcome) as dense_twin.Attempt names them.
+
+    step_direction is wrapped to see each attempt's r and depth, and the
+    solver's log to see each rejection's cause; an attempt with no
+    rejection after it was accepted."""
+    events = []
+    step = costate.solver.step_direction
+
+    def recorded_step(adj, c, g, r, depth, _factor=None):
+        events.append((r, depth))
+        return step(adj, c, g, r, depth, _factor=_factor)
+
+    class Log:
+        def info(self, msg, cause, r, i):
+            events.append(_CAUSES[cause.split()[0]])
+
+    with mock.patch.object(costate.solver, "step_direction", recorded_step), \
+            mock.patch.object(costate.solver, "log", Log()):
+        try:
+            rep = minimize(p, x0, z0, cfg)
+        except LinearSolveError as exc:
+            # The last attempt's cause ends the message instead of the log.
+            rep = exc.report
+            events.append(_CAUSES[str(exc).rsplit(": ", 1)[1].split()[0]])
+    attempts, outer = [], 0
+    for event, after in zip(events, events[1:] + [None]):
+        if isinstance(event, str):
+            continue
+        outcome = after if isinstance(after, str) else "accept"
+        attempts.append((outer, *event, outcome))
+        outer += outcome == "accept"
+    return rep, attempts
+
+
+# The draws of TestDenseTwin that tier-1 always runs; none may be rejected.
+_TWIN_EXAMPLES = [
+    (4, 2, 10, 1158725112, 1.0),    # Converged, no escalation
+    (1, 1, 0, 752767291, 20.0),     # one stage
+    (4, 3, 14, 4157211330, 20.0),   # 7 escalations over 17 iterations
+    (4, 1, 6, 2837943008, 5.0),     # factor failures and a cost increase
+    (2, 3, 11, 3644404747, 20.0),   # the same, several blocks
+    (3, 3, 17, 3431539539, 5.0),    # LinearSolveFailure after 4 iterations
+    (1, 1, 18, 517229184, 5.0),     # LinearSolveFailure at the start
+]
+
+
+def _twin_examples(test):
+    for case in _TWIN_EXAMPLES:
+        test = example(**dict(zip(("n", "m", "n_last", "seed", "scale"),
+                                  case)))(test)
+    return test
+
+
+class TestDenseTwin:
+    """minimize against tests/dense_twin.py, the same iteration on dense
+    matrices with its constants written out: the twin shares no code with
+    StagewiseFactor, step_direction or minimize's schedule.
+
+    Both runs are compared in iteration order.  While their costs agree to
+    1e-9 (1 + |cost|), the iteration's attempts must agree exactly: r,
+    depth and outcome.  Roundoff in the two directions can grow over a long
+    nonconvex run until the iterates part; a drawn run whose costs part
+    before any attempt differs is rejected, and so is a decision that sat
+    within 1e-13 of flipping.  Rejections are reported as hypothesis events
+    (--hypothesis-show-statistics): about 0.4% of 6,000 draws drifted and
+    none tied.  An explicit example is never rejected."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @_twin_examples
+    @given(n=st.integers(1, 4), m=st.integers(1, 3), n_last=st.integers(0, 20),
+           seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1.0, 5.0, 20.0]))
+    def test_minimize_makes_the_dense_twins_decisions(self, n, m, n_last,
+                                                      seed, scale):
+        explicit = (n, m, n_last, seed, scale) in _TWIN_EXAMPLES
+
+        def reject(why):
+            assert not explicit, why
+            event(f"rejected: {why}")
+            assume(False)
+
+        prob, x0, z0 = random_smooth_problem(seed, n, m, n_last)
+        x0, z0 = scale * x0, scale * z0
+        rep, attempts = _recorded_minimize(prob, x0, z0, SolverConfig())
+        twin = minimize_dense(prob, x0, z0, SolverConfig())
+        costs, gnorms = rep.cost_history, rep.grad_norm_history
+        for i, cost in enumerate(costs[:len(twin.costs)]):
+            if abs(twin.costs[i] - cost) > 1e-9 * (1.0 + abs(cost)):
+                reject("the runs drifted apart")
+            assert abs(twin.gnorms[i] - gnorms[i]) <= 1e-5 * (1.0 + gnorms[i])
+            mine = [a for a in attempts if a[0] == i]
+            theirs = [a for a in twin.attempts if a.outer == i]
+            if [(a.outer, a.r, a.depth, a.outcome) for a in theirs] != mine:
+                if min(a.margin for a in theirs) < 1e-13:
+                    reject("a decision tied")
+                raise AssertionError((i, mine, theirs))
+        assert len(costs) == len(twin.costs)
+        assert rep.termination.value == twin.termination
+        assert rep.outer_iters == len(costs) - 1
+        scale_z = 1.0 + np.abs(twin.z_final).max(initial=0.0)
+        assert np.abs(rep.z_final - twin.z_final).max(
+            initial=0.0) <= 1e-6 * scale_z
+
+
 
 
 class TestMinimizeGd:
