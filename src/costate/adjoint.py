@@ -13,17 +13,15 @@ place of f_x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .problem import (BlockBidiagonal, NumericalBlowupError, ProblemDef,
-                      Rollout, as_stack, roll_forward)
+                      Rollout, as_stack, roll_forward, squares_finite)
 
 
-@dataclass(frozen=True)
-class AdjointSolution:
+class AdjointSolution(NamedTuple):
     """Costates and gradient of the rollout cost.
 
     Attributes:
@@ -98,14 +96,14 @@ def adjoint_along(p: ProblemDef, roll: Rollout,
     # non-finite value into it, so the inputs are scanned only when its
     # squared norm is not finite; a gradient that overflows from finite
     # inputs is returned as it is.
-    if not np.isfinite(g.dot(g)):
+    if not squares_finite(g):
         finite = (np.isfinite(cx).all(axis=1) & np.isfinite(cu).all(axis=1)
                   & np.isfinite(fx).all(axis=(1, 2))
                   & np.isfinite(fu).all(axis=(1, 2)))
         if not finite.all():
             raise NumericalBlowupError(int(finite.argmin()),
                                        "first-order stage data")
-    return AdjointSolution(costates=lam[:, 0], gradient=g, fx=fx, fu=fu)
+    return AdjointSolution(lam[:, 0], g, fx, fu)
 
 
 def forward_adjoint(p: ProblemDef, x0, z: np.ndarray, _sweep=None

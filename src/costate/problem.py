@@ -27,7 +27,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -315,8 +315,7 @@ class BlockBidiagonal:
                      trans=trans, diag=1, overwrite_x=1)
 
 
-@dataclass(frozen=True)
-class Rollout:
+class Rollout(NamedTuple):
     """Forward simulation result: the snapshot the sweeps read.
 
     Attributes:

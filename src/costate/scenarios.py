@@ -468,10 +468,13 @@ def build_unicycle_plant(spec: UnicycleSpec) -> ProblemDef:
 def random_smooth_problem(seed_or_rng, n: int, m: int, N: int) -> Tuple[ProblemDef, np.ndarray, np.ndarray]:
     """Seeded random smooth problem for validation harnesses.
 
-    Dynamics are a stable linear map plus a small sinusoidal coupling; the
-    stage cost is a positive quadratic plus a cosine ripple.  Both have
+    Dynamics are a linear map plus a small sinusoidal coupling; the stage
+    cost is a positive quadratic plus a cosine ripple.  Both have
     nonvanishing third derivatives, which is what makes them useful for
-    exercising the derivative sweeps.  Returns (problem, x0, z).
+    exercising the derivative sweeps.  Returns (problem, x0, z).  The map's
+    A is drawn N(0, 1) * 0.6 / sqrt(n) entry by entry and is not made
+    stable: at n = 1 about one draw in ten has |A| > 1, and its rollout
+    can grow by orders of magnitude over the horizon.
 
     The rollout oracle is the one implementation of the dynamics: it steps
     the rows [x_k, u_k, 1] of one preallocated buffer with one product of

@@ -13,10 +13,13 @@ iterations as a Levenberg-Marquardt damping.
 
 (R + H) d = g is the optimality condition of a linear-quadratic subproblem
 along the rollout, so StagewiseFactor factors it by a backward Riccati
-recursion over blocks of up to B_MAX stages, from the stage Hamiltonian
-Hessians of curvature.stage_curvature and the dynamics Jacobians of the
-costate sweep, and solves against it with two banded passes: O(N (n+mB)^3
-/ B) time, O(N (n+m)(n+mB)) memory, and no matrix larger than (n+mB)^2.
+recursion over blocks of stages, from the stage Hamiltonian Hessians of
+curvature.stage_curvature and the dynamics Jacobians of the costate sweep.
+A horizon of up to 2 B_MAX stages is one block, and a solve against it is
+one product with its pivot's inverse.  A longer one is cut into blocks of
+up to B_MAX stages and solved against with two banded passes:
+O(N (n+mB)^3 / B) time and O(N (n+m)(n+mB)) memory.  No matrix is larger
+than (n + 2 m B_MAX)^2.
 
 Each iterate is rolled out once.  The rollout that prices a trial point is
 kept when the point is accepted and becomes the next iteration's snapshot,
@@ -58,8 +61,9 @@ REG_SHRINK = 3.0
 REG_MAX = 1e8
 
 # Most stages per block of StagewiseFactor's partially condensed Riccati
-# recursion.  Larger blocks take fewer pivot iterations but more flops per
-# block, (n + m B)^3 against B (n + m)^3, and each factor makes B batched
+# recursion on a horizon of over 2 B_MAX stages; a shorter one is one block.
+# Larger blocks take fewer pivot iterations but more flops per block,
+# (n + m B)^3 against B (n + m)^3, and each factor makes B batched
 # sensitivity products, one per position in a block; tools/block_sweep.py
 # times the trade-off, and CHANGES.md records the sweeps behind this value.
 B_MAX = 8
@@ -147,19 +151,21 @@ class StagewiseFactor:
 
     with Q_k the stage Hessian plus r_reg on its uu diagonal, and f_x, f_u
     the sweep's Jacobians, zero at stage N.  Partial condensing (Axehill,
-    Syst. Control Lett. 76, 2015) folds the stages into nb blocks of B:
-    nb = ceil((N+1) / B_MAX) and B = ceil((N+1) / nb), the horizon padded
-    after stage N with stages of zero Jacobians and zero curvature.  Block
-    j, stages jB .. e_j = jB + B - 1, has the state dx_{jB} and the mB
-    controls du_{e_j}, .., du_{jB}, last stage first.  At position i of the
-    block, S_i = [T_i; E_i] maps those to [dx_{jB+i}; du_{jB+i}]: T_i =
-    [Phi_i | Gamma_i] holds the state sensitivities and E_i the constant
-    rows that select du_{jB+i}.  From T_0 = [I | 0], T_{i+1} = F_i S_i with
-    F_i = [f_x | f_u] of stage jB + i, one batched product per position over
-    all blocks.  Two more batched products form the block Hessians
-    Qb_j = sum_i S_i' Q_i S_i, and R adds r_reg on their uu diagonal.  Block
-    j is then a stage of the same LQ form, with state dimension n, control
-    dimension mB and Jacobians F_j = T_B = [Phi_B | Gamma_B].
+    Syst. Control Lett. 76, 2015) folds the stages into nb blocks of B.  A
+    horizon of N + 1 <= 2 B_MAX stages is one block, nb = 1 and B = N + 1;
+    a longer one has nb = ceil((N+1) / B_MAX) >= 3 and B = ceil((N+1) / nb),
+    the horizon padded after stage N with stages of zero Jacobians and zero
+    curvature.  Block j, stages jB .. e_j = jB + B - 1, has the state
+    dx_{jB} and the mB controls du_{e_j}, .., du_{jB}, last stage first.  At
+    position i of the block, S_i = [T_i; E_i] maps those to
+    [dx_{jB+i}; du_{jB+i}]: T_i = [Phi_i | Gamma_i] holds the state
+    sensitivities and E_i the constant rows that select du_{jB+i}.  From
+    T_0 = [I | 0], T_{i+1} = F_i S_i with F_i = [f_x | f_u] of stage jB + i,
+    one batched product per position over all blocks.  Two more batched
+    products form the block Hessians Qb_j = sum_i S_i' Q_i S_i, and R adds
+    r_reg on their uu diagonal.  Block j is then a stage of the same LQ
+    form, with state dimension n, control dimension mB and Jacobians
+    F_j = T_B = [Phi_B | Gamma_B].
 
     Going backward over the blocks from P = 0, each adds the propagated
     cost-to-go curvature P to Qb_j and Cholesky-factors its control pivot;
@@ -183,24 +189,27 @@ class StagewiseFactor:
     geometry over the blocks), solved transposed for s_1..s_{nb-1} and as it
     is for dx_1..dx_{nb-1} (A_0 meets only dx_0 = 0 and s_0, which nothing
     reads, and A_{nb-1} = 0, the last block ending in stage N or a padded
-    stage).  With nb <= 2 (N + 1 <= 2 B_MAX) that system has no coupling
-    and is the identity.  solve takes b and returns du in block order;
-    in_blocks and in_stages move a vector into that order and out of it
-    with one index array, so step_direction's inner levels move each once.
-    Batched products apply the forcing terms, so a solve has no Python
-    loop; its sums run in BLAS's order and agree with a stage-by-stage pass
-    to roundoff.  A padded stage's entries of du are exactly zero.
+    stage).  From three blocks, the fewest a longer horizon has, that
+    system has couplings.  One block meets only s_1 = 0 and dx_0 = 0, so
+    its solve is the one product du = kff_0 = Qb_uu^{-1} b.  solve takes b
+    and returns du in block order; in_blocks and in_stages move a vector
+    into that order and out of it with one index array, so
+    step_direction's inner levels move each once.  Batched products apply
+    the forcing terms, so a solve has no Python loop; its sums run in
+    BLAS's order and agree with a stage-by-stage pass to roundoff.  A
+    padded stage's entries of du are exactly zero.
 
     The object is a workspace sized by (N, n, m): its arrays, chiefly the
     s and qs stacks of (N+B)(n+m)(n+mB) floats each (2.9 MB in all at
     N = 800, n = 4, m = 2), and the per-block views and bound methods over
     them are made once and refilled in place by each factor() call; s
-    keeps its E_i and T_0 rows from __init__.
-    minimize holds one for the whole solve and run_mpc one for the whole
-    closed loop, so every outer iteration, escalation retry and plant step
-    reuses it; a failed factorization leaves nothing the next one reads.
-    It also holds the costate sweep's BlockBidiagonal(N, n), sweep, which
-    minimize lends adjoint_along.  Block j of the factor loop is
+    keeps its E_i and T_0 rows from __init__.  Its largest matrix is a
+    block Hessian Qb_j, at most (n + 2 m B_MAX)^2, on one block of 2 B_MAX
+    stages.  minimize holds one for the whole solve and run_mpc one for the
+    whole closed loop, so every outer iteration, escalation retry and plant
+    step reuses it; a failed factorization leaves nothing the next one
+    reads.  It also holds the costate sweep's BlockBidiagonal(N, n), sweep,
+    which minimize lends adjoint_along.  Block j of the factor loop is
 
         P F_j -> pf;  F_j' pf -> fpf;  Qb_j += fpf;  Qb_ux -> rhs;
         dposv(Qb_uu, [Qb_ux | I]) -> x -> sol[j];  Qb_xu x[:, :n] -> schur;
@@ -208,22 +217,26 @@ class StagewiseFactor:
 
     The first block of the loop, nb - 1, meets P = 0 and skips the three P
     products; the last, block 0, skips the Schur update, as nothing reads
-    its P.  Each product is an ndarray.dot bound once, writing into a
-    preallocated output: np.dot's BLAS call without its Python-level
-    dispatch and new temporary, which cost more than the arithmetic at
-    these sizes.  sol[j] = [-K_j | Qb_uu^{-1}]; after the loop one batched
-    product and one subtraction write -A_j = Gamma_B (-K_j) - Phi_B into
-    the system, when it has couplings.  One sum of squares over the sol
-    stack sets finite, false when a pivot inverse overflowed, as a
-    subnormal r's does; step_direction then runs its solves, whose
-    direction minimize rejects, under np.errstate.
+    its P; one block skips both.  Each product is an ndarray.dot bound
+    once, writing into a preallocated output: np.dot's BLAS call without
+    its Python-level dispatch and new temporary, which cost more than the
+    arithmetic at these sizes.  One block's sensitivity products are 2-D
+    ndarray.dot calls too, and it skips the last, F_0, which nothing reads.
+    sol[j] = [-K_j | Qb_uu^{-1}]; after the loop one batched product and
+    one subtraction write -A_j = Gamma_B (-K_j) - Phi_B into the system,
+    when it has couplings.  One sum of squares over the sol stack sets
+    finite, false when a pivot inverse overflowed, as a subnormal r's does;
+    step_direction then runs its solves, whose direction minimize rejects,
+    under np.errstate.
     """
 
     def __init__(self, horizon: int, n: int, m: int):
-        count = -(-(horizon + 1) // B_MAX)
-        size = -(-(horizon + 1) // count)
+        stages = horizon + 1
+        # Up to 2 B_MAX stages are one block, whose solve is one product.
+        count = 1 if stages <= 2 * B_MAX else -(-stages // B_MAX)
+        size = -(-stages // count)
         mb, cols = m * size, n + m * size
-        self.stages, self.m = horizon + 1, m
+        self.stages, self.m = stages, m
         self.sweep = BlockBidiagonal(horizon, n)
         # Stage data over the padded horizon; the padded stages stay zero.
         self.q = np.zeros((count * size, n + m, n + m))
@@ -248,11 +261,17 @@ class StagewiseFactor:
         self.fb, self.phi, self.gam = fb, fb[:, :, :n], fb[:, :, n:]
         self.gam_t = self.gam.transpose(0, 2, 1)
         # T_{i+1} = F_i S_i, batched over the blocks, into the next
-        # position's top rows; the last position's product is F_j.
+        # position's top rows; the last position's product is F_j.  One
+        # block's products are 2-D ndarray.dot calls, as in the pivot loop,
+        # and its F_0 is not formed: only P products and A_j read F_j.
+        self.one_block = count == 1
+        self.sens_mul = np.ndarray.dot if self.one_block else np.matmul
+        j = 0 if self.one_block else slice(None)
         fxu_blocks = fxu.reshape(count, size, n, n + m)
-        self.sens_steps = [(fxu_blocks[:, i], s[:, i], s[:, i + 1, :n])
+        self.sens_steps = [(fxu_blocks[j, i], s[j, i], s[j, i + 1, :n])
                            for i in range(size - 1)]
-        self.sens_steps.append((fxu_blocks[:, -1], s[:, -1], fb))
+        if not self.one_block:
+            self.sens_steps.append((fxu_blocks[:, -1], s[:, -1], fb))
         sol = np.empty((count, mb, cols))
         self.sol, self.finite = sol, True
         self.neg_gain, self.quu_inv = sol[:, :, :n], sol[:, :, n:]
@@ -302,8 +321,9 @@ class StagewiseFactor:
         symmetric_part(c, out=self.q[:self.stages])
         self.f_x[:self.stages] = adj.fx
         self.f_u[:self.stages] = adj.fu
+        mul = self.sens_mul
         for f_i, s_i, out in self.sens_steps:
-            np.matmul(f_i, s_i, out=out)
+            mul(f_i, s_i, out)
         np.matmul(self.q, self.s, out=self.qs)
         np.matmul(self.s_block_t, self.qs_block, out=self.qb)
         self.qb_uu_diag += r
@@ -347,6 +367,8 @@ class StagewiseFactor:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """du solving (R + H) du = b against the last successful factor(),
         both (nb, mB, 1) stacks in block order; du is a new array."""
+        if self.one_block:  # s_nb = 0 and dx_0 = 0: du = Qb_uu^{-1} b
+            return np.matmul(self.quu_inv, b)
         rhs, kff = self.kff_rhs, self.kff
         np.matmul(self.neg_gain_t, b, out=self.s_now)
         self.system.solve(self.s_flat, 1)
@@ -372,10 +394,12 @@ def step_direction(adj: AdjointSolution, c: np.ndarray, g: np.ndarray,
     to the Newton direction.
 
     c is checked against the symmetry tolerance and its symmetric part is
-    factored by a backward Riccati recursion over blocks of up to B_MAX
-    stages (StagewiseFactor), one Cholesky-factored control pivot per
-    block; each solve is one backward and one forward pass over the blocks.
-    No matrix larger than (n + m B_MAX)^2 is formed.  The levels run in the
+    factored by a backward Riccati recursion over blocks of stages
+    (StagewiseFactor: one block up to 2 B_MAX stages, else blocks of up to
+    B_MAX), one Cholesky-factored control pivot per block.  On one block
+    each solve is one product with the pivot's inverse, else one backward
+    and one forward pass over the blocks.  No matrix larger than
+    (n + 2 m B_MAX)^2 is formed.  The levels run in the
     factor's block order: g is moved into it once and d out of it once,
     which gives the bits of the levels in stage order.
 

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from costate import (CircleReference, DimensionMismatchError, Dims,
-                     LinearSolveError, LqrSpec, MpcConfig,
-                     NumericalBlowupError, ProblemDef, SolverConfig,
+from costate import (AdjointSolution, CircleReference,
+                     DimensionMismatchError, Dims, LinearSolveError, LqrSpec,
+                     MpcConfig, NumericalBlowupError, ProblemDef, Rollout,
+                     SolverConfig,
                      UnicycleSpec, build_lqr, build_unicycle_tracking,
                      eval_cost, fd_gradient, flat_index, forward_adjoint,
                      gradient, make_fd_problem, max_rel_error, minimize,
@@ -68,6 +69,19 @@ class TestDims:
         assert u.shape == (3, 2)
         assert u[1, 0] == z[flat_index(dims, 1, 0)]
         assert u[2, 1] == z[flat_index(dims, 2, 1)]
+
+
+@pytest.mark.parametrize("record, fields", [
+    (Rollout, ("states", "controls", "stage_costs", "total_cost")),
+    (AdjointSolution, ("costates", "gradient", "fx", "fu"))])
+def test_snapshot_records_keep_their_fields_read_only(record, fields):
+    # Every outer iteration builds both records, so they are named tuples:
+    # the fields and their order stay, and none can be reassigned.
+    built = record(*range(len(fields)))
+    assert record._fields == fields
+    assert tuple(getattr(built, name) for name in fields) == (0, 1, 2, 3)
+    with pytest.raises(AttributeError):
+        setattr(built, fields[0], None)
 
 
 class TestRollForward:

@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 
 import costate.scenarios
 from conftest import rolled_table
-from costate import (CircleReference, DimensionMismatchError, LqrSpec,
-                     NumericalBlowupError, UnicycleSpec, WaypointTable,
+from costate import (CircleReference, DimensionMismatchError,
+                     LinearSolveError, LqrSpec, NumericalBlowupError,
+                     SolverConfig, Termination, UnicycleSpec, WaypointTable,
                      build_unicycle_plant, build_unicycle_tracking,
                      circle_reference, eval_cost,
-                     fd_consistency, gradient, hessian, one_row,
+                     fd_consistency, gradient, hessian, minimize, one_row,
                      random_smooth_problem, reference_at, roll_forward,
                      tracking_errors, unicycle_step, wrap_angle)
 from costate.scenarios import tracking_sampler
@@ -274,6 +275,25 @@ class TestRandomSmoothProblem:
         prob, _, _ = random_smooth_problem(1, 4, 3, 5)
         errs = fd_consistency(prob, np.random.default_rng(2), n_points=40)
         assert max(errs.values()) <= 1e-5
+
+    def test_an_unstable_draw_ends_in_a_linear_solve_error(self):
+        # A is not made stable.  At n = 1 it is the generator's first
+        # normal draw times 0.6, here -1.53, so the rollout from the
+        # returned start grows to about 1e3, and no regularizer up to the
+        # cap factors the Hessian after two accepted steps.
+        seed = 944755129
+        assert np.random.default_rng(seed).normal() * 0.6 == pytest.approx(
+            -1.53, abs=5e-3)
+        prob, x0, z0 = random_smooth_problem(seed, 1, 2, 17)
+        assert np.abs(roll_forward(prob, x0, z0).states).max() > 1e3
+        with pytest.raises(LinearSolveError) as err:
+            minimize(prob, x0, z0, SolverConfig())
+        report = err.value.report
+        assert report.termination is Termination.LINEAR_SOLVE_FAILURE
+        assert report.outer_iters == 2
+        assert np.all(np.diff(report.cost_history) < 0)
+        assert len(report.cost_history) == 3
+        assert np.isfinite(report.z_final).all()
 
 
 def _seam_specs():

@@ -167,9 +167,11 @@ def _one_stage_problem(weight, stage=2, n_last=4):
 
 
 def _blocks(n_last):
-    """(block count, stages per block) of StagewiseFactor's condensing."""
-    count = -(-(n_last + 1) // B_MAX)
-    return count, -(-(n_last + 1) // count)
+    """(block count, stages per block) of StagewiseFactor's condensing: one
+    block of up to 2 B_MAX stages, else ceil((N+1) / B_MAX) blocks."""
+    stages = n_last + 1
+    count = 1 if stages <= 2 * B_MAX else -(-stages // B_MAX)
+    return count, -(-stages // count)
 
 
 # A horizon of several blocks whose last one is padded.
@@ -282,10 +284,11 @@ class TestStagewiseSolve:
     @example(n=1, m=2, n_last=1, seed=1, r=0.1, scale=1.0)
     @example(n=3, m=2, n_last=B_MAX - 1, seed=2, r=0.1, scale=1.0)
     @example(n=3, m=2, n_last=PADDED, seed=3, r=0.1, scale=20.0)
-    # The last horizon of one block and the first of two, the last of two
-    # and the first of three, the last of three and the first of four: the
-    # factor skips the P products of its first block and the Schur update
-    # of block 0, and its band system has couplings from three blocks on.
+    # Horizons of one block, the last of them (2 B_MAX stages) and the
+    # first of three, the last of three and the first of four: the factor
+    # skips the P products of its first block and the Schur update of
+    # block 0, and a solve is one product on one block and two band solves
+    # on more.
     @example(n=2, m=2, n_last=B_MAX - 1, seed=4, r=1e-3, scale=20.0)
     @example(n=2, m=1, n_last=B_MAX, seed=5, r=0.1, scale=1.0)
     @example(n=4, m=3, n_last=2 * B_MAX - 1, seed=6, r=1.0, scale=1.0)
@@ -315,13 +318,51 @@ class TestStagewiseSolve:
         # no regularizer up to the cap absorbs.
         _check_pivot_attribution(PADDED)
 
-    @pytest.mark.parametrize("n_last", [B_MAX - 1, B_MAX, 2 * B_MAX - 1],
-                             ids=["one-block", "two-blocks-padded",
-                                  "two-blocks"])
-    def test_failed_pivot_is_attributed_on_one_and_two_blocks(self, n_last):
-        # The horizons whose factor skips the P products of its only or
-        # last block and the Schur update of block 0.
+    @pytest.mark.parametrize("n_last", [B_MAX - 1, 2 * B_MAX - 1, 2 * B_MAX,
+                                        3 * B_MAX - 1],
+                             ids=["one-block", "one-block-longest",
+                                  "three-blocks-padded", "three-blocks"])
+    def test_failed_pivot_is_attributed_on_one_and_three_blocks(self, n_last):
+        # One block, whose factor skips both the P products and the Schur
+        # update, and three, the fewest that a longer horizon has, whose
+        # first block skips the P products and block 0 the Schur update.
         _check_pivot_attribution(n_last)
+
+    @pytest.mark.parametrize("n_last, count", [
+        (0, 1), (B_MAX - 1, 1), (2 * B_MAX - 1, 1), (2 * B_MAX, 3)])
+    def test_horizons_of_up_to_two_b_max_stages_are_one_block(self, n_last,
+                                                              count):
+        # Past 2 B_MAX stages the horizon is cut into ceil((N+1) / B_MAX)
+        # blocks; up to it, into one unpadded block.
+        assert _blocks(n_last)[0] == count
+        workspace = costate.solver.StagewiseFactor(n_last, 2, 1)
+        assert len(workspace.blocks) == count
+        if count == 1:
+            assert workspace.b.size == n_last + 1
+
+    @pytest.mark.parametrize("case", ["N=0", "N=B_MAX-1", "unicycle",
+                                      "N=2B_MAX-1"])
+    def test_one_block_solve_matches_the_stagewise_recursion(self, case):
+        # A one-block solve is one product with the pivot's inverse, as
+        # s_nb = 0 and dx_0 = 0 zero the rest of the passes.
+        if case == "unicycle":
+            x0 = np.asarray(UnicycleSpec().X0)
+            prob = build_unicycle_tracking(UnicycleSpec(), 0, x0)
+            z = np.zeros(prob.dims.z_len)
+        else:
+            n_last = {"N=0": 0, "N=B_MAX-1": B_MAX - 1,
+                      "N=2B_MAX-1": 2 * B_MAX - 1}[case]
+            prob, x0, z = random_smooth_problem(11, 3, 2, n_last)
+        roll, adj = forward_adjoint(prob, x0, z)
+        c = stage_curvature(prob, roll, adj)
+        g = np.random.default_rng(11).normal(size=prob.dims.z_len)
+        dims, r = prob.dims, 10.0
+        workspace = costate.solver.StagewiseFactor(dims.N, dims.n, dims.m)
+        assert len(workspace.blocks) == 1
+        workspace.factor(adj, c, r)
+        got = workspace.in_stages(workspace.solve(workspace.in_blocks(g)))
+        want = _stagewise_referee(adj, c, r, g)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_minimize_never_forms_the_dense_hessian(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -424,17 +465,20 @@ class TestStagewiseSolve:
         # step_direction's inner levels run in the factor's block order;
         # the stage-order recursion d = solve(g + r d) moves every
         # right-hand side into that order and every direction out of it.
-        # Both horizons pad their last block.
+        # Both horizons pad their last block of three or more.  The
+        # unicycle's pivots at N_p = 18 from zero first factor at r = 10,
+        # minimize's second escalation.
         if case == "unicycle":
-            spec = UnicycleSpec()
+            spec = UnicycleSpec(N_p=18)
             x0 = np.asarray(spec.X0)
             prob = build_unicycle_tracking(spec, 0, x0)
-            z = np.zeros(prob.dims.z_len)
+            z, r = np.zeros(prob.dims.z_len), 10.0
         else:
             prob, x0, z = random_smooth_problem(2, 4, 2, 40)
+            r = 0.1
         roll, adj = forward_adjoint(prob, x0, z)
         c = stage_curvature(prob, roll, adj)
-        g, r, dims = adj.gradient, 0.1, prob.dims
+        g, dims = adj.gradient, prob.dims
         workspace = costate.solver.StagewiseFactor(dims.N, dims.n, dims.m)
         got = step_direction(adj, c, g, r, depth, _factor=workspace)
 
@@ -481,12 +525,12 @@ def _residual(adj, c, d, rhs, r):
 
 
 class TestBandedSolve:
-    """StagewiseFactor's solve passes, each one banded triangular solve of
-    the count-N system, checked against (R + H) itself at the band's edge
-    cases: no stage to solve for (N = 0), one stage and no block (N = 1),
-    one block (N = 2), and the long horizon (N = 800)."""
+    """StagewiseFactor's solves checked against (R + H) itself: one block
+    of one, two and three stages (N = 0, 1, 2), whose solve is one product;
+    three blocks (N = 2 B_MAX), the fewest whose two band passes have a
+    coupling; and the long horizon (N = 800)."""
 
-    @pytest.mark.parametrize("n_last", [0, 1, 2, 800])
+    @pytest.mark.parametrize("n_last", [0, 1, 2, 2 * B_MAX, 800])
     def test_depth_zero_and_three_solve_their_systems(self, n_last):
         adj, c, g = _banded_snapshot(n_last)
         r = 1.0
@@ -497,7 +541,7 @@ class TestBandedSolve:
         d3 = step_direction(adj, c, g, r, 3)
         assert _residual(adj, c, d3, g + r * d2, r) <= 1e-9
 
-    @pytest.mark.parametrize("n_last", [0, 1, 2, 800])
+    @pytest.mark.parametrize("n_last", [0, 1, 2, 2 * B_MAX, 800])
     def test_refactor_after_a_failed_pivot_refills_the_bands(self, n_last):
         # The workspace's bands hold the last good factorization when a
         # later one fails; the next must overwrite every block of them.

@@ -1,4 +1,4 @@
-"""Time StagewiseFactor's factor + solve over block sizes, to choose B_MAX.
+"""Time StagewiseFactor's factor + two solves over block sizes, for B_MAX.
 
     OPENBLAS_NUM_THREADS=1 python3 tools/block_sweep.py [--rounds 15]
 
@@ -7,14 +7,19 @@ case is one snapshot, the first outer iteration of minimize from a zero
 start: the costate sweep, the stage curvature and the smallest regularizer
 of minimize's schedule (0.1, times 10 per failed factorization) at which
 (R + H) factors.  The cases are the circle-tracking unicycle at
-N_p = 10, 50 and 200 and random_smooth_problem(2, 4, 2, 800).  For each
+N_p = 10, 15, 50 and 200 and random_smooth_problem(2, 4, 2, 800).  For each
 block-size cap, costate.solver.B_MAX is patched while one workspace is
-built, so the library has no option for it.  A sample is the mean time of
-one factor plus one solve over enough repeats to last about 2 ms; the caps
-take their samples in turn, in a rotating order, for the given number of
-rounds.  The table shows each cell's median and interquartile range in
-microseconds, and the script fails if a cap's direction differs from
-B_MAX = 1's, the stage-wise recursion, by more than 1e-10 relative.
+built, so the library has no option for it.  The cap also sets the one-block
+rule: a horizon of N + 1 <= 2 B_MAX stages is one block, whose solve is one
+product, and a longer one has ceil((N+1) / B_MAX) blocks.  So at N_p = 10
+the caps from 6 up, and at N_p = 15 those from 8 up, time one block.  A
+sample is the mean time of one factor plus two solves, the closed loop's
+mix (2,478 solves to 1,235 factors in an mpc_circle pass), over enough
+repeats to last about 2 ms; the caps take their samples in turn, in a
+rotating order, for the given number of rounds.  The table shows each
+cell's median and interquartile range in microseconds, and the script
+fails if a cap's direction differs from B_MAX = 1's, the stage-wise
+recursion, by more than 1e-10 relative.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ def snapshot(prob, x0, z):
 def cases():
     """name -> (problem, x0, z) for the sweep's horizons."""
     out = {}
-    for n_p in (10, 50, 200):
+    for n_p in (10, 15, 50, 200):
         spec = dataclasses.replace(UnicycleSpec(), N_p=n_p)
         x0 = np.array(spec.X0)
         prob = build_unicycle_tracking(spec, 0, x0)
@@ -77,7 +82,8 @@ def workspace(dims, b_max):
 
 
 def sweep(problems, b_maxes=B_MAXES, rounds=15):
-    """{name: {b_max: (median us, IQR us)}} of factor + solve, interleaved."""
+    """{name: {b_max: (median us, IQR us)}} of factor + two solves,
+    interleaved."""
     table = {}
     for name, (prob, x0, z) in problems.items():
         adj, c, r = snapshot(prob, x0, z)
@@ -86,7 +92,9 @@ def sweep(problems, b_maxes=B_MAXES, rounds=15):
 
         def once(w):
             w.factor(adj, c, r)
-            return w.in_stages(w.solve(w.in_blocks(g)))
+            gb = w.in_blocks(g)
+            w.solve(gb)
+            return w.in_stages(w.solve(gb))
 
         directions = {b: once(w) for b, w in spaces.items()}
         ref = directions[b_maxes[0]]
@@ -129,7 +137,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--rounds", type=int, default=15)
     args = ap.parse_args(argv)
-    print("factor + solve, median (IQR) us")
+    print("factor + two solves, median (IQR) us")
     print(render(sweep(cases(), rounds=args.rounds)))
     return 0
 
