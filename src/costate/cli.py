@@ -543,7 +543,7 @@ def _parse_sizes(text: str) -> List[Tuple[int, int, int]]:
 
 def cmd_check(seed: int, sizes_text: Optional[str]) -> dict:
     try:
-        check_count(seed, 0, "seed", bounded=False)  # default_rng's range
+        check_count(seed, 0, "seed", high=None)  # default_rng's range
     except ValueError as exc:
         raise ConfigError("seed", str(exc)) from exc
     sizes = _parse_sizes(sizes_text) if sizes_text else None

@@ -349,18 +349,18 @@ def check_state(x, n: int, what: str = "state") -> np.ndarray:
 _MAX_COUNT = int(np.iinfo(np.intp).max)  # numpy's largest index
 
 
-def check_count(value, low: int, what: str, bounded: bool = True) -> None:
-    """Reject a count that is not an integer >= low with a ValueError;
+def check_count(value, low: int, what: str, high=_MAX_COUNT) -> None:
+    """Reject a count that is not an integer in low..high with a ValueError;
     Python and numpy integers pass, no float (10.0 included) or bool does.
-    A count is also at most numpy's largest index, past which numpy refuses
-    the allocation or computes on Python ints; bounded=False lifts that
-    bound for an integer that indexes nothing, such as a seed."""
+    high defaults to numpy's largest index, past which numpy refuses the
+    allocation or computes on Python ints; high=None lifts that bound for an
+    integer that indexes nothing, such as a seed."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
             or value < low):
         raise ValueError(f"{what} must be an integer >= {low}, got {value!r}")
-    if bounded and value > _MAX_COUNT:
-        raise ValueError(f"{what} must be at most {_MAX_COUNT}, numpy's "
-                         f"index range, got {value!r}")
+    if high is not None and value > high:
+        why = ", numpy's index range" if high == _MAX_COUNT else ""
+        raise ValueError(f"{what} must be at most {high}{why}, got {value!r}")
 
 
 def check_byte_range(count: int, what: str) -> None:

@@ -14,12 +14,8 @@ iterations as a Levenberg-Marquardt damping.
 (R + H) d = g is the optimality condition of a linear-quadratic subproblem
 along the rollout, so StagewiseFactor factors it by a backward Riccati
 recursion over blocks of stages, from the stage Hamiltonian Hessians of
-curvature.stage_curvature and the dynamics Jacobians of the costate sweep.
-A horizon of up to 2 B_MAX stages is one block, and a solve against it is
-one product with its pivot's inverse.  A longer one is cut into blocks of
-up to B_MAX stages and solved against with two banded passes:
-O(N (n+mB)^3 / B) time and O(N (n+m)(n+mB)) memory.  No matrix is larger
-than (n + 2 m B_MAX)^2.
+curvature.stage_curvature and the dynamics Jacobians of the costate sweep;
+its docstring states the block partition, the one-block rule and the cost.
 
 Each iterate is rolled out once.  The rollout that prices a trial point is
 kept when the point is accepted and becomes the next iteration's snapshot,
@@ -60,12 +56,11 @@ REG_GROW = 10.0
 REG_SHRINK = 3.0
 REG_MAX = 1e8
 
-# Most stages per block of StagewiseFactor's partially condensed Riccati
-# recursion on a horizon of over 2 B_MAX stages; a shorter one is one block.
-# Larger blocks take fewer pivot iterations but more flops per block,
-# (n + m B)^3 against B (n + m)^3, and each factor makes B batched
-# sensitivity products, one per position in a block; tools/block_sweep.py
-# times the trade-off, and CHANGES.md records the sweeps behind this value.
+# The block-size cap of StagewiseFactor's default partition.  Larger blocks
+# take fewer pivot iterations but more flops per block, (n + m B)^3 against
+# B (n + m)^3, and each factor makes B batched sensitivity products, one per
+# position in a block; tools/block_sweep.py times the trade-off by passing
+# block counts, and CHANGES.md records the sweeps behind this value.
 B_MAX = 8
 
 
@@ -141,6 +136,15 @@ class SolveReport:
     wall_time: float
 
 
+def _partition(stages: int, count: Optional[int] = None) -> tuple[int, int]:
+    """(block count, stages per block) of StagewiseFactor over stages
+    stages: count blocks when given, else its default rule."""
+    if count is None:
+        count = 1 if stages <= 2 * B_MAX else -(-stages // B_MAX)
+    check_count(count, 1, "count", high=stages)
+    return count, -(-stages // count)
+
+
 class StagewiseFactor:
     """Backward Riccati factorization of (R + H) over blocks of stages.
 
@@ -151,13 +155,15 @@ class StagewiseFactor:
 
     with Q_k the stage Hessian plus r_reg on its uu diagonal, and f_x, f_u
     the sweep's Jacobians, zero at stage N.  Partial condensing (Axehill,
-    Syst. Control Lett. 76, 2015) folds the stages into nb blocks of B.  A
-    horizon of N + 1 <= 2 B_MAX stages is one block, nb = 1 and B = N + 1;
-    a longer one has nb = ceil((N+1) / B_MAX) >= 3 and B = ceil((N+1) / nb),
-    the horizon padded after stage N with stages of zero Jacobians and zero
-    curvature.  Block j, stages jB .. e_j = jB + B - 1, has the state
-    dx_{jB} and the mB controls du_{e_j}, .., du_{jB}, last stage first.  At
-    position i of the block, S_i = [T_i; E_i] maps those to
+    Syst. Control Lett. 76, 2015) folds the stages into nb blocks of
+    B = ceil((N+1) / nb), the horizon padded after stage N with stages of
+    zero Jacobians and zero curvature.  nb is the method's free parameter:
+    count sets it, any integer in 1..N+1 (N + 1 is the stage-wise
+    recursion), else ValueError.  By default a horizon of N + 1 <= 2 B_MAX
+    stages is one block and a longer one has nb = ceil((N+1) / B_MAX) >= 3.
+    partition reports (nb, B).  Block j, stages jB .. e_j = jB + B - 1, has
+    the state dx_{jB} and the mB controls du_{e_j}, .., du_{jB}, last stage
+    first.  At position i of the block, S_i = [T_i; E_i] maps those to
     [dx_{jB+i}; du_{jB+i}]: T_i = [Phi_i | Gamma_i] holds the state
     sensitivities and E_i the constant rows that select du_{jB+i}.  From
     T_0 = [I | 0], T_{i+1} = F_i S_i with F_i = [f_x | f_u] of stage jB + i,
@@ -189,52 +195,52 @@ class StagewiseFactor:
     geometry over the blocks), solved transposed for s_1..s_{nb-1} and as it
     is for dx_1..dx_{nb-1} (A_0 meets only dx_0 = 0 and s_0, which nothing
     reads, and A_{nb-1} = 0, the last block ending in stage N or a padded
-    stage).  From three blocks, the fewest a longer horizon has, that
-    system has couplings.  One block meets only s_1 = 0 and dx_0 = 0, so
-    its solve is the one product du = kff_0 = Qb_uu^{-1} b.  solve takes b
-    and returns du in block order; in_blocks and in_stages move a vector
-    into that order and out of it with one index array, so
-    step_direction's inner levels move each once.  Batched products apply
-    the forcing terms, so a solve has no Python loop; its sums run in
-    BLAS's order and agree with a stage-by-stage pass to roundoff.  A
-    padded stage's entries of du are exactly zero.
+    stage).  From three blocks that system has couplings; two have none.
+    One block meets only s_1 = 0 and dx_0 = 0, so its solve is the one
+    product du = kff_0 = Qb_uu^{-1} b, and its workspace holds only what
+    that and its factor read: no band system, solve vectors, block
+    Jacobians F_j or P buffers.  solve takes b and returns du in block
+    order; in_blocks and in_stages move a vector into that order and out of
+    it with one index array, so step_direction's inner levels move each
+    once.  Batched products apply the forcing terms, so a solve has no
+    Python loop; its sums run in BLAS's order and agree with a
+    stage-by-stage pass to roundoff.  A padded stage's entries of du are
+    exactly zero.
 
     The object is a workspace sized by (N, n, m): its arrays, chiefly the
     s and qs stacks of (N+B)(n+m)(n+mB) floats each (2.9 MB in all at
     N = 800, n = 4, m = 2), and the per-block views and bound methods over
     them are made once and refilled in place by each factor() call; s
-    keeps its E_i and T_0 rows from __init__.  Its largest matrix is a
-    block Hessian Qb_j, at most (n + 2 m B_MAX)^2, on one block of 2 B_MAX
-    stages.  minimize holds one for the whole solve and run_mpc one for the
-    whole closed loop, so every outer iteration, escalation retry and plant
-    step reuses it; a failed factorization leaves nothing the next one
-    reads.  It also holds the costate sweep's BlockBidiagonal(N, n), sweep,
-    which minimize lends adjoint_along.  Block j of the factor loop is
+    keeps its E_i and T_0 rows from __init__.  A factor takes
+    O(N (n+mB)^3 / B) time; its largest matrix is a block Hessian Qb_j,
+    (n + mB)^2, at most (n + 2 m B_MAX)^2 under the default partition.
+    minimize holds one for the whole solve and run_mpc one for the whole
+    closed loop, so every outer iteration, escalation retry and plant step
+    reuses it; a failed factorization leaves nothing the next one reads.
+    It also holds the costate sweep's BlockBidiagonal(N, n), sweep, which
+    minimize lends adjoint_along.  Block j of the factor loop is
 
+        Qb_{j+1,xu} sol[j+1][:, :n] -> schur;  Qb_{j+1,xx} - schur -> P;
         P F_j -> pf;  F_j' pf -> fpf;  Qb_j += fpf;  Qb_ux -> rhs;
-        dposv(Qb_uu, [Qb_ux | I]) -> x -> sol[j];  Qb_xu x[:, :n] -> schur;
-        Qb_xx - schur -> P.
+        dposv(Qb_uu, [Qb_ux | I]) -> x -> sol[j].
 
-    The first block of the loop, nb - 1, meets P = 0 and skips the three P
-    products; the last, block 0, skips the Schur update, as nothing reads
-    its P; one block skips both.  Each product is an ndarray.dot bound
-    once, writing into a preallocated output: np.dot's BLAS call without
-    its Python-level dispatch and new temporary, which cost more than the
-    arithmetic at these sizes.  One block's sensitivity products are 2-D
-    ndarray.dot calls too, and it skips the last, F_0, which nothing reads.
-    sol[j] = [-K_j | Qb_uu^{-1}]; after the loop one batched product and
-    one subtraction write -A_j = Gamma_B (-K_j) - Phi_B into the system,
-    when it has couplings.  One sum of squares over the sol stack sets
-    finite, false when a pivot inverse overflowed, as a subnormal r's does;
-    step_direction then runs its solves, whose direction minimize rejects,
-    under np.errstate.
+    The first block of the loop, nb - 1, meets P = 0 and skips the first
+    five steps.  Each product is an ndarray.dot bound once, writing into a
+    preallocated output: np.dot's BLAS call without its Python-level
+    dispatch and new temporary, which cost more than the arithmetic at
+    these sizes; one block's sensitivity products are 2-D ndarray.dot
+    calls too.  sol[j] = [-K_j | Qb_uu^{-1}]; after the loop one batched
+    product and one subtraction write -A_j = Gamma_B (-K_j) - Phi_B into
+    the system, when it has couplings.  One sum of squares over the sol
+    stack sets finite, false when a pivot inverse overflowed, as a
+    subnormal r's does; step_direction then runs its solves, whose
+    direction minimize rejects, under np.errstate.
     """
 
-    def __init__(self, horizon: int, n: int, m: int):
+    def __init__(self, horizon: int, n: int, m: int,
+                 count: Optional[int] = None):
         stages = horizon + 1
-        # Up to 2 B_MAX stages are one block, whose solve is one product.
-        count = 1 if stages <= 2 * B_MAX else -(-stages // B_MAX)
-        size = -(-stages // count)
+        self.partition = count, size = _partition(stages, count)
         mb, cols = m * size, n + m * size
         self.stages, self.m = stages, m
         self.sweep = BlockBidiagonal(horizon, n)
@@ -253,57 +259,54 @@ class StagewiseFactor:
         self.s_block_t = s.reshape(count, -1, cols).transpose(0, 2, 1)
         self.qs = np.empty((count * size, n + m, cols))
         self.qs_block = self.qs.reshape(count, -1, cols)
-        self.qb = np.empty((count, cols, cols))
+        self.qb = qb = np.empty((count, cols, cols))
         # The diagonals of the blocks' control pivots, Qb_uu.
-        self.qb_uu_diag = self.qb.reshape(count, -1)[:, n * (cols + 1)::
-                                                     cols + 1]
-        fb = np.empty((count, n, cols))
-        self.fb, self.phi, self.gam = fb, fb[:, :, :n], fb[:, :, n:]
-        self.gam_t = self.gam.transpose(0, 2, 1)
-        # T_{i+1} = F_i S_i, batched over the blocks, into the next
-        # position's top rows; the last position's product is F_j.  One
-        # block's products are 2-D ndarray.dot calls, as in the pivot loop,
-        # and its F_0 is not formed: only P products and A_j read F_j.
+        self.qb_uu_diag = qb.reshape(count, -1)[:, n * (cols + 1)::cols + 1]
+        sol = np.empty((count, mb, cols))
+        self.sol, self.finite = sol, True
+        self.quu_inv = sol[:, :, n:]
+        self.rhs = np.empty((mb, cols))
+        self.rhs_ux = self.rhs[:, :n]
+        self.rhs[:, n:] = np.eye(mb)
+        self.blocks = [(j * size + size - 1, qb[j, n:, :n], qb[j, n:, n:],
+                        sol[j]) for j in range(count - 1, -1, -1)]
+        # Entry k*m + c of a stage-ordered vector sits at order[k*m + c] of
+        # the block-ordered one; nothing writes the padded stages' entries
+        # of b, which stay zero.
+        k, c = np.divmod(np.arange(stages * m), m)
+        self.order = k // size * mb + (size - 1 - k % size) * m + c
+        self.b = np.zeros((count, mb, 1))
+        # T_{i+1} = F_i S_i into the next position's top rows; the last
+        # position's product is F_j, which one block does not form.
         self.one_block = count == 1
         self.sens_mul = np.ndarray.dot if self.one_block else np.matmul
         j = 0 if self.one_block else slice(None)
         fxu_blocks = fxu.reshape(count, size, n, n + m)
         self.sens_steps = [(fxu_blocks[j, i], s[j, i], s[j, i + 1, :n])
                            for i in range(size - 1)]
-        if not self.one_block:
-            self.sens_steps.append((fxu_blocks[:, -1], s[:, -1], fb))
-        sol = np.empty((count, mb, cols))
-        self.sol, self.finite = sol, True
-        self.neg_gain, self.quu_inv = sol[:, :, :n], sol[:, :, n:]
+        if self.one_block:
+            return
+        fb = np.empty((count, n, cols))
+        self.phi, self.gam = fb[:, :, :n], fb[:, :, n:]
+        self.gam_t = self.gam.transpose(0, 2, 1)
+        self.sens_steps.append((fxu_blocks[:, -1], s[:, -1], fb))
+        self.neg_gain = sol[:, :, :n]
         self.neg_gain_t = self.neg_gain.transpose(0, 2, 1)
-        self.rhs = np.empty((mb, cols))
-        self.rhs_ux = self.rhs[:, :n]
-        self.rhs[:, n:] = np.eye(mb)
-        self.p = np.empty((n, n))
-        self.pf = np.empty((n, cols))
-        self.fpf = np.empty((cols, cols))
-        self.schur = np.empty((n, n))
-        self.blocks = []
-        for j in range(count - 1, -1, -1):
-            qj = self.qb[j]
-            self.blocks.append((j * size + size - 1, qj, qj[n:, :n],
-                                qj[n:, n:], qj[:n, :n], qj[:n, n:].dot,
-                                sol[j], sol[j, :, :n], fb[j], fb[j].T.dot))
-        # Entry k*m + c of a stage-ordered vector sits at order[k*m + c] of
-        # the block-ordered one.
-        k, c = np.divmod(np.arange(self.stages * m), m)
-        self.order = k // size * mb + (size - 1 - k % size) * m + c
+        self.p, self.schur = np.empty((n, n)), np.empty((n, n))
+        self.pf, self.fpf = np.empty((n, cols)), np.empty((cols, cols))
+        # Before block j's pivot: block j + 1's Schur update into P, and
+        # P's products on F_j into Qb_j.
+        self.links = [(qb[j + 1, :n, :n], qb[j + 1, :n, n:].dot,
+                       sol[j + 1, :, :n], qb[j], fb[j], fb[j].T.dot)
+                      for j in range(count - 2, -1, -1)]
         self.system = BlockBidiagonal(count - 1, n)
         # Rows 0..nb hold s_j and dx_j.  The forcing products also write s_0
         # and dx_nb = Gamma_B kff_{nb-1}, which nothing reads; nothing writes
-        # s_nb = 0 or dx_0 = 0 (the band solves stop at row nb - 1), nor the
-        # padded stages' entries of b, which stay zero.
-        s_vec = np.zeros((count + 1, n, 1))
-        dx = np.zeros((count + 1, n, 1))
+        # s_nb = 0 or dx_0 = 0 (the band solves stop at row nb - 1).
+        s_vec, dx = np.zeros((2, count + 1, n, 1))
         self.s_now, self.s_next = s_vec[:-1], s_vec[1:]
         self.dx_now, self.dx_next = dx[:-1], dx[1:]
         self.s_flat, self.dx_flat = s_vec[1:].reshape(-1), dx[1:].reshape(-1)
-        self.b = np.zeros((count, mb, 1))
         self.kff_rhs = np.empty((count, mb, 1))
         self.kff = np.empty((count, mb, 1))
 
@@ -315,7 +318,6 @@ class StagewiseFactor:
         from the symmetry check of c, and LinearSolveError naming the stage
         whose pivot failed.
         """
-        p, pf, fpf, schur = self.p, self.pf, self.fpf, self.schur
         rhs, rhs_ux, m = self.rhs, self.rhs_ux, self.m
         check_finite_stages(c, "second-order stage data")
         symmetric_part(c, out=self.q[:self.stages])
@@ -327,10 +329,13 @@ class StagewiseFactor:
         np.matmul(self.q, self.s, out=self.qs)
         np.matmul(self.s_block_t, self.qs_block, out=self.qb)
         self.qb_uu_diag += r
-        block0 = len(self.blocks) - 1
-        for i, (last, qj, q_ux, q_uu, q_xx, q_xu_dot, sol_j, neg_gain_j, fj,
-                fj_t_dot) in enumerate(self.blocks):
+        if not self.one_block:  # one block meets P = 0 and updates none
+            p, pf, fpf, schur = self.p, self.pf, self.fpf, self.schur
+        for i, (last, q_ux, q_uu, sol_j) in enumerate(self.blocks):
             if i:  # block nb - 1 meets P = 0
+                q_xx, q_xu_dot, neg_gain, qj, fj, fj_t_dot = self.links[i - 1]
+                q_xu_dot(neg_gain, schur)
+                np.subtract(q_xx, schur, out=p)
                 p.dot(fj, pf)
                 fj_t_dot(pf, fpf)
                 qj += fpf
@@ -342,14 +347,11 @@ class StagewiseFactor:
                     f"(R + H) is not positive definite: the pivot of stage "
                     f"{k} failed to factor", stage=k)
             sol_j[...] = x
-            if i < block0:  # nothing reads block 0's P
-                q_xu_dot(neg_gain_j, schur)
-                np.subtract(q_xx, schur, out=p)
         # A pivot as small as a subnormal r inverts to inf.  A sum that
         # overflows from finite gains only quiets their solves.
         self.finite = squares_finite(self.sol)
-        neg_a = self.system.blocks
-        if len(neg_a):
+        if self.partition[0] > 2:  # the system's couplings -A_1 .. -A_{nb-2}
+            neg_a = self.system.blocks
             np.matmul(self.gam[1:-1], self.neg_gain[1:-1], out=neg_a)
             np.subtract(neg_a, self.phi[1:-1], out=neg_a)
 
@@ -394,14 +396,10 @@ def step_direction(adj: AdjointSolution, c: np.ndarray, g: np.ndarray,
     to the Newton direction.
 
     c is checked against the symmetry tolerance and its symmetric part is
-    factored by a backward Riccati recursion over blocks of stages
-    (StagewiseFactor: one block up to 2 B_MAX stages, else blocks of up to
-    B_MAX), one Cholesky-factored control pivot per block.  On one block
-    each solve is one product with the pivot's inverse, else one backward
-    and one forward pass over the blocks.  No matrix larger than
-    (n + 2 m B_MAX)^2 is formed.  The levels run in the
-    factor's block order: g is moved into it once and d out of it once,
-    which gives the bits of the levels in stage order.
+    factored by StagewiseFactor's backward Riccati recursion over blocks of
+    stages, whose docstring states the partition and the solves.  The
+    levels run in the factor's block order: g is moved into it once and d
+    out of it once, which gives the bits of the levels in stage order.
 
     _factor (internal) is the workspace to factor in, sized for the
     snapshot; minimize passes the one it holds for the whole solve.
@@ -536,8 +534,9 @@ def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig,
                              f"{costs[-1]:.6g}")
             if r * REG_GROW > REG_MAX:
                 raise LinearSolveError(
-                    f"no acceptable step at outer iteration {i} with the "
-                    f"regularizer at {r:.6g}: {cause}",
+                    f"no acceptable step at outer iteration {i} before the "
+                    f"REG_MAX ceiling of {REG_MAX:.6g} ended the solve at "
+                    f"r = {r:.6g}: {cause}",
                     report=_report(z, i, inner_total, gnorms, costs,
                                    Termination.LINEAR_SOLVE_FAILURE, t0),
                     stage=None if failed is None else failed.stage,

@@ -179,6 +179,38 @@ def test_every_public_name_is_used_outside_the_tests():
     assert not unused, "public names used only by tests: " + ", ".join(unused)
 
 
+def _b_max_patches(path):
+    # Stores to an attribute or a key named B_MAX, and calls that pass the
+    # name as a string ("B_MAX" or "<module>.B_MAX") or as a keyword:
+    # assignment, setattr, monkeypatch.setattr and mock.patch alike.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            hit = node.attr == "B_MAX" and not isinstance(node.ctx, ast.Load)
+        elif isinstance(node, ast.Subscript):
+            hit = (not isinstance(node.ctx, ast.Load)
+                   and isinstance(node.slice, ast.Constant)
+                   and node.slice.value == "B_MAX")
+        elif isinstance(node, ast.Call):
+            hit = any(kw.arg == "B_MAX" for kw in node.keywords) or any(
+                isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                and arg.value.split(".")[-1] == "B_MAX"
+                for arg in [*node.args, *(kw.value for kw in node.keywords)])
+        else:
+            hit = False
+        if hit:
+            yield f"{path.relative_to(REPO)}:{node.lineno} {ast.unparse(node)}"
+
+
+def test_no_tool_or_test_patches_b_max():
+    # B_MAX is the default partition's constant; a tool or test that wants
+    # another partition passes StagewiseFactor its block count.
+    files = [path for folder in ("tests", "tools", "demos")
+             for path in sorted((REPO / folder).glob("*.py"))]
+    found = [hit for path in files for hit in _b_max_patches(path)]
+    assert not found, "B_MAX patched: " + ", ".join(found)
+
+
 def test_traced_entry_points_are_module_attributes():
     # perfbench/tracing.py swaps these attributes for recording wrappers;
     # a refactor that drops one would break the traced benchmark run.

@@ -166,17 +166,11 @@ def _one_stage_problem(weight, stage=2, n_last=4):
                        weights, n_last)
 
 
-def _blocks(n_last):
-    """(block count, stages per block) of StagewiseFactor's condensing: one
-    block of up to 2 B_MAX stages, else ceil((N+1) / B_MAX) blocks."""
-    stages = n_last + 1
-    count = 1 if stages <= 2 * B_MAX else -(-stages // B_MAX)
-    return count, -(-stages // count)
-
-
-# A horizon of several blocks whose last one is padded.
+# A horizon of several blocks whose last one is padded, as the workspace
+# reports its partition (block count, stages per block).
 PADDED = 2 * B_MAX
-assert _blocks(PADDED)[0] > 1 and np.prod(_blocks(PADDED)) > PADDED + 1
+PADDED_PARTITION = costate.solver.StagewiseFactor(PADDED, 2, 1).partition
+assert PADDED_PARTITION[0] > 1 and np.prod(PADDED_PARTITION) > PADDED + 1
 
 
 def _stagewise_referee(adj, c, r, b):
@@ -214,39 +208,47 @@ def _failed_stage(solve):
         return None, exc.stage
 
 
-def _check_workspace_reuse(n_last, stage):
-    """A failed factorization of the one-stage problem in a workspace, then
-    good ones there, match fresh workspaces bit for bit."""
+def _check_workspace_reuse(n_last, stage, count=None):
+    """A failed factorization of the one-stage problem in a workspace of
+    count blocks, then good ones there, match fresh workspaces of count
+    blocks bit for bit."""
     g = np.random.default_rng(3).normal(size=n_last + 1)
     x0, z0 = np.ones(2), np.zeros(n_last + 1)
     bad_adj, bad_c, _ = _snapshot(
         _one_stage_problem(-5000.0, stage, n_last), x0, z0)
     adj, c, _ = _snapshot(_one_stage_problem(2.0, stage, n_last), x0, z0)
     r, retry_r = 0.1, 1e4
-    workspace = costate.solver.StagewiseFactor(n_last, 2, 1)
+
+    def fresh():
+        return costate.solver.StagewiseFactor(n_last, 2, 1, count)
+
+    workspace = fresh()
     with pytest.raises(LinearSolveError) as err:
         step_direction(bad_adj, bad_c, g, r, 2, _factor=workspace)
     assert err.value.stage == stage
     reused = step_direction(adj, c, g, r, 2, _factor=workspace)
-    assert np.array_equal(reused, step_direction(adj, c, g, r, 2))
+    assert np.array_equal(reused,
+                          step_direction(adj, c, g, r, 2, _factor=fresh()))
     # The escalation retry: the same snapshot, a larger regularizer.
     with pytest.raises(LinearSolveError):
         step_direction(bad_adj, bad_c, g, r, 2, _factor=workspace)
     retried = step_direction(bad_adj, bad_c, g, retry_r, 2,
                              _factor=workspace)
-    assert np.array_equal(
-        retried, step_direction(bad_adj, bad_c, g, retry_r, 2))
+    assert np.array_equal(retried, step_direction(
+        bad_adj, bad_c, g, retry_r, 2, _factor=fresh()))
 
 
-def _check_pivot_attribution(n_last):
+def _check_pivot_attribution(n_last, count=None):
     """Each stage of the one-stage problem in turn fails its pivot at every
-    regularizer up to the cap, and LinearSolveError names it."""
+    regularizer up to the cap, and LinearSolveError names it, in a
+    workspace of count blocks."""
     g = np.ones(n_last + 1)
     for k in range(n_last + 1):
         prob = _one_stage_problem(-5e8, k, n_last)
         adj, c, _ = _snapshot(prob, np.ones(2), np.zeros(n_last + 1))
+        workspace = costate.solver.StagewiseFactor(n_last, 2, 1, count)
         with pytest.raises(LinearSolveError) as err:
-            step_direction(adj, c, g, 0.1, 0)
+            step_direction(adj, c, g, 0.1, 0, _factor=workspace)
         assert err.value.stage == k
 
 
@@ -318,27 +320,90 @@ class TestStagewiseSolve:
         # no regularizer up to the cap absorbs.
         _check_pivot_attribution(PADDED)
 
-    @pytest.mark.parametrize("n_last", [B_MAX - 1, 2 * B_MAX - 1, 2 * B_MAX,
-                                        3 * B_MAX - 1],
-                             ids=["one-block", "one-block-longest",
-                                  "three-blocks-padded", "three-blocks"])
-    def test_failed_pivot_is_attributed_on_one_and_three_blocks(self, n_last):
+    @pytest.mark.parametrize("n_last, count", [
+        (B_MAX - 1, None), (2 * B_MAX - 1, None), (2 * B_MAX, None),
+        (3 * B_MAX - 1, None), (10, 3)],
+        ids=["one-block", "one-block-longest", "three-blocks-padded",
+             "three-blocks", "three-blocks-of-N=10"])
+    def test_failed_pivot_is_attributed_on_one_and_three_blocks(self, n_last,
+                                                                count):
         # One block, whose factor skips both the P products and the Schur
-        # update, and three, the fewest that a longer horizon has, whose
-        # first block skips the P products and block 0 the Schur update.
-        _check_pivot_attribution(n_last)
+        # update, and three, the fewest that a longer horizon has by
+        # default, whose first block skips the P products and block 0 the
+        # Schur update; N_p = 10 takes three blocks by argument.
+        _check_pivot_attribution(n_last, count)
 
     @pytest.mark.parametrize("n_last, count", [
         (0, 1), (B_MAX - 1, 1), (2 * B_MAX - 1, 1), (2 * B_MAX, 3)])
     def test_horizons_of_up_to_two_b_max_stages_are_one_block(self, n_last,
                                                               count):
-        # Past 2 B_MAX stages the horizon is cut into ceil((N+1) / B_MAX)
-        # blocks; up to it, into one unpadded block.
-        assert _blocks(n_last)[0] == count
+        # By default, past 2 B_MAX stages the horizon is cut into
+        # ceil((N+1) / B_MAX) blocks; up to it, into one unpadded block.
         workspace = costate.solver.StagewiseFactor(n_last, 2, 1)
-        assert len(workspace.blocks) == count
+        assert workspace.partition[0] == count == len(workspace.blocks)
         if count == 1:
-            assert workspace.b.size == n_last + 1
+            assert workspace.partition[1] == n_last + 1 == workspace.b.size
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 3), n_last=st.integers(0, 20),
+           seed=st.integers(0, 2**32 - 1), r=st.sampled_from([1e-3, 0.1, 1.0]),
+           scale=st.sampled_from([1.0, 20.0]))
+    @example(n=3, m=2, n_last=10, seed=11, r=10.0, scale=1.0)
+    @example(n=2, m=1, n_last=16, seed=3, r=0.1, scale=20.0)
+    def test_every_block_count_matches_the_stagewise_recursion(
+            self, n, m, n_last, seed, r, scale):
+        # Every partition of the horizon, passed by argument: one block,
+        # two (no band coupling), three (the fewest whose band passes run)
+        # and more, up to N + 1 blocks of one stage, wholly padded blocks
+        # included.  At the scale of 20 some systems are indefinite: then
+        # every partition fails at the referee's stage.
+        prob, x0, z = random_smooth_problem(seed, n, m, n_last)
+        roll, adj = forward_adjoint(prob, scale * x0, scale * z)
+        c = stage_curvature(prob, roll, adj)
+        g = np.random.default_rng(seed).normal(size=prob.dims.z_len)
+        want, want_stage = _failed_stage(
+            lambda: _stagewise_referee(adj, c, r, g))
+        for count in range(1, n_last + 2):
+            workspace = costate.solver.StagewiseFactor(n_last, n, m, count)
+            got, got_stage = _failed_stage(lambda: step_direction(
+                adj, c, g, r, 0, _factor=workspace))
+            assert got_stage == want_stage, count
+            if want is not None:
+                gap = np.abs(got - want).max() / np.abs(want).max()
+                assert gap <= 1e-10, (count, gap)
+
+    @pytest.mark.parametrize("count, message", [
+        (0, "count must be an integer >= 1, got 0"),
+        (12, "count must be at most 11, got 12"),
+        (3.0, "count must be an integer >= 1, got 3.0"),
+        (True, "count must be an integer >= 1, got True"),
+        ("3", "count must be an integer >= 1, got '3'")],
+        ids=["zero", "past-N+1", "float", "bool", "string"])
+    def test_a_bad_block_count_is_a_value_error(self, count, message):
+        # A horizon of N + 1 = 11 stages takes 1..11 blocks.
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            costate.solver.StagewiseFactor(10, 2, 1, count)
+
+    @pytest.mark.parametrize("count", [None, 3],
+                             ids=["one-block", "three-blocks"])
+    def test_workspace_holds_only_what_a_solve_reads(self, count):
+        # Every attribute of a workspace is read by a minimize that runs in
+        # it, so a one-block workspace holds none of the state of the P
+        # products and the band passes.
+        reads = set()
+
+        class Recording(costate.solver.StagewiseFactor):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        prob, x0, z0 = random_smooth_problem(2, 4, 2, 10)
+        workspace = Recording(10, 4, 2, count)
+        reads.clear()
+        rep = minimize(prob, x0, z0, SolverConfig(), _factor=workspace)
+        assert rep.termination is Termination.CONVERGED
+        unread = set(vars(workspace)) - reads
+        assert not unread, unread
 
     @pytest.mark.parametrize("case", ["N=0", "N=B_MAX-1", "unicycle",
                                       "N=2B_MAX-1"])
@@ -456,7 +521,11 @@ class TestStagewiseSolve:
 
     def test_workspace_reuse_on_a_padded_horizon(self):
         # The failed factorization stops at a block's first stage.
-        _check_workspace_reuse(PADDED, _blocks(PADDED)[1])
+        _check_workspace_reuse(PADDED, PADDED_PARTITION[1])
+
+    def test_workspace_reuse_on_three_blocks_of_a_short_horizon(self):
+        # N_p = 10 in three blocks of four stages, passed by argument.
+        _check_workspace_reuse(10, 4, count=3)
 
     @pytest.mark.parametrize("depth", range(5))
     @pytest.mark.parametrize("case", ["unicycle", "random"])
@@ -524,29 +593,43 @@ def _residual(adj, c, d, rhs, r):
     return np.linalg.norm(hd + r * d - rhs) / np.linalg.norm(rhs)
 
 
+# The horizons of TestBandedSolve: (N, block count), None for the default.
+_BANDED = pytest.mark.parametrize(
+    "n_last, count", [(0, None), (1, None), (2, None), (2 * B_MAX, None),
+                      (800, None), (10, 3)],
+    ids=["0", "1", "2", str(2 * B_MAX), "800", "10-in-3-blocks"])
+
+
 class TestBandedSolve:
     """StagewiseFactor's solves checked against (R + H) itself: one block
     of one, two and three stages (N = 0, 1, 2), whose solve is one product;
     three blocks (N = 2 B_MAX), the fewest whose two band passes have a
-    coupling; and the long horizon (N = 800)."""
+    coupling under the default partition; the long horizon (N = 800); and
+    the closed loop's N_p = 10 in three blocks, passed by argument."""
 
-    @pytest.mark.parametrize("n_last", [0, 1, 2, 2 * B_MAX, 800])
-    def test_depth_zero_and_three_solve_their_systems(self, n_last):
+    @_BANDED
+    def test_depth_zero_and_three_solve_their_systems(self, n_last, count):
         adj, c, g = _banded_snapshot(n_last)
+        workspace = costate.solver.StagewiseFactor(n_last, 4, 2, count)
         r = 1.0
-        d0 = step_direction(adj, c, g, r, 0)
+        d0 = step_direction(adj, c, g, r, 0, _factor=workspace)
         assert _residual(adj, c, d0, g, r) <= 1e-9
         # Depth 3 solves (R + H) d3 = g + R d2 against the same factors.
-        d2 = step_direction(adj, c, g, r, 2)
-        d3 = step_direction(adj, c, g, r, 3)
+        d2 = step_direction(adj, c, g, r, 2, _factor=workspace)
+        d3 = step_direction(adj, c, g, r, 3, _factor=workspace)
         assert _residual(adj, c, d3, g + r * d2, r) <= 1e-9
 
-    @pytest.mark.parametrize("n_last", [0, 1, 2, 2 * B_MAX, 800])
-    def test_refactor_after_a_failed_pivot_refills_the_bands(self, n_last):
+    @_BANDED
+    def test_refactor_after_a_failed_pivot_refills_the_bands(self, n_last,
+                                                             count):
         # The workspace's bands hold the last good factorization when a
         # later one fails; the next must overwrite every block of them.
         adj, c, g = _banded_snapshot(n_last)
-        workspace = costate.solver.StagewiseFactor(n_last, 4, 2)
+
+        def fresh():
+            return costate.solver.StagewiseFactor(n_last, 4, 2, count)
+
+        workspace = fresh()
         step_direction(adj, 2.0 * c, g, 0.5, 1, _factor=workspace)
         bad = c.copy()
         bad[n_last // 2, 4:, 4:] -= 1e6 * np.eye(2)
@@ -555,8 +638,9 @@ class TestBandedSolve:
         assert err.value.stage == n_last // 2
         r = 1.0
         reused = step_direction(adj, c, g, r, 3, _factor=workspace)
-        assert np.array_equal(reused, step_direction(adj, c, g, r, 3))
-        d2 = step_direction(adj, c, g, r, 2)
+        assert np.array_equal(reused,
+                              step_direction(adj, c, g, r, 3, _factor=fresh()))
+        d2 = step_direction(adj, c, g, r, 2, _factor=fresh())
         assert _residual(adj, c, reused, g + r * d2, r) <= 1e-9
 
     def test_workspace_reads_no_entry_it_did_not_write(self, monkeypatch):
@@ -566,16 +650,21 @@ class TestBandedSolve:
             self, monkeypatch):
         _check_no_unwritten_reads(monkeypatch, PADDED)
 
+    def test_three_blocks_of_a_short_horizon_read_no_unwritten_entry(
+            self, monkeypatch):
+        _check_no_unwritten_reads(monkeypatch, 10, count=3)
 
-def _check_no_unwritten_reads(monkeypatch, n_last):
-    """Every buffer the workspace leaves uninitialised is written before a
-    solve reads it, and the terminal terms s_nb = 0 and dx_0 = 0 and the
-    padded stages' entries are zeroed once: with np.empty's memory filled
-    with NaN, the directions keep their bits.  s_nb reaches a solve only
-    through Gamma_B' s_nb with the last block's Gamma_B = 0, so only a NaN
-    there shows."""
+
+def _check_no_unwritten_reads(monkeypatch, n_last, count=None):
+    """Every buffer a workspace of count blocks leaves uninitialised is
+    written before a solve reads it, and the terminal terms s_nb = 0 and
+    dx_0 = 0 and the padded stages' entries are zeroed once: with
+    np.empty's memory filled with NaN, the directions keep their bits.
+    s_nb reaches a solve only through Gamma_B' s_nb with the last block's
+    Gamma_B = 0, so only a NaN there shows."""
     adj, c, g = _banded_snapshot(n_last)
-    want = step_direction(adj, c, g, 1.0, 2)
+    want = step_direction(adj, c, g, 1.0, 2, _factor=costate.solver
+                          .StagewiseFactor(n_last, 4, 2, count))
     empty = np.empty
 
     def nan_empty(*args, **kwargs):
@@ -584,7 +673,7 @@ def _check_no_unwritten_reads(monkeypatch, n_last):
         return out
 
     monkeypatch.setattr(np, "empty", nan_empty)
-    workspace = costate.solver.StagewiseFactor(n_last, 4, 2)
+    workspace = costate.solver.StagewiseFactor(n_last, 4, 2, count)
     monkeypatch.undo()
     got = step_direction(adj, c, g, 1.0, 2, _factor=workspace)
     assert np.array_equal(got, want)
@@ -726,6 +815,11 @@ class TestMinimize:
         with pytest.raises(LinearSolveError) as err:
             minimize(prob, 0.0, np.zeros(n_last + 1), SolverConfig(r_reg=0.1))
         assert err.value.stage == n_last
+        # The message names the ceiling that ended the solve, and r there.
+        assert str(err.value) == (
+            "no acceptable step at outer iteration 0 before the REG_MAX "
+            "ceiling of 1e+08 ended the solve at r = 1e+08: factorization "
+            "failed at stage 2")
         report = err.value.report
         assert report is not None
         assert report.termination is Termination.LINEAR_SOLVE_FAILURE

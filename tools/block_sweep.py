@@ -1,4 +1,4 @@
-"""Time StagewiseFactor's factor + two solves over block sizes, for B_MAX.
+"""Time StagewiseFactor's factor + two solves over block partitions.
 
     OPENBLAS_NUM_THREADS=1 python3 tools/block_sweep.py [--rounds 15]
 
@@ -7,19 +7,18 @@ case is one snapshot, the first outer iteration of minimize from a zero
 start: the costate sweep, the stage curvature and the smallest regularizer
 of minimize's schedule (0.1, times 10 per failed factorization) at which
 (R + H) factors.  The cases are the circle-tracking unicycle at
-N_p = 10, 15, 50 and 200 and random_smooth_problem(2, 4, 2, 800).  For each
-block-size cap, costate.solver.B_MAX is patched while one workspace is
-built, so the library has no option for it.  The cap also sets the one-block
-rule: a horizon of N + 1 <= 2 B_MAX stages is one block, whose solve is one
-product, and a longer one has ceil((N+1) / B_MAX) blocks.  So at N_p = 10
-the caps from 6 up, and at N_p = 15 those from 8 up, time one block.  A
-sample is the mean time of one factor plus two solves, the closed loop's
-mix (2,478 solves to 1,235 factors in an mpc_circle pass), over enough
-repeats to last about 2 ms; the caps take their samples in turn, in a
-rotating order, for the given number of rounds.  The table shows each
-cell's median and interquartile range in microseconds, and the script
-fails if a cap's direction differs from B_MAX = 1's, the stage-wise
-recursion, by more than 1e-10 relative.
+N_p = 10, 15, 50 and 200 and random_smooth_problem(2, 4, 2, 800).  Each
+column is one workspace, its partition passed as an argument: the default
+rule's, which B_MAX sets, and for each block-size cap B the block count
+ceil((N+1) / B).  So a short horizon's one-, two- and three-block
+partitions are separate columns.  A sample is the mean time of one factor
+plus two solves, the closed loop's mix (2,478 solves to 1,235 factors in
+an mpc_circle pass), over enough repeats to last about 2 ms; the columns
+take their samples in turn, in a rotating order, for the given number of
+rounds.  The table shows each cell's median and interquartile range in
+microseconds and its block count nb, and the script fails if a column's
+direction differs from the stage-wise partition's (N + 1 blocks) by more
+than 1e-10 relative.
 """
 
 from __future__ import annotations
@@ -35,12 +34,12 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import costate.solver  # noqa: E402
 from costate import (  # noqa: E402
     LinearSolveError, UnicycleSpec, adjoint_along, build_unicycle_tracking,
     random_smooth_problem, roll_forward, stage_curvature)
+from costate.solver import REG_GROW, StagewiseFactor  # noqa: E402
 
-B_MAXES = (1, 2, 4, 8, 12, 16)
+CAPS = (1, 2, 4, 6, 8, 12, 16)
 SAMPLE_S = 2e-3
 
 
@@ -53,11 +52,10 @@ def snapshot(prob, x0, z):
     r = 0.1
     while True:
         try:
-            costate.solver.StagewiseFactor(dims.N, dims.n, dims.m).factor(
-                adj, c, r)
+            StagewiseFactor(dims.N, dims.n, dims.m).factor(adj, c, r)
             return adj, c, r
         except LinearSolveError:
-            r *= costate.solver.REG_GROW
+            r *= REG_GROW
 
 
 def cases():
@@ -72,23 +70,18 @@ def cases():
     return out
 
 
-def workspace(dims, b_max):
-    saved = costate.solver.B_MAX
-    costate.solver.B_MAX = b_max
-    try:
-        return costate.solver.StagewiseFactor(dims.N, dims.n, dims.m)
-    finally:
-        costate.solver.B_MAX = saved
-
-
-def sweep(problems, b_maxes=B_MAXES, rounds=15):
-    """{name: {b_max: (median us, IQR us)}} of factor + two solves,
-    interleaved."""
+def sweep(problems, caps=CAPS, rounds=15):
+    """{name: {column: (median us, IQR us, (nb, B))}} of factor + two
+    solves, interleaved; column is "default" or a cap."""
     table = {}
+    cols = ("default", *caps)
     for name, (prob, x0, z) in problems.items():
         adj, c, r = snapshot(prob, x0, z)
         g = adj.gradient
-        spaces = {b: workspace(prob.dims, b) for b in b_maxes}
+        n_last, n, m = prob.dims.N, prob.dims.n, prob.dims.m
+        counts = {"default": None, **{b: -(-(n_last + 1) // b) for b in caps}}
+        spaces = {col: StagewiseFactor(n_last, n, m, count)
+                  for col, count in counts.items()}
 
         def once(w):
             w.factor(adj, c, r)
@@ -96,40 +89,44 @@ def sweep(problems, b_maxes=B_MAXES, rounds=15):
             w.solve(gb)
             return w.in_stages(w.solve(gb))
 
-        directions = {b: once(w) for b, w in spaces.items()}
-        ref = directions[b_maxes[0]]
-        for b, d in directions.items():
-            gap = np.abs(d - ref).max() / np.abs(ref).max()
+        ref = once(StagewiseFactor(n_last, n, m, n_last + 1))
+        for col, w in spaces.items():
+            gap = np.abs(once(w) - ref).max() / np.abs(ref).max()
             if not gap <= 1e-10:
-                raise AssertionError(f"{name}: B_MAX={b} direction differs "
-                                     f"by {gap:.3g} relative")
+                raise AssertionError(f"{name}: column {col} (nb, B) = "
+                                     f"{w.partition} differs from the "
+                                     f"stage-wise direction by {gap:.3g}")
 
         start = time.perf_counter()
-        once(spaces[b_maxes[0]])
+        once(spaces["default"])
         repeats = max(1, int(SAMPLE_S / (time.perf_counter() - start)))
-        samples = {b: [] for b in b_maxes}
+        samples = {col: [] for col in cols}
         for t in range(rounds):
-            turn = t % len(b_maxes)
-            for b in b_maxes[turn:] + b_maxes[:turn]:
-                w = spaces[b]
+            turn = t % len(cols)
+            for col in cols[turn:] + cols[:turn]:
+                w = spaces[col]
                 start = time.perf_counter()
                 for _ in range(repeats):
                     once(w)
-                samples[b].append(
+                samples[col].append(
                     (time.perf_counter() - start) / repeats * 1e6)
         table[name] = {}
-        for b, s in samples.items():
+        for col, s in samples.items():
             q = statistics.quantiles(s, n=4) if len(s) > 1 else [s[0]] * 3
-            table[name][b] = (statistics.median(s), q[2] - q[0])
+            table[name][col] = (statistics.median(s), q[2] - q[0],
+                                spaces[col].partition)
     return table
 
 
-def render(table, b_maxes=B_MAXES):
-    lines = ["| case | " + " | ".join(f"B_MAX={b}" for b in b_maxes) + " |",
-             "|---|" + "---|" * len(b_maxes)]
+def render(table, caps=CAPS):
+    cols = ("default", *caps)
+    heads = ["default"] + [f"cap {b}" for b in caps]
+    lines = ["| case | " + " | ".join(heads) + " |",
+             "|---|" + "---|" * len(cols)]
     for name, row in table.items():
         lines.append(f"| {name} | " + " | ".join(
-            f"{row[b][0]:.0f} ({row[b][1]:.0f})" for b in b_maxes) + " |")
+            f"{row[col][0]:.0f} ({row[col][1]:.0f}) nb={row[col][2][0]}"
+            for col in cols) + " |")
     return "\n".join(lines)
 
 
@@ -137,7 +134,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--rounds", type=int, default=15)
     args = ap.parse_args(argv)
-    print("factor + two solves, median (IQR) us")
+    print("factor + two solves, median (IQR) us, and the block count nb")
     print(render(sweep(cases(), rounds=args.rounds)))
     return 0
 
