@@ -243,9 +243,9 @@ def as_stack(a, shape: tuple, what: str) -> np.ndarray:
     return a.reshape(shape)
 
 
-# The banded solves and the Riccati pivots call two compiled routines, BLAS
-# dtbsv and LAPACK dposv, which live in scipy.linalg's extension modules
-# _fblas and _flapack.
+# The banded solves and the Riccati pivots call compiled routines, BLAS
+# dtbsv and LAPACK dposv, dpotrf and dpotrs, which live in scipy.linalg's
+# extension modules _fblas and _flapack.
 # Importing them through the scipy.linalg package runs its __init__, which
 # (by way of scipy._lib._array_api) imports numpy.f2py, numpy.testing,
 # numpy.ma and more: about 0.2 s of every process's start-up on 2 vCPUs,
@@ -275,6 +275,8 @@ def _compiled(name: str):
 
 dtbsv = _compiled("_fblas").dtbsv
 dposv = _compiled("_flapack").dposv
+dpotrf = _compiled("_flapack").dpotrf
+dpotrs = _compiled("_flapack").dpotrs
 
 
 class BlockBidiagonal:

@@ -43,7 +43,8 @@ from .adjoint import AdjointSolution, adjoint_along, forward_adjoint
 from .curvature import check_curvature, stage_curvature, symmetric_part
 from .problem import (BlockBidiagonal, NumericalBlowupError, ProblemDef,
                       check_count, check_finite_stages, check_positive,
-                      check_state, dposv, roll_forward, squares_finite)
+                      check_state, dposv, dpotrf, dpotrs, roll_forward,
+                      squares_finite)
 # Neither is called here; perfbench/tracing.py wraps both as
 # costate.solver.hessian_with and costate.solver.eval_cost.
 from .curvature import hessian_with  # noqa: F401
@@ -140,9 +141,17 @@ def _partition(stages: int, count: Optional[int] = None) -> tuple[int, int]:
     """(block count, stages per block) of StagewiseFactor over stages
     stages: count blocks when given, else its default rule."""
     if count is None:
-        count = 1 if stages <= 2 * B_MAX else -(-stages // B_MAX)
+        count = 1 if stages <= 4 * B_MAX else -(-stages // B_MAX)
     check_count(count, 1, "count", high=stages)
     return count, -(-stages // count)
+
+
+def _pivot_error(last: int, info: int, m: int) -> LinearSolveError:
+    """The error naming the stage whose leading minor, info, failed in the
+    pivot of a block that ends in stage last, its controls m per stage."""
+    k = last - (info - 1) // m
+    return LinearSolveError(f"(R + H) is not positive definite: the pivot "
+                            f"of stage {k} failed to factor", stage=k)
 
 
 class StagewiseFactor:
@@ -159,8 +168,8 @@ class StagewiseFactor:
     B = ceil((N+1) / nb), the horizon padded after stage N with stages of
     zero Jacobians and zero curvature.  nb is the method's free parameter:
     count sets it, any integer in 1..N+1 (N + 1 is the stage-wise
-    recursion), else ValueError.  By default a horizon of N + 1 <= 2 B_MAX
-    stages is one block and a longer one has nb = ceil((N+1) / B_MAX) >= 3.
+    recursion), else ValueError.  By default a horizon of N + 1 <= 4 B_MAX
+    stages is one block and a longer one has nb = ceil((N+1) / B_MAX) >= 5.
     partition reports (nb, B).  Block j, stages jB .. e_j = jB + B - 1, has
     the state dx_{jB} and the mB controls du_{e_j}, .., du_{jB}, last stage
     first.  At position i of the block, S_i = [T_i; E_i] maps those to
@@ -175,7 +184,7 @@ class StagewiseFactor:
 
     Going backward over the blocks from P = 0, each adds the propagated
     cost-to-go curvature P to Qb_j and Cholesky-factors its control pivot;
-    one solve against [Qb_ux | I] yields the feedback gain
+    on several blocks one solve against [Qb_ux | I] yields the feedback gain
     K_j = -Qb_uu^{-1} Qb_ux and Qb_uu^{-1} at once, and
     P_j = Qb_xx + Qb_xu K_j.  As a block's controls run last stage first,
     its Cholesky eliminates them in the stage-wise recursion's backward
@@ -196,16 +205,17 @@ class StagewiseFactor:
     is for dx_1..dx_{nb-1} (A_0 meets only dx_0 = 0 and s_0, which nothing
     reads, and A_{nb-1} = 0, the last block ending in stage N or a padded
     stage).  From three blocks that system has couplings; two have none.
-    One block meets only s_1 = 0 and dx_0 = 0, so its solve is the one
-    product du = kff_0 = Qb_uu^{-1} b, and its workspace holds only what
-    that and its factor read: no band system, solve vectors, block
-    Jacobians F_j or P buffers.  solve takes b and returns du in block
-    order; in_blocks and in_stages move a vector into that order and out of
-    it with one index array, so step_direction's inner levels move each
-    once.  Batched products apply the forcing terms, so a solve has no
-    Python loop; its sums run in BLAS's order and agree with a
-    stage-by-stage pass to roundoff.  A padded stage's entries of du are
-    exactly zero.
+    One block meets only s_1 = 0 and dx_0 = 0, so its solve is
+    du = kff_0 = Qb_uu^{-1} b, two triangular substitutions (dpotrs) with
+    the pivot's Cholesky factor L, which its factor keeps (dpotrf).  Its
+    workspace holds only what those read: no band system, solve vectors,
+    block Jacobians F_j, P buffers, gains or inverse.  solve takes b and
+    returns du in block order; in_blocks and in_stages move a vector into
+    that order and out of it with one index array, so step_direction's
+    inner levels move each once.  Batched products apply the forcing
+    terms, so a solve has no Python loop; its sums run in BLAS's order and
+    agree with a stage-by-stage pass to roundoff.  A padded stage's entries
+    of du are exactly zero.
 
     The object is a workspace sized by (N, n, m): its arrays, chiefly the
     s and qs stacks of (N+B)(n+m)(n+mB) floats each (2.9 MB in all at
@@ -213,12 +223,13 @@ class StagewiseFactor:
     them are made once and refilled in place by each factor() call; s
     keeps its E_i and T_0 rows from __init__.  A factor takes
     O(N (n+mB)^3 / B) time; its largest matrix is a block Hessian Qb_j,
-    (n + mB)^2, at most (n + 2 m B_MAX)^2 under the default partition.
+    (n + mB)^2, at most (n + 4 m B_MAX)^2 under the default partition.
     minimize holds one for the whole solve and run_mpc one for the whole
     closed loop, so every outer iteration, escalation retry and plant step
     reuses it; a failed factorization leaves nothing the next one reads.
     It also holds the costate sweep's BlockBidiagonal(N, n), sweep, which
-    minimize lends adjoint_along.  Block j of the factor loop is
+    minimize lends adjoint_along.  On several blocks, block j of the factor
+    loop is
 
         Qb_{j+1,xu} sol[j+1][:, :n] -> schur;  Qb_{j+1,xx} - schur -> P;
         P F_j -> pf;  F_j' pf -> fpf;  Qb_j += fpf;  Qb_ux -> rhs;
@@ -232,9 +243,10 @@ class StagewiseFactor:
     calls too.  sol[j] = [-K_j | Qb_uu^{-1}]; after the loop one batched
     product and one subtraction write -A_j = Gamma_B (-K_j) - Phi_B into
     the system, when it has couplings.  One sum of squares over the sol
-    stack sets finite, false when a pivot inverse overflowed, as a
-    subnormal r's does; step_direction then runs its solves, whose
-    direction minimize rejects, under np.errstate.
+    stack, or over one block's L, sets finite: false when a pivot inverse
+    overflowed, as a subnormal r's does (L holds sqrt(r) there).
+    step_direction then runs its solves, whose direction minimize rejects,
+    under np.errstate.
     """
 
     def __init__(self, horizon: int, n: int, m: int,
@@ -262,14 +274,6 @@ class StagewiseFactor:
         self.qb = qb = np.empty((count, cols, cols))
         # The diagonals of the blocks' control pivots, Qb_uu.
         self.qb_uu_diag = qb.reshape(count, -1)[:, n * (cols + 1)::cols + 1]
-        sol = np.empty((count, mb, cols))
-        self.sol, self.finite = sol, True
-        self.quu_inv = sol[:, :, n:]
-        self.rhs = np.empty((mb, cols))
-        self.rhs_ux = self.rhs[:, :n]
-        self.rhs[:, n:] = np.eye(mb)
-        self.blocks = [(j * size + size - 1, qb[j, n:, :n], qb[j, n:, n:],
-                        sol[j]) for j in range(count - 1, -1, -1)]
         # Entry k*m + c of a stage-ordered vector sits at order[k*m + c] of
         # the block-ordered one; nothing writes the padded stages' entries
         # of b, which stay zero.
@@ -284,8 +288,16 @@ class StagewiseFactor:
         fxu_blocks = fxu.reshape(count, size, n, n + m)
         self.sens_steps = [(fxu_blocks[j, i], s[j, i], s[j, i + 1, :n])
                            for i in range(size - 1)]
-        if self.one_block:
+        if self.one_block:  # its last stage and its pivot, for dpotrf
+            self.blocks = [(size - 1, qb[0, n:, n:])]
             return
+        sol = np.empty((count, mb, cols))
+        self.sol, self.quu_inv = sol, sol[:, :, n:]
+        self.rhs = np.empty((mb, cols))
+        self.rhs_ux = self.rhs[:, :n]
+        self.rhs[:, n:] = np.eye(mb)
+        self.blocks = [(j * size + size - 1, qb[j, n:, :n], qb[j, n:, n:],
+                        sol[j]) for j in range(count - 1, -1, -1)]
         fb = np.empty((count, n, cols))
         self.phi, self.gam = fb[:, :, :n], fb[:, :, n:]
         self.gam_t = self.gam.transpose(0, 2, 1)
@@ -318,7 +330,7 @@ class StagewiseFactor:
         from the symmetry check of c, and LinearSolveError naming the stage
         whose pivot failed.
         """
-        rhs, rhs_ux, m = self.rhs, self.rhs_ux, self.m
+        count, m = self.partition[0], self.m
         check_finite_stages(c, "second-order stage data")
         symmetric_part(c, out=self.q[:self.stages])
         self.f_x[:self.stages] = adj.fx
@@ -329,8 +341,17 @@ class StagewiseFactor:
         np.matmul(self.q, self.s, out=self.qs)
         np.matmul(self.s_block_t, self.qs_block, out=self.qb)
         self.qb_uu_diag += r
-        if not self.one_block:  # one block meets P = 0 and updates none
-            p, pf, fpf, schur = self.p, self.pf, self.fpf, self.schur
+        if count == 1:  # P = 0, and a solve reads only the pivot's L
+            (last, q_uu), = self.blocks
+            self.chol, info = dpotrf(q_uu, lower=1)
+            if info:
+                raise _pivot_error(last, info, m)
+            # L is Fortran-ordered; vdot reads its C-ordered transpose
+            # without a copy.
+            self.finite = squares_finite(self.chol.T)
+            return
+        rhs, rhs_ux = self.rhs, self.rhs_ux
+        p, pf, fpf, schur = self.p, self.pf, self.fpf, self.schur
         for i, (last, q_ux, q_uu, sol_j) in enumerate(self.blocks):
             if i:  # block nb - 1 meets P = 0
                 q_xx, q_xu_dot, neg_gain, qj, fj, fj_t_dot = self.links[i - 1]
@@ -342,15 +363,12 @@ class StagewiseFactor:
             rhs_ux[...] = q_ux
             _, x, info = dposv(q_uu, rhs, lower=1)
             if info:
-                k = last - (info - 1) // m
-                raise LinearSolveError(
-                    f"(R + H) is not positive definite: the pivot of stage "
-                    f"{k} failed to factor", stage=k)
+                raise _pivot_error(last, info, m)
             sol_j[...] = x
         # A pivot as small as a subnormal r inverts to inf.  A sum that
         # overflows from finite gains only quiets their solves.
         self.finite = squares_finite(self.sol)
-        if self.partition[0] > 2:  # the system's couplings -A_1 .. -A_{nb-2}
+        if count > 2:  # the system's couplings -A_1 .. -A_{nb-2}
             neg_a = self.system.blocks
             np.matmul(self.gam[1:-1], self.neg_gain[1:-1], out=neg_a)
             np.subtract(neg_a, self.phi[1:-1], out=neg_a)
@@ -369,8 +387,8 @@ class StagewiseFactor:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """du solving (R + H) du = b against the last successful factor(),
         both (nb, mB, 1) stacks in block order; du is a new array."""
-        if self.one_block:  # s_nb = 0 and dx_0 = 0: du = Qb_uu^{-1} b
-            return np.matmul(self.quu_inv, b)
+        if self.one_block:  # s_nb = 0 and dx_0 = 0: Qb_uu du = b
+            return dpotrs(self.chol, b[0], lower=1)[0][None]
         rhs, kff = self.kff_rhs, self.kff
         np.matmul(self.neg_gain_t, b, out=self.s_now)
         self.system.solve(self.s_flat, 1)
@@ -427,8 +445,9 @@ def step_direction(adj: AdjointSolution, c: np.ndarray, g: np.ndarray,
     # (g + r d)[order] is g[order] + r d[order] entry by entry, and a padded
     # stage's entries of d are exactly zero, as the entries of g there.
     gb = factor.in_blocks(g)
-    # A pivot inverse that is not finite spoils the direction, which
-    # minimize rejects; the solves that meet its inf * 0 run quietly.
+    # A factor that is not finite, as a pivot inverse that overflowed,
+    # spoils the direction, which minimize rejects; the solves that meet
+    # its inf * 0 run quietly.
     with (nullcontext() if factor.finite
           else np.errstate(over="ignore", invalid="ignore")):
         d = factor.solve(gb)
@@ -515,9 +534,10 @@ def minimize(p: ProblemDef, x0, z0: np.ndarray, cfg: SolverConfig,
             else:
                 inner_total += depth + 1
                 try:
-                    # A pivot as small as a subnormal r inverts to inf, and
-                    # the trial cost need not read the entry it spoils (the
-                    # LQR's u_N), so the direction is checked itself.
+                    # On several blocks a pivot as small as a subnormal r
+                    # inverts to inf, and the trial cost need not read the
+                    # entry it spoils (the LQR's u_N), so the direction is
+                    # checked itself.
                     check_finite_stages(d.reshape(-1, m), "direction")
                 except NumericalBlowupError as exc:
                     cause = f"direction not finite at stage {exc.stage}"

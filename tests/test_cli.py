@@ -590,9 +590,13 @@ def _exits_cleanly(argv, report_name, field_pattern):
 @example(case=("run-lqr", [(("scenario", "b"), 1e308)]))
 @example(case=("run-lqr", [(("scenario", "N"), 2**70)]))
 @example(case=("run-mpc", [(("scenario", "N"), 2**70)]))
-# A subnormal regularizer: its pivot inverts to inf, which once left a NaN
-# u_N in z_final and a NaN deviation in report.json.
+# A subnormal regularizer.  A multi-block pivot inverts to inf, which once
+# left a NaN u_N in z_final and a NaN deviation in report.json; N = 40 is
+# six blocks.  The bundled N = 15 is one block, whose kept Cholesky factor
+# gives a finite u_N.
 @example(case=("run-lqr", [(("solver", "r_reg"), 1e-320)]))
+@example(case=("run-lqr", [(("solver", "r_reg"), 1e-320),
+                           (("scenario", "N"), 40)]))
 def test_a_fuzzed_config_exits_0_1_or_2(case):
     command, edits = case
     config = json.loads(json.dumps(_FUZZED_CONFIGS[command]))

@@ -385,6 +385,8 @@ import numpy as np
 {imports}
 assert costate.problem.dtbsv is scipy.linalg.blas.dtbsv
 assert costate.problem.dposv is scipy.linalg.lapack.dposv
+assert costate.problem.dpotrf is scipy.linalg.lapack.dpotrf
+assert costate.problem.dpotrs is scipy.linalg.lapack.dpotrs
 a = np.array([[4.0, 2.0, 0.0], [2.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
 b = np.array([1.0, -2.0, 0.5])
 x = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a), b)
@@ -409,7 +411,8 @@ def test_one_copy_of_each_compiled_routine_in_either_import_order(imports):
 # .problem: (module, names).  dtbsv is named only in problem.py, whose
 # BlockBidiagonal owns the band storage that it reads.
 _ROUTINE_USERS = [("adjoint", {"BlockBidiagonal"}),
-                  ("solver", {"BlockBidiagonal", "dposv"})]
+                  ("solver", {"BlockBidiagonal", "dposv", "dpotrf",
+                              "dpotrs"})]
 _PROBLEM_ONLY = {"dtbsv"}
 
 

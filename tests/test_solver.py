@@ -166,9 +166,10 @@ def _one_stage_problem(weight, stage=2, n_last=4):
                        weights, n_last)
 
 
-# A horizon of several blocks whose last one is padded, as the workspace
-# reports its partition (block count, stages per block).
-PADDED = 2 * B_MAX
+# The shortest horizon of several blocks by default, 4 B_MAX + 1 stages,
+# whose last block is padded, as the workspace reports its partition
+# (block count, stages per block).
+PADDED = 4 * B_MAX
 PADDED_PARTITION = costate.solver.StagewiseFactor(PADDED, 2, 1).partition
 assert PADDED_PARTITION[0] > 1 and np.prod(PADDED_PARTITION) > PADDED + 1
 
@@ -286,17 +287,17 @@ class TestStagewiseSolve:
     @example(n=1, m=2, n_last=1, seed=1, r=0.1, scale=1.0)
     @example(n=3, m=2, n_last=B_MAX - 1, seed=2, r=0.1, scale=1.0)
     @example(n=3, m=2, n_last=PADDED, seed=3, r=0.1, scale=20.0)
-    # Horizons of one block, the last of them (2 B_MAX stages) and the
-    # first of three, the last of three and the first of four: the factor
+    # Horizons of one block, the last of them (4 B_MAX stages) and the
+    # first of five, the last of five and the first of six: the factor
     # skips the P products of its first block and the Schur update of
-    # block 0, and a solve is one product on one block and two band solves
-    # on more.
+    # block 0, and a solve is two triangular substitutions on one block
+    # and two band solves on more.
     @example(n=2, m=2, n_last=B_MAX - 1, seed=4, r=1e-3, scale=20.0)
     @example(n=2, m=1, n_last=B_MAX, seed=5, r=0.1, scale=1.0)
-    @example(n=4, m=3, n_last=2 * B_MAX - 1, seed=6, r=1.0, scale=1.0)
-    @example(n=1, m=2, n_last=2 * B_MAX, seed=7, r=0.1, scale=20.0)
-    @example(n=3, m=1, n_last=3 * B_MAX - 1, seed=8, r=1e-3, scale=1.0)
-    @example(n=4, m=2, n_last=3 * B_MAX, seed=9, r=0.1, scale=1.0)
+    @example(n=4, m=3, n_last=4 * B_MAX - 1, seed=6, r=1.0, scale=1.0)
+    @example(n=1, m=2, n_last=4 * B_MAX, seed=7, r=0.1, scale=20.0)
+    @example(n=3, m=1, n_last=5 * B_MAX - 1, seed=8, r=1e-3, scale=1.0)
+    @example(n=4, m=2, n_last=5 * B_MAX, seed=9, r=0.1, scale=1.0)
     def test_matches_the_stagewise_recursion(self, n, m, n_last, seed, r,
                                              scale):
         # Horizons of one block, of several, and of B_MAX k +- 1 stages,
@@ -321,23 +322,22 @@ class TestStagewiseSolve:
         _check_pivot_attribution(PADDED)
 
     @pytest.mark.parametrize("n_last, count", [
-        (B_MAX - 1, None), (2 * B_MAX - 1, None), (2 * B_MAX, None),
-        (3 * B_MAX - 1, None), (10, 3)],
+        (B_MAX - 1, None), (4 * B_MAX - 1, None), (2 * B_MAX, 3),
+        (3 * B_MAX - 1, 3), (10, 3)],
         ids=["one-block", "one-block-longest", "three-blocks-padded",
              "three-blocks", "three-blocks-of-N=10"])
     def test_failed_pivot_is_attributed_on_one_and_three_blocks(self, n_last,
                                                                 count):
-        # One block, whose factor skips both the P products and the Schur
-        # update, and three, the fewest that a longer horizon has by
-        # default, whose first block skips the P products and block 0 the
-        # Schur update; N_p = 10 takes three blocks by argument.
+        # One block, whose pivot dpotrf factors alone, and three, the
+        # fewest whose band has couplings, passed by argument: the first
+        # block skips the P products and block 0 the Schur update.
         _check_pivot_attribution(n_last, count)
 
     @pytest.mark.parametrize("n_last, count", [
-        (0, 1), (B_MAX - 1, 1), (2 * B_MAX - 1, 1), (2 * B_MAX, 3)])
-    def test_horizons_of_up_to_two_b_max_stages_are_one_block(self, n_last,
-                                                              count):
-        # By default, past 2 B_MAX stages the horizon is cut into
+        (0, 1), (B_MAX - 1, 1), (4 * B_MAX - 1, 1), (4 * B_MAX, 5)])
+    def test_horizons_of_up_to_four_b_max_stages_are_one_block(self, n_last,
+                                                               count):
+        # By default, past 4 B_MAX stages the horizon is cut into
         # ceil((N+1) / B_MAX) blocks; up to it, into one unpadded block.
         workspace = costate.solver.StagewiseFactor(n_last, 2, 1)
         assert workspace.partition[0] == count == len(workspace.blocks)
@@ -406,17 +406,18 @@ class TestStagewiseSolve:
         assert not unread, unread
 
     @pytest.mark.parametrize("case", ["N=0", "N=B_MAX-1", "unicycle",
-                                      "N=2B_MAX-1"])
+                                      "N=4B_MAX-1"])
     def test_one_block_solve_matches_the_stagewise_recursion(self, case):
-        # A one-block solve is one product with the pivot's inverse, as
-        # s_nb = 0 and dx_0 = 0 zero the rest of the passes.
+        # A one-block solve is two triangular substitutions with the
+        # pivot's Cholesky factor, as s_nb = 0 and dx_0 = 0 zero the rest
+        # of the passes.
         if case == "unicycle":
             x0 = np.asarray(UnicycleSpec().X0)
             prob = build_unicycle_tracking(UnicycleSpec(), 0, x0)
             z = np.zeros(prob.dims.z_len)
         else:
             n_last = {"N=0": 0, "N=B_MAX-1": B_MAX - 1,
-                      "N=2B_MAX-1": 2 * B_MAX - 1}[case]
+                      "N=4B_MAX-1": 4 * B_MAX - 1}[case]
             prob, x0, z = random_smooth_problem(11, 3, 2, n_last)
         roll, adj = forward_adjoint(prob, x0, z)
         c = stage_curvature(prob, roll, adj)
@@ -534,21 +535,23 @@ class TestStagewiseSolve:
         # step_direction's inner levels run in the factor's block order;
         # the stage-order recursion d = solve(g + r d) moves every
         # right-hand side into that order and every direction out of it.
-        # Both horizons pad their last block of three or more.  The
-        # unicycle's pivots at N_p = 18 from zero first factor at r = 10,
-        # minimize's second escalation.
+        # Both horizons pad their last block of three or more: the
+        # unicycle's N_p = 18 in three blocks, passed by argument, and the
+        # random problem's six by default.  The unicycle's pivots from zero
+        # first factor at r = 10, minimize's second escalation.
         if case == "unicycle":
             spec = UnicycleSpec(N_p=18)
             x0 = np.asarray(spec.X0)
             prob = build_unicycle_tracking(spec, 0, x0)
-            z, r = np.zeros(prob.dims.z_len), 10.0
+            z, r, count = np.zeros(prob.dims.z_len), 10.0, 3
         else:
             prob, x0, z = random_smooth_problem(2, 4, 2, 40)
-            r = 0.1
+            r, count = 0.1, None
         roll, adj = forward_adjoint(prob, x0, z)
         c = stage_curvature(prob, roll, adj)
         g, dims = adj.gradient, prob.dims
-        workspace = costate.solver.StagewiseFactor(dims.N, dims.n, dims.m)
+        workspace = costate.solver.StagewiseFactor(dims.N, dims.n, dims.m,
+                                                   count)
         got = step_direction(adj, c, g, r, depth, _factor=workspace)
 
         def stage_order(b):
@@ -595,17 +598,18 @@ def _residual(adj, c, d, rhs, r):
 
 # The horizons of TestBandedSolve: (N, block count), None for the default.
 _BANDED = pytest.mark.parametrize(
-    "n_last, count", [(0, None), (1, None), (2, None), (2 * B_MAX, None),
+    "n_last, count", [(0, None), (1, None), (2, None), (4 * B_MAX, None),
                       (800, None), (10, 3)],
-    ids=["0", "1", "2", str(2 * B_MAX), "800", "10-in-3-blocks"])
+    ids=["0", "1", "2", str(4 * B_MAX), "800", "10-in-3-blocks"])
 
 
 class TestBandedSolve:
     """StagewiseFactor's solves checked against (R + H) itself: one block
-    of one, two and three stages (N = 0, 1, 2), whose solve is one product;
-    three blocks (N = 2 B_MAX), the fewest whose two band passes have a
-    coupling under the default partition; the long horizon (N = 800); and
-    the closed loop's N_p = 10 in three blocks, passed by argument."""
+    of one, two and three stages (N = 0, 1, 2), whose solve is two
+    triangular substitutions; five blocks (N = 4 B_MAX), the shortest
+    horizon whose band passes run under the default partition; the long
+    horizon (N = 800); and the closed loop's N_p = 10 in three blocks, the
+    fewest whose two band passes have a coupling, passed by argument."""
 
     @_BANDED
     def test_depth_zero_and_three_solve_their_systems(self, n_last, count):
@@ -895,17 +899,19 @@ class TestMinimize:
     @pytest.mark.parametrize("r_reg", [1e-320, 1e-310])
     def test_subnormal_regularizer_rejects_a_non_finite_direction(
             self, caplog, r_reg):
-        # The pivot of the unused u_N is r alone, whose inverse overflows
-        # to inf; inf * 0 puts a NaN in the direction, which the LQR's
-        # trial cost never reads.  The attempt is rejected under its own
-        # cause and r escalates until the direction is finite.
-        spec = LqrSpec()
+        # In three blocks, passed by argument, the pivot of the unused u_N
+        # is r alone, whose inverse overflows to inf; inf * 0 puts a NaN in
+        # the direction, which the LQR's trial cost never reads.  The
+        # attempt is rejected under its own cause and r escalates until
+        # the direction is finite.
+        spec = LqrSpec(N=20)
         prob = build_lqr(spec)
+        workspace = costate.solver.StagewiseFactor(spec.N, 1, 1, 3)
         caplog.set_level(logging.INFO, logger="costate.solver")
         # No errstate here: the suite's warnings filter fails the test if
         # the rejected attempts warn.
         rep = minimize(prob, spec.x0, np.zeros(prob.dims.z_len),
-                       SolverConfig(r_reg=r_reg))
+                       SolverConfig(r_reg=r_reg), _factor=workspace)
         assert rep.termination is Termination.CONVERGED
         assert np.isfinite(rep.z_final).all()
         ric = riccati_lqr(spec.a, spec.b, spec.q, spec.r, spec.p_term,
@@ -914,6 +920,24 @@ class TestMinimize:
             ) <= 1e-4
         assert caplog.records[0].getMessage().startswith(
             f"direction not finite at stage {spec.N}, regularizer raised")
+
+    @pytest.mark.parametrize("r_reg", [1e-320, 1e-310])
+    def test_subnormal_regularizer_gives_a_finite_one_block_direction(
+            self, caplog, r_reg):
+        # One block keeps its pivot's Cholesky factor L and forms no
+        # inverse: u_N's entry of the direction is 0 / L_NN = 0, so no
+        # attempt is rejected.
+        spec = LqrSpec()
+        prob = build_lqr(spec)
+        caplog.set_level(logging.INFO, logger="costate.solver")
+        rep = minimize(prob, spec.x0, np.zeros(prob.dims.z_len),
+                       SolverConfig(r_reg=r_reg))
+        assert rep.termination is Termination.CONVERGED
+        assert not caplog.records
+        ric = riccati_lqr(spec.a, spec.b, spec.q, spec.r, spec.p_term,
+                          spec.N, spec.x0)
+        assert np.abs(rep.z_final - np.append(ric.controls, 0.0)).max(
+            ) <= 1e-4
 
     @pytest.mark.parametrize("start", ["zero", "random"])
     @pytest.mark.parametrize("n_p", [100, 200, 400])

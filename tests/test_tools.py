@@ -19,6 +19,7 @@ def _load(name):
 def test_block_sweep_times_one_tiny_cell():
     sweep = _load("block_sweep")
     assert list(sweep.cases()) == ["unicycle N_p=10", "unicycle N_p=15",
+                                   "unicycle N_p=20", "unicycle N_p=30",
                                    "unicycle N_p=50", "unicycle N_p=200",
                                    "random(2,4,2,800)"]
     table = sweep.sweep({"tiny": random_smooth_problem(2, 3, 2, 9)},

@@ -7,15 +7,15 @@ case is one snapshot, the first outer iteration of minimize from a zero
 start: the costate sweep, the stage curvature and the smallest regularizer
 of minimize's schedule (0.1, times 10 per failed factorization) at which
 (R + H) factors.  The cases are the circle-tracking unicycle at
-N_p = 10, 15, 50 and 200 and random_smooth_problem(2, 4, 2, 800).  Each
-column is one workspace, its partition passed as an argument: the default
-rule's, which B_MAX sets, and for each block-size cap B the block count
-ceil((N+1) / B).  So a short horizon's one-, two- and three-block
-partitions are separate columns.  A sample is the mean time of one factor
-plus two solves, the closed loop's mix (2,478 solves to 1,235 factors in
-an mpc_circle pass), over enough repeats to last about 2 ms; the columns
-take their samples in turn, in a rotating order, for the given number of
-rounds.  The table shows each cell's median and interquartile range in
+N_p = 10, 15, 20, 30, 50 and 200 and random_smooth_problem(2, 4, 2, 800).
+Each column is one workspace, its partition passed as an argument: the
+default rule's, which B_MAX sets, and for each block-size cap B the block
+count ceil((N+1) / B).  So a short horizon's one-, two- and three-block
+partitions are separate columns, and the cap of 32 is one block up to
+N_p = 31.  A sample is the mean time of one factor plus two solves, the
+closed loop's mix (2,478 solves to 1,235 factors in an mpc_circle pass),
+over enough repeats to last about 2 ms; the columns take their samples
+in turn, in a rotating order, for the given number of rounds.  The table shows each cell's median and interquartile range in
 microseconds and its block count nb, and the script fails if a column's
 direction differs from the stage-wise partition's (N + 1 blocks) by more
 than 1e-10 relative.
@@ -39,7 +39,7 @@ from costate import (  # noqa: E402
     random_smooth_problem, roll_forward, stage_curvature)
 from costate.solver import REG_GROW, StagewiseFactor  # noqa: E402
 
-CAPS = (1, 2, 4, 6, 8, 12, 16)
+CAPS = (1, 2, 4, 6, 8, 12, 16, 32)
 SAMPLE_S = 2e-3
 
 
@@ -61,7 +61,7 @@ def snapshot(prob, x0, z):
 def cases():
     """name -> (problem, x0, z) for the sweep's horizons."""
     out = {}
-    for n_p in (10, 15, 50, 200):
+    for n_p in (10, 15, 20, 30, 50, 200):
         spec = dataclasses.replace(UnicycleSpec(), N_p=n_p)
         x0 = np.array(spec.X0)
         prob = build_unicycle_tracking(spec, 0, x0)
