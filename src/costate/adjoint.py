@@ -17,8 +17,8 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .problem import (BlockBidiagonal, NumericalBlowupError, ProblemDef,
-                      Rollout, as_stack, roll_forward, squares_finite)
+from .problem import (BlockBidiagonal, ProblemDef, Rollout, as_stack,
+                      check_finite_stages, roll_forward, squares_finite)
 
 
 class AdjointSolution(NamedTuple):
@@ -97,12 +97,9 @@ def adjoint_along(p: ProblemDef, roll: Rollout,
     # squared norm is not finite; a gradient that overflows from finite
     # inputs is returned as it is.
     if not squares_finite(g):
-        finite = (np.isfinite(cx).all(axis=1) & np.isfinite(cu).all(axis=1)
-                  & np.isfinite(fx).all(axis=(1, 2))
-                  & np.isfinite(fu).all(axis=(1, 2)))
-        if not finite.all():
-            raise NumericalBlowupError(int(finite.argmin()),
-                                       "first-order stage data")
+        check_finite_stages(np.concatenate(
+            (cx, cu, fx.reshape(horizon + 1, -1), fu.reshape(horizon + 1, -1)),
+            axis=-1), "first-order stage data")
     return AdjointSolution(lam[:, 0], g, fx, fu)
 
 

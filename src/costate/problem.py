@@ -244,7 +244,7 @@ def as_stack(a, shape: tuple, what: str) -> np.ndarray:
 
 
 # The banded solves and the Riccati pivots call compiled routines, BLAS
-# dtbsv and LAPACK dposv, dpotrf and dpotrs, which live in scipy.linalg's
+# dtbsv and LAPACK dpotrf and dpotrs, which live in scipy.linalg's
 # extension modules _fblas and _flapack.
 # Importing them through the scipy.linalg package runs its __init__, which
 # (by way of scipy._lib._array_api) imports numpy.f2py, numpy.testing,
@@ -274,7 +274,6 @@ def _compiled(name: str):
 
 
 dtbsv = _compiled("_fblas").dtbsv
-dposv = _compiled("_flapack").dposv
 dpotrf = _compiled("_flapack").dpotrf
 dpotrs = _compiled("_flapack").dpotrs
 
@@ -390,16 +389,24 @@ def check_finite(value, what: str) -> None:
         raise ValueError(f"{what} must be finite, got {value!r}")
 
 
-def check_finite_stages(stack, what: str) -> None:
-    """Raise NumericalBlowupError(k, what) for the first stage k of a stage
-    stack, its stages on the leading axis, that holds a non-finite entry.
+def first_non_finite(stack) -> Optional[int]:
+    """The first stage of a stage stack, its stages on the leading axis,
+    that holds a non-finite entry, or None.
 
     The stages are scanned only when squares_finite(stack) is False; a
-    stack whose sum overflows from finite entries passes."""
-    if not squares_finite(stack):
-        finite = np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
-        if not finite.all():
-            raise NumericalBlowupError(int(finite.argmin()), what)
+    stack whose sum overflows from finite entries has none."""
+    if squares_finite(stack):
+        return None
+    finite = np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
+    return None if finite.all() else int(finite.argmin())
+
+
+def check_finite_stages(stack, what: str) -> None:
+    """Raise NumericalBlowupError(k, what) for the first stage k of a stage
+    stack that holds a non-finite entry, k = first_non_finite(stack)."""
+    k = first_non_finite(stack)
+    if k is not None:
+        raise NumericalBlowupError(k, what)
 
 
 def squares_finite(a: np.ndarray) -> bool:
@@ -473,13 +480,8 @@ def roll_forward(p: ProblemDef, x0, z: np.ndarray) -> Rollout:
         raise NumericalBlowupError(0, "x0")
     states = as_stack((p.rollout or partial(_stepped, p.dynamics))(
         x0, u[:horizon]), (horizon + 1, n), "rollout")
-    blown = None
-    # As in check_finite_stages: any non-finite state makes the sum of
-    # squares non-finite, so only then are the rows scanned.
-    if not isfinite(np.vdot(states, states)):
-        finite = np.isfinite(states).all(axis=1)
-        if not finite.all():
-            blown = max(int(finite.argmin()) - 1, 0)
+    k = first_non_finite(states)  # a non-finite state x_k is dynamics k - 1
+    blown = None if k is None else max(k - 1, 0)
     last = horizon if blown is None else blown
     costs = check_state(p.stage_cost(states[:last + 1], u[:last + 1],
                                      np.arange(last + 1)), last + 1,
@@ -492,9 +494,7 @@ def roll_forward(p: ProblemDef, x0, z: np.ndarray) -> Rollout:
     for c in costs.tolist():
         total += c
     if not isfinite(total):
-        finite = np.isfinite(costs)
-        if not finite.all():
-            raise NumericalBlowupError(int(finite.argmin()), "stage cost")
+        check_finite_stages(costs, "stage cost")
     if blown is not None:
         raise NumericalBlowupError(blown, "dynamics")
     return Rollout(states, u, costs, total)

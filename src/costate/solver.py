@@ -43,7 +43,7 @@ from .adjoint import AdjointSolution, adjoint_along, forward_adjoint
 from .curvature import check_curvature, stage_curvature, symmetric_part
 from .problem import (BlockBidiagonal, NumericalBlowupError, ProblemDef,
                       check_count, check_finite_stages, check_positive,
-                      check_state, dposv, dpotrf, dpotrs, roll_forward,
+                      check_state, dpotrf, dpotrs, roll_forward,
                       squares_finite)
 # Neither is called here; perfbench/tracing.py wraps both as
 # costate.solver.hessian_with and costate.solver.eval_cost.
@@ -146,14 +146,6 @@ def _partition(stages: int, count: Optional[int] = None) -> tuple[int, int]:
     return count, -(-stages // count)
 
 
-def _pivot_error(last: int, info: int, m: int) -> LinearSolveError:
-    """The error naming the stage whose leading minor, info, failed in the
-    pivot of a block that ends in stage last, its controls m per stage."""
-    k = last - (info - 1) // m
-    return LinearSolveError(f"(R + H) is not positive definite: the pivot "
-                            f"of stage {k} failed to factor", stage=k)
-
-
 class StagewiseFactor:
     """Backward Riccati factorization of (R + H) over blocks of stages.
 
@@ -183,9 +175,10 @@ class StagewiseFactor:
     F_j = T_B = [Phi_B | Gamma_B].
 
     Going backward over the blocks from P = 0, each adds the propagated
-    cost-to-go curvature P to Qb_j and Cholesky-factors its control pivot;
-    on several blocks one solve against [Qb_ux | I] yields the feedback gain
-    K_j = -Qb_uu^{-1} Qb_ux and Qb_uu^{-1} at once, and
+    cost-to-go curvature P to Qb_j and Cholesky-factors its control pivot,
+    Qb_uu = L L' (dpotrf), for every partition; on several blocks the two
+    triangular substitutions with L against [Qb_ux | I] (dpotrs) yield the
+    feedback gain K_j = -Qb_uu^{-1} Qb_ux and Qb_uu^{-1} at once, and
     P_j = Qb_xx + Qb_xu K_j.  As a block's controls run last stage first,
     its Cholesky eliminates them in the stage-wise recursion's backward
     order, so its leading minors are the stage pivots: it succeeds exactly
@@ -207,7 +200,7 @@ class StagewiseFactor:
     stage).  From three blocks that system has couplings; two have none.
     One block meets only s_1 = 0 and dx_0 = 0, so its solve is
     du = kff_0 = Qb_uu^{-1} b, two triangular substitutions (dpotrs) with
-    the pivot's Cholesky factor L, which its factor keeps (dpotrf).  Its
+    the pivot's Cholesky factor L, which its factor keeps.  Its
     workspace holds only what those read: no band system, solve vectors,
     block Jacobians F_j, P buffers, gains or inverse.  solve takes b and
     returns du in block order; in_blocks and in_stages move a vector into
@@ -232,11 +225,12 @@ class StagewiseFactor:
     loop is
 
         Qb_{j+1,xu} sol[j+1][:, :n] -> schur;  Qb_{j+1,xx} - schur -> P;
-        P F_j -> pf;  F_j' pf -> fpf;  Qb_j += fpf;  Qb_ux -> rhs;
-        dposv(Qb_uu, [Qb_ux | I]) -> x -> sol[j].
+        P F_j -> pf;  F_j' pf -> fpf;  Qb_j += fpf;  dpotrf(Qb_uu) -> L;
+        Qb_ux -> rhs;  dpotrs(L, [Qb_ux | I]) -> x -> sol[j].
 
     The first block of the loop, nb - 1, meets P = 0 and skips the first
-    five steps.  Each product is an ndarray.dot bound once, writing into a
+    five steps; one block is that loop's single iteration, which stops at
+    its L.  Each product is an ndarray.dot bound once, writing into a
     preallocated output: np.dot's BLAS call without its Python-level
     dispatch and new temporary, which cost more than the arithmetic at
     these sizes; one block's sensitivity products are 2-D ndarray.dot
@@ -288,15 +282,17 @@ class StagewiseFactor:
         fxu_blocks = fxu.reshape(count, size, n, n + m)
         self.sens_steps = [(fxu_blocks[j, i], s[j, i], s[j, i + 1, :n])
                            for i in range(size - 1)]
-        if self.one_block:  # its last stage and its pivot, for dpotrf
-            self.blocks = [(size - 1, qb[0, n:, n:])]
+        # Each block's last stage and pivot, last block first; on several
+        # blocks also its Qb_ux and sol[j], which the gains are solved into.
+        if self.one_block:
+            self.blocks = [(size - 1, qb[0, n:, n:], None, None)]
             return
         sol = np.empty((count, mb, cols))
         self.sol, self.quu_inv = sol, sol[:, :, n:]
         self.rhs = np.empty((mb, cols))
         self.rhs_ux = self.rhs[:, :n]
         self.rhs[:, n:] = np.eye(mb)
-        self.blocks = [(j * size + size - 1, qb[j, n:, :n], qb[j, n:, n:],
+        self.blocks = [(j * size + size - 1, qb[j, n:, n:], qb[j, n:, :n],
                         sol[j]) for j in range(count - 1, -1, -1)]
         fb = np.empty((count, n, cols))
         self.phi, self.gam = fb[:, :, :n], fb[:, :, n:]
@@ -341,30 +337,29 @@ class StagewiseFactor:
         np.matmul(self.q, self.s, out=self.qs)
         np.matmul(self.s_block_t, self.qs_block, out=self.qb)
         self.qb_uu_diag += r
-        if count == 1:  # P = 0, and a solve reads only the pivot's L
-            (last, q_uu), = self.blocks
-            self.chol, info = dpotrf(q_uu, lower=1)
-            if info:
-                raise _pivot_error(last, info, m)
-            # L is Fortran-ordered; vdot reads its C-ordered transpose
-            # without a copy.
-            self.finite = squares_finite(self.chol.T)
-            return
-        rhs, rhs_ux = self.rhs, self.rhs_ux
-        p, pf, fpf, schur = self.p, self.pf, self.fpf, self.schur
-        for i, (last, q_ux, q_uu, sol_j) in enumerate(self.blocks):
+        for i, (last, q_uu, q_ux, sol_j) in enumerate(self.blocks):
             if i:  # block nb - 1 meets P = 0
                 q_xx, q_xu_dot, neg_gain, qj, fj, fj_t_dot = self.links[i - 1]
-                q_xu_dot(neg_gain, schur)
-                np.subtract(q_xx, schur, out=p)
-                p.dot(fj, pf)
-                fj_t_dot(pf, fpf)
-                qj += fpf
-            rhs_ux[...] = q_ux
-            _, x, info = dposv(q_uu, rhs, lower=1)
+                q_xu_dot(neg_gain, self.schur)
+                np.subtract(q_xx, self.schur, out=self.p)
+                self.p.dot(fj, self.pf)
+                fj_t_dot(self.pf, self.fpf)
+                qj += self.fpf
+            chol, info = dpotrf(q_uu, lower=1)
             if info:
-                raise _pivot_error(last, info, m)
-            sol_j[...] = x
+                k = last - (info - 1) // m
+                raise LinearSolveError(f"(R + H) is not positive definite: "
+                                       f"the pivot of stage {k} failed to "
+                                       f"factor", stage=k)
+            if count > 1:
+                self.rhs_ux[...] = q_ux
+                sol_j[...] = dpotrs(chol, self.rhs, lower=1)[0]
+        if count == 1:  # a solve reads only the pivot's L
+            self.chol = chol
+            # L is Fortran-ordered; vdot reads its C-ordered transpose
+            # without a copy.
+            self.finite = squares_finite(chol.T)
+            return
         # A pivot as small as a subnormal r inverts to inf.  A sum that
         # overflows from finite gains only quiets their solves.
         self.finite = squares_finite(self.sol)

@@ -369,8 +369,9 @@ def _run_fresh(code):
 
 
 def test_costate_imports_without_the_scipy_linalg_package():
-    # problem.py loads dtbsv's and dposv's extension modules directly; the
-    # package's __init__ would add about 0.2 s to every start-up.
+    # problem.py loads the extension modules of dtbsv, dpotrf and dpotrs
+    # directly; the package's __init__ would add about 0.2 s to every
+    # start-up.
     loaded = json.loads(_run_fresh(
         "import json, sys\n"
         "import costate, costate.cli\n"
@@ -384,7 +385,6 @@ _SHARED_ROUTINES = """
 import numpy as np
 {imports}
 assert costate.problem.dtbsv is scipy.linalg.blas.dtbsv
-assert costate.problem.dposv is scipy.linalg.lapack.dposv
 assert costate.problem.dpotrf is scipy.linalg.lapack.dpotrf
 assert costate.problem.dpotrs is scipy.linalg.lapack.dpotrs
 a = np.array([[4.0, 2.0, 0.0], [2.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
@@ -411,8 +411,7 @@ def test_one_copy_of_each_compiled_routine_in_either_import_order(imports):
 # .problem: (module, names).  dtbsv is named only in problem.py, whose
 # BlockBidiagonal owns the band storage that it reads.
 _ROUTINE_USERS = [("adjoint", {"BlockBidiagonal"}),
-                  ("solver", {"BlockBidiagonal", "dposv", "dpotrf",
-                              "dpotrs"})]
+                  ("solver", {"BlockBidiagonal", "dpotrf", "dpotrs"})]
 _PROBLEM_ONLY = {"dtbsv"}
 
 
